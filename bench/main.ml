@@ -637,6 +637,48 @@ let decision_sharded_test () =
     (Staged.stage (fun () ->
          ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 100))))
 
+(* The funding mutation path (paper §4.4): 64 threads funded from one
+   currency on a 4-shard Tree scheduler. One operation is a block and a
+   wake of the same thread (unready + ready: its ticket deactivates and
+   reactivates, moving the currency's active amount both ways, so all 64
+   sibling currencies are dirtied) and one select on CPU 0, which re-weighs
+   the 63 runnable siblings and draws; the winner is then accounted, as at
+   a slice end, so the shards stay populated. Invalidation, the change
+   buffer, the pending re-weigh queue and the Fenwick/shard-tree writes are
+   all allocation-free; the budget allows fit noise only. *)
+let fund_reweigh_test () =
+  let rng = Core.Rng.create ~seed:5 () in
+  let ls =
+    Core.Lottery_sched.create ~mode:Core.Lottery_sched.Tree_mode ~shards:4 ~rng
+      ()
+  in
+  let sr = Core.Lottery_sched.sched ls in
+  let k = Core.Kernel.create ~cpus:4 ~sched:sr () in
+  let cur = Core.Lottery_sched.make_currency ls "family" in
+  ignore
+    (Core.Lottery_sched.fund_currency ls ~target:cur ~amount:1000
+       ~from:(Core.Lottery_sched.base_currency ls));
+  let threads =
+    Array.init 64 (fun i ->
+        let th =
+          Core.Kernel.spawn k ~name:(Printf.sprintf "t%d" i) (fun () ->
+              while true do
+                Core.Api.compute (Core.Time.ms 100)
+              done)
+        in
+        ignore (Core.Lottery_sched.fund_thread ls th ~amount:(10 + i) ~from:cur);
+        th)
+  in
+  ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 100));
+  let th = threads.(0) in
+  Test.make ~name:"fund-reweigh-64"
+    (Staged.stage (fun () ->
+         sr.unready th;
+         sr.ready th;
+         match sr.select ~cpu:0 with
+         | Some w -> sr.account w ~used:1 ~quantum:1 ~blocked:false
+         | None -> ()))
+
 let hotpath_tests () =
   Test.make_grouped ~name:"hotpath"
     [
@@ -645,6 +687,7 @@ let hotpath_tests () =
       decision_mode_test Core.Lottery_sched.Cumul_mode "cumul";
       decision_mode_test Core.Lottery_sched.Alias_mode "alias";
       decision_sharded_test ();
+      fund_reweigh_test ();
     ]
 
 (* Batch amortization: serving a winner mutates its weight (compensation

@@ -127,6 +127,15 @@ let readd t h ~weight =
   | A l, Ah h -> Alias_lottery.readd l h ~weight
   | _ -> foreign ()
 
+let readd_at t h src i =
+  match (t, h) with
+  | T l, Th h -> Tree_lottery.readd_at l h src i
+  | L l, Lh h -> List_lottery.readd l h ~weight:src.(i)
+  | D l, Dh h -> Distributed_lottery.readd l h ~weight:src.(i)
+  | C l, Ch h -> Cumul_lottery.readd l h ~weight:src.(i)
+  | A l, Ah h -> Alias_lottery.readd l h ~weight:src.(i)
+  | _ -> foreign ()
+
 let mem t h =
   match (t, h) with
   | L l, Lh h -> List_lottery.mem l h
@@ -150,6 +159,15 @@ let set_weight t h w =
   | D l, Dh h -> Distributed_lottery.set_weight l h w
   | C l, Ch h -> Cumul_lottery.set_weight l h w
   | A l, Ah h -> Alias_lottery.set_weight l h w
+  | _ -> foreign ()
+
+let set_weight_at t h src i =
+  match (t, h) with
+  | T l, Th h -> Tree_lottery.set_weight_at l h src i
+  | L l, Lh h -> List_lottery.set_weight l h src.(i)
+  | D l, Dh h -> Distributed_lottery.set_weight l h src.(i)
+  | C l, Ch h -> Cumul_lottery.set_weight l h src.(i)
+  | A l, Ah h -> Alias_lottery.set_weight l h src.(i)
   | _ -> foreign ()
 
 let weight t h =
@@ -232,6 +250,10 @@ let iter t f =
   | D l -> Distributed_lottery.iter l (fun h -> f (Dh h))
   | C l -> Cumul_lottery.iter l (fun h -> f (Ch h))
   | A l -> Alias_lottery.iter l (fun h -> f (Ah h))
+
+let drift_fallbacks = function
+  | T l -> Tree_lottery.drift_fallbacks l
+  | L _ | D _ | C _ | A _ -> 0
 
 let comparisons = function
   | L l -> Some (List_lottery.comparisons l)

@@ -118,6 +118,10 @@ val readd : 'a t -> 'a handle -> weight:float -> unit
     flat backends. Raises [Invalid_argument] if the handle is still live
     or the backend differs. *)
 
+val readd_at : 'a t -> 'a handle -> float array -> int -> unit
+(** [readd_at t h src i] is [readd t h ~weight:src.(i)]; see
+    {!set_weight_at}. *)
+
 val mem : 'a t -> 'a handle -> bool
 (** Whether the handle is currently live in {e this} structure — false for
     a removed handle (until {!readd}) and for a handle living in a
@@ -130,6 +134,17 @@ val clear : 'a t -> unit
     ephemeral lotteries (e.g. mutex-waiter picks). *)
 
 val set_weight : 'a t -> 'a handle -> float -> unit
+
+val set_weight_at : 'a t -> 'a handle -> float array -> int -> unit
+(** [set_weight_at t h src i] is [set_weight t h src.(i)] for callers that
+    keep their weights in a flat array. A float passed to a call the
+    compiler does not inline is boxed, and a call across modules is never
+    inlined in a build with [-opaque] (dune's dev profile); reading the
+    weight out of [src] instead keeps the write allocation-free in every
+    build on the [Tree] backend, the one the sharded scheduler re-weighs
+    on every block and wake. The other backends box it as
+    {!set_weight} does. *)
+
 val weight : 'a t -> 'a handle -> float
 val client : 'a handle -> 'a
 val total : 'a t -> float
@@ -159,6 +174,11 @@ val draw_k : 'a t -> Lotto_prng.Rng.t -> k:int -> 'a array -> int
 
 val draw_with_value : 'a t -> winning:float -> 'a handle option
 val iter : 'a t -> ('a handle -> unit) -> unit
+
+val drift_fallbacks : 'a t -> int
+(** Draws on the [Tree] backend whose partial-sum descent overshot every
+    live client through float drift and fell back to an O(n) scan (see
+    {!Tree_lottery.drift_fallbacks}); [0] for the other backends. *)
 
 val comparisons : 'a t -> int option
 (** Cumulative list entries examined ([None] for non-list backends): the

@@ -23,14 +23,16 @@ let shards t = t.shards
 let check t i =
   if i < 0 || i >= t.shards then invalid_arg "Shard_tree: shard out of range"
 
-let get t i =
+(* [@inline] on the float readers and writers: a cross-module caller
+   compiled against this module's .cmx keeps the float unboxed *)
+let[@inline] get t i =
   check t i;
   t.sums.(t.leaves + i)
 
-let total t = Float.max 0. t.sums.(1)
+let[@inline] total t = Float.max 0. t.sums.(1)
 
 (* absolute write: bubble the delta from the leaf to the root *)
-let set t i v =
+let[@inline] set t i v =
   check t i;
   if v < 0. then invalid_arg "Shard_tree.set: negative mass";
   let delta = v -. t.sums.(t.leaves + i) in
@@ -41,6 +43,13 @@ let set t i v =
       j := !j / 2
     done
   end
+
+(* Relative write, clamped at zero, with the delta read from the caller's
+   flat array: the same [get], add and [set] a caller would do, without
+   boxing the delta to pass it here. *)
+let adjust_at t i src j =
+  let v = get t i +. src.(j) in
+  set t i (if v > 0. then v else 0.)
 
 (* Ticket-weighted shard pick: descend from the root with a winning value
    in [0, total), preferring the left child unless the value falls past its

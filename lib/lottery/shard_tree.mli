@@ -23,6 +23,12 @@ val set : t -> int -> float -> unit
 
 val get : t -> int -> float
 
+val adjust_at : t -> int -> float array -> int -> unit
+(** [adjust_at t i src j] adds [src.(j)] to shard [i]'s mass, clamping the
+    result at 0 — exactly [set t i (max 0 (get t i +. src.(j)))]. The
+    delta is read from the caller's array so it is never boxed to cross
+    the call (see {!Draw.set_weight_at}). *)
+
 val total : t -> float
 
 val pick : t -> u:float -> int

@@ -16,6 +16,7 @@ type 'a t = {
   mutable free : int array; (* stack of vacated slots *)
   mutable free_top : int;
   mutable size : int;
+  mutable drift_fallbacks : int; (* draws that took the [last_live_slot] scan *)
 }
 
 (* The total lives in the Fenwick root: [capacity] is always a power of
@@ -43,11 +44,13 @@ let create ?(initial_capacity = 16) () =
     free = Array.make cap 0;
     free_top = 0;
     size = 0;
+    drift_fallbacks = 0;
   }
 
 let occupied t s = t.weights.(s) >= 0.
 
-let bump t slot delta =
+(* [@inline] keeps [delta] unboxed: every caller computes it fresh. *)
+let[@inline] bump t slot delta =
   (* Standard Fenwick point update: add delta to slot (0-based) upward. *)
   let i = ref (slot + 1) in
   while !i <= t.capacity do
@@ -127,7 +130,7 @@ let remove t h =
    primitive. The handle record is reused in place, so callers holding
    [Some h] boxes keep them valid across a remove/readd pair — a migration
    between two structures costs zero minor words in the steady state. *)
-let readd t h ~weight =
+let[@inline] readd t h ~weight =
   if weight < 0. then invalid_arg "Tree_lottery.readd: negative weight";
   if h.slot >= 0 then invalid_arg "Tree_lottery.readd: handle still live";
   let slot =
@@ -149,11 +152,16 @@ let readd t h ~weight =
   bump t slot weight;
   t.size <- t.size + 1
 
-let set_weight t h weight =
+let[@inline] set_weight t h weight =
   if weight < 0. then invalid_arg "Tree_lottery.set_weight: negative weight";
   if h.slot < 0 then invalid_arg "Tree_lottery.set_weight: removed handle";
   bump t h.slot (weight -. t.weights.(h.slot));
   t.weights.(h.slot) <- weight
+
+(* The [_at] forms take the weight from a caller's flat array, so it is
+   never boxed on the way in, inlined or not. *)
+let readd_at t h src i = readd t h ~weight:src.(i)
+let set_weight_at t h src i = set_weight t h src.(i)
 
 let clear t =
   for s = 0 to t.used - 1 do
@@ -203,9 +211,13 @@ let last_live_slot t =
 let[@inline] slot_for_value t winning =
   let s = descend t winning in
   if s < t.capacity && t.weights.(s) > 0. then s
-  else
+  else begin
     (* float drift pushed the winning value past the true total *)
+    t.drift_fallbacks <- t.drift_fallbacks + 1;
     last_live_slot t
+  end
+
+let drift_fallbacks t = t.drift_fallbacks
 
 let draw_with_value t ~winning =
   if winning < 0. then invalid_arg "Tree_lottery.draw_with_value: negative";

@@ -21,12 +21,21 @@ val readd : 'a t -> 'a handle -> weight:float -> unit
     and re-inserting it into another of the same backend costs no handle
     allocation. *)
 
+val readd_at : 'a t -> 'a handle -> float array -> int -> unit
+(** [readd_at t h src i] is [readd t h ~weight:src.(i)]. *)
+
 val clear : 'a t -> unit
 (** Remove every client at once (invalidating their handles), keeping the
     allocated capacity for reuse; subsequent adds refill slots from 0 in
     insertion order, exactly like a fresh structure. *)
 
 val set_weight : 'a t -> 'a handle -> float -> unit
+
+val set_weight_at : 'a t -> 'a handle -> float array -> int -> unit
+(** [set_weight_at t h src i] is [set_weight t h src.(i)], reading the
+    weight from the caller's flat array so it is not boxed to cross the
+    call (see {!Draw.set_weight_at}). *)
+
 val weight : 'a t -> 'a handle -> float
 val client : 'a handle -> 'a
 val mem : 'a t -> 'a handle -> bool
@@ -53,6 +62,12 @@ val draw_k : 'a t -> Lotto_prng.Rng.t -> k:int -> 'a array -> int
 val draw_with_value : 'a t -> winning:float -> 'a handle option
 (** Deterministic draw for a winning value in [\[0, total)]: the winner is
     the client covering that value in slot (insertion) order. *)
+
+val drift_fallbacks : 'a t -> int
+(** Draws (including {!draw_with_value}) whose Fenwick descent landed past
+    every live client — float drift in the incrementally maintained
+    partial sums left the root above the true total — and fell back to an
+    O(n) scan for the last live slot. Rare by construction; cumulative. *)
 
 val iter : 'a t -> ('a handle -> unit) -> unit
 (** Slot order (insertion order modulo slot reuse). *)

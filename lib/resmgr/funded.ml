@@ -37,11 +37,8 @@ module Tracker = struct
 
   let attach sys =
     let tr = { pending = Hashtbl.create 16; full = false } in
-    ignore
-      (F.on_change sys (fun ch ->
-           List.iter
-             (fun c -> Hashtbl.replace tr.pending (F.currency_id c) ())
-             (F.changed ch)));
+    let record c = Hashtbl.replace tr.pending (F.currency_id c) () in
+    ignore (F.on_change sys (fun ch -> F.iter_changed ch record));
     tr
 
   let force tr = tr.full <- true

@@ -43,10 +43,6 @@ type tstate = {
       (* which shard's fallback ring holds this entry (one-ring invariant:
          a migrated thread is handed to its new ring lazily, on pop, so
          migration itself never touches the rings) *)
-  mutable wlast : float;
-      (* the last weight written to a shard draw — kept as the record's
-         own box so the dispatch/re-enqueue cycle can pass it to
-         {!D.readd} without allocating a fresh float *)
 }
 
 (* Per-thread and per-currency state lives in arrays indexed by the dense
@@ -67,12 +63,25 @@ type t = {
   mutable ccache : float array; (* by thread slot: compensation factor
                                    behind the last weight written. The two
                                    inputs are cached separately so
-                                   [account] can compare each against an
-                                   existing box (the funding cache, the
-                                   thread's compensate field) — comparing
-                                   the recomputed product would box the
-                                   fresh float on every decision *)
-  pending_q : tstate Queue.t; (* dirtied thread currencies, insertion order *)
+                                   [account] can compare each against a
+                                   value read in place (the funding
+                                   system's flat cache, the thread's
+                                   compensate field) — comparing the
+                                   recomputed product would box the fresh
+                                   float on every decision *)
+  mutable wlast : float array; (* by thread slot: the last weight written
+                                   to the thread's draw. Kept flat so
+                                   every write and shard-mass delta stays
+                                   unboxed; the draw and the shard tree
+                                   read it through their [_at] entry
+                                   points *)
+  fscratch : float array; (* one cell: a shard-mass delta on its way to
+                             {!Sh.adjust_at} *)
+  mutable pending : tstate option array;
+      (* dirtied thread currencies awaiting a scoped re-weigh, insertion
+         order; cells hold the [Some s] already stored in [by_cslot] and
+         are reset to [None] when drained *)
+  mutable n_pending : int;
   draw : tstate D.t;
   scratch : thread D.t; (* reusable waiter-pick draw, cleared between picks *)
   fallback_q : tstate Queue.t; (* round-robin ring of runnable threads *)
@@ -134,6 +143,13 @@ let find_by_currency t c =
   | Some s as o when s.cur == c -> o
   | _ -> None
 
+let push_pending t s o =
+  s.in_pending <- true;
+  let n = t.n_pending in
+  t.pending <- ensure_cap t.pending n;
+  t.pending.(n) <- o;
+  t.n_pending <- n + 1
+
 let create ?(mode = List_mode) ?(quantum_fallback = true)
     ?(use_compensation = true) ?(shards = 0) ?(imbalance_band = 0.25) ~rng () =
   if shards < 0 then invalid_arg "Lottery_sched.create: shards < 0";
@@ -148,7 +164,10 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       by_cslot = [||];
       wcache = [||];
       ccache = [||];
-      pending_q = Queue.create ();
+      wlast = [||];
+      fscratch = [| 0. |];
+      pending = [||];
+      n_pending = 0;
       draw = D.of_mode (draw_mode mode);
       scratch = D.of_mode (draw_mode mode);
       fallback_q = Queue.create ();
@@ -174,19 +193,14 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
   (* Scoped change tracking: every funding mutation — ours or a caller's
      going straight through the Funding API — reports the currencies it
      dirtied; we record the ones that belong to draw clients and revalue
-     exactly those before the next lottery. *)
-  ignore
-    (F.on_change t.system (fun ch ->
-         List.iter
-           (fun c ->
-             match find_by_currency t c with
-             | Some s ->
-                 if not s.in_pending then begin
-                   s.in_pending <- true;
-                   Queue.push s t.pending_q
-                 end
-             | None -> ())
-           (F.changed ch)));
+     exactly those before the next lottery. Both closures are built here,
+     once, so an event costs no allocation. *)
+  let note c =
+    match find_by_currency t c with
+    | Some s as o -> if not s.in_pending then push_pending t s o
+    | None -> ()
+  in
+  ignore (F.on_change t.system (fun ch -> F.iter_changed ch note));
   t
 
 let funding t = t.system
@@ -218,12 +232,13 @@ let state t th =
           in_draw = false;
           counted = false;
           ring_of = -1;
-          wlast = 0.;
         }
       in
       t.st_tab <- ensure_cap t.st_tab th.tslot;
       t.wcache <- ensure_capf t.wcache th.tslot;
       t.ccache <- ensure_capf t.ccache th.tslot;
+      t.wlast <- ensure_capf t.wlast th.tslot;
+      t.wlast.(th.tslot) <- 0.;
       t.st_tab.(th.tslot) <- Some s;
       let cslot = F.currency_slot cur in
       t.by_cslot <- ensure_cap t.by_cslot cslot;
@@ -241,15 +256,22 @@ let[@inline] factor t (s : tstate) =
 let value_of t s = F.currency_value t.system s.cur *. factor t s
 let thread_value t th = value_of t (state t th)
 
+(* The thread currency's value, read out of the funding system's flat
+   cache: no float crosses a call, so none is boxed, inlined or not. *)
+let[@inline] cur_value t s =
+  (F.value_table t.system s.cur).(F.currency_slot s.cur)
+
 (* The one weight-write of the draw path: records the two inputs of the
    written weight so [account] can later detect "nothing changed" without
    recomputing the product. *)
 let write_weight t s h =
-  let cv = F.currency_value t.system s.cur in
+  let slot = s.th.tslot in
+  let cv = cur_value t s in
   let f = factor t s in
-  D.set_weight t.draw h (cv *. f);
-  t.wcache.(s.th.tslot) <- cv;
-  t.ccache.(s.th.tslot) <- f
+  t.wlast.(slot) <- cv *. f;
+  D.set_weight_at t.draw h t.wlast slot;
+  t.wcache.(slot) <- cv;
+  t.ccache.(slot) <- f
 
 (* --- per-CPU shards: mass accounting, migration, stealing -------------- *)
 
@@ -260,9 +282,9 @@ let write_weight t s h =
    occupancy keeps the steady-state quantum cycle (dispatch dequeue +
    account re-enqueue) entirely off the tree: only block/wake, funding
    changes and migrations touch it. *)
-let stree_adjust t i delta =
-  let v = Sh.get t.stree i +. delta in
-  Sh.set t.stree i (if v > 0. then v else 0.)
+let[@inline] stree_adjust t i delta =
+  t.fscratch.(0) <- delta;
+  Sh.adjust_at t.stree i t.fscratch 0
 
 (* Take a drawn thread off its shard's structure for the duration of its
    slice. Its mass stays counted; the recycled handle makes the later
@@ -276,30 +298,29 @@ let[@inline] dispatch_dequeue t s =
 (* (Re-)insert a thread into its shard's draw. The weight inputs are
    compared against the cached copies exactly as [account] does on the
    unsharded path: on a quiescent graph nothing changed and the re-insert
-   reuses the boxed product of the last write ([wlast]), so a
-   compute-bound thread's dispatch/re-enqueue cycle allocates nothing. *)
+   reuses the product of the last write ([wlast]), so a compute-bound
+   thread's dispatch/re-enqueue cycle allocates nothing. *)
 let sh_enqueue t s =
   if not s.in_draw then begin
     let slot = s.th.tslot in
-    if
-      F.currency_value t.system s.cur <> t.wcache.(slot)
-      || factor t s <> t.ccache.(slot)
-    then begin
-      let cv = F.currency_value t.system s.cur in
-      let f = factor t s in
+    let cv = cur_value t s in
+    let f = factor t s in
+    if cv <> t.wcache.(slot) || f <> t.ccache.(slot) then begin
       let nw = cv *. f in
       t.wcache.(slot) <- cv;
       t.ccache.(slot) <- f;
-      if s.counted then stree_adjust t s.shard (nw -. s.wlast);
-      s.wlast <- nw;
+      if s.counted then stree_adjust t s.shard (nw -. t.wlast.(slot));
+      t.wlast.(slot) <- nw;
       t.scoped_updates <- t.scoped_updates + 1
     end;
     (match s.dh with
-    | Some h -> D.readd t.sdraws.(s.shard) h ~weight:s.wlast
-    | None -> s.dh <- Some (D.add t.sdraws.(s.shard) ~client:s ~weight:s.wlast));
+    | Some h -> D.readd_at t.sdraws.(s.shard) h t.wlast slot
+    | None ->
+        s.dh <-
+          Some (D.add t.sdraws.(s.shard) ~client:s ~weight:t.wlast.(slot)));
     s.in_draw <- true;
     if not s.counted then begin
-      stree_adjust t s.shard s.wlast;
+      stree_adjust t s.shard t.wlast.(slot);
       s.counted <- true
     end;
     if not s.in_fq then begin
@@ -315,14 +336,15 @@ let sh_enqueue t s =
 let write_weight_sh t s =
   match s.dh with
   | Some h when s.in_draw ->
-      let cv = F.currency_value t.system s.cur in
+      let slot = s.th.tslot in
+      let cv = cur_value t s in
       let f = factor t s in
       let nw = cv *. f in
-      t.wcache.(s.th.tslot) <- cv;
-      t.ccache.(s.th.tslot) <- f;
-      if s.counted then stree_adjust t s.shard (nw -. s.wlast);
-      s.wlast <- nw;
-      D.set_weight t.sdraws.(s.shard) h nw
+      t.wcache.(slot) <- cv;
+      t.ccache.(slot) <- f;
+      if s.counted then stree_adjust t s.shard (nw -. t.wlast.(slot));
+      t.wlast.(slot) <- nw;
+      D.set_weight_at t.sdraws.(s.shard) h t.wlast slot
   | _ -> ()
 
 (* Move a thread between shards: O(1) detach from the source structure,
@@ -333,16 +355,17 @@ let write_weight_sh t s =
 let migrate t s ~dst =
   if dst < 0 || dst >= t.shards then invalid_arg "Lottery_sched: bad shard";
   if s.shard <> dst then begin
+    let slot = s.th.tslot in
     if s.in_draw then begin
       match s.dh with
       | Some h ->
           D.remove t.sdraws.(s.shard) h;
-          D.readd t.sdraws.(dst) h ~weight:s.wlast
+          D.readd_at t.sdraws.(dst) h t.wlast slot
       | None -> assert false
     end;
     if s.counted then begin
-      stree_adjust t s.shard (-.s.wlast);
-      stree_adjust t dst s.wlast
+      stree_adjust t s.shard (-.t.wlast.(slot));
+      stree_adjust t dst t.wlast.(slot)
     end;
     s.shard <- dst;
     t.migrations <- t.migrations + 1
@@ -390,7 +413,8 @@ let rebalance t =
         let w = D.draw_slot t.sdraws.(rich) t.rng in
         if w >= 0 then begin
           let s = D.client_at t.sdraws.(rich) w in
-          if mr -. s.wlast >= mp +. s.wlast then begin
+          let ws = t.wlast.(s.th.tslot) in
+          if mr -. ws >= mp +. ws then begin
             migrate t s ~dst:poor;
             thresh := full_band /. 2.;
             incr moves;
@@ -443,7 +467,7 @@ let destroy_ticket t ticket = F.destroy_ticket t.system ticket
    per-thread weight write of the block/wake path — count it as such. *)
 let add_to_draw t s =
   if s.dh = None then begin
-    let cv = F.currency_value t.system s.cur in
+    let cv = cur_value t s in
     let f = factor t s in
     s.dh <- Some (D.add t.draw ~client:s ~weight:(cv *. f));
     t.wcache.(s.th.tslot) <- cv;
@@ -486,7 +510,7 @@ let unready t th =
   F.suspend t.system s.competing;
   if t.shards > 0 then begin
     if s.counted then begin
-      stree_adjust t s.shard (-.s.wlast);
+      stree_adjust t s.shard (-.t.wlast.(th.tslot));
       s.counted <- false
     end;
     if s.in_draw then dispatch_dequeue t s
@@ -526,7 +550,7 @@ let detach t th =
   | Some s ->
       if t.shards > 0 then begin
         if s.counted then begin
-          stree_adjust t s.shard (-.s.wlast);
+          stree_adjust t s.shard (-.t.wlast.(th.tslot));
           s.counted <- false
         end;
         if s.in_draw then dispatch_dequeue t s
@@ -577,38 +601,41 @@ let refresh_weights t =
         | _ -> ())
       t.st_tab
 
-let drain_pending t f =
-  while not (Queue.is_empty t.pending_q) do
-    let s = Queue.pop t.pending_q in
-    s.in_pending <- false;
-    f s
-  done
-
 (* Bring the draw in sync with the funding graph: a full rebuild only when
    explicitly requested ({!mark_dirty}), otherwise revalue exactly the
    threads whose currencies the change events dirtied — O(changed), the
-   steady-state path. Detached threads may still sit in the queue; their
-   [dh] is gone, so they drain as no-ops. *)
+   steady-state path — in the order they were first dirtied. Detached
+   threads may still sit in the buffer; their [dh] is gone, so they drain
+   as no-ops. Each drained cell goes back to [None], so the buffer never
+   keeps a dead thread reachable. *)
 let flush_pending t =
+  let rewrite = not t.dirty in
   if t.dirty then begin
     refresh_weights t;
-    t.dirty <- false;
-    drain_pending t (fun _ -> ())
-  end
-  else if not (Queue.is_empty t.pending_q) then
-    if t.shards > 0 then
-      drain_pending t (fun s ->
-          if s.in_draw then begin
-            write_weight_sh t s;
-            t.scoped_updates <- t.scoped_updates + 1
-          end)
-    else
-      drain_pending t (fun s ->
-          match s.dh with
-          | Some h ->
-              write_weight t s h;
+    t.dirty <- false
+  end;
+  for i = 0 to t.n_pending - 1 do
+    match t.pending.(i) with
+    | Some s ->
+        t.pending.(i) <- None;
+        s.in_pending <- false;
+        if rewrite then
+          if t.shards > 0 then begin
+            if s.in_draw then begin
+              write_weight_sh t s;
               t.scoped_updates <- t.scoped_updates + 1
-          | None -> ())
+            end
+          end
+          else begin
+            match s.dh with
+            | Some h ->
+                write_weight t s h;
+                t.scoped_updates <- t.scoped_updates + 1
+            | None -> ()
+          end
+    | None -> ()
+  done;
+  t.n_pending <- 0
 
 (* Unfunded threads never win a lottery (paper: zero tickets = starvation).
    To keep simulations with forgotten funding alive, optionally fall back to
@@ -766,13 +793,12 @@ let account t th ~used:_ ~quantum:_ ~blocked:_ =
   if not t.dirty then begin
     match find_state t th with
     | Some ({ dh = Some h; _ } as s) ->
-        (* Each input is compared against an existing box (the funding
-           valuation cache, the thread's compensate field), so the
-           quiescent path computes no fresh float at all. Skipping the
-           write when both inputs match is exact: the product could not
-           have changed. *)
+        (* Each input is read in place (the funding system's flat value
+           cache, the thread's compensate field), so the quiescent path
+           computes no fresh float at all. Skipping the write when both
+           inputs match is exact: the product could not have changed. *)
         if
-          F.currency_value t.system s.cur <> t.wcache.(th.tslot)
+          cur_value t s <> t.wcache.(th.tslot)
           || factor t s <> t.ccache.(th.tslot)
         then write_weight t s h
     | _ -> ()
@@ -952,7 +978,7 @@ let check_sharding t =
             if s.counted && (s.shard < 0 || s.shard >= t.shards) then
               vf "%s: counted but shard id %d out of range" s.th.name s.shard;
             if s.counted && s.shard >= 0 && s.shard < t.shards then
-              sums.(s.shard) <- sums.(s.shard) +. s.wlast;
+              sums.(s.shard) <- sums.(s.shard) +. t.wlast.(s.th.tslot);
             (match s.dh with
             | Some h ->
                 for i = 0 to t.shards - 1 do

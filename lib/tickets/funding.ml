@@ -36,20 +36,12 @@ and currency = {
   mutable backing_head : int;
   mutable active_amount : int;
   mutable alive : bool;
-  (* Incremental valuation cache. [cache_ok] means [val_cache] holds the
-     currency's value (sum of its active backing tickets in base units; for
-     base, the active amount) and [unit_cache] the base units per unit of
-     this currency. Invalidation propagates along backing edges to dependent
-     currencies, so a lottery after k mutations revalues O(affected)
-     currencies rather than the whole system. *)
-  mutable val_cache : float;
-  mutable unit_cache : float;
   mutable cache_ok : bool;
+      (* the currency's entries in the system's [vals]/[units] caches are
+         current; see [ensure] *)
 }
 
-type change = { dirtied : currency list (* most recently dirtied first *) }
-
-type system = {
+and system = {
   mutable next_id : int;
   base_currency : currency;
   by_name : (string, currency) Hashtbl.t;
@@ -67,12 +59,32 @@ type system = {
   mutable i_next : int array;
   mutable b_prev : int array;
   mutable b_next : int array;
+  (* Incremental valuation caches, indexed by currency slot. While a
+     currency's [cache_ok] holds, [vals] has its value (sum of its active
+     backing tickets in base units; for base, the active amount) and
+     [units] the base units per unit of it. Flat float arrays rather than
+     record fields: a revalidation stores two unboxed floats instead of two
+     fresh boxes into a (usually major-heap) record, so the block/wake
+     fan-out neither allocates nor promotes. Invalidation propagates along
+     backing edges to dependent currencies, so a lottery after k mutations
+     revalues O(affected) currencies rather than the whole system. *)
+  mutable vals : float array;
+  mutable units : float array;
   (* Flat watcher table: change subscriptions in a slot arena instead of a
      hashtable, fired in subscription order. *)
   w_slots : Slots.t;
-  mutable w_tab : (change -> unit) array;
-  mutable dirty_acc : currency list; (* valid->stale flips since last notify *)
+  mutable w_tab : (system -> unit) array;
+  mutable fire : int -> unit; (* calls watcher [slot]; built once *)
+  (* Valid->stale flips since the last notify, oldest first: one reusable
+     buffer instead of a fresh list per mutation. Entries past [n_dirty]
+     hold the base currency, never a dead one. *)
+  mutable dirty : currency array;
+  mutable n_dirty : int;
 }
+
+(* A change event is the system itself, read through [iter_changed] while
+   the callbacks run: nothing is built per notification. *)
+and change = system
 
 let fresh_id sys =
   let id = sys.next_id in
@@ -92,8 +104,6 @@ let create_system () =
       backing_head = -1;
       active_amount = 0;
       alive = true;
-      val_cache = 0.;
-      unit_cache = 1.;
       cache_ok = false;
     }
   in
@@ -101,22 +111,30 @@ let create_system () =
   cur_tab.(base_slot) <- base_currency;
   let by_name = Hashtbl.create 16 in
   Hashtbl.replace by_name "base" base_currency;
-  {
-    next_id = 1;
-    base_currency;
-    by_name;
-    cur_slots;
-    cur_tab;
-    tk_slots = Slots.create ();
-    tk_tab = [||];
-    i_prev = [||];
-    i_next = [||];
-    b_prev = [||];
-    b_next = [||];
-    w_slots = Slots.create ~initial_capacity:4 ();
-    w_tab = [||];
-    dirty_acc = [];
-  }
+  let sys =
+    {
+      next_id = 1;
+      base_currency;
+      by_name;
+      cur_slots;
+      cur_tab;
+      tk_slots = Slots.create ();
+      tk_tab = [||];
+      i_prev = [||];
+      i_next = [||];
+      b_prev = [||];
+      b_next = [||];
+      vals = Slots.grow_payload cur_slots [||] ~dummy:0.;
+      units = Slots.grow_payload cur_slots [||] ~dummy:1.;
+      w_slots = Slots.create ~initial_capacity:4 ();
+      w_tab = [||];
+      fire = ignore;
+      dirty = Array.make 16 base_currency;
+      n_dirty = 0;
+    }
+  in
+  sys.fire <- (fun s -> sys.w_tab.(s) sys);
+  sys
 
 let base sys = sys.base_currency
 
@@ -214,18 +232,33 @@ let unsubscribe sys { wslot; wgen } =
   if Slots.is_live sys.w_slots wslot && Slots.gen sys.w_slots wslot = wgen
   then begin
     Slots.release sys.w_slots wslot;
-    sys.w_tab.(wslot) <- (fun (_ : change) -> ())
+    sys.w_tab.(wslot) <- ignore
   end
 
-let changed ch = ch.dirtied
+(* Most recently dirtied first: the order of the historical prepend-built
+   list, which consumers' pending queues (and so their Fenwick update
+   order) still follow. *)
+let iter_changed sys f =
+  for i = sys.n_dirty - 1 downto 0 do
+    f sys.dirty.(i)
+  done
 
+let push_dirty sys c =
+  let n = sys.n_dirty in
+  if n = Array.length sys.dirty then begin
+    let a = Array.make (2 * n) sys.base_currency in
+    Array.blit sys.dirty 0 a 0 n;
+    sys.dirty <- a
+  end;
+  sys.dirty.(n) <- c;
+  sys.n_dirty <- n + 1
+
+(* The batch is drained even with no subscriber, and the drained cells are
+   reset to base so the buffer never keeps a removed currency reachable. *)
 let notify sys =
-  let dirtied = sys.dirty_acc in
-  sys.dirty_acc <- [];
-  if Slots.live_count sys.w_slots > 0 then begin
-    let ch = { dirtied } in
-    Slots.iter_live sys.w_slots (fun s -> sys.w_tab.(s) ch)
-  end
+  if Slots.live_count sys.w_slots > 0 then Slots.iter_live sys.w_slots sys.fire;
+  Array.fill sys.dirty 0 sys.n_dirty sys.base_currency;
+  sys.n_dirty <- 0
 
 (* --- invalidation -------------------------------------------------------
 
@@ -241,15 +274,26 @@ let notify sys =
    - base opacity: the base currency's unit value is the constant 1, so its
      active-amount changes never move a dependent's value — invalidation of
      base records base itself and propagates no further. This is what makes
-     a block/wake of a base-funded thread O(1). *)
+     a block/wake of a base-funded thread O(1).
+
+   The walk is a plain loop over the issued list (depth first, head first),
+   so it builds no closure per visited currency; the flip-to-stale also
+   makes each currency appear at most once per batch. *)
 
 let rec invalidate sys c =
   if c.cache_ok then begin
     c.cache_ok <- false;
-    sys.dirty_acc <- c :: sys.dirty_acc;
-    if not c.base_p then
-      iter_issued sys c (fun t ->
-          match t.attach with Backs c' -> invalidate sys c' | _ -> ())
+    push_dirty sys c;
+    if not c.base_p then begin
+      let s = ref c.issued_head in
+      while !s >= 0 do
+        let n = sys.i_next.(!s) in
+        (match sys.tk_tab.(!s).attach with
+        | Backs c' -> invalidate sys c'
+        | Unattached | Held -> ());
+        s := n
+      done
+    end
   end
 
 let make_currency sys ~name =
@@ -266,13 +310,13 @@ let make_currency sys ~name =
       backing_head = -1;
       active_amount = 0;
       alive = true;
-      val_cache = 0.;
-      unit_cache = 0.;
       cache_ok = false;
     }
   in
   sys.cur_tab <- Slots.grow_payload sys.cur_slots sys.cur_tab ~dummy:c;
   sys.cur_tab.(s) <- c;
+  sys.vals <- Slots.grow_payload sys.cur_slots sys.vals ~dummy:0.;
+  sys.units <- Slots.grow_payload sys.cur_slots sys.units ~dummy:0.;
   Hashtbl.replace sys.by_name name c;
   c
 
@@ -348,6 +392,11 @@ let is_held t = t.attach = Held
 
 let check_live t name = if t.destroyed then invalid_arg (name ^ ": destroyed ticket")
 
+let check_held t name =
+  match t.attach with
+  | Held -> ()
+  | Unattached | Backs _ -> invalid_arg (name ^ ": ticket not held")
+
 (* A ticket's activity flip moves two things: its denomination's active
    amount (hence unit value), and — when the ticket backs a currency — that
    currency's value. Both get invalidated here, so the zero-crossing cascade
@@ -359,7 +408,8 @@ let flip_invalidate sys t =
 (* Activation propagation (paper §4.4): activating a ticket raises its
    denomination's active amount; on a zero -> nonzero transition every
    backing ticket of that currency activates in turn, and symmetrically for
-   deactivation. *)
+   deactivation. The backing walks are loops, not [iter_backing] over a
+   partial application, so a cascade allocates nothing. *)
 let rec activate_ticket sys t =
   if not t.active then begin
     t.active <- true;
@@ -367,9 +417,16 @@ let rec activate_ticket sys t =
     let c = t.denom in
     let was_zero = c.active_amount = 0 in
     c.active_amount <- c.active_amount + t.amount;
-    if was_zero && c.active_amount > 0 then
-      iter_backing sys c (activate_ticket sys)
+    if was_zero && c.active_amount > 0 then activate_backing sys c
   end
+
+and activate_backing sys c =
+  let s = ref c.backing_head in
+  while !s >= 0 do
+    let n = sys.b_next.(!s) in
+    activate_ticket sys sys.tk_tab.(!s);
+    s := n
+  done
 
 let rec deactivate_ticket sys t =
   if t.active then begin
@@ -379,9 +436,16 @@ let rec deactivate_ticket sys t =
     let was_positive = c.active_amount > 0 in
     c.active_amount <- c.active_amount - t.amount;
     assert (c.active_amount >= 0);
-    if was_positive && c.active_amount = 0 then
-      iter_backing sys c (deactivate_ticket sys)
+    if was_positive && c.active_amount = 0 then deactivate_backing sys c
   end
+
+and deactivate_backing sys c =
+  let s = ref c.backing_head in
+  while !s >= 0 do
+    let n = sys.b_next.(!s) in
+    deactivate_ticket sys sys.tk_tab.(!s);
+    s := n
+  done
 
 let set_amount sys t new_amount =
   check_live t "Funding.set_amount";
@@ -393,9 +457,8 @@ let set_amount sys t new_amount =
     let new_sum = old_sum - t.amount + new_amount in
     t.amount <- new_amount;
     c.active_amount <- new_sum;
-    if old_sum = 0 && new_sum > 0 then iter_backing sys c (activate_ticket sys)
-    else if old_sum > 0 && new_sum = 0 then
-      iter_backing sys c (deactivate_ticket sys)
+    if old_sum = 0 && new_sum > 0 then activate_backing sys c
+    else if old_sum > 0 && new_sum = 0 then deactivate_backing sys c
   end
   else t.amount <- new_amount;
   notify sys
@@ -457,19 +520,19 @@ let hold sys t =
 
 let suspend sys t =
   check_live t "Funding.suspend";
-  if t.attach <> Held then invalid_arg "Funding.suspend: ticket not held";
+  check_held t "Funding.suspend";
   deactivate_ticket sys t;
   notify sys
 
 let resume sys t =
   check_live t "Funding.resume";
-  if t.attach <> Held then invalid_arg "Funding.resume: ticket not held";
+  check_held t "Funding.resume";
   activate_ticket sys t;
   notify sys
 
 let release sys t =
   check_live t "Funding.release";
-  if t.attach <> Held then invalid_arg "Funding.release: ticket not held";
+  check_held t "Funding.release";
   deactivate_ticket sys t;
   t.attach <- Unattached;
   notify sys
@@ -497,47 +560,71 @@ let destroy_ticket sys t =
    results are bit-for-bit equal to uncached ones. *)
 
 let rec ensure sys c =
-  if not c.cache_ok then begin
-    (* Seed with 0 so a (dynamically created, normally impossible) cycle
-       terminates instead of looping. *)
-    c.cache_ok <- true;
-    if c.base_p then begin
-      c.val_cache <- float_of_int c.active_amount;
-      c.unit_cache <- 1.
-    end
-    else begin
-      c.val_cache <- 0.;
-      c.unit_cache <- 0.;
-      (* Left fold, head (most recent edge) first: the same float
-         accumulation order as the historical list fold. *)
-      let v = ref 0. in
-      let s = ref c.backing_head in
-      while !s >= 0 do
-        let t = sys.tk_tab.(!s) in
-        if t.active then
-          v := !v +. (float_of_int t.amount *. unit_val sys t.denom);
-        s := sys.b_next.(!s)
-      done;
-      c.val_cache <- !v;
-      c.unit_cache <-
-        (if c.active_amount = 0 then 0.
-         else !v /. float_of_int c.active_amount)
-    end
+  (* Seed with 0 so a (dynamically created, normally impossible) cycle
+     terminates instead of looping. *)
+  c.cache_ok <- true;
+  let slot = c.cslot in
+  if c.base_p then begin
+    sys.vals.(slot) <- float_of_int c.active_amount;
+    sys.units.(slot) <- 1.
   end
+  else begin
+    sys.vals.(slot) <- 0.;
+    sys.units.(slot) <- 0.;
+    (* Left fold, head (most recent edge) first: the same float
+       accumulation order as the historical list fold. The denomination's
+       unit value is read straight from [units] after revalidating it, so
+       the fold never boxes an intermediate. *)
+    let v = ref 0. in
+    let s = ref c.backing_head in
+    while !s >= 0 do
+      let t = sys.tk_tab.(!s) in
+      if t.active then begin
+        let d = t.denom in
+        let u =
+          if d.base_p then 1.
+          else begin
+            if not d.cache_ok then ensure sys d;
+            sys.units.(d.cslot)
+          end
+        in
+        v := !v +. (float_of_int t.amount *. u)
+      end;
+      s := sys.b_next.(!s)
+    done;
+    sys.vals.(slot) <- !v;
+    sys.units.(slot) <-
+      (if c.active_amount = 0 then 0. else !v /. float_of_int c.active_amount)
+  end
+
+let[@inline] validate sys c = if not c.cache_ok then ensure sys c
 
 (* No zero-active shortcut here: a read must leave the currency validated
    (stop-early invalidation relies on "a valid currency has valid
-   supports"), and [ensure] already caches unit value 0 in that case. *)
-and unit_val sys c =
+   supports"), and [ensure] already caches unit value 0 in that case. A
+   removed currency has no backing and no issued tickets, so its value and
+   unit value are 0; it no longer owns a cache slot. *)
+let unit_val sys c =
   if c.base_p then 1.
+  else if c.cslot < 0 then 0.
   else begin
-    ensure sys c;
-    c.unit_cache
+    validate sys c;
+    sys.units.(c.cslot)
   end
 
-let value_of_currency sys c =
-  ensure sys c;
-  c.val_cache
+(* The value sits unboxed in [vals], so a call that returns it boxes a
+   fresh float; [@inline] lets a cross-module caller compiled against this
+   module's .cmx keep it in a register instead. *)
+let[@inline] value_of_currency sys c =
+  if c.cslot < 0 then 0.
+  else begin
+    validate sys c;
+    Array.unsafe_get sys.vals c.cslot
+  end
+
+let value_table sys c =
+  validate sys c;
+  sys.vals
 
 (* The denomination is validated even when the ticket is inactive: a
    consumer that caches this 0 must be told (via a change event) when the
@@ -548,9 +635,9 @@ let value_of_ticket sys t =
   if t.active then float_of_int t.amount *. u else 0.
 
 module Valuation = struct
-  (* Historically a per-draw memo table; the memo now lives on the currency
-     records and survives across draws, so a snapshot is just a view of the
-     system. Kept for call-site compatibility — making one is free. *)
+  (* Historically a per-draw memo table; the memo now lives in the system's
+     flat caches and survives across draws, so a snapshot is just a view of
+     the system. Kept for call-site compatibility — making one is free. *)
   type v = system
 
   let make (sys : system) = sys
@@ -560,7 +647,7 @@ module Valuation = struct
 end
 
 let ticket_value sys t = value_of_ticket sys t
-let currency_value sys c = value_of_currency sys c
+let[@inline] currency_value sys c = value_of_currency sys c
 let unit_value sys c = unit_val sys c
 
 (* From-scratch valuation with a private memo, bypassing the caches: the
@@ -609,17 +696,17 @@ let check_invariants sys =
       (* A valid cache must agree exactly with a from-scratch valuation. *)
       if c.cache_ok then begin
         let fresh = uncached_currency_value sys c in
-        if c.val_cache <> fresh then
+        if sys.vals.(slot) <> fresh then
           fail "currency %s: cached value %g <> recomputed %g" c.cname
-            c.val_cache fresh;
+            sys.vals.(slot) fresh;
         let fresh_unit =
           if c.base_p then 1.
           else if c.active_amount = 0 then 0.
           else fresh /. float_of_int c.active_amount
         in
-        if (not c.base_p) && c.unit_cache <> fresh_unit then
+        if (not c.base_p) && sys.units.(slot) <> fresh_unit then
           fail "currency %s: cached unit value %g <> recomputed %g" c.cname
-            c.unit_cache fresh_unit
+            sys.units.(slot) fresh_unit
       end;
       (* Attachment symmetry for backing tickets, plus slot coherence. *)
       iter_backing sys c (fun t ->

@@ -47,24 +47,32 @@ val base : system -> currency
 type subscription
 
 type change
-(** One batch of invalidations, delivered after the mutation settles. *)
+(** One batch of invalidations, delivered after the mutation settles. It
+    is a view of a buffer the system reuses for every batch: read it with
+    {!iter_changed} inside the callback. Once the callbacks return the
+    buffer is drained, so reading a [change] later visits nothing. *)
 
-val changed : change -> currency list
-(** The currencies whose value may have moved, deduplicated within the
-    batch. Completeness contract: between two reads of a currency's value,
-    every change to that value is covered by some delivered event — so a
-    consumer that (1) accumulates the ids from every event and (2) re-reads
-    exactly the accumulated currencies before each draw never uses a stale
-    weight. Currencies never read by anyone may stay stale without further
-    events until the next read. *)
+val iter_changed : change -> (currency -> unit) -> unit
+(** [iter_changed ch f] calls [f] on each currency whose value may have
+    moved, most recently dirtied first (the order of a list built by
+    prepending, so the dependents a cascade staled come before the
+    currency that staled them), each at most once per batch. Completeness
+    contract: between two reads of a currency's value, every change to that
+    value is covered by some delivered batch — so a consumer that (1)
+    accumulates the currencies from every batch and (2) re-reads exactly
+    the accumulated currencies before each draw never uses a stale weight.
+    Currencies never read by anyone may stay stale without further events
+    until the next read. Nothing is allocated per batch: a consumer that
+    builds [f] once keeps the whole notification path allocation-free. *)
 
 val on_change : system -> (change -> unit) -> subscription
 (** [on_change sys f] calls [f change] after every mutation that can affect
     valuations or ticket activity ({!fund}, {!unfund}, {!hold}, {!suspend},
     {!resume}, {!release}, {!set_amount}, {!destroy_ticket}). Callbacks run
-    synchronously on the mutating path, must not mutate the system or the
-    subscription table, and should be cheap — typically recording
-    {!changed} ids in a pending set for the next draw. *)
+    synchronously on the mutating path, in subscription order, must not
+    mutate the system or the subscription table, and should be cheap —
+    typically recording the {!iter_changed} currencies in a pending set
+    for the next draw. *)
 
 val unsubscribe : system -> subscription -> unit
 (** Idempotent, O(1). *)
@@ -170,7 +178,7 @@ val is_held : ticket -> bool
 
 (** {1 Valuation}
 
-    Valuations are memoized incrementally on the currency records: each
+    Valuations are memoized incrementally in flat per-currency caches: each
     mutation invalidates only the currencies it can affect (propagating
     along backing edges toward the funded leaves), and reads lazily
     revalidate just the stale region. A quiescent graph is valued once;
@@ -179,8 +187,8 @@ val is_held : ticket -> bool
 
 module Valuation : sig
   type v
-  (** Historically a per-draw memo table; the memo now lives on the
-      currency records and survives across draws, so a snapshot is just a
+  (** Historically a per-draw memo table; the memo now lives in the
+      system's caches and survives across draws, so a snapshot is just a
       view of the (always current) system and creating one is free. *)
 
   val make : system -> v
@@ -202,6 +210,15 @@ val ticket_value : system -> ticket -> float
 
 val currency_value : system -> currency -> float
 val unit_value : system -> currency -> float
+
+val value_table : system -> currency -> float array
+(** [value_table sys c] revalidates the live currency [c] and returns the
+    system's flat value cache, where [c]'s value sits at index
+    {!currency_slot}[ c]. The allocation-free form of {!currency_value}
+    for per-decision consumers: a float read out of an array stays
+    unboxed, while one returned by a call the compiler does not inline is
+    boxed. The table is replaced when the currency arena grows, so fetch
+    it for each read rather than keeping it. *)
 
 (** {1 Introspection} *)
 

@@ -403,6 +403,30 @@ let test_tree_drift_stability () =
   done;
   checkb "still consistent" true (Tl.size t = 32)
 
+(* Drift by construction: 3 + 1e16 rounds to 1e16 + 4 in every Fenwick
+   node above both slots, so zeroing the 1e16 client leaves a root of 4
+   over a true total of 3. A winning value in [3, 4) then descends onto
+   the zero-weight slot and must take the counted O(n) fallback — and
+   still return the one live client. *)
+let test_tree_drift_fallback_counted () =
+  let d = Core.Draw.of_mode Core.Draw.Tree in
+  ignore (Core.Draw.add d ~client:"live" ~weight:3.);
+  let big = Core.Draw.add d ~client:"gone" ~weight:1e16 in
+  Core.Draw.set_weight d big 0.;
+  checki "no fallback before any draw" 0 (Core.Draw.drift_fallbacks d);
+  checkb "root drifted above the true total" true (Core.Draw.total d > 3.);
+  let r = rng () in
+  for _ = 1 to 200 do
+    let s = Core.Draw.draw_slot d r in
+    check Alcotest.string "every draw lands on the live client" "live"
+      (Core.Draw.client_at d s)
+  done;
+  let n = Core.Draw.drift_fallbacks d in
+  checkb "fallbacks counted (about a quarter of 200 draws)" true
+    (n > 20 && n < 100);
+  checki "other backends report zero" 0
+    (Core.Draw.drift_fallbacks (Core.Draw.of_mode Core.Draw.List))
+
 (* --- distributed lottery ----------------------------------------------------- *)
 
 module Dl = Core.Distributed_lottery
@@ -833,6 +857,8 @@ let () =
             test_tree_distribution;
           Alcotest.test_case "agrees with the list lottery" `Quick test_tree_and_list_agree;
           Alcotest.test_case "stable under float drift" `Quick test_tree_drift_stability;
+          Alcotest.test_case "drift fallback is counted" `Quick
+            test_tree_drift_fallback_counted;
         ] );
       ( "inverse",
         [

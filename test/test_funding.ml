@@ -449,12 +449,162 @@ let scratch_unit sys c =
   else if F.active_amount c = 0 then 0.
   else scratch_value sys c /. float_of_int (F.active_amount c)
 
+(* Reference for the order of a change batch. The historical
+   implementation built each batch as a cons list, prepending a currency at
+   its valid -> stale flip while invalidation walked issued lists depth
+   first, most recent ticket first. [predict] replays one mutation's
+   activation cascade (paper §4.4) on a snapshot of the graph with that
+   list walk and returns the batches the mutation should deliver, one per
+   notification. Only currencies in [valid] can flip. *)
+type snap = {
+  valid : (int, unit) Hashtbl.t; (* cid *)
+  issued : (int, F.ticket list) Hashtbl.t; (* cid *)
+  backing : (int, F.ticket list) Hashtbl.t; (* cid *)
+  cur_active : (int, int) Hashtbl.t; (* cid *)
+  active : (int, bool) Hashtbl.t; (* tid *)
+  amount : (int, int) Hashtbl.t; (* tid *)
+  funds : (int, F.currency option) Hashtbl.t; (* tid *)
+  held : (int, bool) Hashtbl.t; (* tid *)
+}
+
+type op =
+  | Fund of F.ticket * F.currency
+  | Hold of F.ticket
+  | Suspend of F.ticket
+  | Resume of F.ticket
+  | Set_amount of F.ticket * int
+  | Destroy of F.ticket
+
+let snapshot sys ~valid =
+  let h () = Hashtbl.create 32 in
+  let s =
+    {
+      valid = h ();
+      issued = h ();
+      backing = h ();
+      cur_active = h ();
+      active = h ();
+      amount = h ();
+      funds = h ();
+      held = h ();
+    }
+  in
+  List.iter (fun c -> Hashtbl.replace s.valid (F.currency_id c) ()) valid;
+  List.iter
+    (fun c ->
+      let cid = F.currency_id c in
+      Hashtbl.replace s.issued cid (F.issued_tickets sys c);
+      Hashtbl.replace s.backing cid (F.backing_tickets sys c);
+      Hashtbl.replace s.cur_active cid (F.active_amount c);
+      List.iter
+        (fun t ->
+          let tid = F.ticket_id t in
+          Hashtbl.replace s.active tid (F.is_active t);
+          Hashtbl.replace s.amount tid (F.amount t);
+          Hashtbl.replace s.funds tid (F.funds t);
+          Hashtbl.replace s.held tid (F.is_held t))
+        (F.issued_tickets sys c))
+    (F.currencies sys);
+  s
+
+let predict s op =
+  let cid = F.currency_id and tid = F.ticket_id in
+  let acc = ref [] in
+  let rec inval c =
+    if Hashtbl.mem s.valid (cid c) then begin
+      Hashtbl.remove s.valid (cid c);
+      acc := c :: !acc;
+      if not (F.is_base c) then
+        List.iter
+          (fun i ->
+            match Hashtbl.find s.funds (tid i) with
+            | Some c' -> inval c'
+            | None -> ())
+          (Hashtbl.find s.issued (cid c))
+    end
+  in
+  let flip t =
+    inval (F.denomination t);
+    match Hashtbl.find s.funds (tid t) with Some c -> inval c | None -> ()
+  in
+  (* shift the denomination's active sum; [cascade] fires on a zero
+     crossing in the direction of the shift *)
+  let shift t delta cascade =
+    let d = F.denomination t in
+    let before = Hashtbl.find s.cur_active (cid d) in
+    let after = before + delta in
+    Hashtbl.replace s.cur_active (cid d) after;
+    if before = 0 && after > 0 then cascade true (Hashtbl.find s.backing (cid d))
+    else if before > 0 && after = 0 then
+      cascade false (Hashtbl.find s.backing (cid d))
+  in
+  let rec set_active on t =
+    if Hashtbl.find s.active (tid t) <> on then begin
+      Hashtbl.replace s.active (tid t) on;
+      flip t;
+      let a = Hashtbl.find s.amount (tid t) in
+      shift t (if on then a else -a) cascade
+    end
+  and cascade on backing = List.iter (set_active on) backing in
+  let batch () =
+    let b = !acc in
+    acc := [];
+    b
+  in
+  match op with
+  | Fund (t, c) ->
+      Hashtbl.replace s.funds (tid t) (Some c);
+      Hashtbl.replace s.backing (cid c) (t :: Hashtbl.find s.backing (cid c));
+      inval c;
+      if Hashtbl.find s.cur_active (cid c) > 0 then set_active true t;
+      [ batch () ]
+  | Hold t ->
+      Hashtbl.replace s.held (tid t) true;
+      set_active true t;
+      [ batch () ]
+  | Suspend t ->
+      set_active false t;
+      [ batch () ]
+  | Resume t ->
+      set_active true t;
+      [ batch () ]
+  | Set_amount (t, n) ->
+      let old = Hashtbl.find s.amount (tid t) in
+      Hashtbl.replace s.amount (tid t) n;
+      if Hashtbl.find s.active (tid t) then begin
+        flip t;
+        shift t (n - old) cascade
+      end;
+      [ batch () ]
+  | Destroy t -> (
+      match Hashtbl.find s.funds (tid t) with
+      | Some c ->
+          set_active false t;
+          inval c;
+          [ batch (); [] ]
+      | None ->
+          if Hashtbl.find s.held (tid t) then begin
+            set_active false t;
+            [ batch (); [] ]
+          end
+          else [ [] ])
+
+let apply sys = function
+  | Fund (t, c) -> F.fund sys ~ticket:t ~currency:c
+  | Hold t -> F.hold sys t
+  | Suspend t -> F.suspend sys t
+  | Resume t -> F.resume sys t
+  | Set_amount (t, n) -> F.set_amount sys t n
+  | Destroy t -> F.destroy_ticket sys t
+
 (* Tentpole property of the incremental valuation engine: after arbitrary
    mutation sequences on a multi-level graph, (1) every cached valuation
-   equals a from-scratch walk bit-for-bit, and (2) the scoped change events
+   equals a from-scratch walk bit-for-bit, (2) the scoped change events
    name every currency whose observed valuation moved since it was last
    read — the contract the scheduler and resource managers rely on to
-   revalue only O(dirtied) clients per draw. *)
+   revalue only O(dirtied) clients per draw — and (3) each batch visits
+   exactly the currencies of the reference list walk above, in its order,
+   and is drained once delivered. *)
 let qcheck_incremental_valuation_exact =
   let module Rng = Core.Rng in
   QCheck.Test.make
@@ -466,13 +616,35 @@ let qcheck_incremental_valuation_exact =
       let base = F.base sys in
       let currencies = ref [ base ] in
       let tickets = ref [] in
+      let ok = ref true in
+      (* batches delivered by the current mutation, in delivery order *)
+      let batches = ref [] in
+      let last = ref None in
+      (* Run one mutation against the reference walk. Every live currency
+         was read since the previous mutation, so all of them (and only
+         they: not one made by this step) start out valid. *)
+      let mutate ~valid op =
+        let expected = predict (snapshot sys ~valid) op in
+        batches := [];
+        match apply sys op with
+        | () ->
+            let ids = List.map (List.map F.currency_id) in
+            if ids (List.rev !batches) <> ids expected then ok := false;
+            (match !last with
+            | Some ch -> F.iter_changed ch (fun _ -> ok := false)
+            | None -> ())
+        | exception (F.Cycle _ | Invalid_argument _) ->
+            if !batches <> [] then ok := false
+      in
       (* multi-level graph: each currency is funded from a random earlier
          one, so chains several levels deep (and diamonds) appear *)
-      let mk_currency i =
+      let mk_currency ?(checked = false) i =
+        let valid = !currencies in
         let from = Rng.choose rng (Array.of_list !currencies) in
         let c = F.make_currency sys ~name:(Printf.sprintf "q%d-%d" seed i) in
         let t = F.issue sys ~currency:from ~amount:(1 + Rng.int_below rng 400) in
-        F.fund sys ~ticket:t ~currency:c;
+        if checked then mutate ~valid (Fund (t, c))
+        else F.fund sys ~ticket:t ~currency:c;
         tickets := t :: !tickets;
         currencies := c :: !currencies
       in
@@ -487,13 +659,18 @@ let qcheck_incremental_valuation_exact =
             tickets := t :: !tickets
           end)
         !currencies;
-      (* subscribe like a consumer: accumulate dirtied currency ids *)
+      (* subscribe like a consumer: accumulate dirtied currency ids; also
+         record each batch's visit order, which must not repeat a currency *)
       let dirt = Hashtbl.create 32 in
       let sub =
         F.on_change sys (fun ch ->
-            List.iter
-              (fun c -> Hashtbl.replace dirt (F.currency_id c) ())
-              (F.changed ch))
+            last := Some ch;
+            let seen = ref [] in
+            F.iter_changed ch (fun c ->
+                if List.memq c !seen then ok := false;
+                seen := c :: !seen;
+                Hashtbl.replace dirt (F.currency_id c) ());
+            batches := List.rev !seen :: !batches)
       in
       (* last observed (value, unit) per currency, read through the caches *)
       let shadow = Hashtbl.create 32 in
@@ -506,34 +683,30 @@ let qcheck_incremental_valuation_exact =
       in
       observe_all ();
       Hashtbl.reset dirt;
-      let ok = ref true in
       for i = 0 to 29 do
+        let pick l = Rng.choose rng (Array.of_list l) in
+        let valid = F.currencies sys in
         (match Rng.int_below rng 7 with
-        | 0 -> mk_currency (100 + i)
+        | 0 -> mk_currency ~checked:true (100 + i)
         | 1 ->
-            let denom = Rng.choose rng (Array.of_list !currencies) in
+            let denom = pick !currencies in
             tickets :=
               F.issue sys ~currency:denom ~amount:(Rng.int_below rng 200)
               :: !tickets
-        | 2 when !tickets <> [] -> (
-            let t = Rng.choose rng (Array.of_list !tickets) in
-            let c = Rng.choose rng (Array.of_list !currencies) in
-            try F.fund sys ~ticket:t ~currency:c
-            with F.Cycle _ | Invalid_argument _ -> ())
-        | 3 when !tickets <> [] -> (
-            let t = Rng.choose rng (Array.of_list !tickets) in
-            try F.hold sys t with Invalid_argument _ -> ())
-        | 4 when !tickets <> [] -> (
-            let t = Rng.choose rng (Array.of_list !tickets) in
-            try if Rng.bool rng then F.suspend sys t else F.resume sys t
-            with Invalid_argument _ -> ())
-        | 5 when !tickets <> [] -> (
-            let t = Rng.choose rng (Array.of_list !tickets) in
-            try F.set_amount sys t (Rng.int_below rng 300)
-            with Invalid_argument _ -> ())
+        | 2 when !tickets <> [] ->
+            let t = pick !tickets in
+            let c = pick !currencies in
+            mutate ~valid (Fund (t, c))
+        | 3 when !tickets <> [] -> mutate ~valid (Hold (pick !tickets))
+        | 4 when !tickets <> [] ->
+            let t = pick !tickets in
+            mutate ~valid (if Rng.bool rng then Suspend t else Resume t)
+        | 5 when !tickets <> [] ->
+            let t = pick !tickets in
+            mutate ~valid (Set_amount (t, Rng.int_below rng 300))
         | 6 when !tickets <> [] ->
-            let t = Rng.choose rng (Array.of_list !tickets) in
-            (try F.destroy_ticket sys t with Invalid_argument _ -> ());
+            let t = pick !tickets in
+            mutate ~valid (Destroy t);
             tickets := List.filter (fun t' -> t' != t) !tickets
         | _ -> ());
         (* after each mutation: exact cache agreement, and any move since
@@ -557,6 +730,97 @@ let qcheck_incremental_valuation_exact =
       done;
       F.unsubscribe sys sub;
       !ok)
+
+(* --- the change buffer: iter_changed ordering and lifetime -------------- *)
+
+(* Records each delivered batch as currency names, in visit order. *)
+let record_batches sys =
+  let got = ref [] in
+  let sub =
+    F.on_change sys (fun ch ->
+        let names = ref [] in
+        F.iter_changed ch (fun c -> names := F.currency_name c :: !names);
+        got := List.rev !names :: !got)
+  in
+  (got, sub)
+
+let names = Alcotest.(list string)
+
+let test_changed_most_recent_first () =
+  (* base -> a -> b -> c, a held ticket in c keeping the chain active, and
+     a second held ticket [x] in a. Suspending x stales a, then (through
+     a's ticket backing b) b, then c: the batch lists them newest first. *)
+  let sys = F.create_system () in
+  let mk name from amount =
+    let c = F.make_currency sys ~name in
+    F.fund sys ~ticket:(F.issue sys ~currency:from ~amount) ~currency:c;
+    c
+  in
+  let a = mk "a" (F.base sys) 100 in
+  let b = mk "b" a 10 in
+  let c = mk "c" b 10 in
+  F.hold sys (F.issue sys ~currency:c ~amount:5);
+  let x = F.issue sys ~currency:a ~amount:1 in
+  F.hold sys x;
+  ignore (F.currency_value sys c : float);
+  let got, _ = record_batches sys in
+  F.suspend sys x;
+  check (Alcotest.list names) "one batch, newest flip first"
+    [ [ "c"; "b"; "a" ] ] !got
+
+let test_changed_once_per_batch () =
+  (* a diamond: a funds b and c, both fund d. Staling a reaches d along
+     both edges; the walk visits it once, through the newer edge (c). *)
+  let sys = F.create_system () in
+  let cur name = F.make_currency sys ~name in
+  let fund ~from ~amount c =
+    F.fund sys ~ticket:(F.issue sys ~currency:from ~amount) ~currency:c
+  in
+  let a = cur "a" and b = cur "b" and c = cur "c" and d = cur "d" in
+  fund ~from:(F.base sys) ~amount:100 a;
+  fund ~from:a ~amount:10 b;
+  fund ~from:a ~amount:10 c;
+  fund ~from:b ~amount:10 d;
+  fund ~from:c ~amount:10 d;
+  F.hold sys (F.issue sys ~currency:d ~amount:5);
+  let x = F.issue sys ~currency:a ~amount:1 in
+  F.hold sys x;
+  ignore (F.currency_value sys d : float);
+  let got, _ = record_batches sys in
+  F.suspend sys x;
+  check (Alcotest.list names) "d appears once" [ [ "b"; "d"; "c"; "a" ] ] !got
+
+let test_changed_drained_after_notify () =
+  (* the buffer is only readable while the callbacks run: a [change] kept
+     past its notification visits nothing *)
+  let sys = F.create_system () in
+  let a = F.make_currency sys ~name:"a" in
+  F.fund sys ~ticket:(F.issue sys ~currency:(F.base sys) ~amount:100) ~currency:a;
+  let x = F.issue sys ~currency:a ~amount:1 in
+  F.hold sys x;
+  ignore (F.currency_value sys a : float);
+  let kept = ref None and during = ref 0 in
+  let sub =
+    F.on_change sys (fun ch ->
+        kept := Some ch;
+        F.iter_changed ch (fun _ -> incr during))
+  in
+  F.suspend sys x;
+  checkb "the batch was non-empty while delivered" true (!during > 0);
+  let after = ref 0 in
+  (match !kept with
+  | Some ch -> F.iter_changed ch (fun _ -> incr after)
+  | None -> Alcotest.fail "no batch delivered");
+  checki "empty after notify" 0 !after;
+  (* drained with no subscriber too: the next batch holds only its own
+     flips, not leftovers *)
+  F.unsubscribe sys sub;
+  ignore (F.currency_value sys a : float);
+  F.resume sys x;
+  ignore (F.currency_value sys a : float);
+  let got, _ = record_batches sys in
+  F.suspend sys x;
+  check (Alcotest.list names) "no leftovers" [ [ "a" ] ] !got
 
 let test_pp_smoke () =
   let sys, _, alice, _, _, _, _, _, t2, _, _ = figure3 () in
@@ -630,6 +894,15 @@ let () =
           Alcotest.test_case "graphviz export" `Quick test_to_dot;
           Alcotest.test_case "pretty printers" `Quick test_pp_smoke;
           Alcotest.test_case "valuation snapshots" `Quick test_valuation_snapshot_consistent;
+        ] );
+      ( "changes",
+        [
+          Alcotest.test_case "most recently dirtied first" `Quick
+            test_changed_most_recent_first;
+          Alcotest.test_case "each currency once per batch" `Quick
+            test_changed_once_per_batch;
+          Alcotest.test_case "buffer drained after notify" `Quick
+            test_changed_drained_after_notify;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
