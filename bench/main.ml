@@ -679,6 +679,54 @@ let fund_reweigh_test () =
          | Some w -> sr.account w ~used:1 ~quantum:1 ~blocked:false
          | None -> ()))
 
+(* The wait-queue handoff: 64 threads loop on [sem_wait] of one FIFO
+   semaphore and a poster posts once per quantum, then sleeps. One
+   operation is one quantum of virtual time: a post that hands the permit
+   to the head waiter, that waiter's run and re-wait at the tail, and the
+   poster's sleep. The queue work is O(1) amortized (one cons per wait, a
+   copy-free head pop); what remains is the effect and continuation
+   residue of the two threads, so a queue that copied its waiters would
+   show up here as O(waiters) words.
+
+   A direct [Gc.minor_words] count over 2000 operations, not a bechamel
+   fit: bechamel's [minor_allocated] reads [Gc.quick_stat], whose minor
+   word count only advances at a minor collection under OCaml 5, so
+   operations allocating far less than a minor heap per sample fit to
+   zero whatever they allocate. *)
+let sem_handoff_words () =
+  let sched, fund = lottery_sched_maker Core.Lottery_sched.List_mode () in
+  let k = Core.Kernel.create ~quantum:(Core.Time.ms 10) ~sched () in
+  let sm = Core.Kernel.create_semaphore k ~initial:0 "handoff" in
+  for i = 1 to 64 do
+    let th =
+      Core.Kernel.spawn k ~name:(Printf.sprintf "w%d" i) (fun () ->
+          while true do
+            Core.Api.sem_wait sm
+          done)
+    in
+    fund th 10
+  done;
+  let poster =
+    Core.Kernel.spawn k ~name:"poster" (fun () ->
+        while true do
+          Core.Api.sem_post sm;
+          Core.Api.sleep (Core.Time.ms 10)
+        done)
+  in
+  fund poster 100;
+  let quantum () =
+    ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 10))
+  in
+  for _ = 1 to 200 do
+    quantum ()
+  done;
+  let ops = 2000 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to ops do
+    quantum ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int ops
+
 let hotpath_tests () =
   Test.make_grouped ~name:"hotpath"
     [
@@ -1024,6 +1072,70 @@ let service_shed_test () =
   Test.make ~name:"shed-decision"
     (Staged.stage (fun () -> ignore (Core.Kernel.port_would_shed port)))
 
+(* Minor words per resolved request (served or shed) on the loaded arm of
+   the service-insulation experiment — tenant A (share 900, Poisson 207/s)
+   beside tenant B flooding at 10x its share (100, Poisson 200/s), one I/O
+   per request on a 2 ms device — composed from the public service API
+   with [Metrics] subscribed, as [Service.run] composes it. The whole
+   request path is on the meter: RPC, bounded ports, the backlog
+   semaphore, ticket transfers, event publication, SLO histograms and the
+   I/O manager. A direct count over a virtual window after warm-up
+   ([Gc.minor_words] is exact), not a fit. *)
+let service_request_words () =
+  let module Ls = Core.Lottery_sched in
+  let module Io = Core.Io_bandwidth in
+  let module Svc = Core.Service in
+  let tenants =
+    [
+      Svc.Tenant.spec ~share:900 ~arrivals:(Svc.Arrivals.Poisson 207.) ~io_per_req:1 "A";
+      Svc.Tenant.spec ~share:100 ~arrivals:(Svc.Arrivals.Poisson 200.) ~io_per_req:1 "B";
+    ]
+  in
+  let rng = Core.Rng.create ~seed:94 () in
+  let io_rng = Core.Rng.split rng in
+  let tenant_rngs = List.map (fun _ -> Core.Rng.split rng) tenants in
+  let ls = Ls.create ~rng () in
+  let k = Core.Kernel.create ~quantum:(Core.Time.ms 10) ~sched:(Ls.sched ls) () in
+  Core.Obs.Metrics.attach (Core.Obs.Metrics.create ()) (Core.Kernel.bus k);
+  let slo = Svc.Slo.create () in
+  let dev = Io.create ~funding:(Ls.funding ls) ~rng:io_rng () in
+  List.iter2
+    (fun (spec : Svc.Tenant.spec) trng ->
+      let cur = Ls.make_currency ls spec.name in
+      ignore (Ls.fund_currency ls ~target:cur ~amount:spec.share ~from:(Ls.base_currency ls));
+      let ioc = Io.add_funded_client dev ~name:spec.name ~currency:cur () in
+      let ten = Svc.Slo.tenant slo spec.name in
+      let on_served () =
+        ten.Svc.Slo.io_submitted <- ten.Svc.Slo.io_submitted + spec.io_per_req;
+        Io.submit dev ioc ~requests:spec.io_per_req
+      in
+      let pool = Svc.Pool.spawn k ~spec ~on_served () in
+      let client = Svc.Client.spawn k ~spec ~rng:trng ~slo ~port:(Svc.Pool.port pool) in
+      let fund th amount = ignore (Ls.fund_thread ls th ~amount ~from:cur) in
+      List.iter (fun th -> fund th 100) (Svc.Pool.workers pool);
+      List.iter (fun th -> fund th 1) (Svc.Client.stubs client);
+      fund (Svc.Client.generator client) 1)
+    tenants tenant_rngs;
+  let device =
+    Core.Kernel.spawn k ~name:"io.device" (fun () ->
+        while true do
+          Core.Api.sleep (Core.Time.ms 2);
+          ignore (Io.serve_slot dev)
+        done)
+  in
+  ignore (Ls.fund_thread ls device ~amount:50 ~from:(Ls.base_currency ls));
+  let resolved () =
+    List.fold_left
+      (fun acc (ten : Svc.Slo.tenant) -> acc + ten.Svc.Slo.served + ten.Svc.Slo.shed)
+      0 (Svc.Slo.tenants slo)
+  in
+  ignore (Core.Kernel.run k ~until:(Core.Time.seconds 30));
+  let r0 = resolved () in
+  let w0 = Gc.minor_words () in
+  ignore (Core.Kernel.run k ~until:(Core.Time.seconds 90));
+  let w1 = Gc.minor_words () in
+  (w1 -. w0) /. float_of_int (max 1 (resolved () - r0))
+
 let service_tests () =
   Test.make_grouped ~name:"service"
     [
@@ -1225,7 +1337,9 @@ let hotpath_rows () =
       (Printf.sprintf "draw-quiescent/%s-over-tree-%s" m tag)
   in
   let dtime = result_rows (run_family ~alloc:false (disk_batch_tests ())) in
-  htime @ hwords @ btime @ qtime @ dtime
+  htime @ hwords
+  @ [ ("hotpath/sem-handoff-64:minor-words", sem_handoff_words ()) ]
+  @ btime @ qtime @ dtime
   @ ratio btime
       (Printf.sprintf "batch-draw/draw_k-%d" batch_k)
       (Printf.sprintf "batch-draw/singles-%d" batch_k)
@@ -1245,6 +1359,7 @@ let service_rows () =
   let res = run_family ~alloc:true (service_tests ()) in
   result_rows res
   @ rows_of_measure res (Measure.label Instance.minor_allocated) ":minor-words"
+  @ [ ("service/request:minor-words", service_request_words ()) ]
 
 (* the smp family: wall-ns rows for rounds/slices across CPU counts, the
    migration/steal rows under the allocation measure, then the computed
@@ -1463,7 +1578,8 @@ let () =
             run_bench := false;
             run_service := true),
         " run only the service family (service/arrival-*, \
-         service/shed-decision, with :minor-words rows)" );
+         service/shed-decision, with :minor-words rows, and \
+         service/request:minor-words)" );
       ( "--smp-only",
         Arg.Unit
           (fun () ->

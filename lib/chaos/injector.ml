@@ -57,8 +57,6 @@ type target =
   | P_sem of semaphore
   | P_port of port
 
-let rotate = function [] -> [] | x :: rest -> rest @ [ x ]
-
 (* Wakeup-order perturbation: rotate one wait list. Membership is
    preserved, so a healthy kernel stays invariant-clean — only code that
    wrongly depends on arrival order (or holds stale aliases into a list)
@@ -69,13 +67,13 @@ let try_perturb t =
     let many n = n >= 2 in
     let targets =
       List.filter_map
-        (fun m -> if many (List.length m.lock_waiters) then Some (P_mutex m) else None)
+        (fun m -> if many (Waitq.length m.lock_waiters) then Some (P_mutex m) else None)
         (Kernel.mutexes k)
       @ List.filter_map
-          (fun c -> if many (List.length c.cond_waiters) then Some (P_cond c) else None)
+          (fun c -> if many (Waitq.length c.cond_waiters) then Some (P_cond c) else None)
           (Kernel.conditions k)
       @ List.filter_map
-          (fun s -> if many (List.length s.sem_waiters) then Some (P_sem s) else None)
+          (fun s -> if many (Waitq.length s.sem_waiters) then Some (P_sem s) else None)
           (Kernel.semaphores k)
       @ List.filter_map
           (fun p -> if many (Queue.length p.waiters) then Some (P_port p) else None)
@@ -84,13 +82,13 @@ let try_perturb t =
     if targets <> [] then
       match pick t (Array.of_list targets) with
       | P_mutex m ->
-          m.lock_waiters <- rotate m.lock_waiters;
+          Waitq.rotate m.lock_waiters;
           record t ("perturb-waiters mutex " ^ m.mutex_name)
       | P_cond c ->
-          c.cond_waiters <- rotate c.cond_waiters;
+          Waitq.rotate c.cond_waiters;
           record t ("perturb-waiters cond " ^ c.cond_name)
       | P_sem s ->
-          s.sem_waiters <- rotate s.sem_waiters;
+          Waitq.rotate s.sem_waiters;
           record t ("perturb-waiters sem " ^ s.sem_name)
       | P_port p -> (
           match Queue.take_opt p.waiters with

@@ -169,6 +169,43 @@ let sem =
         done);
   }
 
+(* The FIFO wait-queue path (the [sem] scenario above only takes the
+   lottery pick): consumers queue on a zero-permit FIFO semaphore and are
+   handed permits head first, while kills unhook waiters mid-queue and
+   perturbation rotates the queue. Posts match the consumers' total demand,
+   so an unfaulted run drains exactly. *)
+let sem_fifo =
+  {
+    name = "sem-fifo";
+    horizon = Time.seconds 30;
+    build =
+      (fun ctx ->
+        let k = ctx.kernel in
+        let s = Kernel.create_semaphore k ~initial:0 "queue" in
+        for i = 1 to 6 do
+          let c =
+            Kernel.spawn k ~name:(Printf.sprintf "consumer%d" i) (fun () ->
+                for _ = 1 to 4 do
+                  Api.sem_wait s;
+                  ctx.point ();
+                  Api.compute_ms 1
+                done)
+          in
+          fund ctx c (40 * i)
+        done;
+        for i = 1 to 2 do
+          let p =
+            Kernel.spawn k ~name:(Printf.sprintf "producer%d" i) (fun () ->
+                for _ = 1 to 12 do
+                  Api.compute_ms 1;
+                  ctx.point ();
+                  Api.sem_post s
+                done)
+          in
+          fund ctx p 100
+        done);
+  }
+
 let service =
   {
     name = "service";
@@ -215,7 +252,7 @@ let service =
         done);
   }
 
-let all = [ rpc; scatter; mutex; cond; sem; service ]
+let all = [ rpc; scatter; mutex; cond; sem; sem_fifo; service ]
 
 (* The historical reply-after-kill bug, reintroduced on purpose: this
    server front-end raises into the server whenever the client died before

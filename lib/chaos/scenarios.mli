@@ -30,7 +30,13 @@ val cond : t
 (** Producers/consumers over a condition variable. *)
 
 val sem : t
-(** Workers sharing a two-permit counting semaphore. *)
+(** Workers sharing a two-permit counting semaphore with a [Lottery_wake]
+    policy. *)
+
+val sem_fifo : t
+(** Consumers queued on a zero-permit FIFO semaphore fed by two
+    producers: the wait queue's head-first handoff under kills and
+    perturbation. *)
 
 val service : t
 (** A worker pool behind a bounded [Drop_oldest] port under overrunning
@@ -40,7 +46,7 @@ val service : t
     faults. *)
 
 val all : t list
-(** The six healthy scenarios above — everything a soak sweeps by
+(** The seven healthy scenarios above — everything a soak sweeps by
     default. *)
 
 val rpc_buggy : t

@@ -69,6 +69,7 @@ module Shard_tree = Lotto_draw.Shard_tree
 (* Simulation kernel *)
 module Time = Lotto_sim.Time
 module Types = Lotto_sim.Types
+module Waitq = Lotto_sim.Waitq
 module Kernel = Lotto_sim.Kernel
 module Api = Lotto_sim.Api
 module Timeline = Lotto_sim.Timeline

@@ -142,8 +142,10 @@ val set_weight_at : 'a t -> 'a handle -> float array -> int -> unit
     inlined in a build with [-opaque] (dune's dev profile); reading the
     weight out of [src] instead keeps the write allocation-free in every
     build on the [Tree] backend, the one the sharded scheduler re-weighs
-    on every block and wake. The other backends box it as
-    {!set_weight} does. *)
+    on every block and wake. On the [List] backend the write is
+    allocation-free in an optimized build, which inlines
+    {!List_lottery.set_weight} here; under [-opaque] it boxes the weight
+    once. The other backends box it as {!set_weight} does. *)
 
 val weight : 'a t -> 'a handle -> float
 val client : 'a handle -> 'a

@@ -24,7 +24,9 @@ type 'a t = {
   mutable used : int; (* high-water mark of allocated slots *)
   mutable free : int array; (* stack of vacated slots *)
   mutable free_top : int;
-  mutable total : float;
+  total : float array;
+      (* one cell: the running weight sum. A float field of this mixed
+         record would be boxed on every write; the flat cell is not *)
   mutable size : int;
   mutable comparisons : int;
   mutable mutations : int; (* triggers periodic total recomputation *)
@@ -48,7 +50,7 @@ let create ?(move_to_front = true) ?order () =
     used = 0;
     free = Array.make 16 0;
     free_top = 0;
-    total = 0.;
+    total = [| 0. |];
     size = 0;
     comparisons = 0;
     mutations = 0;
@@ -140,7 +142,7 @@ let refresh_total t =
       acc := !acc +. t.ws.(!s);
       s := t.nexts.(!s)
     done;
-    t.total <- !acc
+    t.total.(0) <- !acc
   end
 
 let add t ~client ~weight =
@@ -151,7 +153,7 @@ let add t ~client ~weight =
   t.hs.(slot) <- h;
   t.ws.(slot) <- weight;
   link_front t slot;
-  t.total <- t.total +. weight;
+  t.total.(0) <- t.total.(0) +. weight;
   t.size <- t.size + 1;
   if t.order = By_weight then resort t;
   refresh_total t;
@@ -161,7 +163,7 @@ let remove t h =
   if h.slot >= 0 then begin
     let s = h.slot in
     unlink t s;
-    t.total <- t.total -. t.ws.(s);
+    t.total.(0) <- t.total.(0) -. t.ws.(s);
     t.ws.(s) <- free_weight;
     push_free t s;
     t.size <- t.size - 1;
@@ -171,8 +173,11 @@ let remove t h =
 
 (* Re-insert a removed handle without allocating a new one: the node is
    relinked at the front exactly as a fresh {!add} would be (the migration
-   primitive; see {!Tree_lottery.readd}). *)
-let readd t h ~weight =
+   primitive; see {!Tree_lottery.readd}). [readd] and [set_weight] are
+   [@inline]: {!Draw.readd_at} and {!Draw.set_weight_at} read the weight
+   out of the caller's flat array, and an optimized build inlines these
+   bodies there, so the weight is never boxed on its way in. *)
+let[@inline] readd t h ~weight =
   if weight < 0. then invalid_arg "List_lottery.readd: negative weight";
   if h.slot >= 0 then invalid_arg "List_lottery.readd: handle still live";
   let slot = alloc_slot t in
@@ -181,15 +186,15 @@ let readd t h ~weight =
   t.hs.(slot) <- h;
   t.ws.(slot) <- weight;
   link_front t slot;
-  t.total <- t.total +. weight;
+  t.total.(0) <- t.total.(0) +. weight;
   t.size <- t.size + 1;
   if t.order = By_weight then resort t;
   refresh_total t
 
-let set_weight t h weight =
+let[@inline] set_weight t h weight =
   if weight < 0. then invalid_arg "List_lottery.set_weight: negative weight";
   if h.slot < 0 then invalid_arg "List_lottery.set_weight: removed handle";
-  t.total <- t.total -. t.ws.(h.slot) +. weight;
+  t.total.(0) <- t.total.(0) -. t.ws.(h.slot) +. weight;
   t.ws.(h.slot) <- weight;
   if t.order = By_weight then resort t;
   refresh_total t
@@ -208,7 +213,7 @@ let clear t =
   t.tail <- -1;
   t.used <- 0;
   t.free_top <- 0;
-  t.total <- 0.;
+  t.total.(0) <- 0.;
   t.size <- 0
 
 let weight t h = if h.slot < 0 then 0. else t.ws.(h.slot)
@@ -218,7 +223,7 @@ let mem t h =
   && h.slot < Array.length t.hs
   && t.ws.(h.slot) >= 0.
   && t.hs.(h.slot) == h
-let total t = max t.total 0.
+let total t = max t.total.(0) 0.
 let size t = t.size
 
 let move_to_front t s =
@@ -264,12 +269,12 @@ let draw_with_value t ~winning =
   match slot_for_value t winning with -1 -> None | s -> Some t.hs.(s)
 
 let draw_slot t rng =
-  if t.total <= 0. then -1
+  if t.total.(0) <= 0. then -1
   else begin
     let u =
       float_of_int (Lotto_prng.Rng.bits53 rng) /. float_of_int (1 lsl 53)
     in
-    slot_for_value t (u *. t.total)
+    slot_for_value t (u *. t.total.(0))
   end
 
 let client_at t s = t.hs.(s).c
@@ -283,7 +288,7 @@ let draw_client t rng =
   if s < 0 then None else Some t.hs.(s).c
 
 let draw_k t rng ~k out =
-  if t.total <= 0. || k <= 0 then 0
+  if t.total.(0) <= 0. || k <= 0 then 0
   else begin
     let n = min k (Array.length out) in
     let i = ref 0 in

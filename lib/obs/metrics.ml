@@ -39,8 +39,8 @@ type row = {
   dispatch_h : Hdr.t;
   wait_raw : Samples.t option;
   dispatch_raw : Samples.t option;
-  mutable blocked_since : int option;
-  mutable runnable_since : int option;
+  mutable blocked_since : int;  (** [-1]: not blocked *)
+  mutable runnable_since : int;  (** [-1]: not waiting for the CPU *)
   q_used : (int, int) Hashtbl.t;
       (** CPU ticks received, keyed by the quantum in force when they were
           granted: the chi-square bins each thread's time into slices of
@@ -59,10 +59,13 @@ type t = {
 let create ?(raw = false) () =
   { raw; rows = Hashtbl.create 32; order = []; quantum_us = 0; sub = None }
 
+(* [Hashtbl.find] rather than [find_opt], and [-1] sentinels rather than
+   [int option] timestamps: the per-event path allocates nothing once a
+   thread's row exists. *)
 let row t (a : Event.actor) =
-  match Hashtbl.find_opt t.rows a.Event.tid with
-  | Some r -> r
-  | None ->
+  match Hashtbl.find t.rows a.Event.tid with
+  | r -> r
+  | exception Not_found ->
       let r =
         {
           tid = a.Event.tid;
@@ -81,8 +84,8 @@ let row t (a : Event.actor) =
           dispatch_h = make_hdr ();
           wait_raw = (if t.raw then Some (Samples.create ()) else None);
           dispatch_raw = (if t.raw then Some (Samples.create ()) else None);
-          blocked_since = None;
-          runnable_since = None;
+          blocked_since = -1;
+          runnable_since = -1;
           q_used = Hashtbl.create 4;
         }
       in
@@ -98,39 +101,37 @@ let sample hdr raw v =
 
 let on_event t time ev =
   match ev with
-  | Event.Spawn { who } -> (row t who).runnable_since <- Some time
+  | Event.Spawn { who } -> (row t who).runnable_since <- time
   | Event.Select { who; _ } ->
       let r = row t who in
       r.wins <- r.wins + 1;
-      (match r.runnable_since with
-      | Some since -> sample r.dispatch_h r.dispatch_raw (time - since)
-      | None -> ());
-      r.runnable_since <- None
+      if r.runnable_since >= 0 then
+        sample r.dispatch_h r.dispatch_raw (time - r.runnable_since);
+      r.runnable_since <- -1
   | Event.Preempt { who; used; quantum; why } -> (
       let r = row t who in
       r.quanta <- r.quanta + used;
       if quantum > 0 then begin
-        (match Hashtbl.find_opt r.q_used quantum with
-        | Some acc -> Hashtbl.replace r.q_used quantum (acc + used)
-        | None -> Hashtbl.add r.q_used quantum used)
+        match Hashtbl.find r.q_used quantum with
+        | acc -> Hashtbl.replace r.q_used quantum (acc + used)
+        | exception Not_found -> Hashtbl.add r.q_used quantum used
       end;
       if quantum > t.quantum_us then t.quantum_us <- quantum;
       match why with
       | Event.End_quantum | Event.End_yield | Event.End_horizon ->
-          r.runnable_since <- Some time
+          r.runnable_since <- time
       | Event.End_block | Event.End_exit -> ())
   | Event.Block { who; _ } ->
       let r = row t who in
       r.blocks <- r.blocks + 1;
-      r.blocked_since <- Some time
+      r.blocked_since <- time
   | Event.Wake { who } ->
       let r = row t who in
-      (match r.blocked_since with
-      | Some since -> sample r.wait_h r.wait_raw (time - since)
-      | None -> ());
-      r.blocked_since <- None;
-      r.runnable_since <- Some time
-  | Event.Exit { who; _ } -> (row t who).runnable_since <- None
+      if r.blocked_since >= 0 then
+        sample r.wait_h r.wait_raw (time - r.blocked_since);
+      r.blocked_since <- -1;
+      r.runnable_since <- time
+  | Event.Exit { who; _ } -> (row t who).runnable_since <- -1
   | Event.Compensate { who; _ } ->
       let r = row t who in
       r.compensations <- r.compensations + 1

@@ -27,9 +27,7 @@ type t = {
   batch_enabled : bool;
   rng : Rng.t;
   draw : client Draw.t;
-  fsys : F.system option;
-  ftrack : Funded.Tracker.t option;
-  by_cid : (int, client) Hashtbl.t; (* funding-currency id -> clients *)
+  ftrack : client Funded.Tracker.t option;
   bus : Obs.Bus.t;
   mutable clients : client list; (* reverse creation order *)
   mutable next_id : int;
@@ -62,9 +60,7 @@ let create ?(policy = Lottery) ?(cylinders = 1000) ?(seek_cost = 10)
     batch_enabled = batch;
     rng;
     draw = Draw.of_mode backend;
-    fsys = funding;
-    ftrack = Option.map Funded.Tracker.attach funding;
-    by_cid = Hashtbl.create 16;
+    ftrack = Option.map Funded.Tracker.create funding;
     bus = Obs.Bus.create ();
     clients = [];
     next_id = 0;
@@ -127,11 +123,12 @@ let add_client t ~name ~tickets =
   c
 
 let add_funded_client t ~name ?(amount = 1000) ~currency () =
-  let sys =
-    match t.fsys with
-    | Some sys -> sys
+  let tr =
+    match t.ftrack with
+    | Some tr -> tr
     | None -> invalid_arg "Disk.add_funded_client: created without ~funding"
   in
+  let sys = Funded.Tracker.system tr in
   let fd = Funded.attach sys ~currency ~amount in
   Funded.set_active fd false (* idle until the first submit *);
   let c =
@@ -149,7 +146,7 @@ let add_funded_client t ~name ?(amount = 1000) ~currency () =
   in
   t.next_id <- t.next_id + 1;
   register t c;
-  Hashtbl.add t.by_cid (F.currency_id (Funded.currency fd)) c;
+  Funded.Tracker.add tr fd c;
   c
 
 let set_tickets t c tickets =
@@ -204,29 +201,20 @@ let oldest_request c =
              if r.seq < best.seq then r else best)
            first rest)
 
-(* Re-derive funded clients' values from the funding graph. Scoped change
-   events say exactly which currencies moved, so the steady-state pass
-   revalues only the clients funded by those currencies — O(dirtied), not
-   O(clients) — and is a no-op while the graph is quiescent. *)
+(* Re-derive funded clients' values from the funding graph: the tracker
+   hands over exactly the clients funded by currencies that moved. *)
+let revalue t c v =
+  c.value <- v;
+  update_weight t c
+
 let refresh t =
-  match (t.fsys, t.ftrack) with
-  | Some sys, Some tr -> (
-      let revalue v c =
-        match c.funding with
-        | Some fd ->
-            c.value <- Funded.value v fd;
-            update_weight t c
-        | None -> ()
-      in
-      match Funded.Tracker.drain tr with
-      | `None -> ()
-      | `All -> List.iter (revalue (F.Valuation.make sys)) t.clients
-      | `Dirtied cids ->
-          let v = F.Valuation.make sys in
-          List.iter
-            (fun cid -> List.iter (revalue v) (Hashtbl.find_all t.by_cid cid))
-            cids)
-  | _ -> ()
+  match t.ftrack with
+  | Some tr -> Funded.Tracker.refresh tr t revalue
+  | None -> ()
+
+let value t c =
+  refresh t;
+  c.value
 
 let publish_draw t c =
   if Obs.Bus.active t.bus then

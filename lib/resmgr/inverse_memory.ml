@@ -24,9 +24,7 @@ type t = {
   frames : int;
   rng : Rng.t;
   draw : client Draw.t; (* victim lottery (unused under Global_lru) *)
-  fsys : F.system option;
-  ftrack : Funded.Tracker.t option;
-  by_cid : (int, client) Hashtbl.t; (* funding-currency id -> clients *)
+  ftrack : client Funded.Tracker.t option;
   bus : Obs.Bus.t;
   mutable clients : client list; (* reverse creation order *)
   mutable used : int;
@@ -44,9 +42,7 @@ let create ?(policy = Inverse_lottery) ?(backend = Draw.List) ?funding ~frames
     frames;
     rng;
     draw = Draw.of_mode backend;
-    fsys = funding;
-    ftrack = Option.map Funded.Tracker.attach funding;
-    by_cid = Hashtbl.create 16;
+    ftrack = Option.map Funded.Tracker.create funding;
     bus = Obs.Bus.create ();
     clients = [];
     used = 0;
@@ -89,33 +85,25 @@ let update_weight t c =
    all weights are rebuilt. That rebuild is O(clients) float work with no
    funding-graph walks; while shares are quiescent, victim picks skip it
    entirely. *)
+let revalue t c v =
+  if v <> c.value then begin
+    c.value <- v;
+    t.wdirty <- true
+  end
+
 let refresh t =
-  (match (t.fsys, t.ftrack) with
-  | Some sys, Some tr -> (
-      let v = F.Valuation.make sys in
-      let revalue c =
-        match c.funding with
-        | Some fd ->
-            let value = Funded.value v fd in
-            if value <> c.value then begin
-              c.value <- value;
-              t.wdirty <- true
-            end
-        | None -> ()
-      in
-      match Funded.Tracker.drain tr with
-      | `None -> ()
-      | `All -> List.iter revalue t.clients
-      | `Dirtied cids ->
-          List.iter
-            (fun cid -> List.iter revalue (Hashtbl.find_all t.by_cid cid))
-            cids)
-  | _ -> ());
+  (match t.ftrack with
+  | Some tr -> Funded.Tracker.refresh tr t revalue
+  | None -> ());
   if t.wdirty then begin
     t.wdirty <- false;
     t.total_value <- List.fold_left (fun acc c -> acc +. c.value) 0. t.clients;
     List.iter (fun c -> update_weight t c) t.clients
   end
+
+let value t c =
+  refresh t;
+  c.value
 
 let register t c =
   c.handle <- Some (Draw.add t.draw ~client:c ~weight:0.);
@@ -147,11 +135,12 @@ let add_client t ~name ~tickets ~working_set =
 let add_funded_client t ~name ?(amount = 1000) ~working_set ~currency () =
   if working_set <= 0 then
     invalid_arg "Inverse_memory.add_funded_client: working_set <= 0";
-  let sys =
-    match t.fsys with
-    | Some sys -> sys
+  let tr =
+    match t.ftrack with
+    | Some tr -> tr
     | None -> invalid_arg "Inverse_memory.add_funded_client: created without ~funding"
   in
+  let sys = Funded.Tracker.system tr in
   (* Memory rights stay active even while the client isn't faulting — it
      holds frames the whole time, unlike an idle I/O stream. *)
   let fd = Funded.attach sys ~currency ~amount in
@@ -172,7 +161,7 @@ let add_funded_client t ~name ?(amount = 1000) ~working_set ~currency () =
   in
   t.next_id <- t.next_id + 1;
   register t c;
-  Hashtbl.add t.by_cid (F.currency_id (Funded.currency fd)) c;
+  Funded.Tracker.add tr fd c;
   c
 
 let set_tickets t c tickets =

@@ -58,6 +58,11 @@ val set_tickets : t -> client -> int -> unit
 
 val client_name : client -> string
 
+val value : t -> client -> float
+(** The client's lottery value: its tickets or, when funded, its held
+    ticket's value at current exchange rates. Funding mutations since
+    the last draw are applied first. *)
+
 val access : t -> client -> int -> [ `Hit | `Fault ]
 (** Touch one virtual page, faulting it in (possibly evicting) if needed.
     Raises [Invalid_argument] if the page is outside the working set. *)

@@ -46,6 +46,11 @@ val set_tickets : t -> client -> int -> unit
 
 val client_name : client -> string
 
+val value : t -> client -> float
+(** The client's lottery value: its tickets or, when funded, its held
+    ticket's value at current exchange rates (0 while the ticket is
+    suspended). Funding mutations since the last draw are applied first. *)
+
 val submit : t -> client -> requests:int -> unit
 (** Enqueue transfer requests (one slot each). *)
 

@@ -23,9 +23,7 @@ type t = {
   capacity : int;
   rng : Rng.t;
   draws : circuit Draw.t array; (* one lottery per output port *)
-  fsys : F.system option;
-  ftrack : Funded.Tracker.t option;
-  by_cid : (int, circuit) Hashtbl.t; (* funding-currency id -> circuits *)
+  ftrack : circuit Funded.Tracker.t option;
   bus : Obs.Bus.t;
   mutable circuits : circuit list; (* reverse creation order *)
   mutable next_id : int;
@@ -43,9 +41,7 @@ let create ?(ports = 4) ?(buffer_capacity = 64) ?(backend = Draw.List) ?funding
     capacity = buffer_capacity;
     rng;
     draws = Array.init ports (fun _ -> Draw.of_mode backend);
-    fsys = funding;
-    ftrack = Option.map Funded.Tracker.attach funding;
-    by_cid = Hashtbl.create 16;
+    ftrack = Option.map Funded.Tracker.create funding;
     bus = Obs.Bus.create ();
     circuits = [];
     next_id = 0;
@@ -98,11 +94,12 @@ let add_funded_circuit t ~name ~output_port ?(amount = 1000) ~rate
     invalid_arg "Switch.add_funded_circuit: port out of range";
   if rate < 0. || rate > 1. then
     invalid_arg "Switch.add_funded_circuit: rate not in [0,1]";
-  let sys =
-    match t.fsys with
-    | Some sys -> sys
+  let tr =
+    match t.ftrack with
+    | Some tr -> tr
     | None -> invalid_arg "Switch.add_funded_circuit: created without ~funding"
   in
+  let sys = Funded.Tracker.system tr in
   let fd = Funded.attach sys ~currency ~amount in
   Funded.set_active fd false (* idle until the first cell arrives *);
   let c =
@@ -123,7 +120,7 @@ let add_funded_circuit t ~name ~output_port ?(amount = 1000) ~rate
   in
   t.next_id <- t.next_id + 1;
   register t c;
-  Hashtbl.add t.by_cid (F.currency_id (Funded.currency fd)) c;
+  Funded.Tracker.add tr fd c;
   c
 
 let set_tickets t c tickets =
@@ -148,29 +145,20 @@ let set_buffered t c now_buffered =
   | None -> ());
   update_weight t c
 
-(* Re-derive funded circuits' values from the funding graph. Scoped change
-   events say exactly which currencies moved, so the steady-state pass
-   revalues only the circuits funded by those currencies — O(dirtied), not
-   O(circuits) — and is a no-op while the graph is quiescent. *)
+(* Re-derive funded circuits' values from the funding graph: the tracker
+   hands over exactly the circuits funded by currencies that moved. *)
+let revalue t c v =
+  c.value <- v;
+  update_weight t c
+
 let refresh t =
-  match (t.fsys, t.ftrack) with
-  | Some sys, Some tr -> (
-      let revalue v c =
-        match c.funding with
-        | Some fd ->
-            c.value <- Funded.value v fd;
-            update_weight t c
-        | None -> ()
-      in
-      match Funded.Tracker.drain tr with
-      | `None -> ()
-      | `All -> List.iter (revalue (F.Valuation.make sys)) t.circuits
-      | `Dirtied cids ->
-          let v = F.Valuation.make sys in
-          List.iter
-            (fun cid -> List.iter (revalue v) (Hashtbl.find_all t.by_cid cid))
-            cids)
-  | _ -> ()
+  match t.ftrack with
+  | Some tr -> Funded.Tracker.refresh tr t revalue
+  | None -> ()
+
+let value t c =
+  refresh t;
+  c.value
 
 let arrivals t =
   List.iter

@@ -55,6 +55,11 @@ val set_tickets : t -> circuit -> int -> unit
 val set_rate : t -> circuit -> float -> unit
 val circuit_name : circuit -> string
 
+val value : t -> circuit -> float
+(** The circuit's lottery value: its tickets or, when funded, its held
+    ticket's value at current exchange rates (0 while the ticket is
+    suspended). Funding mutations since the last draw are applied first. *)
+
 val step : t -> slots:int -> unit
 (** Advance the switch: arrivals, then one transmission per port per
     slot. *)

@@ -24,16 +24,16 @@ type tstate = {
   competing : F.ticket;
   mutable donations : (int * F.ticket) list; (* dst thread id -> transfer *)
   mutable dh : tstate D.handle option;
-      (* unsharded: present iff runnable. Sharded: allocated at the first
-         enqueue and kept forever (the [Some] box included) — dispatch and
-         migration recycle the same handle through {!D.remove}/{!D.readd},
-         so the steady-state quantum cycle allocates nothing. [in_draw]
-         carries liveness. *)
+      (* allocated at the first enqueue and kept forever (the [Some] box
+         included): block/wake, dispatch and migration recycle the same
+         handle through {!D.remove}/{!D.readd_at}, so neither the quantum
+         cycle nor a block/wake cycle allocates. [in_draw] carries
+         liveness. *)
+  mutable in_draw : bool; (* live in its draw (its shard's, when sharded) *)
   mutable in_fq : bool; (* queued in a round-robin fallback ring *)
   mutable in_pending : bool; (* queued for a scoped weight refresh *)
   (* --- sharded-mode state (unused when [shards = 0]) ----------------- *)
   mutable shard : int; (* owning shard; -1 until first placement *)
-  mutable in_draw : bool; (* live in its shard's draw structure *)
   mutable counted : bool;
       (* this thread's [wlast] is accumulated in the shard tree: true for
          runnable *and* dispatched (on-CPU) threads, false while blocked —
@@ -226,10 +226,10 @@ let state t th =
           competing;
           donations = [];
           dh = None;
+          in_draw = false;
           in_fq = false;
           in_pending = false;
           shard = -1;
-          in_draw = false;
           counted = false;
           ring_of = -1;
         }
@@ -464,14 +464,22 @@ let destroy_ticket t ticket = F.destroy_ticket t.system ticket
 
 (* Insertion computes the weight fresh (validating the thread currency's
    caches), so a wake needs no follow-up event flush: it is itself the one
-   per-thread weight write of the block/wake path — count it as such. *)
+   per-thread weight write of the block/wake path — count it as such. The
+   handle from the thread's first insertion is re-inserted on every later
+   wake, and the weight travels through [wlast], so a wake allocates
+   nothing. *)
 let add_to_draw t s =
-  if s.dh = None then begin
+  if not s.in_draw then begin
+    let slot = s.th.tslot in
     let cv = cur_value t s in
     let f = factor t s in
-    s.dh <- Some (D.add t.draw ~client:s ~weight:(cv *. f));
-    t.wcache.(s.th.tslot) <- cv;
-    t.ccache.(s.th.tslot) <- f;
+    t.wlast.(slot) <- cv *. f;
+    (match s.dh with
+    | Some h -> D.readd_at t.draw h t.wlast slot
+    | None -> s.dh <- Some (D.add t.draw ~client:s ~weight:t.wlast.(slot)));
+    s.in_draw <- true;
+    t.wcache.(slot) <- cv;
+    t.ccache.(slot) <- f;
     t.scoped_updates <- t.scoped_updates + 1;
     if not s.in_fq then begin
       Queue.push s t.fallback_q;
@@ -479,12 +487,11 @@ let add_to_draw t s =
     end
   end
 
-let remove_from_draw _t s =
-  match s.dh with
-  | Some h ->
-      D.remove (_t : t).draw h;
-      s.dh <- None
-  | None -> ()
+let remove_from_draw t s =
+  if s.in_draw then begin
+    (match s.dh with Some h -> D.remove t.draw h | None -> ());
+    s.in_draw <- false
+  end
 
 let ready t th =
   let s = state t th in
@@ -517,9 +524,15 @@ let unready t th =
   end
   else remove_from_draw t s
 
+let rec destroy_donations sys = function
+  | [] -> ()
+  | (_, ticket) :: rest ->
+      F.destroy_ticket sys ticket;
+      destroy_donations sys rest
+
 let drop_donations t s =
   if s.donations <> [] then begin
-    List.iter (fun (_, ticket) -> F.destroy_ticket t.system ticket) s.donations;
+    destroy_donations t.system s.donations;
     s.donations <- []
   end
 
@@ -597,7 +610,7 @@ let refresh_weights t =
   else
     Array.iter
       (function
-        | Some ({ dh = Some h; _ } as s) -> write_weight t s h
+        | Some ({ dh = Some h; in_draw = true; _ } as s) -> write_weight t s h
         | _ -> ())
       t.st_tab
 
@@ -605,9 +618,9 @@ let refresh_weights t =
    explicitly requested ({!mark_dirty}), otherwise revalue exactly the
    threads whose currencies the change events dirtied — O(changed), the
    steady-state path — in the order they were first dirtied. Detached
-   threads may still sit in the buffer; their [dh] is gone, so they drain
-   as no-ops. Each drained cell goes back to [None], so the buffer never
-   keeps a dead thread reachable. *)
+   and blocked threads may still sit in the buffer; they are out of the
+   draw ([in_draw] unset), so they drain as no-ops. Each drained cell goes
+   back to [None], so the buffer never keeps a dead thread reachable. *)
 let flush_pending t =
   let rewrite = not t.dirty in
   if t.dirty then begin
@@ -628,10 +641,10 @@ let flush_pending t =
           end
           else begin
             match s.dh with
-            | Some h ->
+            | Some h when s.in_draw ->
                 write_weight t s h;
                 t.scoped_updates <- t.scoped_updates + 1
-            | None -> ()
+            | _ -> ()
           end
     | None -> ()
   done;
@@ -650,7 +663,7 @@ let fallback_pick t =
       match Queue.take_opt t.fallback_q with
       | None -> None
       | Some s ->
-          if s.dh = None then begin
+          if not s.in_draw then begin
             s.in_fq <- false;
             next ()
           end
@@ -792,7 +805,7 @@ let account t th ~used:_ ~quantum:_ ~blocked:_ =
      leaves every backend bit-identical. *)
   if not t.dirty then begin
     match find_state t th with
-    | Some ({ dh = Some h; _ } as s) ->
+    | Some ({ dh = Some h; in_draw = true; _ } as s) ->
         (* Each input is read in place (the funding system's flat value
            cache, the thread's compensate field), so the quiescent path
            computes no fresh float at all. Skipping the write when both

@@ -9,8 +9,7 @@ type t = {
          executing CPU's clock during one. [cpu_now] carries each virtual
          CPU's own clock; [now] = [cpu_now.(c)] while CPU [c] runs. *)
   quantum : int;
-  cpus : int;
-  cpu_now : int array; (* per-CPU virtual clock, length [cpus] *)
+  cpu_now : int array; (* per-CPU virtual clock; its length is the CPU count *)
   sel : thread option array;
       (* per-round select results: every CPU at the round floor selects
          before any slice runs, so one round's slices are virtually
@@ -36,6 +35,8 @@ type t = {
   bus : Obs.Bus.t;
   mutable tracer_sub : Obs.Bus.subscription option; (* legacy set_tracer shim *)
   mutable current : thread option; (* thread being advanced, if any *)
+  mutable actors : Obs.Event.actor array;
+      (* event actors by thread slot, filled lazily while observed *)
   (* registries of every synchronization object created through this
      kernel, in creation order: the invariant auditor cross-checks
      wait-queue membership against thread [pending] states, and fault
@@ -55,7 +56,31 @@ type t = {
    subscribers the cost is a single array-length check and no event is
    allocated (the tracing-off hot path must stay free). *)
 let[@inline] observed k = Obs.Bus.active k.bus
-let[@inline] actor th = Obs.Event.actor_of ~tid:th.id ~tname:th.name
+(* Each live thread's event actor is built once, on its first event while
+   the bus has a subscriber, and cached by arena slot; the cached record is
+   reused only while its id matches the slot's current occupant. A reaped
+   thread (slot -1) gets a fresh record. With no subscriber nothing calls
+   this, so an unobserved kernel never allocates the table. *)
+let no_actor = Obs.Event.actor_of ~tid:(-1) ~tname:""
+
+let actor k th =
+  let s = th.tslot in
+  if s < 0 then Obs.Event.actor_of ~tid:th.id ~tname:th.name
+  else begin
+    if s >= Array.length k.actors then begin
+      let n = max 16 (max (s + 1) (2 * Array.length k.actors)) in
+      let a = Array.make n no_actor in
+      Array.blit k.actors 0 a 0 (Array.length k.actors);
+      k.actors <- a
+    end;
+    let a = k.actors.(s) in
+    if a.Obs.Event.tid = th.id then a
+    else begin
+      let a = Obs.Event.actor_of ~tid:th.id ~tname:th.name in
+      k.actors.(s) <- a;
+      a
+    end
+  end
 
 let emit k ev =
   match k.profiler with
@@ -75,7 +100,6 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
   {
     now = 0;
     quantum;
-    cpus;
     cpu_now = Array.make cpus 0;
     sel = Array.make cpus None;
     sched;
@@ -90,6 +114,7 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
     bus = Obs.Bus.create ();
     tracer_sub = None;
     current = None;
+    actors = [||];
     ports_v = Vec.create ();
     mutexes_v = Vec.create ();
     conds_v = Vec.create ();
@@ -99,11 +124,11 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
   }
 
 let now k = k.now
+let[@inline] cpus k = Array.length k.cpu_now
 let quantum k = k.quantum
-let cpus k = k.cpus
 
 let cpu_clock k cpu =
-  if cpu < 0 || cpu >= k.cpus then invalid_arg "Kernel.cpu_clock: bad cpu";
+  if cpu < 0 || cpu >= cpus k then invalid_arg "Kernel.cpu_clock: bad cpu";
   k.cpu_now.(cpu)
 
 let fresh_id k =
@@ -137,7 +162,7 @@ let spawn k ~name body =
   k.th_tab.(s) <- th;
   if not (Hashtbl.mem k.by_name name) then Hashtbl.add k.by_name name th;
   k.sched.attach th;
-  if observed k then emit k (Obs.Event.Spawn { who = actor th });
+  if observed k then emit k (Obs.Event.Spawn { who = actor k th });
   th
 
 let create_port ?(capacity = max_int) ?(shed = Reject_new) k ~name =
@@ -159,14 +184,14 @@ let create_port ?(capacity = max_int) ?(shed = Reject_new) k ~name =
 
 let create_mutex k ?(policy = Fifo) name =
   let m =
-    { mutex_id = fresh_id k; mutex_name = name; policy; owner = None; lock_waiters = []; acquisitions = 0 }
+    { mutex_id = fresh_id k; mutex_name = name; policy; owner = None; lock_waiters = Waitq.create (); acquisitions = 0 }
   in
   Vec.push k.mutexes_v m;
   m
 
 let create_condition k ?(policy = Fifo) name =
   let c =
-    { cond_id = fresh_id k; cond_name = name; cond_policy = policy; cond_waiters = []; signals = 0 }
+    { cond_id = fresh_id k; cond_name = name; cond_policy = policy; cond_waiters = Waitq.create (); signals = 0 }
   in
   Vec.push k.conds_v c;
   c
@@ -174,7 +199,7 @@ let create_condition k ?(policy = Fifo) name =
 let create_semaphore k ?(policy = Fifo) ~initial name =
   if initial < 0 then invalid_arg "Kernel.create_semaphore: negative initial count";
   let sm =
-    { sem_id = fresh_id k; sem_name = name; sem_policy = policy; count = initial; sem_waiters = [] }
+    { sem_id = fresh_id k; sem_name = name; sem_policy = policy; count = initial; sem_waiters = Waitq.create () }
   in
   Vec.push k.sems_v sm;
   sm
@@ -189,12 +214,12 @@ let semaphores k = Vec.to_list k.sems_v
 let block k th ~on =
   th.state <- Blocked;
   k.sched.unready th;
-  if observed k then emit k (Obs.Event.Block { who = actor th; on })
+  if observed k then emit k (Obs.Event.Block { who = actor k th; on })
 
 let unblock k th =
   th.state <- Runnable;
   k.sched.ready th;
-  if observed k then emit k (Obs.Event.Wake { who = actor th })
+  if observed k then emit k (Obs.Event.Wake { who = actor k th })
 
 (* --- bounded-port admission ------------------------------------------- *)
 
@@ -243,39 +268,39 @@ let take_oldest_victim p =
 
 let port_shed_count p = p.shed_count
 
-(* remove the first element satisfying [p]; the rest keep their order *)
-let remove_one p lst =
-  let removed = ref false in
-  List.filter
-    (fun x ->
-      if (not !removed) && p x then begin
-        removed := true;
-        false
-      end
-      else true)
-    lst
+(* Remove the first element physically equal to [x]; the rest keep their
+   order and only the prefix before it is copied (none when it is the
+   head, the common case for a donor list). *)
+let rec remove_phys x = function
+  | [] -> []
+  | y :: rest -> if y == x then rest else y :: remove_phys x rest
 
 let donate k ~src ~dst =
   src.donating_to <- dst :: src.donating_to;
   dst.donors <- src :: dst.donors;
   k.sched.donate ~src ~dst;
-  if observed k then emit k (Obs.Event.Donate { src = actor src; dst = actor dst })
+  if observed k then emit k (Obs.Event.Donate { src = actor k src; dst = actor k dst })
+
+let rec scrub_donors src = function
+  | [] -> ()
+  | d :: rest ->
+      d.donors <- remove_phys src d.donors;
+      scrub_donors src rest
 
 let revoke k src =
   if src.donating_to <> [] then begin
-    List.iter
-      (fun d -> d.donors <- remove_one (fun s -> s == src) d.donors)
-      src.donating_to;
+    scrub_donors src src.donating_to;
     src.donating_to <- [];
     k.sched.revoke ~src
   end
 
 let revoke_from k ~src ~dst =
   (* remove one occurrence only: a scatter may target the same server (or
-     port) several times, one donation each *)
-  if List.exists (fun d -> d.id = dst.id) src.donating_to then begin
-    src.donating_to <- remove_one (fun d -> d.id = dst.id) src.donating_to;
-    dst.donors <- remove_one (fun s -> s == src) dst.donors;
+     port) several times, one donation each. Thread ids are unique, so the
+     target is matched by identity. *)
+  if List.memq dst src.donating_to then begin
+    src.donating_to <- remove_phys dst src.donating_to;
+    dst.donors <- remove_phys src dst.donors;
     k.sched.revoke_from ~src ~dst
   end
 
@@ -285,7 +310,21 @@ let grant_mutex k m th ~contended =
   m.acquisitions <- m.acquisitions + 1;
   if observed k then
     emit k
-      (Obs.Event.Lock_acquire { who = actor th; mutex = m.mutex_name; contended })
+      (Obs.Event.Lock_acquire { who = actor k th; mutex = m.mutex_name; contended })
+
+(* Dequeue the waiter a release or post wakes: the head under [Fifo]
+   (O(1) amortized, no copy); under [Lottery_wake] the scheduler's pick
+   among all waiters in arrival order, falling back to the head. Callers
+   check that [q] is non-empty. *)
+let take_waiter k policy q =
+  match policy with
+  | Fifo -> Waitq.pop q
+  | Lottery_wake -> (
+      match k.sched.pick_waiter (Waitq.to_list q) with
+      | Some w ->
+          Waitq.remove q w;
+          w
+      | None -> Waitq.pop q)
 
 (* Hand a released mutex to its next waiter (by wake policy), moving the
    remaining waiters' funding to the new owner. [who] is the releasing
@@ -297,32 +336,23 @@ let release_mutex k who m =
   | None -> ());
   m.owner <- None;
   if observed k then
-    emit k (Obs.Event.Lock_release { who = actor who; mutex = m.mutex_name });
-  match m.lock_waiters with
-  | [] -> ()
-  | waiters ->
-      let next =
-        match m.policy with
-        | Fifo -> List.hd waiters
-        | Lottery_wake -> (
-            match k.sched.pick_waiter waiters with
-            | Some w -> w
-            | None -> List.hd waiters)
-      in
-      m.lock_waiters <- List.filter (fun w -> w.id <> next.id) waiters;
-      grant_mutex k m next ~contended:true;
-      (match next.pending with
-      | Waiting_lock { k = kn; _ } -> next.pending <- Ready_unit kn
-      | _ -> assert false);
-      revoke k next;
-      unblock k next;
-      (* Remaining waiters now fund the new owner (the paper's mutex
-         currency moves its inheritance ticket to the winner). *)
-      List.iter
-        (fun w ->
-          revoke k w;
-          donate k ~src:w ~dst:next)
-        m.lock_waiters
+    emit k (Obs.Event.Lock_release { who = actor k who; mutex = m.mutex_name });
+  if not (Waitq.is_empty m.lock_waiters) then begin
+    let next = take_waiter k m.policy m.lock_waiters in
+    grant_mutex k m next ~contended:true;
+    (match next.pending with
+    | Waiting_lock { k = kn; _ } -> next.pending <- Ready_unit kn
+    | _ -> assert false);
+    revoke k next;
+    unblock k next;
+    (* Remaining waiters now fund the new owner (the paper's mutex
+       currency moves its inheritance ticket to the winner). *)
+    Waitq.iter
+      (fun w ->
+        revoke k w;
+        donate k ~src:w ~dst:next)
+      m.lock_waiters
+  end
 
 let finish k th exn_opt =
   th.pending <- Exited;
@@ -375,7 +405,7 @@ let finish k th exn_opt =
   if observed k then
     emit k
       (Obs.Event.Exit
-         { who = actor th; failure = Option.map Printexc.to_string exn_opt })
+         { who = actor k th; failure = Option.map Printexc.to_string exn_opt })
 
 (* --- IPC and mutex operations (run inside effect handlers) ------------ *)
 
@@ -387,47 +417,50 @@ let begin_service k srv msg ~port:p =
   if observed k then
     emit k
       (Obs.Event.Rpc_recv
-         { who = actor srv; port = p.port_name; msg_id = msg.msg_id;
-           sender = actor msg.sender })
+         { who = actor k srv; port = p.port_name; msg_id = msg.msg_id;
+           sender = actor k msg.sender })
 
 let end_service srv id =
   match srv.servicing with
   | x :: rest when x = id -> srv.servicing <- rest
   | l -> srv.servicing <- List.filter (fun x -> x <> id) l
 
+(* The reply helpers are top-level functions, not closures over the
+   request, so a reply allocates nothing for its bookkeeping. *)
+let server_actor k client =
+  match k.current with Some s -> actor k s | None -> actor k client
+
+let emit_reply k msg =
+  if observed k then
+    emit k
+      (Obs.Event.Rpc_reply
+         { who = server_actor k msg.sender; client = actor k msg.sender;
+           msg_id = msg.msg_id })
+
+(* Replying to a client that exited, was killed, or caught [Killed] and
+   abandoned the request must not fault the server: the reply is dropped
+   as a traced no-op. Only replies the client could never have stopped
+   waiting for on its own — a second answer to an already-answered
+   request — remain programming errors that raise in the server. *)
+let drop_reply k msg reason =
+  if observed k then
+    emit k
+      (Obs.Event.Rpc_reply_dropped
+         { who = server_actor k msg.sender; client = actor k msg.sender;
+           msg_id = msg.msg_id; reason })
+
 let do_reply k msg result =
   let client = msg.sender in
-  let server_actor () =
-    match k.current with Some s -> actor s | None -> actor client
-  in
-  let emit_reply () =
-    if observed k then
-      emit k
-        (Obs.Event.Rpc_reply
-           { who = server_actor (); client = actor client; msg_id = msg.msg_id })
-  in
-  (* Replying to a client that exited, was killed, or caught [Killed] and
-     abandoned the request must not fault the server: the reply is dropped
-     as a traced no-op. Only replies the client could never have stopped
-     waiting for on its own — a second answer to an already-answered
-     request — remain programming errors that raise in the server. *)
-  let drop reason =
-    if observed k then
-      emit k
-        (Obs.Event.Rpc_reply_dropped
-           { who = server_actor (); client = actor client; msg_id = msg.msg_id;
-             reason })
-  in
   match client.pending with
   | Waiting_reply { k = kc } ->
-      emit_reply ();
+      emit_reply k msg;
       client.pending <- Ready_reply (result, kc);
       revoke k client;
       unblock k client
   | Waiting_replies scatter ->
       if scatter.replies.(msg.slot) <> None then
         invalid_arg "Api.reply: duplicate reply to a scatter slot";
-      emit_reply ();
+      emit_reply k msg;
       scatter.replies.(msg.slot) <- Some result;
       scatter.outstanding <- scatter.outstanding - 1;
       (* the replying server's share of the divided transfer is withdrawn;
@@ -447,8 +480,8 @@ let do_reply k msg result =
       (* the request was already answered and the client merely hasn't run
          yet: a second reply is a genuine duplicate *)
       invalid_arg "Api.reply: sender is not awaiting a reply"
-  | Exited -> drop "client exited"
-  | _ -> drop "client no longer waiting"
+  | Exited -> drop_reply k msg "client exited"
+  | _ -> drop_reply k msg "client no longer waiting"
 
 let do_reply k msg result =
   do_reply k msg result;
@@ -463,17 +496,6 @@ let do_unlock k th m =
   | Some _ | None -> invalid_arg "Api.unlock: thread does not own mutex");
   release_mutex k th m
 
-let choose_waiter k policy waiters =
-  match waiters with
-  | [] -> None
-  | first :: _ -> (
-      match policy with
-      | Fifo -> Some first
-      | Lottery_wake -> (
-          match k.sched.pick_waiter waiters with
-          | Some w -> Some w
-          | None -> Some first))
-
 (* A condition waiter woken by signal/broadcast must reacquire the mutex it
    released: grant immediately if free, otherwise join the mutex queue
    (funding the current owner like any other lock waiter). *)
@@ -484,45 +506,51 @@ let reacquire_after_signal k th m kc =
       th.pending <- Ready_unit kc;
       unblock k th
   | Some owner ->
-      m.lock_waiters <- m.lock_waiters @ [ th ];
+      Waitq.push m.lock_waiters th;
       th.pending <- Waiting_lock { mutex = m; k = kc };
       donate k ~src:th ~dst:owner
 
-let wake_cond_waiter k c w =
-  c.cond_waiters <- List.filter (fun w' -> w'.id <> w.id) c.cond_waiters;
+let wake_cond_waiter k w =
   match w.pending with
   | Waiting_cond { mutex; k = kc; _ } -> reacquire_after_signal k w mutex kc
   | _ -> assert false
 
 let do_signal k c =
   c.signals <- c.signals + 1;
-  match choose_waiter k c.cond_policy c.cond_waiters with
-  | None -> ()
-  | Some w -> wake_cond_waiter k c w
+  if not (Waitq.is_empty c.cond_waiters) then
+    wake_cond_waiter k (take_waiter k c.cond_policy c.cond_waiters)
 
 let do_broadcast k c =
   c.signals <- c.signals + 1;
   (* wake in policy order so a lottery condition hands the mutex queue
      positions out by funding *)
-  let rec drain () =
-    match choose_waiter k c.cond_policy c.cond_waiters with
-    | None -> ()
-    | Some w ->
-        wake_cond_waiter k c w;
-        drain ()
-  in
-  drain ()
+  while not (Waitq.is_empty c.cond_waiters) do
+    wake_cond_waiter k (take_waiter k c.cond_policy c.cond_waiters)
+  done
 
 let do_sem_post k sm =
-  match choose_waiter k sm.sem_policy sm.sem_waiters with
-  | None -> sm.count <- sm.count + 1
-  | Some w -> (
-      sm.sem_waiters <- List.filter (fun w' -> w'.id <> w.id) sm.sem_waiters;
-      match w.pending with
-      | Waiting_sem { k = kc; _ } ->
-          w.pending <- Ready_unit kc;
-          unblock k w
-      | _ -> assert false)
+  if Waitq.is_empty sm.sem_waiters then sm.count <- sm.count + 1
+  else
+    let w = take_waiter k sm.sem_policy sm.sem_waiters in
+    match w.pending with
+    | Waiting_sem { k = kc; _ } ->
+        w.pending <- Ready_unit kc;
+        unblock k w
+    | _ -> assert false
+
+(* Hand [msg] to the first live server waiting on [p], or queue it.
+   Waiter entries of threads killed while waiting are dropped on the way. *)
+let rec handoff_or_queue k sender p msg =
+  if Queue.is_empty p.waiters then Queue.push msg p.queue
+  else
+    let srv = Queue.take p.waiters in
+    match srv.pending with
+    | Waiting_recv { k = ks; _ } ->
+        srv.pending <- Ready_msg (msg, ks);
+        begin_service k srv msg ~port:p;
+        unblock k srv;
+        donate k ~src:sender ~dst:srv
+    | _ -> handoff_or_queue k sender p msg
 
 (* --- running thread bodies -------------------------------------------- *)
 
@@ -676,20 +704,22 @@ and handle_step k th (s : step) : [ `Continue | `Blocked | `Exited | `Yielded ] 
         deliver_or_queue k th p msg;
         `Blocked
       end
-  | S_recv (p, kc) -> (
-      match Queue.take_opt p.queue with
-      | Some msg ->
-          th.pending <- Ready_msg (msg, kc);
-          begin_service k th msg ~port:p;
-          (* The queued sender's ticket transfer lands on whichever server
-             thread picks the message up (paper §4.6). *)
-          if msg.sender.state = Blocked then donate k ~src:msg.sender ~dst:th;
-          `Continue
-      | None ->
-          th.pending <- Waiting_recv { port = p; k = kc };
-          block k th ~on:"recv";
-          Queue.push th p.waiters;
-          `Blocked)
+  | S_recv (p, kc) ->
+      if Queue.is_empty p.queue then begin
+        th.pending <- Waiting_recv { port = p; k = kc };
+        block k th ~on:"recv";
+        Queue.push th p.waiters;
+        `Blocked
+      end
+      else begin
+        let msg = Queue.take p.queue in
+        th.pending <- Ready_msg (msg, kc);
+        begin_service k th msg ~port:p;
+        (* The queued sender's ticket transfer lands on whichever server
+           thread picks the message up (paper §4.6). *)
+        if msg.sender.state = Blocked then donate k ~src:msg.sender ~dst:th;
+        `Continue
+      end
   | S_lock (m, kc) -> (
       match m.owner with
       | None ->
@@ -697,7 +727,7 @@ and handle_step k th (s : step) : [ `Continue | `Blocked | `Exited | `Yielded ] 
           th.pending <- Ready_unit kc;
           `Continue
       | Some owner ->
-          m.lock_waiters <- m.lock_waiters @ [ th ];
+          Waitq.push m.lock_waiters th;
           th.pending <- Waiting_lock { mutex = m; k = kc };
           block k th ~on:"lock";
           donate k ~src:th ~dst:owner;
@@ -708,7 +738,7 @@ and handle_step k th (s : step) : [ `Continue | `Blocked | `Exited | `Yielded ] 
       | () ->
           th.pending <- Waiting_cond { cond = c; mutex = m; k = kc };
           block k th ~on:"cond";
-          c.cond_waiters <- c.cond_waiters @ [ th ];
+          Waitq.push c.cond_waiters th;
           `Blocked
       | exception e -> handle_step k th (Effect.Deep.discontinue kc e))
   | S_sem_wait (sm, kc) ->
@@ -718,7 +748,7 @@ and handle_step k th (s : step) : [ `Continue | `Blocked | `Exited | `Yielded ] 
         `Continue
       end
       else begin
-        sm.sem_waiters <- sm.sem_waiters @ [ th ];
+        Waitq.push sm.sem_waiters th;
         th.pending <- Waiting_sem { sem = sm; k = kc };
         block k th ~on:"sem";
         `Blocked
@@ -738,7 +768,7 @@ and shed_rpc k th p ~id ~payload kc =
           if observed k then
             emit k
               (Obs.Event.Rpc_shed
-                 { who = actor victim.sender; port = p.port_name;
+                 { who = actor k victim.sender; port = p.port_name;
                    msg_id = victim.msg_id; reason = "drop-oldest";
                    parent =
                      (match victim.sender.servicing with
@@ -773,7 +803,7 @@ and reject_rpc k th p ~id ~reason kc =
   if observed k then
     emit k
       (Obs.Event.Rpc_shed
-         { who = actor th; port = p.port_name; msg_id = id; reason;
+         { who = actor k th; port = p.port_name; msg_id = id; reason;
            parent =
              (match th.servicing with [] -> None | s :: _ -> Some s) });
   (* the sender never blocked: [Rejected] surfaces directly in its body *)
@@ -784,28 +814,12 @@ and deliver_or_queue k sender p msg =
   if observed k then
     emit k
       (Obs.Event.Rpc_send
-         { who = actor sender; port = p.port_name; msg_id = msg.msg_id;
+         { who = actor k sender; port = p.port_name; msg_id = msg.msg_id;
            parent =
              (* the span the sender is itself servicing, if any: nested
                 RPC chains form trees *)
              (match sender.servicing with [] -> None | s :: _ -> Some s) });
-  let rec next_live_waiter () =
-    match Queue.take_opt p.waiters with
-    | Some srv when (match srv.pending with Waiting_recv _ -> true | _ -> false) ->
-        Some srv
-    | Some _ -> next_live_waiter () (* killed while waiting; skip *)
-    | None -> None
-  in
-  match next_live_waiter () with
-  | Some srv -> (
-      match srv.pending with
-      | Waiting_recv { k = ks; _ } ->
-          srv.pending <- Ready_msg (msg, ks);
-          begin_service k srv msg ~port:p;
-          unblock k srv;
-          donate k ~src:sender ~dst:srv
-      | _ -> assert false)
-  | None -> Queue.push msg p.queue
+  handoff_or_queue k sender p msg
 
 (* Drive a thread's continuation until it needs CPU time, blocks, yields or
    exits. All non-compute kernel operations are instantaneous in virtual
@@ -845,12 +859,9 @@ let kill k th =
   | _ ->
       (* unhook from wait lists first so nothing wakes a zombie *)
       (match th.pending with
-      | Waiting_lock { mutex; _ } ->
-          mutex.lock_waiters <- List.filter (fun w -> w.id <> th.id) mutex.lock_waiters
-      | Waiting_cond { cond; _ } ->
-          cond.cond_waiters <- List.filter (fun w -> w.id <> th.id) cond.cond_waiters
-      | Waiting_sem { sem; _ } ->
-          sem.sem_waiters <- List.filter (fun w -> w.id <> th.id) sem.sem_waiters
+      | Waiting_lock { mutex; _ } -> Waitq.remove mutex.lock_waiters th
+      | Waiting_cond { cond; _ } -> Waitq.remove cond.cond_waiters th
+      | Waiting_sem { sem; _ } -> Waitq.remove sem.sem_waiters th
       | Waiting_join { target; _ } ->
           target.joiners <- List.filter (fun w -> w.id <> th.id) target.joiners
       | Waiting_recv { port; _ } ->
@@ -945,7 +956,7 @@ let run_slice k th ~cpu ~cur ~horizon =
      (paper §4.5: the inflation lasts "until the client starts its next
      quantum"). *)
   th.compensate <- 1.;
-  if observed k then emit k (Obs.Event.Select { who = actor th; cpu });
+  if observed k then emit k (Obs.Event.Select { who = actor k th; cpu });
   let slice_left = ref k.quantum in
   let outcome = ref `Preempted in
   (* [cur] is the scheduler's own [Some th] (select returns a preallocated
@@ -999,7 +1010,7 @@ let run_slice k th ~cpu ~cur ~horizon =
       | `Exited -> Obs.Event.End_exit
       | `Horizon -> Obs.Event.End_horizon
     in
-    emit k (Obs.Event.Preempt { who = actor th; used; quantum = k.quantum; why })
+    emit k (Obs.Event.Preempt { who = actor k th; used; quantum = k.quantum; why })
   end;
   (* Compensation ticket: a thread that gave up the CPU (blocked or yielded)
      after consuming only a fraction f of its quantum has its value inflated
@@ -1008,7 +1019,7 @@ let run_slice k th ~cpu ~cur ~horizon =
   if gave_up && used < k.quantum then begin
     th.compensate <- float_of_int k.quantum /. float_of_int (max used 1);
     if observed k then
-      emit k (Obs.Event.Compensate { who = actor th; factor = th.compensate })
+      emit k (Obs.Event.Compensate { who = actor k th; factor = th.compensate })
   end;
   k.sched.account th ~used ~quantum:k.quantum ~blocked
 
@@ -1028,14 +1039,14 @@ let has_live_blocked k =
    the historical single-CPU loop. *)
 let min_cpu_now k =
   let m = ref k.cpu_now.(0) in
-  for c = 1 to k.cpus - 1 do
+  for c = 1 to cpus k - 1 do
     if k.cpu_now.(c) < !m then m := k.cpu_now.(c)
   done;
   !m
 
 let max_cpu_now k =
   let m = ref k.cpu_now.(0) in
-  for c = 1 to k.cpus - 1 do
+  for c = 1 to cpus k - 1 do
     if k.cpu_now.(c) > !m then m := k.cpu_now.(c)
   done;
   !m
@@ -1043,7 +1054,7 @@ let max_cpu_now k =
 (* earliest clock strictly ahead of the floor [t]; [max_int] if none *)
 let next_busy_clock k ~t =
   let m = ref max_int in
-  for c = 0 to k.cpus - 1 do
+  for c = 0 to cpus k - 1 do
     if k.cpu_now.(c) > t && k.cpu_now.(c) < !m then m := k.cpu_now.(c)
   done;
   !m
@@ -1059,7 +1070,7 @@ let run k ~until =
        time T, before any of this round's slices execute *)
     let ran_any = ref false in
     let idle_at_t = ref 0 in
-    for cpu = 0 to k.cpus - 1 do
+    for cpu = 0 to cpus k - 1 do
       if k.cpu_now.(cpu) = t then begin
         (match k.pre_select with Some f -> f () | None -> ());
         let cur = k.sched.select ~cpu in
@@ -1072,7 +1083,7 @@ let run k ~until =
        in place so the idle pass below can tell idle CPUs (None at the
        floor) from ones that ran a zero-length slice; phase 1 rewrites
        every entry next round. *)
-    for cpu = 0 to k.cpus - 1 do
+    for cpu = 0 to cpus k - 1 do
       match k.sel.(cpu) with
       | None -> ()
       | Some th as cur ->
@@ -1103,7 +1114,7 @@ let run k ~until =
       let target = min next_timer (next_busy_clock k ~t) in
       if target < max_int then begin
         let target = min (max target t) until in
-        for cpu = 0 to k.cpus - 1 do
+        for cpu = 0 to cpus k - 1 do
           match k.sel.(cpu) with
           | None when k.cpu_now.(cpu) = t ->
               k.idle <- k.idle + (target - t);
@@ -1121,7 +1132,7 @@ let run k ~until =
          the floor at T; the idle CPUs retry next round. *)
     end
   done;
-  Array.fill k.sel 0 k.cpus None;
+  Array.fill k.sel 0 (cpus k) None;
   k.now <- (if !stop then min_cpu_now k else max_cpu_now k);
   { ended_at = k.now; idle_ticks = k.idle; deadlocked = !deadlocked; slices = k.slices }
 
@@ -1149,7 +1160,7 @@ let check_invariants k =
   let out = ref [] in
   let report ?th what =
     let who =
-      match th with Some t -> actor t | None -> Obs.Event.kernel_actor
+      match th with Some t -> actor k t | None -> Obs.Event.kernel_actor
     in
     if observed k then emit k (Obs.Event.Invariant_violation { who; what });
     out := what :: !out
@@ -1191,17 +1202,17 @@ let check_invariants k =
             vf ~th "%s: Sleeping until %d with no matching timer-heap entry"
               th.name until
       | Waiting_lock { mutex = m; _ } ->
-          let n = count_in (fun w -> w == th) m.lock_waiters in
+          let n = Waitq.count (fun w -> w == th) m.lock_waiters in
           if n <> 1 then
             vf ~th "%s: Waiting_lock on %s but on its waiter list %d times"
               th.name m.mutex_name n
       | Waiting_cond { cond = c; _ } ->
-          let n = count_in (fun w -> w == th) c.cond_waiters in
+          let n = Waitq.count (fun w -> w == th) c.cond_waiters in
           if n <> 1 then
             vf ~th "%s: Waiting_cond on %s but on its waiter list %d times"
               th.name c.cond_name n
       | Waiting_sem { sem = s; _ } ->
-          let n = count_in (fun w -> w == th) s.sem_waiters in
+          let n = Waitq.count (fun w -> w == th) s.sem_waiters in
           if n <> 1 then
             vf ~th "%s: Waiting_sem on %s but on its waiter list %d times"
               th.name s.sem_name n
@@ -1269,10 +1280,10 @@ let check_invariants k =
             vf ~th:o "mutex %s: owner %s lists it in owned-index %d times"
               m.mutex_name o.name n
       | None ->
-          if m.lock_waiters <> [] then
+          if not (Waitq.is_empty m.lock_waiters) then
             vf "mutex %s: free but has %d waiters" m.mutex_name
-              (List.length m.lock_waiters));
-      List.iter
+              (Waitq.length m.lock_waiters));
+      Waitq.iter
         (fun w ->
           match w.pending with
           | Waiting_lock { mutex = m'; _ } when m' == m -> ()
@@ -1281,7 +1292,7 @@ let check_invariants k =
                 w.name)
         m.lock_waiters);
   Vec.iter k.conds_v (fun c ->
-      List.iter
+      Waitq.iter
         (fun w ->
           match w.pending with
           | Waiting_cond { cond = c'; _ } when c' == c -> ()
@@ -1291,10 +1302,10 @@ let check_invariants k =
         c.cond_waiters);
   Vec.iter k.sems_v (fun s ->
       if s.count < 0 then vf "semaphore %s: negative count %d" s.sem_name s.count;
-      if s.count > 0 && s.sem_waiters <> [] then
+      if s.count > 0 && not (Waitq.is_empty s.sem_waiters) then
         vf "semaphore %s: count %d with %d waiters" s.sem_name s.count
-          (List.length s.sem_waiters);
-      List.iter
+          (Waitq.length s.sem_waiters);
+      Waitq.iter
         (fun w ->
           match w.pending with
           | Waiting_sem { sem = s'; _ } when s' == s -> ()

@@ -156,7 +156,7 @@ and mutex = {
   mutex_name : string;
   policy : wake_policy;
   mutable owner : thread option;
-  mutable lock_waiters : thread list;  (** arrival order *)
+  lock_waiters : thread Waitq.t;  (** arrival order *)
   mutable acquisitions : int;
 }
 
@@ -166,7 +166,7 @@ and condition = {
   cond_id : int;
   cond_name : string;
   cond_policy : wake_policy;
-  mutable cond_waiters : thread list;  (** arrival order *)
+  cond_waiters : thread Waitq.t;  (** arrival order *)
   mutable signals : int;
 }
 
@@ -177,7 +177,7 @@ and semaphore = {
   sem_name : string;
   sem_policy : wake_policy;
   mutable count : int;
-  mutable sem_waiters : thread list;  (** arrival order *)
+  sem_waiters : thread Waitq.t;  (** arrival order *)
 }
 
 (* ------------------------------------------------------------------ *)

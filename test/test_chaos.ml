@@ -85,7 +85,7 @@ let test_soak_200_seeds_audited () =
   (* the acceptance soak: >= 200 audited runs across all scenarios *)
   let seeds = Soak.seed_range ~from:0 ~count:40 in
   let r = Soak.soak ~audit:true ~seeds () in
-  checki "40 seeds x 6 scenarios" 240 r.Soak.runs;
+  checki "40 seeds x 7 scenarios" 280 r.Soak.runs;
   (match Soak.first_failure r with
   | None -> ()
   | Some (sc, seed) ->
@@ -181,7 +181,7 @@ let test_soak_multi_cpu () =
   List.iter
     (fun cpus ->
       let r = Soak.soak ~audit:true ~cpus ~seeds () in
-      checki (Printf.sprintf "%d-cpu: 10 seeds x 6 scenarios" cpus) 60 r.Soak.runs;
+      checki (Printf.sprintf "%d-cpu: 10 seeds x 7 scenarios" cpus) 70 r.Soak.runs;
       match Soak.first_failure r with
       | None -> ()
       | Some (sc, seed) ->
@@ -213,7 +213,7 @@ let test_scenario_lookup () =
   checkb "rpc-buggy found" true (Scenarios.find "rpc-buggy" <> None);
   checkb "unknown rejected" true (Scenarios.find "nope" = None);
   checkb "service found" true (Scenarios.find "service" <> None);
-  checki "six healthy scenarios" 6 (List.length Scenarios.all)
+  checki "seven healthy scenarios" 7 (List.length Scenarios.all)
 
 let () =
   Alcotest.run "chaos"

@@ -938,6 +938,96 @@ let test_metrics_prom_exposition () =
   checkb "namespace honoured" true
     (count_substring ns "sim_wins_total" > 0 && count_substring ns "lotto_" = 0)
 
+(* Golden output: a fixed-seed RPC + mutex + semaphore scenario's metrics
+   summary, chi-square p and Prometheus exposition, pinned byte for byte in
+   [metrics_golden.expected]. Allocation work on the event path (cached
+   actors, sentinel timestamps, the wait queues) must leave every recorded
+   figure as it was. *)
+let metrics_golden_output () =
+  let module Ls = Lottery_sched in
+  let rng = Rng.create ~seed:2024 () in
+  let ls = Ls.create ~rng () in
+  let k = Kernel.create ~quantum:(Time.ms 10) ~sched:(Ls.sched ls) () in
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.attach m (Kernel.bus k);
+  let base = Ls.base_currency ls in
+  let port = Kernel.create_port ~capacity:4 k ~name:"svc" in
+  let fifo = Kernel.create_mutex k "fifo" in
+  let lot = Kernel.create_mutex k ~policy:Types.Lottery_wake "lot" in
+  let sem = Kernel.create_semaphore k ~initial:0 "jobs" in
+  let fund th n = ignore (Ls.fund_thread ls th ~amount:n ~from:base) in
+  let server i =
+    Kernel.spawn k ~name:(Printf.sprintf "srv%d" i) (fun () ->
+        while true do
+          let msg = Api.receive port in
+          Api.compute (Time.ms 3);
+          Api.with_lock fifo (fun () -> Api.compute (Time.ms 1));
+          Api.reply msg "ok"
+        done)
+  in
+  let client i =
+    Kernel.spawn k ~name:(Printf.sprintf "cli%d" i) (fun () ->
+        while true do
+          (match Api.rpc port "req" with
+          | (_ : string) -> ()
+          | exception Types.Rejected _ -> ());
+          Api.with_lock lot (fun () -> Api.compute (Time.ms 2));
+          Api.sleep (Time.ms (5 + (7 * i)))
+        done)
+  in
+  let producer =
+    Kernel.spawn k ~name:"producer" (fun () ->
+        while true do
+          Api.sleep (Time.ms 4);
+          Api.sem_post sem
+        done)
+  in
+  let worker i =
+    Kernel.spawn k ~name:(Printf.sprintf "wrk%d" i) (fun () ->
+        while true do
+          Api.sem_wait sem;
+          Api.compute (Time.ms (1 + i))
+        done)
+  in
+  let spin i =
+    Kernel.spawn k ~name:(Printf.sprintf "spin%d" i) (fun () ->
+        while true do
+          Api.compute (Time.ms 10)
+        done)
+  in
+  let servers = List.init 2 server in
+  let clients = List.init 6 client in
+  let workers = List.init 5 worker in
+  let spins = List.init 3 spin in
+  List.iteri (fun i th -> fund th (100 * (i + 1))) servers;
+  List.iteri (fun i th -> fund th (50 + (25 * i))) clients;
+  List.iteri (fun i th -> fund th (40 * (i + 1))) workers;
+  fund producer 20;
+  List.iteri (fun i th -> fund th (100 * (i + 1))) spins;
+  ignore (Kernel.run k ~until:(Time.seconds 20));
+  let entitled =
+    List.mapi (fun i th -> (Kernel.thread_id th, float_of_int (100 * (i + 1)))) spins
+  in
+  let _, p = Obs.Metrics.fairness m ~entitled in
+  Obs.Metrics.summary ~entitled m
+  ^ Printf.sprintf "chi-square p = %s\n"
+      (match p with Some p -> Printf.sprintf "%.17g" p | None -> "none")
+  ^ Obs.Metrics.to_prom m
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_metrics_golden () =
+  check Alcotest.string "metrics output unchanged"
+    (read_file
+       (Filename.concat
+          (Filename.dirname Sys.executable_name)
+          "metrics_golden.expected"))
+    (metrics_golden_output ())
+
 (* --- scheduler phase profiler -------------------------------------------------- *)
 
 let test_profile_phases () =
@@ -1079,6 +1169,8 @@ let () =
             test_metrics_histogram_default;
           Alcotest.test_case "prometheus exposition" `Quick
             test_metrics_prom_exposition;
+          Alcotest.test_case "golden rpc/mutex/semaphore output" `Quick
+            test_metrics_golden;
         ] );
       ( "profile",
         [

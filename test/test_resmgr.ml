@@ -389,72 +389,251 @@ let test_io_validation () =
 module Fd = Lotto_res.Funded
 module F = Core.Funding
 
+(* A tracker with one registered client ("c", funded by "tenant") and an
+   unrelated held ticket in the base currency to mutate. *)
 let tracker_setup () =
   let sys = F.create_system () in
-  let tr = Fd.Tracker.attach sys in
+  let tr = Fd.Tracker.create sys in
   let cur = F.make_currency sys ~name:"tenant" in
   let tk = F.issue sys ~currency:(F.base sys) ~amount:100 in
-  F.hold sys tk;
-  (* holding dirties the base currency; start the tests from a clean slate *)
-  ignore (Fd.Tracker.drain tr);
+  F.fund sys ~ticket:tk ~currency:cur;
+  let fd = Fd.attach sys ~currency:cur ~amount:10 in
+  Fd.Tracker.add tr fd "c";
   (sys, tr, cur, tk)
 
-let dirtied = function
-  | `Dirtied cids -> List.sort compare cids
-  | `All -> Alcotest.fail "expected `Dirtied, got `All"
-  | `None -> Alcotest.fail "expected `Dirtied, got `None"
+(* the clients one refresh revalues, in refresh order *)
+let refreshed tr =
+  let seen = ref [] in
+  Fd.Tracker.refresh tr seen (fun seen c _ -> seen := c :: !seen);
+  List.rev !seen
+
+let check_refreshed msg expected tr =
+  check (Alcotest.list Alcotest.string) msg expected (refreshed tr)
 
 let test_tracker_force_drains_all_once () =
-  let _, tr, _, _ = tracker_setup () in
+  let sys, tr, cur, _ = tracker_setup () in
+  let fd = Fd.attach sys ~currency:cur ~amount:10 in
+  Fd.Tracker.add tr fd "d";
+  ignore (refreshed tr);
   Fd.Tracker.force tr;
-  (match Fd.Tracker.drain tr with
-  | `All -> ()
-  | `Dirtied _ | `None -> Alcotest.fail "forced tracker must drain `All");
-  match Fd.Tracker.drain tr with
-  | `None -> ()
-  | `All -> Alcotest.fail "`All must be consumed by the first drain"
-  | `Dirtied _ -> Alcotest.fail "no mutations since the forced drain"
+  check_refreshed "forced refresh revalues every client, newest first"
+    [ "d"; "c" ] tr;
+  check_refreshed "the full pass is consumed by the first refresh" [] tr
 
 let test_tracker_force_clears_stale_pending () =
-  let sys, tr, _, tk = tracker_setup () in
-  (* dirty some currencies, then force: the full drain subsumes them and
-     they must not resurface as a stale `Dirtied on the next drain *)
+  let sys, tr, cur, tk = tracker_setup () in
+  ignore (F.currency_value sys cur);
+  ignore (refreshed tr);
+  (* dirty the client's currency, then force: the full pass subsumes it and
+     it must not resurface on the next refresh *)
   F.set_amount sys tk 150;
+  checkb "mutation queued" true (Fd.Tracker.pending tr > 0);
   Fd.Tracker.force tr;
-  (match Fd.Tracker.drain tr with
-  | `All -> ()
-  | `Dirtied _ | `None -> Alcotest.fail "force wins over pending cids");
-  match Fd.Tracker.drain tr with
-  | `None -> ()
-  | `All | `Dirtied _ -> Alcotest.fail "stale cids leaked past a full drain"
+  check_refreshed "force revalues each client once" [ "c" ] tr;
+  check_refreshed "stale currencies leaked past a full pass" [] tr
 
 let test_tracker_mutations_between_drains_surface () =
-  let sys, tr, cur, _ = tracker_setup () in
-  let tk = F.issue sys ~currency:cur ~amount:10 in
-  F.hold sys tk;
+  let sys, tr, cur, tk = tracker_setup () in
   (* change events are scoped to currencies with a validated value cache
      ("currencies never read by anyone may stay stale"), so read the value
      first — exactly what a manager's revalue step does before a draw *)
   ignore (F.currency_value sys cur);
-  ignore (Fd.Tracker.drain tr);
+  ignore (refreshed tr);
   F.set_amount sys tk 20;
-  let d1 = dirtied (Fd.Tracker.drain tr) in
-  checkb "mutation dirties the read currency" true
-    (List.mem (F.currency_id cur) d1);
-  (match Fd.Tracker.drain tr with
-  | `None -> ()
-  | `All | `Dirtied _ -> Alcotest.fail "drain must consume pending cids");
-  (* a mutation landing after a drain and the manager's revalue (i.e.
-     between revalue and the draw itself) must surface on the NEXT drain,
-     not vanish *)
+  check_refreshed "mutation dirties the funded client" [ "c" ] tr;
+  check_refreshed "refresh must consume the queued currency" [] tr;
+  (* a mutation landing after a refresh (i.e. between revalue and the draw
+     itself) must surface on the NEXT refresh, not vanish *)
   ignore (F.currency_value sys cur);
   F.set_amount sys tk 30;
-  let d2 = dirtied (Fd.Tracker.drain tr) in
-  checkb "post-drain mutation surfaces next drain" true
-    (List.mem (F.currency_id cur) d2);
-  match Fd.Tracker.drain tr with
-  | `None -> ()
-  | `All | `Dirtied _ -> Alcotest.fail "second drain must be empty"
+  check_refreshed "post-refresh mutation surfaces next refresh" [ "c" ] tr;
+  check_refreshed "second refresh must be empty" [] tr
+
+let test_tracker_ignores_unfunded_currencies () =
+  let sys, tr, cur, _ = tracker_setup () in
+  let other = F.make_currency sys ~name:"other" in
+  let backing = F.issue sys ~currency:(F.base sys) ~amount:50 in
+  F.fund sys ~ticket:backing ~currency:other;
+  let tk = F.issue sys ~currency:other ~amount:5 in
+  F.hold sys tk;
+  ignore (F.currency_value sys other);
+  ignore (F.currency_value sys cur);
+  ignore (refreshed tr);
+  F.set_amount sys tk 7;
+  F.suspend sys tk;
+  F.set_amount sys backing 60;
+  checki "nothing recorded for a currency funding no client" 0
+    (Fd.Tracker.pending tr);
+  check_refreshed "nothing revalued" [] tr
+
+(* Regression: a funded manager that is never served must not
+   retain the ids of unrelated currencies as they churn (ids are never
+   recycled, so recording every dirtied currency grows without bound). *)
+let test_idle_manager_bounded_under_currency_churn () =
+  let sys = F.create_system () in
+  let dev = Io.create ~funding:sys ~rng:(rng 31) () in
+  let cur = F.make_currency sys ~name:"tenant" in
+  let tk = F.issue sys ~currency:(F.base sys) ~amount:100 in
+  F.fund sys ~ticket:tk ~currency:cur;
+  ignore (Io.add_funded_client dev ~name:"idle" ~currency:cur ());
+  let churn n =
+    for i = 1 to n do
+      let c = F.make_currency sys ~name:(Printf.sprintf "churn%d" i) in
+      let b = F.issue sys ~currency:(F.base sys) ~amount:10 in
+      F.fund sys ~ticket:b ~currency:c;
+      let t = F.issue sys ~currency:c ~amount:10 in
+      F.hold sys t;
+      ignore (F.ticket_value sys t);
+      F.suspend sys t;
+      F.destroy_ticket sys t;
+      F.destroy_ticket sys b;
+      F.remove_currency sys c
+    done
+  in
+  (* words reachable from the manager: its tracker, its clients and the
+     funding system, whose arenas recycle the churned slots *)
+  let held () = Obj.reachable_words (Obj.repr dev) in
+  churn 1_000;
+  let before = held () in
+  churn 20_000;
+  let after = held () in
+  checkb
+    (Printf.sprintf "manager footprint bounded (%d -> %d words)" before after)
+    true
+    (after - before < 2_000)
+
+(* Every manager, after random funding mutations, holds for each funded
+   client exactly the value a from-scratch valuation gives: the tracker's
+   scoped refresh never leaves a stale weight behind. *)
+type probe = {
+  pname : string;
+  values : unit -> (float * float) list; (* (manager's value, expected) *)
+}
+
+let expected_value sys cur ~active =
+  if active then 1000. *. F.unit_value sys cur else 0.
+
+let build_probes sys curs =
+  let io = Io.create ~funding:sys ~rng:(rng 41) () in
+  let dk = Core.Disk.create ~funding:sys ~rng:(rng 42) () in
+  let sw = Core.Switch.create ~ports:1 ~funding:sys ~rng:(rng 43) () in
+  let im = Im.create ~funding:sys ~frames:64 ~rng:(rng 44) () in
+  let per_cur f = List.concat_map (fun cur -> [ (cur, f cur 0); (cur, f cur 1) ]) curs in
+  let ios =
+    per_cur (fun cur i ->
+        let c = Io.add_funded_client io ~name:(Printf.sprintf "io%d" i) ~currency:cur () in
+        Io.submit io c ~requests:1;
+        c)
+  in
+  let dks =
+    per_cur (fun cur i ->
+        let c =
+          Core.Disk.add_funded_client dk ~name:(Printf.sprintf "dk%d" i) ~currency:cur ()
+        in
+        Core.Disk.submit dk c ~cylinder:0;
+        c)
+  in
+  let sws =
+    per_cur (fun cur i ->
+        Core.Switch.add_funded_circuit sw ~name:(Printf.sprintf "sw%d" i)
+          ~output_port:0 ~rate:1. ~currency:cur ())
+  in
+  (* every circuit offers a cell per slot and the port drains one, so all
+     stay backlogged from here on *)
+  Core.Switch.step sw ~slots:4;
+  let ims =
+    per_cur (fun cur i ->
+        Im.add_funded_client im ~name:(Printf.sprintf "im%d" i) ~working_set:4
+          ~currency:cur ())
+  in
+  [
+    { pname = "io"; values = (fun () ->
+          List.map (fun (cur, c) ->
+              (Io.value io c, expected_value sys cur ~active:(Io.pending io c > 0)))
+            ios) };
+    { pname = "disk"; values = (fun () ->
+          List.map (fun (cur, c) ->
+              ( Core.Disk.value dk c,
+                expected_value sys cur ~active:(Core.Disk.pending dk c > 0) ))
+            dks) };
+    { pname = "switch"; values = (fun () ->
+          List.map (fun (cur, c) ->
+              ( Core.Switch.value sw c,
+                expected_value sys cur ~active:(Core.Switch.backlog sw c > 0) ))
+            sws) };
+    { pname = "inverse-memory"; values = (fun () ->
+          List.map (fun (cur, c) ->
+              (Im.value im c, expected_value sys cur ~active:true))
+            ims) };
+  ]
+
+type mutation = Set_backing of int * int | Toggle_sibling of int | Fund_sibling of int * int
+
+let gen_mutation =
+  QCheck.Gen.(
+    oneof
+      [
+        map2 (fun i a -> Set_backing (i, a)) (int_bound 2) (int_range 1 500);
+        map (fun i -> Toggle_sibling i) (int_bound 2);
+        map2 (fun i a -> Fund_sibling (i, a)) (int_bound 2) (int_range 1 500);
+      ])
+
+let show_mutation = function
+  | Set_backing (i, a) -> Printf.sprintf "set_backing %d %d" i a
+  | Toggle_sibling i -> Printf.sprintf "toggle_sibling %d" i
+  | Fund_sibling (i, a) -> Printf.sprintf "fund_sibling %d %d" i a
+
+let prop_managers_track_funding muts =
+  let sys = F.create_system () in
+  let curs = List.init 3 (fun i -> F.make_currency sys ~name:(Printf.sprintf "cur%d" i)) in
+  let backing =
+    Array.of_list
+      (List.map
+         (fun cur ->
+           let tk = F.issue sys ~currency:(F.base sys) ~amount:100 in
+           F.fund sys ~ticket:tk ~currency:cur;
+           tk)
+         curs)
+  in
+  (* a competing consumer in each currency, so toggling it moves the
+     currency's active amount and with it every client's share *)
+  let siblings =
+    Array.of_list
+      (List.map
+         (fun cur ->
+           let tk = F.issue sys ~currency:cur ~amount:500 in
+           F.hold sys tk;
+           tk)
+         curs)
+  in
+  let curs_a = Array.of_list curs in
+  let probes = build_probes sys curs in
+  let close (got, want) = abs_float (got -. want) <= 1e-9 *. max 1. (abs_float want) in
+  let ok () =
+    F.check_invariants sys;
+    List.for_all (fun p -> List.for_all close (p.values ())) probes
+  in
+  ok ()
+  && List.for_all
+       (fun m ->
+         (match m with
+         | Set_backing (i, a) -> F.set_amount sys backing.(i) a
+         | Toggle_sibling i ->
+             if F.is_active siblings.(i) then F.suspend sys siblings.(i)
+             else F.resume sys siblings.(i)
+         | Fund_sibling (i, a) ->
+             let tk = F.issue sys ~currency:(F.base sys) ~amount:a in
+             F.fund sys ~ticket:tk ~currency:curs_a.(i));
+         ok ())
+       muts
+
+let qcheck_managers_track_funding =
+  QCheck.Test.make ~count:100
+    ~name:"every manager's funded values match a fresh valuation"
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_mutation l))
+       QCheck.Gen.(list_size (int_range 1 30) gen_mutation))
+    prop_managers_track_funding
 
 let () =
   Alcotest.run "resmgr"
@@ -519,5 +698,10 @@ let () =
             test_tracker_force_clears_stale_pending;
           Alcotest.test_case "mutations between drains surface" `Quick
             test_tracker_mutations_between_drains_surface;
+          Alcotest.test_case "currencies funding no client record nothing" `Quick
+            test_tracker_ignores_unfunded_currencies;
+          Alcotest.test_case "idle manager bounded under currency churn" `Quick
+            test_idle_manager_bounded_under_currency_churn;
+          QCheck_alcotest.to_alcotest qcheck_managers_track_funding;
         ] );
     ]

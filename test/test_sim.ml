@@ -550,6 +550,119 @@ let test_semaphore_zero_initial_blocks () =
   check (Alcotest.list Alcotest.string) "post before wake" [ "posting"; "woke" ]
     (List.rev !order)
 
+(* Wait-queue arrival order survives kills: 64 waiters on a FIFO
+   semaphore, every fifth killed while queued, are woken by 64 posts in
+   exactly their arrival order, and the killed never wake. *)
+let test_fifo_semaphore_order_with_kills () =
+  let k = rr_kernel () in
+  let sm = Kernel.create_semaphore k ~initial:0 "handoff" in
+  let woke = ref [] in
+  let waiters =
+    Array.init 64 (fun i ->
+        Kernel.spawn k ~name:(Printf.sprintf "w%d" i) (fun () ->
+            Api.sem_wait sm;
+            woke := i :: !woke))
+  in
+  ignore (Kernel.run k ~until:(Time.ms 1));
+  checki "all queued" 64 (Waitq.length sm.Types.sem_waiters);
+  let killed i = i mod 5 = 2 in
+  Array.iteri (fun i th -> if killed i then Kernel.kill k th) waiters;
+  check (Alcotest.list Alcotest.string) "audit clean after kills" []
+    (Kernel.check_invariants k);
+  ignore
+    (Kernel.spawn k ~name:"poster" (fun () ->
+         for _ = 1 to 64 do
+           Api.sem_post sm;
+           Api.sleep (Time.ms 1)
+         done));
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  let expected = List.filter (fun i -> not (killed i)) (List.init 64 Fun.id) in
+  check (Alcotest.list Alcotest.int) "woken in arrival order" expected
+    (List.rev !woke);
+  checki "posts to no waiter bank a permit" (64 - List.length expected)
+    sm.Types.count;
+  check (Alcotest.list Alcotest.string) "audit clean at the end" []
+    (Kernel.check_invariants k)
+
+(* The wait queue against a plain-list model: push appends, a FIFO pop
+   takes the head, removal drops the first physically equal element,
+   rotation is [rest @ [x]], and listing, iteration and counts agree. *)
+type wq_op = Push | Pop | Remove of int | Remove_absent | Rotate
+
+let show_wq_op = function
+  | Push -> "push"
+  | Pop -> "pop"
+  | Remove i -> Printf.sprintf "remove %d" i
+  | Remove_absent -> "remove-absent"
+  | Rotate -> "rotate"
+
+let gen_wq_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (5, return Push);
+        (3, return Pop);
+        (2, map (fun i -> Remove i) (int_bound 50));
+        (1, return Remove_absent);
+        (1, return Rotate);
+      ])
+
+let rec remove_first x = function
+  | [] -> []
+  | y :: rest -> if y == x then rest else y :: remove_first x rest
+
+let prop_waitq_model ops =
+  let q = Waitq.create () in
+  let model = ref [] in
+  let next = ref 0 in
+  let same () =
+    let l = Waitq.to_list q in
+    let iterated = ref [] in
+    Waitq.iter (fun x -> iterated := x :: !iterated) q;
+    List.length l = List.length !model
+    && List.for_all2 ( == ) l !model
+    && List.for_all2 ( == ) (List.rev !iterated) !model
+    && Waitq.length q = List.length !model
+    && Waitq.is_empty q = (!model = [])
+    && Waitq.count (fun x -> !x mod 2 = 0) q
+       = List.length (List.filter (fun x -> !x mod 2 = 0) !model)
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | Push ->
+          (* a fresh box per element, so identity and value differ *)
+          let x = ref (!next / 2) in
+          incr next;
+          Waitq.push q x;
+          model := !model @ [ x ]
+      | Pop -> (
+          match !model with
+          | [] -> ()
+          | x :: rest ->
+              if Waitq.pop q != x then failwith "pop returned a non-head";
+              model := rest)
+      | Remove i -> (
+          match !model with
+          | [] -> ()
+          | l ->
+              let x = List.nth l (i mod List.length l) in
+              Waitq.remove q x;
+              model := remove_first x l)
+      | Remove_absent -> Waitq.remove q (ref 0)
+      | Rotate -> (
+          Waitq.rotate q;
+          match !model with [] -> () | x :: rest -> model := rest @ [ x ]));
+      same ())
+    ops
+
+let qcheck_waitq_model =
+  QCheck.Test.make ~count:500 ~name:"wait queue matches a list model"
+    (QCheck.make
+       ~print:(fun l -> String.concat "; " (List.map show_wq_op l))
+       QCheck.Gen.(list_size (int_range 0 80) gen_wq_op))
+    prop_waitq_model
+
 (* --- join and kill ------------------------------------------------------------------- *)
 
 let test_join_waits_for_exit () =
@@ -1028,11 +1141,11 @@ let test_check_invariants_reports_corruption () =
   checkb "ghost is a zombie" true (Kernel.thread_state ghost = Types.Zombie);
   (* corrupt the kernel on purpose: a dead thread on a waiter list must be
      REPORTED by the auditor — returned and published — not crashed on *)
-  m.Types.lock_waiters <- [ ghost ];
+  Waitq.push m.Types.lock_waiters ghost;
   let vs = Kernel.check_invariants k in
   checkb "corruption detected" true (vs <> []);
   checkb "violation published on the bus" true (!violations_seen > 0);
-  m.Types.lock_waiters <- [];
+  Waitq.remove m.Types.lock_waiters ghost;
   check (Alcotest.list Alcotest.string) "clean after repair" []
     (Kernel.check_invariants k)
 
@@ -1093,6 +1206,9 @@ let () =
           Alcotest.test_case "semaphore counting" `Quick test_semaphore_counting;
           Alcotest.test_case "semaphore blocks at zero" `Quick
             test_semaphore_zero_initial_blocks;
+          Alcotest.test_case "fifo semaphore order survives kills" `Quick
+            test_fifo_semaphore_order_with_kills;
+          QCheck_alcotest.to_alcotest qcheck_waitq_model;
         ] );
       ( "join-kill",
         [
