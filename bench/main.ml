@@ -285,7 +285,7 @@ let bench_thread id =
     donors = [];
     owned = [];
     failure = None;
-    joiners = [];
+    joiners = Core.Waitq.create ();
     servicing = [];
     created_at = 0;
     exited_at = None;
@@ -562,15 +562,16 @@ let kernel_rpc_obs_test name attach =
     (Staged.stage (fun () ->
          ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 100))))
 
-(* the Hdr.record hot path in isolation; measured for time AND minor words
-   — the budget pins the words at zero (within OLS noise) *)
-let hdr_record_test () =
+(* the Hdr.record hot path in isolation; timed by bechamel and counted
+   exactly — the budget pins the words at zero *)
+let hdr_record_op () =
   let h = Core.Obs.Hdr.create () in
   let i = ref 0 in
-  Test.make ~name:"hdr"
-    (Staged.stage (fun () ->
-         i := (!i + 7919) land 0xFFFFF;
-         Core.Obs.Hdr.record h !i))
+  fun () ->
+    i := (!i + 7919) land 0xFFFFF;
+    Core.Obs.Hdr.record h !i
+
+let hdr_record_test () = Test.make ~name:"hdr" (Staged.stage (hdr_record_op ()))
 
 let obs_tests () =
   Test.make_grouped ~name:"obs-overhead"
@@ -585,12 +586,32 @@ let obs_tests () =
 
 (* --- hot-path allocation + flat-draw families --------------------------- *)
 
-(* The steady-state scheduling decision — valuation read, draw, dispatch,
-   account, observability off — measured under [minor_allocated] as well as
-   the clock. The decision path is allocation-free by construction (slot
-   draws, cached weights, preallocated [Some th]); the budget pins the
-   per-quantum words at zero modulo fit noise for every backend. *)
-let decision_mode_test mode name =
+(* Exact minor words per operation: [Gc.minor_words] around [ops] runs of
+   [op] after [warm] untimed ones. Not a bechamel fit: bechamel's
+   [minor_allocated] reads [Gc.quick_stat], whose minor word count only
+   advances at a minor collection under OCaml 5, so an operation that
+   allocates far less than a minor heap per sample fits to zero whatever
+   it allocates. The gated [:minor-words] rows are all counted this way. *)
+let exact_words ?(warm = 200) ?(ops = 2000) op =
+  for _ = 1 to warm do
+    op ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to ops do
+    op ()
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int ops
+
+(* The steady-state scheduling decision — valuation read, draw, account,
+   observability off — made through the scheduler record as the kernel
+   makes it: one operation is one [select] among 8 compute-bound threads
+   and the winner's [account] for a full quantum. Timed by bechamel and
+   counted exactly; the decision allocates nothing (slot draws, cached
+   weights, preallocated [Some th]). What the kernel does between the two
+   calls — resuming the winner, which performs its next [Compute] — is
+   hotpath/effect-compute's, and a whole kernel quantum is timed by
+   kernel-quantum/*. *)
+let decision_mode_op mode () =
   let sched, fund = lottery_sched_maker mode () in
   let k = Core.Kernel.create ~sched () in
   for i = 1 to 8 do
@@ -605,22 +626,24 @@ let decision_mode_test mode name =
   (* one warm quantum: arena growth, pending-funding flush and thread
      startup happen here, outside the measured steady state *)
   ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 100));
-  Test.make
-    ~name:(Printf.sprintf "decision-%s" name)
-    (Staged.stage (fun () ->
-         ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 100))))
+  let q = Core.Kernel.quantum k in
+  fun () ->
+    match sched.Core.Types.select ~cpu:0 with
+    | Some w -> sched.Core.Types.account w ~used:q ~quantum:q ~blocked:false
+    | None -> ()
 
-(* the same decision gate in sharded mode: a 4-shard scheduler on a 4-CPU
-   kernel, so each measured operation is one round — four selects (one
-   per shard, shard-tree bookkeeping included) and four dispatches — and
-   must still allocate nothing *)
-let decision_sharded_test () =
+(* the same decision in sharded mode: a 4-shard scheduler behind a 4-CPU
+   kernel, so each operation is one round — four selects (one per shard:
+   rebalance check, shard-local draw, dequeue) and then the four winners'
+   accounts, which re-enqueue them *)
+let decision_sharded_op () =
   let rng = Core.Rng.create ~seed:2 () in
   let ls =
     Core.Lottery_sched.create ~mode:Core.Lottery_sched.Tree_mode ~shards:4 ~rng
       ()
   in
-  let k = Core.Kernel.create ~cpus:4 ~sched:(Core.Lottery_sched.sched ls) () in
+  let sr = Core.Lottery_sched.sched ls in
+  let k = Core.Kernel.create ~cpus:4 ~sched:sr () in
   for i = 1 to 8 do
     let th =
       Core.Kernel.spawn k ~name:(Printf.sprintf "t%d" i) (fun () ->
@@ -633,9 +656,17 @@ let decision_sharded_test () =
          ~from:(Core.Lottery_sched.base_currency ls))
   done;
   ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 100));
-  Test.make ~name:"decision-sharded"
-    (Staged.stage (fun () ->
-         ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 100))))
+  let q = Core.Kernel.quantum k in
+  let sel = Array.make 4 None in
+  fun () ->
+    for cpu = 0 to 3 do
+      sel.(cpu) <- sr.select ~cpu
+    done;
+    for cpu = 0 to 3 do
+      match sel.(cpu) with
+      | Some w -> sr.account w ~used:q ~quantum:q ~blocked:false
+      | None -> ()
+    done
 
 (* The funding mutation path (paper §4.4): 64 threads funded from one
    currency on a 4-shard Tree scheduler. One operation is a block and a
@@ -645,8 +676,8 @@ let decision_sharded_test () =
    the 63 runnable siblings and draws; the winner is then accounted, as at
    a slice end, so the shards stay populated. Invalidation, the change
    buffer, the pending re-weigh queue and the Fenwick/shard-tree writes are
-   all allocation-free; the budget allows fit noise only. *)
-let fund_reweigh_test () =
+   all allocation-free. *)
+let fund_reweigh_op () =
   let rng = Core.Rng.create ~seed:5 () in
   let ls =
     Core.Lottery_sched.create ~mode:Core.Lottery_sched.Tree_mode ~shards:4 ~rng
@@ -671,13 +702,12 @@ let fund_reweigh_test () =
   in
   ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 100));
   let th = threads.(0) in
-  Test.make ~name:"fund-reweigh-64"
-    (Staged.stage (fun () ->
-         sr.unready th;
-         sr.ready th;
-         match sr.select ~cpu:0 with
-         | Some w -> sr.account w ~used:1 ~quantum:1 ~blocked:false
-         | None -> ()))
+  fun () ->
+    sr.unready th;
+    sr.ready th;
+    match sr.select ~cpu:0 with
+    | Some w -> sr.account w ~used:1 ~quantum:1 ~blocked:false
+    | None -> ()
 
 (* The wait-queue handoff: 64 threads loop on [sem_wait] of one FIFO
    semaphore and a poster posts once per quantum, then sleeps. One
@@ -686,13 +716,7 @@ let fund_reweigh_test () =
    poster's sleep. The queue work is O(1) amortized (one cons per wait, a
    copy-free head pop); what remains is the effect and continuation
    residue of the two threads, so a queue that copied its waiters would
-   show up here as O(waiters) words.
-
-   A direct [Gc.minor_words] count over 2000 operations, not a bechamel
-   fit: bechamel's [minor_allocated] reads [Gc.quick_stat], whose minor
-   word count only advances at a minor collection under OCaml 5, so
-   operations allocating far less than a minor heap per sample fit to
-   zero whatever they allocate. *)
+   show up here as O(waiters) words. *)
 let sem_handoff_words () =
   let sched, fund = lottery_sched_maker Core.Lottery_sched.List_mode () in
   let k = Core.Kernel.create ~quantum:(Core.Time.ms 10) ~sched () in
@@ -714,29 +738,78 @@ let sem_handoff_words () =
         done)
   in
   fund poster 100;
-  let quantum () =
-    ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 10))
+  exact_words (fun () ->
+      ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.ms 10)))
+
+(* Effect dispatch, one preempted compute slice: 1000 compute-bound
+   threads, each computing exactly one 10 ms quantum per request, so every
+   slice resumes the winner's continuation, which performs its next
+   [Compute] and is preempted. One operation is one slice; each
+   [Kernel.run] covers 100 of them so its [run_summary] is amortized. *)
+let effect_compute_words () =
+  let sched, fund = lottery_sched_maker Core.Lottery_sched.Tree_mode () in
+  let k = Core.Kernel.create ~quantum:(Core.Time.ms 10) ~sched () in
+  for i = 1 to 1000 do
+    let th =
+      Core.Kernel.spawn k ~name:(Printf.sprintf "c%d" i) (fun () ->
+          while true do
+            Core.Api.compute (Core.Time.ms 10)
+          done)
+    in
+    fund th (10 + (i mod 7))
+  done;
+  let slices = 100 in
+  exact_words ~warm:20 ~ops:200 (fun () ->
+      ignore
+        (Core.Kernel.run k
+           ~until:(Core.Kernel.now k + (slices * Core.Time.ms 10))))
+  /. float_of_int slices
+
+(* Effect dispatch, one compute -> sleep -> timer-wake cycle: 16 threads
+   each compute 1 ms and sleep 20 ms, so every cycle performs a [Compute]
+   and a [Sleep], blocks on the timer heap and is woken by it. One
+   operation is one cycle, counted by the bodies. *)
+let effect_sleep_wake_words () =
+  let sched, fund = lottery_sched_maker Core.Lottery_sched.Tree_mode () in
+  let k = Core.Kernel.create ~quantum:(Core.Time.ms 10) ~sched () in
+  let cycles = ref 0 in
+  for i = 1 to 16 do
+    let th =
+      Core.Kernel.spawn k ~name:(Printf.sprintf "s%d" i) (fun () ->
+          while true do
+            Core.Api.compute (Core.Time.ms 1);
+            Core.Api.sleep (Core.Time.ms 20);
+            incr cycles
+          done)
+    in
+    fund th (10 + i)
+  done;
+  let window () =
+    ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.seconds 1))
   in
-  for _ = 1 to 200 do
-    quantum ()
-  done;
-  let ops = 2000 in
+  window ();
+  let c0 = !cycles in
   let w0 = Gc.minor_words () in
-  for _ = 1 to ops do
-    quantum ()
+  for _ = 1 to 20 do
+    window ()
   done;
-  (Gc.minor_words () -. w0) /. float_of_int ops
+  let w1 = Gc.minor_words () in
+  (w1 -. w0) /. float_of_int (max 1 (!cycles - c0))
+
+(* each hot-path operation is timed by bechamel and counted exactly *)
+let hotpath_ops =
+  [
+    ("decision-list", decision_mode_op Core.Lottery_sched.List_mode);
+    ("decision-tree", decision_mode_op Core.Lottery_sched.Tree_mode);
+    ("decision-cumul", decision_mode_op Core.Lottery_sched.Cumul_mode);
+    ("decision-alias", decision_mode_op Core.Lottery_sched.Alias_mode);
+    ("decision-sharded", decision_sharded_op);
+    ("fund-reweigh-64", fund_reweigh_op);
+  ]
 
 let hotpath_tests () =
   Test.make_grouped ~name:"hotpath"
-    [
-      decision_mode_test Core.Lottery_sched.List_mode "list";
-      decision_mode_test Core.Lottery_sched.Tree_mode "tree";
-      decision_mode_test Core.Lottery_sched.Cumul_mode "cumul";
-      decision_mode_test Core.Lottery_sched.Alias_mode "alias";
-      decision_sharded_test ();
-      fund_reweigh_test ();
-    ]
+    (List.map (fun (name, mk) -> Test.make ~name (Staged.stage (mk ()))) hotpath_ops)
 
 (* Batch amortization: serving a winner mutates its weight (compensation
    tickets in the scheduler, pending counts in the managers), dirtying the
@@ -934,13 +1007,12 @@ let smp_time_thunks () =
       (fun () -> smp_slice_test ~cpus:4 1_000_000);
     ]
 
-(* Migration cost, measured under [minor_allocated] as well as the clock:
-   one thread ping-ponged between two shards of a 10^4-thread sharded
-   scheduler. force_migrate is the bench hook — O(1) detach, O(log n)
-   re-insert, zero steady-state allocation (the smp/migration:minor-words
-   budget pins it). The rebalancer is disabled so it does not fight the
-   ping-pong. *)
-let smp_migration_test () =
+(* Migration cost, timed and counted exactly: one thread ping-ponged
+   between two shards of a 10^4-thread sharded scheduler. force_migrate is
+   the bench hook — O(1) detach, O(log n) re-insert, zero steady-state
+   allocation (the smp/migration:minor-words budget pins it). The
+   rebalancer is disabled so it does not fight the ping-pong. *)
+let smp_migration_op () =
   let ls = smp_sched ~cpus:4 ~seed:23 in
   let s = Core.Lottery_sched.sched ls in
   let base = Core.Lottery_sched.base_currency ls in
@@ -956,17 +1028,16 @@ let smp_migration_test () =
   Core.Lottery_sched.set_migration_enabled ls false;
   let victim = threads.(0) in
   let flip = ref false in
-  Test.make ~name:"migration"
-    (Staged.stage (fun () ->
-         let dst = if !flip then 0 else 1 in
-         flip := not !flip;
-         Core.Lottery_sched.force_migrate ls victim ~dst))
+  fun () ->
+    let dst = if !flip then 0 else 1 in
+    flip := not !flip;
+    Core.Lottery_sched.force_migrate ls victim ~dst
 
 (* Steal latency: a lone thread pinned to shard 0 and a select on CPU 1 —
    the rebalancer refuses to move it (a lone thread always overshoots),
    so every select steals. Each operation is one steal + the
    force_migrate that resets the shape. *)
-let smp_steal_test () =
+let smp_steal_op () =
   let ls = smp_sched ~cpus:2 ~seed:27 in
   Core.Lottery_sched.set_placement_hook ls (Some (fun _ -> 0));
   let s = Core.Lottery_sched.sched ls in
@@ -974,16 +1045,19 @@ let smp_steal_test () =
   let th = bench_thread 0 in
   s.Core.Types.attach th;
   ignore (Core.Lottery_sched.fund_thread ls th ~amount:100 ~from:base);
-  Test.make ~name:"steal"
-    (Staged.stage (fun () ->
-         match s.Core.Types.select ~cpu:1 with
-         | Some th ->
-             s.Core.Types.account th ~used:100 ~quantum:100 ~blocked:false;
-             Core.Lottery_sched.force_migrate ls th ~dst:0
-         | None -> ()))
+  fun () ->
+    match s.Core.Types.select ~cpu:1 with
+    | Some th ->
+        s.Core.Types.account th ~used:100 ~quantum:100 ~blocked:false;
+        Core.Lottery_sched.force_migrate ls th ~dst:0
+    | None -> ()
 
 let smp_alloc_tests () =
-  Test.make_grouped ~name:"smp" [ smp_migration_test (); smp_steal_test () ]
+  Test.make_grouped ~name:"smp"
+    [
+      Test.make ~name:"migration" (Staged.stage (smp_migration_op ()));
+      Test.make ~name:"steal" (Staged.stage (smp_steal_op ()));
+    ]
 
 (* Virtual-time throughput — the acceptance measure. Host wall-clock does
    not speed up when virtual CPUs are added (they all run on one host
@@ -1037,20 +1111,18 @@ let smp_fairness_rows () =
    interarrival draw per open-loop request (an exponential deviate for
    Poisson; deviates plus the state walk for MMPP) and one admission
    decision per send on a bounded port (an int compare against the queue
-   length). Both run under the allocation measure as well as the clock —
-   a service layer that allocated per arrival would own the minor heap at
-   10^5 req/s horizons, so the budget pins the words at fit noise. *)
-let service_arrival_test name profile =
+   length). Both are timed and counted exactly — a service layer that
+   allocated per arrival would own the minor heap at 10^5 req/s horizons,
+   so the budget pins the words at zero. *)
+let service_arrival_op profile =
   let rng = Core.Rng.create ~seed:41 () in
   let g = Core.Service.Arrivals.create ~rng profile in
-  Test.make
-    ~name:(Printf.sprintf "arrival-%s" name)
-    (Staged.stage (fun () -> ignore (Core.Service.Arrivals.next_gap_us g)))
+  fun () -> ignore (Core.Service.Arrivals.next_gap_us g)
 
 (* the admission decision on a saturated port: four clients parked in
    [rpc] fill a capacity-4 queue (no server ever receives), then every
    measured operation asks whether the next send would shed *)
-let service_shed_test () =
+let service_shed_op () =
   let rng = Core.Rng.create ~seed:43 () in
   let ls = Core.Lottery_sched.create ~rng () in
   let k = Core.Kernel.create ~sched:(Core.Lottery_sched.sched ls) () in
@@ -1069,8 +1141,7 @@ let service_shed_test () =
   done;
   ignore (Core.Kernel.run k ~until:(Core.Time.ms 10));
   assert (Core.Kernel.port_would_shed port);
-  Test.make ~name:"shed-decision"
-    (Staged.stage (fun () -> ignore (Core.Kernel.port_would_shed port)))
+  fun () -> ignore (Core.Kernel.port_would_shed port)
 
 (* Minor words per resolved request (served or shed) on the loaded arm of
    the service-insulation experiment — tenant A (share 900, Poisson 207/s)
@@ -1136,20 +1207,21 @@ let service_request_words () =
   let w1 = Gc.minor_words () in
   (w1 -. w0) /. float_of_int (max 1 (resolved () - r0))
 
+let service_ops =
+  [
+    ("arrival-poisson", fun () -> service_arrival_op (Core.Service.Arrivals.Poisson 1000.));
+    ( "arrival-mmpp",
+      fun () ->
+        service_arrival_op
+          (Core.Service.Arrivals.Mmpp
+             { calm_per_s = 500.; burst_per_s = 2000.; calm_ms = 750.; burst_ms = 250. })
+    );
+    ("shed-decision", service_shed_op);
+  ]
+
 let service_tests () =
   Test.make_grouped ~name:"service"
-    [
-      service_arrival_test "poisson" (Core.Service.Arrivals.Poisson 1000.);
-      service_arrival_test "mmpp"
-        (Core.Service.Arrivals.Mmpp
-           {
-             calm_per_s = 500.;
-             burst_per_s = 2000.;
-             calm_ms = 750.;
-             burst_ms = 250.;
-           });
-      service_shed_test ();
-    ]
+    (List.map (fun (name, mk) -> Test.make ~name (Staged.stage (mk ()))) service_ops)
 
 (* PRNG draw cost (the paper's Appendix A argues ~10 RISC instructions) *)
 let prng_test algo name =
@@ -1273,10 +1345,15 @@ let obs_benchmark () =
 let obs_rows () =
   let results = obs_benchmark () in
   let time = result_rows results in
+  (* the kernel-quantum rows allocate tens of thousands of words per
+     operation, which the fit resolves; the Hdr row is counted exactly *)
   let words =
-    rows_of_measure results
-      (Measure.label Instance.minor_allocated)
-      ":minor-words"
+    List.filter
+      (fun (name, _) -> name <> "obs-overhead/hdr:minor-words")
+      (rows_of_measure results
+         (Measure.label Instance.minor_allocated)
+         ":minor-words")
+    @ [ ("obs-overhead/hdr:minor-words", exact_words ~ops:100_000 (hdr_record_op ())) ]
   in
   let ratio =
     match
@@ -1288,18 +1365,15 @@ let obs_rows () =
   in
   time @ words @ ratio
 
-(* the hot-path families run under the same two measures: the decision
-   family is the allocation gate's subject (hotpath/*:minor-words rows),
+(* the hot-path families are timed; the decision family is also the
+   allocation gate's subject (hotpath/*:minor-words rows, counted exactly),
    the batch and quiescent families provide the O(1)/amortization evidence
    as derived ratio rows. *)
-let run_family ~alloc tests =
+let run_family tests =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
-  let instances =
-    if alloc then Instance.[ monotonic_clock; minor_allocated ]
-    else Instance.[ monotonic_clock ]
-  in
+  let instances = Instance.[ monotonic_clock ] in
   let cfg =
     Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.3) ~kde:(Some 1000) ()
   in
@@ -1310,15 +1384,14 @@ let run_family ~alloc tests =
   Analyze.merge ols instances results
 
 let hotpath_rows () =
-  let hres = run_family ~alloc:true (hotpath_tests ()) in
-  let htime = result_rows hres in
+  let htime = result_rows (run_family (hotpath_tests ())) in
   let hwords =
-    rows_of_measure hres
-      (Measure.label Instance.minor_allocated)
-      ":minor-words"
+    List.map
+      (fun (name, mk) -> ("hotpath/" ^ name ^ ":minor-words", exact_words (mk ())))
+      hotpath_ops
   in
-  let btime = result_rows (run_family ~alloc:false (batch_tests ())) in
-  let qtime = result_rows (run_family ~alloc:false (flat_tests ())) in
+  let btime = result_rows (run_family (batch_tests ())) in
+  let qtime = result_rows (run_family (flat_tests ())) in
   let ratio rows num den label =
     match (List.assoc_opt num rows, List.assoc_opt den rows) with
     | Some a, Some b when b > 0. -> [ (label, a /. b) ]
@@ -1336,9 +1409,13 @@ let hotpath_rows () =
       (Printf.sprintf "draw-quiescent/tree/%07d" n)
       (Printf.sprintf "draw-quiescent/%s-over-tree-%s" m tag)
   in
-  let dtime = result_rows (run_family ~alloc:false (disk_batch_tests ())) in
+  let dtime = result_rows (run_family (disk_batch_tests ())) in
   htime @ hwords
-  @ [ ("hotpath/sem-handoff-64:minor-words", sem_handoff_words ()) ]
+  @ [
+      ("hotpath/sem-handoff-64:minor-words", sem_handoff_words ());
+      ("hotpath/effect-compute:minor-words", effect_compute_words ());
+      ("hotpath/effect-sleep-wake:minor-words", effect_sleep_wake_words ());
+    ]
   @ btime @ qtime @ dtime
   @ ratio btime
       (Printf.sprintf "batch-draw/draw_k-%d" batch_k)
@@ -1352,13 +1429,14 @@ let hotpath_rows () =
   @ vs_tree "cumul" 1_000_000 "1e6"
   @ vs_tree "alias" 1_000_000 "1e6"
 
-(* the service family runs under both measures: wall-ns per arrival draw
-   and per admission decision, plus the service/*:minor-words rows the
-   budget gates *)
+(* the service family: wall-ns per arrival draw and per admission
+   decision, plus the exact service/*:minor-words rows the budget gates *)
 let service_rows () =
-  let res = run_family ~alloc:true (service_tests ()) in
-  result_rows res
-  @ rows_of_measure res (Measure.label Instance.minor_allocated) ":minor-words"
+  result_rows (run_family (service_tests ()))
+  @ List.map
+      (fun (name, mk) ->
+        ("service/" ^ name ^ ":minor-words", exact_words ~ops:100_000 (mk ())))
+      service_ops
   @ [ ("service/request:minor-words", service_request_words ()) ]
 
 (* the smp family: wall-ns rows for rounds/slices across CPU counts, the
@@ -1370,15 +1448,15 @@ let smp_rows () =
     List.concat_map
       (fun mk ->
         result_rows
-          (run_family ~alloc:false (Test.make_grouped ~name:"smp" [ mk () ])))
+          (run_family (Test.make_grouped ~name:"smp" [ mk () ])))
       (smp_time_thunks ())
   in
-  let ares = run_family ~alloc:true (smp_alloc_tests ()) in
-  let atime = result_rows ares in
+  let atime = result_rows (run_family (smp_alloc_tests ())) in
   let awords =
-    rows_of_measure ares
-      (Measure.label Instance.minor_allocated)
-      ":minor-words"
+    [
+      ("smp/migration:minor-words", exact_words (smp_migration_op ()));
+      ("smp/steal:minor-words", exact_words (smp_steal_op ()));
+    ]
   in
   (* host-side per-slice cost ratio, for the record: a 4-CPU round serves
      4 slices, so round4 / (4 * round1) ~ 1 means sharding costs nothing

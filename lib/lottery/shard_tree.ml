@@ -44,6 +44,12 @@ let[@inline] set t i v =
     done
   end
 
+(* The readers with the result handed over in the caller's flat array:
+   called across a module boundary that does not inline (the dev build),
+   [get] and [total] box the float they return. *)
+let get_at t i dst j = dst.(j) <- get t i
+let total_at t dst j = dst.(j) <- total t
+
 (* Relative write, clamped at zero, with the delta read from the caller's
    flat array: the same [get], add and [set] a caller would do, without
    boxing the delta to pass it here. *)

@@ -23,6 +23,13 @@ val set : t -> int -> float -> unit
 
 val get : t -> int -> float
 
+val get_at : t -> int -> float array -> int -> unit
+(** [get_at t i dst j] stores [get t i] in [dst.(j)], so the result is
+    never boxed to cross the call. *)
+
+val total_at : t -> float array -> int -> unit
+(** [total_at t dst j] stores [total t] in [dst.(j)]. *)
+
 val adjust_at : t -> int -> float array -> int -> unit
 (** [adjust_at t i src j] adds [src.(j)] to shard [i]'s mass, clamping the
     result at 0 — exactly [set t i (max 0 (get t i +. src.(j)))]. The

@@ -110,10 +110,19 @@ let float_unit t = float_of_int (bits53 t) /. float_of_int (1 lsl 53)
 
 let bool t = int_below t 2 = 1
 
-let exponential t ~mean =
-  if mean <= 0. then invalid_arg "Rng.exponential: mean <= 0";
+(* the one definition of the exponential deviate, inlined into both entry
+   points so neither boxes it on the way *)
+let[@inline] deviate t mean =
   let u = 1. -. float_unit t in
   -.mean *. log u
+
+let exponential t ~mean =
+  if mean <= 0. then invalid_arg "Rng.exponential: mean <= 0";
+  deviate t mean
+
+let exponential_at t ~mean dst i =
+  if mean <= 0. then invalid_arg "Rng.exponential_at: mean <= 0";
+  dst.(i) <- deviate t mean
 
 let gaussian t ~mu ~sigma =
   let u1 = 1. -. float_unit t in

@@ -47,6 +47,11 @@ val bool : t -> bool
 val exponential : t -> mean:float -> float
 (** Exponentially distributed nonnegative float. *)
 
+val exponential_at : t -> mean:float -> float array -> int -> unit
+(** [exponential_at t ~mean dst i] stores the draw [exponential t ~mean]
+    would make in [dst.(i)], so the deviate is never boxed to cross the
+    call. *)
+
 val gaussian : t -> mu:float -> sigma:float -> float
 (** Normally distributed float (Box–Muller). *)
 

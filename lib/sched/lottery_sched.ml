@@ -75,8 +75,9 @@ type t = {
                                    unboxed; the draw and the shard tree
                                    read it through their [_at] entry
                                    points *)
-  fscratch : float array; (* one cell: a shard-mass delta on its way to
-                             {!Sh.adjust_at} *)
+  fscratch : float array; (* one cell: a shard mass on its way to
+                             {!Sh.adjust_at} or back from {!Sh.get_at}
+                             and {!Sh.total_at} *)
   mutable pending : tstate option array;
       (* dirtied thread currencies awaiting a scoped re-weigh, insertion
          order; cells hold the [Some s] already stored in [by_cslot] and
@@ -396,7 +397,9 @@ let place t s =
 let max_rebalance_moves = 8
 
 let rebalance t =
-  let tot = Sh.total t.stree in
+  let cell = t.fscratch in
+  Sh.total_at t.stree cell 0;
+  let tot = cell.(0) in
   if tot > 0. then begin
     let ideal = tot /. float_of_int t.shards in
     let full_band = t.imbalance_band *. ideal in
@@ -407,8 +410,10 @@ let rebalance t =
       go := false;
       let rich = Sh.max_shard t.stree in
       let poor = Sh.min_shard t.stree in
-      let mr = Sh.get t.stree rich in
-      let mp = Sh.get t.stree poor in
+      Sh.get_at t.stree rich cell 0;
+      let mr = cell.(0) in
+      Sh.get_at t.stree poor cell 0;
+      let mp = cell.(0) in
       if rich <> poor && (mr -. ideal > !thresh || ideal -. mp > !thresh) then begin
         let w = D.draw_slot t.sdraws.(rich) t.rng in
         if w >= 0 then begin

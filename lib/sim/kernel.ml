@@ -3,6 +3,8 @@ module Obs = Lotto_obs
 module Slots = Lotto_arena.Slots
 module Vec = Lotto_arena.Vec
 
+type 'a on_effect = (('a, step) Effect.Deep.continuation -> step) option
+
 type t = {
   mutable now : int;
       (* the global virtual clock: the round floor between slices, the
@@ -50,6 +52,47 @@ type t = {
   mutable profiler : Obs.Profile.t option;
       (* when set, dispatch (slice execution) and publish (bus fan-out)
          host-clock costs are recorded; schedulers time their own phases *)
+  (* Effect dispatch. A thread's [effc] stores the request's payload and
+     the performing thread in these registers and returns one of the
+     handlers below, built once per kernel, so a [perform] allocates
+     nothing beyond the effect value and its continuation. The register
+     rule: a handler reads every register it uses into locals before it
+     calls anything that can resume a fiber (the resumed fiber's next
+     request overwrites them), and clears the registers that can reach a
+     thread, so no reaped thread stays reachable from here. The performer
+     register is the exception: it is cleared when its thread is reaped
+     ([finish]) rather than after every request, which would cost a
+     second write barrier per request. *)
+  mutable r_th : thread; (* the performing thread *)
+  mutable r_n : int; (* Compute, Sleep *)
+  mutable r_port : port; (* Rpc, Receive, Poll_receive *)
+  mutable r_str : string; (* Rpc payload, Reply result, Spawn name *)
+  mutable r_targets : (port * string) list; (* Rpc_many *)
+  mutable r_msg : message; (* Reply *)
+  mutable r_mutex : mutex; (* Lock, Unlock, Wait *)
+  mutable r_cond : condition; (* Wait, Signal, Broadcast *)
+  mutable r_sem : semaphore; (* Sem_wait, Sem_post *)
+  mutable r_target : thread; (* Join *)
+  mutable r_body : unit -> unit; (* Spawn *)
+  h_compute : unit on_effect;
+  h_sleep : unit on_effect;
+  h_rpc : string on_effect;
+  h_rpc_many : string list on_effect;
+  h_recv : message on_effect;
+  h_poll : message option on_effect;
+  h_reply : unit on_effect;
+  h_lock : unit on_effect;
+  h_unlock : unit on_effect;
+  h_wait : unit on_effect;
+  h_signal : unit on_effect;
+  h_broadcast : unit on_effect;
+  h_sem_wait : unit on_effect;
+  h_sem_post : unit on_effect;
+  h_join : unit on_effect;
+  h_yield : unit on_effect;
+  h_now : time on_effect;
+  h_self : thread on_effect;
+  h_spawn : thread on_effect;
 }
 
 (* Event publication: every site guards with [observed] so that with no
@@ -90,39 +133,6 @@ let emit k ev =
       Obs.Bus.emit k.bus ~time:k.now ev;
       Obs.Profile.stop p Obs.Profile.Publish t0
 
-let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
-  if quantum <= 0 then invalid_arg "Kernel.create: quantum <= 0";
-  if cpus < 1 then invalid_arg "Kernel.create: cpus < 1";
-  if cpus > 1 && not sched.smp_ok then
-    invalid_arg
-      ("Kernel.create: scheduler " ^ sched.sched_name
-     ^ " does not support cpus > 1");
-  {
-    now = 0;
-    quantum;
-    cpu_now = Array.make cpus 0;
-    sel = Array.make cpus None;
-    sched;
-    timers = Heap.create ();
-    next_id = 0;
-    th_slots = Slots.create ();
-    th_tab = [||];
-    by_name = Hashtbl.create 64;
-    failed = [];
-    idle = 0;
-    slices = 0;
-    bus = Obs.Bus.create ();
-    tracer_sub = None;
-    current = None;
-    actors = [||];
-    ports_v = Vec.create ();
-    mutexes_v = Vec.create ();
-    conds_v = Vec.create ();
-    sems_v = Vec.create ();
-    pre_select = None;
-    profiler = None;
-  }
-
 let now k = k.now
 let[@inline] cpus k = Array.length k.cpu_now
 let quantum k = k.quantum
@@ -135,6 +145,55 @@ let fresh_id k =
   let id = k.next_id in
   k.next_id <- id + 1;
   id
+
+(* Register placeholders (see [t]): what the registers hold between
+   requests; [no_thread] also fills the vacant cells of [th_tab], so a
+   reaped thread is never kept alive by a cell that table growth copied
+   it into. Never mutated, so one set serves every kernel and domain. *)
+let no_thread =
+  {
+    id = -1;
+    tslot = -1;
+    name = "";
+    state = Zombie;
+    pending = Exited;
+    cpu = 0;
+    compensate = 1.;
+    donating_to = [];
+    donors = [];
+    owned = [];
+    failure = None;
+    joiners = Waitq.create ();
+    servicing = [];
+    created_at = 0;
+    exited_at = None;
+  }
+
+let no_msg = { msg_id = -1; sender = no_thread; payload = ""; sent_at = 0; slot = 0 }
+let no_body () = ()
+
+let no_port =
+  {
+    port_id = -1;
+    port_name = "";
+    queue = Queue.create ();
+    waiters = Queue.create ();
+    capacity = max_int;
+    shed = Reject_new;
+    shed_count = 0;
+    rej = Exit;
+  }
+
+let no_mutex =
+  { mutex_id = -1; mutex_name = ""; policy = Fifo; owner = None;
+    lock_waiters = Waitq.create (); acquisitions = 0 }
+
+let no_cond =
+  { cond_id = -1; cond_name = ""; cond_policy = Fifo; cond_waiters = Waitq.create ();
+    signals = 0 }
+
+let no_sem =
+  { sem_id = -1; sem_name = ""; sem_policy = Fifo; count = 0; sem_waiters = Waitq.create () }
 
 let spawn k ~name body =
   let th =
@@ -150,7 +209,7 @@ let spawn k ~name body =
       donors = [];
       owned = [];
       failure = None;
-      joiners = [];
+      joiners = Waitq.create ();
       servicing = [];
       created_at = k.now;
       exited_at = None;
@@ -158,7 +217,7 @@ let spawn k ~name body =
   in
   let s = Slots.alloc k.th_slots in
   th.tslot <- s;
-  k.th_tab <- Slots.grow_payload k.th_slots k.th_tab ~dummy:th;
+  k.th_tab <- Slots.grow_payload k.th_slots k.th_tab ~dummy:no_thread;
   k.th_tab.(s) <- th;
   if not (Hashtbl.mem k.by_name name) then Hashtbl.add k.by_name name th;
   k.sched.attach th;
@@ -372,18 +431,17 @@ let finish k th exn_opt =
     (fun m ->
       match m.owner with Some o when o == th -> release_mutex k th m | _ -> ())
     held;
-  (* wake joiners before detaching: their transfer tickets still reference
-     the dying thread's funding state *)
-  List.iter
-    (fun j ->
-      match j.pending with
-      | Waiting_join { k = kj; _ } ->
-          j.pending <- Ready_unit kj;
-          revoke k j;
-          unblock k j
-      | _ -> ())
-    th.joiners;
-  th.joiners <- [];
+  (* wake joiners, in arrival order, before detaching: their transfer
+     tickets still reference the dying thread's funding state *)
+  while not (Waitq.is_empty th.joiners) do
+    let j = Waitq.pop th.joiners in
+    match j.pending with
+    | Waiting_join { k = kj; _ } ->
+        j.pending <- Ready_unit kj;
+        revoke k j;
+        unblock k j
+    | _ -> ()
+  done;
   (* Threads still donating *to* the dying thread (e.g. blocked RPC clients
      whose server dies): the scheduler's detach below destroys the transfer
      tickets, so scrub the kernel-side donation lists too — the two views
@@ -397,11 +455,14 @@ let finish k th exn_opt =
     th.donors;
   th.donors <- [];
   k.sched.detach th;
-  (* reap: recycle the arena slot; the record stays valid for holders *)
+  (* reap: recycle the arena slot; the record stays valid for holders,
+     but the kernel no longer reaches it *)
   if th.tslot >= 0 then begin
     Slots.release k.th_slots th.tslot;
+    k.th_tab.(th.tslot) <- no_thread;
     th.tslot <- -1
   end;
+  if k.r_th == th then k.r_th <- no_thread;
   if observed k then
     emit k
       (Obs.Event.Exit
@@ -552,212 +613,68 @@ let rec handoff_or_queue k sender p msg =
         donate k ~src:sender ~dst:srv
     | _ -> handoff_or_queue k sender p msg
 
-(* --- running thread bodies -------------------------------------------- *)
+(* --- effect handlers ------------------------------------------------- *)
 
-let rec start_body (k : t) (th : thread) (body : unit -> unit) : step =
-  let open Effect.Deep in
-  match_with body ()
-    {
-      retc = (fun () -> S_done);
-      exnc = (fun e -> S_failed e);
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Effects.Compute n ->
-              Some (fun (kc : (a, step) continuation) -> S_compute (n, kc))
-          | Effects.Sleep d ->
-              Some (fun (kc : (a, step) continuation) -> S_sleep (d, kc))
-          | Effects.Rpc (p, payload) ->
-              Some (fun (kc : (a, step) continuation) -> S_rpc (p, payload, kc))
-          | Effects.Rpc_many targets ->
-              Some (fun (kc : (a, step) continuation) -> S_rpc_many (targets, kc))
-          | Effects.Receive p ->
-              Some (fun (kc : (a, step) continuation) -> S_recv (p, kc))
-          | Effects.Poll_receive p ->
-              Some
-                (fun (kc : (a, step) continuation) ->
-                  match Queue.take_opt p.queue with
-                  | Some msg ->
-                      begin_service k th msg ~port:p;
-                      if msg.sender.state = Blocked then
-                        donate k ~src:msg.sender ~dst:th;
-                      continue kc (Some msg)
-                  | None -> continue kc None)
-          | Effects.Lock m ->
-              Some (fun (kc : (a, step) continuation) -> S_lock (m, kc))
-          | Effects.Wait (c, m) ->
-              Some (fun (kc : (a, step) continuation) -> S_wait (c, m, kc))
-          | Effects.Sem_wait sm ->
-              Some (fun (kc : (a, step) continuation) -> S_sem_wait (sm, kc))
-          | Effects.Join target ->
-              Some (fun (kc : (a, step) continuation) -> S_join (target, kc))
-          | Effects.Signal c ->
-              Some
-                (fun (kc : (a, step) continuation) ->
-                  do_signal k c;
-                  continue kc ())
-          | Effects.Broadcast c ->
-              Some
-                (fun (kc : (a, step) continuation) ->
-                  do_broadcast k c;
-                  continue kc ())
-          | Effects.Sem_post sm ->
-              Some
-                (fun (kc : (a, step) continuation) ->
-                  do_sem_post k sm;
-                  continue kc ())
-          | Effects.Yield ->
-              Some (fun (kc : (a, step) continuation) -> S_yield kc)
-          | Effects.Now ->
-              Some (fun (kc : (a, step) continuation) -> continue kc k.now)
-          | Effects.Self ->
-              Some (fun (kc : (a, step) continuation) -> continue kc th)
-          | Effects.Spawn (name, body') ->
-              Some
-                (fun (kc : (a, step) continuation) ->
-                  continue kc (spawn k ~name body'))
-          | Effects.Reply (msg, result) ->
-              Some
-                (fun (kc : (a, step) continuation) ->
-                  match do_reply k msg result with
-                  | () -> continue kc ()
-                  | exception e -> discontinue kc e)
-          | Effects.Unlock m ->
-              Some
-                (fun (kc : (a, step) continuation) ->
-                  match do_unlock k th m with
-                  | () -> continue kc ()
-                  | exception e -> discontinue kc e)
-          | _ -> None);
-    }
+(* Each handler runs with the performing fiber suspended, installs the
+   thread's new [pending] state and returns what [advance] should do
+   next; handlers that answer at once resume the fiber themselves and
+   return the step it reaches. All follow the register rule on [t]. *)
+open Effect.Deep
 
-(* Classify a step, installing the thread's new pending state. *)
-and handle_step k th (s : step) : [ `Continue | `Blocked | `Exited | `Yielded ] =
-  match s with
-  | S_done ->
-      finish k th None;
-      `Exited
-  | S_failed e ->
-      finish k th (Some e);
-      `Exited
-  | S_yield kc ->
-      th.pending <- Ready_unit kc;
-      `Yielded
-  | S_join (target, kc) ->
-      if target.state = Zombie then begin
-        th.pending <- Ready_unit kc;
-        `Continue
-      end
-      else if target == th then
-        handle_step k th
-          (Effect.Deep.discontinue kc (Invalid_argument "Api.join: cannot join self"))
-      else begin
-        th.pending <- Waiting_join { target; k = kc };
-        block k th ~on:"join";
-        target.joiners <- target.joiners @ [ th ];
-        (* one more transfer site: the joiner's rights speed the target up *)
-        donate k ~src:th ~dst:target;
-        `Blocked
-      end
-  | S_compute (n, kc) ->
-      if n <= 0 then begin
-        th.pending <- Ready_unit kc;
-        `Continue
-      end
-      else begin
-        th.pending <- Compute { remaining = n; kc };
-        `Continue
-      end
-  | S_sleep (d, kc) ->
-      let until = k.now + max d 0 in
-      th.pending <- Sleeping { until; k = kc };
-      block k th ~on:"sleep";
-      Heap.push k.timers ~key:until th;
-      `Blocked
-  | S_rpc_many (targets, kc) ->
-      if targets = [] then
-        handle_step k th
-          (Effect.Deep.discontinue kc (Invalid_argument "Api.rpc_many: no targets"))
-      else begin
-        let n = List.length targets in
-        th.pending <-
-          Waiting_replies { replies = Array.make n None; outstanding = n; ks = kc };
-        block k th ~on:"rpc";
-        List.iteri
-          (fun slot (p, payload) ->
-            let msg =
-              { msg_id = fresh_id k; sender = th; payload; sent_at = k.now; slot }
-            in
-            deliver_or_queue k th p msg)
-          targets;
-        `Blocked
-      end
-  | S_rpc (p, payload, kc) ->
-      (* the id is consumed whether or not the request is admitted, so a
-         bounded run's id stream matches the same run traced or untraced *)
-      let id = fresh_id k in
-      if port_would_shed p then shed_rpc k th p ~id ~payload kc
-      else begin
-        let msg = { msg_id = id; sender = th; payload; sent_at = k.now; slot = 0 } in
-        th.pending <- Waiting_reply { k = kc };
-        block k th ~on:"rpc";
-        deliver_or_queue k th p msg;
-        `Blocked
-      end
-  | S_recv (p, kc) ->
-      if Queue.is_empty p.queue then begin
-        th.pending <- Waiting_recv { port = p; k = kc };
-        block k th ~on:"recv";
-        Queue.push th p.waiters;
-        `Blocked
-      end
-      else begin
-        let msg = Queue.take p.queue in
-        th.pending <- Ready_msg (msg, kc);
-        begin_service k th msg ~port:p;
-        (* The queued sender's ticket transfer lands on whichever server
-           thread picks the message up (paper §4.6). *)
-        if msg.sender.state = Blocked then donate k ~src:msg.sender ~dst:th;
-        `Continue
-      end
-  | S_lock (m, kc) -> (
-      match m.owner with
-      | None ->
-          grant_mutex k m th ~contended:false;
-          th.pending <- Ready_unit kc;
-          `Continue
-      | Some owner ->
-          Waitq.push m.lock_waiters th;
-          th.pending <- Waiting_lock { mutex = m; k = kc };
-          block k th ~on:"lock";
-          donate k ~src:th ~dst:owner;
-          `Blocked)
-  | S_wait (c, m, kc) -> (
-      (* atomically release the mutex and block on the condition *)
-      match do_unlock k th m with
-      | () ->
-          th.pending <- Waiting_cond { cond = c; mutex = m; k = kc };
-          block k th ~on:"cond";
-          Waitq.push c.cond_waiters th;
-          `Blocked
-      | exception e -> handle_step k th (Effect.Deep.discontinue kc e))
-  | S_sem_wait (sm, kc) ->
-      if sm.count > 0 then begin
-        sm.count <- sm.count - 1;
-        th.pending <- Ready_unit kc;
-        `Continue
-      end
-      else begin
-        Waitq.push sm.sem_waiters th;
-        th.pending <- Waiting_sem { sem = sm; k = kc };
-        block k th ~on:"sem";
-        `Blocked
-      end
+(* A step reached by a fiber other than the one [advance] is driving (a
+   kill, a drop-oldest victim): its pending state is installed, so only a
+   finished body needs reaping. *)
+let settle_aside k th = function
+  | S_done -> finish k th None
+  | S_failed e -> finish k th (Some e)
+  | S_continue | S_blocked | S_yielded -> ()
+
+let on_compute k (kc : (unit, step) continuation) =
+  let th = k.r_th and n = k.r_n in
+  (if n <= 0 then th.pending <- Ready_unit kc
+   else
+     match th.pending with
+     | Compute c ->
+         c.remaining <- n;
+         c.kc <- kc
+     | _ -> th.pending <- Compute { remaining = n; kc });
+  S_continue
+
+let on_sleep k (kc : (unit, step) continuation) =
+  let th = k.r_th and d = k.r_n in
+  let until = k.now + max d 0 in
+  th.pending <- Sleeping { until; k = kc };
+  block k th ~on:"sleep";
+  Heap.push k.timers ~key:until th;
+  S_blocked
+
+(* hand a freshly sent message to a live waiting server, or queue it *)
+let deliver_or_queue k sender p msg =
+  if observed k then
+    emit k
+      (Obs.Event.Rpc_send
+         { who = actor k sender; port = p.port_name; msg_id = msg.msg_id;
+           parent =
+             (* the span the sender is itself servicing, if any: nested
+                RPC chains form trees *)
+             (match sender.servicing with [] -> None | s :: _ -> Some s) });
+  handoff_or_queue k sender p msg
+
+let reject_rpc k th p ~id ~reason (kc : (string, step) continuation) =
+  p.shed_count <- p.shed_count + 1;
+  if observed k then
+    emit k
+      (Obs.Event.Rpc_shed
+         { who = actor k th; port = p.port_name; msg_id = id; reason;
+           parent =
+             (match th.servicing with [] -> None | s :: _ -> Some s) });
+  (* the sender never blocked: [Rejected] surfaces directly in its body *)
+  discontinue kc p.rej
 
 (* Admission control refused [th]'s request on full port [p]: bounce the
    new request (reject-new, or drop-oldest finding nothing evictable), or
    evict the oldest queued single-shot request and admit the new one. *)
-and shed_rpc k th p ~id ~payload kc =
+let shed_rpc k th p ~id ~payload kc =
   match p.shed with
   | Reject_new -> reject_rpc k th p ~id ~reason:"reject-new" kc
   | Drop_oldest -> (
@@ -788,7 +705,7 @@ and shed_rpc k th p ~id ~payload kc =
           | Waiting_reply { k = vkc } ->
               let v = victim.sender in
               if v.state = Blocked then revoke k v;
-              ignore (handle_step k v (Effect.Deep.discontinue vkc p.rej));
+              settle_aside k v (discontinue vkc p.rej);
               (match (v.state, v.pending) with
               | ( Blocked,
                   ( Not_started _ | Compute _ | Ready_unit _ | Ready_msg _
@@ -796,54 +713,275 @@ and shed_rpc k th p ~id ~payload kc =
                   unblock k v
               | _ -> ())
           | _ -> () (* stale: the sender died or moved on; nothing waits *));
-          `Blocked)
+          S_blocked)
 
-and reject_rpc k th p ~id ~reason kc =
-  p.shed_count <- p.shed_count + 1;
-  if observed k then
-    emit k
-      (Obs.Event.Rpc_shed
-         { who = actor k th; port = p.port_name; msg_id = id; reason;
-           parent =
-             (match th.servicing with [] -> None | s :: _ -> Some s) });
-  (* the sender never blocked: [Rejected] surfaces directly in its body *)
-  handle_step k th (Effect.Deep.discontinue kc p.rej)
+let on_rpc k (kc : (string, step) continuation) =
+  let th = k.r_th and p = k.r_port and payload = k.r_str in
+  (* the id is consumed whether or not the request is admitted, so a
+     bounded run's id stream matches the same run traced or untraced *)
+  let id = fresh_id k in
+  if port_would_shed p then shed_rpc k th p ~id ~payload kc
+  else begin
+    let msg = { msg_id = id; sender = th; payload; sent_at = k.now; slot = 0 } in
+    th.pending <- Waiting_reply { k = kc };
+    block k th ~on:"rpc";
+    deliver_or_queue k th p msg;
+    S_blocked
+  end
 
-(* hand a freshly sent message to a live waiting server, or queue it *)
-and deliver_or_queue k sender p msg =
-  if observed k then
-    emit k
-      (Obs.Event.Rpc_send
-         { who = actor k sender; port = p.port_name; msg_id = msg.msg_id;
-           parent =
-             (* the span the sender is itself servicing, if any: nested
-                RPC chains form trees *)
-             (match sender.servicing with [] -> None | s :: _ -> Some s) });
-  handoff_or_queue k sender p msg
+let on_rpc_many k (kc : (string list, step) continuation) =
+  let th = k.r_th and targets = k.r_targets in
+  k.r_targets <- [];
+  if targets = [] then discontinue kc (Invalid_argument "Api.rpc_many: no targets")
+  else begin
+    let n = List.length targets in
+    th.pending <-
+      Waiting_replies { replies = Array.make n None; outstanding = n; ks = kc };
+    block k th ~on:"rpc";
+    List.iteri
+      (fun slot (p, payload) ->
+        let msg =
+          { msg_id = fresh_id k; sender = th; payload; sent_at = k.now; slot }
+        in
+        deliver_or_queue k th p msg)
+      targets;
+    S_blocked
+  end
+
+let on_recv k (kc : (message, step) continuation) =
+  let th = k.r_th and p = k.r_port in
+  if Queue.is_empty p.queue then begin
+    th.pending <- Waiting_recv { port = p; k = kc };
+    block k th ~on:"recv";
+    Queue.push th p.waiters;
+    S_blocked
+  end
+  else begin
+    let msg = Queue.take p.queue in
+    th.pending <- Ready_msg (msg, kc);
+    begin_service k th msg ~port:p;
+    (* The queued sender's ticket transfer lands on whichever server
+       thread picks the message up (paper §4.6). *)
+    if msg.sender.state = Blocked then donate k ~src:msg.sender ~dst:th;
+    S_continue
+  end
+
+let on_poll k (kc : (message option, step) continuation) =
+  let th = k.r_th and p = k.r_port in
+  match Queue.take_opt p.queue with
+  | Some msg as r ->
+      begin_service k th msg ~port:p;
+      if msg.sender.state = Blocked then donate k ~src:msg.sender ~dst:th;
+      continue kc r
+  | None -> continue kc None
+
+let on_reply k (kc : (unit, step) continuation) =
+  let msg = k.r_msg and result = k.r_str in
+  k.r_msg <- no_msg;
+  match do_reply k msg result with
+  | () -> continue kc ()
+  | exception e -> discontinue kc e
+
+let on_lock k (kc : (unit, step) continuation) =
+  let th = k.r_th and m = k.r_mutex in
+  match m.owner with
+  | None ->
+      grant_mutex k m th ~contended:false;
+      th.pending <- Ready_unit kc;
+      S_continue
+  | Some owner ->
+      Waitq.push m.lock_waiters th;
+      th.pending <- Waiting_lock { mutex = m; k = kc };
+      block k th ~on:"lock";
+      donate k ~src:th ~dst:owner;
+      S_blocked
+
+let on_unlock k (kc : (unit, step) continuation) =
+  let th = k.r_th and m = k.r_mutex in
+  match do_unlock k th m with
+  | () -> continue kc ()
+  | exception e -> discontinue kc e
+
+(* atomically release the mutex and block on the condition *)
+let on_wait k (kc : (unit, step) continuation) =
+  let th = k.r_th and c = k.r_cond and m = k.r_mutex in
+  match do_unlock k th m with
+  | () ->
+      th.pending <- Waiting_cond { cond = c; mutex = m; k = kc };
+      block k th ~on:"cond";
+      Waitq.push c.cond_waiters th;
+      S_blocked
+  | exception e -> discontinue kc e
+
+let on_signal k (kc : (unit, step) continuation) =
+  do_signal k k.r_cond;
+  continue kc ()
+
+let on_broadcast k (kc : (unit, step) continuation) =
+  do_broadcast k k.r_cond;
+  continue kc ()
+
+let on_sem_wait k (kc : (unit, step) continuation) =
+  let th = k.r_th and sm = k.r_sem in
+  if sm.count > 0 then begin
+    sm.count <- sm.count - 1;
+    th.pending <- Ready_unit kc;
+    S_continue
+  end
+  else begin
+    Waitq.push sm.sem_waiters th;
+    th.pending <- Waiting_sem { sem = sm; k = kc };
+    block k th ~on:"sem";
+    S_blocked
+  end
+
+let on_sem_post k (kc : (unit, step) continuation) =
+  do_sem_post k k.r_sem;
+  continue kc ()
+
+let on_join k (kc : (unit, step) continuation) =
+  let th = k.r_th and target = k.r_target in
+  k.r_target <- no_thread;
+  if target.state = Zombie then begin
+    th.pending <- Ready_unit kc;
+    S_continue
+  end
+  else if target == th then discontinue kc (Invalid_argument "Api.join: cannot join self")
+  else begin
+    th.pending <- Waiting_join { target; k = kc };
+    block k th ~on:"join";
+    Waitq.push target.joiners th;
+    (* one more transfer site: the joiner's rights speed the target up *)
+    donate k ~src:th ~dst:target;
+    S_blocked
+  end
+
+let on_yield k (kc : (unit, step) continuation) =
+  let th = k.r_th in
+  th.pending <- Ready_unit kc;
+  S_yielded
+
+let on_self k (kc : (thread, step) continuation) =
+  let th = k.r_th in
+  continue kc th
+
+let on_spawn k (kc : (thread, step) continuation) =
+  let name = k.r_str and body = k.r_body in
+  k.r_body <- no_body;
+  continue kc (spawn k ~name body)
+
+(* --- running thread bodies -------------------------------------------- *)
+
+(* The handler record and [effc] closure are built once per thread start;
+   each request then only fills registers and returns a prebuilt handler. *)
+let start_body k th (body : unit -> unit) : step =
+  match_with body ()
+    {
+      retc = (fun () -> S_done);
+      exnc = (fun e -> S_failed e);
+      effc =
+        (fun (type a) (eff : a Effect.t) : a on_effect ->
+          match eff with
+          | Effects.Compute n ->
+              k.r_th <- th;
+              k.r_n <- n;
+              k.h_compute
+          | Effects.Sleep d ->
+              k.r_th <- th;
+              k.r_n <- d;
+              k.h_sleep
+          | Effects.Rpc (p, payload) ->
+              k.r_th <- th;
+              k.r_port <- p;
+              k.r_str <- payload;
+              k.h_rpc
+          | Effects.Rpc_many targets ->
+              k.r_th <- th;
+              k.r_targets <- targets;
+              k.h_rpc_many
+          | Effects.Receive p ->
+              k.r_th <- th;
+              k.r_port <- p;
+              k.h_recv
+          | Effects.Poll_receive p ->
+              k.r_th <- th;
+              k.r_port <- p;
+              k.h_poll
+          | Effects.Reply (msg, result) ->
+              k.r_msg <- msg;
+              k.r_str <- result;
+              k.h_reply
+          | Effects.Lock m ->
+              k.r_th <- th;
+              k.r_mutex <- m;
+              k.h_lock
+          | Effects.Unlock m ->
+              k.r_th <- th;
+              k.r_mutex <- m;
+              k.h_unlock
+          | Effects.Wait (c, m) ->
+              k.r_th <- th;
+              k.r_cond <- c;
+              k.r_mutex <- m;
+              k.h_wait
+          | Effects.Signal c ->
+              k.r_cond <- c;
+              k.h_signal
+          | Effects.Broadcast c ->
+              k.r_cond <- c;
+              k.h_broadcast
+          | Effects.Sem_wait sm ->
+              k.r_th <- th;
+              k.r_sem <- sm;
+              k.h_sem_wait
+          | Effects.Sem_post sm ->
+              k.r_sem <- sm;
+              k.h_sem_post
+          | Effects.Join target ->
+              k.r_th <- th;
+              k.r_target <- target;
+              k.h_join
+          | Effects.Yield ->
+              k.r_th <- th;
+              k.h_yield
+          | Effects.Now -> k.h_now
+          | Effects.Self ->
+              k.r_th <- th;
+              k.h_self
+          | Effects.Spawn (name, body') ->
+              k.r_str <- name;
+              k.r_body <- body';
+              k.h_spawn
+          | _ -> None);
+    }
 
 (* Drive a thread's continuation until it needs CPU time, blocks, yields or
    exits. All non-compute kernel operations are instantaneous in virtual
    time. *)
-and advance k th : [ `Compute | `Blocked | `Exited | `Yielded ] =
+let rec advance k th : [ `Compute | `Blocked | `Exited | `Yielded ] =
   match th.pending with
-  | Not_started body ->
-      let s = start_body k th body in
-      push_on k th s
-  | Ready_unit kc -> push_on k th (Effect.Deep.continue kc ())
-  | Ready_msg (m, kc) -> push_on k th (Effect.Deep.continue kc m)
-  | Ready_reply (r, kc) -> push_on k th (Effect.Deep.continue kc r)
-  | Ready_replies (rs, kc) -> push_on k th (Effect.Deep.continue kc rs)
-  | Compute c when c.remaining <= 0 -> push_on k th (Effect.Deep.continue c.kc ())
+  | Not_started body -> settle k th (start_body k th body)
+  | Ready_unit kc -> settle k th (continue kc ())
+  | Ready_msg (m, kc) -> settle k th (continue kc m)
+  | Ready_reply (r, kc) -> settle k th (continue kc r)
+  | Ready_replies (rs, kc) -> settle k th (continue kc rs)
+  | Compute c when c.remaining <= 0 -> settle k th (continue c.kc ())
   | Compute _ -> `Compute
   | Sleeping _ | Waiting_recv _ | Waiting_reply _ | Waiting_replies _
   | Waiting_lock _ | Waiting_cond _ | Waiting_sem _ | Waiting_join _ ->
       `Blocked
   | Exited -> `Exited
 
-and push_on k th s =
-  match handle_step k th s with
-  | `Continue -> advance k th
-  | (`Blocked | `Exited | `Yielded) as r -> r
+and settle k th = function
+  | S_continue -> advance k th
+  | S_blocked -> `Blocked
+  | S_yielded -> `Yielded
+  | S_done ->
+      finish k th None;
+      `Exited
+  | S_failed e ->
+      finish k th (Some e);
+      `Exited
 
 (* Forcibly terminate a thread: deliver {!Types.Killed} into its body so
    exception handlers (lock cleanup and the like) run, detach it from
@@ -853,7 +991,7 @@ let kill k th =
   (match k.current with
   | Some c when c == th -> invalid_arg "Kernel.kill: cannot kill the running thread"
   | _ -> ());
-  (match th.pending with
+  match th.pending with
   | Exited -> ()
   | Not_started _ -> finish k th (Some Killed)
   | _ ->
@@ -862,8 +1000,7 @@ let kill k th =
       | Waiting_lock { mutex; _ } -> Waitq.remove mutex.lock_waiters th
       | Waiting_cond { cond; _ } -> Waitq.remove cond.cond_waiters th
       | Waiting_sem { sem; _ } -> Waitq.remove sem.sem_waiters th
-      | Waiting_join { target; _ } ->
-          target.joiners <- List.filter (fun w -> w.id <> th.id) target.joiners
+      | Waiting_join { target; _ } -> Waitq.remove target.joiners th
       | Waiting_recv { port; _ } ->
           (* Queue has no removal; rebuild without the victim so no zombie
              lingers on a port's waiter list. *)
@@ -873,10 +1010,10 @@ let kill k th =
           Queue.transfer keep port.waiters
       | _ -> () (* the timer heap skips dead entries lazily *));
       if th.state = Blocked then revoke k th;
-      let deliver (type a) (kc : (a, step) Effect.Deep.continuation) =
-        (* the body may catch Killed and run cleanup; whatever step it
-           produces next is processed normally *)
-        ignore (handle_step k th (Effect.Deep.discontinue kc Killed))
+      let deliver (type a) (kc : (a, step) continuation) =
+        (* the body may catch Killed and run cleanup; whatever it requests
+           next is installed by that request's handler *)
+        settle_aside k th (discontinue kc Killed)
       in
       (match th.pending with
       | Compute { kc; _ } -> deliver kc
@@ -894,8 +1031,8 @@ let kill k th =
       | Ready_replies (_, kc) -> deliver kc
       | Not_started _ | Exited -> ());
       (* If the body caught Killed and kept going, respect that: a thread
-         that blocked again (sleep, lock, ...) installed a coherent waiting
-         state via [handle_step], but one that came back runnable — e.g.
+         that blocked again (sleep, lock, ...) had a coherent waiting state
+         installed by its handler, but one that came back runnable — e.g.
          [wait]'s reacquire path grabbing a free mutex — was never
          re-readied, since nothing was running it. Fix the state up here so
          catch-and-continue threads actually get scheduled again. *)
@@ -904,8 +1041,73 @@ let kill k th =
           ( Not_started _ | Compute _ | Ready_unit _ | Ready_msg _
           | Ready_reply _ | Ready_replies _ ) ) ->
           unblock k th
-      | _ -> ()));
-  ignore k
+      | _ -> ())
+
+let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
+  if quantum <= 0 then invalid_arg "Kernel.create: quantum <= 0";
+  if cpus < 1 then invalid_arg "Kernel.create: cpus < 1";
+  if cpus > 1 && not sched.smp_ok then
+    invalid_arg
+      ("Kernel.create: scheduler " ^ sched.sched_name
+     ^ " does not support cpus > 1");
+  let rec k =
+    {
+      now = 0;
+      quantum;
+      cpu_now = Array.make cpus 0;
+      sel = Array.make cpus None;
+      sched;
+      timers = Heap.create ();
+      next_id = 0;
+      th_slots = Slots.create ();
+      th_tab = [||];
+      by_name = Hashtbl.create 64;
+      failed = [];
+      idle = 0;
+      slices = 0;
+      bus = Obs.Bus.create ();
+      tracer_sub = None;
+      current = None;
+      actors = [||];
+      ports_v = Vec.create ();
+      mutexes_v = Vec.create ();
+      conds_v = Vec.create ();
+      sems_v = Vec.create ();
+      pre_select = None;
+      profiler = None;
+      r_th = no_thread;
+      r_n = 0;
+      r_port = no_port;
+      r_str = "";
+      r_targets = [];
+      r_msg = no_msg;
+      r_mutex = no_mutex;
+      r_cond = no_cond;
+      r_sem = no_sem;
+      r_target = no_thread;
+      r_body = no_body;
+      h_compute = Some (fun kc -> on_compute k kc);
+      h_sleep = Some (fun kc -> on_sleep k kc);
+      h_rpc = Some (fun kc -> on_rpc k kc);
+      h_rpc_many = Some (fun kc -> on_rpc_many k kc);
+      h_recv = Some (fun kc -> on_recv k kc);
+      h_poll = Some (fun kc -> on_poll k kc);
+      h_reply = Some (fun kc -> on_reply k kc);
+      h_lock = Some (fun kc -> on_lock k kc);
+      h_unlock = Some (fun kc -> on_unlock k kc);
+      h_wait = Some (fun kc -> on_wait k kc);
+      h_signal = Some (fun kc -> on_signal k kc);
+      h_broadcast = Some (fun kc -> on_broadcast k kc);
+      h_sem_wait = Some (fun kc -> on_sem_wait k kc);
+      h_sem_post = Some (fun kc -> on_sem_post k kc);
+      h_join = Some (fun kc -> on_join k kc);
+      h_yield = Some (fun kc -> on_yield k kc);
+      h_now = Some (fun kc -> continue kc k.now);
+      h_self = Some (fun kc -> on_self k kc);
+      h_spawn = Some (fun kc -> on_spawn k kc);
+    }
+  in
+  k
 
 (* --- the scheduling loop ----------------------------------------------- *)
 
@@ -1222,7 +1424,7 @@ let check_invariants k =
             vf ~th "%s: Waiting_recv on %s but on its waiter queue %d times"
               th.name p.port_name n
       | Waiting_join { target; _ } ->
-          let n = count_in (fun w -> w == th) target.joiners in
+          let n = Waitq.count (fun w -> w == th) target.joiners in
           if n <> 1 then
             vf ~th "%s: Waiting_join on %s but on its joiner list %d times"
               th.name target.name n;

@@ -47,7 +47,7 @@ type thread = {
       (** mutexes this thread currently owns, so robust handoff at death is
           O(held locks) instead of a sweep over every mutex *)
   mutable failure : exn option;
-  mutable joiners : thread list;  (** threads blocked in [Api.join] on us *)
+  joiners : thread Waitq.t;  (** threads blocked in [Api.join] on us, in arrival order *)
   mutable servicing : int list;
       (** msg_ids of requests this thread has received and not yet replied
           to, innermost first — the span-parent stack: an RPC sent while
@@ -61,7 +61,8 @@ and state = Runnable | Running | Blocked | Zombie
 (* What a suspended thread is waiting for, including the continuation to
    resume it with. [Ready_*] states carry the value that arrived while the
    thread was waiting; the kernel feeds it in when the scheduler next picks
-   the thread. *)
+   the thread. The kernel's effect handlers install these states
+   themselves. *)
 and pending =
   | Not_started of (unit -> unit)
   | Compute of compute_req
@@ -84,9 +85,11 @@ and pending =
   | Ready_replies of string list * (string list, step) Effect.Deep.continuation
   | Exited
 
+(* A [Compute] that follows a [Compute] reuses the thread's record: the
+   handler overwrites [remaining] and [kc] in place. *)
 and compute_req = {
   mutable remaining : int;
-  kc : (unit, step) Effect.Deep.continuation;
+  mutable kc : (unit, step) Effect.Deep.continuation;
 }
 
 and scatter = {
@@ -95,20 +98,15 @@ and scatter = {
   ks : (string list, step) Effect.Deep.continuation;
 }
 
-(* The outcome of running a thread's continuation until its next request. *)
+(* The outcome of running a thread's continuation until its next request.
+   The handler that took the request has already installed the thread's
+   [pending] state, so a step only says what to do next. *)
 and step =
-  | S_done
-  | S_failed of exn
-  | S_compute of int * (unit, step) Effect.Deep.continuation
-  | S_sleep of int * (unit, step) Effect.Deep.continuation
-  | S_rpc of port * string * (string, step) Effect.Deep.continuation
-  | S_rpc_many of (port * string) list * (string list, step) Effect.Deep.continuation
-  | S_recv of port * (message, step) Effect.Deep.continuation
-  | S_lock of mutex * (unit, step) Effect.Deep.continuation
-  | S_wait of condition * mutex * (unit, step) Effect.Deep.continuation
-  | S_sem_wait of semaphore * (unit, step) Effect.Deep.continuation
-  | S_join of thread * (unit, step) Effect.Deep.continuation
-  | S_yield of (unit, step) Effect.Deep.continuation
+  | S_continue  (** runnable now: advance the thread again *)
+  | S_blocked  (** waiting (pending says on what) *)
+  | S_yielded  (** gave up the rest of its quantum *)
+  | S_done  (** the body returned *)
+  | S_failed of exn  (** the body raised *)
 
 (* ------------------------------------------------------------------ *)
 (* IPC                                                                *)

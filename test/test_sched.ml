@@ -606,7 +606,7 @@ let test_scoped_updates_on_block_wake () =
       donors = [];
       owned = [];
       failure = None;
-      joiners = [];
+      joiners = Waitq.create ();
       servicing = [];
       created_at = 0;
       exited_at = None;

@@ -31,6 +31,18 @@ let test_arrivals_deterministic () =
   checkb "different seed, different schedule" true
     (gaps p ~seed:5 ~n:1000 <> gaps p ~seed:6 ~n:1000)
 
+(* the generator draws its deviates through [Rng.exponential_at]; they
+   must stay the draws [Rng.exponential] makes from the same stream *)
+let test_poisson_is_rng_exponential () =
+  let rng = Rng.create ~seed:9 () in
+  let expected =
+    List.init 1000 (fun _ ->
+        max 1 (int_of_float (Rng.exponential rng ~mean:(1e6 /. 250.))))
+  in
+  check (Alcotest.list Alcotest.int) "Poisson gaps are Rng.exponential draws"
+    expected
+    (gaps (Arrivals.Poisson 250.) ~seed:9 ~n:1000)
+
 let test_poisson_mean () =
   let n = 50_000 in
   let total =
@@ -237,6 +249,8 @@ let () =
         [
           Alcotest.test_case "deterministic per seed" `Quick
             test_arrivals_deterministic;
+          Alcotest.test_case "poisson gaps are Rng.exponential draws" `Quick
+            test_poisson_is_rng_exponential;
           Alcotest.test_case "poisson mean" `Quick test_poisson_mean;
           Alcotest.test_case "mmpp mean rate" `Quick test_mmpp_mean_rate;
           Alcotest.test_case "validation" `Quick test_arrivals_validation;

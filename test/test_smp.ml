@@ -325,7 +325,7 @@ let fake_thread id =
     donors = [];
     owned = [];
     failure = None;
-    joiners = [];
+    joiners = Waitq.create ();
     servicing = [];
     created_at = 0;
     exited_at = None;
