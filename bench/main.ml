@@ -63,18 +63,6 @@ let sorted_list_draw_test n =
     ~name:(Printf.sprintf "draw/list-sorted/%04d" n)
     (Staged.stage (fun () -> ignore (Core.List_lottery.draw t rng)))
 
-let distributed_draw_test n =
-  let rng = Core.Rng.create ~seed:1 () in
-  let t = Core.Distributed_lottery.create ~nodes:16 () in
-  for i = 1 to n do
-    ignore
-      (Core.Distributed_lottery.add_on t ~node:(i mod 16) ~client:i
-         ~weight:(float_of_int i))
-  done;
-  Test.make
-    ~name:(Printf.sprintf "draw/distributed16/%04d" n)
-    (Staged.stage (fun () -> ignore (Core.Distributed_lottery.draw t rng)))
-
 (* the unified Draw front-end every subsystem now draws through: same
    operation across backends, so the numbers are directly comparable *)
 let draw_backend_sizes = [ 10; 100; 1000 ]
@@ -90,10 +78,10 @@ let draw_backend_test mode mode_name n =
     (Staged.stage (fun () -> ignore (Core.Draw.draw_client t rng)))
 
 (* a resource-manager draw end to end: one io-bandwidth slot among n
-   permanently backlogged clients, list vs tree backend *)
-let resmgr_draw_test backend backend_name n =
+   permanently backlogged clients *)
+let resmgr_draw_test n =
   let rng = Core.Rng.create ~seed:5 () in
-  let io = Core.Io_bandwidth.create ~backend ~rng () in
+  let io = Core.Io_bandwidth.create ~rng () in
   for i = 1 to n do
     let c =
       Core.Io_bandwidth.add_client io
@@ -103,7 +91,7 @@ let resmgr_draw_test backend backend_name n =
     Core.Io_bandwidth.submit io c ~requests:1_000_000_000
   done;
   Test.make
-    ~name:(Printf.sprintf "resmgr-draw/io-%s/%04d" backend_name n)
+    ~name:(Printf.sprintf "resmgr-draw/io-list/%04d" n)
     (Staged.stage (fun () -> ignore (Core.Io_bandwidth.serve_slot io)))
 
 let tree_draw_test n =
@@ -801,8 +789,6 @@ let hotpath_ops =
   [
     ("decision-list", decision_mode_op Core.Lottery_sched.List_mode);
     ("decision-tree", decision_mode_op Core.Lottery_sched.Tree_mode);
-    ("decision-cumul", decision_mode_op Core.Lottery_sched.Cumul_mode);
-    ("decision-alias", decision_mode_op Core.Lottery_sched.Alias_mode);
     ("decision-sharded", decision_sharded_op);
     ("fund-reweigh-64", fund_reweigh_op);
   ]
@@ -810,120 +796,6 @@ let hotpath_ops =
 let hotpath_tests () =
   Test.make_grouped ~name:"hotpath"
     (List.map (fun (name, mk) -> Test.make ~name (Staged.stage (mk ()))) hotpath_ops)
-
-(* Batch amortization: serving a winner mutates its weight (compensation
-   tickets in the scheduler, pending counts in the managers), dirtying the
-   flat tables. Slot-at-a-time every draw then pays the O(n) lazy rebuild;
-   [draw_k] pays it once per batch. Both variants do the same 64 draws and
-   the same 64 weight writes over 1024 clients — only the rebuild count
-   differs. The derived [draw_k-over-singles] row is gated at 0.5 (the
-   acceptance floor: batching at k=64 must be at least 2x faster). *)
-let batch_n = 1024
-let batch_k = 64
-
-let batch_setup () =
-  let rng = Core.Rng.create ~seed:11 () in
-  let t = Core.Alias_lottery.create () in
-  let hs =
-    Array.init batch_n (fun i ->
-        Core.Alias_lottery.add t ~client:i
-          ~weight:(float_of_int (1 + (i land 7))))
-  in
-  (rng, t, hs)
-
-let batch_singles_test () =
-  let rng, t, hs = batch_setup () in
-  Test.make ~name:(Printf.sprintf "singles-%d" batch_k)
-    (Staged.stage (fun () ->
-         for _ = 1 to batch_k do
-           let s = Core.Alias_lottery.draw_slot t rng in
-           if s >= 0 then
-             Core.Alias_lottery.set_weight t hs.(s)
-               (float_of_int (1 + (s land 7)))
-         done))
-
-let batch_draw_k_test () =
-  let rng, t, hs = batch_setup () in
-  let out = Array.make batch_k (-1) in
-  Test.make ~name:(Printf.sprintf "draw_k-%d" batch_k)
-    (Staged.stage (fun () ->
-         let n = Core.Alias_lottery.draw_k t rng ~k:batch_k out in
-         for i = 0 to n - 1 do
-           let s = out.(i) in
-           Core.Alias_lottery.set_weight t hs.(s)
-             (float_of_int (1 + (s land 7)))
-         done))
-
-let batch_tests () =
-  Test.make_grouped ~name:"batch-draw"
-    [ batch_singles_test (); batch_draw_k_test () ]
-
-(* The same amortization measured end to end through the disk manager: an
-   epoch workload submits one request to every client, then drains the
-   whole backlog. Every serve empties its winner's queue, writing a zero
-   weight that dirties the alias table — unbatched service rebuilds it on
-   the very next draw (O(n) per serve, O(n^2) per epoch), while the
-   pre-drawn batch merely skips drained winners at consume time and pays
-   the rebuild once per 64-slot refill. The derived [epoch-batched-over-
-   singles] row shows the win. *)
-let disk_epoch_n = 256
-
-let disk_epoch_test ~batch name =
-  let rng = Core.Rng.create ~seed:31 () in
-  let d = Core.Disk.create ~backend:Core.Draw.Alias ~batch ~rng () in
-  let clients =
-    Array.init disk_epoch_n (fun i ->
-        Core.Disk.add_client d
-          ~name:(Printf.sprintf "c%03d" i)
-          ~tickets:(1 + (i land 7)))
-  in
-  Test.make ~name
-    (Staged.stage (fun () ->
-         Array.iteri
-           (fun i c -> Core.Disk.submit d c ~cylinder:(i * 37 mod 1000))
-           clients;
-         let rec drain () =
-           match Core.Disk.serve_one d with Some _ -> drain () | None -> ()
-         in
-         drain ()))
-
-let disk_batch_tests () =
-  Test.make_grouped ~name:"disk-batch"
-    [
-      disk_epoch_test ~batch:false "epoch-singles";
-      disk_epoch_test ~batch:true "epoch-batched";
-    ]
-
-(* Quiescent draws across four orders of magnitude: with the tables built
-   and the weights untouched, a Cumul draw is one binary search over a flat
-   prefix-sum array and an Alias draw is one deviate, one compare and at
-   most two array reads — no rebuild, no allocation. The derived -over-
-   rows record the 10^2 -> 10^6 growth (the O(1)/O(log n) claim: cache
-   effects and lg n, not n) and the tree-relative cost at 10^4+. *)
-let flat_sizes = [ 100; 10_000; 1_000_000 ]
-
-let flat_draw_test mode name n =
-  let rng = Core.Rng.create ~seed:13 () in
-  let t = Core.Draw.of_mode mode in
-  for i = 1 to n do
-    ignore (Core.Draw.add t ~client:i ~weight:(float_of_int (1 + (i land 15))))
-  done;
-  (* pay the lazy rebuild here, outside the measured quiescent draws *)
-  ignore (Core.Draw.draw_slot t rng);
-  Test.make
-    ~name:(Printf.sprintf "%s/%07d" name n)
-    (Staged.stage (fun () -> ignore (Core.Draw.draw_slot t rng)))
-
-let flat_tests () =
-  Test.make_grouped ~name:"draw-quiescent"
-    (List.concat_map
-       (fun n ->
-         [
-           flat_draw_test Core.Draw.Tree "tree" n;
-           flat_draw_test Core.Draw.Cumul "cumul" n;
-           flat_draw_test Core.Draw.Alias "alias" n;
-         ])
-       flat_sizes)
 
 (* --- smp family: sharded lotteries across virtual CPUs ------------------ *)
 
@@ -1235,24 +1107,14 @@ let tests () =
     (List.map list_draw_test draw_bench_sizes
     @ List.map sorted_list_draw_test draw_bench_sizes
     @ List.map tree_draw_test draw_bench_sizes
-    @ List.map distributed_draw_test [ 64; 1024 ]
     @ List.concat_map
         (fun n ->
           [
             draw_backend_test Core.Draw.List "list" n;
             draw_backend_test Core.Draw.Tree "tree" n;
-            draw_backend_test (Core.Draw.Distributed 16) "distributed16" n;
-            draw_backend_test Core.Draw.Cumul "cumul" n;
-            draw_backend_test Core.Draw.Alias "alias" n;
           ])
         draw_backend_sizes
-    @ List.concat_map
-        (fun n ->
-          [
-            resmgr_draw_test Core.Draw.List "list" n;
-            resmgr_draw_test Core.Draw.Tree "tree" n;
-          ])
-        draw_backend_sizes
+    @ List.map resmgr_draw_test draw_backend_sizes
     @ [
         kernel_step_test "lottery-list" (lottery_sched_maker Core.Lottery_sched.List_mode) true;
         kernel_step_test "lottery-tree" (lottery_sched_maker Core.Lottery_sched.Tree_mode) true;
@@ -1365,10 +1227,8 @@ let obs_rows () =
   in
   time @ words @ ratio
 
-(* the hot-path families are timed; the decision family is also the
-   allocation gate's subject (hotpath/*:minor-words rows, counted exactly),
-   the batch and quiescent families provide the O(1)/amortization evidence
-   as derived ratio rows. *)
+(* the hot-path family is timed and is also the allocation gate's subject
+   (hotpath/*:minor-words rows, counted exactly). *)
 let run_family tests =
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
@@ -1390,44 +1250,12 @@ let hotpath_rows () =
       (fun (name, mk) -> ("hotpath/" ^ name ^ ":minor-words", exact_words (mk ())))
       hotpath_ops
   in
-  let btime = result_rows (run_family (batch_tests ())) in
-  let qtime = result_rows (run_family (flat_tests ())) in
-  let ratio rows num den label =
-    match (List.assoc_opt num rows, List.assoc_opt den rows) with
-    | Some a, Some b when b > 0. -> [ (label, a /. b) ]
-    | _ -> []
-  in
-  let growth m =
-    ratio qtime
-      (Printf.sprintf "draw-quiescent/%s/1000000" m)
-      (Printf.sprintf "draw-quiescent/%s/0000100" m)
-      (Printf.sprintf "draw-quiescent/%s-1e6-over-1e2" m)
-  in
-  let vs_tree m n tag =
-    ratio qtime
-      (Printf.sprintf "draw-quiescent/%s/%07d" m n)
-      (Printf.sprintf "draw-quiescent/tree/%07d" n)
-      (Printf.sprintf "draw-quiescent/%s-over-tree-%s" m tag)
-  in
-  let dtime = result_rows (run_family (disk_batch_tests ())) in
   htime @ hwords
   @ [
       ("hotpath/sem-handoff-64:minor-words", sem_handoff_words ());
       ("hotpath/effect-compute:minor-words", effect_compute_words ());
       ("hotpath/effect-sleep-wake:minor-words", effect_sleep_wake_words ());
     ]
-  @ btime @ qtime @ dtime
-  @ ratio btime
-      (Printf.sprintf "batch-draw/draw_k-%d" batch_k)
-      (Printf.sprintf "batch-draw/singles-%d" batch_k)
-      "batch-draw/draw_k-over-singles"
-  @ ratio dtime "disk-batch/epoch-batched" "disk-batch/epoch-singles"
-      "disk-batch/epoch-batched-over-singles"
-  @ growth "tree" @ growth "cumul" @ growth "alias"
-  @ vs_tree "cumul" 10_000 "1e4"
-  @ vs_tree "alias" 10_000 "1e4"
-  @ vs_tree "cumul" 1_000_000 "1e6"
-  @ vs_tree "alias" 1_000_000 "1e6"
 
 (* the service family: wall-ns per arrival draw and per admission
    decision, plus the exact service/*:minor-words rows the budget gates *)
@@ -1647,8 +1475,7 @@ let () =
             run_figures := false;
             run_bench := false;
             run_obs := true),
-        " run only the overhead families (obs-overhead/*, hotpath/*, \
-         batch-draw/*, draw-quiescent/*)" );
+        " run only the overhead families (obs-overhead/*, hotpath/*)" );
       ( "--service-only",
         Arg.Unit
           (fun () ->

@@ -6,10 +6,10 @@
       seeded, reproducible randomness;
     - {!Funding}: tickets and currencies — the resource-rights model of
       Sections 3–4 (transfers, inflation, currencies, compensation);
-    - {!Draw} over {!List_lottery} / {!Tree_lottery} /
-      {!Distributed_lottery}: one weighted-draw interface for every
-      lottery in the system (Sections 4.2 and 5.1), plus
-      {!Inverse_lottery} (Section 6.2);
+    - {!Draw} over {!List_lottery} / {!Tree_lottery}: one weighted-draw
+      interface for every lottery in the system (Sections 4.2 and 5.1),
+      {!Shard_tree} (the §4.2 distributed lottery's inter-node tree, used
+      by the sharded scheduler), plus {!Inverse_lottery} (Section 6.2);
     - {!Time}, {!Kernel}, {!Api}, {!Types}: the discrete-event kernel
       standing in for Mach 3.0, with effect-based threads, synchronous RPC
       and mutexes;
@@ -60,10 +60,7 @@ module Arena = Lotto_arena
 module Draw = Lotto_draw.Draw
 module List_lottery = Lotto_draw.List_lottery
 module Tree_lottery = Lotto_draw.Tree_lottery
-module Cumul_lottery = Lotto_draw.Cumul_lottery
-module Alias_lottery = Lotto_draw.Alias_lottery
 module Inverse_lottery = Lotto_draw.Inverse_lottery
-module Distributed_lottery = Lotto_draw.Distributed_lottery
 module Shard_tree = Lotto_draw.Shard_tree
 
 (* Simulation kernel *)

@@ -3,90 +3,26 @@
     Every lottery in the system — CPU scheduling, mutex/condition/semaphore
     waiter picks, disk, I/O bandwidth, the packet switch, inverse memory —
     draws through this interface, so the backing structure (the paper's §4.2
-    move-to-front list, the O(log n) partial-sum tree, or the distributed
-    node tree) is a deployment choice rather than a per-subsystem fork.
+    move-to-front list or the O(log n) partial-sum tree it proposes for
+    large client counts) is a deployment choice rather than a per-subsystem
+    fork.
 
-    {!S} is the signature the three structures conform to; {!t} is a
-    dispatching wrapper chosen at runtime with {!of_mode}; {!backend} packs
-    a conforming structure as a first-class module for functor-style use. *)
-
-(** The draw-structure contract (paper §4.2). Weights are nonnegative
-    floats; zero-weight clients never win; [draw] returns [None] (without
-    consuming randomness) when the total weight is zero. *)
-module type S = sig
-  type 'a t
-  type 'a handle
-
-  val create : unit -> 'a t
-  (** A structure with that backend's default configuration. *)
-
-  val add : 'a t -> client:'a -> weight:float -> 'a handle
-  val remove : 'a t -> 'a handle -> unit
-
-  val readd : 'a t -> 'a handle -> weight:float -> unit
-  (** Re-insert a removed handle, reusing the handle record — the
-      allocation-free migration primitive (see {!readd} on the wrapper). *)
-
-  val mem : 'a t -> 'a handle -> bool
-
-  val clear : 'a t -> unit
-  (** Remove every client at once (invalidating their handles), keeping the
-      structure (and any allocated capacity) for reuse. *)
-
-  val set_weight : 'a t -> 'a handle -> float -> unit
-  val weight : 'a t -> 'a handle -> float
-  val client : 'a handle -> 'a
-  val total : 'a t -> float
-  val size : 'a t -> int
-  val draw : 'a t -> Lotto_prng.Rng.t -> 'a handle option
-  val draw_client : 'a t -> Lotto_prng.Rng.t -> 'a option
-
-  val draw_slot : 'a t -> Lotto_prng.Rng.t -> int
-  (** Allocation-free draw: the winner as a nonnegative backend token
-      (arena slot for the flat backends), or [-1] when the total weight is
-      zero (no randomness consumed then). Valid until the next mutation;
-      resolve with {!client_at}. *)
-
-  val client_at : 'a t -> int -> 'a
-  (** Resolve a token returned by {!draw_slot}. *)
-
-  val draw_k : 'a t -> Lotto_prng.Rng.t -> k:int -> 'a array -> int
-  (** [draw_k t rng ~k out] runs up to [min k (Array.length out)]
-      independent lotteries — paying any lazy rebuild once for the whole
-      batch — writing winners into [out.(0..r-1)] and returning [r] ([0]
-      when the total weight is zero). Each draw consumes randomness
-      exactly like {!draw}; backends with draw-dependent state (the
-      move-to-front list) apply it per draw. *)
-
-  val draw_with_value : 'a t -> winning:float -> 'a handle option
-  (** Deterministic draw for a winning value in [\[0, total)]. *)
-
-  val iter : 'a t -> ('a handle -> unit) -> unit
-end
+    Both structures share one contract: weights are nonnegative floats;
+    zero-weight clients never win; a draw returns [None] (or [-1] from
+    {!draw_slot}) without consuming randomness when the total weight is
+    zero. {!t} is a dispatching wrapper chosen at runtime with {!of_mode}.
+    The paper's distributed lottery (a tree of per-node partial sums) is
+    {!Shard_tree} over one {!t} per shard, as the sharded
+    [Lottery_sched] runs it. *)
 
 type mode =
   | List  (** move-to-front list, O(n) draw — the paper's prototype *)
   | Tree  (** Fenwick partial-sum tree, O(log n) draw and update *)
-  | Distributed of int
-      (** partial-sum tree spanning [n] nodes, O(log n) messages *)
-  | Cumul
-      (** flat cumulative-sum array: O(log n) binary-search draw over a
-          lazily rebuilt prefix-sum table — allocation-free while weights
-          are quiescent *)
-  | Alias
-      (** Walker/Vose alias method: O(1) draw from lazily rebuilt
-          probability/alias tables — allocation-free while weights are
-          quiescent; random draws are distribution-exact but not
-          winner-identical to [Tree] for the same stream *)
-
-val backend : mode -> (module S)
-(** The conforming structure for a mode, as a first-class module
-    ([Distributed n] closes over its node count). *)
 
 (** {1 Runtime-dispatched wrapper}
 
     ['a t] hides which structure is behind a draw site, so one code path
-    serves every backend (this is what the scheduler and the resource
+    serves both backends (this is what the scheduler and the resource
     managers use). *)
 
 type 'a t
@@ -95,13 +31,7 @@ type 'a handle
 val of_mode : mode -> 'a t
 
 val of_list : 'a List_lottery.t -> 'a t
-(** Wrap an existing structure (e.g. to pick a non-default list order). *)
-
-val of_tree : 'a Tree_lottery.t -> 'a t
-val of_distributed : 'a Distributed_lottery.t -> 'a t
-val of_cumul : 'a Cumul_lottery.t -> 'a t
-val of_alias : 'a Alias_lottery.t -> 'a t
-val mode : 'a t -> mode
+(** Wrap an existing list (e.g. to pick a non-default list order). *)
 
 val add : 'a t -> client:'a -> weight:float -> 'a handle
 (** Raises [Invalid_argument] on negative weights. *)
@@ -114,8 +44,7 @@ val readd : 'a t -> 'a handle -> weight:float -> unit
     which may be a {e different} structure of the same backend than the
     one it was removed from. The handle record (and any [Some handle] box
     the caller holds) is reused in place, so moving a client between two
-    per-CPU shards is O(remove) + O(insert) with zero allocation on the
-    flat backends. Raises [Invalid_argument] if the handle is still live
+    per-CPU shards is O(remove) + O(insert) with zero allocation. Raises [Invalid_argument] if the handle is still live
     or the backend differs. *)
 
 val readd_at : 'a t -> 'a handle -> float array -> int -> unit
@@ -145,7 +74,7 @@ val set_weight_at : 'a t -> 'a handle -> float array -> int -> unit
     on every block and wake. On the [List] backend the write is
     allocation-free in an optimized build, which inlines
     {!List_lottery.set_weight} here; under [-opaque] it boxes the weight
-    once. The other backends box it as {!set_weight} does. *)
+    once. *)
 
 val weight : 'a t -> 'a handle -> float
 val client : 'a handle -> 'a
@@ -169,10 +98,10 @@ val client_at : 'a t -> int -> 'a
 (** Resolve a token returned by {!draw_slot}. *)
 
 val draw_k : 'a t -> Lotto_prng.Rng.t -> k:int -> 'a array -> int
-(** Batch draw: up to [min k (Array.length out)] independent lotteries,
-    paying any lazy rebuild once for the whole batch, winners written into
-    the caller's scratch array; returns how many were drawn ([0] when the
-    total weight is zero). *)
+(** Batch draw: up to [min k (Array.length out)] lotteries, each consuming
+    randomness exactly like {!draw} (the list applies move-to-front per
+    draw), winners written into the caller's scratch array; returns how
+    many were drawn ([0] when the total weight is zero). *)
 
 val draw_with_value : 'a t -> winning:float -> 'a handle option
 val iter : 'a t -> ('a handle -> unit) -> unit
@@ -180,8 +109,8 @@ val iter : 'a t -> ('a handle -> unit) -> unit
 val drift_fallbacks : 'a t -> int
 (** Draws on the [Tree] backend whose partial-sum descent overshot every
     live client through float drift and fell back to an O(n) scan (see
-    {!Tree_lottery.drift_fallbacks}); [0] for the other backends. *)
+    {!Tree_lottery.drift_fallbacks}); [0] on the [List] backend. *)
 
 val comparisons : 'a t -> int option
-(** Cumulative list entries examined ([None] for non-list backends): the
+(** Cumulative list entries examined ([None] on the [Tree] backend): the
     paper's search-length metric. *)

@@ -287,23 +287,6 @@ let draw_client t rng =
   let s = draw_slot t rng in
   if s < 0 then None else Some t.hs.(s).c
 
-let draw_k t rng ~k out =
-  if t.total.(0) <= 0. || k <= 0 then 0
-  else begin
-    let n = min k (Array.length out) in
-    let i = ref 0 in
-    let live = ref true in
-    while !live && !i < n do
-      let s = draw_slot t rng in
-      if s < 0 then live := false
-      else begin
-        out.(!i) <- t.hs.(s).c;
-        incr i
-      end
-    done;
-    !i
-  end
-
 let iter t f =
   let s = ref t.head in
   while !s >= 0 do

@@ -64,11 +64,6 @@ val slot_for_value : 'a t -> float -> int
     structure's reordering, like {!draw_with_value}); [-1] when nothing
     can win. *)
 
-val draw_k : 'a t -> Lotto_prng.Rng.t -> k:int -> 'a array -> int
-(** [draw_k t rng ~k out] runs up to [min k (Array.length out)] sequential
-    lotteries (each applying move-to-front like {!draw}) and writes the
-    winners into [out.(0..r-1)], returning [r]. *)
-
 val draw_with_value : 'a t -> winning:float -> 'a handle option
 (** Deterministic draw for a given winning value in [\[0, total)];
     used by tests to replay Figure 1 exactly. *)

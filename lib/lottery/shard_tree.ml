@@ -1,8 +1,7 @@
 (* The inter-shard coordinator of the sharded CPU lottery: a flat 1-based
    partial-sum binary tree whose leaves are per-shard live ticket masses —
-   {!Distributed_lottery}'s inter-node tree (the paper's §4.2 distributed
-   lottery) lifted out so it can coordinate arbitrary [Draw.t] shards
-   instead of its own built-in local lotteries. Every operation is
+   the inter-node tree of the paper's §4.2 distributed lottery, with one
+   [Draw.t] per shard as each node's local lottery. Every operation is
    allocation-free: set bubbles a delta to the root, pick descends from it,
    and both are O(log shards). *)
 
@@ -59,8 +58,8 @@ let adjust_at t i src j =
 
 (* Ticket-weighted shard pick: descend from the root with a winning value
    in [0, total), preferring the left child unless the value falls past its
-   subtree sum (or the right subtree is the only live one) — exactly
-   {!Distributed_lottery.descend}. [-1] when no shard holds mass. *)
+   subtree sum (or the right subtree is the only live one). [-1] when no
+   shard holds mass. *)
 let pick t ~u =
   let tot = total t in
   if tot <= 0. then -1

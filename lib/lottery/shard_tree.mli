@@ -2,13 +2,13 @@
 
     The paper's §4.2 distributed lottery keeps a binary tree of partial
     ticket sums over the nodes and descends it to pick the node holding
-    the winning ticket; {!Distributed_lottery} implements that with its
-    own per-node local lotteries. This module is the same inter-node tree
-    with the leaves decoupled: each leaf mirrors the live ticket mass of
-    an arbitrary per-shard {!Draw.t}, so a sharded scheduler can pick a
-    steal source ticket-weighted, find the least-loaded shard for
-    placement, and read the global mass — all O(log shards) or O(shards)
-    and allocation-free. *)
+    the winning ticket, each node running its own local lottery. This
+    module is that inter-node tree: each leaf mirrors the live ticket mass
+    of one per-shard {!Draw.t}, the node's local lottery, so a sharded
+    scheduler can pick a steal source ticket-weighted, find the
+    least-loaded shard for placement, and read the global mass — all
+    O(log shards) or O(shards) and allocation-free. The sharded
+    [Lottery_sched] is the system's distributed lottery. *)
 
 type t
 

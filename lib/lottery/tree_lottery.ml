@@ -244,23 +244,6 @@ let draw_client t rng =
   let s = draw_slot t rng in
   if s < 0 then None else Some t.slots.(s).c
 
-let draw_k t rng ~k out =
-  if raw_total t <= 0. || k <= 0 then 0
-  else begin
-    let n = min k (Array.length out) in
-    let i = ref 0 in
-    let live = ref true in
-    while !live && !i < n do
-      let s = draw_slot t rng in
-      if s < 0 then live := false
-      else begin
-        out.(!i) <- t.slots.(s).c;
-        incr i
-      end
-    done;
-    !i
-  end
-
 let iter t f =
   for s = 0 to t.used - 1 do
     if occupied t s then f t.slots.(s)

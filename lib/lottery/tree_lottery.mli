@@ -53,12 +53,6 @@ val draw_slot : 'a t -> Lotto_prng.Rng.t -> int
 val client_at : 'a t -> int -> 'a
 (** Resolve a slot returned by {!draw_slot}. *)
 
-val draw_k : 'a t -> Lotto_prng.Rng.t -> k:int -> 'a array -> int
-(** [draw_k t rng ~k out] runs up to [min k (Array.length out)]
-    independent lotteries and writes the winners into [out.(0..r-1)],
-    returning [r] ([0] when the total weight is zero). Each draw consumes
-    randomness exactly like {!draw}. *)
-
 val draw_with_value : 'a t -> winning:float -> 'a handle option
 (** Deterministic draw for a winning value in [\[0, total)]: the winner is
     the client covering that value in slot (insertion) order. *)

@@ -24,7 +24,6 @@ type t = {
   cylinders : int;
   seek_cost : int;
   transfer_cost : int;
-  batch_enabled : bool;
   rng : Rng.t;
   draw : client Draw.t;
   ftrack : client Funded.Tracker.t option;
@@ -48,8 +47,7 @@ type t = {
 let batch_k = 64
 
 let create ?(policy = Lottery) ?(cylinders = 1000) ?(seek_cost = 10)
-    ?(transfer_cost = 2000) ?(backend = Draw.List) ?(batch = true) ?funding
-    ~rng () =
+    ?(transfer_cost = 2000) ?funding ~rng () =
   if cylinders <= 0 then invalid_arg "Disk.create: cylinders <= 0";
   if seek_cost < 0 || transfer_cost <= 0 then invalid_arg "Disk.create: bad costs";
   {
@@ -57,9 +55,8 @@ let create ?(policy = Lottery) ?(cylinders = 1000) ?(seek_cost = 10)
     cylinders;
     seek_cost;
     transfer_cost;
-    batch_enabled = batch;
     rng;
-    draw = Draw.of_mode backend;
+    draw = Draw.of_mode Draw.List;
     ftrack = Option.map Funded.Tracker.create funding;
     bus = Obs.Bus.create ();
     clients = [];
@@ -228,15 +225,15 @@ let publish_draw t c =
          })
 
 (* Batched refill: pre-draw up to [batch_k] winners in one {!Draw.draw_k}
-   call — paying any lazy table rebuild once for the whole batch instead
-   of once per draw — and serve them in draw order. [wgen] guards the
-   batch: a positive weight write discards the unserved tail (redrawn
-   against the fresh weights), while entries whose client has since gone
-   weightless are skipped at consume time (see [update_weight]); either
-   way every served slot sees the distribution a slot-at-a-time lottery
-   would have drawn from. (Discarded draws consume randomness, so the
-   stream differs from unbatched service; the per-slot distribution is
-   identical.) *)
+   call and serve them in draw order. [wgen] guards the batch: a positive
+   weight write discards the unserved tail (redrawn against the fresh
+   weights), while entries whose client has since gone weightless are
+   skipped at consume time (see [update_weight]); either way every served
+   slot sees the distribution a slot-at-a-time lottery would have drawn
+   from. (Discarded draws consume randomness, so the stream differs from
+   slot-at-a-time service; the per-slot distribution is identical.) On the
+   list a batch saves no work over single draws; it stays because it fixes
+   the RNG stream, and so the outputs, of the disk experiments. *)
 let refill_batch t =
   t.batch_len <-
     (if Array.length t.batch = 0 then 0
@@ -287,26 +284,12 @@ let choose t : (client * request) option =
          nearest request (good local seeks, proportional global share) *)
       refresh t;
       let winner =
-        if t.batch_enabled then begin
-          match batch_winner t with
-          | Some c ->
-              publish_draw t c;
-              Some c
-          | None ->
-              (* backlogged but unfunded: first backlogged in creation order *)
-              List.fold_left
-                (fun acc c -> if c.queue <> [] then Some c else acc)
-                None t.clients
-        end
-        else
-          (* slot-based pick: no option or handle wrapper built per decision *)
-          let s = Draw.draw_slot t.draw t.rng in
-          if s >= 0 then begin
-            let c = Draw.client_at t.draw s in
+        match batch_winner t with
+        | Some c ->
             publish_draw t c;
             Some c
-          end
-          else
+        | None ->
+            (* backlogged but unfunded: first backlogged in creation order *)
             List.fold_left
               (fun acc c -> if c.queue <> [] then Some c else acc)
               None t.clients

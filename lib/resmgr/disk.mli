@@ -13,11 +13,11 @@
       client's request nearest the head — proportional-share bandwidth with
       locally good seeks, the paper's proposal.
 
-    Lottery draws go through {!Lotto_draw.Draw} ([?backend] selects the
-    structure) over clients with queued requests; clients hold either raw
-    tickets ({!add_client}) or a share of a
-    {!Lotto_tickets.Funding.currency} ({!add_funded_client}), so one
-    currency can proportionally fund CPU {e and} disk.
+    Lottery draws go through a {!Lotto_draw.Draw} move-to-front list over
+    clients with queued requests; clients hold either raw tickets
+    ({!add_client}) or a share of a {!Lotto_tickets.Funding.currency}
+    ({!add_funded_client}), so one currency can proportionally fund CPU
+    {e and} disk.
 
     Time is virtual (integer ticks); the module is deterministic given its
     RNG. *)
@@ -32,30 +32,28 @@ val create :
   ?cylinders:int ->
   ?seek_cost:int ->
   ?transfer_cost:int ->
-  ?backend:Lotto_draw.Draw.mode ->
-  ?batch:bool ->
   ?funding:Lotto_tickets.Funding.system ->
   rng:Lotto_prng.Rng.t ->
   unit ->
   t
 (** Defaults: [Lottery] policy, 1000 cylinders, seek cost 10 ticks per
-    cylinder, fixed per-request cost 2000 ticks, [List] draw backend.
+    cylinder, fixed per-request cost 2000 ticks.
     [funding] is required for {!add_funded_client} and is typically the
     scheduler's {!Lottery_sched.funding} system.
 
-    [batch] (default [true]) refills the winner queue through
+    The lottery policy refills its winner queue through
     {!Lotto_draw.Draw.draw_k}: up to 64 lottery winners are pre-drawn in
-    one batch — paying any lazy draw-table rebuild once per batch instead
-    of once per serve — and consumed in draw order, each still serving its
-    own nearest request (the elevator move). A generation counter guards
-    the batch: any positive weight write (a new backlog, ticket or funding
+    one batch and consumed in draw order, each still serving its own
+    nearest request (the elevator move). A generation counter guards the
+    batch: any positive weight write (a new backlog, ticket or funding
     movement) discards the unserved tail, while a client whose weight
     dropped to zero (its queue drained) is merely skipped at consume time
     — for independent with-replacement draws that conditioning is exactly
     the redraw distribution, so proportional share is preserved slot by
     slot. The discarded draws consume randomness, so the RNG stream
-    differs from [~batch:false] service; the per-slot winner distribution
-    is identical. *)
+    differs from slot-at-a-time service; the per-slot winner distribution
+    is identical. The disk experiments' outputs are pinned to the RNG
+    stream this batching draws. *)
 
 val policy : t -> policy
 val add_client : t -> name:string -> tickets:int -> client

@@ -34,14 +34,13 @@ type t = {
   mutable wdirty : bool; (* T moved: every inverse weight needs a rebuild *)
 }
 
-let create ?(policy = Inverse_lottery) ?(backend = Draw.List) ?funding ~frames
-    ~rng () =
+let create ?(policy = Inverse_lottery) ?funding ~frames ~rng () =
   if frames <= 0 then invalid_arg "Inverse_memory.create: frames <= 0";
   {
     pol = policy;
     frames;
     rng;
-    draw = Draw.of_mode backend;
+    draw = Draw.of_mode Draw.List;
     ftrack = Option.map Funded.Tracker.create funding;
     bus = Obs.Bus.create ();
     clients = [];

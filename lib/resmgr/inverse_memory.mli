@@ -8,9 +8,9 @@
     own least-recently-used page. Two conventional baselines are provided
     for comparison: global LRU (ticket-blind) and random victim.
 
-    Victim lotteries go through {!Lotto_draw.Draw} ([?backend] selects the
-    structure); clients hold either raw tickets ({!add_client}) or a share
-    of a {!Lotto_tickets.Funding.currency} ({!add_funded_client}). Unlike
+    Victim lotteries go through a {!Lotto_draw.Draw} move-to-front list;
+    clients hold either raw tickets ({!add_client}) or a share of a
+    {!Lotto_tickets.Funding.currency} ({!add_funded_client}). Unlike
     the bandwidth managers, a funded memory client's ticket stays active
     the whole time — it holds frames even when it is not faulting. *)
 
@@ -24,15 +24,13 @@ type client
 
 val create :
   ?policy:policy ->
-  ?backend:Lotto_draw.Draw.mode ->
   ?funding:Lotto_tickets.Funding.system ->
   frames:int ->
   rng:Lotto_prng.Rng.t ->
   unit ->
   t
 (** [policy] defaults to [Inverse_lottery]; [frames] is the physical pool
-    size; [backend] defaults to [List]. [funding] is required for
-    {!add_funded_client}. *)
+    size. [funding] is required for {!add_funded_client}. *)
 
 val policy : t -> policy
 

@@ -30,10 +30,10 @@ type t = {
 
 let batch_k = 64
 
-let create ?(backend = Draw.List) ?funding ~rng () =
+let create ?funding ~rng () =
   {
     rng;
-    draw = Draw.of_mode backend;
+    draw = Draw.of_mode Draw.List;
     ftrack = Option.map Funded.Tracker.create funding;
     bus = Obs.Bus.create ();
     clients = [];
@@ -193,10 +193,9 @@ let serve_slot t =
         Some c
 
 (* Batched service: pre-draw up to [batch_k] winners in one {!Draw.draw_k}
-   call (paying any lazy table rebuild once for the whole burst) and serve
-   them in order. Serving a winner can change draw weights — a client's
-   last pending request drains, or a funding change lands via [refresh] —
-   which [wgen] detects; the unserved tail of the batch is then discarded
+   call and serve them in order. Serving a winner can change draw weights
+   — a client's last pending request drains, or a funding change lands via
+   [refresh] — which [wgen] detects; the unserved tail of the batch is then discarded
    and redrawn against the fresh weights, so every served slot saw the
    weights a slot-at-a-time lottery would have. (The discarded draws do
    consume randomness, so the stream differs from repeated {!serve_slot}

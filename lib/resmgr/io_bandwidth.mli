@@ -7,22 +7,21 @@
     the backlogged tickets, and idle clients' shares redistribute
     automatically (the "lightly contended resource" property of §2.1).
 
-    Draws go through {!Lotto_draw.Draw} ([?backend] selects the structure),
-    and clients are funded either with raw tickets ({!add_client}) or from
-    a {!Lotto_tickets.Funding.currency} ({!add_funded_client}) so one
-    currency can proportionally fund CPU {e and} bandwidth. *)
+    Draws go through a {!Lotto_draw.Draw} move-to-front list (the paper's
+    prototype structure), and clients are funded either with raw tickets
+    ({!add_client}) or from a {!Lotto_tickets.Funding.currency}
+    ({!add_funded_client}) so one currency can proportionally fund CPU
+    {e and} bandwidth. *)
 
 type t
 type client
 
 val create :
-  ?backend:Lotto_draw.Draw.mode ->
   ?funding:Lotto_tickets.Funding.system ->
   rng:Lotto_prng.Rng.t ->
   unit ->
   t
-(** [backend] defaults to [List] (the paper's prototype structure);
-    [funding] is required for {!add_funded_client} and is typically the
+(** [funding] is required for {!add_funded_client} and is typically the
     scheduler's {!Lottery_sched.funding} system. *)
 
 val add_client : t -> name:string -> tickets:int -> client

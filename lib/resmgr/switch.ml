@@ -32,15 +32,14 @@ type t = {
   sent_per_port : int array;
 }
 
-let create ?(ports = 4) ?(buffer_capacity = 64) ?(backend = Draw.List) ?funding
-    ~rng () =
+let create ?(ports = 4) ?(buffer_capacity = 64) ?funding ~rng () =
   if ports <= 0 then invalid_arg "Switch.create: ports <= 0";
   if buffer_capacity <= 0 then invalid_arg "Switch.create: buffer_capacity <= 0";
   {
     ports;
     capacity = buffer_capacity;
     rng;
-    draws = Array.init ports (fun _ -> Draw.of_mode backend);
+    draws = Array.init ports (fun _ -> Draw.of_mode Draw.List);
     ftrack = Option.map Funded.Tracker.create funding;
     bus = Obs.Bus.create ();
     circuits = [];

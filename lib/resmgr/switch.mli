@@ -11,10 +11,9 @@
     simply forward; on congested ports, delivered bandwidth tracks ticket
     shares.
 
-    Each port's lottery goes through {!Lotto_draw.Draw} ([?backend]
-    selects the structure); circuits hold either raw tickets
-    ({!add_circuit}) or a share of a {!Lotto_tickets.Funding.currency}
-    ({!add_funded_circuit}). *)
+    Each port's lottery goes through a {!Lotto_draw.Draw} move-to-front
+    list; circuits hold either raw tickets ({!add_circuit}) or a share of
+    a {!Lotto_tickets.Funding.currency} ({!add_funded_circuit}). *)
 
 type t
 type circuit
@@ -22,13 +21,12 @@ type circuit
 val create :
   ?ports:int ->
   ?buffer_capacity:int ->
-  ?backend:Lotto_draw.Draw.mode ->
   ?funding:Lotto_tickets.Funding.system ->
   rng:Lotto_prng.Rng.t ->
   unit ->
   t
-(** Defaults: 4 output ports, 64-cell per-circuit buffers, [List] draw
-    backend. [funding] is required for {!add_funded_circuit}. *)
+(** Defaults: 4 output ports, 64-cell per-circuit buffers. [funding] is
+    required for {!add_funded_circuit}. *)
 
 val add_circuit :
   t -> name:string -> output_port:int -> tickets:int -> rate:float -> circuit

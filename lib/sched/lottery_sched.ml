@@ -4,13 +4,9 @@ module D = Lotto_draw.Draw
 module Sh = Lotto_draw.Shard_tree
 module Rng = Lotto_prng.Rng
 
-type mode = List_mode | Tree_mode | Cumul_mode | Alias_mode
+type mode = List_mode | Tree_mode
 
-let draw_mode = function
-  | List_mode -> D.List
-  | Tree_mode -> D.Tree
-  | Cumul_mode -> D.Cumul
-  | Alias_mode -> D.Alias
+let draw_mode = function List_mode -> D.List | Tree_mode -> D.Tree
 
 (* Face amount of every thread's competing ticket. The value is arbitrary:
    a thread currency's worth flows through whatever single ticket is active
@@ -102,8 +98,6 @@ type t = {
   mutable draws : int;
   mutable full_refreshes : int;
   mutable scoped_updates : int;
-  mutable draw_hook : (runnable:int -> total_weight:float -> unit) option;
-      (* observability probe, fired once per lottery *)
   mutable profiler : Lotto_obs.Profile.t option;
       (* when set, valuation (pending-weight flush) and draw host-clock
          costs are recorded per select *)
@@ -187,7 +181,6 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       draws = 0;
       full_refreshes = 0;
       scoped_updates = 0;
-      draw_hook = None;
       profiler = None;
     }
   in
@@ -708,30 +701,14 @@ let sh_ring_pick t c =
     next ()
   end
 
-let fire_draw_hook t =
-  match t.draw_hook with
-  | None -> ()
-  | Some hook ->
-      if t.shards > 0 then begin
-        let n = ref 0 in
-        for i = 0 to t.shards - 1 do
-          n := !n + D.size t.sdraws.(i)
-        done;
-        hook ~runnable:!n ~total_weight:(Sh.total t.stree)
-      end
-      else hook ~runnable:(D.size t.draw) ~total_weight:(D.total t.draw)
-
 let select t =
   t.draws <- t.draws + 1;
   (match t.profiler with
-  | None ->
-      flush_pending t;
-      fire_draw_hook t
+  | None -> flush_pending t
   | Some p ->
       let t0 = Lotto_obs.Profile.start p in
       flush_pending t;
-      Lotto_obs.Profile.stop p Lotto_obs.Profile.Valuation t0;
-      fire_draw_hook t);
+      Lotto_obs.Profile.stop p Lotto_obs.Profile.Valuation t0);
   (* Slot-based draw: the winner comes back as an int token and resolves to
      the tstate's preallocated [Some th] — no option or handle wrapper is
      built per decision. *)
@@ -753,14 +730,11 @@ let select t =
 let select_sharded t ~cpu =
   t.draws <- t.draws + 1;
   (match t.profiler with
-  | None ->
-      flush_pending t;
-      fire_draw_hook t
+  | None -> flush_pending t
   | Some p ->
       let t0 = Lotto_obs.Profile.start p in
       flush_pending t;
-      Lotto_obs.Profile.stop p Lotto_obs.Profile.Valuation t0;
-      fire_draw_hook t);
+      Lotto_obs.Profile.stop p Lotto_obs.Profile.Valuation t0);
   if t.migration_enabled && t.shards > 1 then rebalance t;
   let d = t.sdraws.(cpu) in
   let w =
@@ -849,7 +823,7 @@ let pick_waiter t waiters =
     ignore (D.add d ~client:w ~weight:(potential_value t v (state t w)))
   in
   (match t.mode with
-  | Tree_mode | Cumul_mode | Alias_mode -> List.iter insert waiters
+  | Tree_mode -> List.iter insert waiters
   | List_mode ->
       let rec back_to_front = function
         | [] -> ()
@@ -864,11 +838,7 @@ let pick_waiter t waiters =
 let sched t =
   {
     sched_name =
-      (match t.mode with
-      | List_mode -> "lottery-list"
-      | Tree_mode -> "lottery-tree"
-      | Cumul_mode -> "lottery-cumul"
-      | Alias_mode -> "lottery-alias");
+      (match t.mode with List_mode -> "lottery-list" | Tree_mode -> "lottery-tree");
     attach = attach t;
     detach = detach t;
     ready = ready t;
@@ -884,7 +854,6 @@ let sched t =
     pick_waiter = (fun ws -> pick_waiter t ws);
   }
 
-let set_draw_hook t hook = t.draw_hook <- hook
 let set_profiler t p = t.profiler <- p
 
 (* --- auditable introspection -------------------------------------------- *)

@@ -19,13 +19,11 @@
     - {e lottery-scheduled mutexes} (§6.1): [pick_waiter] draws among a
       mutex's waiters weighted by their currency values.
 
-    Draws use the paper's move-to-front list (O(n)), the partial-sum tree
-    (O(log n)), the flat cumulative-sum array (O(log n), allocation-free
-    when quiescent), or the Walker/Vose alias method (O(1) draw); all
-    produce identically distributed winners. *)
+    Draws use the paper's move-to-front list (O(n)) or the partial-sum
+    tree (O(log n)); both produce identically distributed winners. *)
 
 type t
-type mode = List_mode | Tree_mode | Cumul_mode | Alias_mode
+type mode = List_mode | Tree_mode
 
 val create :
   ?mode:mode ->
@@ -114,12 +112,6 @@ val thread_entitlement : t -> Lotto_sim.Types.thread -> float
     making it the right yardstick for observed-vs-entitled fairness
     gauges (e.g. {!Lotto_obs.Metrics.fairness}). *)
 
-val set_draw_hook : t -> (runnable:int -> total_weight:float -> unit) option -> unit
-(** Install an observability probe fired once per lottery, just before the
-    winning ticket is drawn, with the runnable-client count and the total
-    active weight. Used to instrument draw cost and contention; [None]
-    removes it. *)
-
 val set_profiler : t -> Lotto_obs.Profile.t option -> unit
 (** Install (or clear) a scheduler phase profiler: each [select] records
     its {e valuation} phase (flushing dirtied weights into the draw) and
@@ -200,8 +192,10 @@ val set_migration_enabled : t -> bool -> unit
 
 val set_placement_hook : t -> (Lotto_sim.Types.thread -> int) option -> unit
 (** Override initial placement: called once per thread when it first
-    becomes runnable; a return out of [0..shards-1] falls back to the
-    default least-loaded choice. *)
+    becomes runnable, in place of the default least-loaded choice. A
+    return out of [0..shards-1] raises [Invalid_argument] out of the
+    kernel call that made the thread runnable, so a wrong pin in an
+    equivalence test fails loudly instead of landing somewhere else. *)
 
 val force_migrate : t -> Lotto_sim.Types.thread -> dst:int -> unit
 (** Move a thread to shard [dst] immediately (no-op when already there or

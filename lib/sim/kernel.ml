@@ -35,7 +35,6 @@ type t = {
   mutable idle : int;
   mutable slices : int;
   bus : Obs.Bus.t;
-  mutable tracer_sub : Obs.Bus.subscription option; (* legacy set_tracer shim *)
   mutable current : thread option; (* thread being advanced, if any *)
   mutable actors : Obs.Event.actor array;
       (* event actors by thread slot, filled lazily while observed *)
@@ -1066,7 +1065,6 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
       idle = 0;
       slices = 0;
       bus = Obs.Bus.create ();
-      tracer_sub = None;
       current = None;
       actors = [||];
       ports_v = Vec.create ();
@@ -1535,24 +1533,6 @@ let failures k =
   List.sort (fun (a, _) (b, _) -> compare a.id b.id) k.failed
 
 let bus k = k.bus
-
-(* Legacy single-tracer interface, now one bus subscriber among many: the
-   five historical event kinds render to their exact old lines (see
-   {!Obs.Event.render}), so pre-bus consumers and determinism tests keep
-   working without clobbering other observers. *)
-let set_tracer k f =
-  (match k.tracer_sub with
-  | Some s ->
-      Obs.Bus.unsubscribe s;
-      k.tracer_sub <- None
-  | None -> ());
-  match f with
-  | None -> ()
-  | Some f ->
-      k.tracer_sub <-
-        Some
-          (Obs.Bus.subscribe ~name:"legacy-tracer" k.bus (fun time ev ->
-               f time (Obs.Event.render ev)))
 let cpu_time th = th.cpu
 let thread_name th = th.name
 let thread_id th = th.id

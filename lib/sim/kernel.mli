@@ -195,14 +195,6 @@ val set_profiler : t -> Lotto_obs.Profile.t option -> unit
     {!Lotto_sched.Lottery_sched.set_profiler}). With no profiler the cost
     is one branch per site. *)
 
-val set_tracer : t -> (Time.t -> string -> unit) option -> unit
-(** Legacy string-tracer interface, kept as a compatibility shim: installs
-    a bus subscriber that renders each event through
-    {!Lotto_obs.Event.render} (byte-identical to the historical lines for
-    select/block/wake/spawn/exit). Replaces only the tracer installed by a
-    previous [set_tracer] call — other bus subscribers are unaffected.
-    [set_tracer k None] removes it. *)
-
 (** {1 Thread accessors} *)
 
 val cpu_time : Types.thread -> int

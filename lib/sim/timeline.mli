@@ -8,9 +8,9 @@
     shares and transfer effects in examples and while debugging schedulers.
 
     A timeline is one bus subscriber among many: attaching does {e not}
-    displace recorders, metrics registries, or a legacy
-    {!Kernel.set_tracer} hook, and several timelines can observe one
-    kernel simultaneously. *)
+    displace recorders, metrics registries, or other {!Kernel.bus}
+    subscribers, and several timelines can observe one kernel
+    simultaneously. *)
 
 type t
 

@@ -3,8 +3,6 @@
 
 module Ll = Core.List_lottery
 module Tl = Core.Tree_lottery
-module Cl = Core.Cumul_lottery
-module Al = Core.Alias_lottery
 module Il = Core.Inverse_lottery
 module Rng = Core.Rng
 module Chi = Core.Chi_square
@@ -239,58 +237,91 @@ let qcheck_tree_total_is_sum =
       in
       abs_float (Tl.total t -. expected) < 1e-6)
 
+(* Model-based churn: 1000 random add/remove/set_weight/draw steps against
+   a naive slot-ordered model (slots handed out in insertion order, vacated
+   ones reused last-freed-first, as the tree's free list does). Totals must
+   agree at every step. At each draw the model walks
+   [float_unit r' *. total] from its own stream to a winner; [check_draw]
+   then compares the tree against that winner. Integer-valued weights keep
+   every partial sum float-exact, so agreement is exact, not approximate. *)
+let tree_model_churn ~check_draw seed =
+  let ops = Rng.create ~algo:Splitmix64 ~seed () in
+  let r_tree = Rng.create ~algo:Splitmix64 ~seed:(seed + 7919) () in
+  let r_model = Rng.create ~algo:Splitmix64 ~seed:(seed + 7919) () in
+  let tree = Tl.create ~initial_capacity:2 () in
+  (* the model: slot -> (client, weight), a high-water mark, a free stack *)
+  let slots = Hashtbl.create 64 in
+  let used = ref 0 and free = ref [] in
+  let live = ref [] (* (client, tree handle, model slot) *) in
+  let ok = ref true in
+  for i = 0 to 999 do
+    (match Rng.int_below ops 4 with
+    | 0 ->
+        let w = float_of_int (Rng.int_below ops 50) in
+        let h = Tl.add tree ~client:i ~weight:w in
+        let s =
+          match !free with
+          | s :: rest ->
+              free := rest;
+              s
+          | [] ->
+              incr used;
+              !used - 1
+        in
+        Hashtbl.replace slots s (i, w);
+        live := (i, h, s) :: !live
+    | 1 when !live <> [] ->
+        let idx = Rng.int_below ops (List.length !live) in
+        let _, h, s = List.nth !live idx in
+        Tl.remove tree h;
+        Hashtbl.remove slots s;
+        free := s :: !free;
+        live := List.filteri (fun j _ -> j <> idx) !live
+    | 2 when !live <> [] ->
+        let idx = Rng.int_below ops (List.length !live) in
+        let c, h, s = List.nth !live idx in
+        let w = float_of_int (Rng.int_below ops 50) in
+        Tl.set_weight tree h w;
+        Hashtbl.replace slots s (c, w)
+    | 3 ->
+        let model_total = Hashtbl.fold (fun _ (_, w) acc -> acc +. w) slots 0. in
+        if model_total > 0. then begin
+          let v = Rng.float_unit r_model *. model_total in
+          let rec walk s acc =
+            if s >= !used then None
+            else
+              match Hashtbl.find_opt slots s with
+              | Some (c, w) when w > 0. && acc +. w > v -> Some c
+              | Some (_, w) -> walk (s + 1) (acc +. w)
+              | None -> walk (s + 1) acc
+          in
+          let model_winner = walk 0 0. in
+          if model_winner = None || not (check_draw tree r_tree v model_winner) then
+            ok := false
+        end
+        else if Tl.draw_client tree r_tree <> None then ok := false
+    | _ -> ());
+    let model_total = Hashtbl.fold (fun _ (_, w) acc -> acc +. w) slots 0. in
+    if Tl.total tree <> model_total then ok := false
+  done;
+  !ok
+
 let qcheck_tree_matches_reference_model =
-  (* model-based: a random sequence of add/remove/set_weight against a
-     naive association-list model; totals and deterministic winners must
-     agree at every step *)
+  (* the tree's [draw_with_value] must name the model's winner for the
+     model's winning value *)
   QCheck.Test.make ~name:"fenwick tree agrees with a naive model" ~count:100
     QCheck.small_int
-    (fun seed ->
-      let rng = Rng.create ~algo:Splitmix64 ~seed () in
-      let tree = Tl.create ~initial_capacity:2 () in
-      let model : (int Tl.handle * float) list ref = ref [] in
-      let ok = ref true in
-      for i = 0 to 120 do
-        (match Rng.int_below rng 3 with
-        | 0 ->
-            let w = float_of_int (Rng.int_below rng 50) in
-            let h = Tl.add tree ~client:i ~weight:w in
-            model := !model @ [ (h, w) ]
-        | 1 when !model <> [] ->
-            let idx = Rng.int_below rng (List.length !model) in
-            let h, _ = List.nth !model idx in
-            Tl.remove tree h;
-            model := List.filteri (fun j _ -> j <> idx) !model
-        | 2 when !model <> [] ->
-            let idx = Rng.int_below rng (List.length !model) in
-            let h, _ = List.nth !model idx in
-            let w = float_of_int (Rng.int_below rng 50) in
-            Tl.set_weight tree h w;
-            model := List.map (fun (h', w') -> if h' == h then (h', w) else (h', w')) !model
-        | _ -> ());
-        let model_total = List.fold_left (fun acc (_, w) -> acc +. w) 0. !model in
-        if abs_float (Tl.total tree -. model_total) > 1e-6 then ok := false;
-        (* winner agreement on a deterministic draw value; the model must
-           walk handles in slot order, which to_list provides *)
-        if model_total > 0. then begin
-          let v = Rng.float_unit rng *. model_total in
-          let tree_winner = Option.map Tl.client (Tl.draw_with_value tree ~winning:v) in
-          let rec walk acc = function
-            | [] -> None
-            | (_, w) :: rest when w <= 0. -> walk acc rest
-            | (h, w) :: rest ->
-                if acc +. w > v then Some (Tl.client h) else walk (acc +. w) rest
-          in
-          (* to_list is slot-ordered; rebuild the model in that order *)
-          let slot_ordered =
-            List.map
-              (fun (c, w) -> (List.find (fun (h, _) -> Tl.client h = c) !model |> fst, w))
-              (Tl.to_list tree)
-          in
-          if walk 0. slot_ordered <> tree_winner then ok := false
-        end
-      done;
-      !ok)
+    (tree_model_churn ~check_draw:(fun tree _ v model_winner ->
+         Option.map Tl.client (Tl.draw_with_value tree ~winning:v) = model_winner))
+
+let qcheck_tree_draw_for_draw =
+  (* the tree draws with [draw_client] from one RNG stream while the model
+     walks a twin stream — the same [bits53 / 2^53] deviate — so the two
+     must name the same winner on every draw *)
+  QCheck.Test.make ~name:"tree matches model draw-for-draw" ~count:100
+    QCheck.small_int
+    (tree_model_churn ~check_draw:(fun tree r_tree _ model_winner ->
+         Tl.draw_client tree r_tree = model_winner))
 
 let qcheck_tree_draw_in_range =
   QCheck.Test.make ~name:"tree draw always returns a live positive-weight client"
@@ -427,68 +458,6 @@ let test_tree_drift_fallback_counted () =
   checki "other backends report zero" 0
     (Core.Draw.drift_fallbacks (Core.Draw.of_mode Core.Draw.List))
 
-(* --- distributed lottery ----------------------------------------------------- *)
-
-module Dl = Core.Distributed_lottery
-
-let test_distributed_rounds_up_nodes () =
-  let t = Dl.create ~nodes:5 () in
-  checki "rounded to 8" 8 (Dl.nodes t);
-  checkb "bad node rejected" true
-    (match Dl.add_on t ~node:8 ~client:() ~weight:1. with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-let test_distributed_distribution () =
-  let t = Dl.create ~nodes:4 () in
-  (* clients spread across nodes with distinct weights *)
-  let weights = [| 8.; 4.; 2.; 1.; 1. |] in
-  Array.iteri
-    (fun i w -> ignore (Dl.add_on t ~node:(i mod 4) ~client:i ~weight:w))
-    weights;
-  checkf "grand total" 16. (Dl.total t);
-  checkf "node 0 holds clients 0 and 4" 9. (Dl.node_total t 0);
-  let r = rng () in
-  let observed = Array.make 5 0 in
-  for _ = 1 to 20_000 do
-    match Dl.draw_client t r with
-    | Some i -> observed.(i) <- observed.(i) + 1
-    | None -> Alcotest.fail "no winner"
-  done;
-  checkb "system-wide proportional (chi-square)" true
-    (Chi.goodness_of_fit ~observed ~weights ())
-
-let test_distributed_message_bounds () =
-  let t = Dl.create ~nodes:16 () in
-  let h = Dl.add_on t ~node:3 ~client:"x" ~weight:5. in
-  let after_add = Dl.messages t in
-  (* one message per tree level on the update path: log2(16) = 4 *)
-  checki "add costs log2(nodes) messages" 4 after_add;
-  Dl.set_weight t h 7.;
-  checki "update costs log2(nodes)" 8 (Dl.messages t);
-  let r = rng () in
-  ignore (Dl.draw t r);
-  checki "draw costs log2(nodes) hops" 12 (Dl.messages t);
-  Dl.remove t h;
-  checki "remove costs log2(nodes)" 16 (Dl.messages t);
-  checkb "empty after remove" true (Dl.draw t r = None)
-
-let test_distributed_remove_and_update () =
-  let t = Dl.create ~nodes:2 () in
-  let a = Dl.add_on t ~node:0 ~client:"a" ~weight:1. in
-  let b = Dl.add_on t ~node:1 ~client:"b" ~weight:0. in
-  let r = rng () in
-  for _ = 1 to 100 do
-    check (Alcotest.option Alcotest.string) "only a can win" (Some "a")
-      (Dl.draw_client t r)
-  done;
-  Dl.set_weight t b 1000.;
-  Dl.remove t a;
-  for _ = 1 to 100 do
-    check (Alcotest.option Alcotest.string) "now only b" (Some "b")
-      (Dl.draw_client t r)
-  done
-
 (* --- unified Draw front-end -------------------------------------------------- *)
 
 module D = Core.Draw
@@ -513,7 +482,7 @@ let test_draw_wrapper_ops () =
       D.iter t (fun h -> check Alcotest.string "iter sees a" "a" (D.client h));
       D.remove t a;
       checkb "empty draw" true (D.draw t (rng ()) = None))
-    [ D.List; D.Tree; D.Distributed 4; D.Cumul; D.Alias ]
+    [ D.List; D.Tree ]
 
 let test_draw_foreign_handle_rejected () =
   let l = D.of_mode D.List and tr = D.of_mode D.Tree in
@@ -538,37 +507,18 @@ let test_draw_backends_agree () =
   in
   let tree = D.of_mode D.Tree in
   Array.iteri (fun i w -> ignore (D.add tree ~client:i ~weight:w)) weights;
-  let dist = D.of_mode (D.Distributed 8) in
-  (* round-robin placement over >= n nodes: client i on node i, so the
-     node-prefix order is the index order too *)
-  Array.iteri (fun i w -> ignore (D.add dist ~client:i ~weight:w)) weights;
-  let cumul = D.of_mode D.Cumul in
-  Array.iteri (fun i w -> ignore (D.add cumul ~client:i ~weight:w)) weights;
-  let alias = D.of_mode D.Alias in
-  Array.iteri (fun i w -> ignore (D.add alias ~client:i ~weight:w)) weights;
   let total = Array.fold_left ( +. ) 0. weights in
   checkf "list total" total (D.total lst);
   checkf "tree total" total (D.total tree);
-  checkf "dist total" total (D.total dist);
-  checkf "cumul total" total (D.total cumul);
-  checkf "alias total" total (D.total alias);
   let r = rng () in
   for _ = 1 to 2_000 do
     let v = Rng.float_unit r *. total in
     let winner t = Option.map D.client (D.draw_with_value t ~winning:v) in
-    let wl = winner lst
-    and wt = winner tree
-    and wd = winner dist
-    and wc = winner cumul
-    and wa = winner alias in
-    if wl <> wt || wt <> wd || wt <> wc || wt <> wa then
-      Alcotest.failf "disagree at %.6f: list=%s tree=%s dist=%s cumul=%s alias=%s"
-        v
+    let wl = winner lst and wt = winner tree in
+    if wl <> wt then
+      Alcotest.failf "disagree at %.6f: list=%s tree=%s" v
         (match wl with Some i -> string_of_int i | None -> "-")
         (match wt with Some i -> string_of_int i | None -> "-")
-        (match wd with Some i -> string_of_int i | None -> "-")
-        (match wc with Some i -> string_of_int i | None -> "-")
-        (match wa with Some i -> string_of_int i | None -> "-")
   done
 
 let test_draw_backend_distributions () =
@@ -582,27 +532,9 @@ let test_draw_backend_distributions () =
         (Printf.sprintf "%s chi-square ok" name)
         true
         (distribution_matches (fun r -> D.draw_client t r) weights ~draws:20_000))
-    [
-      (D.List, "list");
-      (D.Tree, "tree");
-      (D.Distributed 4, "distributed");
-      (D.Cumul, "cumul");
-      (D.Alias, "alias");
-    ]
+    [ (D.List, "list"); (D.Tree, "tree") ]
 
-let test_draw_first_class_backends () =
-  List.iter
-    (fun mode ->
-      let (module B : D.S) = D.backend mode in
-      let t = B.create () in
-      ignore (B.add t ~client:42 ~weight:3.);
-      checkf "total" 3. (B.total t);
-      match B.draw_client t (rng ()) with
-      | Some 42 -> ()
-      | _ -> Alcotest.fail "expected the only client to win")
-    [ D.List; D.Tree; D.Distributed 4; D.Cumul; D.Alias ]
-
-(* --- flat backends: cumul, alias, draw_slot, draw_k -------------------------- *)
+(* --- slot and batch draws: draw_slot, draw_k ---------------------------------- *)
 
 let test_draw_slot_matches_draw_client () =
   (* a draw_slot/client_at pair and a draw_client consume the same
@@ -625,17 +557,11 @@ let test_draw_slot_matches_draw_client () =
         | Some c -> checki (name ^ " same winner") c via_slot
         | None -> Alcotest.fail "draw_client returned None"
       done)
-    [
-      (D.List, "list");
-      (D.Tree, "tree");
-      (D.Distributed 4, "distributed");
-      (D.Cumul, "cumul");
-      (D.Alias, "alias");
-    ]
+    [ (D.List, "list"); (D.Tree, "tree") ]
 
 let test_draw_k_matches_sequential () =
   (* one draw_k call and k sequential draw_slot calls are the same lottery
-     sequence on every backend (the batch only amortizes the rebuild) *)
+     sequence on every backend *)
   let weights = [| 3.; 7.; 2.; 5.; 1. |] in
   List.iter
     (fun (mode, name) ->
@@ -655,132 +581,20 @@ let test_draw_k_matches_sequential () =
           (Printf.sprintf "%s draw %d matches sequential" name i)
           (D.client_at t2 s) out.(i)
       done)
-    [
-      (D.List, "list");
-      (D.Tree, "tree");
-      (D.Distributed 4, "distributed");
-      (D.Cumul, "cumul");
-      (D.Alias, "alias");
-    ]
+    [ (D.List, "list"); (D.Tree, "tree") ]
 
 let test_draw_k_empty_and_small () =
-  let t = D.of_mode D.Cumul in
-  let out = Array.make 8 (-1) in
-  checki "empty draws nothing" 0 (D.draw_k t (rng ()) ~k:8 out);
-  ignore (D.add t ~client:1 ~weight:0.);
-  checki "all-zero draws nothing" 0 (D.draw_k t (rng ()) ~k:8 out);
-  ignore (D.add t ~client:2 ~weight:1.);
-  checki "k capped by scratch length" 8 (D.draw_k t (rng ()) ~k:100 out);
-  Array.iter (fun c -> checki "only funded client wins" 2 c) out
-
-(* The interleaving property of the lazy-rebuild backends: 1000 random
-   add/remove/set_weight/draw steps, mirrored into Tree, Cumul and Alias.
-   Integer-valued weights keep every partial sum float-exact, so Cumul —
-   which allocates slots and accumulates its running total in exactly
-   Tree's order — must name Tree's winner on every single draw from the
-   same RNG stream. Alias draws from its own stream (its table transforms
-   the deviate differently); each winner must simply be live with positive
-   weight, and its long-run distribution is checked separately below. *)
-let qcheck_flat_backends_match_tree =
-  QCheck.Test.make ~name:"cumul matches tree draw-for-draw over 1000 interleavings"
-    ~count:100 QCheck.small_int
-    (fun seed ->
-      let ops = Rng.create ~algo:Splitmix64 ~seed () in
-      let r_tree = Rng.create ~algo:Splitmix64 ~seed:(seed + 7919) () in
-      let r_cumul = Rng.create ~algo:Splitmix64 ~seed:(seed + 7919) () in
-      let r_alias = Rng.create ~algo:Splitmix64 ~seed:(seed + 7919) () in
-      let tree = Tl.create ~initial_capacity:2 () in
-      let cumul = Cl.create ~initial_capacity:2 () in
-      let alias = Al.create ~initial_capacity:2 () in
-      let live = ref [] in
-      let weight_of = Hashtbl.create 64 in
-      let ok = ref true in
-      for i = 0 to 999 do
-        match Rng.int_below ops 4 with
-        | 0 ->
-            let w = float_of_int (Rng.int_below ops 50) in
-            let ht = Tl.add tree ~client:i ~weight:w in
-            let hc = Cl.add cumul ~client:i ~weight:w in
-            let ha = Al.add alias ~client:i ~weight:w in
-            Hashtbl.replace weight_of i w;
-            live := (i, ht, hc, ha) :: !live
-        | 1 when !live <> [] ->
-            let idx = Rng.int_below ops (List.length !live) in
-            let c, ht, hc, ha = List.nth !live idx in
-            Tl.remove tree ht;
-            Cl.remove cumul hc;
-            Al.remove alias ha;
-            Hashtbl.remove weight_of c;
-            live := List.filteri (fun j _ -> j <> idx) !live
-        | 2 when !live <> [] ->
-            let idx = Rng.int_below ops (List.length !live) in
-            let c, ht, hc, ha = List.nth !live idx in
-            let w = float_of_int (Rng.int_below ops 50) in
-            Tl.set_weight tree ht w;
-            Cl.set_weight cumul hc w;
-            Al.set_weight alias ha w;
-            Hashtbl.replace weight_of c w
-        | _ ->
-            let wt = Tl.draw_client tree r_tree in
-            let wc = Cl.draw_client cumul r_cumul in
-            if wt <> wc then ok := false;
-            (match Al.draw_client alias r_alias with
-            | Some c ->
-                if
-                  match Hashtbl.find_opt weight_of c with
-                  | Some w -> w <= 0.
-                  | None -> true
-                then ok := false
-            | None ->
-                (* alias may only come up empty when nothing can win *)
-                if Tl.total tree > 0. then ok := false)
-      done;
-      !ok)
-
-let test_alias_distribution_after_churn () =
-  (* after a mutation burst, the rebuilt alias table must still honour the
-     surviving weights exactly (chi-square) *)
-  let al = Al.create ~initial_capacity:2 () in
-  let handles = Array.init 12 (fun i -> Al.add al ~client:i ~weight:1.) in
-  let r = rng () in
-  for _ = 1 to 500 do
-    let i = Rng.int_below r 12 in
-    Al.set_weight al handles.(i) (float_of_int (Rng.int_below r 10))
-  done;
-  (* final reshape into a known distribution over a subset *)
-  let weights = [| 10.; 2.; 5.; 1.; 2. |] in
-  Array.iteri
-    (fun i h ->
-      if i < Array.length weights then Al.set_weight al h weights.(i)
-      else Al.remove al h)
-    handles;
-  let observed = Array.make (Array.length weights) 0 in
-  for _ = 1 to 20_000 do
-    match Al.draw_client al r with
-    | Some i -> observed.(i) <- observed.(i) + 1
-    | None -> Alcotest.fail "no winner"
-  done;
-  checkb "chi-square ok after churn" true
-    (Chi.goodness_of_fit ~observed ~weights ())
-
-let test_cumul_lazy_rebuild_bookkeeping () =
-  let c = Cl.create ~initial_capacity:2 () in
-  let a = Cl.add c ~client:"a" ~weight:2. in
-  let b = Cl.add c ~client:"b" ~weight:6. in
-  checkf "total" 8. (Cl.total c);
-  (* grow across the initial capacity, remove, re-add into the freed slot *)
-  let more = Array.init 10 (fun i -> Cl.add c ~client:(string_of_int i) ~weight:1.) in
-  Cl.remove c a;
-  Cl.remove c more.(0);
-  let z = Cl.add c ~client:"z" ~weight:4. in
-  checkf "total tracks churn" (8. +. 10. -. 2. -. 1. +. 4.) (Cl.total c);
-  checkb "z live" true (Cl.mem c z);
-  checkb "a dead" false (Cl.mem c a);
-  checkf "b weight" 6. (Cl.weight c b);
-  (* a deterministic draw after all that must land on a live client *)
-  match Cl.draw_with_value c ~winning:(Cl.total c -. 1e-6) with
-  | Some h -> checkb "winner live" true (Cl.mem c h)
-  | None -> Alcotest.fail "no winner"
+  List.iter
+    (fun mode ->
+      let t = D.of_mode mode in
+      let out = Array.make 8 (-1) in
+      checki "empty draws nothing" 0 (D.draw_k t (rng ()) ~k:8 out);
+      ignore (D.add t ~client:1 ~weight:0.);
+      checki "all-zero draws nothing" 0 (D.draw_k t (rng ()) ~k:8 out);
+      ignore (D.add t ~client:2 ~weight:1.);
+      checki "k capped by scratch length" 8 (D.draw_k t (rng ()) ~k:100 out);
+      Array.iter (fun c -> checki "only funded client wins" 2 c) out)
+    [ D.List; D.Tree ]
 
 (* --- Section 2 guarantees --------------------------------------------------- *)
 
@@ -869,16 +683,6 @@ let () =
           Alcotest.test_case "occupancy weighting" `Quick test_inverse_weighted_extra;
           Alcotest.test_case "set_tickets" `Quick test_inverse_set_tickets;
         ] );
-      ( "distributed",
-        [
-          Alcotest.test_case "node rounding & validation" `Quick
-            test_distributed_rounds_up_nodes;
-          Alcotest.test_case "system-wide distribution" `Slow
-            test_distributed_distribution;
-          Alcotest.test_case "O(log n) message bounds" `Quick
-            test_distributed_message_bounds;
-          Alcotest.test_case "remove and update" `Quick test_distributed_remove_and_update;
-        ] );
       ( "unified-draw",
         [
           Alcotest.test_case "wrapper ops on every backend" `Quick
@@ -889,8 +693,6 @@ let () =
             test_draw_backends_agree;
           Alcotest.test_case "ticket-proportional on every backend (chi-square)"
             `Slow test_draw_backend_distributions;
-          Alcotest.test_case "first-class backend modules" `Quick
-            test_draw_first_class_backends;
         ] );
       ( "flat-backends",
         [
@@ -900,10 +702,6 @@ let () =
             test_draw_k_matches_sequential;
           Alcotest.test_case "draw_k empty/zero/capped" `Quick
             test_draw_k_empty_and_small;
-          Alcotest.test_case "alias distribution after churn (chi-square)" `Slow
-            test_alias_distribution_after_churn;
-          Alcotest.test_case "cumul arena bookkeeping" `Quick
-            test_cumul_lazy_rebuild_bookkeeping;
         ] );
       ( "section-2-math",
         [
@@ -917,6 +715,6 @@ let () =
             qcheck_tree_total_is_sum;
             qcheck_tree_draw_in_range;
             qcheck_tree_matches_reference_model;
-            qcheck_flat_backends_match_tree;
+            qcheck_tree_draw_for_draw;
           ] );
     ]

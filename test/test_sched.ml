@@ -56,27 +56,7 @@ let test_list_tree_same_distribution () =
   in
   let l = share Lottery_sched.List_mode and t = share Lottery_sched.Tree_mode in
   close ~tol:0.08 "list near 0.7" 0.7 l;
-  close ~tol:0.08 "tree near 0.7" 0.7 t;
-  close ~tol:0.08 "cumul near 0.7" 0.7 (share Lottery_sched.Cumul_mode);
-  close ~tol:0.08 "alias near 0.7" 0.7 (share Lottery_sched.Alias_mode)
-
-let test_cumul_tree_identical_schedule () =
-  (* Cumul shares Tree's slot arena and winning-value arithmetic, so with
-     the same seed the two modes must produce the exact same schedule —
-     byte-identical per-thread CPU time, not just the same distribution. *)
-  let times mode =
-    let k, ls = lottery_kernel ~mode ~seed:500 () in
-    let base = Lottery_sched.base_currency ls in
-    let a = spin k "a" and b = spin k "b" in
-    ignore (Lottery_sched.fund_thread ls a ~amount:700 ~from:base);
-    ignore (Lottery_sched.fund_thread ls b ~amount:300 ~from:base);
-    ignore (Kernel.run k ~until:(Time.seconds 100));
-    (Kernel.cpu_time a, Kernel.cpu_time b)
-  in
-  let ta, tb = times Lottery_sched.Tree_mode in
-  let ca, cb = times Lottery_sched.Cumul_mode in
-  checki "a identical" ta ca;
-  checki "b identical" tb cb
+  close ~tol:0.08 "tree near 0.7" 0.7 t
 
 let test_unfunded_fallback () =
   (* threads without tickets may only run via the round-robin fallback *)
@@ -722,13 +702,7 @@ let () =
             (proportional_share Lottery_sched.List_mode);
           Alcotest.test_case "3:2:1 proportional (tree)" `Quick
             (proportional_share Lottery_sched.Tree_mode);
-          Alcotest.test_case "3:2:1 proportional (cumul)" `Quick
-            (proportional_share Lottery_sched.Cumul_mode);
-          Alcotest.test_case "3:2:1 proportional (alias)" `Quick
-            (proportional_share Lottery_sched.Alias_mode);
           Alcotest.test_case "list and tree agree" `Quick test_list_tree_same_distribution;
-          Alcotest.test_case "cumul reproduces tree's exact schedule" `Quick
-            test_cumul_tree_identical_schedule;
           Alcotest.test_case "zero tickets starve (by design)" `Quick
             test_unfunded_fallback;
           Alcotest.test_case "fallback when nothing funded" `Quick

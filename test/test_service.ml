@@ -147,6 +147,37 @@ let test_drop_oldest_no_victim () =
   checkb "plain request rejected for lack of victim" true !plain_rejected;
   checki "shed counted" 1 (Kernel.port_shed_count port)
 
+(* The arrival side of the scatter exemption: on a full reject-new port a
+   scatter slice still queues past capacity, while a plain rpc arriving
+   after it is rejected, and only the plain one counts as shed. *)
+let test_scatter_bypasses_admission () =
+  let k = rr_kernel () in
+  let port = Kernel.create_port ~capacity:1 k ~name:"svc" in
+  let rejected = ref [] and scatter_done = ref false in
+  let client name f =
+    ignore
+      (Kernel.spawn k ~name (fun () ->
+           try f () with Types.Rejected _ -> rejected := name :: !rejected))
+  in
+  client "fill" (fun () -> ignore (Api.rpc port "x"));
+  client "scatter" (fun () ->
+      ignore (Api.rpc_many [ (port, "s") ]);
+      scatter_done := true);
+  client "plain" (fun () -> ignore (Api.rpc port "y"));
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  checki "scatter slice queued past capacity" 2 (Queue.length port.Types.queue);
+  check (Alcotest.list Alcotest.string) "only the plain rpc rejected" [ "plain" ]
+    !rejected;
+  checki "shed count counts only the plain rpc" 1 (Kernel.port_shed_count port);
+  (* a server drains the queue: the admitted scatter slice is answered *)
+  ignore
+    (Kernel.spawn k ~name:"server" (fun () ->
+         while true do
+           Api.reply (Api.receive port) "ok"
+         done));
+  ignore (Kernel.run k ~until:(Time.seconds 2));
+  checkb "scatter call completed" true !scatter_done
+
 let test_unbounded_port_never_sheds () =
   let k = rr_kernel () in
   let port = Kernel.create_port k ~name:"svc" in
@@ -261,6 +292,8 @@ let () =
           Alcotest.test_case "drop-oldest evicts oldest" `Quick test_drop_oldest;
           Alcotest.test_case "scatter slices are not victims" `Quick
             test_drop_oldest_no_victim;
+          Alcotest.test_case "scatter slices bypass admission" `Quick
+            test_scatter_bypasses_admission;
           Alcotest.test_case "unbounded port never sheds" `Quick
             test_unbounded_port_never_sheds;
           Alcotest.test_case "capacity validation" `Quick

@@ -841,7 +841,9 @@ let test_determinism_trace () =
     let ls = Lottery_sched.create ~rng () in
     let k = Kernel.create ~sched:(Lottery_sched.sched ls) () in
     let buf = Buffer.create 256 in
-    Kernel.set_tracer k (Some (fun t s -> Buffer.add_string buf (Printf.sprintf "%d %s\n" t s)));
+    ignore
+      (Obs.Bus.subscribe (Kernel.bus k) (fun t ev ->
+           Buffer.add_string buf (Printf.sprintf "%d %s\n" t (Obs.Event.render ev))));
     let mk name amount =
       let th =
         Kernel.spawn k ~name (fun () ->

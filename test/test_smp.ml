@@ -56,12 +56,7 @@ let test_shard_tree_non_power_of_two () =
 
 let test_readd_roundtrip () =
   let modes =
-    [
-      ("list", Draw.List);
-      ("tree", Draw.Tree);
-      ("cumul", Draw.Cumul);
-      ("alias", Draw.Alias);
-    ]
+    [ ("list", Draw.List); ("tree", Draw.Tree) ]
   in
   List.iter
     (fun (name, mode) ->
@@ -80,10 +75,7 @@ let test_readd_roundtrip () =
         (Invalid_argument
            (match mode with
            | Draw.List -> "List_lottery.readd: handle still live"
-           | Draw.Tree -> "Tree_lottery.readd: handle still live"
-           | Draw.Cumul -> "Cumul_lottery.readd: handle still live"
-           | Draw.Alias -> "Alias_lottery.readd: handle still live"
-           | _ -> assert false))
+           | Draw.Tree -> "Tree_lottery.readd: handle still live"))
         (fun () -> Draw.readd d b ~weight:1.))
     modes
 
@@ -206,6 +198,15 @@ let test_smp_per_shard_fairness_churny () =
   done;
   fairness "aggregate chi-square (p >= 0.01)" threads
 
+(* every kernel event as a "time line" row, in the one-line format of
+   {!Obs.Event.render} *)
+let trace_into k =
+  let buf = Buffer.create 4096 in
+  ignore
+    (Obs.Bus.subscribe (Kernel.bus k) (fun t ev ->
+         Buffer.add_string buf (Printf.sprintf "%d %s\n" t (Obs.Event.render ev))));
+  buf
+
 let trace_of ~cpus ~shards ~pin ~seed ~horizon =
   let k, ls =
     sharded_kernel
@@ -213,9 +214,7 @@ let trace_of ~cpus ~shards ~pin ~seed ~horizon =
       ~migration:(not pin) ~shards ~cpus ~seed ()
   in
   let base = Lottery_sched.base_currency ls in
-  let buf = Buffer.create 4096 in
-  Kernel.set_tracer k
-    (Some (fun t line -> Buffer.add_string buf (Printf.sprintf "%d %s\n" t line)));
+  let buf = trace_into k in
   List.iteri
     (fun i amount ->
       let th = spin k (Printf.sprintf "w%d" i) in
@@ -251,9 +250,7 @@ let test_sharded_determinism () =
   let run () =
     let k, ls = sharded_kernel ~shards:4 ~cpus:4 ~seed:2024 () in
     let base = Lottery_sched.base_currency ls in
-    let buf = Buffer.create 4096 in
-    Kernel.set_tracer k
-      (Some (fun t line -> Buffer.add_string buf (Printf.sprintf "%d %s\n" t line)));
+    let buf = trace_into k in
     for i = 0 to 19 do
       let th =
         Kernel.spawn k ~name:(Printf.sprintf "d%02d" i) (fun () ->
@@ -379,6 +376,23 @@ let test_smp_guards () =
       ignore (Kernel.run k ~until:(Time.ms 100));
       Lottery_sched.force_migrate ls a ~dst:7)
 
+(* The placement hook's contract: a result outside [0..shards-1] raises
+   instead of falling back to a default shard, so a wrong pin in the
+   sharded == 1-CPU equivalence tests fails loudly. *)
+let test_placement_hook_out_of_range_raises () =
+  List.iter
+    (fun bad ->
+      let k, _ls =
+        sharded_kernel ~placement:(fun _ -> bad) ~shards:2 ~cpus:2 ~seed:3 ()
+      in
+      Alcotest.check_raises
+        (Printf.sprintf "placement hook result %d rejected" bad)
+        (Invalid_argument "Lottery_sched: placement hook returned a bad shard")
+        (fun () ->
+          ignore (spin k "a");
+          ignore (Kernel.run k ~until:(Time.ms 10))))
+    [ -1; 2 ]
+
 let () =
   Alcotest.run "smp"
     [
@@ -410,5 +424,7 @@ let () =
           Alcotest.test_case "steal on an empty shard" `Quick
             test_steal_on_empty_shard;
           Alcotest.test_case "argument guards" `Quick test_smp_guards;
+          Alcotest.test_case "out-of-range placement raises" `Quick
+            test_placement_hook_out_of_range_raises;
         ] );
     ]
