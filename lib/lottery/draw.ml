@@ -15,6 +15,11 @@ let add t ~client ~weight =
   | L l -> Lh (List_lottery.add l ~client ~weight)
   | T l -> Th (Tree_lottery.add l ~client ~weight)
 
+let handle t client =
+  match t with
+  | L _ -> Lh (List_lottery.handle client)
+  | T _ -> Th (Tree_lottery.handle client)
+
 let remove t h =
   match (t, h) with
   | L l, Lh h -> List_lottery.remove l h

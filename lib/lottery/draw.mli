@@ -36,11 +36,18 @@ val of_list : 'a List_lottery.t -> 'a t
 val add : 'a t -> client:'a -> weight:float -> 'a handle
 (** Raises [Invalid_argument] on negative weights. *)
 
+val handle : 'a t -> 'a -> 'a handle
+(** A handle for a client that is in no structure yet, of [t]'s backend;
+    {!readd} (or {!readd_at}) inserts it into any structure of that
+    backend. A caller that keeps one handle per client for the client's
+    whole life allocates it here once. *)
+
 val remove : 'a t -> 'a handle -> unit
 (** Idempotent. *)
 
 val readd : 'a t -> 'a handle -> weight:float -> unit
-(** Re-insert a handle previously invalidated by {!remove} into [t] —
+(** Insert a handle that is in no structure — fresh from {!handle} or
+    invalidated by {!remove} — into [t],
     which may be a {e different} structure of the same backend than the
     one it was removed from. The handle record (and any [Some handle] box
     the caller holds) is reused in place, so moving a client between two
@@ -95,7 +102,8 @@ val draw_slot : 'a t -> Lotto_prng.Rng.t -> int
     resource managers use per decision. *)
 
 val client_at : 'a t -> int -> 'a
-(** Resolve a token returned by {!draw_slot}. *)
+(** Resolve a token returned by {!draw_slot}: one load from the
+    structure's flat client array. *)
 
 val draw_k : 'a t -> Lotto_prng.Rng.t -> k:int -> 'a array -> int
 (** Batch draw: up to [min k (Array.length out)] lotteries, each consuming

@@ -1,4 +1,4 @@
-type 'a handle = { mutable slot : int; (* -1 once removed *) c : 'a }
+type 'a handle = { mutable slot : int; (* -1 while out of the structure *) c : 'a }
 
 type order = Unordered | Move_to_front | By_weight
 
@@ -7,15 +7,21 @@ type order = Unordered | Move_to_front | By_weight
    an intrusive doubly-linked list threaded through [prevs]/[nexts], so
    remove and move-to-front are O(1) instead of the historical
    List.filter. [ws.(s)] doubles as the occupancy flag with a negative
-   sentinel for vacant slots; [hs] is filled lazily with the first handle
-   ever added. Scan order, float accumulation order, and the comparisons
-   counter are unchanged from the list representation. *)
+   sentinel for vacant slots. [cs] holds each slot's client flat, so
+   resolving a drawn slot is one load, and [hs] the handle that owns it;
+   both are filled lazily with the first handle ever inserted, [spare],
+   which also overwrites every vacated cell, so a removed client is never
+   kept reachable by the structure. Scan order, float accumulation order,
+   and the comparisons counter are unchanged from the list
+   representation. *)
 let free_weight = -1.
 
 type 'a t = {
   order : order;
   mutable ws : float array; (* per-slot weight; free_weight = vacant *)
-  mutable hs : 'a handle array; (* [||] until the first add *)
+  mutable cs : 'a array; (* per-slot client; [||] until the first insert *)
+  mutable hs : 'a handle array; (* per-slot handle; [||] likewise *)
+  mutable spare : 'a handle array; (* [| first handle ever inserted |] *)
   mutable prevs : int array; (* draw-order links; -1 = none *)
   mutable nexts : int array;
   mutable head : int; (* front = most recent winners under mtf; -1 = empty *)
@@ -41,7 +47,9 @@ let create ?(move_to_front = true) ?order () =
   {
     order;
     ws = Array.make 16 free_weight;
+    cs = [||];
     hs = [||];
+    spare = [||];
     prevs = Array.make 16 (-1);
     nexts = Array.make 16 (-1);
     head = -1;
@@ -64,9 +72,13 @@ let grow t =
   Array.blit t.ws 0 ws 0 t.capacity;
   Array.blit t.prevs 0 prevs 0 t.capacity;
   Array.blit t.nexts 0 nexts 0 t.capacity;
-  if Array.length t.hs > 0 then begin
-    let hs = Array.make cap t.hs.(0) in
+  if Array.length t.spare > 0 then begin
+    let h = t.spare.(0) in
+    let cs = Array.make cap h.c in
+    let hs = Array.make cap h in
+    Array.blit t.cs 0 cs 0 t.capacity;
     Array.blit t.hs 0 hs 0 t.capacity;
+    t.cs <- cs;
     t.hs <- hs
   end;
   t.ws <- ws;
@@ -145,19 +157,13 @@ let refresh_total t =
     t.total.(0) <- !acc
   end
 
-let add t ~client ~weight =
-  if weight < 0. then invalid_arg "List_lottery.add: negative weight";
-  let slot = alloc_slot t in
-  let h = { slot; c = client } in
-  if Array.length t.hs = 0 then t.hs <- Array.make t.capacity h;
-  t.hs.(slot) <- h;
-  t.ws.(slot) <- weight;
-  link_front t slot;
-  t.total.(0) <- t.total.(0) +. weight;
-  t.size <- t.size + 1;
-  if t.order = By_weight then resort t;
-  refresh_total t;
-  h
+let handle client = { slot = -1; c = client }
+
+(* Drop slot [s]'s references to its client (see [spare]). *)
+let[@inline] vacate t s =
+  let h = t.spare.(0) in
+  t.cs.(s) <- h.c;
+  t.hs.(s) <- h
 
 let remove t h =
   if h.slot >= 0 then begin
@@ -165,24 +171,31 @@ let remove t h =
     unlink t s;
     t.total.(0) <- t.total.(0) -. t.ws.(s);
     t.ws.(s) <- free_weight;
+    vacate t s;
     push_free t s;
     t.size <- t.size - 1;
     h.slot <- -1;
     refresh_total t
   end
 
-(* Re-insert a removed handle without allocating a new one: the node is
-   relinked at the front exactly as a fresh {!add} would be (the migration
-   primitive; see {!Tree_lottery.readd}). [readd] and [set_weight] are
-   [@inline]: {!Draw.readd_at} and {!Draw.set_weight_at} read the weight
-   out of the caller's flat array, and an optimized build inlines these
-   bodies there, so the weight is never boxed on its way in. *)
+(* Insert a handle that is out of every structure — fresh from {!handle}
+   or invalidated by {!remove} — reusing the record: the node is linked
+   at the front exactly as every insertion is (the migration primitive;
+   see {!Tree_lottery.readd}). [readd] and [set_weight] are [@inline]:
+   {!Draw.readd_at} and {!Draw.set_weight_at} read the weight out of the
+   caller's flat array, and an optimized build inlines these bodies
+   there, so the weight is never boxed on its way in. *)
 let[@inline] readd t h ~weight =
   if weight < 0. then invalid_arg "List_lottery.readd: negative weight";
   if h.slot >= 0 then invalid_arg "List_lottery.readd: handle still live";
   let slot = alloc_slot t in
   h.slot <- slot;
-  if Array.length t.hs = 0 then t.hs <- Array.make t.capacity h;
+  if Array.length t.spare = 0 then begin
+    t.spare <- [| h |];
+    t.cs <- Array.make t.capacity h.c;
+    t.hs <- Array.make t.capacity h
+  end;
+  t.cs.(slot) <- h.c;
   t.hs.(slot) <- h;
   t.ws.(slot) <- weight;
   link_front t slot;
@@ -190,6 +203,12 @@ let[@inline] readd t h ~weight =
   t.size <- t.size + 1;
   if t.order = By_weight then resort t;
   refresh_total t
+
+let add t ~client ~weight =
+  if weight < 0. then invalid_arg "List_lottery.add: negative weight";
+  let h = handle client in
+  readd t h ~weight;
+  h
 
 let[@inline] set_weight t h weight =
   if weight < 0. then invalid_arg "List_lottery.set_weight: negative weight";
@@ -204,6 +223,7 @@ let clear t =
   while !s >= 0 do
     let n = t.nexts.(!s) in
     t.hs.(!s).slot <- -1;
+    vacate t !s;
     t.ws.(!s) <- free_weight;
     t.prevs.(!s) <- -1;
     t.nexts.(!s) <- -1;
@@ -277,7 +297,7 @@ let draw_slot t rng =
     slot_for_value t (u *. t.total.(0))
   end
 
-let client_at t s = t.hs.(s).c
+let client_at t s = t.cs.(s)
 
 let draw t rng =
   let s = draw_slot t rng in
@@ -285,7 +305,7 @@ let draw t rng =
 
 let draw_client t rng =
   let s = draw_slot t rng in
-  if s < 0 then None else Some t.hs.(s).c
+  if s < 0 then None else Some t.cs.(s)
 
 let iter t f =
   let s = ref t.head in
@@ -299,7 +319,7 @@ let to_list t =
   let acc = ref [] in
   let s = ref t.tail in
   while !s >= 0 do
-    acc := (t.hs.(!s).c, t.ws.(!s)) :: !acc;
+    acc := (t.cs.(!s), t.ws.(!s)) :: !acc;
     s := t.prevs.(!s)
   done;
   !acc

@@ -27,12 +27,19 @@ val add : 'a t -> client:'a -> weight:float -> 'a handle
 val remove : 'a t -> 'a handle -> unit
 (** Idempotent. *)
 
+val handle : 'a -> 'a handle
+(** A handle for [client] that is in no structure yet: {!readd} inserts
+    it. Lets a caller allocate a client's one handle up front and keep it
+    for the client's whole life. *)
+
 val readd : 'a t -> 'a handle -> weight:float -> unit
-(** Re-insert a handle previously invalidated by {!remove}, reusing the
-    handle record itself (raises [Invalid_argument] if it is still live).
-    This is the migration primitive: detaching a client from one structure
-    and re-inserting it into another of the same backend costs no handle
-    allocation. *)
+(** Insert a handle that is in no structure — fresh from {!handle} or
+    invalidated by {!remove} — reusing the handle record itself (raises
+    [Invalid_argument] if it is still live). This is the migration
+    primitive: detaching a client from one structure and re-inserting it
+    into another of the same backend costs no handle allocation. A
+    structure keeps no reference to a removed client, except the first
+    client ever inserted, which fills vacated cells. *)
 
 val clear : 'a t -> unit
 (** Remove every client at once (invalidating their handles), leaving an

@@ -1,16 +1,21 @@
-type 'a handle = { mutable slot : int; (* -1 once removed *) c : 'a }
+type 'a handle = { mutable slot : int; (* -1 while out of the structure *) c : 'a }
 
 (* Slots are unboxed: [weights.(s)] doubles as the occupancy flag with a
-   [free_weight] sentinel for vacant slots, and [slots] is a plain handle
-   array (filled lazily with the first handle ever added, then overwritten
-   slot by slot). The free list is an int-array stack, so add/remove churn
-   allocates nothing beyond the handle record itself. *)
+   [free_weight] sentinel for vacant slots. [clients] holds each slot's
+   client flat, so resolving a drawn slot is one load, and [slots] the
+   handle that owns it (for {!mem}, {!iter} and the handle-returning
+   draws). Both are filled lazily with the first handle ever inserted,
+   [spare], which also overwrites every vacated cell: a removed client is
+   never kept reachable by the structure. The free list is an int-array
+   stack, so insert/remove churn allocates nothing. *)
 let free_weight = -1.
 
 type 'a t = {
   mutable tree : float array; (* 1-based Fenwick array of partial sums *)
   mutable weights : float array; (* per-slot exact weight; free_weight = vacant *)
-  mutable slots : 'a handle array; (* [||] until the first add *)
+  mutable clients : 'a array; (* per-slot client; [||] until the first insert *)
+  mutable slots : 'a handle array; (* per-slot handle; [||] likewise *)
+  mutable spare : 'a handle array; (* [| first handle ever inserted |] *)
   mutable capacity : int; (* power of two *)
   mutable used : int; (* high-water mark of allocated slots *)
   mutable free : int array; (* stack of vacated slots *)
@@ -38,7 +43,9 @@ let create ?(initial_capacity = 16) () =
   {
     tree = Array.make (cap + 1) 0.;
     weights = Array.make cap free_weight;
+    clients = [||];
     slots = [||];
+    spare = [||];
     capacity = cap;
     used = 0;
     free = Array.make cap 0;
@@ -75,9 +82,13 @@ let grow t =
   let cap = t.capacity * 2 in
   let weights = Array.make cap free_weight in
   Array.blit t.weights 0 weights 0 t.capacity;
-  if Array.length t.slots > 0 then begin
-    let slots = Array.make cap t.slots.(0) in
+  if Array.length t.spare > 0 then begin
+    let h = t.spare.(0) in
+    let clients = Array.make cap h.c in
+    let slots = Array.make cap h in
+    Array.blit t.clients 0 clients 0 t.capacity;
     Array.blit t.slots 0 slots 0 t.capacity;
+    t.clients <- clients;
     t.slots <- slots
   end;
   t.weights <- weights;
@@ -94,42 +105,30 @@ let push_free t s =
   t.free.(t.free_top) <- s;
   t.free_top <- t.free_top + 1
 
-let add t ~client ~weight =
-  if weight < 0. then invalid_arg "Tree_lottery.add: negative weight";
-  let slot =
-    if t.free_top > 0 then begin
-      t.free_top <- t.free_top - 1;
-      t.free.(t.free_top)
-    end
-    else begin
-      if t.used = t.capacity then grow t;
-      let s = t.used in
-      t.used <- t.used + 1;
-      s
-    end
-  in
-  let h = { slot; c = client } in
-  if Array.length t.slots = 0 then t.slots <- Array.make t.capacity h;
-  t.slots.(slot) <- h;
-  t.weights.(slot) <- weight;
-  bump t slot weight;
-  t.size <- t.size + 1;
-  h
+let handle client = { slot = -1; c = client }
+
+(* Drop slot [s]'s references to its client: both cells fall back to the
+   spare, so the structure keeps no departed client reachable. *)
+let[@inline] vacate t s =
+  let h = t.spare.(0) in
+  t.clients.(s) <- h.c;
+  t.slots.(s) <- h
 
 let remove t h =
   if h.slot >= 0 then begin
     let s = h.slot in
     bump t s (-.t.weights.(s));
     t.weights.(s) <- free_weight;
+    vacate t s;
     push_free t s;
     t.size <- t.size - 1;
     h.slot <- -1
   end
 
-(* Re-insert a removed handle without allocating a new one: the migration
-   primitive. The handle record is reused in place, so callers holding
-   [Some h] boxes keep them valid across a remove/readd pair — a migration
-   between two structures costs zero minor words in the steady state. *)
+(* Insert a handle that is out of every structure — fresh from {!handle}
+   or invalidated by {!remove} — reusing the record itself: callers
+   holding it keep it valid across a remove/readd pair, so a migration
+   between two structures costs zero minor words. *)
 let[@inline] readd t h ~weight =
   if weight < 0. then invalid_arg "Tree_lottery.readd: negative weight";
   if h.slot >= 0 then invalid_arg "Tree_lottery.readd: handle still live";
@@ -146,11 +145,22 @@ let[@inline] readd t h ~weight =
     end
   in
   h.slot <- slot;
-  if Array.length t.slots = 0 then t.slots <- Array.make t.capacity h;
+  if Array.length t.spare = 0 then begin
+    t.spare <- [| h |];
+    t.clients <- Array.make t.capacity h.c;
+    t.slots <- Array.make t.capacity h
+  end;
+  t.clients.(slot) <- h.c;
   t.slots.(slot) <- h;
   t.weights.(slot) <- weight;
   bump t slot weight;
   t.size <- t.size + 1
+
+let add t ~client ~weight =
+  if weight < 0. then invalid_arg "Tree_lottery.add: negative weight";
+  let h = handle client in
+  readd t h ~weight;
+  h
 
 let[@inline] set_weight t h weight =
   if weight < 0. then invalid_arg "Tree_lottery.set_weight: negative weight";
@@ -165,7 +175,10 @@ let set_weight_at t h src i = set_weight t h src.(i)
 
 let clear t =
   for s = 0 to t.used - 1 do
-    if occupied t s then t.slots.(s).slot <- -1;
+    if occupied t s then begin
+      t.slots.(s).slot <- -1;
+      vacate t s
+    end;
     t.weights.(s) <- free_weight
   done;
   Array.fill t.tree 0 (t.capacity + 1) 0.;
@@ -234,7 +247,7 @@ let draw_slot t rng =
     slot_for_value t (u *. raw_total t)
   end
 
-let client_at t s = t.slots.(s).c
+let client_at t s = t.clients.(s)
 
 let draw t rng =
   let s = draw_slot t rng in
@@ -242,7 +255,7 @@ let draw t rng =
 
 let draw_client t rng =
   let s = draw_slot t rng in
-  if s < 0 then None else Some t.slots.(s).c
+  if s < 0 then None else Some t.clients.(s)
 
 let iter t f =
   for s = 0 to t.used - 1 do
@@ -252,6 +265,6 @@ let iter t f =
 let to_list t =
   let acc = ref [] in
   for s = t.used - 1 downto 0 do
-    if occupied t s then acc := (t.slots.(s).c, t.weights.(s)) :: !acc
+    if occupied t s then acc := (t.clients.(s), t.weights.(s)) :: !acc
   done;
   !acc

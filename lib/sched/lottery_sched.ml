@@ -15,19 +15,16 @@ let competing_amount = 1000
 
 type tstate = {
   th : thread;
-  some : thread option; (* preallocated [Some th]: select returns this *)
   cur : F.currency;
   competing : F.ticket;
+  dh : thread option D.handle;
+      (* the thread's one draw handle, allocated with its state and kept
+         for life: block/wake, dispatch and migration recycle it through
+         {!D.remove}/{!D.readd_at}, so neither the quantum cycle nor a
+         block/wake cycle allocates. Its client is the preallocated
+         [Some th] that a decision returns, so a drawn slot resolves to
+         the winner without reading this record. *)
   mutable donations : (int * F.ticket) list; (* dst thread id -> transfer *)
-  mutable dh : tstate D.handle option;
-      (* allocated at the first enqueue and kept forever (the [Some] box
-         included): block/wake, dispatch and migration recycle the same
-         handle through {!D.remove}/{!D.readd_at}, so neither the quantum
-         cycle nor a block/wake cycle allocates. [in_draw] carries
-         liveness. *)
-  mutable in_draw : bool; (* live in its draw (its shard's, when sharded) *)
-  mutable in_fq : bool; (* queued in a round-robin fallback ring *)
-  mutable in_pending : bool; (* queued for a scoped weight refresh *)
   (* --- sharded-mode state (unused when [shards = 0]) ----------------- *)
   mutable shard : int; (* owning shard; -1 until first placement *)
   mutable counted : bool;
@@ -35,36 +32,40 @@ type tstate = {
          runnable *and* dispatched (on-CPU) threads, false while blocked —
          so a running thread still attracts rebalancing pressure to its
          shard but can never itself be drawn, stolen or migrated *)
-  mutable ring_of : int;
-      (* which shard's fallback ring holds this entry (one-ring invariant:
-         a migrated thread is handed to its new ring lazily, on pop, so
-         migration itself never touches the rings) *)
 }
+
+(* [flags] bits, by thread slot. *)
+let in_draw_bit = 1 (* live in its draw (its shard's, when sharded) *)
+let pending_bit = 2 (* queued for a scoped weight refresh *)
 
 (* Per-thread and per-currency state lives in arrays indexed by the dense
    arena handles the kernel and the funding system hand out ([thread.tslot]
    and {!F.currency_slot}) instead of id-keyed hashtables: a lookup is one
    bounds check and a load. Slots are recycled after death, so every read
-   guards with a physical-equality check on the stored thread/currency —
-   a stale entry for a previous occupant can never be mistaken for the
-   current one (detach clears eagerly; the guard is belt-and-braces). *)
+   through [st_tab]/[by_cslot] guards with a physical-equality check on the
+   stored thread/currency, and detach resets the flat entries.
+
+   What a decision reads per thread is flat, in arrays indexed by thread
+   slot, so the quiescent [account] never touches a record: [flags],
+   [cslot] (into the funding system's value table) and [wins] (the cached
+   weight inputs). At 10^5 threads every record on that path is a likely
+   cache miss. *)
 type t = {
   mode : mode;
   rng : Rng.t;
   system : F.system;
   mutable st_tab : tstate option array; (* by thread slot *)
   mutable by_cslot : tstate option array; (* by thread-currency slot *)
-  mutable wcache : float array; (* by thread slot: currency value behind
-                                   the last weight written to the draw *)
-  mutable ccache : float array; (* by thread slot: compensation factor
-                                   behind the last weight written. The two
-                                   inputs are cached separately so
-                                   [account] can compare each against a
-                                   value read in place (the funding
-                                   system's flat cache, the thread's
-                                   compensate field) — comparing the
-                                   recomputed product would box the fresh
-                                   float on every decision *)
+  mutable flags : int array; (* by thread slot: [in_draw_bit], [pending_bit] *)
+  mutable cslot : int array; (* by thread slot: its currency's slot *)
+  mutable wins : float array;
+      (* by thread slot [i], two cells: [2i] the currency value and
+         [2i + 1] the compensation factor behind the last weight written
+         to the draw. The inputs are cached separately so [account] can
+         compare each against a value read in place (the funding system's
+         flat cache, the thread's compensate field) — comparing the
+         recomputed product would box the fresh float on every decision;
+         adjacent, they usually share a cache line *)
   mutable wlast : float array; (* by thread slot: the last weight written
                                    to the thread's draw. Kept flat so
                                    every write and shard-mass delta stays
@@ -79,13 +80,23 @@ type t = {
          order; cells hold the [Some s] already stored in [by_cslot] and
          are reset to [None] when drained *)
   mutable n_pending : int;
-  draw : tstate D.t;
+  draw : thread option D.t;
   scratch : thread D.t; (* reusable waiter-pick draw, cleared between picks *)
-  fallback_q : tstate Queue.t; (* round-robin ring of runnable threads *)
+  (* Round-robin fallback rings, one per shard (ring 0 when unsharded):
+     intrusive doubly-linked lists over thread slots, so detach unlinks a
+     dead thread in O(1) and no ring keeps it reachable. *)
+  mutable ring_of : int array;
+      (* by thread slot: the ring holding the thread, -1 for none. When
+         sharded, a migrated thread is handed to its new ring lazily, on
+         pop, so migration itself never touches the rings (the one-ring
+         invariant) *)
+  mutable rprev : int array; (* by thread slot; -1 = none *)
+  mutable rnext : int array;
+  rhead : int array; (* by ring; -1 = empty *)
+  rtail : int array;
   (* --- per-CPU lottery shards (empty when [shards = 0]) -------------- *)
   shards : int; (* 0 = the single-draw path above *)
-  sdraws : tstate D.t array; (* one draw structure per virtual CPU *)
-  srings : tstate Queue.t array; (* per-shard fallback rings *)
+  sdraws : thread option D.t array; (* one draw structure per virtual CPU *)
   stree : Sh.t; (* partial-sum tree over per-shard ticket masses *)
   imbalance_band : float; (* rebalance trigger, as a fraction of total/N *)
   mutable migration_enabled : bool;
@@ -112,11 +123,11 @@ let ensure_cap arr n =
     a
   end
 
-let ensure_capf arr n =
+let ensure_capv arr n v =
   let len = Array.length arr in
   if n < len then arr
   else begin
-    let a = Array.make (max 16 (max (n + 1) (2 * len))) 0. in
+    let a = Array.make (max 16 (max (n + 1) (2 * len))) v in
     Array.blit arr 0 a 0 len;
     a
   end
@@ -138,12 +149,43 @@ let find_by_currency t c =
   | Some s as o when s.cur == c -> o
   | _ -> None
 
+(* The state of the thread at a slot the scheduler itself holds (a drawn
+   client, a ring entry): present by construction. *)
+let st_at t i =
+  match t.st_tab.(i) with Some s -> s | None -> assert false
+
+let[@inline] in_draw t (s : tstate) = t.flags.(s.th.tslot) land in_draw_bit <> 0
+
+let[@inline] set_in_draw t (s : tstate) b =
+  let i = s.th.tslot in
+  t.flags.(i) <-
+    (if b then t.flags.(i) lor in_draw_bit
+     else t.flags.(i) land lnot in_draw_bit)
+
 let push_pending t s o =
-  s.in_pending <- true;
+  let i = s.th.tslot in
+  t.flags.(i) <- t.flags.(i) lor pending_bit;
   let n = t.n_pending in
   t.pending <- ensure_cap t.pending n;
   t.pending.(n) <- o;
   t.n_pending <- n + 1
+
+(* --- fallback rings ----------------------------------------------------- *)
+
+let ring_push t r i =
+  let last = t.rtail.(r) in
+  t.rprev.(i) <- last;
+  t.rnext.(i) <- -1;
+  if last >= 0 then t.rnext.(last) <- i else t.rhead.(r) <- i;
+  t.rtail.(r) <- i;
+  t.ring_of.(i) <- r
+
+let ring_unlink t i =
+  let r = t.ring_of.(i) in
+  let p = t.rprev.(i) and n = t.rnext.(i) in
+  if p >= 0 then t.rnext.(p) <- n else t.rhead.(r) <- n;
+  if n >= 0 then t.rprev.(n) <- p else t.rtail.(r) <- p;
+  t.ring_of.(i) <- -1
 
 let create ?(mode = List_mode) ?(quantum_fallback = true)
     ?(use_compensation = true) ?(shards = 0) ?(imbalance_band = 0.25) ~rng () =
@@ -157,18 +199,22 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       system = F.create_system ();
       st_tab = [||];
       by_cslot = [||];
-      wcache = [||];
-      ccache = [||];
+      flags = [||];
+      cslot = [||];
+      wins = [||];
       wlast = [||];
       fscratch = [| 0. |];
       pending = [||];
       n_pending = 0;
       draw = D.of_mode (draw_mode mode);
       scratch = D.of_mode (draw_mode mode);
-      fallback_q = Queue.create ();
+      ring_of = [||];
+      rprev = [||];
+      rnext = [||];
+      rhead = Array.make (max 1 shards) (-1);
+      rtail = Array.make (max 1 shards) (-1);
       shards;
       sdraws = Array.init shards (fun _ -> D.of_mode (draw_mode mode));
-      srings = Array.init shards (fun _ -> Queue.create ());
       stree = Sh.create ~shards:(max 1 shards);
       imbalance_band;
       migration_enabled = true;
@@ -188,10 +234,14 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
      going straight through the Funding API — reports the currencies it
      dirtied; we record the ones that belong to draw clients and revalue
      exactly those before the next lottery. Both closures are built here,
-     once, so an event costs no allocation. *)
+     once, so an event costs no allocation. This is also what lets
+     [account] trust a thread's cached value unvalidated: every
+     valid -> stale flip of a thread currency passes through here and
+     sets the thread's [pending_bit]. *)
   let note c =
     match find_by_currency t c with
-    | Some s as o -> if not s.in_pending then push_pending t s o
+    | Some s as o ->
+        if t.flags.(s.th.tslot) land pending_bit = 0 then push_pending t s o
     | None -> ()
   in
   ignore (F.on_change t.system (fun ch -> F.iter_changed ch note));
@@ -215,28 +265,31 @@ let state t th =
       let s =
         {
           th;
-          some = Some th;
           cur;
           competing;
+          dh = D.handle t.draw (Some th);
           donations = [];
-          dh = None;
-          in_draw = false;
-          in_fq = false;
-          in_pending = false;
           shard = -1;
           counted = false;
-          ring_of = -1;
         }
       in
-      t.st_tab <- ensure_cap t.st_tab th.tslot;
-      t.wcache <- ensure_capf t.wcache th.tslot;
-      t.ccache <- ensure_capf t.ccache th.tslot;
-      t.wlast <- ensure_capf t.wlast th.tslot;
-      t.wlast.(th.tslot) <- 0.;
-      t.st_tab.(th.tslot) <- Some s;
-      let cslot = F.currency_slot cur in
-      t.by_cslot <- ensure_cap t.by_cslot cslot;
-      t.by_cslot.(cslot) <- Some s;
+      let i = th.tslot in
+      t.st_tab <- ensure_cap t.st_tab i;
+      t.flags <- ensure_capv t.flags i 0;
+      t.cslot <- ensure_capv t.cslot i (-1);
+      t.wins <- ensure_capv t.wins ((2 * i) + 1) 0.;
+      t.wlast <- ensure_capv t.wlast i 0.;
+      t.ring_of <- ensure_capv t.ring_of i (-1);
+      t.rprev <- ensure_capv t.rprev i (-1);
+      t.rnext <- ensure_capv t.rnext i (-1);
+      t.flags.(i) <- 0;
+      t.wlast.(i) <- 0.;
+      t.ring_of.(i) <- -1;
+      t.st_tab.(i) <- Some s;
+      let cs = F.currency_slot cur in
+      t.cslot.(i) <- cs;
+      t.by_cslot <- ensure_cap t.by_cslot cs;
+      t.by_cslot.(cs) <- Some s;
       s
 
 let thread_currency t th = (state t th).cur
@@ -245,27 +298,31 @@ let thread_currency t th = (state t th).cur
    kernel-maintained compensation factor (when enabled). Valuations are
    cached incrementally inside Funding, so this is O(1) on a quiescent
    graph. *)
-let[@inline] factor t (s : tstate) =
-  if t.use_compensation then s.th.compensate else 1.
-let value_of t s = F.currency_value t.system s.cur *. factor t s
+let[@inline] factor t (th : thread) =
+  if t.use_compensation then th.compensate else 1.
+let value_of t s = F.currency_value t.system s.cur *. factor t s.th
 let thread_value t th = value_of t (state t th)
 
 (* The thread currency's value, read out of the funding system's flat
-   cache: no float crosses a call, so none is boxed, inlined or not. *)
+   cache after revalidating it: no float crosses a call, so none is boxed,
+   inlined or not. *)
 let[@inline] cur_value t s =
   (F.value_table t.system s.cur).(F.currency_slot s.cur)
 
-(* The one weight-write of the draw path: records the two inputs of the
-   written weight so [account] can later detect "nothing changed" without
-   recomputing the product. *)
-let write_weight t s h =
-  let slot = s.th.tslot in
+(* Record the two inputs of a weight being written, so [account] can
+   later detect "nothing changed" without recomputing the product. *)
+let[@inline] set_inputs t i cv f =
+  t.wins.(2 * i) <- cv;
+  t.wins.((2 * i) + 1) <- f
+
+(* The one weight-write of the unsharded draw path. *)
+let write_weight t s =
+  let i = s.th.tslot in
   let cv = cur_value t s in
-  let f = factor t s in
-  t.wlast.(slot) <- cv *. f;
-  D.set_weight_at t.draw h t.wlast slot;
-  t.wcache.(slot) <- cv;
-  t.ccache.(slot) <- f
+  let f = factor t s.th in
+  t.wlast.(i) <- cv *. f;
+  D.set_weight_at t.draw s.dh t.wlast i;
+  set_inputs t i cv f
 
 (* --- per-CPU shards: mass accounting, migration, stealing -------------- *)
 
@@ -284,10 +341,8 @@ let[@inline] stree_adjust t i delta =
    slice. Its mass stays counted; the recycled handle makes the later
    re-enqueue allocation-free. *)
 let[@inline] dispatch_dequeue t s =
-  (match s.dh with
-  | Some h -> D.remove t.sdraws.(s.shard) h
-  | None -> ());
-  s.in_draw <- false
+  D.remove t.sdraws.(s.shard) s.dh;
+  set_in_draw t s false
 
 (* (Re-)insert a thread into its shard's draw. The weight inputs are
    compared against the cached copies exactly as [account] does on the
@@ -295,51 +350,40 @@ let[@inline] dispatch_dequeue t s =
    reuses the product of the last write ([wlast]), so a compute-bound
    thread's dispatch/re-enqueue cycle allocates nothing. *)
 let sh_enqueue t s =
-  if not s.in_draw then begin
-    let slot = s.th.tslot in
+  if not (in_draw t s) then begin
+    let i = s.th.tslot in
     let cv = cur_value t s in
-    let f = factor t s in
-    if cv <> t.wcache.(slot) || f <> t.ccache.(slot) then begin
+    let f = factor t s.th in
+    if cv <> t.wins.(2 * i) || f <> t.wins.((2 * i) + 1) then begin
       let nw = cv *. f in
-      t.wcache.(slot) <- cv;
-      t.ccache.(slot) <- f;
-      if s.counted then stree_adjust t s.shard (nw -. t.wlast.(slot));
-      t.wlast.(slot) <- nw;
+      set_inputs t i cv f;
+      if s.counted then stree_adjust t s.shard (nw -. t.wlast.(i));
+      t.wlast.(i) <- nw;
       t.scoped_updates <- t.scoped_updates + 1
     end;
-    (match s.dh with
-    | Some h -> D.readd_at t.sdraws.(s.shard) h t.wlast slot
-    | None ->
-        s.dh <-
-          Some (D.add t.sdraws.(s.shard) ~client:s ~weight:t.wlast.(slot)));
-    s.in_draw <- true;
+    D.readd_at t.sdraws.(s.shard) s.dh t.wlast i;
+    set_in_draw t s true;
     if not s.counted then begin
-      stree_adjust t s.shard t.wlast.(slot);
+      stree_adjust t s.shard t.wlast.(i);
       s.counted <- true
     end;
-    if not s.in_fq then begin
-      Queue.push s t.srings.(s.shard);
-      s.ring_of <- s.shard;
-      s.in_fq <- true
-    end
+    if t.ring_of.(i) < 0 then ring_push t s.shard i
   end
 
 (* Revalue a sharded thread's draw weight in place (the scoped-refresh
    write). Dequeued threads are skipped: their caches disagree with the
    funding graph until [sh_enqueue] reconciles them on re-insert. *)
 let write_weight_sh t s =
-  match s.dh with
-  | Some h when s.in_draw ->
-      let slot = s.th.tslot in
-      let cv = cur_value t s in
-      let f = factor t s in
-      let nw = cv *. f in
-      t.wcache.(slot) <- cv;
-      t.ccache.(slot) <- f;
-      if s.counted then stree_adjust t s.shard (nw -. t.wlast.(slot));
-      t.wlast.(slot) <- nw;
-      D.set_weight_at t.sdraws.(s.shard) h t.wlast slot
-  | _ -> ()
+  if in_draw t s then begin
+    let i = s.th.tslot in
+    let cv = cur_value t s in
+    let f = factor t s.th in
+    let nw = cv *. f in
+    set_inputs t i cv f;
+    if s.counted then stree_adjust t s.shard (nw -. t.wlast.(i));
+    t.wlast.(i) <- nw;
+    D.set_weight_at t.sdraws.(s.shard) s.dh t.wlast i
+  end
 
 (* Move a thread between shards: O(1) detach from the source structure,
    O(log n) re-insert into the destination, both on the existing handle
@@ -349,17 +393,14 @@ let write_weight_sh t s =
 let migrate t s ~dst =
   if dst < 0 || dst >= t.shards then invalid_arg "Lottery_sched: bad shard";
   if s.shard <> dst then begin
-    let slot = s.th.tslot in
-    if s.in_draw then begin
-      match s.dh with
-      | Some h ->
-          D.remove t.sdraws.(s.shard) h;
-          D.readd_at t.sdraws.(dst) h t.wlast slot
-      | None -> assert false
+    let i = s.th.tslot in
+    if in_draw t s then begin
+      D.remove t.sdraws.(s.shard) s.dh;
+      D.readd_at t.sdraws.(dst) s.dh t.wlast i
     end;
     if s.counted then begin
-      stree_adjust t s.shard (-.t.wlast.(slot));
-      stree_adjust t dst t.wlast.(slot)
+      stree_adjust t s.shard (-.t.wlast.(i));
+      stree_adjust t dst t.wlast.(i)
     end;
     s.shard <- dst;
     t.migrations <- t.migrations + 1
@@ -378,6 +419,9 @@ let place t s =
           if i < 0 || i >= t.shards then
             invalid_arg "Lottery_sched: placement hook returned a bad shard";
           i)
+
+(* The state behind a drawn client (the winner's [Some th]). *)
+let drawn_state t = function Some th -> st_at t th.tslot | None -> assert false
 
 (* Hysteresis rebalance, run at every scheduling decision: trigger when
    the richest or poorest shard strays more than [imbalance_band] x the
@@ -410,7 +454,7 @@ let rebalance t =
       if rich <> poor && (mr -. ideal > !thresh || ideal -. mp > !thresh) then begin
         let w = D.draw_slot t.sdraws.(rich) t.rng in
         if w >= 0 then begin
-          let s = D.client_at t.sdraws.(rich) w in
+          let s = drawn_state t (D.client_at t.sdraws.(rich) w) in
           let ws = t.wlast.(s.th.tslot) in
           if mr -. ws >= mp +. ws then begin
             migrate t s ~dst:poor;
@@ -437,7 +481,7 @@ let steal t ~dst =
       let w = D.draw_slot t.sdraws.(src) t.rng in
       if w < 0 then None
       else begin
-        let s = D.client_at t.sdraws.(src) w in
+        let s = drawn_state t (D.client_at t.sdraws.(src) w) in
         migrate t s ~dst;
         t.steals <- t.steals + 1;
         Some s
@@ -463,32 +507,25 @@ let destroy_ticket t ticket = F.destroy_ticket t.system ticket
 (* Insertion computes the weight fresh (validating the thread currency's
    caches), so a wake needs no follow-up event flush: it is itself the one
    per-thread weight write of the block/wake path — count it as such. The
-   handle from the thread's first insertion is re-inserted on every later
-   wake, and the weight travels through [wlast], so a wake allocates
-   nothing. *)
+   thread's one handle is re-inserted on every wake, and the weight travels
+   through [wlast], so a wake allocates nothing. *)
 let add_to_draw t s =
-  if not s.in_draw then begin
-    let slot = s.th.tslot in
+  if not (in_draw t s) then begin
+    let i = s.th.tslot in
     let cv = cur_value t s in
-    let f = factor t s in
-    t.wlast.(slot) <- cv *. f;
-    (match s.dh with
-    | Some h -> D.readd_at t.draw h t.wlast slot
-    | None -> s.dh <- Some (D.add t.draw ~client:s ~weight:t.wlast.(slot)));
-    s.in_draw <- true;
-    t.wcache.(slot) <- cv;
-    t.ccache.(slot) <- f;
+    let f = factor t s.th in
+    t.wlast.(i) <- cv *. f;
+    D.readd_at t.draw s.dh t.wlast i;
+    set_in_draw t s true;
+    set_inputs t i cv f;
     t.scoped_updates <- t.scoped_updates + 1;
-    if not s.in_fq then begin
-      Queue.push s t.fallback_q;
-      s.in_fq <- true
-    end
+    if t.ring_of.(i) < 0 then ring_push t 0 i
   end
 
 let remove_from_draw t s =
-  if s.in_draw then begin
-    (match s.dh with Some h -> D.remove t.draw h | None -> ());
-    s.in_draw <- false
+  if in_draw t s then begin
+    D.remove t.draw s.dh;
+    set_in_draw t s false
   end
 
 let ready t th =
@@ -518,7 +555,7 @@ let unready t th =
       stree_adjust t s.shard (-.t.wlast.(th.tslot));
       s.counted <- false
     end;
-    if s.in_draw then dispatch_dequeue t s
+    if in_draw t s then dispatch_dequeue t s
   end
   else remove_from_draw t s
 
@@ -564,9 +601,14 @@ let detach t th =
           stree_adjust t s.shard (-.t.wlast.(th.tslot));
           s.counted <- false
         end;
-        if s.in_draw then dispatch_dequeue t s
+        if in_draw t s then dispatch_dequeue t s
       end
       else remove_from_draw t s;
+      (* A dead entry would only be dropped when a fallback pop reaches
+         it, which never happens while any thread is funded: unlink it
+         now, so no ring keeps the thread reachable. The live entries
+         keep their order. *)
+      if t.ring_of.(th.tslot) >= 0 then ring_unlink t th.tslot;
       drop_donations t s;
       (* Other threads may still be donating to this one (e.g. blocked
          mutex waiters whose owner dies); clear their references before the
@@ -594,56 +636,52 @@ let detach t th =
         (fun i -> F.destroy_ticket t.system i)
         (F.issued_tickets t.system s.cur);
       F.remove_currency t.system s.cur;
-      if th.tslot >= 0 && th.tslot < Array.length t.st_tab then
-        t.st_tab.(th.tslot) <- None;
+      (* The teardown above may have re-flagged the thread pending; its
+         buffer cell is skipped by identity when drained. *)
+      t.flags.(th.tslot) <- 0;
+      t.cslot.(th.tslot) <- -1;
+      t.st_tab.(th.tslot) <- None;
       if cslot >= 0 && cslot < Array.length t.by_cslot then
         t.by_cslot.(cslot) <- None
 
 let refresh_weights t =
   t.full_refreshes <- t.full_refreshes + 1;
-  if t.shards > 0 then
-    Array.iter
-      (function Some s -> write_weight_sh t s | None -> ())
-      t.st_tab
-  else
-    Array.iter
-      (function
-        | Some ({ dh = Some h; in_draw = true; _ } as s) -> write_weight t s h
-        | _ -> ())
-      t.st_tab
+  Array.iter
+    (function
+      | Some s when in_draw t s ->
+          if t.shards > 0 then write_weight_sh t s else write_weight t s
+      | _ -> ())
+    t.st_tab
 
 (* Bring the draw in sync with the funding graph: a full rebuild only when
    explicitly requested ({!mark_dirty}), otherwise revalue exactly the
    threads whose currencies the change events dirtied — O(changed), the
-   steady-state path — in the order they were first dirtied. Detached
-   and blocked threads may still sit in the buffer; they are out of the
-   draw ([in_draw] unset), so they drain as no-ops. Each drained cell goes
-   back to [None], so the buffer never keeps a dead thread reachable. *)
+   steady-state path — in the order they were first dirtied. Blocked
+   threads may still sit in the buffer; they are out of the draw, so they
+   drain as no-ops, and so do detached ones, whose slot no longer holds
+   them. Each drained cell goes back to [None], so the buffer never keeps
+   a dead thread reachable. *)
 let flush_pending t =
   let rewrite = not t.dirty in
   if t.dirty then begin
     refresh_weights t;
     t.dirty <- false
   end;
-  for i = 0 to t.n_pending - 1 do
-    match t.pending.(i) with
+  for k = 0 to t.n_pending - 1 do
+    match t.pending.(k) with
     | Some s ->
-        t.pending.(i) <- None;
-        s.in_pending <- false;
-        if rewrite then
-          if t.shards > 0 then begin
-            if s.in_draw then begin
-              write_weight_sh t s;
-              t.scoped_updates <- t.scoped_updates + 1
-            end
-          end
-          else begin
-            match s.dh with
-            | Some h when s.in_draw ->
-                write_weight t s h;
+        t.pending.(k) <- None;
+        let i = s.th.tslot in
+        if i >= 0 then begin
+          match t.st_tab.(i) with
+          | Some s' when s' == s ->
+              t.flags.(i) <- t.flags.(i) land lnot pending_bit;
+              if rewrite && in_draw t s then begin
+                if t.shards > 0 then write_weight_sh t s else write_weight t s;
                 t.scoped_updates <- t.scoped_updates + 1
-            | _ -> ()
-          end
+              end
+          | _ -> ()
+        end
     | None -> ()
   done;
   t.n_pending <- 0
@@ -652,23 +690,23 @@ let flush_pending t =
    To keep simulations with forgotten funding alive, optionally fall back to
    round-robin among runnable threads when every runnable thread has zero
    weight. The ring holds every runnable thread once; stale entries (threads
-   that blocked or exited since being queued) are dropped lazily, so a pick
-   is O(1) amortized. *)
+   that blocked since being queued) are dropped lazily, so a pick is O(1)
+   amortized. *)
 let fallback_pick t =
   if not t.quantum_fallback then None
   else begin
     let rec next () =
-      match Queue.take_opt t.fallback_q with
-      | None -> None
-      | Some s ->
-          if not s.in_draw then begin
-            s.in_fq <- false;
-            next ()
-          end
-          else begin
-            Queue.push s t.fallback_q;
-            s.some
-          end
+      let i = t.rhead.(0) in
+      if i < 0 then None
+      else begin
+        ring_unlink t i;
+        let s = st_at t i in
+        if not (in_draw t s) then next ()
+        else begin
+          ring_push t 0 i;
+          D.client s.dh
+        end
+      end
     in
     next ()
   end
@@ -680,23 +718,23 @@ let sh_ring_pick t c =
   if not t.quantum_fallback then None
   else begin
     let rec next () =
-      match Queue.take_opt t.srings.(c) with
-      | None -> None
-      | Some s ->
-          if not s.in_draw then begin
-            (* blocked, dispatched or dead: drop; re-enqueue re-rings it *)
-            s.in_fq <- false;
-            next ()
-          end
-          else if s.shard <> c then begin
-            Queue.push s t.srings.(s.shard);
-            s.ring_of <- s.shard;
-            next ()
-          end
-          else begin
-            Queue.push s t.srings.(c);
-            Some s
-          end
+      let i = t.rhead.(c) in
+      if i < 0 then None
+      else begin
+        ring_unlink t i;
+        let s = st_at t i in
+        if not (in_draw t s) then
+          (* blocked or dispatched: drop; re-enqueue re-rings it *)
+          next ()
+        else if s.shard <> c then begin
+          ring_push t s.shard i;
+          next ()
+        end
+        else begin
+          ring_push t c i;
+          Some s
+        end
+      end
     in
     next ()
   end
@@ -709,18 +747,18 @@ let select t =
       let t0 = Lotto_obs.Profile.start p in
       flush_pending t;
       Lotto_obs.Profile.stop p Lotto_obs.Profile.Valuation t0);
-  (* Slot-based draw: the winner comes back as an int token and resolves to
-     the tstate's preallocated [Some th] — no option or handle wrapper is
-     built per decision. *)
+  (* Slot-based draw: the winning slot resolves, in one load from the
+     draw's flat client array, to the thread's preallocated [Some th] — no
+     option, handle or scheduler record is read or built per decision. *)
   match t.profiler with
   | None ->
       let w = D.draw_slot t.draw t.rng in
-      if w >= 0 then (D.client_at t.draw w).some else fallback_pick t
+      if w >= 0 then D.client_at t.draw w else fallback_pick t
   | Some p ->
       let t0 = Lotto_obs.Profile.start p in
       let w = D.draw_slot t.draw t.rng in
       Lotto_obs.Profile.stop p Lotto_obs.Profile.Draw t0;
-      if w >= 0 then (D.client_at t.draw w).some else fallback_pick t
+      if w >= 0 then D.client_at t.draw w else fallback_pick t
 
 (* One scheduling decision for virtual CPU [cpu] = shard [cpu]. The local
    draw is consulted first; an empty (or unfunded) shard tries a ticket-
@@ -747,22 +785,40 @@ let select_sharded t ~cpu =
         w
   in
   if w >= 0 then begin
-    let s = D.client_at d w in
-    dispatch_dequeue t s;
-    s.some
+    let some = D.client_at d w in
+    dispatch_dequeue t (drawn_state t some);
+    some
   end
   else begin
     match steal t ~dst:cpu with
     | Some s ->
         dispatch_dequeue t s;
-        s.some
+        D.client s.dh
     | None -> (
         match sh_ring_pick t cpu with
         | Some s ->
             dispatch_dequeue t s;
-            s.some
+            D.client s.dh
         | None -> None)
   end
+
+(* The thread's compensation factor was reset when its quantum started and
+   possibly re-set when it blocked; refresh its draw weight so the next
+   draw sees the current value. The fresh inputs are compared against the
+   cached copies of the last write first: for a compute-bound thread on a
+   quiescent funding graph nothing changed, and skipping [set_weight]
+   keeps the comparison float unboxed (the cross-module call would box
+   it). Skipping is exact, not approximate — a weight delta of zero leaves
+   every backend bit-identical. *)
+let account_slow t th =
+  match find_state t th with
+  | Some s when in_draw t s ->
+      let i = th.tslot in
+      if
+        cur_value t s <> t.wins.(2 * i)
+        || factor t th <> t.wins.((2 * i) + 1)
+      then write_weight t s
+  | _ -> ()
 
 let account t th ~used:_ ~quantum:_ ~blocked:_ =
   if t.shards > 0 then begin
@@ -773,27 +829,22 @@ let account t th ~used:_ ~quantum:_ ~blocked:_ =
     | Some s when th.state = Runnable -> sh_enqueue t s
     | _ -> ()
   end
-  else
-  (* The thread's compensation factor was reset when its quantum started
-     and possibly re-set when it blocked; refresh its draw weight so the
-     next draw sees the current value. The fresh value is compared against
-     the cached copy of the last write first: for a compute-bound thread on
-     a quiescent funding graph nothing changed, and skipping [set_weight]
-     keeps the comparison float unboxed (the cross-module call would box
-     it). Skipping is exact, not approximate — a weight delta of zero
-     leaves every backend bit-identical. *)
-  if not t.dirty then begin
-    match find_state t th with
-    | Some ({ dh = Some h; in_draw = true; _ } as s) ->
-        (* Each input is read in place (the funding system's flat value
-           cache, the thread's compensate field), so the quiescent path
-           computes no fresh float at all. Skipping the write when both
-           inputs match is exact: the product could not have changed. *)
-        if
-          cur_value t s <> t.wcache.(th.tslot)
-          || factor t s <> t.ccache.(th.tslot)
-        then write_weight t s h
-    | _ -> ()
+  else if not t.dirty then begin
+    (* The quiescent check reads flat arrays only. A thread in its draw and
+       not pending has a valid currency cache — every valid -> stale flip
+       reaches [note], which flags it pending — so its value is read
+       straight out of the funding table, without the validation that
+       would load the currency record. Anything else takes the slow path,
+       which writes exactly what it always wrote. *)
+    let i = th.tslot in
+    if
+      not
+        (i >= 0
+        && i < Array.length t.flags
+        && t.flags.(i) = in_draw_bit
+        && (F.values t.system).(t.cslot.(i)) = t.wins.(2 * i)
+        && factor t th = t.wins.((2 * i) + 1))
+    then account_slow t th
   end
 
 (* Lottery among blocked waiters (paper §6.1), weighted by each waiter's
@@ -865,6 +916,50 @@ let donation_targets t th =
   | None -> []
   | Some s -> List.map fst s.donations
 
+(* The flat per-thread tables against the records they describe. An entry
+   that is in its draw and not pending is one the quiescent [account]
+   trusts without validating, so it must belong to a live thread whose
+   handle is live in its draw, its currency cache must be valid, and its
+   cached inputs must be the currency's value and reproduce the draw's
+   current weight bit for bit. A ring entry must belong to a live
+   thread. *)
+let check_flat_tables t out =
+  let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  let bits = Int64.bits_of_float in
+  let vals = F.values t.system in
+  for i = 0 to Array.length t.flags - 1 do
+    let fl = t.flags.(i) in
+    match t.st_tab.(i) with
+    | None ->
+        if fl <> 0 then vf "slot %d: flags %d set but no thread state" i fl;
+        if t.ring_of.(i) >= 0 then
+          vf "slot %d: fallback ring %d holds a dead slot" i t.ring_of.(i)
+    | Some s when fl = in_draw_bit ->
+        let name = s.th.name in
+        let d = if t.shards > 0 then t.sdraws.(max 0 s.shard) else t.draw in
+        if s.th.tslot <> i || s.th.state = Zombie then
+          vf "%s: trusted flat entry at slot %d is not a live thread" name i
+        else if not (D.mem d s.dh) then
+          vf "%s: trusted flat entry but its handle is not in its draw" name
+        else if t.cslot.(i) <> F.currency_slot s.cur then
+          vf "%s: flat currency slot %d but its currency sits at %d" name
+            t.cslot.(i) (F.currency_slot s.cur)
+        else if not (F.cache_valid s.cur) then
+          vf "%s: in its draw and not pending but its currency cache is stale"
+            name
+        else begin
+          let cv = t.wins.(2 * i) and f = t.wins.((2 * i) + 1) in
+          let w = D.weight d s.dh in
+          if bits cv <> bits vals.(t.cslot.(i)) then
+            vf "%s: cached currency value %h but the funding cache holds %h"
+              name cv vals.(t.cslot.(i));
+          if bits (cv *. f) <> bits w || bits t.wlast.(i) <> bits w then
+            vf "%s: cached inputs %h * %h (last write %h) but the draw weighs %h"
+              name cv f t.wlast.(i) w
+        end
+    | Some _ -> ()
+  done
+
 let check_funding_coherence t threads =
   let out = ref [] in
   let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
@@ -894,6 +989,7 @@ let check_funding_coherence t threads =
             s.th.tslot
       | _ -> ())
     t.st_tab;
+  check_flat_tables t out;
   (match F.check_invariants t.system with
   | () -> ()
   | exception Failure msg -> vf "funding graph: %s" msg);
@@ -902,6 +998,12 @@ let check_funding_coherence t threads =
 let thread_entitlement t th =
   let v = F.Valuation.make t.system in
   potential_value t v (state t th)
+
+let draw_weight t th =
+  match find_state t th with
+  | Some s when in_draw t s ->
+      Some (D.weight (if t.shards > 0 then t.sdraws.(s.shard) else t.draw) s.dh)
+  | _ -> None
 
 let draws t = t.draws
 let full_refreshes t = t.full_refreshes
@@ -959,27 +1061,23 @@ let check_sharding t =
       (function
         | None -> ()
         | Some s ->
-            if s.in_draw && not s.counted then
+            let live = in_draw t s in
+            if live && not s.counted then
               vf "%s: in a shard draw but not counted in the shard tree"
                 s.th.name;
             if s.counted && (s.shard < 0 || s.shard >= t.shards) then
               vf "%s: counted but shard id %d out of range" s.th.name s.shard;
             if s.counted && s.shard >= 0 && s.shard < t.shards then
               sums.(s.shard) <- sums.(s.shard) +. t.wlast.(s.th.tslot);
-            (match s.dh with
-            | Some h ->
-                for i = 0 to t.shards - 1 do
-                  let here = D.mem t.sdraws.(i) h in
-                  if s.in_draw && i = s.shard && not here then
-                    vf "%s: claims shard %d but its handle is not there"
-                      s.th.name s.shard;
-                  if here && (not s.in_draw || i <> s.shard) then
-                    vf "%s: handle live in shard %d (claims %s)" s.th.name i
-                      (if s.in_draw then string_of_int s.shard else "none")
-                done
-            | None ->
-                if s.in_draw then
-                  vf "%s: in_draw set but no draw handle" s.th.name))
+            for i = 0 to t.shards - 1 do
+              let here = D.mem t.sdraws.(i) s.dh in
+              if live && i = s.shard && not here then
+                vf "%s: claims shard %d but its handle is not there" s.th.name
+                  s.shard;
+              if here && ((not live) || i <> s.shard) then
+                vf "%s: handle live in shard %d (claims %s)" s.th.name i
+                  (if live then string_of_int s.shard else "none")
+            done)
       t.st_tab;
     for i = 0 to t.shards - 1 do
       let leaf = Sh.get t.stree i in

@@ -132,9 +132,19 @@ val check_funding_coherence : t -> Lotto_sim.Types.thread list -> string list
     tickets this scheduler holds for it (as multisets of target ids), dead
     threads must hold no scheduler state, and the underlying funding graph
     must pass {!Lotto_tickets.Funding.check_invariants}. Returns one
-    string per violation; empty means coherent. Runs read-only between
-    slices; composed with {!Lotto_sim.Kernel.check_invariants} by the
-    {!Lotto_chaos} auditor. *)
+    string per violation; empty means coherent. It also audits the flat
+    per-thread tables the decision path reads: every thread the quiescent
+    [account] check would trust (in its draw, no refresh pending) must be
+    live with its handle in its draw, have a valid currency cache, and
+    hold cached weight inputs that are its currency's value and reproduce
+    the draw's weight bit for bit; no fallback ring may hold a dead
+    thread. Runs read-only between slices; composed with
+    {!Lotto_sim.Kernel.check_invariants} by the {!Lotto_chaos}
+    auditor. *)
+
+val draw_weight : t -> Lotto_sim.Types.thread -> float option
+(** The weight the thread's draw holds for it, [None] while it is out of
+    its draw (blocked, dispatched on a sharded CPU, or unknown). *)
 
 val draws : t -> int
 (** Lotteries held so far. *)

@@ -626,6 +626,9 @@ let value_table sys c =
   validate sys c;
   sys.vals
 
+let values sys = sys.vals
+let cache_valid c = c.cache_ok
+
 (* The denomination is validated even when the ticket is inactive: a
    consumer that caches this 0 must be told (via a change event) when the
    ticket's activation later makes it worth something, and events only fire

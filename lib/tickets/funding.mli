@@ -220,6 +220,18 @@ val value_table : system -> currency -> float array
     boxed. The table is replaced when the currency arena grows, so fetch
     it for each read rather than keeping it. *)
 
+val values : system -> float array
+(** The flat value cache {!value_table} returns, read without revalidating
+    anything: an entry is current only while its currency's cache is valid
+    ({!cache_valid}). For a consumer that knows, by an invariant of its
+    own, that the currency it reads has not gone stale since it last
+    validated it. Replaced when the arena grows, like {!value_table}. *)
+
+val cache_valid : currency -> bool
+(** Whether the currency's cached value is current. A currency goes stale
+    only in a mutation that then fires the {!on_change} callbacks with it
+    among the changed; any read of its value makes it valid again. *)
+
 (** {1 Introspection} *)
 
 val check_invariants : system -> unit

@@ -693,6 +693,198 @@ let qcheck_lottery_invariants_under_load =
       Funding.check_invariants (Lottery_sched.funding ls);
       Kernel.failures k = [])
 
+(* --- reclamation and the flat decision tables ---------------------------- *)
+
+(* A reaped thread must be collectable whatever the scheduler's mode: no
+   draw, fallback ring or pending buffer may keep it reachable. Short
+   funded threads run to exit beside one funded spinner, so every decision
+   is a lottery and no fallback pop ever runs. Each draw structure keeps
+   the first client it ever held as the filler of vacated cells, so at most
+   one departed thread per draw (one per shard) may survive. *)
+let reaped_threads_collectable ~mode ~shards () =
+  let rng = Rng.create ~seed:31 () in
+  let ls = Lottery_sched.create ~mode ~shards ~rng () in
+  let k =
+    Kernel.create ~cpus:(max 1 shards) ~sched:(Lottery_sched.sched ls) ()
+  in
+  let base = Lottery_sched.base_currency ls in
+  let fund th = ignore (Lottery_sched.fund_thread ls th ~amount:100 ~from:base) in
+  fund (spin k "spinner");
+  let n = 2000 in
+  let w = Weak.create n in
+  for i = 0 to n - 1 do
+    let th = Kernel.spawn k ~name:"short" (fun () -> Api.compute (Time.ms 1)) in
+    fund th;
+    Weak.set w i (Some th)
+  done;
+  ignore (Kernel.run k ~until:(Time.seconds 30));
+  Gc.full_major ();
+  let alive = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check w i then incr alive
+  done;
+  (* the kernel and the scheduler stay live across the collection *)
+  checki "only the spinner is left" 1 (List.length (Kernel.threads k));
+  checki "only the spinner is runnable" 1 (Lottery_sched.runnable_count ls);
+  if !alive > max 1 shards then
+    Alcotest.failf "%d of %d reaped threads still reachable" !alive n
+
+(* Random programs against the quiescent [account] check: whatever mix of
+   spawns, funding changes, ticket destruction, kills and compute/sleep/
+   yield (compensation) the scheduler sees, every thread in its draw must
+   weigh exactly [thread_value] after every decision, and the flat-table
+   audit must stay clean. *)
+type prog_op =
+  | Spawn of int (* body seed *)
+  | Fund of int * int * int (* thread, source (0 = base), amount *)
+  | Set_amount of int * int (* ticket, amount *)
+  | Destroy of int (* ticket *)
+  | Kill of int (* thread *)
+  | Pass
+
+let prog_op_to_string = function
+  | Spawn s -> Printf.sprintf "spawn %d" s
+  | Fund (a, b, c) -> Printf.sprintf "fund t%d from %d by %d" a b c
+  | Set_amount (a, b) -> Printf.sprintf "amount k%d := %d" a b
+  | Destroy a -> Printf.sprintf "destroy k%d" a
+  | Kill a -> Printf.sprintf "kill t%d" a
+  | Pass -> "pass"
+
+let prog_arb =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map (fun s -> Spawn s) small_nat);
+        ( 4,
+          map3 (fun a b c -> Fund (a, b, c)) small_nat (int_bound 2)
+            (int_range 1 500) );
+        (2, map2 (fun a b -> Set_amount (a, b)) small_nat (int_range 0 500));
+        (1, map (fun a -> Destroy a) small_nat);
+        (1, map (fun a -> Kill a) small_nat);
+        (3, return Pass);
+      ]
+  in
+  QCheck.make
+    ~print:(fun (seed, ops) ->
+      Printf.sprintf "seed %d: %s" seed
+        (String.concat "; " (List.map prog_op_to_string ops)))
+    (pair small_nat (list_size (int_range 5 60) op))
+
+let run_program ~mode ~shards (seed, ops) =
+  let rng = Rng.create ~seed:(seed + 1) () in
+  let ls = Lottery_sched.create ~mode ~shards ~rng () in
+  let inner = Lottery_sched.sched ls in
+  let problems = ref [] in
+  let kref = ref None in
+  let audit () =
+    match !kref with
+    | None -> ()
+    | Some k ->
+        List.iter
+          (fun th ->
+            match Lottery_sched.draw_weight ls th with
+            | Some w ->
+                let v = Lottery_sched.thread_value ls th in
+                if Int64.bits_of_float w <> Int64.bits_of_float v then
+                  problems :=
+                    Printf.sprintf "%s weighs %h, its value is %h"
+                      th.Types.name w v
+                    :: !problems
+            | None -> ())
+          (Kernel.threads k);
+        problems :=
+          Lottery_sched.check_funding_coherence ls (Kernel.threads k)
+          @ !problems
+  in
+  let sched =
+    {
+      inner with
+      Types.select =
+        (fun ~cpu ->
+          let r = inner.Types.select ~cpu in
+          audit ();
+          r);
+    }
+  in
+  let k = Kernel.create ~quantum:(Time.ms 10) ~cpus:(max 1 shards) ~sched () in
+  kref := Some k;
+  let base = Lottery_sched.base_currency ls in
+  let users =
+    Array.init 2 (fun i ->
+        let c = Lottery_sched.make_currency ls (Printf.sprintf "user%d" i) in
+        ignore
+          (Lottery_sched.fund_currency ls ~target:c ~amount:(100 * (i + 1))
+             ~from:base);
+        c)
+  in
+  let tickets = ref [||] in
+  let nth arr i = arr.(i mod Array.length arr) in
+  let spawn s =
+    let wl = Rng.create ~algo:Splitmix64 ~seed:s () in
+    Kernel.spawn k ~name:(Printf.sprintf "p%d" s) (fun () ->
+        for _ = 1 to 5 + Rng.int_below wl 20 do
+          match Rng.int_below wl 3 with
+          | 0 -> Api.compute (Time.us (100 + Rng.int_below wl 15_000))
+          | 1 -> Api.sleep (Time.ms (Rng.int_below wl 20))
+          | _ -> Api.yield ()
+        done)
+  in
+  let step = function
+    | Spawn s -> ignore (spawn s)
+    | Fund (a, src, amount) -> (
+        match Kernel.threads k with
+        | [] -> ()
+        | ths ->
+            let th = nth (Array.of_list ths) a in
+            let from = if src = 0 then base else users.(src - 1) in
+            let tk = Lottery_sched.fund_thread ls th ~amount ~from in
+            tickets := Array.append !tickets [| tk |])
+    | Set_amount (i, amount) ->
+        if Array.length !tickets > 0 then begin
+          let tk = nth !tickets i in
+          if Funding.ticket_slot tk >= 0 then
+            Lottery_sched.set_ticket_amount ls tk amount
+        end
+    | Destroy i ->
+        if Array.length !tickets > 0 then begin
+          let tk = nth !tickets i in
+          if Funding.ticket_slot tk >= 0 then Lottery_sched.destroy_ticket ls tk
+        end
+    | Kill a -> (
+        match Kernel.threads k with
+        | [] -> ()
+        | ths -> Kernel.kill k (nth (Array.of_list ths) a))
+    | Pass -> ()
+  in
+  let todo = ref ops in
+  Kernel.set_pre_select k
+    (Some
+       (fun () ->
+         match !todo with
+         | [] -> ()
+         | op :: rest ->
+             todo := rest;
+             step op));
+  ignore (spawn seed);
+  ignore (Kernel.run k ~until:(Time.seconds 2));
+  match !problems with
+  | [] -> true
+  | p :: _ -> QCheck.Test.fail_reportf "%s" p
+
+let qcheck_decision_tables =
+  List.map
+    (fun (label, mode, shards) ->
+      QCheck.Test.make
+        ~name:(Printf.sprintf "draw weights equal thread values (%s)" label)
+        ~count:30 prog_arb (run_program ~mode ~shards))
+    [
+      ("list", Lottery_sched.List_mode, 0);
+      ("tree", Lottery_sched.Tree_mode, 0);
+      ("list, 4 shards", Lottery_sched.List_mode, 4);
+      ("tree, 4 shards", Lottery_sched.Tree_mode, 4);
+    ]
+
 let () =
   Alcotest.run "sched"
     [
@@ -759,7 +951,17 @@ let () =
             test_scoped_updates_on_block_wake;
           Alcotest.test_case "baseline accessors" `Quick test_baseline_accessors;
         ] );
+      ( "reclamation",
+        [
+          Alcotest.test_case "reaped threads collectable (list)" `Quick
+            (reaped_threads_collectable ~mode:Lottery_sched.List_mode ~shards:0);
+          Alcotest.test_case "reaped threads collectable (tree)" `Quick
+            (reaped_threads_collectable ~mode:Lottery_sched.Tree_mode ~shards:0);
+          Alcotest.test_case "reaped threads collectable (2 shards)" `Quick
+            (reaped_threads_collectable ~mode:Lottery_sched.Tree_mode ~shards:2);
+        ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ qcheck_conservation; qcheck_lottery_invariants_under_load ] );
+          ([ qcheck_conservation; qcheck_lottery_invariants_under_load ]
+          @ qcheck_decision_tables) );
     ]
