@@ -267,16 +267,15 @@ let bench_thread id =
     name = Printf.sprintf "t%d" id;
     state = Core.Types.Runnable;
     pending = Core.Types.Exited;
+    c_left = 0;
+    c_kc = Core.Types.vacant_kc;
     cpu = 0;
     compensate = 1.;
     donating_to = [];
     donors = [];
     owned = [];
-    failure = None;
     joiners = Core.Waitq.create ();
     servicing = [];
-    created_at = 0;
-    exited_at = None;
   }
 
 let churn_test mode mode_name ~full n =

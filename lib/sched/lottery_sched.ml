@@ -46,10 +46,9 @@ let pending_bit = 2 (* queued for a scoped weight refresh *)
    stored thread/currency, and detach resets the flat entries.
 
    What a decision reads per thread is flat, in arrays indexed by thread
-   slot, so the quiescent [account] never touches a record: [flags],
-   [cslot] (into the funding system's value table) and [wins] (the cached
-   weight inputs). At 10^5 threads every record on that path is a likely
-   cache miss. *)
+   slot, so the quiescent [account] never touches a record: [flags] and
+   [wins] (the cached weight inputs). At 10^5 threads every record on that
+   path is a likely cache miss. *)
 type t = {
   mode : mode;
   rng : Rng.t;
@@ -57,7 +56,6 @@ type t = {
   mutable st_tab : tstate option array; (* by thread slot *)
   mutable by_cslot : tstate option array; (* by thread-currency slot *)
   mutable flags : int array; (* by thread slot: [in_draw_bit], [pending_bit] *)
-  mutable cslot : int array; (* by thread slot: its currency's slot *)
   mutable wins : float array;
       (* by thread slot [i], two cells: [2i] the currency value and
          [2i + 1] the compensation factor behind the last weight written
@@ -200,7 +198,6 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       st_tab = [||];
       by_cslot = [||];
       flags = [||];
-      cslot = [||];
       wins = [||];
       wlast = [||];
       fscratch = [| 0. |];
@@ -276,7 +273,6 @@ let state t th =
       let i = th.tslot in
       t.st_tab <- ensure_cap t.st_tab i;
       t.flags <- ensure_capv t.flags i 0;
-      t.cslot <- ensure_capv t.cslot i (-1);
       t.wins <- ensure_capv t.wins ((2 * i) + 1) 0.;
       t.wlast <- ensure_capv t.wlast i 0.;
       t.ring_of <- ensure_capv t.ring_of i (-1);
@@ -287,7 +283,6 @@ let state t th =
       t.ring_of.(i) <- -1;
       t.st_tab.(i) <- Some s;
       let cs = F.currency_slot cur in
-      t.cslot.(i) <- cs;
       t.by_cslot <- ensure_cap t.by_cslot cs;
       t.by_cslot.(cs) <- Some s;
       s
@@ -639,7 +634,6 @@ let detach t th =
       (* The teardown above may have re-flagged the thread pending; its
          buffer cell is skipped by identity when drained. *)
       t.flags.(th.tslot) <- 0;
-      t.cslot.(th.tslot) <- -1;
       t.st_tab.(th.tslot) <- None;
       if cslot >= 0 && cslot < Array.length t.by_cslot then
         t.by_cslot.(cslot) <- None
@@ -831,18 +825,18 @@ let account t th ~used:_ ~quantum:_ ~blocked:_ =
   end
   else if not t.dirty then begin
     (* The quiescent check reads flat arrays only. A thread in its draw and
-       not pending has a valid currency cache — every valid -> stale flip
-       reaches [note], which flags it pending — so its value is read
-       straight out of the funding table, without the validation that
-       would load the currency record. Anything else takes the slow path,
-       which writes exactly what it always wrote. *)
+       not pending has a valid currency cache whose value its last weight
+       write recorded — every write validates the cache, and every valid ->
+       stale flip reaches [note], which flags the thread pending — so only
+       the compensation factor can have moved ([check_flat_tables] audits
+       the currency cell). Anything else takes the slow path, which writes
+       exactly what it always wrote. *)
     let i = th.tslot in
     if
       not
         (i >= 0
         && i < Array.length t.flags
         && t.flags.(i) = in_draw_bit
-        && (F.values t.system).(t.cslot.(i)) = t.wins.(2 * i)
         && factor t th = t.wins.((2 * i) + 1))
     then account_slow t th
   end
@@ -941,18 +935,16 @@ let check_flat_tables t out =
           vf "%s: trusted flat entry at slot %d is not a live thread" name i
         else if not (D.mem d s.dh) then
           vf "%s: trusted flat entry but its handle is not in its draw" name
-        else if t.cslot.(i) <> F.currency_slot s.cur then
-          vf "%s: flat currency slot %d but its currency sits at %d" name
-            t.cslot.(i) (F.currency_slot s.cur)
         else if not (F.cache_valid s.cur) then
           vf "%s: in its draw and not pending but its currency cache is stale"
             name
         else begin
           let cv = t.wins.(2 * i) and f = t.wins.((2 * i) + 1) in
           let w = D.weight d s.dh in
-          if bits cv <> bits vals.(t.cslot.(i)) then
+          let held = vals.(F.currency_slot s.cur) in
+          if bits cv <> bits held then
             vf "%s: cached currency value %h but the funding cache holds %h"
-              name cv vals.(t.cslot.(i));
+              name cv held;
           if bits (cv *. f) <> bits w || bits t.wlast.(i) <> bits w then
             vf "%s: cached inputs %h * %h (last write %h) but the draw weighs %h"
               name cv f t.wlast.(i) w

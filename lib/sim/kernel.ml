@@ -51,17 +51,22 @@ type t = {
   mutable profiler : Obs.Profile.t option;
       (* when set, dispatch (slice execution) and publish (bus fan-out)
          host-clock costs are recorded; schedulers time their own phases *)
-  (* Effect dispatch. A thread's [effc] stores the request's payload and
-     the performing thread in these registers and returns one of the
-     handlers below, built once per kernel, so a [perform] allocates
-     nothing beyond the effect value and its continuation. The register
-     rule: a handler reads every register it uses into locals before it
-     calls anything that can resume a fiber (the resumed fiber's next
-     request overwrites them), and clears the registers that can reach a
-     thread, so no reaped thread stays reachable from here. The performer
+  (* Effect dispatch. Every fiber runs under the kernel's one [handler],
+     whose [effc] stores the request's payload in these registers and
+     returns one of the handlers below, all built once per kernel, so a
+     [perform] allocates nothing beyond the effect value and its
+     continuation. The kernel sets the performer [r_th] before it resumes
+     a fiber: [advance] for the thread it drives, [kill]'s delivery and
+     [shed_rpc]'s drop-oldest victim for a foreign one, after which these
+     two restore the performer they interrupted. The register rule: a
+     handler reads every register it uses into locals before it calls
+     anything that can resume a fiber (the resumed fiber's next request
+     overwrites them), and clears the registers that can reach a thread,
+     so no reaped thread stays reachable from here. The performer
      register is the exception: it is cleared when its thread is reaped
      ([finish]) rather than after every request, which would cost a
      second write barrier per request. *)
+  handler : (unit, step) Effect.Deep.handler;
   mutable r_th : thread; (* the performing thread *)
   mutable r_n : int; (* Compute, Sleep *)
   mutable r_port : port; (* Rpc, Receive, Poll_receive *)
@@ -156,16 +161,15 @@ let no_thread =
     name = "";
     state = Zombie;
     pending = Exited;
+    c_left = 0;
+    c_kc = vacant_kc;
     cpu = 0;
     compensate = 1.;
     donating_to = [];
     donors = [];
     owned = [];
-    failure = None;
     joiners = Waitq.create ();
     servicing = [];
-    created_at = 0;
-    exited_at = None;
   }
 
 let no_msg = { msg_id = -1; sender = no_thread; payload = ""; sent_at = 0; slot = 0 }
@@ -202,16 +206,15 @@ let spawn k ~name body =
       name;
       state = Runnable;
       pending = Not_started body;
+      c_left = 0;
+      c_kc = vacant_kc;
       cpu = 0;
       compensate = 1.;
       donating_to = [];
       donors = [];
       owned = [];
-      failure = None;
       joiners = Waitq.create ();
       servicing = [];
-      created_at = k.now;
-      exited_at = None;
     }
   in
   let s = Slots.alloc k.th_slots in
@@ -414,9 +417,8 @@ let release_mutex k who m =
 
 let finish k th exn_opt =
   th.pending <- Exited;
+  th.c_kc <- vacant_kc;
   th.state <- Zombie;
-  th.exited_at <- Some k.now;
-  th.failure <- exn_opt;
   (match exn_opt with Some e -> k.failed <- (th, e) :: k.failed | None -> ());
   revoke k th;
   (* Robust-mutex handoff: a thread that dies holding a mutex — killed in
@@ -628,15 +630,13 @@ let settle_aside k th = function
   | S_failed e -> finish k th (Some e)
   | S_continue | S_blocked | S_yielded -> ()
 
+(* A request for [n <= 0] ticks is a finished compute: [advance] resumes
+   it at once. *)
 let on_compute k (kc : (unit, step) continuation) =
-  let th = k.r_th and n = k.r_n in
-  (if n <= 0 then th.pending <- Ready_unit kc
-   else
-     match th.pending with
-     | Compute c ->
-         c.remaining <- n;
-         c.kc <- kc
-     | _ -> th.pending <- Compute { remaining = n; kc });
+  let th = k.r_th in
+  th.pending <- Compute;
+  th.c_left <- k.r_n;
+  th.c_kc <- kc;
   S_continue
 
 let on_sleep k (kc : (unit, step) continuation) =
@@ -704,10 +704,12 @@ let shed_rpc k th p ~id ~payload kc =
           | Waiting_reply { k = vkc } ->
               let v = victim.sender in
               if v.state = Blocked then revoke k v;
+              k.r_th <- v;
               settle_aside k v (discontinue vkc p.rej);
+              k.r_th <- th;
               (match (v.state, v.pending) with
               | ( Blocked,
-                  ( Not_started _ | Compute _ | Ready_unit _ | Ready_msg _
+                  ( Not_started _ | Compute | Ready_unit _ | Ready_msg _
                   | Ready_reply _ | Ready_replies _ ) ) ->
                   unblock k v
               | _ -> ())
@@ -871,101 +873,80 @@ let on_spawn k (kc : (thread, step) continuation) =
 
 (* --- running thread bodies -------------------------------------------- *)
 
-(* The handler record and [effc] closure are built once per thread start;
-   each request then only fills registers and returns a prebuilt handler. *)
-let start_body k th (body : unit -> unit) : step =
-  match_with body ()
-    {
-      retc = (fun () -> S_done);
-      exnc = (fun e -> S_failed e);
-      effc =
-        (fun (type a) (eff : a Effect.t) : a on_effect ->
-          match eff with
-          | Effects.Compute n ->
-              k.r_th <- th;
-              k.r_n <- n;
-              k.h_compute
-          | Effects.Sleep d ->
-              k.r_th <- th;
-              k.r_n <- d;
-              k.h_sleep
-          | Effects.Rpc (p, payload) ->
-              k.r_th <- th;
-              k.r_port <- p;
-              k.r_str <- payload;
-              k.h_rpc
-          | Effects.Rpc_many targets ->
-              k.r_th <- th;
-              k.r_targets <- targets;
-              k.h_rpc_many
-          | Effects.Receive p ->
-              k.r_th <- th;
-              k.r_port <- p;
-              k.h_recv
-          | Effects.Poll_receive p ->
-              k.r_th <- th;
-              k.r_port <- p;
-              k.h_poll
-          | Effects.Reply (msg, result) ->
-              k.r_msg <- msg;
-              k.r_str <- result;
-              k.h_reply
-          | Effects.Lock m ->
-              k.r_th <- th;
-              k.r_mutex <- m;
-              k.h_lock
-          | Effects.Unlock m ->
-              k.r_th <- th;
-              k.r_mutex <- m;
-              k.h_unlock
-          | Effects.Wait (c, m) ->
-              k.r_th <- th;
-              k.r_cond <- c;
-              k.r_mutex <- m;
-              k.h_wait
-          | Effects.Signal c ->
-              k.r_cond <- c;
-              k.h_signal
-          | Effects.Broadcast c ->
-              k.r_cond <- c;
-              k.h_broadcast
-          | Effects.Sem_wait sm ->
-              k.r_th <- th;
-              k.r_sem <- sm;
-              k.h_sem_wait
-          | Effects.Sem_post sm ->
-              k.r_sem <- sm;
-              k.h_sem_post
-          | Effects.Join target ->
-              k.r_th <- th;
-              k.r_target <- target;
-              k.h_join
-          | Effects.Yield ->
-              k.r_th <- th;
-              k.h_yield
-          | Effects.Now -> k.h_now
-          | Effects.Self ->
-              k.r_th <- th;
-              k.h_self
-          | Effects.Spawn (name, body') ->
-              k.r_str <- name;
-              k.r_body <- body';
-              k.h_spawn
-          | _ -> None);
-    }
+(* The [effc] of the kernel's handler: fill the request's registers and
+   return its prebuilt handler. The performer is already in [r_th]. *)
+let dispatch k (type a) (eff : a Effect.t) : a on_effect =
+  match eff with
+  | Effects.Compute n ->
+      k.r_n <- n;
+      k.h_compute
+  | Effects.Sleep d ->
+      k.r_n <- d;
+      k.h_sleep
+  | Effects.Rpc (p, payload) ->
+      k.r_port <- p;
+      k.r_str <- payload;
+      k.h_rpc
+  | Effects.Rpc_many targets ->
+      k.r_targets <- targets;
+      k.h_rpc_many
+  | Effects.Receive p ->
+      k.r_port <- p;
+      k.h_recv
+  | Effects.Poll_receive p ->
+      k.r_port <- p;
+      k.h_poll
+  | Effects.Reply (msg, result) ->
+      k.r_msg <- msg;
+      k.r_str <- result;
+      k.h_reply
+  | Effects.Lock m ->
+      k.r_mutex <- m;
+      k.h_lock
+  | Effects.Unlock m ->
+      k.r_mutex <- m;
+      k.h_unlock
+  | Effects.Wait (c, m) ->
+      k.r_cond <- c;
+      k.r_mutex <- m;
+      k.h_wait
+  | Effects.Signal c ->
+      k.r_cond <- c;
+      k.h_signal
+  | Effects.Broadcast c ->
+      k.r_cond <- c;
+      k.h_broadcast
+  | Effects.Sem_wait sm ->
+      k.r_sem <- sm;
+      k.h_sem_wait
+  | Effects.Sem_post sm ->
+      k.r_sem <- sm;
+      k.h_sem_post
+  | Effects.Join target ->
+      k.r_target <- target;
+      k.h_join
+  | Effects.Yield -> k.h_yield
+  | Effects.Now -> k.h_now
+  | Effects.Self -> k.h_self
+  | Effects.Spawn (name, body') ->
+      k.r_str <- name;
+      k.r_body <- body';
+      k.h_spawn
+  | _ -> None
 
 (* Drive a thread's continuation until it needs CPU time, blocks, yields or
    exits. All non-compute kernel operations are instantaneous in virtual
    time. *)
 let rec advance k th : [ `Compute | `Blocked | `Exited | `Yielded ] =
+  k.r_th <- th;
   match th.pending with
-  | Not_started body -> settle k th (start_body k th body)
+  | Not_started body -> settle k th (match_with body () k.handler)
   | Ready_unit kc -> settle k th (continue kc ())
   | Ready_msg (m, kc) -> settle k th (continue kc m)
   | Ready_reply (r, kc) -> settle k th (continue kc r)
   | Ready_replies (rs, kc) -> settle k th (continue kc rs)
-  | Compute c when c.remaining <= 0 -> settle k th (continue c.kc ())
-  | Compute _ -> `Compute
+  | Compute when th.c_left <= 0 -> settle k th (continue th.c_kc ())
+  | Compute -> `Compute
   | Sleeping _ | Waiting_recv _ | Waiting_reply _ | Waiting_replies _
   | Waiting_lock _ | Waiting_cond _ | Waiting_sem _ | Waiting_join _ ->
       `Blocked
@@ -1009,13 +990,15 @@ let kill k th =
           Queue.transfer keep port.waiters
       | _ -> () (* the timer heap skips dead entries lazily *));
       if th.state = Blocked then revoke k th;
+      let performer = k.r_th (* the killer, when called from a body *) in
       let deliver (type a) (kc : (a, step) continuation) =
         (* the body may catch Killed and run cleanup; whatever it requests
            next is installed by that request's handler *)
+        k.r_th <- th;
         settle_aside k th (discontinue kc Killed)
       in
       (match th.pending with
-      | Compute { kc; _ } -> deliver kc
+      | Compute -> deliver th.c_kc
       | Sleeping { k = kc; _ } -> deliver kc
       | Waiting_recv { k = kc; _ } -> deliver kc
       | Waiting_reply { k = kc } -> deliver kc
@@ -1029,6 +1012,7 @@ let kill k th =
       | Ready_reply (_, kc) -> deliver kc
       | Ready_replies (_, kc) -> deliver kc
       | Not_started _ | Exited -> ());
+      k.r_th <- (if performer.tslot >= 0 then performer else no_thread);
       (* If the body caught Killed and kept going, respect that: a thread
          that blocked again (sleep, lock, ...) had a coherent waiting state
          installed by its handler, but one that came back runnable — e.g.
@@ -1037,7 +1021,7 @@ let kill k th =
          catch-and-continue threads actually get scheduled again. *)
       (match (th.state, th.pending) with
       | ( Blocked,
-          ( Not_started _ | Compute _ | Ready_unit _ | Ready_msg _
+          ( Not_started _ | Compute | Ready_unit _ | Ready_msg _
           | Ready_reply _ | Ready_replies _ ) ) ->
           unblock k th
       | _ -> ())
@@ -1073,6 +1057,12 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
       sems_v = Vec.create ();
       pre_select = None;
       profiler = None;
+      handler =
+        {
+          retc = (fun () -> S_done);
+          exnc = (fun e -> S_failed e);
+          effc = (fun eff -> dispatch k eff);
+        };
       r_th = no_thread;
       r_n = 0;
       r_port = no_port;
@@ -1180,15 +1170,12 @@ let run_slice k th ~cpu ~cur ~horizon =
              outcome := `Preempted;
              raise Exit
            end;
-           let c =
-             match th.pending with Compute c -> c | _ -> assert false
-           in
-           let budget = min c.remaining !slice_left in
+           let budget = min th.c_left !slice_left in
            let budget = min budget (max 1 (horizon - k.now)) in
            k.now <- k.now + budget;
            th.cpu <- th.cpu + budget;
            slice_left := !slice_left - budget;
-           c.remaining <- c.remaining - budget;
+           th.c_left <- th.c_left - budget;
            if k.now >= horizon then begin
              outcome := `Horizon;
              raise Exit

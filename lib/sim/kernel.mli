@@ -112,9 +112,9 @@ val kill : t -> Types.thread -> unit
     [Killed] and continues survives. The victim is unhooked from whatever
     wait list held it (mutex/condition/semaphore/port queue, join lists);
     a pending timer-heap entry is left behind and skipped lazily by the
-    timer machinery. Only valid between slices — from outside the
-    simulation or a {!set_pre_select} hook; raises [Invalid_argument] on
-    the currently running thread. *)
+    timer machinery. Valid between slices — from outside the simulation
+    or a {!set_pre_select} hook — and from a thread's body on another
+    thread; raises [Invalid_argument] on the currently running thread. *)
 
 val run : t -> until:Time.t -> Types.run_summary
 (** Run the simulation until virtual time [until], until every thread has
@@ -148,6 +148,12 @@ val find_thread : t -> string -> Types.thread option
     list-scan semantics. *)
 
 val failures : t -> (Types.thread * exn) list
+(** Every thread whose body raised or that was {!kill}ed, with its
+    exception, in creation order. The list is unbounded: it keeps each
+    failed or killed thread record for the kernel's whole life, long after
+    the thread was reaped, so it grows with every kill (a workload that
+    kills a transient thread every 10 ms of virtual time adds 100 records
+    per virtual second). *)
 
 (** {1 Fault injection and auditing} *)
 

@@ -31,6 +31,9 @@ type thread = {
   name : string;
   mutable state : state;
   mutable pending : pending;
+  mutable c_left : int;  (** ticks left in the current [Compute] request *)
+  mutable c_kc : (unit, step) Effect.Deep.continuation;
+      (** the [Compute] request's continuation; {!vacant_kc} otherwise *)
   mutable cpu : int;  (** total virtual CPU ticks consumed *)
   mutable compensate : float;
       (** compensation-ticket factor (>= 1), applied by proportional-share
@@ -46,14 +49,11 @@ type thread = {
   mutable owned : mutex list;
       (** mutexes this thread currently owns, so robust handoff at death is
           O(held locks) instead of a sweep over every mutex *)
-  mutable failure : exn option;
   joiners : thread Waitq.t;  (** threads blocked in [Api.join] on us, in arrival order *)
   mutable servicing : int list;
       (** msg_ids of requests this thread has received and not yet replied
           to, innermost first — the span-parent stack: an RPC sent while
           servicing is a child span of the head *)
-  created_at : time;
-  mutable exited_at : time option;
 }
 
 and state = Runnable | Running | Blocked | Zombie
@@ -65,7 +65,7 @@ and state = Runnable | Running | Blocked | Zombie
    themselves. *)
 and pending =
   | Not_started of (unit -> unit)
-  | Compute of compute_req
+  | Compute  (** the request's state is in [c_left] and [c_kc] *)
   | Sleeping of { until : time; k : (unit, step) Effect.Deep.continuation }
   | Waiting_recv of { port : port; k : (message, step) Effect.Deep.continuation }
   | Waiting_reply of { k : (string, step) Effect.Deep.continuation }
@@ -84,13 +84,6 @@ and pending =
   | Ready_reply of string * (string, step) Effect.Deep.continuation
   | Ready_replies of string list * (string list, step) Effect.Deep.continuation
   | Exited
-
-(* A [Compute] that follows a [Compute] reuses the thread's record: the
-   handler overwrites [remaining] and [kc] in place. *)
-and compute_req = {
-  mutable remaining : int;
-  mutable kc : (unit, step) Effect.Deep.continuation;
-}
 
 and scatter = {
   replies : string option array;
@@ -216,6 +209,28 @@ and sched = {
       (** winner among blocked waiters for a [Lottery_wake] mutex,
           condition or semaphore; [None] falls back to FIFO order *)
 }
+
+(* The vacant value of [thread.c_kc]: a continuation captured once, here,
+   and never resumed, so the field needs no option box. *)
+let vacant_kc : (unit, step) Effect.Deep.continuation =
+  let module V = struct
+    type _ Effect.t += Park : unit Effect.t
+  end in
+  let parked : (unit, step) Effect.Deep.continuation option ref = ref None in
+  let effc (type a) (e : a Effect.t) :
+      ((a, step) Effect.Deep.continuation -> step) option =
+    match e with
+    | V.Park ->
+        Some
+          (fun kc ->
+            parked := Some kc;
+            S_blocked)
+    | _ -> None
+  in
+  ignore
+    (Effect.Deep.match_with Effect.perform V.Park
+       { retc = (fun () -> S_done); exnc = raise; effc });
+  Option.get !parked
 
 type run_summary = {
   ended_at : time;

@@ -12,7 +12,7 @@ let checks = check Alcotest.string
 let pending_kind (th : Types.thread) =
   match th.Types.pending with
   | Types.Not_started _ -> "not-started"
-  | Compute _ -> "compute"
+  | Compute -> "compute"
   | Sleeping _ -> "sleeping"
   | Waiting_recv _ -> "waiting-recv"
   | Waiting_reply _ -> "waiting-reply"
@@ -510,6 +510,102 @@ let test_registers_release_reaped () =
   reaped_victim_collected ~fillers:0;
   reaped_victim_collected ~fillers:12
 
+(* Every fiber runs under the kernel's one handler, and the kernel names
+   the performer before it resumes a fiber. Three resumes come from outside
+   [advance]: a drop-oldest eviction unwinds the victim inside the
+   sender's request, a kill unwinds its victim, and a kill can be issued
+   from another thread's body. Each victim's handler must see itself as
+   the performer, and so must the thread that was running before. *)
+let test_drop_oldest_victim_performs () =
+  let k = rr_kernel ~quantum:(Time.ms 10) () in
+  let port = Kernel.create_port k ~capacity:1 ~shed:Types.Drop_oldest ~name:"p" in
+  let seen = ref None and answer = ref "" in
+  let victim =
+    Kernel.spawn k ~name:"victim" (fun () ->
+        match Api.rpc port "v" with
+        | _ -> Alcotest.fail "the victim's request should have been evicted"
+        | exception Types.Rejected _ ->
+            seen := Some (Api.self ());
+            Api.compute (Time.ms 3))
+  in
+  let sender = Kernel.spawn k ~name:"sender" (fun () -> answer := Api.rpc port "s") in
+  ignore
+    (Kernel.spawn k ~name:"srv" (fun () ->
+         (* both requests reach the full port before anyone receives *)
+         Api.sleep (Time.ms 1);
+         let msg = Api.receive port in
+         Api.reply msg (msg.Types.payload ^ "!")));
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  checkb "self is the victim" true (Option.fold ~none:false ~some:(( == ) victim) !seen);
+  checki "the victim's compute charged to it" (Time.ms 3) (Kernel.cpu_time victim);
+  checki "the sender computed nothing" 0 (Kernel.cpu_time sender);
+  checks "the sender's reply" "s!" !answer;
+  checki "one shed" 1 (Kernel.port_shed_count port);
+  checki "no failures" 0 (List.length (Kernel.failures k));
+  checki "every thread finished" 0 (Kernel.live_thread_count k)
+
+let test_killed_handler_performs () =
+  let k = rr_kernel ~quantum:(Time.ms 10) () in
+  let m = Kernel.create_mutex k "m" in
+  let seen = ref None in
+  let t =
+    Kernel.spawn k ~name:"t" (fun () ->
+        Api.lock m;
+        match Api.sleep (Time.seconds 1) with
+        | () -> Alcotest.fail "the sleep should have been killed"
+        | exception Types.Killed ->
+            seen := Some (Api.self ());
+            Api.unlock m;
+            Api.compute (Time.ms 4))
+  in
+  (* mid-compute when the kill lands, so the last performer is not [t] *)
+  let bg = Kernel.spawn k ~name:"bg" (fun () -> Api.compute (Time.ms 100)) in
+  ignore (Kernel.run k ~until:(Time.ms 25));
+  Kernel.kill k t;
+  checkb "self is the killed thread" true (Option.fold ~none:false ~some:(( == ) t) !seen);
+  checkb "its unlock released the mutex" true (Option.is_none m.Types.owner);
+  check Alcotest.(list string) "audit clean after the kill" [] (Kernel.check_invariants k);
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  checki "the handler's compute charged to it" (Time.ms 4) (Kernel.cpu_time t);
+  checki "bg's compute charged to bg" (Time.ms 100) (Kernel.cpu_time bg);
+  checki "no failures" 0 (List.length (Kernel.failures k));
+  checki "every thread finished" 0 (Kernel.live_thread_count k)
+
+let test_kill_from_body () =
+  let k = rr_kernel ~quantum:(Time.ms 10) () in
+  let caught = ref None and after = ref [] in
+  let sleeper body =
+    Kernel.spawn k ~name:"sleeper" (fun () -> body (fun () -> Api.sleep (Time.seconds 1)))
+  in
+  (* one victim catches [Killed] and performs; the other dies of it *)
+  let survivor =
+    sleeper (fun nap ->
+        try nap ()
+        with Types.Killed ->
+          caught := Some (Api.self ());
+          Api.compute (Time.ms 2))
+  in
+  let doomed = sleeper (fun nap -> nap ()) in
+  let killer =
+    Kernel.spawn k ~name:"killer" (fun () ->
+        Api.sleep (Time.ms 5);
+        Kernel.kill k survivor;
+        after := Api.self () :: !after;
+        Kernel.kill k doomed;
+        after := Api.self () :: !after;
+        Api.compute (Time.ms 3))
+  in
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  checkb "the survivor saw itself" true
+    (Option.fold ~none:false ~some:(( == ) survivor) !caught);
+  checkb "the killer saw itself after each kill" true
+    (List.length !after = 2 && List.for_all (( == ) killer) !after);
+  checki "the survivor's compute" (Time.ms 2) (Kernel.cpu_time survivor);
+  checki "the killer's compute" (Time.ms 3) (Kernel.cpu_time killer);
+  checkb "only the doomed thread failed" true
+    (match Kernel.failures k with [ (th, Types.Killed) ] -> th == doomed | _ -> false);
+  checki "every thread finished" 0 (Kernel.live_thread_count k)
+
 (* --- join waiters ---------------------------------------------------- *)
 
 let wake_log k =
@@ -579,6 +675,11 @@ let () =
               Alcotest.test_case "two kernels on one domain" `Quick test_two_kernels;
               Alcotest.test_case "reaped thread unreachable" `Quick
                 test_registers_release_reaped;
+              Alcotest.test_case "drop-oldest victim performs" `Quick
+                test_drop_oldest_victim_performs;
+              Alcotest.test_case "killed handler performs" `Quick
+                test_killed_handler_performs;
+              Alcotest.test_case "kill from a thread's body" `Quick test_kill_from_body;
             ] );
           ( "join",
             [

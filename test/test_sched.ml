@@ -580,16 +580,15 @@ let test_scoped_updates_on_block_wake () =
       name = Printf.sprintf "t%d" id;
       state = Types.Runnable;
       pending = Types.Exited;
+      c_left = 0;
+      c_kc = Types.vacant_kc;
       cpu = 0;
       compensate = 1.;
       donating_to = [];
       donors = [];
       owned = [];
-      failure = None;
       joiners = Waitq.create ();
       servicing = [];
-      created_at = 0;
-      exited_at = None;
     }
   in
   let n = 50 in

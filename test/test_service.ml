@@ -216,6 +216,31 @@ let test_accounting_under_overload () =
   checkb "goodput near machine capacity" true
     (Float.abs (tr.Svc.goodput_per_s -. 200.) < 20.)
 
+(* The request path on 2 and 4 virtual CPUs (one lottery shard each): RPC,
+   shedding and the workers run concurrently in virtual time, and every
+   request must still be accounted for. B floods a drop-oldest port at
+   several times the machine's capacity while A keeps the default
+   reject-new port, so both shed policies fire. *)
+let test_accounting_multi_cpu cpus () =
+  let a = Tenant.spec ~share:900 ~arrivals:(Arrivals.Poisson 300.) "A" in
+  let b =
+    Tenant.spec ~share:100 ~shed:Types.Drop_oldest
+      ~arrivals:(Arrivals.Poisson 2000.) "B"
+  in
+  let report = Svc.run ~cpus (Svc.config ~horizon:(Time.seconds 5) [ a; b ]) in
+  checkb "arrivals = served + shed + backlog + holding" true report.Svc.accounted;
+  checkb "pool sheds equal SLO sheds" true report.Svc.shed_consistent;
+  List.iter
+    (fun (tr : Svc.tenant_report) ->
+      checki (tr.Svc.t_name ^ ": arrivals = served + shed + in flight")
+        tr.Svc.arrivals
+        (tr.Svc.served + tr.Svc.shed + tr.Svc.in_flight);
+      checki (tr.Svc.t_name ^ ": pool shed count = SLO shed count")
+        tr.Svc.kernel_shed tr.Svc.shed;
+      checkb (tr.Svc.t_name ^ ": served some") true (tr.Svc.served > 0))
+    report.Svc.tenants;
+  checkb "the flood sheds" true ((Svc.find report "B").Svc.shed > 0)
+
 let test_prom_exposition () =
   let spec = Tenant.spec ~arrivals:(Arrivals.Poisson 100.) "web" in
   let report = Svc.run (Svc.config ~horizon:(Time.seconds 5) [ spec ]) in
@@ -303,6 +328,10 @@ let () =
         [
           Alcotest.test_case "accounting under overload" `Quick
             test_accounting_under_overload;
+          Alcotest.test_case "accounting at 2 cpus" `Quick
+            (test_accounting_multi_cpu 2);
+          Alcotest.test_case "accounting at 4 cpus" `Quick
+            (test_accounting_multi_cpu 4);
           Alcotest.test_case "prometheus exposition" `Quick test_prom_exposition;
           Alcotest.test_case "insulation invariant" `Slow
             test_insulation_invariant;

@@ -316,16 +316,15 @@ let fake_thread id =
     name = Printf.sprintf "t%d" id;
     state = Types.Runnable;
     pending = Types.Exited;
+    c_left = 0;
+    c_kc = Types.vacant_kc;
     cpu = 0;
     compensate = 1.;
     donating_to = [];
     donors = [];
     owned = [];
-    failure = None;
     joiners = Waitq.create ();
     servicing = [];
-    created_at = 0;
-    exited_at = None;
   }
 
 let test_steal_on_empty_shard () =
