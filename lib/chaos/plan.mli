@@ -18,8 +18,8 @@ val default : t
 (** Mild: occasional kills (budget 3), frequent reorderings. *)
 
 val none : t
-(** All probabilities zero — an injector with this plan does nothing,
-    which is how the bench guard measures hook overhead. *)
+(** All probabilities zero — an injector with this plan does nothing and
+    draws nothing from its PRNG stream. *)
 
 val aggressive : t
 (** High kill/perturb rates for bug hunts. *)

@@ -7,8 +7,9 @@
     each scheduler and reports (a) the host CPU cost per scheduling
     decision — the real overhead of the policy code — and (b) the virtual
     CPU split, to confirm every policy kept the machine saturated. The
-    Bechamel suite in [bench/main.ml] measures the per-draw costs more
-    precisely. *)
+    host column measures the host, not the simulation: compare policies
+    within one run. The [search-length] experiment counts the §4.2 draw
+    cost per structure. *)
 
 type row = {
   scheduler : string;

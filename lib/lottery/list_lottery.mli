@@ -6,7 +6,8 @@
     average search: "a simple 'move to front' heuristic can be very
     effective" (winners migrate toward the head) and "ordering the clients
     by decreasing ticket counts can substantially reduce the average search
-    length". Both are available; the benchmark suite compares them. *)
+    length". Both are available; the [search-length] experiment counts
+    the entries each ordering examines per draw ({!comparisons}). *)
 
 type 'a t
 type 'a handle

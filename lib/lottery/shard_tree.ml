@@ -59,11 +59,14 @@ let adjust_at t i src j =
 (* Ticket-weighted shard pick: descend from the root with a winning value
    in [0, total), preferring the left child unless the value falls past its
    subtree sum (or the right subtree is the only live one). [-1] when no
-   shard holds mass. *)
-let pick t ~u =
+   shard holds mass. The deviate arrives as its 53 raw bits and is formed
+   here exactly as [Rng.float_unit] forms it, so the caller boxes no
+   float to pass it. *)
+let pick t ~bits =
   let tot = total t in
   if tot <= 0. then -1
   else begin
+    let u = float_of_int bits /. float_of_int (1 lsl 53) in
     let winning = ref (u *. tot) in
     let i = ref 1 in
     while !i < t.leaves do

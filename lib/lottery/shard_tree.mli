@@ -38,10 +38,13 @@ val adjust_at : t -> int -> float array -> int -> unit
 
 val total : t -> float
 
-val pick : t -> u:float -> int
-(** Ticket-weighted shard pick for a uniform deviate [u] in [0, 1): the
+val pick : t -> bits:int -> int
+(** Ticket-weighted shard pick for a uniform 53-bit draw [bits] in
+    [\[0, 2^53)] (see {!Lotto_prng.Rng.bits53}): with
+    [u = bits / 2^53], exactly {!Lotto_prng.Rng.float_unit}'s deviate, the
     shard covering [u * total] in the partial-sum descent, or [-1] when no
-    shard holds mass. Zero-mass shards never win. *)
+    shard holds mass. Zero-mass shards never win. Taking the bits rather
+    than [u] keeps the deviate unboxed across the call. *)
 
 val min_shard : t -> int
 (** Least-loaded shard, lowest id on ties — the deterministic

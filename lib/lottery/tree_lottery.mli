@@ -4,7 +4,8 @@
     Implemented as a Fenwick (binary indexed) tree of weights with a slot
     free-list, so clients can join and leave dynamically. The paper proposes
     this structure for large client counts and as the basis of a distributed
-    lottery; the benchmark suite compares it against {!List_lottery}. *)
+    lottery; the [search-length] experiment sets its lg n descent against
+    {!List_lottery}'s counted search lengths. *)
 
 type 'a t
 type 'a handle

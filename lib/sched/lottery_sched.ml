@@ -103,9 +103,7 @@ type t = {
   mutable steals : int;
   quantum_fallback : bool;
   use_compensation : bool;
-  mutable dirty : bool; (* ALL draw weights need recomputation *)
   mutable draws : int;
-  mutable full_refreshes : int;
   mutable scoped_updates : int;
   mutable profiler : Lotto_obs.Profile.t option;
       (* when set, valuation (pending-weight flush) and draw host-clock
@@ -220,9 +218,7 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       steals = 0;
       quantum_fallback;
       use_compensation;
-      dirty = false;
       draws = 0;
-      full_refreshes = 0;
       scoped_updates = 0;
       profiler = None;
     }
@@ -247,7 +243,6 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
 let funding t = t.system
 let base_currency t = F.base t.system
 let make_currency t name = F.make_currency t.system ~name
-let mark_dirty t = t.dirty <- true
 
 let state t th =
   match find_state t th with
@@ -465,21 +460,27 @@ let rebalance t =
 (* Work stealing, tried when a CPU's own shard has no funded runnable
    thread: pick a source shard ticket-weighted through the shard tree,
    draw a victim from it, and migrate it here. One steal per empty
-   decision keeps the RNG consumption bounded and deterministic. *)
+   decision keeps the RNG consumption bounded and deterministic. Returns
+   the stolen thread's slot, or -1: the total comes back through
+   [fscratch] and the deviate crosses to the shard tree as its raw bits,
+   so a steal boxes nothing. *)
 let steal t ~dst =
-  if not t.migration_enabled then None
-  else if Sh.total t.stree <= 0. then None
+  if not t.migration_enabled then -1
   else begin
-    let src = Sh.pick t.stree ~u:(Rng.float_unit t.rng) in
-    if src < 0 || src = dst then None
+    Sh.total_at t.stree t.fscratch 0;
+    if t.fscratch.(0) <= 0. then -1
     else begin
-      let w = D.draw_slot t.sdraws.(src) t.rng in
-      if w < 0 then None
+      let src = Sh.pick t.stree ~bits:(Rng.bits53 t.rng) in
+      if src < 0 || src = dst then -1
       else begin
-        let s = drawn_state t (D.client_at t.sdraws.(src) w) in
-        migrate t s ~dst;
-        t.steals <- t.steals + 1;
-        Some s
+        let w = D.draw_slot t.sdraws.(src) t.rng in
+        if w < 0 then -1
+        else begin
+          let s = drawn_state t (D.client_at t.sdraws.(src) w) in
+          migrate t s ~dst;
+          t.steals <- t.steals + 1;
+          s.th.tslot
+        end
       end
     end
   end
@@ -638,29 +639,13 @@ let detach t th =
       if cslot >= 0 && cslot < Array.length t.by_cslot then
         t.by_cslot.(cslot) <- None
 
-let refresh_weights t =
-  t.full_refreshes <- t.full_refreshes + 1;
-  Array.iter
-    (function
-      | Some s when in_draw t s ->
-          if t.shards > 0 then write_weight_sh t s else write_weight t s
-      | _ -> ())
-    t.st_tab
-
-(* Bring the draw in sync with the funding graph: a full rebuild only when
-   explicitly requested ({!mark_dirty}), otherwise revalue exactly the
-   threads whose currencies the change events dirtied — O(changed), the
-   steady-state path — in the order they were first dirtied. Blocked
-   threads may still sit in the buffer; they are out of the draw, so they
-   drain as no-ops, and so do detached ones, whose slot no longer holds
-   them. Each drained cell goes back to [None], so the buffer never keeps
-   a dead thread reachable. *)
+(* Bring the draw in sync with the funding graph: revalue exactly the
+   threads whose currencies the change events dirtied — O(changed) — in
+   the order they were first dirtied. Blocked threads may still sit in the
+   buffer; they are out of the draw, so they drain as no-ops, and so do
+   detached ones, whose slot no longer holds them. Each drained cell goes
+   back to [None], so the buffer never keeps a dead thread reachable. *)
 let flush_pending t =
-  let rewrite = not t.dirty in
-  if t.dirty then begin
-    refresh_weights t;
-    t.dirty <- false
-  end;
   for k = 0 to t.n_pending - 1 do
     match t.pending.(k) with
     | Some s ->
@@ -670,7 +655,7 @@ let flush_pending t =
           match t.st_tab.(i) with
           | Some s' when s' == s ->
               t.flags.(i) <- t.flags.(i) land lnot pending_bit;
-              if rewrite && in_draw t s then begin
+              if in_draw t s then begin
                 if t.shards > 0 then write_weight_sh t s else write_weight t s;
                 t.scoped_updates <- t.scoped_updates + 1
               end
@@ -784,16 +769,18 @@ let select_sharded t ~cpu =
     some
   end
   else begin
-    match steal t ~dst:cpu with
-    | Some s ->
-        dispatch_dequeue t s;
-        D.client s.dh
-    | None -> (
-        match sh_ring_pick t cpu with
-        | Some s ->
-            dispatch_dequeue t s;
-            D.client s.dh
-        | None -> None)
+    let i = steal t ~dst:cpu in
+    if i >= 0 then begin
+      let s = st_at t i in
+      dispatch_dequeue t s;
+      D.client s.dh
+    end
+    else
+      match sh_ring_pick t cpu with
+      | Some s ->
+          dispatch_dequeue t s;
+          D.client s.dh
+      | None -> None
   end
 
 (* The thread's compensation factor was reset when its quantum started and
@@ -823,7 +810,7 @@ let account t th ~used:_ ~quantum:_ ~blocked:_ =
     | Some s when th.state = Runnable -> sh_enqueue t s
     | _ -> ()
   end
-  else if not t.dirty then begin
+  else begin
     (* The quiescent check reads flat arrays only. A thread in its draw and
        not pending has a valid currency cache whose value its last weight
        write recorded — every write validates the cache, and every valid ->
@@ -998,7 +985,7 @@ let draw_weight t th =
   | _ -> None
 
 let draws t = t.draws
-let full_refreshes t = t.full_refreshes
+let full_refreshes _ = 0
 let scoped_weight_updates t = t.scoped_updates
 let list_comparisons t = D.comparisons t.draw
 let runnable_count t =

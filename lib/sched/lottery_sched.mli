@@ -59,8 +59,7 @@ val sched : t -> Lotto_sim.Types.sched
 
     Draw weights track the funding graph through
     {!Lotto_tickets.Funding.on_change}, so mutations made directly on the
-    underlying {!funding} system are picked up too; {!mark_dirty} remains
-    only as an explicit escape hatch. *)
+    underlying {!funding} system are picked up too. *)
 
 val funding : t -> Lotto_tickets.Funding.system
 val base_currency : t -> Lotto_tickets.Funding.currency
@@ -98,9 +97,6 @@ val thread_currency : t -> Lotto_sim.Types.thread -> Lotto_tickets.Funding.curre
 val thread_value : t -> Lotto_sim.Types.thread -> float
 (** Current draw weight in base units (funding value times any outstanding
     compensation factor). *)
-
-val mark_dirty : t -> unit
-(** Force weight recomputation before the next draw. *)
 
 (** {1 Introspection} *)
 
@@ -150,10 +146,11 @@ val draws : t -> int
 (** Lotteries held so far. *)
 
 val full_refreshes : t -> int
-(** Times every runnable thread's weight was recomputed (only after
-    {!mark_dirty}). Steady-state scheduling should keep this at zero: the
-    scoped change events from {!Lotto_tickets.Funding.on_change} let the
-    scheduler revalue only the threads a mutation actually touched. *)
+(** Times every runnable thread's weight was recomputed at once. Always 0:
+    the scoped change events from {!Lotto_tickets.Funding.on_change} let
+    the scheduler revalue only the threads a mutation actually touched,
+    and no full recomputation path remains. Kept for callers that report
+    it. *)
 
 val scoped_weight_updates : t -> int
 (** Cumulative per-thread weight writes on the incremental path: weights

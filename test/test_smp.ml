@@ -28,29 +28,40 @@ let test_shard_tree_basic () =
   checki "max" 3 (Shard_tree.max_shard t);
   checki "min (lowest id wins ties)" 2 (Shard_tree.min_shard t)
 
+(* [pick] takes the 53 raw bits [Rng.bits53] returns; [bits_of u] is the
+   draw whose deviate is [u] *)
+let bits_of u = int_of_float (u *. float_of_int (1 lsl 53))
+
 let test_shard_tree_pick () =
   let t = Shard_tree.create ~shards:3 in
-  checki "pick on empty" (-1) (Shard_tree.pick t ~u:0.5);
+  checki "pick on empty" (-1) (Shard_tree.pick t ~bits:(bits_of 0.5));
   Shard_tree.set t 0 1.;
   Shard_tree.set t 1 2.;
   Shard_tree.set t 2 1.;
   (* cumulative masses: [0,1) -> 0, [1,3) -> 1, [3,4) -> 2 *)
-  checki "low u" 0 (Shard_tree.pick t ~u:0.1);
-  checki "middle u" 1 (Shard_tree.pick t ~u:0.5);
-  checki "high u" 2 (Shard_tree.pick t ~u:0.99);
+  checki "low u" 0 (Shard_tree.pick t ~bits:(bits_of 0.1));
+  checki "middle u" 1 (Shard_tree.pick t ~bits:(bits_of 0.5));
+  checki "high u" 2 (Shard_tree.pick t ~bits:(bits_of 0.99));
   (* zero-mass shards are never picked, even at the boundary *)
   Shard_tree.set t 1 0.;
   for i = 0 to 99 do
-    let u = float_of_int i /. 100. in
-    checkb "never the empty shard" true (Shard_tree.pick t ~u <> 1)
-  done
+    let bits = bits_of (float_of_int i /. 100.) in
+    checkb "never the empty shard" true (Shard_tree.pick t ~bits <> 1)
+  done;
+  (* the top edge, bits = 2^53 - 1: the last shard that holds mass, never
+     an empty one past it *)
+  let top = (1 lsl 53) - 1 in
+  checki "top edge" 2 (Shard_tree.pick t ~bits:top);
+  Shard_tree.set t 1 2.;
+  Shard_tree.set t 2 0.;
+  checki "top edge, last shard empty" 1 (Shard_tree.pick t ~bits:top)
 
 let test_shard_tree_non_power_of_two () =
   let t = Shard_tree.create ~shards:3 in
   Shard_tree.set t 2 5.;
   checkf "last real leaf" 5. (Shard_tree.get t 2);
   checkf "total ignores padding" 5. (Shard_tree.total t);
-  checki "pick lands on it" 2 (Shard_tree.pick t ~u:0.5)
+  checki "pick lands on it" 2 (Shard_tree.pick t ~bits:(bits_of 0.5))
 
 (* --- readd: the zero-alloc migration primitive ------------------------------- *)
 
