@@ -192,6 +192,26 @@ let fund_reweigh_op () =
     | Some w -> sr.account w ~used:1 ~quantum:1 ~blocked:false
     | None -> ()
 
+(* A synchronous RPC's ticket transfer (paper §3.1), made through the
+   scheduler record as the kernel makes it: the blocked client's donation
+   to the server, which issues a ticket in the client's currency and funds
+   the server's with it, and its revocation at the reply. Both threads are
+   funded from one tenant currency, as in the service, so the cycle check
+   in [fund] walks the client's funding chain down to base. *)
+let transfer_op () =
+  let ls = lottery 2 in
+  let sched = Ls.sched ls in
+  let k = Core.Kernel.create ~sched () in
+  let tenant = Ls.make_currency ls "tenant" in
+  ignore (Ls.fund_currency ls ~target:tenant ~amount:1000 ~from:(Ls.base_currency ls));
+  let client = spinner k "client" (ms 100) and server = spinner k "server" (ms 100) in
+  fund ls ~from:tenant client 100;
+  fund ls ~from:tenant server 200;
+  run_for k (ms 100);
+  fun () ->
+    sched.donate ~src:client ~dst:server;
+    sched.revoke ~src:client
+
 (* The wait-queue handoff: 64 threads loop on [sem_wait] of one FIFO
    semaphore and a poster posts once per 10 ms quantum, then sleeps. One
    operation is one quantum: the post that hands the permit to the head
@@ -266,6 +286,7 @@ let hotpath_rows () =
       ("decision-tree", decision_op Ls.Tree_mode);
       ("decision-sharded", decision_sharded_op);
       ("fund-reweigh-64", fund_reweigh_op);
+      ("transfer", transfer_op);
     ]
   @ [
       ("hotpath/sem-handoff-64:minor-words", sem_handoff_words ());

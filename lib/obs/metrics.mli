@@ -13,6 +13,10 @@
     (§2, Figures 1–5). *)
 
 type t
+(** Memory: the registry keeps one row per thread ever observed, dead
+    threads included, and each row holds two {!Hdr} histograms (~14 KB
+    together at the sizes used here), so it grows with thread churn, not
+    with the number of live threads. *)
 
 val create : ?raw:bool -> unit -> t
 (** [raw] (default [false]) additionally retains every wait/dispatch

@@ -5,6 +5,17 @@ module Vec = Lotto_arena.Vec
 
 type 'a on_effect = (('a, step) Effect.Deep.continuation -> step) option
 
+(* One live thread's event actor and its last [Wake], [Select] and [Block]
+   events. Events are immutable, so re-emitting an equal one is invisible
+   to every subscriber; the record belongs to one occupant of a slot, so
+   no cached event can name a thread that has since been reaped. *)
+type obs_cache = {
+  who : Obs.Event.actor;
+  mutable wake : Obs.Event.t;
+  mutable select : Obs.Event.t;
+  mutable block : Obs.Event.t;
+}
+
 type t = {
   mutable now : int;
       (* the global virtual clock: the round floor between slices, the
@@ -36,8 +47,9 @@ type t = {
   mutable slices : int;
   bus : Obs.Bus.t;
   mutable current : thread option; (* thread being advanced, if any *)
-  mutable actors : Obs.Event.actor array;
-      (* event actors by thread slot, filled lazily while observed *)
+  mutable actors : obs_cache array;
+      (* event actors and events by thread slot, filled lazily while
+         observed *)
   (* registries of every synchronization object created through this
      kernel, in creation order: the invariant auditor cross-checks
      wait-queue membership against thread [pending] states, and fault
@@ -109,25 +121,61 @@ let[@inline] observed k = Obs.Bus.active k.bus
    thread (slot -1) gets a fresh record. With no subscriber nothing calls
    this, so an unobserved kernel never allocates the table. *)
 let no_actor = Obs.Event.actor_of ~tid:(-1) ~tname:""
+let no_event = Obs.Event.Wake { who = no_actor }
+let no_cache = { who = no_actor; wake = no_event; select = no_event; block = no_event }
 
-let actor k th =
+let fresh_cache th =
+  {
+    who = Obs.Event.actor_of ~tid:th.id ~tname:th.name;
+    wake = no_event;
+    select = no_event;
+    block = no_event;
+  }
+
+(* a reaped thread's record is not stored, so its events are built fresh *)
+let cache k th =
   let s = th.tslot in
-  if s < 0 then Obs.Event.actor_of ~tid:th.id ~tname:th.name
+  if s < 0 then fresh_cache th
   else begin
     if s >= Array.length k.actors then begin
       let n = max 16 (max (s + 1) (2 * Array.length k.actors)) in
-      let a = Array.make n no_actor in
+      let a = Array.make n no_cache in
       Array.blit k.actors 0 a 0 (Array.length k.actors);
       k.actors <- a
     end;
-    let a = k.actors.(s) in
-    if a.Obs.Event.tid = th.id then a
+    let c = k.actors.(s) in
+    if c.who.Obs.Event.tid = th.id then c
     else begin
-      let a = Obs.Event.actor_of ~tid:th.id ~tname:th.name in
-      k.actors.(s) <- a;
-      a
+      let c = fresh_cache th in
+      k.actors.(s) <- c;
+      c
     end
   end
+
+let actor k th =
+  if th.tslot < 0 then Obs.Event.actor_of ~tid:th.id ~tname:th.name
+  else (cache k th).who
+
+(* [Wake], [Select] and [Block] are rebuilt only when a field other than
+   [who] changed since the thread's last one. *)
+let wake_event k th =
+  let c = cache k th in
+  if c.wake == no_event then c.wake <- Obs.Event.Wake { who = c.who };
+  c.wake
+
+let select_event k th ~cpu =
+  let c = cache k th in
+  (match c.select with
+  | Obs.Event.Select { cpu = cpu'; _ } when cpu' = cpu -> ()
+  | _ -> c.select <- Obs.Event.Select { who = c.who; cpu });
+  c.select
+
+let block_event k th ~on =
+  let c = cache k th in
+  (match c.block with
+  | Obs.Event.Block { on = on'; _ } when String.equal on' on -> ()
+  | _ -> c.block <- Obs.Event.Block { who = c.who; on });
+  c.block
 
 let emit k ev =
   match k.profiler with
@@ -275,12 +323,12 @@ let semaphores k = Vec.to_list k.sems_v
 let block k th ~on =
   th.state <- Blocked;
   k.sched.unready th;
-  if observed k then emit k (Obs.Event.Block { who = actor k th; on })
+  if observed k then emit k (block_event k th ~on)
 
 let unblock k th =
   th.state <- Runnable;
   k.sched.ready th;
-  if observed k then emit k (Obs.Event.Wake { who = actor k th })
+  if observed k then emit k (wake_event k th)
 
 (* --- bounded-port admission ------------------------------------------- *)
 
@@ -1146,7 +1194,7 @@ let run_slice k th ~cpu ~cur ~horizon =
      (paper §4.5: the inflation lasts "until the client starts its next
      quantum"). *)
   th.compensate <- 1.;
-  if observed k then emit k (Obs.Event.Select { who = actor k th; cpu });
+  if observed k then emit k (select_event k th ~cpu);
   let slice_left = ref k.quantum in
   let outcome = ref `Preempted in
   (* [cur] is the scheduler's own [Some th] (select returns a preallocated

@@ -20,7 +20,8 @@ and ticket = {
 and currency = {
   cid : int;  (** unique forever; never recycled *)
   mutable cslot : int;
-      (** dense arena slot; [-1] once removed. Consumers (the scheduler)
+      (** dense arena slot; [-1] once removed, which is how liveness is
+          read. Consumers (the scheduler)
           index per-currency state arrays by it, guarding against recycling
           with a physical-equality check on the stored currency. *)
   cname : string;
@@ -35,10 +36,11 @@ and currency = {
   mutable issued_head : int;
   mutable backing_head : int;
   mutable active_amount : int;
-  mutable alive : bool;
   mutable cache_ok : bool;
       (* the currency's entries in the system's [vals]/[units] caches are
          current; see [ensure] *)
+  mutable visit : int;
+      (* the system's [stamp] of the last cycle check that reached it *)
 }
 
 and system = {
@@ -80,6 +82,7 @@ and system = {
      hold the base currency, never a dead one. *)
   mutable dirty : currency array;
   mutable n_dirty : int;
+  mutable stamp : int; (* bumped once per cycle check; see [would_cycle] *)
 }
 
 (* A change event is the system itself, read through [iter_changed] while
@@ -103,8 +106,8 @@ let create_system () =
       issued_head = -1;
       backing_head = -1;
       active_amount = 0;
-      alive = true;
       cache_ok = false;
+      visit = 0;
     }
   in
   let cur_tab = Slots.grow_payload cur_slots [||] ~dummy:base_currency in
@@ -131,6 +134,7 @@ let create_system () =
       fire = ignore;
       dirty = Array.make 16 base_currency;
       n_dirty = 0;
+      stamp = 0;
     }
   in
   sys.fire <- (fun s -> sys.w_tab.(s) sys);
@@ -309,8 +313,8 @@ let make_currency sys ~name =
       issued_head = -1;
       backing_head = -1;
       active_amount = 0;
-      alive = true;
       cache_ok = false;
+      visit = 0;
     }
   in
   sys.cur_tab <- Slots.grow_payload sys.cur_slots sys.cur_tab ~dummy:c;
@@ -339,12 +343,11 @@ let live_currency_count sys = Slots.live_count sys.cur_slots
 
 let remove_currency sys c =
   if c.base_p then raise (In_use "base currency cannot be removed");
-  if not c.alive then invalid_arg "Funding.remove_currency: already removed";
+  if c.cslot < 0 then invalid_arg "Funding.remove_currency: already removed";
   if c.issued_head >= 0 then
     raise (In_use (c.cname ^ " still has issued tickets"));
   if c.backing_head >= 0 then
     raise (In_use (c.cname ^ " still has backing tickets"));
-  c.alive <- false;
   Hashtbl.remove sys.by_name c.cname;
   Slots.release sys.cur_slots c.cslot;
   c.cslot <- -1
@@ -355,7 +358,7 @@ let backing_tickets sys c = collect_list iter_backing sys c
 
 let issue sys ~currency ~amount =
   if amount < 0 then invalid_arg "Funding.issue: negative amount";
-  if not currency.alive then invalid_arg "Funding.issue: dead currency";
+  if currency.cslot < 0 then invalid_arg "Funding.issue: dead currency";
   let tid = fresh_id sys in
   let s = Slots.alloc sys.tk_slots in
   let t =
@@ -465,23 +468,30 @@ let set_amount sys t new_amount =
 
 (* A backing edge [currency <- ticket] makes [currency]'s value depend on
    the ticket's denomination. Funding [c] with a ticket denominated in [d]
-   is cyclic iff [d]'s value already depends on [c]. The walk memoizes
-   visited currencies so shared sub-graphs (diamonds) are visited once. *)
+   is cyclic iff [d]'s value already depends on [c]. The walk marks each
+   visited currency with the check's stamp, so shared sub-graphs (diamonds)
+   are visited once, and it is a top-level loop: a [fund] (one per ticket
+   transfer) allocates nothing here. *)
+let rec depends_on sys funded c =
+  c == funded
+  || c.visit <> sys.stamp
+     && begin
+          c.visit <- sys.stamp;
+          backing_depends sys funded c.backing_head
+        end
+
+and backing_depends sys funded s =
+  s >= 0
+  && (depends_on sys funded sys.tk_tab.(s).denom
+     || backing_depends sys funded sys.b_next.(s))
+
 let would_cycle sys ~funded ~denom =
-  let seen = Hashtbl.create 16 in
-  let rec depends_on c =
-    c.cid = funded.cid
-    || ((not (Hashtbl.mem seen c.cid))
-       && begin
-            Hashtbl.add seen c.cid ();
-            exists_backing sys c (fun b -> depends_on b.denom)
-          end)
-  in
-  depends_on denom
+  sys.stamp <- sys.stamp + 1;
+  depends_on sys funded denom
 
 let fund sys ~ticket ~currency =
   check_live ticket "Funding.fund";
-  if not currency.alive then invalid_arg "Funding.fund: dead currency";
+  if currency.cslot < 0 then invalid_arg "Funding.fund: dead currency";
   (match ticket.attach with
   | Unattached -> ()
   | Backs _ | Held -> invalid_arg "Funding.fund: ticket already attached");
@@ -687,7 +697,7 @@ let check_invariants sys =
   let fail fmt = Printf.ksprintf failwith fmt in
   Slots.iter_live sys.cur_slots (fun slot ->
       let c = sys.cur_tab.(slot) in
-      if not c.alive then fail "dead currency %s in arena" c.cname;
+      if c.cslot < 0 then fail "dead currency %s in arena" c.cname;
       if c.cslot <> slot then
         fail "currency %s: slot field %d <> arena slot %d" c.cname c.cslot slot;
       (* Active amount equals sum of active issued ticket amounts. *)

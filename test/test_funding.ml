@@ -415,6 +415,97 @@ let qcheck_random_ops_keep_invariants =
       done;
       true)
 
+(* [fund]'s cycle check against a from-scratch reachability walk. Random
+   funding DAGs (diamonds included) grow and shrink: whole currencies are
+   retired with their tickets, so both currency and ticket slots are
+   recycled under the check's visit marks. Each attempt to fund a currency
+   [c] with a ticket denominated in [d] must raise [Cycle] exactly when
+   [d] already depends on [c] through backing edges, and a refused attempt
+   must change nothing: the invariants hold, no batch is delivered, and
+   every valid cache keeps its value. *)
+let depends_from_scratch sys ~from ~target =
+  let seen = Hashtbl.create 16 in
+  let rec walk c =
+    F.currency_id c = F.currency_id target
+    || (not (Hashtbl.mem seen (F.currency_id c)))
+       && begin
+            Hashtbl.add seen (F.currency_id c) ();
+            List.exists (fun b -> walk (F.denomination b)) (F.backing_tickets sys c)
+          end
+  in
+  walk from
+
+let qcheck_cycle_check_matches_reachability =
+  let module Rng = Core.Rng in
+  QCheck.Test.make ~name:"fund refuses exactly the edges that close a cycle"
+    ~count:200 QCheck.small_int
+    (fun seed ->
+      let rng = Rng.create ~algo:Splitmix64 ~seed:(seed + 104729) () in
+      let sys = F.create_system () in
+      let currencies = ref [ F.base sys ] in
+      let tickets = ref [] in
+      let ok = ref true in
+      let notified = ref 0 in
+      ignore (F.on_change sys (fun _ -> incr notified) : F.subscription);
+      let pick l = Rng.choose rng (Array.of_list l) in
+      let caches () =
+        List.map
+          (fun c ->
+            if F.cache_valid c then Some (F.currency_value sys c, F.unit_value sys c)
+            else None)
+          (F.currencies sys)
+      in
+      let attempt t c =
+        let cyclic = depends_from_scratch sys ~from:(F.denomination t) ~target:c in
+        let before = caches () and n0 = !notified in
+        match F.fund sys ~ticket:t ~currency:c with
+        | () -> if cyclic then ok := false
+        | exception F.Cycle _ ->
+            if not cyclic then ok := false;
+            if !notified <> n0 || caches () <> before || F.funds t <> None then
+              ok := false;
+            F.check_invariants sys
+      in
+      let retire c =
+        List.iter (F.destroy_ticket sys) (F.issued_tickets sys c);
+        List.iter (F.destroy_ticket sys) (F.backing_tickets sys c);
+        F.remove_currency sys c;
+        currencies := List.filter (fun c' -> c' != c) !currencies;
+        tickets := List.filter (fun t -> F.ticket_slot t >= 0) !tickets
+      in
+      for i = 0 to 299 do
+        (match Rng.int_below rng 10 with
+        | 0 | 1 ->
+            currencies :=
+              F.make_currency sys ~name:(Printf.sprintf "c%d" i) :: !currencies
+        | 2 | 3 ->
+            tickets :=
+              F.issue sys ~currency:(pick !currencies) ~amount:(1 + Rng.int_below rng 50)
+              :: !tickets
+        | 4 | 5 | 6 -> (
+            let unattached t = F.funds t = None && not (F.is_held t) in
+            match List.filter unattached !tickets with
+            | [] -> ()
+            | free ->
+                let t = pick free in
+                let c = pick !currencies in
+                if F.currency_id c <> F.currency_id (F.denomination t) then attempt t c)
+        | 7 when !tickets <> [] -> (
+            let t = pick !tickets in
+            try if F.funds t = None then F.hold sys t else F.unfund sys t
+            with Invalid_argument _ -> ())
+        | 8 -> (
+            match List.filter (fun c -> not (F.is_base c)) !currencies with
+            | [] -> ()
+            | cs -> retire (pick cs))
+        | _ ->
+            (* reads validate part of the graph, so refused funds meet a
+               mix of valid and stale caches *)
+            ignore (F.currency_value sys (pick !currencies) : float));
+        F.check_invariants sys
+      done;
+      !ok)
+
 (* From-scratch valuation through the public accessors only, bypassing the
    incremental caches. Mirrors the cached arithmetic operation-for-operation
    (same fold order over the backing list, same value/active division), so
@@ -910,5 +1001,6 @@ let () =
             qcheck_value_conservation;
             qcheck_random_ops_keep_invariants;
             qcheck_incremental_valuation_exact;
+            qcheck_cycle_check_matches_reachability;
           ] );
     ]

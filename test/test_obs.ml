@@ -426,6 +426,53 @@ let test_hdr_merge () =
     (Invalid_argument "Hdr.merge: mismatched histogram parameters") (fun () ->
       Obs.Hdr.merge ~into:a (Obs.Hdr.create ~sub_bits:6 ()))
 
+(* Bucket placement against a bit-at-a-time top-bit loop: every value is
+   recorded once, and [iter_buckets] must report exactly the buckets (and
+   counts) the loop puts them in. The values cover the exact region,
+   everything up to 2^16, and each power of two and its neighbours up to
+   [max_value]. *)
+let test_hdr_buckets_match_bit_loop () =
+  let rec msb v acc = if v <= 1 then acc else msb (v lsr 1) (acc + 1) in
+  let reference_bounds ~sub_bits v =
+    if v < 1 lsl sub_bits then (v, v)
+    else begin
+      let shift = msb v 0 - sub_bits in
+      let lo = (v lsr shift) lsl shift in
+      (lo, lo + (1 lsl shift) - 1)
+    end
+  in
+  List.iter
+    (fun (sub_bits, max_value) ->
+      let h = Obs.Hdr.create ~sub_bits ~max_value () in
+      let want = Hashtbl.create 1024 in
+      let probe v =
+        if v >= 0 && v <= max_value then begin
+          Obs.Hdr.record h v;
+          let b = reference_bounds ~sub_bits v in
+          Hashtbl.replace want b (1 + Option.value ~default:0 (Hashtbl.find_opt want b))
+        end
+      in
+      for v = 0 to 1 lsl 16 do
+        probe v
+      done;
+      for m = 0 to 61 do
+        let p = 1 lsl m in
+        probe (p - 1);
+        probe p;
+        probe (p + 1)
+      done;
+      probe max_value;
+      let want =
+        List.sort compare (Hashtbl.fold (fun (lo, hi) c acc -> (lo, hi, c) :: acc) want [])
+      in
+      let got = ref [] in
+      Obs.Hdr.iter_buckets h (fun ~lo ~hi ~count -> got := (lo, hi, count) :: !got);
+      let got = List.sort compare !got in
+      if got <> want then
+        Alcotest.failf "sub_bits %d, max_value %d: %d buckets, bit loop %d" sub_bits
+          max_value (List.length got) (List.length want))
+    [ (5, 1 lsl 30); (1, 2); (8, max_int); (12, (1 lsl 20) + 7) ]
+
 (* --- live kernel helpers ----------------------------------------------------- *)
 
 let lottery_kernel ~seed () =
@@ -863,6 +910,346 @@ let test_fairness_heterogeneous_quanta () =
   | Some p -> checkb "equal grant counts consistent with 1:1" true (p > 0.9)
   | None -> Alcotest.fail "p-value expected"
 
+(* The registry against a naive fold: one row per tid found by list
+   search, one (quantum, ticks) cell per Preempt.
+   The stream names several threads in runs, hands the registry fresh
+   actor records for a tid it already knows (a reaped thread's actor is
+   rebuilt per event), and switches quanta back and forth. *)
+type naive = {
+  n_name : string;
+  mutable n_wins : int;
+  mutable n_quanta : int;
+  mutable n_comp : int;
+  mutable n_blocks : int;
+  mutable n_donations : int;
+  mutable n_locks : int;
+  mutable n_contended : int;
+  mutable n_rpcs : int;
+  mutable n_served : int;
+  mutable n_shed : int;
+  mutable n_blocked_since : int;
+  mutable n_runnable_since : int;
+  mutable n_waits : int list;  (** newest first *)
+  mutable n_disps : int list;
+  mutable n_q : (int * int) list;  (** one cell per Preempt *)
+}
+
+let naive_fold events =
+  let rows = ref [] in
+  let quantum_us = ref 0 in
+  let row (a : Obs.Event.actor) =
+    match List.assoc_opt a.tid !rows with
+    | Some r -> r
+    | None ->
+        let r =
+          {
+            n_name = a.tname; n_wins = 0; n_quanta = 0; n_comp = 0; n_blocks = 0;
+            n_donations = 0; n_locks = 0; n_contended = 0; n_rpcs = 0;
+            n_served = 0; n_shed = 0; n_blocked_since = -1;
+            n_runnable_since = -1; n_waits = []; n_disps = []; n_q = [];
+          }
+        in
+        rows := !rows @ [ (a.tid, r) ];
+        r
+  in
+  List.iter
+    (fun (time, ev) ->
+      match ev with
+      | Obs.Event.Spawn { who } -> (row who).n_runnable_since <- time
+      | Select { who; _ } ->
+          let r = row who in
+          r.n_wins <- r.n_wins + 1;
+          if r.n_runnable_since >= 0 then
+            r.n_disps <- (time - r.n_runnable_since) :: r.n_disps;
+          r.n_runnable_since <- -1
+      | Preempt { who; used; quantum; why } -> (
+          let r = row who in
+          r.n_quanta <- r.n_quanta + used;
+          if quantum > 0 then r.n_q <- (quantum, used) :: r.n_q;
+          quantum_us := max !quantum_us quantum;
+          match why with
+          | End_quantum | End_yield | End_horizon -> r.n_runnable_since <- time
+          | End_block | End_exit -> ())
+      | Block { who; _ } ->
+          let r = row who in
+          r.n_blocks <- r.n_blocks + 1;
+          r.n_blocked_since <- time
+      | Wake { who } ->
+          let r = row who in
+          if r.n_blocked_since >= 0 then
+            r.n_waits <- (time - r.n_blocked_since) :: r.n_waits;
+          r.n_blocked_since <- -1;
+          r.n_runnable_since <- time
+      | Exit { who; _ } -> (row who).n_runnable_since <- -1
+      | Compensate { who; _ } ->
+          let r = row who in
+          r.n_comp <- r.n_comp + 1
+      | Donate { src; _ } ->
+          let r = row src in
+          r.n_donations <- r.n_donations + 1
+      | Lock_acquire { who; contended; _ } ->
+          let r = row who in
+          r.n_locks <- r.n_locks + 1;
+          if contended then r.n_contended <- r.n_contended + 1
+      | Rpc_send { who; _ } ->
+          let r = row who in
+          r.n_rpcs <- r.n_rpcs + 1
+      | Rpc_recv { who; _ } ->
+          let r = row who in
+          r.n_served <- r.n_served + 1
+      | Rpc_shed { who; _ } ->
+          let r = row who in
+          r.n_shed <- r.n_shed + 1
+      | _ -> ())
+    events;
+  (!rows, !quantum_us)
+
+(* the same fairness arithmetic, over the naive rows *)
+let naive_fairness (rows, quantum_us) ~entitled =
+  let seen = Hashtbl.create 8 in
+  let compared =
+    List.filter_map
+      (fun (tid, w) ->
+        if Hashtbl.mem seen tid then None
+        else begin
+          Hashtbl.add seen tid ();
+          Option.map (fun r -> (tid, r, w)) (List.assoc_opt tid rows)
+        end)
+      entitled
+  in
+  let total_q = List.fold_left (fun acc (_, r, _) -> acc + r.n_quanta) 0 compared in
+  let total_w = List.fold_left (fun acc (_, _, w) -> acc +. w) 0. compared in
+  let shares =
+    List.map
+      (fun (tid, r, w) ->
+        {
+          Obs.Metrics.s_tid = tid;
+          s_name = r.n_name;
+          s_quanta = r.n_quanta;
+          observed = float_of_int r.n_quanta /. float_of_int (max 1 total_q);
+          entitled = (if total_w > 0. then w /. total_w else 0.);
+        })
+      compared
+  in
+  let p =
+    if quantum_us <= 0 || total_w <= 0. || List.length compared < 2
+       || List.exists (fun (_, _, w) -> w <= 0.) compared
+    then None
+    else begin
+      let slices r =
+        let per_q = Hashtbl.create 4 in
+        List.iter
+          (fun (q, used) ->
+            let acc = Option.value ~default:0 (Hashtbl.find_opt per_q q) in
+            Hashtbl.replace per_q q (acc + used))
+          r.n_q;
+        Hashtbl.fold
+          (fun q used acc ->
+            acc + int_of_float (Float.round (float_of_int used /. float_of_int q)))
+          per_q 0
+      in
+      let observed = Array.of_list (List.map (fun (_, r, _) -> slices r) compared) in
+      let total = Array.fold_left ( + ) 0 observed in
+      if total = 0 then None
+      else begin
+        let expected =
+          Array.of_list
+            (List.map (fun (_, _, w) -> w /. total_w *. float_of_int total) compared)
+        in
+        let stat = Chi_square.statistic ~observed ~expected in
+        let df = Chi_square.degrees_of_freedom ~cells:(Array.length observed) in
+        Some (Chi_square.p_value ~statistic:stat ~df)
+      end
+    end
+  in
+  (shares, p)
+
+let hdr_of samples =
+  let h = Obs.Hdr.create ~sub_bits:5 ~max_value:(1 lsl 30) () in
+  List.iter (Obs.Hdr.record h) (List.rev samples);
+  h
+
+let buckets h =
+  let acc = ref [] in
+  Obs.Hdr.iter_buckets h (fun ~lo ~hi ~count -> acc := (lo, hi, count) :: !acc);
+  (Obs.Hdr.count h, Obs.Hdr.sum h, List.rev !acc)
+
+let random_stream rng ~n =
+  let names = [| "a"; "b"; "c"; "d"; "e" |] in
+  let actors = Array.mapi (fun i name -> actor name (i + 1)) names in
+  let quanta = [| 10_000; 20_000; 10_000; 5_000 |] in
+  let q = ref 0 in
+  let who = ref 0 in
+  let time = ref 0 in
+  List.init n (fun _ ->
+      time := !time + Rng.int_below rng 3_000;
+      (* runs of events on one thread, as a slice produces them *)
+      if Rng.int_below rng 3 = 0 then who := Rng.int_below rng (Array.length actors);
+      (* a reaped thread's actor is a fresh record with the same tid *)
+      if Rng.int_below rng 8 = 0 then
+        actors.(!who) <- actor names.(!who) (!who + 1);
+      if Rng.int_below rng 6 = 0 then q := Rng.int_below rng (Array.length quanta);
+      let a = actors.(!who) in
+      let ev : Obs.Event.t =
+        match Rng.int_below rng 12 with
+        | 0 -> Spawn { who = a }
+        | 1 | 2 -> Select { who = a; cpu = 0 }
+        | 3 | 4 ->
+            let quantum = if Rng.int_below rng 10 = 0 then 0 else quanta.(!q) in
+            let why : Obs.Event.slice_end =
+              match Rng.int_below rng 5 with
+              | 0 -> End_quantum | 1 -> End_yield | 2 -> End_block
+              | 3 -> End_exit | _ -> End_horizon
+            in
+            Preempt { who = a; used = Rng.int_below rng (quantum + 1); quantum; why }
+        | 5 -> Block { who = a; on = "sleep" }
+        | 6 -> Wake { who = a }
+        | 7 -> Compensate { who = a; factor = 2. }
+        | 8 -> Donate { src = a; dst = actors.(0) }
+        | 9 -> Lock_acquire { who = a; mutex = "m"; contended = Rng.bool rng }
+        | 10 -> Rpc_send { who = a; port = "p"; msg_id = 0; parent = None }
+        | _ ->
+            if Rng.bool rng then Rpc_recv { who = a; port = "p"; msg_id = 0; sender = a }
+            else
+              Rpc_shed
+                { who = a; port = "p"; msg_id = 0; reason = "reject-new"; parent = None }
+      in
+      (!time, ev))
+
+let qcheck_metrics_match_naive_fold =
+  QCheck.Test.make ~name:"metrics = naive per-tid, per-quantum fold" ~count:200
+    QCheck.small_int (fun seed ->
+      let rng = Rng.create ~algo:Splitmix64 ~seed:(seed + 31) () in
+      let events = random_stream rng ~n:(50 + Rng.int_below rng 400) in
+      let m = Obs.Metrics.create ~raw:true () in
+      List.iter (fun (t, ev) -> Obs.Metrics.on_event m t ev) events;
+      let ((rows, _) as naive) = naive_fold events in
+      let snaps = Obs.Metrics.snapshots m in
+      let floats l = Array.of_list (List.rev_map float_of_int l) in
+      let snaps_ok =
+        List.length snaps = List.length rows
+        && List.for_all2
+             (fun (s : Obs.Metrics.snapshot) (tid, r) ->
+               s.tid = tid && s.name = r.n_name && s.wins = r.n_wins
+               && s.quanta = r.n_quanta && s.compensations = r.n_comp
+               && s.blocks = r.n_blocks && s.donations = r.n_donations
+               && s.lock_acquires = r.n_locks && s.lock_contended = r.n_contended
+               && s.rpcs = r.n_rpcs && s.rpcs_served = r.n_served
+               && s.rpcs_shed = r.n_shed
+               && s.wait_us = floats r.n_waits
+               && s.dispatch_us = floats r.n_disps
+               && buckets s.wait = buckets (hdr_of r.n_waits)
+               && buckets s.dispatch = buckets (hdr_of r.n_disps))
+             snaps rows
+      in
+      (* entitlements over a random subset, a duplicate and an unknown tid;
+         now and then a zero weight, which leaves the p-value undefined *)
+      let entitled =
+        List.filter_map
+          (fun tid ->
+            if Rng.int_below rng 4 = 0 then None
+            else if Rng.int_below rng 20 = 0 then Some (tid, 0.)
+            else Some (tid, 1. +. float_of_int (Rng.int_below rng 9)))
+          [ 1; 2; 3; 4; 5; 1; 99 ]
+      in
+      snaps_ok
+      && Obs.Metrics.total_quanta m
+         = List.fold_left (fun acc (_, r) -> acc + r.n_quanta) 0 rows
+      && Obs.Metrics.fairness m ~entitled = naive_fairness naive ~entitled)
+
+(* Cached kernel events ([Wake], [Select], [Block] are re-emitted while
+   nothing but the thread changed) must always name the thread the kernel
+   means: waves of short-lived workers recycle thread slots on a 2-CPU
+   kernel, and a probe checks every such event against the live thread
+   table, the scheduler's pick for that CPU and the reason the worker
+   announced before blocking. *)
+let test_event_cache_names_current_occupant () =
+  let rng = Rng.create ~seed:12 () in
+  let ls = Lottery_sched.create ~shards:2 ~rng () in
+  let s = Lottery_sched.sched ls in
+  let picked = Array.make 2 None in
+  let sched =
+    {
+      s with
+      select =
+        (fun ~cpu ->
+          let r = s.select ~cpu in
+          picked.(cpu) <- r;
+          r);
+    }
+  in
+  let k = Kernel.create ~quantum:(Time.ms 10) ~cpus:2 ~sched () in
+  let sem = Kernel.create_semaphore k ~initial:0 "gate" in
+  let doing = Hashtbl.create 16 in
+  let checked = ref 0 in
+  let fail fmt = Printf.ksprintf (fun m -> Alcotest.fail m) fmt in
+  let live (a : Obs.Event.actor) =
+    match List.find_opt (fun th -> Kernel.thread_id th = a.tid) (Kernel.threads k) with
+    | Some th when Kernel.thread_name th = a.tname -> ()
+    | _ -> fail "event names %s (tid %d), not a live thread" a.tname a.tid
+  in
+  let _probe =
+    Obs.Bus.subscribe ~name:"probe" (Kernel.bus k) (fun _ ev ->
+        match ev with
+        | Obs.Event.Wake { who } ->
+            live who;
+            incr checked
+        | Select { who; cpu } -> (
+            live who;
+            incr checked;
+            match picked.(cpu) with
+            | Some th when Kernel.thread_id th = who.tid -> ()
+            | _ -> fail "Select of %s names cpu %d, which picked another" who.tname cpu)
+        | Block { who; on } ->
+            live who;
+            incr checked;
+            if Hashtbl.find_opt doing who.tid <> Some on then
+              fail "Block of %s on %s, announced %s" who.tname on
+                (Option.value ~default:"-" (Hashtbl.find_opt doing who.tid))
+        | _ -> ())
+  in
+  let announce what =
+    Hashtbl.replace doing (Kernel.thread_id (Api.self ())) what
+  in
+  ignore
+    (Lottery_sched.fund_thread ls ~amount:50 ~from:(Lottery_sched.base_currency ls)
+       (Kernel.spawn k ~name:"poster" (fun () ->
+            while true do
+              Api.compute (Time.ms 2);
+              Api.sem_post sem;
+              announce "sleep";
+              Api.sleep (Time.ms 9)
+            done)));
+  let slots = Hashtbl.create 16 in
+  for wave = 0 to 39 do
+    for i = 0 to 2 do
+      let th =
+        Kernel.spawn k ~name:(Printf.sprintf "w%d-%d" wave i) (fun () ->
+            for j = 1 to 4 do
+              Api.compute (Time.ms (1 + j));
+              if j mod 2 = 1 then begin
+                announce "sleep";
+                Api.sleep (Time.ms 3)
+              end
+              else begin
+                announce "sem";
+                Api.sem_wait sem
+              end
+            done)
+      in
+      ignore
+        (Lottery_sched.fund_thread ls th ~amount:(100 + i)
+           ~from:(Lottery_sched.base_currency ls));
+      Hashtbl.add slots (Kernel.thread_slot th) (Kernel.thread_id th)
+    done;
+    ignore (Kernel.run k ~until:(Kernel.now k + Time.ms 120))
+  done;
+  checkb "slots were recycled" true
+    (Hashtbl.fold
+       (fun s _ acc -> acc || List.length (Hashtbl.find_all slots s) > 1)
+       slots false);
+  checkb "the probe saw the stream" true (!checked > 1000)
+
 let test_metrics_histogram_default () =
   (* the default registry keeps no raw arrays — bounded memory — yet the
      histograms still answer the percentile questions *)
@@ -1128,6 +1515,8 @@ let () =
           Alcotest.test_case "clamping, copy and reset" `Quick
             test_hdr_clamping_and_reset;
           Alcotest.test_case "merge" `Quick test_hdr_merge;
+          Alcotest.test_case "buckets match the bit loop" `Quick
+            test_hdr_buckets_match_bit_loop;
         ] );
       ( "spans",
         [
@@ -1152,6 +1541,8 @@ let () =
             test_typed_stream_deterministic;
           Alcotest.test_case "multiple subscribers, full stream" `Quick
             test_multi_subscriber_full_stream;
+          Alcotest.test_case "cached events name the slot's occupant" `Quick
+            test_event_cache_names_current_occupant;
         ] );
       ( "metrics",
         [
@@ -1171,6 +1562,7 @@ let () =
             test_metrics_prom_exposition;
           Alcotest.test_case "golden rpc/mutex/semaphore output" `Quick
             test_metrics_golden;
+          QCheck_alcotest.to_alcotest qcheck_metrics_match_naive_fold;
         ] );
       ( "profile",
         [
