@@ -316,6 +316,27 @@ let shed_op () =
   assert (Core.Kernel.port_would_shed port);
   fun () -> ignore (Core.Kernel.port_would_shed port)
 
+(* The I/O cycle a served request costs the device: one funded submit and
+   one [serve_slot], with the client funded from the scheduler's funding
+   graph as [Service.run] funds it, beside a second, idle tenant. Every
+   submit wakes the client (its ticket resumes), so every slot's refresh
+   revalues it before the draw, and every serve drains it (its ticket is
+   suspended again). *)
+let io_cycle_op () =
+  let module Io = Core.Io_bandwidth in
+  let ls = lottery ~mode:Ls.List_mode 47 in
+  let dev = Io.create ~funding:(Ls.funding ls) ~rng:(Core.Rng.create ~seed:48 ()) () in
+  let tenant name share =
+    let cur = Ls.make_currency ls name in
+    ignore (Ls.fund_currency ls ~target:cur ~amount:share ~from:(Ls.base_currency ls));
+    Io.add_funded_client dev ~name ~currency:cur ()
+  in
+  let a = tenant "A" 900 in
+  ignore (tenant "B" 100);
+  fun () ->
+    Io.submit dev a ~requests:1;
+    ignore (Io.serve_slot dev)
+
 (* Minor words per resolved request (served or shed) on the loaded arm of
    the service-insulation experiment: tenant A (share 900, Poisson 207/s)
    beside tenant B flooding at 10x its share (100, Poisson 200/s), one I/O
@@ -385,7 +406,10 @@ let service_rows () =
                { calm_per_s = 500.; burst_per_s = 2000.; calm_ms = 750.; burst_ms = 250. }) );
       ("shed-decision", shed_op);
     ]
-  @ [ ("service/request:minor-words", service_request_words ()) ]
+  @ [
+      ("resmgr/io-cycle:minor-words", exact_words (io_cycle_op ()));
+      ("service/request:minor-words", service_request_words ());
+    ]
 
 (* --- smp: sharded lotteries across virtual CPUs -------------------------- *)
 

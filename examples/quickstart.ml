@@ -14,7 +14,7 @@ open Core
 let () =
   (* Figure 1: five clients holding 10, 2, 5, 1, 2 tickets; the fifteenth
      of the twenty tickets is selected, so the third client wins. *)
-  let lottery = List_lottery.create ~move_to_front:false () in
+  let lottery = List_lottery.create ~order:List_lottery.Unordered () in
   let handles =
     List.map
       (fun (name, tickets) ->

@@ -33,11 +33,6 @@ val sem : t
 (** Workers sharing a two-permit counting semaphore with a [Lottery_wake]
     policy. *)
 
-val sem_fifo : t
-(** Consumers queued on a zero-permit FIFO semaphore fed by two
-    producers: the wait queue's head-first handoff under kills and
-    perturbation. *)
-
 val service : t
 (** A worker pool behind a bounded [Drop_oldest] port under overrunning
     clients: admission control sheds while workers and clients are killed,
@@ -46,7 +41,9 @@ val service : t
     faults. *)
 
 val all : t list
-(** The seven healthy scenarios above — everything a soak sweeps by
+(** The six healthy scenarios above, plus [sem-fifo] (consumers queued on
+    a zero-permit FIFO semaphore: the wait queue's head-first handoff
+    under kills and perturbation) — everything a soak sweeps by
     default. *)
 
 val rpc_buggy : t

@@ -38,12 +38,3 @@ let csv ~header rows =
   String.concat "\n" (line header :: List.map line rows) ^ "\n"
 
 let f x = Printf.sprintf "%.6g" x
-
-let pp_float_array fmt xs =
-  Format.fprintf fmt "[|";
-  Array.iteri
-    (fun i x ->
-      if i > 0 then Format.fprintf fmt "; ";
-      Format.fprintf fmt "%.3f" x)
-    xs;
-  Format.fprintf fmt "|]"

@@ -26,8 +26,6 @@ val print_kv : string -> ('a, unit, string, unit) format4 -> 'a
 val print_row : string list -> unit
 (** Tab-aligned data row. *)
 
-val pp_float_array : Format.formatter -> float array -> unit
-
 val csv : header:string list -> string list list -> string
 (** Serialize rows as RFC-4180-ish CSV (values containing commas or quotes
     are quoted). *)

@@ -38,12 +38,7 @@ type 'a t = {
   mutable mutations : int; (* triggers periodic total recomputation *)
 }
 
-let create ?(move_to_front = true) ?order () =
-  let order =
-    match order with
-    | Some o -> o
-    | None -> if move_to_front then Move_to_front else Unordered
-  in
+let create ?(order = Move_to_front) () =
   {
     order;
     ws = Array.make 16 free_weight;

@@ -17,10 +17,8 @@ type order =
   | Move_to_front  (** winners move to the head (the prototype's choice) *)
   | By_weight  (** kept sorted by decreasing weight *)
 
-val create : ?move_to_front:bool -> ?order:order -> unit -> 'a t
-(** [order] defaults to [Move_to_front]; the legacy [move_to_front] flag
-    maps [false] to [Unordered] and is overridden by [order] when both are
-    given. *)
+val create : ?order:order -> unit -> 'a t
+(** [order] defaults to [Move_to_front]. *)
 
 val add : 'a t -> client:'a -> weight:float -> 'a handle
 (** Weights must be nonnegative; zero-weight clients never win. *)
@@ -66,11 +64,6 @@ val draw_slot : 'a t -> Lotto_prng.Rng.t -> int
 
 val client_at : 'a t -> int -> 'a
 (** Resolve a slot returned by {!draw_slot}. *)
-
-val slot_for_value : 'a t -> float -> int
-(** Winner's slot for a deterministic winning value (applying the
-    structure's reordering, like {!draw_with_value}); [-1] when nothing
-    can win. *)
 
 val draw_with_value : 'a t -> winning:float -> 'a handle option
 (** Deterministic draw for a given winning value in [\[0, total)];

@@ -1,6 +1,5 @@
 module Rng = Lotto_prng.Rng
 module Draw = Lotto_draw.Draw
-module F = Lotto_tickets.Funding
 module Obs = Lotto_obs
 
 type policy = Fcfs | Sstf | Lottery
@@ -8,11 +7,7 @@ type policy = Fcfs | Sstf | Lottery
 type request = { cylinder : int; submitted_at : int; seq : int }
 
 type client = {
-  id : int;
-  name : string;
-  mutable tickets : int;
-  mutable value : float; (* draw-weight basis: raw tickets or currency value *)
-  funding : Funded.t option;
+  seat : Funded.seat;
   mutable handle : client Draw.handle option;
   mutable queue : request list; (* unordered; scans pick by seq / distance *)
   mutable served : int;
@@ -26,10 +21,9 @@ type t = {
   transfer_cost : int;
   rng : Rng.t;
   draw : client Draw.t;
-  ftrack : client Funded.Tracker.t option;
+  seats : client Funded.table;
   bus : Obs.Bus.t;
   mutable clients : client list; (* reverse creation order *)
-  mutable next_id : int;
   mutable backlogged_count : int;
   mutable head : int;
   mutable clock : int;
@@ -57,10 +51,9 @@ let create ?(policy = Lottery) ?(cylinders = 1000) ?(seek_cost = 10)
     transfer_cost;
     rng;
     draw = Draw.of_mode Draw.List;
-    ftrack = Option.map Funded.Tracker.create funding;
+    seats = Funded.table funding;
     bus = Obs.Bus.create ();
     clients = [];
-    next_id = 0;
     backlogged_count = 0;
     head = 0;
     clock = 0;
@@ -77,7 +70,7 @@ let create ?(policy = Lottery) ?(cylinders = 1000) ?(seek_cost = 10)
 let policy t = t.pol
 let events t = t.bus
 
-let weight_of c = if c.queue <> [] then c.value else 0.
+let weight_of c = if c.queue <> [] then c.seat.value else 0.
 
 (* A weight dropping to zero (a queue draining) does NOT bump [wgen]:
    batched slots are independent draws, so skipping a dead entry at
@@ -94,73 +87,38 @@ let update_weight t c =
       if w > 0. then t.wgen <- t.wgen + 1
   | None -> ()
 
-let register t c =
+let register t seat =
+  let c =
+    {
+      seat;
+      handle = None;
+      queue = [];
+      served = 0;
+      latency_sum = 0;
+    }
+  in
   c.handle <- Some (Draw.add t.draw ~client:c ~weight:(weight_of c));
   t.clients <- c :: t.clients;
   t.wgen <- t.wgen + 1;
-  if Array.length t.batch = 0 then t.batch <- Array.make batch_k c
+  if Array.length t.batch = 0 then t.batch <- Array.make batch_k c;
+  c
 
 let add_client t ~name ~tickets =
-  if tickets < 0 then invalid_arg "Disk.add_client: negative tickets";
-  let c =
-    {
-      id = t.next_id;
-      name;
-      tickets;
-      value = float_of_int tickets;
-      funding = None;
-      handle = None;
-      queue = [];
-      served = 0;
-      latency_sum = 0;
-    }
-  in
-  t.next_id <- t.next_id + 1;
-  register t c;
-  c
+  register t (Funded.raw t.seats ~who:"Disk.add_client" ~name ~tickets)
 
+(* idle until the first submit *)
 let add_funded_client t ~name ?(amount = 1000) ~currency () =
-  let tr =
-    match t.ftrack with
-    | Some tr -> tr
-    | None -> invalid_arg "Disk.add_funded_client: created without ~funding"
-  in
-  let sys = Funded.Tracker.system tr in
-  let fd = Funded.attach sys ~currency ~amount in
-  Funded.set_active fd false (* idle until the first submit *);
-  let c =
-    {
-      id = t.next_id;
-      name;
-      tickets = 0;
-      value = Funded.value (F.Valuation.make sys) fd;
-      funding = Some fd;
-      handle = None;
-      queue = [];
-      served = 0;
-      latency_sum = 0;
-    }
-  in
-  t.next_id <- t.next_id + 1;
-  register t c;
-  Funded.Tracker.add tr fd c;
-  c
+  Funded.funded t.seats ~who:"Disk.add_funded_client" ~name ~amount ~currency
+    ~active:false (register t)
 
 let set_tickets t c tickets =
-  if tickets < 0 then invalid_arg "Disk.set_tickets: negative tickets";
-  c.tickets <- tickets;
-  if c.funding = None then begin
-    c.value <- float_of_int tickets;
-    update_weight t c
-  end
+  if Funded.set_tickets ~who:"Disk.set_tickets" c.seat tickets then update_weight t c
 
-let client_name c = c.name
+let client_name c = c.seat.name
 
 let set_backlogged t c now_backlogged =
   t.backlogged_count <- t.backlogged_count + (if now_backlogged then 1 else -1);
-  (match c.funding with
-  | Some fd -> Funded.set_active fd now_backlogged
-  | None -> ());
+  Funded.set_active t.seats c.seat now_backlogged;
   update_weight t c
 
 let submit t c ~cylinder =
@@ -198,31 +156,19 @@ let oldest_request c =
              if r.seq < best.seq then r else best)
            first rest)
 
-(* Re-derive funded clients' values from the funding graph: the tracker
-   hands over exactly the clients funded by currencies that moved. *)
-let revalue t c v =
-  c.value <- v;
-  update_weight t c
-
-let refresh t =
-  match t.ftrack with
-  | Some tr -> Funded.Tracker.refresh tr t revalue
-  | None -> ()
+(* The seat core hands over exactly the funded clients whose currencies
+   moved. *)
+let revalue t c _moved = update_weight t c
+let refresh t = Funded.refresh t.seats t revalue
 
 let value t c =
   refresh t;
-  c.value
+  c.seat.value
 
 let publish_draw t c =
   if Obs.Bus.active t.bus then
-    Obs.Bus.emit t.bus ~time:t.clock
-      (Obs.Event.Resource_draw
-         {
-           who = Obs.Event.actor_of ~tid:c.id ~tname:c.name;
-           resource = "disk";
-           contenders = t.backlogged_count;
-           total_weight = Draw.total t.draw;
-         })
+    Funded.publish t.bus ~time:t.clock ~resource:"disk" ~contenders:t.backlogged_count
+      ~total:(Draw.total t.draw) c.seat
 
 (* Batched refill: pre-draw up to [batch_k] winners in one {!Draw.draw_k}
    call and serve them in draw order. [wgen] guards the batch: a positive
@@ -315,13 +261,6 @@ let serve_one t =
       c.latency_sum <- c.latency_sum + (t.clock - r.submitted_at);
       t.total_served <- t.total_served + 1;
       Some c
-
-let serve_for t ~ticks =
-  let stop_at = t.clock + ticks in
-  let continue = ref true in
-  while !continue && t.clock < stop_at do
-    match serve_one t with None -> continue := false | Some _ -> ()
-  done
 
 let now t = t.clock
 let served _t c = c.served

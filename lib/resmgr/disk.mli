@@ -17,7 +17,9 @@
     clients with queued requests; clients hold either raw tickets
     ({!add_client}) or a share of a {!Lotto_tickets.Funding.currency}
     ({!add_funded_client}), so one currency can proportionally fund CPU
-    {e and} disk.
+    {e and} disk. Either way a client's value comes from its {!Funded}
+    seat; the disk keeps only its weight rule (the value while requests
+    are queued, else 0) and its batching.
 
     Time is virtual (integer ticks); the module is deterministic given its
     RNG. *)
@@ -72,7 +74,7 @@ val add_funded_client :
     [Invalid_argument] when the manager was created without [~funding]. *)
 
 val set_tickets : t -> client -> int -> unit
-(** Raw-ticket clients only (ignored weight-wise for funded clients —
+(** Raw-ticket clients only (ignored for funded clients —
     inflate their currency's backing tickets instead). *)
 
 val client_name : client -> string
@@ -91,10 +93,6 @@ val pending : t -> client -> int
 val serve_one : t -> client option
 (** Serve the next request per the policy; advances the virtual clock by
     the seek + transfer time. [None] if no requests are queued. *)
-
-val serve_for : t -> ticks:int -> unit
-(** Serve until the virtual clock has advanced at least [ticks] (or the
-    queues drain). *)
 
 val now : t -> int
 (** Virtual disk time consumed so far. *)

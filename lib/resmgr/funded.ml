@@ -1,4 +1,5 @@
-(* Currency funding glue shared by the resource managers.
+(* The seat core shared by the resource managers: how a client's tickets
+   become its share.
 
    A funded client competes in its resource's lotteries exactly like a
    thread competes for the CPU: it holds a ticket issued in the funding
@@ -11,118 +12,160 @@
    across resources). *)
 
 module F = Lotto_tickets.Funding
+module Obs = Lotto_obs
 
-type t = { sys : F.system; ticket : F.ticket }
+type seat = {
+  id : int;
+  name : string;
+  mutable value : float; (* draw-weight basis: raw tickets or currency value *)
+  held : F.ticket option; (* funded seats: the ticket the value comes from *)
+}
 
-let attach sys ~currency ~amount =
-  if amount <= 0 then invalid_arg "Funded.attach: amount <= 0";
-  let ticket = F.issue sys ~currency ~amount in
-  F.hold sys ticket;
-  { sys; ticket }
+(* Scoped change tracking: the index from funding currency to the seats it
+   funds, and the refresh walk that revalues exactly the seats whose
+   currencies funding mutations dirtied — O(dirtied), not O(seats), and a
+   no-op while the graph is quiescent.
 
-(* Activate/deactivate the competing ticket (idempotent). *)
-let set_active fd active =
-  if active then F.resume fd.sys fd.ticket else F.suspend fd.sys fd.ticket
+   Only currencies that fund a registered seat are recorded, each at most
+   once between refreshes, into a reusable buffer in first-dirtied order:
+   the change callback allocates nothing, and a manager that is never
+   served cannot accumulate the ids of unrelated currencies (ids are never
+   recycled, so a table of every dirtied currency grows without bound
+   while currencies churn). Groups sit in an array indexed by currency
+   slot, guarded by a physical-equality check on the currency in case the
+   slot is recycled. *)
+type 'c group = {
+  cur : F.currency;
+  mutable members : ('c * seat * F.ticket) list; (* newest first *)
+  mutable queued : bool; (* in [dirty] awaiting the next refresh *)
+}
 
-let value valuation fd = F.Valuation.ticket_value valuation fd.ticket
-let currency fd = F.denomination fd.ticket
-let detach fd = F.destroy_ticket fd.sys fd.ticket
+type 'c table = {
+  sys : F.system option; (* [None]: raw seats only *)
+  mutable next_id : int;
+  mutable by_slot : 'c group option array; (* by currency slot *)
+  mutable dirty : 'c group option array;
+      (* cells hold the [Some g] stored in [by_slot]; reset to [None] when
+         drained *)
+  mutable n_dirty : int;
+}
 
-(* Scoped change tracking shared by the managers: the index from funding
-   currency to the clients it funds, and the refresh walk that revalues
-   exactly the clients whose currencies funding mutations dirtied —
-   O(dirtied), not O(clients), and a no-op while the graph is quiescent.
+let grow arr n =
+  let a = Array.make (max 16 (max (n + 1) (2 * Array.length arr))) None in
+  Array.blit arr 0 a 0 (Array.length arr);
+  a
 
-   Only currencies that fund a registered client are recorded, each at
-   most once between refreshes, into a reusable buffer in first-dirtied
-   order: the change callback allocates nothing, and a manager that is
-   never served cannot accumulate the ids of unrelated currencies (ids are
-   never recycled, so a table of every dirtied currency grows without
-   bound while currencies churn). Groups sit in an array indexed by
-   currency slot, guarded by a physical-equality check on the currency in
-   case the slot is recycled. *)
-module Tracker = struct
-  type nonrec 'c group = {
-    cur : F.currency;
-    mutable members : ('c * t) list; (* newest first *)
-    mutable queued : bool; (* in [dirty] awaiting the next refresh *)
-  }
+let note tb c =
+  let i = F.currency_slot c in
+  if i >= 0 && i < Array.length tb.by_slot then
+    match tb.by_slot.(i) with
+    | Some g as o when g.cur == c && not g.queued ->
+        g.queued <- true;
+        if tb.n_dirty = Array.length tb.dirty then tb.dirty <- grow tb.dirty tb.n_dirty;
+        tb.dirty.(tb.n_dirty) <- o;
+        tb.n_dirty <- tb.n_dirty + 1
+    | _ -> ()
 
-  type nonrec 'c t = {
-    sys : F.system;
-    mutable by_slot : 'c group option array; (* by currency slot *)
-    mutable all : ('c * t) list; (* every registered client, newest first *)
-    mutable dirty : 'c group option array;
-        (* cells hold the [Some g] stored in [by_slot]; reset to [None]
-           when drained *)
-    mutable n_dirty : int;
-    mutable full : bool; (* next refresh revalues every client *)
-  }
+(* Both closures are built here, once, so a change event costs no
+   allocation. *)
+let table funding =
+  let tb =
+    {
+      sys = funding;
+      next_id = 0;
+      by_slot = [||];
+      dirty = [||];
+      n_dirty = 0;
+    }
+  in
+  (match funding with
+  | Some sys ->
+      let record c = note tb c in
+      ignore (F.on_change sys (fun ch -> F.iter_changed ch record))
+  | None -> ());
+  tb
 
-  let grow arr n =
-    let a = Array.make (max 16 (max (n + 1) (2 * Array.length arr))) None in
-    Array.blit arr 0 a 0 (Array.length arr);
-    a
+let pending tb = tb.n_dirty
 
-  let note tr c =
-    let i = F.currency_slot c in
-    if i >= 0 && i < Array.length tr.by_slot then
-      match tr.by_slot.(i) with
-      | Some g as o when g.cur == c && not g.queued ->
-          g.queued <- true;
-          if tr.n_dirty = Array.length tr.dirty then
-            tr.dirty <- grow tr.dirty tr.n_dirty;
-          tr.dirty.(tr.n_dirty) <- o;
-          tr.n_dirty <- tr.n_dirty + 1
-      | _ -> ()
+let seat tb ~name ~value ~held =
+  let s =
+    {
+      id = tb.next_id;
+      name;
+      value;
+      held;
+    }
+  in
+  tb.next_id <- tb.next_id + 1;
+  s
 
-  (* Both closures are built here, once, so an event costs no allocation. *)
-  let create sys =
-    let tr =
-      { sys; by_slot = [||]; all = []; dirty = [||]; n_dirty = 0; full = false }
-    in
-    let record c = note tr c in
-    ignore (F.on_change sys (fun ch -> F.iter_changed ch record));
-    tr
+let raw tb ~who ~name ~tickets =
+  if tickets < 0 then invalid_arg (who ^ ": negative tickets");
+  seat tb ~name ~value:(float_of_int tickets) ~held:None
 
-  let system tr = tr.sys
+let funded tb ~who ~name ~amount ~currency ~active make =
+  let sys =
+    match tb.sys with
+    | Some sys -> sys
+    | None -> invalid_arg (who ^ ": created without ~funding")
+  in
+  if amount <= 0 then invalid_arg (who ^ ": amount <= 0");
+  let tk = F.issue sys ~currency ~amount in
+  F.hold sys tk;
+  if not active then F.suspend sys tk;
+  let s = seat tb ~name ~value:(F.ticket_value sys tk) ~held:(Some tk) in
+  let client = make s in
+  let i = F.currency_slot currency in
+  if i >= Array.length tb.by_slot then tb.by_slot <- grow tb.by_slot i;
+  (match tb.by_slot.(i) with
+  | Some g when g.cur == currency -> g.members <- (client, s, tk) :: g.members
+  | _ ->
+      tb.by_slot.(i) <-
+        Some { cur = currency; members = [ (client, s, tk) ]; queued = false });
+  client
 
-  let add tr fd client =
-    let c = currency fd in
-    let i = F.currency_slot c in
-    if i >= Array.length tr.by_slot then tr.by_slot <- grow tr.by_slot i;
-    (match tr.by_slot.(i) with
-    | Some g when g.cur == c -> g.members <- (client, fd) :: g.members
-    | _ ->
-        tr.by_slot.(i) <-
-          Some { cur = c; members = [ (client, fd) ]; queued = false });
-    tr.all <- (client, fd) :: tr.all
+let set_tickets ~who s tickets =
+  if tickets < 0 then invalid_arg (who ^ ": negative tickets");
+  match s.held with
+  | None ->
+      s.value <- float_of_int tickets;
+      true
+  | Some _ -> false
 
-  let force tr = tr.full <- true
-  let pending tr = tr.n_dirty
+let set_active tb s active =
+  match (tb.sys, s.held) with
+  | Some sys, Some tk -> if active then F.resume sys tk else F.suspend sys tk
+  | _ -> ()
 
-  let rec revalue_all tr m f = function
-    | [] -> ()
-    | (client, fd) :: rest ->
-        f m client (value (F.Valuation.make tr.sys) fd);
-        revalue_all tr m f rest
+let rec revalue sys m f = function
+  | [] -> ()
+  | (client, s, tk) :: rest ->
+      let v = F.ticket_value sys tk in
+      let moved = v <> s.value in
+      s.value <- v;
+      f m client moved;
+      revalue sys m f rest
 
-  (* [f m client v] receives each dirtied client's fresh value [v], in the
-     order the currencies were first dirtied and, within a currency, newest
-     client first. [f] is typically a top-level function of the manager, so
-     no closure is built per refresh. *)
-  let refresh tr m f =
-    for i = 0 to tr.n_dirty - 1 do
-      match tr.dirty.(i) with
-      | Some g ->
-          tr.dirty.(i) <- None;
-          g.queued <- false;
-          if not tr.full then revalue_all tr m f g.members
-      | None -> ()
-    done;
-    tr.n_dirty <- 0;
-    if tr.full then begin
-      tr.full <- false;
-      revalue_all tr m f tr.all
-    end
-end
+let refresh tb m f =
+  match tb.sys with
+  | None -> ()
+  | Some sys ->
+      for i = 0 to tb.n_dirty - 1 do
+        match tb.dirty.(i) with
+        | Some g ->
+            tb.dirty.(i) <- None;
+            g.queued <- false;
+            revalue sys m f g.members
+        | None -> ()
+      done;
+      tb.n_dirty <- 0
+
+let publish bus ~time ~resource ~contenders ~total s =
+  Obs.Bus.emit bus ~time
+    (Obs.Event.Resource_draw
+       {
+         who = Obs.Event.actor_of ~tid:s.id ~tname:s.name;
+         resource;
+         contenders;
+         total_weight = total;
+       })

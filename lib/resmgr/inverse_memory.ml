@@ -1,16 +1,11 @@
 module Rng = Lotto_prng.Rng
 module Draw = Lotto_draw.Draw
-module F = Lotto_tickets.Funding
 module Obs = Lotto_obs
 
 type policy = Inverse_lottery | Global_lru | Global_random
 
 type client = {
-  id : int;
-  name : string;
-  mutable tickets : int;
-  mutable value : float; (* share basis: raw tickets or currency value *)
-  funding : Funded.t option;
+  seat : Funded.seat;
   mutable handle : client Draw.handle option;
   working_set : int;
   resident : (int, int) Hashtbl.t; (* vpage -> last-use stamp *)
@@ -24,12 +19,11 @@ type t = {
   frames : int;
   rng : Rng.t;
   draw : client Draw.t; (* victim lottery (unused under Global_lru) *)
-  ftrack : client Funded.Tracker.t option;
+  seats : client Funded.table;
   bus : Obs.Bus.t;
   mutable clients : client list; (* reverse creation order *)
   mutable used : int;
   mutable clock : int; (* LRU stamp source *)
-  mutable next_id : int;
   mutable total_value : float; (* cached T for the (1 - t_i/T) factor *)
   mutable wdirty : bool; (* T moved: every inverse weight needs a rebuild *)
 }
@@ -41,12 +35,11 @@ let create ?(policy = Inverse_lottery) ?funding ~frames ~rng () =
     frames;
     rng;
     draw = Draw.of_mode Draw.List;
-    ftrack = Option.map Funded.Tracker.create funding;
+    seats = Funded.table funding;
     bus = Obs.Bus.create ();
     clients = [];
     used = 0;
     clock = 0;
-    next_id = 0;
     total_value = 0.;
     wdirty = false;
   }
@@ -66,7 +59,7 @@ let weight_of t c =
       if occ = 0 then 0.
       else begin
         let ticket_part =
-          if t.total_value <= 0. then 1. else 1. -. (c.value /. t.total_value)
+          if t.total_value <= 0. then 1. else 1. -. (c.seat.value /. t.total_value)
         in
         let occupancy = float_of_int occ /. float_of_int t.frames in
         (* A lone over-provisioned client (t_i = T) still has to self-evict. *)
@@ -84,94 +77,55 @@ let update_weight t c =
    all weights are rebuilt. That rebuild is O(clients) float work with no
    funding-graph walks; while shares are quiescent, victim picks skip it
    entirely. *)
-let revalue t c v =
-  if v <> c.value then begin
-    c.value <- v;
-    t.wdirty <- true
-  end
+let revalue t _ moved = if moved then t.wdirty <- true
 
 let refresh t =
-  (match t.ftrack with
-  | Some tr -> Funded.Tracker.refresh tr t revalue
-  | None -> ());
+  Funded.refresh t.seats t revalue;
   if t.wdirty then begin
     t.wdirty <- false;
-    t.total_value <- List.fold_left (fun acc c -> acc +. c.value) 0. t.clients;
+    t.total_value <- List.fold_left (fun acc c -> acc +. c.seat.value) 0. t.clients;
     List.iter (fun c -> update_weight t c) t.clients
   end
 
 let value t c =
   refresh t;
-  c.value
+  c.seat.value
 
-let register t c =
+let register t ~working_set seat =
+  let c =
+    {
+      seat;
+      handle = None;
+      working_set;
+      resident = Hashtbl.create 64;
+      faults = 0;
+      accesses = 0;
+      evictions = 0;
+    }
+  in
   c.handle <- Some (Draw.add t.draw ~client:c ~weight:0.);
   t.clients <- c :: t.clients;
-  t.wdirty <- true
+  t.wdirty <- true;
+  c
 
 let add_client t ~name ~tickets ~working_set =
-  if tickets < 0 then invalid_arg "Inverse_memory.add_client: negative tickets";
-  if working_set <= 0 then invalid_arg "Inverse_memory.add_client: working_set <= 0";
-  let c =
-    {
-      id = t.next_id;
-      name;
-      tickets;
-      value = float_of_int tickets;
-      funding = None;
-      handle = None;
-      working_set;
-      resident = Hashtbl.create 64;
-      faults = 0;
-      accesses = 0;
-      evictions = 0;
-    }
-  in
-  t.next_id <- t.next_id + 1;
-  register t c;
-  c
+  let who = "Inverse_memory.add_client" in
+  if working_set <= 0 then invalid_arg (who ^ ": working_set <= 0");
+  register t ~working_set (Funded.raw t.seats ~who ~name ~tickets)
 
+(* Memory rights stay active even while the client isn't faulting — it
+   holds frames the whole time, unlike an idle I/O stream. *)
 let add_funded_client t ~name ?(amount = 1000) ~working_set ~currency () =
-  if working_set <= 0 then
-    invalid_arg "Inverse_memory.add_funded_client: working_set <= 0";
-  let tr =
-    match t.ftrack with
-    | Some tr -> tr
-    | None -> invalid_arg "Inverse_memory.add_funded_client: created without ~funding"
-  in
-  let sys = Funded.Tracker.system tr in
-  (* Memory rights stay active even while the client isn't faulting — it
-     holds frames the whole time, unlike an idle I/O stream. *)
-  let fd = Funded.attach sys ~currency ~amount in
-  let c =
-    {
-      id = t.next_id;
-      name;
-      tickets = 0;
-      value = Funded.value (F.Valuation.make sys) fd;
-      funding = Some fd;
-      handle = None;
-      working_set;
-      resident = Hashtbl.create 64;
-      faults = 0;
-      accesses = 0;
-      evictions = 0;
-    }
-  in
-  t.next_id <- t.next_id + 1;
-  register t c;
-  Funded.Tracker.add tr fd c;
-  c
+  let who = "Inverse_memory.add_funded_client" in
+  if working_set <= 0 then invalid_arg (who ^ ": working_set <= 0");
+  Funded.funded t.seats ~who ~name ~amount ~currency ~active:true
+    (register t ~working_set)
 
 let set_tickets t c tickets =
-  if tickets < 0 then invalid_arg "Inverse_memory.set_tickets: negative";
-  c.tickets <- tickets;
-  if c.funding = None then begin
-    c.value <- float_of_int tickets;
+  if Funded.set_tickets ~who:"Inverse_memory.set_tickets" c.seat tickets then
     t.wdirty <- true
-  end
 
-let client_name c = c.name
+let client_name c = c.seat.name
 
 let evict_lru_of t victim =
   let best = ref None in
@@ -214,14 +168,8 @@ let publish_draw t c =
         (fun acc c -> if Hashtbl.length c.resident > 0 then acc + 1 else acc)
         0 t.clients
     in
-    Obs.Bus.emit t.bus ~time:t.clock
-      (Obs.Event.Resource_draw
-         {
-           who = Obs.Event.actor_of ~tid:c.id ~tname:c.name;
-           resource = "memory";
-           contenders = holders;
-           total_weight = Draw.total t.draw;
-         })
+    Funded.publish t.bus ~time:t.clock ~resource:"memory" ~contenders:holders
+      ~total:(Draw.total t.draw) c.seat
   end
 
 let pick_victim t =
@@ -316,5 +264,4 @@ let resident _t c = Hashtbl.length c.resident
 let faults _t c = c.faults
 let accesses _t c = c.accesses
 let evictions_suffered _t c = c.evictions
-let frames_total t = t.frames
 let frames_free t = t.frames - t.used

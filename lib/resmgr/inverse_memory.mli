@@ -10,9 +10,12 @@
 
     Victim lotteries go through a {!Lotto_draw.Draw} move-to-front list;
     clients hold either raw tickets ({!add_client}) or a share of a
-    {!Lotto_tickets.Funding.currency} ({!add_funded_client}). Unlike
-    the bandwidth managers, a funded memory client's ticket stays active
-    the whole time — it holds frames even when it is not faulting. *)
+    {!Lotto_tickets.Funding.currency} ({!add_funded_client}). Either way
+    [t_i] is the value of the client's {!Funded} seat; the pool keeps
+    only the inverse weight rule above, rebuilt for every client when
+    any value moves. Unlike the bandwidth managers, a funded memory
+    client's ticket stays active the whole time — it holds frames even
+    when it is not faulting. *)
 
 type policy =
   | Inverse_lottery  (** the paper's policy *)
@@ -51,7 +54,7 @@ val add_funded_client :
     [~funding]. *)
 
 val set_tickets : t -> client -> int -> unit
-(** Raw-ticket clients only (ignored weight-wise for funded clients —
+(** Raw-ticket clients only (ignored for funded clients —
     inflate their currency's backing tickets instead). *)
 
 val client_name : client -> string
@@ -82,7 +85,6 @@ val resident : t -> client -> int
 val faults : t -> client -> int
 val accesses : t -> client -> int
 val evictions_suffered : t -> client -> int
-val frames_total : t -> int
 val frames_free : t -> int
 
 val events : t -> Lotto_obs.Bus.t

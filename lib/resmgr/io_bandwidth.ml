@@ -1,14 +1,9 @@
 module Rng = Lotto_prng.Rng
 module Draw = Lotto_draw.Draw
-module F = Lotto_tickets.Funding
 module Obs = Lotto_obs
 
 type client = {
-  id : int;
-  name : string;
-  mutable tickets : int;
-  mutable value : float; (* draw-weight basis: raw tickets or currency value *)
-  funding : Funded.t option;
+  seat : Funded.seat;
   mutable handle : client Draw.handle option;
   mutable pending : int;
   mutable served : int;
@@ -17,10 +12,9 @@ type client = {
 type t = {
   rng : Rng.t;
   draw : client Draw.t;
-  ftrack : client Funded.Tracker.t option;
+  seats : client Funded.table;
   bus : Obs.Bus.t;
   mutable clients : client list; (* reverse creation order *)
-  mutable next_id : int;
   mutable backlogged : int; (* clients with pending > 0 *)
   mutable total_served : int;
   mutable wgen : int; (* bumped on every weight write: a batch of
@@ -34,10 +28,9 @@ let create ?funding ~rng () =
   {
     rng;
     draw = Draw.of_mode Draw.List;
-    ftrack = Option.map Funded.Tracker.create funding;
+    seats = Funded.table funding;
     bus = Obs.Bus.create ();
     clients = [];
-    next_id = 0;
     backlogged = 0;
     total_served = 0;
     wgen = 0;
@@ -47,7 +40,7 @@ let create ?funding ~rng () =
 let events t = t.bus
 
 (* A client competes only while backlogged; idle shares redistribute. *)
-let weight_of c = if c.pending > 0 then c.value else 0.
+let weight_of c = if c.pending > 0 then c.seat.value else 0.
 
 let update_weight t c =
   match c.handle with
@@ -56,71 +49,38 @@ let update_weight t c =
       t.wgen <- t.wgen + 1
   | None -> ()
 
-let register t c =
+let register t seat =
+  let c =
+    {
+      seat;
+      handle = None;
+      pending = 0;
+      served = 0;
+    }
+  in
   c.handle <- Some (Draw.add t.draw ~client:c ~weight:(weight_of c));
   t.clients <- c :: t.clients;
   t.wgen <- t.wgen + 1;
-  if Array.length t.batch = 0 then t.batch <- Array.make batch_k c
+  if Array.length t.batch = 0 then t.batch <- Array.make batch_k c;
+  c
 
 let add_client t ~name ~tickets =
-  if tickets < 0 then invalid_arg "Io_bandwidth.add_client: negative tickets";
-  let c =
-    {
-      id = t.next_id;
-      name;
-      tickets;
-      value = float_of_int tickets;
-      funding = None;
-      handle = None;
-      pending = 0;
-      served = 0;
-    }
-  in
-  t.next_id <- t.next_id + 1;
-  register t c;
-  c
+  register t (Funded.raw t.seats ~who:"Io_bandwidth.add_client" ~name ~tickets)
 
+(* idle until the first submit *)
 let add_funded_client t ~name ?(amount = 1000) ~currency () =
-  let tr =
-    match t.ftrack with
-    | Some tr -> tr
-    | None -> invalid_arg "Io_bandwidth.add_funded_client: created without ~funding"
-  in
-  let sys = Funded.Tracker.system tr in
-  let fd = Funded.attach sys ~currency ~amount in
-  Funded.set_active fd false (* idle until the first submit *);
-  let c =
-    {
-      id = t.next_id;
-      name;
-      tickets = 0;
-      value = Funded.value (F.Valuation.make sys) fd;
-      funding = Some fd;
-      handle = None;
-      pending = 0;
-      served = 0;
-    }
-  in
-  t.next_id <- t.next_id + 1;
-  register t c;
-  Funded.Tracker.add tr fd c;
-  c
+  Funded.funded t.seats ~who:"Io_bandwidth.add_funded_client" ~name ~amount ~currency
+    ~active:false (register t)
 
 let set_tickets t c tickets =
-  if tickets < 0 then invalid_arg "Io_bandwidth.set_tickets: negative";
-  c.tickets <- tickets;
-  if c.funding = None then begin
-    c.value <- float_of_int tickets;
+  if Funded.set_tickets ~who:"Io_bandwidth.set_tickets" c.seat tickets then
     update_weight t c
-  end
 
-let client_name c = c.name
+let client_name c = c.seat.name
 
 let set_backlogged t c now_backlogged =
   t.backlogged <- t.backlogged + (if now_backlogged then 1 else -1);
-  (match c.funding with
-  | Some fd -> Funded.set_active fd now_backlogged
-  | None -> ());
+  Funded.set_active t.seats c.seat now_backlogged;
   update_weight t c
 
 let submit t c ~requests =
@@ -139,31 +99,19 @@ let cancel_pending t c =
     set_backlogged t c false
   end
 
-(* Re-derive funded clients' values from the funding graph: the tracker
-   hands over exactly the clients funded by currencies that moved. *)
-let revalue t c v =
-  c.value <- v;
-  update_weight t c
-
-let refresh t =
-  match t.ftrack with
-  | Some tr -> Funded.Tracker.refresh tr t revalue
-  | None -> ()
+(* The seat core hands over exactly the funded clients whose currencies
+   moved. *)
+let revalue t c _moved = update_weight t c
+let refresh t = Funded.refresh t.seats t revalue
 
 let value t c =
   refresh t;
-  c.value
+  c.seat.value
 
 let publish_draw t c =
   if Obs.Bus.active t.bus then
-    Obs.Bus.emit t.bus ~time:t.total_served
-      (Obs.Event.Resource_draw
-         {
-           who = Obs.Event.actor_of ~tid:c.id ~tname:c.name;
-           resource = "io";
-           contenders = t.backlogged;
-           total_weight = Draw.total t.draw;
-         })
+    Funded.publish t.bus ~time:t.total_served ~resource:"io" ~contenders:t.backlogged
+      ~total:(Draw.total t.draw) c.seat
 
 (* All backlogged clients are unfunded: serve FIFO by creation order
    (t.clients is reversed, so keep the last match). *)

@@ -11,7 +11,9 @@
     prototype structure), and clients are funded either with raw tickets
     ({!add_client}) or from a {!Lotto_tickets.Funding.currency}
     ({!add_funded_client}) so one currency can proportionally fund CPU
-    {e and} bandwidth. *)
+    {e and} bandwidth. Either way a client's value comes from its
+    {!Funded} seat; the device keeps only its weight rule (the value while
+    backlogged, else 0) and its batching. *)
 
 type t
 type client
@@ -40,7 +42,7 @@ val add_funded_client :
     [Invalid_argument] when the manager was created without [~funding]. *)
 
 val set_tickets : t -> client -> int -> unit
-(** Raw-ticket clients only (ignored weight-wise for funded clients —
+(** Raw-ticket clients only (ignored for funded clients —
     inflate their currency's backing tickets instead). *)
 
 val client_name : client -> string

@@ -1,17 +1,12 @@
 module Rng = Lotto_prng.Rng
 module Draw = Lotto_draw.Draw
-module F = Lotto_tickets.Funding
 module Obs = Lotto_obs
 
 type circuit = {
-  id : int;
-  name : string;
+  seat : Funded.seat;
   port : int;
-  mutable tickets : int;
-  mutable value : float; (* draw-weight basis: raw tickets or currency value *)
-  funding : Funded.t option;
   mutable handle : circuit Draw.handle option;
-  mutable rate : float;
+  rate : float;
   buffer : int Queue.t; (* arrival slot of each buffered cell *)
   mutable delivered : int;
   mutable dropped : int;
@@ -23,10 +18,9 @@ type t = {
   capacity : int;
   rng : Rng.t;
   draws : circuit Draw.t array; (* one lottery per output port *)
-  ftrack : circuit Funded.Tracker.t option;
+  seats : circuit Funded.table;
   bus : Obs.Bus.t;
   mutable circuits : circuit list; (* reverse creation order *)
-  mutable next_id : int;
   buffered_per_port : int array;
   mutable slot : int;
   sent_per_port : int array;
@@ -40,10 +34,9 @@ let create ?(ports = 4) ?(buffer_capacity = 64) ?funding ~rng () =
     capacity = buffer_capacity;
     rng;
     draws = Array.init ports (fun _ -> Draw.of_mode Draw.List);
-    ftrack = Option.map Funded.Tracker.create funding;
+    seats = Funded.table funding;
     bus = Obs.Bus.create ();
     circuits = [];
-    next_id = 0;
     buffered_per_port = Array.make ports 0;
     slot = 0;
     sent_per_port = Array.make ports 0;
@@ -51,113 +44,64 @@ let create ?(ports = 4) ?(buffer_capacity = 64) ?funding ~rng () =
 
 let events t = t.bus
 
-let weight_of c = if Queue.is_empty c.buffer then 0. else c.value
+let weight_of c = if Queue.is_empty c.buffer then 0. else c.seat.value
 
 let update_weight t c =
   match c.handle with
   | Some h -> Draw.set_weight t.draws.(c.port) h (weight_of c)
   | None -> ()
 
-let register t c =
-  c.handle <- Some (Draw.add t.draws.(c.port) ~client:c ~weight:(weight_of c));
-  t.circuits <- c :: t.circuits
+let register t ~port ~rate seat =
+  let c =
+    {
+      seat;
+      port;
+      handle = None;
+      rate;
+      buffer = Queue.create ();
+      delivered = 0;
+      dropped = 0;
+      delay_sum = 0;
+    }
+  in
+  c.handle <- Some (Draw.add t.draws.(port) ~client:c ~weight:(weight_of c));
+  t.circuits <- c :: t.circuits;
+  c
+
+let check_circuit t ~who ~output_port ~rate =
+  if output_port < 0 || output_port >= t.ports then
+    invalid_arg (who ^ ": port out of range");
+  if rate < 0. || rate > 1. then invalid_arg (who ^ ": rate not in [0,1]")
 
 let add_circuit t ~name ~output_port ~tickets ~rate =
-  if output_port < 0 || output_port >= t.ports then
-    invalid_arg "Switch.add_circuit: port out of range";
-  if tickets < 0 then invalid_arg "Switch.add_circuit: negative tickets";
-  if rate < 0. || rate > 1. then invalid_arg "Switch.add_circuit: rate not in [0,1]";
-  let c =
-    {
-      id = t.next_id;
-      name;
-      port = output_port;
-      tickets;
-      value = float_of_int tickets;
-      funding = None;
-      handle = None;
-      rate;
-      buffer = Queue.create ();
-      delivered = 0;
-      dropped = 0;
-      delay_sum = 0;
-    }
-  in
-  t.next_id <- t.next_id + 1;
-  register t c;
-  c
+  let who = "Switch.add_circuit" in
+  check_circuit t ~who ~output_port ~rate;
+  register t ~port:output_port ~rate (Funded.raw t.seats ~who ~name ~tickets)
 
-let add_funded_circuit t ~name ~output_port ?(amount = 1000) ~rate
-    ~currency () =
-  if output_port < 0 || output_port >= t.ports then
-    invalid_arg "Switch.add_funded_circuit: port out of range";
-  if rate < 0. || rate > 1. then
-    invalid_arg "Switch.add_funded_circuit: rate not in [0,1]";
-  let tr =
-    match t.ftrack with
-    | Some tr -> tr
-    | None -> invalid_arg "Switch.add_funded_circuit: created without ~funding"
-  in
-  let sys = Funded.Tracker.system tr in
-  let fd = Funded.attach sys ~currency ~amount in
-  Funded.set_active fd false (* idle until the first cell arrives *);
-  let c =
-    {
-      id = t.next_id;
-      name;
-      port = output_port;
-      tickets = 0;
-      value = Funded.value (F.Valuation.make sys) fd;
-      funding = Some fd;
-      handle = None;
-      rate;
-      buffer = Queue.create ();
-      delivered = 0;
-      dropped = 0;
-      delay_sum = 0;
-    }
-  in
-  t.next_id <- t.next_id + 1;
-  register t c;
-  Funded.Tracker.add tr fd c;
-  c
+(* idle until the first cell arrives *)
+let add_funded_circuit t ~name ~output_port ?(amount = 1000) ~rate ~currency () =
+  let who = "Switch.add_funded_circuit" in
+  check_circuit t ~who ~output_port ~rate;
+  Funded.funded t.seats ~who ~name ~amount ~currency ~active:false
+    (register t ~port:output_port ~rate)
 
 let set_tickets t c tickets =
-  if tickets < 0 then invalid_arg "Switch.set_tickets: negative tickets";
-  c.tickets <- tickets;
-  if c.funding = None then begin
-    c.value <- float_of_int tickets;
-    update_weight t c
-  end
-
-let set_rate _t c rate =
-  if rate < 0. || rate > 1. then invalid_arg "Switch.set_rate: rate not in [0,1]";
-  c.rate <- rate
-
-let circuit_name c = c.name
+  if Funded.set_tickets ~who:"Switch.set_tickets" c.seat tickets then update_weight t c
 
 let set_buffered t c now_buffered =
   t.buffered_per_port.(c.port) <-
     t.buffered_per_port.(c.port) + (if now_buffered then 1 else -1);
-  (match c.funding with
-  | Some fd -> Funded.set_active fd now_buffered
-  | None -> ());
+  Funded.set_active t.seats c.seat now_buffered;
   update_weight t c
 
-(* Re-derive funded circuits' values from the funding graph: the tracker
-   hands over exactly the circuits funded by currencies that moved. *)
-let revalue t c v =
-  c.value <- v;
-  update_weight t c
-
-let refresh t =
-  match t.ftrack with
-  | Some tr -> Funded.Tracker.refresh tr t revalue
-  | None -> ()
+(* The seat core hands over exactly the funded circuits whose currencies
+   moved. *)
+let revalue t c _moved = update_weight t c
+let refresh t = Funded.refresh t.seats t revalue
 
 let value t c =
   refresh t;
-  c.value
+  c.seat.value
 
 let arrivals t =
   List.iter
@@ -174,14 +118,10 @@ let arrivals t =
 
 let publish_draw t c =
   if Obs.Bus.active t.bus then
-    Obs.Bus.emit t.bus ~time:t.slot
-      (Obs.Event.Resource_draw
-         {
-           who = Obs.Event.actor_of ~tid:c.id ~tname:c.name;
-           resource = Printf.sprintf "switch:p%d" c.port;
-           contenders = t.buffered_per_port.(c.port);
-           total_weight = Draw.total t.draws.(c.port);
-         })
+    Funded.publish t.bus ~time:t.slot
+      ~resource:(Printf.sprintf "switch:p%d" c.port)
+      ~contenders:t.buffered_per_port.(c.port) ~total:(Draw.total t.draws.(c.port))
+      c.seat
 
 let transmit_port t port =
   if t.buffered_per_port.(port) > 0 then begin

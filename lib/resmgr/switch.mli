@@ -13,7 +13,10 @@
 
     Each port's lottery goes through a {!Lotto_draw.Draw} move-to-front
     list; circuits hold either raw tickets ({!add_circuit}) or a share of
-    a {!Lotto_tickets.Funding.currency} ({!add_funded_circuit}). *)
+    a {!Lotto_tickets.Funding.currency} ({!add_funded_circuit}). Either
+    way a circuit's value comes from its {!Funded} seat; the switch keeps
+    only its weight rule (the value while cells are buffered, else 0) and
+    its per-port, per-slot draws. *)
 
 type t
 type circuit
@@ -47,11 +50,8 @@ val add_funded_circuit :
     [~funding]. *)
 
 val set_tickets : t -> circuit -> int -> unit
-(** Raw-ticket circuits only (ignored weight-wise for funded circuits —
+(** Raw-ticket circuits only (ignored for funded circuits —
     inflate their currency's backing tickets instead). *)
-
-val set_rate : t -> circuit -> float -> unit
-val circuit_name : circuit -> string
 
 val value : t -> circuit -> float
 (** The circuit's lottery value: its tickets or, when funded, its held

@@ -96,12 +96,10 @@ type t = {
   shards : int; (* 0 = the single-draw path above *)
   sdraws : thread option D.t array; (* one draw structure per virtual CPU *)
   stree : Sh.t; (* partial-sum tree over per-shard ticket masses *)
-  imbalance_band : float; (* rebalance trigger, as a fraction of total/N *)
   mutable migration_enabled : bool;
   mutable placement_hook : (thread -> int) option;
   mutable migrations : int;
   mutable steals : int;
-  quantum_fallback : bool;
   use_compensation : bool;
   mutable draws : int;
   mutable scoped_updates : int;
@@ -183,11 +181,8 @@ let ring_unlink t i =
   if n >= 0 then t.rprev.(n) <- p else t.rtail.(r) <- p;
   t.ring_of.(i) <- -1
 
-let create ?(mode = List_mode) ?(quantum_fallback = true)
-    ?(use_compensation = true) ?(shards = 0) ?(imbalance_band = 0.25) ~rng () =
+let create ?(mode = List_mode) ?(use_compensation = true) ?(shards = 0) ~rng () =
   if shards < 0 then invalid_arg "Lottery_sched.create: shards < 0";
-  if imbalance_band <= 0. then
-    invalid_arg "Lottery_sched.create: imbalance_band <= 0";
   let t =
     {
       mode;
@@ -211,12 +206,10 @@ let create ?(mode = List_mode) ?(quantum_fallback = true)
       shards;
       sdraws = Array.init shards (fun _ -> D.of_mode (draw_mode mode));
       stree = Sh.create ~shards:(max 1 shards);
-      imbalance_band;
       migration_enabled = true;
       placement_hook = None;
       migrations = 0;
       steals = 0;
-      quantum_fallback;
       use_compensation;
       draws = 0;
       scoped_updates = 0;
@@ -422,6 +415,7 @@ let drawn_state t = function Some th -> st_at t th.tslot | None -> assert false
    between shards. On a balanced system this is two O(shards) scans and
    no draw. *)
 let max_rebalance_moves = 8
+let imbalance_band = 0.25 (* rebalance trigger, as a fraction of total/N *)
 
 let rebalance t =
   let cell = t.fscratch in
@@ -429,7 +423,7 @@ let rebalance t =
   let tot = cell.(0) in
   if tot > 0. then begin
     let ideal = tot /. float_of_int t.shards in
-    let full_band = t.imbalance_band *. ideal in
+    let full_band = imbalance_band *. ideal in
     let thresh = ref full_band in
     let moves = ref 0 in
     let go = ref true in
@@ -666,56 +660,44 @@ let flush_pending t =
   t.n_pending <- 0
 
 (* Unfunded threads never win a lottery (paper: zero tickets = starvation).
-   To keep simulations with forgotten funding alive, optionally fall back to
+   To keep simulations with forgotten funding alive, fall back to
    round-robin among runnable threads when every runnable thread has zero
    weight. The ring holds every runnable thread once; stale entries (threads
    that blocked since being queued) are dropped lazily, so a pick is O(1)
    amortized. *)
-let fallback_pick t =
-  if not t.quantum_fallback then None
+let rec fallback_pick t =
+  let i = t.rhead.(0) in
+  if i < 0 then None
   else begin
-    let rec next () =
-      let i = t.rhead.(0) in
-      if i < 0 then None
-      else begin
-        ring_unlink t i;
-        let s = st_at t i in
-        if not (in_draw t s) then next ()
-        else begin
-          ring_push t 0 i;
-          D.client s.dh
-        end
-      end
-    in
-    next ()
+    ring_unlink t i;
+    let s = st_at t i in
+    if not (in_draw t s) then fallback_pick t
+    else begin
+      ring_push t 0 i;
+      D.client s.dh
+    end
   end
 
 (* Sharded fallback: the per-shard round-robin ring, with the one-ring
    invariant's lazy hand-off — an entry whose thread migrated away is
    pushed to its new shard's ring on pop rather than eagerly on migrate. *)
-let sh_ring_pick t c =
-  if not t.quantum_fallback then None
+let rec sh_ring_pick t c =
+  let i = t.rhead.(c) in
+  if i < 0 then None
   else begin
-    let rec next () =
-      let i = t.rhead.(c) in
-      if i < 0 then None
-      else begin
-        ring_unlink t i;
-        let s = st_at t i in
-        if not (in_draw t s) then
-          (* blocked or dispatched: drop; re-enqueue re-rings it *)
-          next ()
-        else if s.shard <> c then begin
-          ring_push t s.shard i;
-          next ()
-        end
-        else begin
-          ring_push t c i;
-          Some s
-        end
-      end
-    in
-    next ()
+    ring_unlink t i;
+    let s = st_at t i in
+    if not (in_draw t s) then
+      (* blocked or dispatched: drop; re-enqueue re-rings it *)
+      sh_ring_pick t c
+    else if s.shard <> c then begin
+      ring_push t s.shard i;
+      sh_ring_pick t c
+    end
+    else begin
+      ring_push t c i;
+      Some s
+    end
   end
 
 let select t =

@@ -27,31 +27,27 @@ type mode = List_mode | Tree_mode
 
 val create :
   ?mode:mode ->
-  ?quantum_fallback:bool ->
   ?use_compensation:bool ->
   ?shards:int ->
-  ?imbalance_band:float ->
   rng:Lotto_prng.Rng.t ->
   unit ->
   t
-(** [mode] defaults to [List_mode] (the paper's prototype).
-    [quantum_fallback] (default [true]) lets completely unfunded threads run
-    round-robin when no funded thread is runnable, instead of deadlocking
-    the simulation. [use_compensation] (default [true]) applies the
-    kernel's compensation-ticket factor to draw weights; disabling it
-    reproduces the paper's §4.5 counterexample where an I/O-bound thread
-    receives far less than its entitled share.
+(** [mode] defaults to [List_mode] (the paper's prototype). Completely
+    unfunded threads run round-robin when no funded thread is runnable,
+    instead of deadlocking the simulation. [use_compensation] (default
+    [true]) applies the kernel's compensation-ticket factor to draw
+    weights; disabling it reproduces the paper's §4.5 counterexample where
+    an I/O-bound thread receives far less than its entitled share.
 
     [shards] (default [0] = unsharded) turns on the multi-CPU mode: one
     draw structure per shard, shard [i] serving virtual CPU [i], with
     threads placed on the least-loaded shard (ticket-weighted), rebalanced
     when a shard's ticket mass deviates from the [1/shards] ideal by more
-    than [imbalance_band] (default [0.25], a fraction of the ideal), and
-    stolen from a ticket-weighted random victim when a CPU's own shard has
-    nothing runnable. A sharded scheduler declares
+    than a quarter of the ideal, and stolen from a ticket-weighted random
+    victim when a CPU's own shard has nothing runnable. A sharded scheduler declares
     {!Lotto_sim.Types.sched.smp_ok} and dequeues the winner on dispatch, so
     it also works (and is byte-stable) on a 1-CPU kernel with [shards = 1].
-    Raises [Invalid_argument] when [shards < 0] or [imbalance_band <= 0]. *)
+    Raises [Invalid_argument] when [shards < 0]. *)
 
 val sched : t -> Lotto_sim.Types.sched
 
@@ -90,10 +86,6 @@ val set_ticket_amount : t -> Lotto_tickets.Funding.ticket -> int -> unit
 
 val destroy_ticket : t -> Lotto_tickets.Funding.ticket -> unit
 
-val thread_currency : t -> Lotto_sim.Types.thread -> Lotto_tickets.Funding.currency
-(** The thread's private currency (created when the scheduler first sees
-    the thread). *)
-
 val thread_value : t -> Lotto_sim.Types.thread -> float
 (** Current draw weight in base units (funding value times any outstanding
     compensation factor). *)
@@ -115,12 +107,6 @@ val set_profiler : t -> Lotto_obs.Profile.t option -> unit
     {!Lotto_sim.Kernel.set_profiler} on the same profiler so all four
     phases land in one report. With no profiler the cost is one branch per
     select. *)
-
-val donation_targets : t -> Lotto_sim.Types.thread -> int list
-(** Thread ids currently receiving a transfer ticket from [th], one entry
-    per live donation (a divided transfer lists each target once per
-    share). Read-only: does not create funding state for unknown or dead
-    threads, so it is safe to call on zombies. *)
 
 val check_funding_coherence : t -> Lotto_sim.Types.thread list -> string list
 (** Audit the scheduler's funding view against the kernel's: each thread's

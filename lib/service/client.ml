@@ -66,7 +66,6 @@ let spawn k ~(spec : Tenant.spec) ~rng ~slo ~port =
   { st; stubs; generator }
 
 let tenant c = c.st.ten
-let backlog_len c = Queue.length c.st.backlog
 let holding c = c.st.holding
 let stubs c = c.stubs
 let generator c = c.generator

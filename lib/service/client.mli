@@ -27,9 +27,6 @@ val spawn :
     CPU work). [rng] should be a per-tenant split stream. *)
 
 val tenant : t -> Slo.tenant
-val backlog_len : t -> int
-(** Arrivals generated but not yet picked up by a stub. *)
-
 val holding : t -> int
 (** Requests currently held by a stub whose outcome is not yet recorded. *)
 

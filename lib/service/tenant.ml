@@ -20,12 +20,3 @@ let spec ?(share = 100) ?(service = Time.ms 5) ?(workers = 4) ?(stubs = 64)
   if stubs < 1 then invalid_arg "Tenant.spec: stubs must be >= 1";
   if io_per_req < 0 then invalid_arg "Tenant.spec: io_per_req must be >= 0";
   { name; share; arrivals; service; workers; stubs; capacity; shed; io_per_req }
-
-(* The service rate a tenant's entitlement buys on one CPU that it shares
-   with the other tenants: share fraction / per-request cost. *)
-let entitled_rate_per_s specs spec =
-  let total = List.fold_left (fun acc s -> acc + s.share) 0 specs in
-  let frac = float_of_int spec.share /. float_of_int (max 1 total) in
-  frac *. (1e6 /. float_of_int (max 1 spec.service))
-
-let offered_rate_per_s spec = Arrivals.mean_rate_per_s spec.arrivals

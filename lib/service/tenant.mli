@@ -31,9 +31,3 @@ val spec :
 (** [spec ~arrivals name] with defaults share 100, service 5 ms, 4 workers,
     64 stubs, capacity 32, [Reject_new], no I/O. Raises [Invalid_argument]
     on non-positive share/workers/stubs or negative [io_per_req]. *)
-
-val entitled_rate_per_s : spec list -> spec -> float
-(** Service rate the tenant's share entitles it to on one CPU shared with
-    [specs]: share fraction of the machine divided by per-request cost. *)
-
-val offered_rate_per_s : spec -> float

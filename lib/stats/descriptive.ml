@@ -74,7 +74,6 @@ let percentile xs p =
   end
 
 let mean_list xs = mean (Array.of_list xs)
-let stddev_list xs = stddev (Array.of_list xs)
 
 module Running = struct
   type t = { mutable n : int; mutable mean : float; mutable m2 : float }

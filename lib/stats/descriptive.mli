@@ -31,7 +31,6 @@ val sum : float array -> float
 (** Kahan-compensated sum; [0.] on empty input. *)
 
 val mean_list : float list -> float
-val stddev_list : float list -> float
 
 (** Single-pass running mean/variance (Welford's algorithm). *)
 module Running : sig

@@ -24,7 +24,7 @@ let add_paper_clients t =
     (List.rev [ ("c1", 10); ("c2", 2); ("c3", 5); ("c4", 1); ("c5", 2) ])
 
 let test_figure1_walkthrough () =
-  let t = Ll.create ~move_to_front:false () in
+  let t = Ll.create ~order:Ll.Unordered () in
   ignore (add_paper_clients t);
   checkf "total is 20" 20. (Ll.total t);
   (* running sums 10, 12, 17, 18, 20: winning value 15 lands on c3 *)
@@ -208,7 +208,7 @@ let test_tree_and_list_agree () =
   let weights = [| 3.; 0.; 7.; 2.; 5.; 0.; 1. |] in
   let tree = Tl.create () in
   Array.iteri (fun i w -> ignore (Tl.add tree ~client:i ~weight:w)) weights;
-  let lst = Ll.create ~move_to_front:false () in
+  let lst = Ll.create ~order:Ll.Unordered () in
   (* prepend-reversal again: add backwards so scans run 0..n *)
   for i = Array.length weights - 1 downto 0 do
     ignore (Ll.add lst ~client:i ~weight:weights.(i))

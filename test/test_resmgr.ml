@@ -389,48 +389,27 @@ let test_io_validation () =
 module Fd = Lotto_res.Funded
 module F = Core.Funding
 
-(* A tracker with one registered client ("c", funded by "tenant") and an
-   unrelated held ticket in the base currency to mutate. *)
+(* A seat table with one funded client ("c", funded by "tenant"), and the
+   currency's backing ticket to mutate. *)
 let tracker_setup () =
   let sys = F.create_system () in
-  let tr = Fd.Tracker.create sys in
+  let tr = Fd.table (Some sys) in
   let cur = F.make_currency sys ~name:"tenant" in
   let tk = F.issue sys ~currency:(F.base sys) ~amount:100 in
   F.fund sys ~ticket:tk ~currency:cur;
-  let fd = Fd.attach sys ~currency:cur ~amount:10 in
-  Fd.Tracker.add tr fd "c";
+  ignore
+    (Fd.funded tr ~who:"test" ~name:"c" ~amount:10 ~currency:cur ~active:true (fun _ ->
+         "c"));
   (sys, tr, cur, tk)
 
 (* the clients one refresh revalues, in refresh order *)
 let refreshed tr =
   let seen = ref [] in
-  Fd.Tracker.refresh tr seen (fun seen c _ -> seen := c :: !seen);
+  Fd.refresh tr seen (fun seen c _ -> seen := c :: !seen);
   List.rev !seen
 
 let check_refreshed msg expected tr =
   check (Alcotest.list Alcotest.string) msg expected (refreshed tr)
-
-let test_tracker_force_drains_all_once () =
-  let sys, tr, cur, _ = tracker_setup () in
-  let fd = Fd.attach sys ~currency:cur ~amount:10 in
-  Fd.Tracker.add tr fd "d";
-  ignore (refreshed tr);
-  Fd.Tracker.force tr;
-  check_refreshed "forced refresh revalues every client, newest first"
-    [ "d"; "c" ] tr;
-  check_refreshed "the full pass is consumed by the first refresh" [] tr
-
-let test_tracker_force_clears_stale_pending () =
-  let sys, tr, cur, tk = tracker_setup () in
-  ignore (F.currency_value sys cur);
-  ignore (refreshed tr);
-  (* dirty the client's currency, then force: the full pass subsumes it and
-     it must not resurface on the next refresh *)
-  F.set_amount sys tk 150;
-  checkb "mutation queued" true (Fd.Tracker.pending tr > 0);
-  Fd.Tracker.force tr;
-  check_refreshed "force revalues each client once" [ "c" ] tr;
-  check_refreshed "stale currencies leaked past a full pass" [] tr
 
 let test_tracker_mutations_between_drains_surface () =
   let sys, tr, cur, tk = tracker_setup () in
@@ -449,6 +428,21 @@ let test_tracker_mutations_between_drains_surface () =
   check_refreshed "post-refresh mutation surfaces next refresh" [ "c" ] tr;
   check_refreshed "second refresh must be empty" [] tr
 
+let test_tracker_reports_moves () =
+  let sys, tr, cur, tk = tracker_setup () in
+  ignore
+    (Fd.funded tr ~who:"test" ~name:"d" ~amount:10 ~currency:cur ~active:false (fun _ ->
+         "d"));
+  ignore (refreshed tr);
+  F.set_amount sys tk 200;
+  let seen = ref [] in
+  Fd.refresh tr seen (fun seen c moved -> seen := (c, moved) :: !seen);
+  check
+    Alcotest.(list (pair string bool))
+    "newest first; a suspended seat's value stays 0"
+    [ ("d", false); ("c", true) ]
+    (List.rev !seen)
+
 let test_tracker_ignores_unfunded_currencies () =
   let sys, tr, cur, _ = tracker_setup () in
   let other = F.make_currency sys ~name:"other" in
@@ -463,7 +457,7 @@ let test_tracker_ignores_unfunded_currencies () =
   F.suspend sys tk;
   F.set_amount sys backing 60;
   checki "nothing recorded for a currency funding no client" 0
-    (Fd.Tracker.pending tr);
+    (Fd.pending tr);
   check_refreshed "nothing revalued" [] tr
 
 (* Regression: a funded manager that is never served must not
@@ -635,9 +629,182 @@ let qcheck_managers_track_funding =
        QCheck.Gen.(list_size (int_range 1 30) gen_mutation))
     prop_managers_track_funding
 
+(* --- golden: every manager's exact streams --------------------------------------- *)
+
+(* Each manager on fixed seeds with a raw client and two funded ones: served
+   counts, values and the Resource_draw stream across phases separated by a
+   set_tickets on a raw client and an inflation of one funding currency. The
+   statistical tests above pass for any stream with the right shares; this
+   one pins the streams themselves. The bus watcher attaches after the first
+   phase, so that phase draws with the bus idle. *)
+
+let golden_funding () =
+  let sys = F.create_system () in
+  let backed name amount =
+    let cur = F.make_currency sys ~name in
+    let tk = F.issue sys ~currency:(F.base sys) ~amount in
+    F.fund sys ~ticket:tk ~currency:cur;
+    (cur, tk)
+  in
+  let a, a_backing = backed "A" 300 in
+  let b, _ = backed "B" 100 in
+  (sys, a, a_backing, b)
+
+let golden_output () =
+  let buf = Buffer.create 16384 in
+  let line fmt =
+    Printf.ksprintf
+      (fun s ->
+        Buffer.add_string buf s;
+        Buffer.add_char buf '\n')
+      fmt
+  in
+  let watch bus =
+    ignore
+      (Core.Obs.Bus.subscribe ~name:"resmgr-golden" bus (fun time ev ->
+           match ev with
+           | Core.Obs.Event.Resource_draw { who; resource; contenders; total_weight } ->
+               line "    %d %s won by %d:%s contenders=%d total=%.17g" time resource
+                 who.tid who.tname contenders total_weight
+           | _ -> ()))
+  in
+  (* Each manager runs [phase] four times: plain, after [set_tickets raw 50],
+     after inflating currency A's backing 300 -> 900, and after
+     [set_tickets raw 0]. A phase's draws print under its header, before
+     its closing counts. *)
+  let drive ~name ~bus ~set_raw ~a_backing ~sys phase =
+    let run label =
+      line "  -- %s" label;
+      phase ()
+    in
+    line "== %s ==" name;
+    run "plain";
+    watch bus;
+    set_raw 50;
+    run "raw at 50";
+    F.set_amount sys a_backing 900;
+    run "A inflated";
+    set_raw 0;
+    run "raw at 0"
+  in
+  (* disk: top every queue up to 4 requests, then serve 10 *)
+  (let module Dk = Core.Disk in
+   let sys, a, a_backing, b = golden_funding () in
+   let dk = Dk.create ~cylinders:200 ~funding:sys ~rng:(rng 101) () in
+   let raw = Dk.add_client dk ~name:"raw" ~tickets:200 in
+   let fa = Dk.add_funded_client dk ~name:"fa" ~currency:a () in
+   let fb = Dk.add_funded_client dk ~name:"fb" ~amount:500 ~currency:b () in
+   let crng = rng 102 in
+   let phase () =
+     List.iter
+       (fun c ->
+         while Dk.pending dk c < 4 do
+           Dk.submit dk c ~cylinder:(Rng.int_below crng 200)
+         done)
+       [ raw; fa; fb ];
+     for _ = 1 to 10 do
+       ignore (Dk.serve_one dk)
+     done;
+     line "  now=%d head=%d seek=%d" (Dk.now dk) (Dk.head_position dk)
+       (Dk.total_seek_distance dk);
+     List.iter
+       (fun c ->
+         line "  %s served=%d pending=%d value=%.17g" (Dk.client_name c) (Dk.served dk c)
+           (Dk.pending dk c) (Dk.value dk c))
+       [ raw; fa; fb ]
+   in
+   drive ~name:"disk" ~bus:(Dk.events dk) ~set_raw:(Dk.set_tickets dk raw) ~a_backing
+     ~sys phase);
+  (* io: top every client up to 6 requests, serve 4 single slots and a
+     batch of 8; fb cancels what it has left after the single slots *)
+  (let sys, a, a_backing, b = golden_funding () in
+   let io = Io.create ~funding:sys ~rng:(rng 111) () in
+   let raw = Io.add_client io ~name:"raw" ~tickets:200 in
+   let fa = Io.add_funded_client io ~name:"fa" ~currency:a () in
+   let fb = Io.add_funded_client io ~name:"fb" ~amount:500 ~currency:b () in
+   let phase () =
+     List.iter (fun c -> Io.submit io c ~requests:(6 - Io.pending io c)) [ raw; fa; fb ];
+     for _ = 1 to 4 do
+       ignore (Io.serve_slot io)
+     done;
+     Io.cancel_pending io fb;
+     Io.serve io ~slots:8;
+     line "  total=%d" (Io.total_served io);
+     List.iter
+       (fun c ->
+         line "  %s served=%d pending=%d value=%.17g" (Io.client_name c) (Io.served io c)
+           (Io.pending io c) (Io.value io c))
+       [ raw; fa; fb ]
+   in
+   drive ~name:"io" ~bus:(Io.events io) ~set_raw:(Io.set_tickets io raw) ~a_backing ~sys
+     phase);
+  (* switch: two ports, a raw and a funded circuit on each; 12 slots *)
+  (let module Sw = Core.Switch in
+   let sys, a, a_backing, b = golden_funding () in
+   let sw = Sw.create ~ports:2 ~buffer_capacity:4 ~funding:sys ~rng:(rng 121) () in
+   let raw = Sw.add_circuit sw ~name:"raw" ~output_port:0 ~tickets:200 ~rate:0.6 in
+   let fa = Sw.add_funded_circuit sw ~name:"fa" ~output_port:0 ~rate:0.5 ~currency:a () in
+   let fb =
+     Sw.add_funded_circuit sw ~name:"fb" ~output_port:1 ~amount:500 ~rate:0.7 ~currency:b ()
+   in
+   let r1 = Sw.add_circuit sw ~name:"r1" ~output_port:1 ~tickets:100 ~rate:0.5 in
+   let circuits = [ raw; fa; fb; r1 ] in
+   let phase () =
+     Sw.step sw ~slots:12;
+     line "  now=%d util=%.17g,%.17g" (Sw.now sw) (Sw.port_utilization sw 0)
+       (Sw.port_utilization sw 1);
+     List.iteri
+       (fun i c ->
+         line "  c%d delivered=%d dropped=%d backlog=%d delay=%.17g value=%.17g" i
+           (Sw.delivered sw c) (Sw.dropped sw c) (Sw.backlog sw c) (Sw.mean_delay sw c)
+           (Sw.value sw c))
+       circuits
+   in
+   drive ~name:"switch" ~bus:(Sw.events sw) ~set_raw:(Sw.set_tickets sw raw) ~a_backing
+     ~sys phase);
+  (* inverse memory: 12 frames, three working sets of 8; 24 accesses *)
+  (let sys, a, a_backing, b = golden_funding () in
+   let im = Im.create ~funding:sys ~frames:12 ~rng:(rng 131) () in
+   let raw = Im.add_client im ~name:"raw" ~tickets:200 ~working_set:8 in
+   let fa = Im.add_funded_client im ~name:"fa" ~working_set:8 ~currency:a () in
+   let fb = Im.add_funded_client im ~name:"fb" ~amount:500 ~working_set:8 ~currency:b () in
+   let phase () =
+     Im.simulate im ~steps:24;
+     line "  free=%d" (Im.frames_free im);
+     List.iter
+       (fun c ->
+         line "  %s resident=%d faults=%d accesses=%d evicted=%d value=%.17g"
+           (Im.client_name c) (Im.resident im c) (Im.faults im c) (Im.accesses im c)
+           (Im.evictions_suffered im c) (Im.value im c))
+       [ raw; fa; fb ]
+   in
+   drive ~name:"inverse-memory" ~bus:(Im.events im) ~set_raw:(Im.set_tickets im raw)
+     ~a_backing ~sys phase);
+  Buffer.contents buf
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_golden () =
+  check Alcotest.string "manager streams unchanged"
+    (read_file
+       (Filename.concat (Filename.dirname Sys.executable_name) "resmgr_golden.expected"))
+    (golden_output ())
+
+let () =
+  match Sys.argv with
+  | [| _; "--print-golden" |] ->
+      print_string (golden_output ());
+      exit 0
+  | _ -> ()
+
 let () =
   Alcotest.run "resmgr"
     [
+      ("golden", [ Alcotest.test_case "every manager's exact streams" `Quick test_golden ]);
       ( "inverse-memory",
         [
           Alcotest.test_case "no eviction until full" `Quick test_no_eviction_until_full;
@@ -692,12 +859,10 @@ let () =
         ] );
       ( "funded-tracker",
         [
-          Alcotest.test_case "force drains `All exactly once" `Quick
-            test_tracker_force_drains_all_once;
-          Alcotest.test_case "force clears stale pending cids" `Quick
-            test_tracker_force_clears_stale_pending;
           Alcotest.test_case "mutations between drains surface" `Quick
             test_tracker_mutations_between_drains_surface;
+          Alcotest.test_case "refresh reports which values moved" `Quick
+            test_tracker_reports_moves;
           Alcotest.test_case "currencies funding no client record nothing" `Quick
             test_tracker_ignores_unfunded_currencies;
           Alcotest.test_case "idle manager bounded under currency churn" `Quick
