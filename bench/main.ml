@@ -192,6 +192,58 @@ let fund_reweigh_op () =
     | Some w -> sr.account w ~used:1 ~quantum:1 ~blocked:false
     | None -> ()
 
+(* Invalidation's reach (paper §4.4): a tenant currency funds 4 compute-bound
+   workers and 1,000 stubs blocked on a semaphore nobody posts, so the
+   stubs' tickets are inactive. One operation is a block and a wake of one
+   worker, each followed by a select and the winner's account, so the
+   tenant is valid again before the next invalidation. The row counts the
+   ticket edges the invalidation walks visit per operation: the live
+   dependents, not the ~2,000 idle tickets a walk over everything the
+   tenant issued would visit. *)
+let idle_siblings_edges () =
+  let ls = lottery 3 in
+  let sr = Ls.sched ls in
+  let k = Core.Kernel.create ~sched:sr () in
+  let tenant = Ls.make_currency ls "tenant" in
+  ignore (Ls.fund_currency ls ~target:tenant ~amount:1000 ~from:(Ls.base_currency ls));
+  let never = Core.Kernel.create_semaphore k ~initial:0 "never" in
+  for i = 1 to 1000 do
+    fund ls ~from:tenant
+      (Core.Kernel.spawn k ~name:(sprintf "stub%d" i) (fun () -> Core.Api.sem_wait never))
+      10
+  done;
+  (* the stubs block at once; only then do the workers start *)
+  run_for k (ms 1);
+  let workers =
+    Array.init 4 (fun i ->
+        let th = spinner k (sprintf "w%d" i) (ms 100) in
+        fund ls ~from:tenant th (100 + i);
+        th)
+  in
+  run_for k (ms 100);
+  let decide () =
+    match sr.select ~cpu:0 with
+    | Some w -> sr.account w ~used:1 ~quantum:1 ~blocked:false
+    | None -> ()
+  in
+  let sys = Ls.funding ls and i = ref 0 in
+  let op () =
+    let th = workers.(!i land 3) in
+    incr i;
+    sr.unready th;
+    decide ();
+    sr.ready th;
+    decide ()
+  in
+  for _ = 1 to 20 do
+    op ()
+  done;
+  let e0 = Core.Funding.edges_walked sys and ops = 200 in
+  for _ = 1 to ops do
+    op ()
+  done;
+  float_of_int (Core.Funding.edges_walked sys - e0) /. float_of_int ops
+
 (* A synchronous RPC's ticket transfer (paper §3.1), made through the
    scheduler record as the kernel makes it: the blocked client's donation
    to the server, which issues a ticket in the client's currency and funds
@@ -292,6 +344,7 @@ let hotpath_rows () =
       ("hotpath/sem-handoff-64:minor-words", sem_handoff_words ());
       ("hotpath/effect-compute:minor-words", effect_compute_words ());
       ("hotpath/effect-sleep-wake:minor-words", effect_sleep_wake_words ());
+      ("hotpath/idle-siblings-1000:edges-walked", idle_siblings_edges ());
     ]
 
 (* --- service: arrivals, admission, the whole request path ---------------- *)

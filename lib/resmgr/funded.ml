@@ -137,12 +137,20 @@ let set_active tb s active =
   | Some sys, Some tk -> if active then F.resume sys tk else F.suspend sys tk
   | _ -> ()
 
+(* [F.ticket_value] inlined: the denomination's unit value is read from
+   the flat table it validates, so no float is boxed across a call, and the
+   boxed [value] field is written only when the value moved. *)
 let rec revalue sys m f = function
   | [] -> ()
   | (client, s, tk) :: rest ->
-      let v = F.ticket_value sys tk in
+      let d = F.denomination tk in
+      let units = F.unit_table sys d in
+      let v =
+        if F.is_active tk then float_of_int (F.amount tk) *. units.(F.currency_slot d)
+        else 0.
+      in
       let moved = v <> s.value in
-      s.value <- v;
+      if moved then s.value <- v;
       f m client moved;
       revalue sys m f rest
 

@@ -61,6 +61,17 @@ and system = {
   mutable i_next : int array;
   mutable b_prev : int array;
   mutable b_next : int array;
+  (* Live lists: each non-base currency's active issued tickets that back
+     a currency, in issued-list order (most recent first), threaded through
+     [l_prev]/[l_next] by ticket slot, with heads in [live_head] by
+     currency slot. Invalidation walks only these edges: an inactive
+     ticket backs a currency with zero active amount, whose value is 0
+     whatever its supports are worth. Base keeps no list (base opacity:
+     invalidation never walks it). *)
+  mutable l_prev : int array;
+  mutable l_next : int array;
+  mutable live_head : int array;
+  mutable edges_walked : int; (* live edges visited by [invalidate] *)
   (* Incremental valuation caches, indexed by currency slot. While a
      currency's [cache_ok] holds, [vals] has its value (sum of its active
      backing tickets in base units; for base, the active amount) and
@@ -127,6 +138,10 @@ let create_system () =
       i_next = [||];
       b_prev = [||];
       b_next = [||];
+      l_prev = [||];
+      l_next = [||];
+      live_head = Slots.grow_payload cur_slots [||] ~dummy:(-1);
+      edges_walked = 0;
       vals = Slots.grow_payload cur_slots [||] ~dummy:0.;
       units = Slots.grow_payload cur_slots [||] ~dummy:1.;
       w_slots = Slots.create ~initial_capacity:4 ();
@@ -175,6 +190,28 @@ let unlink_backing sys c s =
   if n >= 0 then sys.b_prev.(n) <- p;
   sys.b_prev.(s) <- -1;
   sys.b_next.(s) <- -1
+
+(* The live list keeps issued order, which is decreasing ticket id, so a
+   ticket links in after every newer live ticket: O(newer live tickets),
+   no more than an invalidation of the currency walks. *)
+let link_live sys c s =
+  let tid = sys.tk_tab.(s).tid in
+  let p = ref (-1) and n = ref sys.live_head.(c.cslot) in
+  while !n >= 0 && sys.tk_tab.(!n).tid > tid do
+    p := !n;
+    n := sys.l_next.(!n)
+  done;
+  sys.l_prev.(s) <- !p;
+  sys.l_next.(s) <- !n;
+  if !p >= 0 then sys.l_next.(!p) <- s else sys.live_head.(c.cslot) <- s;
+  if !n >= 0 then sys.l_prev.(!n) <- s
+
+let unlink_live sys c s =
+  let p = sys.l_prev.(s) and n = sys.l_next.(s) in
+  if p >= 0 then sys.l_next.(p) <- n else sys.live_head.(c.cslot) <- n;
+  if n >= 0 then sys.l_prev.(n) <- p;
+  sys.l_prev.(s) <- -1;
+  sys.l_next.(s) <- -1
 
 (* The next slot is captured before the callback runs, so detaching the
    visited ticket from inside [f] is safe. *)
@@ -268,30 +305,40 @@ let notify sys =
 
    A currency's value depends on its backing tickets' denominations, so a
    mutation at [c] can move the value of any currency reachable from [c]
-   through issued tickets that back other currencies ("upward", toward the
-   thread/client leaves in the paper's Figure 3). Two properties keep this
-   cheap and sound:
+   through active issued tickets that back other currencies ("upward",
+   toward the thread/client leaves in the paper's Figure 3). Three
+   properties keep this cheap and sound:
 
+   - live edges only: an inactive ticket contributes 0 to the currency it
+     backs, so no change at its denomination can move that value; the walk
+     follows [c]'s live list, not its issued list, and a block or wake
+     costs O(live dependents) however many idle siblings the currency has;
    - stop-early: if [c] is already stale, every dependent was staled when
-     [c] was (reads revalidate a currency only after revalidating everything
-     it depends on), so the walk can stop;
+     [c] was (a valid currency has valid active supports: reads revalidate
+     a currency only after revalidating the denominations of its active
+     backing tickets, and a ticket's activation stales the currency it
+     backs), so the walk can stop;
    - base opacity: the base currency's unit value is the constant 1, so its
      active-amount changes never move a dependent's value — invalidation of
      base records base itself and propagates no further. This is what makes
      a block/wake of a base-funded thread O(1).
 
-   The walk is a plain loop over the issued list (depth first, head first),
+   The walk is a plain loop over the live list (depth first, head first),
    so it builds no closure per visited currency; the flip-to-stale also
-   makes each currency appear at most once per batch. *)
+   makes each currency appear at most once per batch. Each batch is the
+   one a walk over every issued edge would build, in the same order, minus
+   the currencies that walk reaches only through inactive tickets, whose
+   values the mutation cannot move. *)
 
 let rec invalidate sys c =
   if c.cache_ok then begin
     c.cache_ok <- false;
     push_dirty sys c;
     if not c.base_p then begin
-      let s = ref c.issued_head in
+      let s = ref sys.live_head.(c.cslot) in
       while !s >= 0 do
-        let n = sys.i_next.(!s) in
+        let n = sys.l_next.(!s) in
+        sys.edges_walked <- sys.edges_walked + 1;
         (match sys.tk_tab.(!s).attach with
         | Backs c' -> invalidate sys c'
         | Unattached | Held -> ());
@@ -321,6 +368,7 @@ let make_currency sys ~name =
   sys.cur_tab.(s) <- c;
   sys.vals <- Slots.grow_payload sys.cur_slots sys.vals ~dummy:0.;
   sys.units <- Slots.grow_payload sys.cur_slots sys.units ~dummy:0.;
+  sys.live_head <- Slots.grow_payload sys.cur_slots sys.live_head ~dummy:(-1);
   Hashtbl.replace sys.by_name name c;
   c
 
@@ -378,6 +426,8 @@ let issue sys ~currency ~amount =
   sys.i_next <- Slots.grow_payload sys.tk_slots sys.i_next ~dummy:(-1);
   sys.b_prev <- Slots.grow_payload sys.tk_slots sys.b_prev ~dummy:(-1);
   sys.b_next <- Slots.grow_payload sys.tk_slots sys.b_next ~dummy:(-1);
+  sys.l_prev <- Slots.grow_payload sys.tk_slots sys.l_prev ~dummy:(-1);
+  sys.l_next <- Slots.grow_payload sys.tk_slots sys.l_next ~dummy:(-1);
   link_issued sys currency s;
   t
 
@@ -408,14 +458,25 @@ let flip_invalidate sys t =
   invalidate sys t.denom;
   match t.attach with Backs c -> invalidate sys c | Unattached | Held -> ()
 
+(* Whether the ticket belongs in its denomination's live list once
+   active. *)
+let[@inline] tracks_live t =
+  (not t.denom.base_p) && match t.attach with Backs _ -> true | Unattached | Held -> false
+
 (* Activation propagation (paper §4.4): activating a ticket raises its
    denomination's active amount; on a zero -> nonzero transition every
    backing ticket of that currency activates in turn, and symmetrically for
    deactivation. The backing walks are loops, not [iter_backing] over a
-   partial application, so a cascade allocates nothing. *)
+   partial application, so a cascade allocates nothing.
+
+   These two functions are the only writers of [active], so they keep the
+   live lists: a ticket links in before its activation's flip and unlinks
+   after its deactivation's, so the flip's walk visits it either way, as a
+   walk over every issued edge would. *)
 let rec activate_ticket sys t =
   if not t.active then begin
     t.active <- true;
+    if tracks_live t then link_live sys t.denom t.tkslot;
     flip_invalidate sys t;
     let c = t.denom in
     let was_zero = c.active_amount = 0 in
@@ -435,6 +496,7 @@ let rec deactivate_ticket sys t =
   if t.active then begin
     t.active <- false;
     flip_invalidate sys t;
+    if tracks_live t then unlink_live sys t.denom t.tkslot;
     let c = t.denom in
     let was_positive = c.active_amount > 0 in
     c.active_amount <- c.active_amount - t.amount;
@@ -636,8 +698,13 @@ let value_table sys c =
   validate sys c;
   sys.vals
 
+let unit_table sys c =
+  if not c.base_p then validate sys c;
+  sys.units
+
 let values sys = sys.vals
 let cache_valid c = c.cache_ok
+let edges_walked sys = sys.edges_walked
 
 (* The denomination is validated even when the ticket is inactive: a
    consumer that caches this 0 must be told (via a change event) when the
@@ -749,6 +816,30 @@ let check_invariants sys =
               if not (exists_backing sys c' (fun b -> b.tid = t.tid)) then
                 fail "ticket %d claims to back %s but is not listed" t.tid
                   c'.cname);
+      (* Live list: exactly the active issued tickets that back a currency,
+         in issued order, with symmetric links; base keeps none. *)
+      let expected = ref [] in
+      iter_issued sys c (fun t ->
+          if tracks_live t && t.active then expected := t.tkslot :: !expected
+          else if sys.l_prev.(t.tkslot) >= 0 || sys.l_next.(t.tkslot) >= 0 then
+            fail "ticket %d: off its live list but still linked" t.tid);
+      let expected = List.rev !expected in
+      let bound = List.length expected in
+      let got = ref [] and n = ref 0 and prev = ref (-1) in
+      let s = ref sys.live_head.(slot) in
+      while !s >= 0 && !n <= bound do
+        if sys.l_prev.(!s) <> !prev then
+          fail "currency %s: live link of slot %d points back at %d, not %d"
+            c.cname !s sys.l_prev.(!s) !prev;
+        got := !s :: !got;
+        incr n;
+        prev := !s;
+        s := sys.l_next.(!s)
+      done;
+      if List.rev !got <> expected then
+        fail "currency %s: live list [%s] <> active backing issued [%s]" c.cname
+          (String.concat ";" (List.rev_map string_of_int !got))
+          (String.concat ";" (List.map string_of_int expected));
       (* Acyclicity: depth-first walk with a white/grey/black marking, so
          shared sub-graphs are visited once instead of once per path. *)
       let color = Hashtbl.create 16 in

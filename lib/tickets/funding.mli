@@ -62,8 +62,12 @@ val iter_changed : change -> (currency -> unit) -> unit
     accumulates the currencies from every batch and (2) re-reads exactly
     the accumulated currencies before each draw never uses a stale weight.
     Currencies never read by anyone may stay stale without further events
-    until the next read. Nothing is allocated per batch: a consumer that
-    builds [f] once keeps the whole notification path allocation-free. *)
+    until the next read. Inactive currencies (zero active amount, so value
+    and unit value 0) are not reported when something they are funded from
+    moves: invalidation follows active tickets only, and their value cannot
+    move until their own activation, which does report them. Nothing is
+    allocated per batch: a consumer that builds [f] once keeps the whole
+    notification path allocation-free. *)
 
 val on_change : system -> (change -> unit) -> subscription
 (** [on_change sys f] calls [f change] after every mutation that can affect
@@ -220,6 +224,13 @@ val value_table : system -> currency -> float array
     boxed. The table is replaced when the currency arena grows, so fetch
     it for each read rather than keeping it. *)
 
+val unit_table : system -> currency -> float array
+(** [unit_table sys c] revalidates the live currency [c] and returns the
+    system's flat unit-value cache, where [c]'s unit value ({!unit_value})
+    sits at index {!currency_slot}[ c]; the base currency's entry is always
+    [1.]. The allocation-free form of {!unit_value}, replaced when the
+    arena grows like {!value_table}. *)
+
 val values : system -> float array
 (** The flat value cache {!value_table} returns, read without revalidating
     anything: an entry is current only while its currency's cache is valid
@@ -234,12 +245,20 @@ val cache_valid : currency -> bool
 
 (** {1 Introspection} *)
 
+val edges_walked : system -> int
+(** Ticket edges visited by invalidation walks since the system was
+    created. Invalidation follows only each currency's active tickets that
+    back a currency, so a block or wake costs O(live dependents) however
+    many idle tickets the currency has issued. A read-only counter for
+    tests and the overhead gate. *)
+
 val check_invariants : system -> unit
 (** Validates internal consistency (active sums, attachment symmetry,
-    activation propagation, acyclicity, and agreement of the incremental
-    valuation caches with a from-scratch valuation); raises [Failure] with
-    a description on violation. Used by tests and enabled in debug
-    builds. *)
+    activation propagation, acyclicity, each currency's live list of
+    active backing tickets against its issued list, and agreement of the
+    incremental valuation caches with a from-scratch valuation); raises
+    [Failure] with a description on violation. Used by tests and enabled
+    in debug builds. *)
 
 val pp_currency : system -> Format.formatter -> currency -> unit
 val pp_ticket : Format.formatter -> ticket -> unit

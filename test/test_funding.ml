@@ -546,7 +546,11 @@ let scratch_unit sys c =
    first, most recent ticket first. [predict] replays one mutation's
    activation cascade (paper §4.4) on a snapshot of the graph with that
    list walk and returns the batches the mutation should deliver, one per
-   notification. Only currencies in [valid] can flip. *)
+   notification. Only currencies in [valid] can flip. The walk follows
+   active edges only: an issued ticket that backs a currency is followed
+   while it is active, and during its own deactivation's flip (the ticket
+   is inactive by then, but its flip still walks through it, as a walk
+   over every issued edge would). *)
 type snap = {
   valid : (int, unit) Hashtbl.t; (* cid *)
   issued : (int, F.ticket list) Hashtbl.t; (* cid *)
@@ -601,6 +605,11 @@ let snapshot sys ~valid =
 let predict s op =
   let cid = F.currency_id and tid = F.ticket_id in
   let acc = ref [] in
+  let flipping = ref None in
+  let live i =
+    Hashtbl.find s.active (tid i)
+    || match !flipping with Some f -> f == i | None -> false
+  in
   let rec inval c =
     if Hashtbl.mem s.valid (cid c) then begin
       Hashtbl.remove s.valid (cid c);
@@ -609,14 +618,16 @@ let predict s op =
         List.iter
           (fun i ->
             match Hashtbl.find s.funds (tid i) with
-            | Some c' -> inval c'
-            | None -> ())
+            | Some c' when live i -> inval c'
+            | Some _ | None -> ())
           (Hashtbl.find s.issued (cid c))
     end
   in
   let flip t =
+    flipping := Some t;
     inval (F.denomination t);
-    match Hashtbl.find s.funds (tid t) with Some c -> inval c | None -> ()
+    (match Hashtbl.find s.funds (tid t) with Some c -> inval c | None -> ());
+    flipping := None
   in
   (* shift the denomination's active sum; [cascade] fires on a zero
      crossing in the direction of the shift *)
@@ -693,9 +704,12 @@ let apply sys = function
    equals a from-scratch walk bit-for-bit, (2) the scoped change events
    name every currency whose observed valuation moved since it was last
    read — the contract the scheduler and resource managers rely on to
-   revalue only O(dirtied) clients per draw — and (3) each batch visits
-   exactly the currencies of the reference list walk above, in its order,
-   and is drained once delivered. *)
+   revalue only O(dirtied) clients per draw — (3) each batch visits
+   exactly the currencies of the reference active-edge walk above, in its
+   order, and is drained once delivered, and (4) every valid non-base
+   currency with zero active amount caches value 0 and unit value 0: the
+   fact that lets invalidation skip inactive edges, since no change
+   upstream of such a currency can move what it caches. *)
 let qcheck_incremental_valuation_exact =
   let module Rng = Core.Rng in
   QCheck.Test.make
@@ -800,6 +814,17 @@ let qcheck_incremental_valuation_exact =
             mutate ~valid (Destroy t);
             tickets := List.filter (fun t' -> t' != t) !tickets
         | _ -> ());
+        (* after each mutation, before any read revalidates: an inactive
+           currency the mutation left valid is worth nothing *)
+        List.iter
+          (fun c ->
+            if (not (F.is_base c)) && F.cache_valid c && F.active_amount c = 0
+            then begin
+              let i = F.currency_slot c in
+              if (F.values sys).(i) <> 0. || (F.unit_table sys c).(i) <> 0. then
+                ok := false
+            end)
+          (F.currencies sys);
         (* after each mutation: exact cache agreement, and any move since
            the last observation must have been announced *)
         List.iter

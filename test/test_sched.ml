@@ -564,6 +564,26 @@ let test_lottery_introspection () =
   checkb "tree mode has no list stats" true
     (Lottery_sched.list_comparisons ls_tree = None)
 
+(* A thread record outside any kernel, for driving the scheduler record
+   directly. *)
+let bare_thread id =
+  {
+    Types.id;
+    tslot = id;
+    name = Printf.sprintf "t%d" id;
+    state = Types.Runnable;
+    pending = Types.Exited;
+    c_left = 0;
+    c_kc = Types.vacant_kc;
+    cpu = 0;
+    compensate = 1.;
+    donating_to = [];
+    donors = [];
+    owned = [];
+    joiners = Waitq.create ();
+    servicing = [];
+  }
+
 (* Incremental valuation in the scheduler: with N runnable threads, blocking
    and waking one of them must never trigger a full weight refresh, and each
    block/wake cycle must cost exactly one scoped per-thread weight update —
@@ -573,26 +593,8 @@ let test_scoped_updates_on_block_wake () =
   let rng = Rng.create ~seed:4242 () in
   let ls = Lottery_sched.create ~rng () in
   let s = Lottery_sched.sched ls in
-  let mk id =
-    {
-      Types.id;
-      tslot = id;
-      name = Printf.sprintf "t%d" id;
-      state = Types.Runnable;
-      pending = Types.Exited;
-      c_left = 0;
-      c_kc = Types.vacant_kc;
-      cpu = 0;
-      compensate = 1.;
-      donating_to = [];
-      donors = [];
-      owned = [];
-      joiners = Waitq.create ();
-      servicing = [];
-    }
-  in
   let n = 50 in
-  let threads = Array.init n mk in
+  let threads = Array.init n bare_thread in
   let base = Lottery_sched.base_currency ls in
   Array.iter
     (fun th ->
@@ -616,6 +618,47 @@ let test_scoped_updates_on_block_wake () =
   checki "each block/wake cycle costs exactly one scoped weight update"
     (su0 + cycles)
     (Lottery_sched.scoped_weight_updates ls)
+
+(* Invalidation follows live funding edges only (paper §4.4: a blocked
+   thread's tickets are inactive). A tenant currency funds 4 runnable
+   workers and 1,000 blocked stubs; blocking and waking a worker must not
+   visit the stubs' idle tickets, which a walk over every ticket the
+   tenant issued would (about 2,000 edges per cycle). *)
+let test_block_wake_skips_idle_siblings () =
+  let ls = Lottery_sched.create ~rng:(Rng.create ~seed:7 ()) () in
+  let s = Lottery_sched.sched ls in
+  let sys = Lottery_sched.funding ls in
+  let tenant = Lottery_sched.make_currency ls "tenant" in
+  ignore
+    (Lottery_sched.fund_currency ls ~target:tenant ~amount:1000
+       ~from:(Lottery_sched.base_currency ls));
+  let spawn id =
+    let th = bare_thread id in
+    s.Types.attach th;
+    ignore (Lottery_sched.fund_thread ls th ~amount:(10 + (id mod 7)) ~from:tenant);
+    th
+  in
+  let workers = Array.init 4 spawn in
+  for i = 4 to 1003 do
+    s.Types.unready (spawn i)
+  done;
+  ignore (s.Types.select ~cpu:0);
+  let e0 = Lotto_tickets.Funding.edges_walked sys in
+  let cycles = 40 in
+  for i = 1 to cycles do
+    let th = workers.(i mod 4) in
+    s.Types.unready th;
+    ignore (s.Types.select ~cpu:0);
+    s.Types.ready th;
+    ignore (s.Types.select ~cpu:0)
+  done;
+  let per_cycle =
+    float_of_int (Lotto_tickets.Funding.edges_walked sys - e0) /. float_of_int cycles
+  in
+  check Alcotest.bool
+    (Printf.sprintf "%.1f edges walked per block/wake cycle (<= 16)" per_cycle)
+    true (per_cycle <= 16.);
+  Lotto_tickets.Funding.check_invariants sys
 
 (* Conservation under random workloads: whatever mix of computing,
    sleeping, yielding and exiting threads a scheduler faces, consumed CPU
@@ -948,6 +991,8 @@ let () =
           Alcotest.test_case "draw counters and modes" `Quick test_lottery_introspection;
           Alcotest.test_case "block/wake is O(affected), not a full refresh" `Quick
             test_scoped_updates_on_block_wake;
+          Alcotest.test_case "block/wake skips idle siblings' edges" `Quick
+            test_block_wake_skips_idle_siblings;
           Alcotest.test_case "baseline accessors" `Quick test_baseline_accessors;
         ] );
       ( "reclamation",
