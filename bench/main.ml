@@ -466,10 +466,9 @@ let service_rows () =
 
 (* --- smp: sharded lotteries across virtual CPUs -------------------------- *)
 
-(* The 1-CPU baseline is the unsharded scheduler; c > 1 CPUs shard the
-   lottery one shard per CPU. *)
+(* One lottery shard per CPU. *)
 let smp_kernel ~cpus ~seed =
-  let ls = lottery ~shards:(if cpus = 1 then 0 else cpus) seed in
+  let ls = lottery ~shards:cpus seed in
   (ls, Core.Kernel.create ~cpus ~sched:(Ls.sched ls) ())
 
 (* One thread ping-ponged between two shards of a 10^4-thread sharded

@@ -116,8 +116,8 @@ let cpus_arg =
               lottery is sharded one shard per CPU — ticket-weighted \
               placement, hysteresis rebalancing and work stealing — and \
               the kernel runs its multi-CPU round loop; with 1 the \
-              historical single-CPU scheduler runs and output is \
-              byte-identical to older releases.")
+              lottery is one shard and output is byte-identical to \
+              older releases.")
 
 let trace_arg =
   Arg.(

@@ -8,7 +8,7 @@ let check ?sched kernel =
     match sched with
     | None -> []
     | Some ls ->
-        (* check_sharding is always empty on an unsharded scheduler, so the
+        (* check_sharding audits every shard count, one included, so the
            combined audit is safe for every kernel shape *)
         LS.check_funding_coherence ls (Kernel.threads kernel)
         @ LS.check_sharding ls

@@ -21,12 +21,9 @@ let run_one ?(plan = Plan.default) ?(audit = true) ?(cpus = 1)
   (* the injector gets its own stream derived from the run seed, so fault
      decisions and lottery draws never perturb each other's sequences *)
   let inj_rng = Rng.split rng in
-  (* cpus = 1 keeps the historical unsharded scheduler so existing repro
-     pairs stay valid; cpus > 1 shards the lottery one shard per CPU and
-     exercises placement, rebalancing and stealing under fault injection *)
-  let ls =
-    if cpus = 1 then LS.create ~rng () else LS.create ~shards:cpus ~rng ()
-  in
+  (* one lottery shard per CPU: cpus > 1 exercises placement, rebalancing
+     and stealing under fault injection *)
+  let ls = LS.create ~shards:cpus ~rng () in
   let kernel = Kernel.create ~cpus ~sched:(LS.sched ls) () in
   let inj = Injector.create ~plan ~rng:inj_rng ~kernel () in
   (* the span tracer is a pure bus subscriber: it consumes no randomness and

@@ -34,9 +34,8 @@ val run_one :
   ?plan:Plan.t -> ?audit:bool -> ?cpus:int -> Scenarios.t -> seed:int -> outcome
 (** One seeded chaos run. [audit] (default [true]) runs the invariant
     audit at every scheduling boundary. [cpus] (default [1]) runs the
-    kernel with that many virtual CPUs: [1] keeps the historical
-    unsharded scheduler (existing repro pairs stay valid), [n > 1] shards
-    the lottery one shard per CPU so fault injection also exercises
+    kernel with that many virtual CPUs and the lottery with one shard per
+    CPU, so with [n > 1] fault injection also exercises
     placement, hysteresis rebalancing, work stealing and the
     {!Lotto_sched.Lottery_sched.check_sharding} audit. *)
 

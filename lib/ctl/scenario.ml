@@ -132,12 +132,8 @@ let run ?(cpus = 1) ?(trace = false) ?(trace_capacity = 1 lsl 20)
     ?(stats = false) ?(spans = false) ?(prom = false) ?profile_clock t =
   if cpus < 1 then invalid_arg "Scenario.run: cpus < 1";
   let rng = Lotto_prng.Rng.create ~seed:t.seed () in
-  (* [cpus = 1] keeps the historical unsharded scheduler so single-CPU
-     outputs stay byte-identical; [cpus > 1] shards the lottery one shard
-     per virtual CPU and runs the kernel's round loop *)
-  let ls =
-    if cpus = 1 then Ls.create ~rng () else Ls.create ~shards:cpus ~rng ()
-  in
+  (* one lottery shard per virtual CPU *)
+  let ls = Ls.create ~shards:cpus ~rng () in
   let kernel = Kernel.create ~quantum:t.quantum ~cpus ~sched:(Ls.sched ls) () in
   let timeline = Timeline.attach kernel ~bucket:(max (Time.ms 100) (t.horizon / 60)) () in
   (* recorder, metrics, span tracer and timeline are independent

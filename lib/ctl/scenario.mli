@@ -69,10 +69,8 @@ val run :
   t ->
   report
 (** Execute the scenario. [cpus] (default 1) is the number of virtual
-    CPUs: [1] runs the historical single-CPU kernel with an unsharded
-    lottery (outputs are byte-identical to older releases), while [n > 1]
-    shards the lottery one shard per CPU — ticket-weighted placement,
-    hysteresis rebalancing and work stealing included — and drives the
+    CPUs, each with its own lottery shard: [n > 1] adds ticket-weighted
+    placement, hysteresis rebalancing and work stealing, and drives the
     kernel's multi-CPU round loop. [trace] (default false) records the typed event
     stream into a ring buffer of [trace_capacity] events (default 2^20);
     [stats] (default false) accumulates the metrics registry and renders

@@ -384,20 +384,19 @@ let exec ?(user = "root") t cmd =
       else
         Ok (String.concat "\n" (List.rev_map (describe_ticket t) t.entries))
   | Eval ->
-      let v = F.Valuation.make t.system in
       let cur_lines =
         List.map
           (fun c ->
             Printf.sprintf "currency %-12s value=%.2f unit=%.4f" (F.currency_name c)
-              (F.Valuation.currency_value v c)
-              (F.Valuation.unit_value v c))
+              (F.currency_value t.system c)
+              (F.unit_value t.system c))
           (F.currencies t.system)
       in
       let tkt_lines =
         List.rev_map
           (fun e ->
             Printf.sprintf "ticket   %-12s value=%.2f" e.label
-              (F.Valuation.ticket_value v e.ticket))
+              (F.ticket_value t.system e.ticket))
           t.entries
       in
       Ok (String.concat "\n" (cur_lines @ tkt_lines))
@@ -409,7 +408,6 @@ let exec ?(user = "root") t cmd =
         else begin
           let rng = Lotto_prng.Rng.create ~seed () in
           let wins = Hashtbl.create 8 in
-          let v = F.Valuation.make t.system in
           (* unordered list backend, filled in reverse: the prepending list
              then scans tickets in their creation order *)
           let d =
@@ -421,7 +419,7 @@ let exec ?(user = "root") t cmd =
             (fun e ->
               ignore
                 (Lotto_draw.Draw.add d ~client:e
-                   ~weight:(F.Valuation.ticket_value v e.ticket)))
+                   ~weight:(F.ticket_value t.system e.ticket)))
             (List.rev held);
           for _ = 1 to n do
             match Lotto_draw.Draw.draw_client d rng with

@@ -46,11 +46,9 @@ let chisq_p ~observed ~weights =
 let one_config ~label ~seed ~duration ~amounts ~cpus ~samples () =
   let n = Array.length amounts in
   let rng = Lotto_prng.Rng.create ~seed () in
-  (* cpus = 1 is the historical unsharded scheduler — the global lottery
-     every thread competes in; cpus > 1 shards it one shard per CPU *)
-  let ls =
-    if cpus = 1 then Ls.create ~rng () else Ls.create ~shards:cpus ~rng ()
-  in
+  (* one shard per CPU: with cpus = 1, the global lottery every thread
+     competes in *)
+  let ls = Ls.create ~shards:cpus ~rng () in
   let kernel = Kernel.create ~cpus ~sched:(Ls.sched ls) () in
   let base = Ls.base_currency ls in
   let spinners =

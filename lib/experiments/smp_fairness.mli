@@ -32,11 +32,11 @@ type config = {
   aggregate_p : float;
   per_shard_p : (int * int * float) array;
       (** shard, member count, chi-square p over its members (nan when
-          fewer than 2); empty when unsharded *)
+          fewer than 2); empty with one CPU *)
   migrations : int;
   steals : int;
   shard_mass : float array;  (** final per-shard ticket mass *)
-  series : sample list;  (** chronological; empty when unsharded *)
+  series : sample list;  (** chronological; empty with one CPU *)
 }
 
 type t = {

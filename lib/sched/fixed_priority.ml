@@ -102,7 +102,7 @@ let sched t =
     detach = detach t;
     ready = mark_ready t;
     unready = mark_unready t;
-    smp_ok = false;
+    max_cpus = 1;
     select = (fun ~cpu:_ -> select t);
     account = (fun _ ~used:_ ~quantum:_ ~blocked:_ -> ());
     donate = (fun ~src ~dst -> donate t ~src ~dst);

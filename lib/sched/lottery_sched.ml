@@ -25,17 +25,17 @@ type tstate = {
          [Some th] that a decision returns, so a drawn slot resolves to
          the winner without reading this record. *)
   mutable donations : (int * F.ticket) list; (* dst thread id -> transfer *)
-  (* --- sharded-mode state (unused when [shards = 0]) ----------------- *)
   mutable shard : int; (* owning shard; -1 until first placement *)
   mutable counted : bool;
       (* this thread's [wlast] is accumulated in the shard tree: true for
          runnable *and* dispatched (on-CPU) threads, false while blocked —
          so a running thread still attracts rebalancing pressure to its
-         shard but can never itself be drawn, stolen or migrated *)
+         shard but can never itself be drawn, stolen or migrated. Always
+         false on one shard, which keeps no mass *)
 }
 
 (* [flags] bits, by thread slot. *)
-let in_draw_bit = 1 (* live in its draw (its shard's, when sharded) *)
+let in_draw_bit = 1 (* live in its shard's draw *)
 let pending_bit = 2 (* queued for a scoped weight refresh *)
 
 (* Per-thread and per-currency state lives in arrays indexed by the dense
@@ -78,24 +78,25 @@ type t = {
          order; cells hold the [Some s] already stored in [by_cslot] and
          are reset to [None] when drained *)
   mutable n_pending : int;
-  draw : thread option D.t;
+  (* The paper's distributed lottery (§4.2): one draw per shard, shard [i]
+     serving virtual CPU [i], under a partial-sum tree of per-shard ticket
+     masses. With one shard it is the plain lottery. *)
+  shards : int; (* at least 1 *)
+  draw : thread option D.t array; (* by shard *)
+  stree : Sh.t; (* per-shard ticket masses, kept only when [shards > 1] *)
   scratch : thread D.t; (* reusable waiter-pick draw, cleared between picks *)
-  (* Round-robin fallback rings, one per shard (ring 0 when unsharded):
-     intrusive doubly-linked lists over thread slots, so detach unlinks a
-     dead thread in O(1) and no ring keeps it reachable. *)
+  (* Round-robin fallback rings, one per shard: intrusive doubly-linked
+     lists over thread slots, so detach unlinks a dead thread in O(1) and
+     no ring keeps it reachable. *)
   mutable ring_of : int array;
-      (* by thread slot: the ring holding the thread, -1 for none. When
-         sharded, a migrated thread is handed to its new ring lazily, on
-         pop, so migration itself never touches the rings (the one-ring
+      (* by thread slot: the ring holding the thread, -1 for none. A
+         migrated thread is handed to its new ring lazily, on pop, so
+         migration itself never touches the rings (the one-ring
          invariant) *)
   mutable rprev : int array; (* by thread slot; -1 = none *)
   mutable rnext : int array;
   rhead : int array; (* by ring; -1 = empty *)
   rtail : int array;
-  (* --- per-CPU lottery shards (empty when [shards = 0]) -------------- *)
-  shards : int; (* 0 = the single-draw path above *)
-  sdraws : thread option D.t array; (* one draw structure per virtual CPU *)
-  stree : Sh.t; (* partial-sum tree over per-shard ticket masses *)
   mutable migration_enabled : bool;
   mutable placement_hook : (thread -> int) option;
   mutable migrations : int;
@@ -181,8 +182,9 @@ let ring_unlink t i =
   if n >= 0 then t.rprev.(n) <- p else t.rtail.(r) <- p;
   t.ring_of.(i) <- -1
 
-let create ?(mode = List_mode) ?(use_compensation = true) ?(shards = 0) ~rng () =
+let create ?(mode = List_mode) ?(use_compensation = true) ?(shards = 1) ~rng () =
   if shards < 0 then invalid_arg "Lottery_sched.create: shards < 0";
+  let n = max 1 shards in
   let t =
     {
       mode;
@@ -196,16 +198,15 @@ let create ?(mode = List_mode) ?(use_compensation = true) ?(shards = 0) ~rng () 
       fscratch = [| 0. |];
       pending = [||];
       n_pending = 0;
-      draw = D.of_mode (draw_mode mode);
+      shards = n;
+      draw = Array.init n (fun _ -> D.of_mode (draw_mode mode));
+      stree = Sh.create ~shards:n;
       scratch = D.of_mode (draw_mode mode);
       ring_of = [||];
       rprev = [||];
       rnext = [||];
-      rhead = Array.make (max 1 shards) (-1);
-      rtail = Array.make (max 1 shards) (-1);
-      shards;
-      sdraws = Array.init shards (fun _ -> D.of_mode (draw_mode mode));
-      stree = Sh.create ~shards:(max 1 shards);
+      rhead = Array.make n (-1);
+      rtail = Array.make n (-1);
       migration_enabled = true;
       placement_hook = None;
       migrations = 0;
@@ -252,7 +253,7 @@ let state t th =
           th;
           cur;
           competing;
-          dh = D.handle t.draw (Some th);
+          dh = D.handle t.draw.(0) (Some th);
           donations = [];
           shard = -1;
           counted = false;
@@ -292,22 +293,14 @@ let thread_value t th = value_of t (state t th)
 let[@inline] cur_value t s =
   (F.value_table t.system s.cur).(F.currency_slot s.cur)
 
-(* Record the two inputs of a weight being written, so [account] can
-   later detect "nothing changed" without recomputing the product. *)
-let[@inline] set_inputs t i cv f =
-  t.wins.(2 * i) <- cv;
-  t.wins.((2 * i) + 1) <- f
-
-(* The one weight-write of the unsharded draw path. *)
-let write_weight t s =
+(* Whether a weight input moved since the last write. Comparing the
+   inputs against their cached copies, not the recomputed product, keeps
+   the comparison float unboxed. *)
+let[@inline] stale t s =
   let i = s.th.tslot in
-  let cv = cur_value t s in
-  let f = factor t s.th in
-  t.wlast.(i) <- cv *. f;
-  D.set_weight_at t.draw s.dh t.wlast i;
-  set_inputs t i cv f
+  cur_value t s <> t.wins.(2 * i) || factor t s.th <> t.wins.((2 * i) + 1)
 
-(* --- per-CPU shards: mass accounting, migration, stealing -------------- *)
+(* --- per-shard ticket mass ---------------------------------------------- *)
 
 (* The shard tree tracks the live ticket mass *assigned* to each shard:
    runnable threads waiting in the shard's draw plus the thread currently
@@ -315,71 +308,70 @@ let write_weight t s =
    Blocked threads carry no mass. Tracking assignment rather than draw
    occupancy keeps the steady-state quantum cycle (dispatch dequeue +
    account re-enqueue) entirely off the tree: only block/wake, funding
-   changes and migrations touch it. *)
+   changes and migrations touch it. One shard has no placement, rebalance
+   or steal to feed, so it counts nothing in. *)
 let[@inline] stree_adjust t i delta =
   t.fscratch.(0) <- delta;
   Sh.adjust_at t.stree i t.fscratch 0
 
-(* Take a drawn thread off its shard's structure for the duration of its
-   slice. Its mass stays counted; the recycled handle makes the later
-   re-enqueue allocation-free. *)
-let[@inline] dispatch_dequeue t s =
-  D.remove t.sdraws.(s.shard) s.dh;
+let[@inline] count_in t s =
+  if t.shards > 1 && not s.counted then begin
+    stree_adjust t s.shard t.wlast.(s.th.tslot);
+    s.counted <- true
+  end
+
+let[@inline] count_out t s =
+  if s.counted then begin
+    stree_adjust t s.shard (-.t.wlast.(s.th.tslot));
+    s.counted <- false
+  end
+
+(* Recompute a thread's weight from fresh inputs (validating its
+   currency's caches), recording the inputs beside it and moving its
+   shard's mass by the change. *)
+let[@inline] reweigh t s =
+  let i = s.th.tslot in
+  let cv = cur_value t s in
+  let f = factor t s.th in
+  let nw = cv *. f in
+  t.wins.(2 * i) <- cv;
+  t.wins.((2 * i) + 1) <- f;
+  if s.counted then stree_adjust t s.shard (nw -. t.wlast.(i));
+  t.wlast.(i) <- nw
+
+(* The in-place weight write for a thread in its draw. *)
+let write_weight t s =
+  reweigh t s;
+  D.set_weight_at t.draw.(s.shard) s.dh t.wlast s.th.tslot
+
+(* Insert a thread that is out of its draw, at weight [wlast]. *)
+let insert t s =
+  let i = s.th.tslot in
+  D.readd_at t.draw.(s.shard) s.dh t.wlast i;
+  set_in_draw t s true;
+  count_in t s;
+  if t.ring_of.(i) < 0 then ring_push t s.shard i
+
+let[@inline] dequeue t s =
+  D.remove t.draw.(s.shard) s.dh;
   set_in_draw t s false
 
-(* (Re-)insert a thread into its shard's draw. The weight inputs are
-   compared against the cached copies exactly as [account] does on the
-   unsharded path: on a quiescent graph nothing changed and the re-insert
-   reuses the product of the last write ([wlast]), so a compute-bound
-   thread's dispatch/re-enqueue cycle allocates nothing. *)
-let sh_enqueue t s =
-  if not (in_draw t s) then begin
-    let i = s.th.tslot in
-    let cv = cur_value t s in
-    let f = factor t s.th in
-    if cv <> t.wins.(2 * i) || f <> t.wins.((2 * i) + 1) then begin
-      let nw = cv *. f in
-      set_inputs t i cv f;
-      if s.counted then stree_adjust t s.shard (nw -. t.wlast.(i));
-      t.wlast.(i) <- nw;
-      t.scoped_updates <- t.scoped_updates + 1
-    end;
-    D.readd_at t.sdraws.(s.shard) s.dh t.wlast i;
-    set_in_draw t s true;
-    if not s.counted then begin
-      stree_adjust t s.shard t.wlast.(i);
-      s.counted <- true
-    end;
-    if t.ring_of.(i) < 0 then ring_push t s.shard i
-  end
-
-(* Revalue a sharded thread's draw weight in place (the scoped-refresh
-   write). Dequeued threads are skipped: their caches disagree with the
-   funding graph until [sh_enqueue] reconciles them on re-insert. *)
-let write_weight_sh t s =
-  if in_draw t s then begin
-    let i = s.th.tslot in
-    let cv = cur_value t s in
-    let f = factor t s.th in
-    let nw = cv *. f in
-    set_inputs t i cv f;
-    if s.counted then stree_adjust t s.shard (nw -. t.wlast.(i));
-    t.wlast.(i) <- nw;
-    D.set_weight_at t.sdraws.(s.shard) s.dh t.wlast i
-  end
+(* Block or exit: out of the draw, and its mass off the shard. *)
+let leave t s =
+  count_out t s;
+  if in_draw t s then dequeue t s
 
 (* Move a thread between shards: O(1) detach from the source structure,
    O(log n) re-insert into the destination, both on the existing handle
    record — zero allocation. Fallback-ring entries are left where they are
    (the one-ring invariant): the stale entry hands the thread to its new
-   ring lazily when popped. *)
+   ring lazily when popped. [dst] is a valid shard (callers check). *)
 let migrate t s ~dst =
-  if dst < 0 || dst >= t.shards then invalid_arg "Lottery_sched: bad shard";
   if s.shard <> dst then begin
     let i = s.th.tslot in
     if in_draw t s then begin
-      D.remove t.sdraws.(s.shard) s.dh;
-      D.readd_at t.sdraws.(dst) s.dh t.wlast i
+      D.remove t.draw.(s.shard) s.dh;
+      D.readd_at t.draw.(dst) s.dh t.wlast i
     end;
     if s.counted then begin
       stree_adjust t s.shard (-.t.wlast.(i));
@@ -436,9 +428,9 @@ let rebalance t =
       Sh.get_at t.stree poor cell 0;
       let mp = cell.(0) in
       if rich <> poor && (mr -. ideal > !thresh || ideal -. mp > !thresh) then begin
-        let w = D.draw_slot t.sdraws.(rich) t.rng in
+        let w = D.draw_slot t.draw.(rich) t.rng in
         if w >= 0 then begin
-          let s = drawn_state t (D.client_at t.sdraws.(rich) w) in
+          let s = drawn_state t (D.client_at t.draw.(rich) w) in
           let ws = t.wlast.(s.th.tslot) in
           if mr -. ws >= mp +. ws then begin
             migrate t s ~dst:poor;
@@ -467,10 +459,10 @@ let steal t ~dst =
       let src = Sh.pick t.stree ~bits:(Rng.bits53 t.rng) in
       if src < 0 || src = dst then -1
       else begin
-        let w = D.draw_slot t.sdraws.(src) t.rng in
+        let w = D.draw_slot t.draw.(src) t.rng in
         if w < 0 then -1
         else begin
-          let s = drawn_state t (D.client_at t.sdraws.(src) w) in
+          let s = drawn_state t (D.client_at t.draw.(src) w) in
           migrate t s ~dst;
           t.steals <- t.steals + 1;
           s.th.tslot
@@ -499,55 +491,29 @@ let destroy_ticket t ticket = F.destroy_ticket t.system ticket
    per-thread weight write of the block/wake path — count it as such. The
    thread's one handle is re-inserted on every wake, and the weight travels
    through [wlast], so a wake allocates nothing. *)
-let add_to_draw t s =
+let enqueue t s =
   if not (in_draw t s) then begin
-    let i = s.th.tslot in
-    let cv = cur_value t s in
-    let f = factor t s.th in
-    t.wlast.(i) <- cv *. f;
-    D.readd_at t.draw s.dh t.wlast i;
-    set_in_draw t s true;
-    set_inputs t i cv f;
+    place t s;
+    reweigh t s;
     t.scoped_updates <- t.scoped_updates + 1;
-    if t.ring_of.(i) < 0 then ring_push t 0 i
-  end
-
-let remove_from_draw t s =
-  if in_draw t s then begin
-    D.remove t.draw s.dh;
-    set_in_draw t s false
+    insert t s
   end
 
 let ready t th =
   let s = state t th in
   if not (F.is_active s.competing) then F.resume t.system s.competing;
-  if t.shards > 0 then begin
-    place t s;
-    sh_enqueue t s
-  end
-  else add_to_draw t s
+  enqueue t s
 
 let attach t th =
   let s = state t th in
   (* competing ticket becomes held (and active) the first time *)
   F.hold t.system s.competing;
-  if t.shards > 0 then begin
-    place t s;
-    sh_enqueue t s
-  end
-  else add_to_draw t s
+  enqueue t s
 
 let unready t th =
   let s = state t th in
   F.suspend t.system s.competing;
-  if t.shards > 0 then begin
-    if s.counted then begin
-      stree_adjust t s.shard (-.t.wlast.(th.tslot));
-      s.counted <- false
-    end;
-    if in_draw t s then dispatch_dequeue t s
-  end
-  else remove_from_draw t s
+  leave t s
 
 let rec destroy_donations sys = function
   | [] -> ()
@@ -586,14 +552,7 @@ let detach t th =
   match find_state t th with
   | None -> ()
   | Some s ->
-      if t.shards > 0 then begin
-        if s.counted then begin
-          stree_adjust t s.shard (-.t.wlast.(th.tslot));
-          s.counted <- false
-        end;
-        if in_draw t s then dispatch_dequeue t s
-      end
-      else remove_from_draw t s;
+      leave t s;
       (* A dead entry would only be dropped when a fallback pop reaches
          it, which never happens while any thread is funded: unlink it
          now, so no ring keeps the thread reachable. The live entries
@@ -633,12 +592,14 @@ let detach t th =
       if cslot >= 0 && cslot < Array.length t.by_cslot then
         t.by_cslot.(cslot) <- None
 
-(* Bring the draw in sync with the funding graph: revalue exactly the
+(* Bring the draws in sync with the funding graph: revalue exactly the
    threads whose currencies the change events dirtied — O(changed) — in
    the order they were first dirtied. Blocked threads may still sit in the
    buffer; they are out of the draw, so they drain as no-ops, and so do
-   detached ones, whose slot no longer holds them. Each drained cell goes
-   back to [None], so the buffer never keeps a dead thread reachable. *)
+   detached ones, whose slot no longer holds them, and dispatched ones,
+   whose caches the re-insert in [account] reconciles. Each drained cell
+   goes back to [None], so the buffer never keeps a dead thread
+   reachable. *)
 let flush_pending t =
   for k = 0 to t.n_pending - 1 do
     match t.pending.(k) with
@@ -650,7 +611,7 @@ let flush_pending t =
           | Some s' when s' == s ->
               t.flags.(i) <- t.flags.(i) land lnot pending_bit;
               if in_draw t s then begin
-                if t.shards > 0 then write_weight_sh t s else write_weight t s;
+                write_weight t s;
                 t.scoped_updates <- t.scoped_updates + 1
               end
           | _ -> ()
@@ -660,73 +621,42 @@ let flush_pending t =
   t.n_pending <- 0
 
 (* Unfunded threads never win a lottery (paper: zero tickets = starvation).
-   To keep simulations with forgotten funding alive, fall back to
-   round-robin among runnable threads when every runnable thread has zero
-   weight. The ring holds every runnable thread once; stale entries (threads
-   that blocked since being queued) are dropped lazily, so a pick is O(1)
-   amortized. *)
-let rec fallback_pick t =
-  let i = t.rhead.(0) in
-  if i < 0 then None
-  else begin
-    ring_unlink t i;
-    let s = st_at t i in
-    if not (in_draw t s) then fallback_pick t
-    else begin
-      ring_push t 0 i;
-      D.client s.dh
-    end
-  end
-
-(* Sharded fallback: the per-shard round-robin ring, with the one-ring
-   invariant's lazy hand-off — an entry whose thread migrated away is
-   pushed to its new shard's ring on pop rather than eagerly on migrate. *)
-let rec sh_ring_pick t c =
+   To keep simulations with forgotten funding alive, a shard falls back to
+   round-robin among its runnable threads when every one of them has zero
+   weight. The ring holds every runnable thread once; stale entries
+   (threads that blocked or were dispatched since being queued) are
+   dropped lazily, so a pick is O(1) amortized, and an entry whose thread
+   migrated away is pushed to its new shard's ring on pop rather than
+   eagerly on migrate. Returns the picked slot, or -1. *)
+let rec ring_pick t c =
   let i = t.rhead.(c) in
-  if i < 0 then None
+  if i < 0 then -1
   else begin
     ring_unlink t i;
     let s = st_at t i in
-    if not (in_draw t s) then
-      (* blocked or dispatched: drop; re-enqueue re-rings it *)
-      sh_ring_pick t c
+    if not (in_draw t s) then ring_pick t c
     else if s.shard <> c then begin
       ring_push t s.shard i;
-      sh_ring_pick t c
+      ring_pick t c
     end
     else begin
       ring_push t c i;
-      Some s
+      i
     end
   end
 
-let select t =
-  t.draws <- t.draws + 1;
-  (match t.profiler with
-  | None -> flush_pending t
-  | Some p ->
-      let t0 = Lotto_obs.Profile.start p in
-      flush_pending t;
-      Lotto_obs.Profile.stop p Lotto_obs.Profile.Valuation t0);
-  (* Slot-based draw: the winning slot resolves, in one load from the
-     draw's flat client array, to the thread's preallocated [Some th] — no
-     option, handle or scheduler record is read or built per decision. *)
-  match t.profiler with
-  | None ->
-      let w = D.draw_slot t.draw t.rng in
-      if w >= 0 then D.client_at t.draw w else fallback_pick t
-  | Some p ->
-      let t0 = Lotto_obs.Profile.start p in
-      let w = D.draw_slot t.draw t.rng in
-      Lotto_obs.Profile.stop p Lotto_obs.Profile.Draw t0;
-      if w >= 0 then D.client_at t.draw w else fallback_pick t
-
 (* One scheduling decision for virtual CPU [cpu] = shard [cpu]. The local
-   draw is consulted first; an empty (or unfunded) shard tries a ticket-
-   weighted steal, then its fallback ring. Whatever is returned is
-   dequeued for the duration of its slice, so no other CPU of the same
-   kernel round can dispatch it. *)
-let select_sharded t ~cpu =
+   draw is consulted first; with several shards an empty (or unfunded)
+   shard tries a ticket-weighted steal, then its fallback ring. The slot-
+   based draw resolves the winning slot, in one load from the draw's flat
+   client array, to the thread's preallocated [Some th].
+
+   With several shards another CPU of the same kernel round could draw a
+   running thread, so the winner leaves its draw for its slice (its mass
+   stays counted) and [account] re-inserts it. One shard has no other CPU:
+   the winner stays in its draw, and no option, handle or scheduler record
+   is read or built per decision. *)
+let select t ~cpu =
   t.draws <- t.draws + 1;
   (match t.profiler with
   | None -> flush_pending t
@@ -734,8 +664,9 @@ let select_sharded t ~cpu =
       let t0 = Lotto_obs.Profile.start p in
       flush_pending t;
       Lotto_obs.Profile.stop p Lotto_obs.Profile.Valuation t0);
-  if t.migration_enabled && t.shards > 1 then rebalance t;
-  let d = t.sdraws.(cpu) in
+  let sharded = t.shards > 1 in
+  if sharded && t.migration_enabled then rebalance t;
+  let d = t.draw.(cpu) in
   let w =
     match t.profiler with
     | None -> D.draw_slot d t.rng
@@ -747,68 +678,55 @@ let select_sharded t ~cpu =
   in
   if w >= 0 then begin
     let some = D.client_at d w in
-    dispatch_dequeue t (drawn_state t some);
+    if sharded then dequeue t (drawn_state t some);
     some
   end
   else begin
-    let i = steal t ~dst:cpu in
-    if i >= 0 then begin
+    let i = if sharded then steal t ~dst:cpu else -1 in
+    let i = if i >= 0 then i else ring_pick t cpu in
+    if i < 0 then None
+    else begin
       let s = st_at t i in
-      dispatch_dequeue t s;
+      if sharded then dequeue t s;
       D.client s.dh
     end
-    else
-      match sh_ring_pick t cpu with
-      | Some s ->
-          dispatch_dequeue t s;
-          D.client s.dh
-      | None -> None
   end
 
 (* The thread's compensation factor was reset when its quantum started and
    possibly re-set when it blocked; refresh its draw weight so the next
-   draw sees the current value. The fresh inputs are compared against the
-   cached copies of the last write first: for a compute-bound thread on a
-   quiescent funding graph nothing changed, and skipping [set_weight]
-   keeps the comparison float unboxed (the cross-module call would box
-   it). Skipping is exact, not approximate — a weight delta of zero leaves
-   every backend bit-identical. *)
+   draw sees the current value. For a compute-bound thread on a quiescent
+   funding graph nothing changed, and the write is skipped — exactly, not
+   approximately: a weight delta of zero leaves every backend
+   bit-identical. A thread still runnable but out of its draw is a sharded
+   decision's winner back from its slice: re-insert it, counting the
+   re-weigh if an input moved. Blocked and exited threads were already
+   handled by unready/detach. *)
 let account_slow t th =
   match find_state t th with
-  | Some s when in_draw t s ->
-      let i = th.tslot in
-      if
-        cur_value t s <> t.wins.(2 * i)
-        || factor t th <> t.wins.((2 * i) + 1)
-      then write_weight t s
+  | Some s when in_draw t s -> if stale t s then write_weight t s
+  | Some s when th.state = Runnable ->
+      if stale t s then begin
+        reweigh t s;
+        t.scoped_updates <- t.scoped_updates + 1
+      end;
+      insert t s
   | _ -> ()
 
+(* The quiescent check reads flat arrays only. A thread in its draw and not
+   pending has a valid currency cache whose value its last weight write
+   recorded — every write validates the cache, and every valid -> stale
+   flip reaches [note], which flags the thread pending — so only the
+   compensation factor can have moved ([check_flat_tables] audits the
+   currency cell). Anything else takes the slow path. *)
 let account t th ~used:_ ~quantum:_ ~blocked:_ =
-  if t.shards > 0 then begin
-    (* The dispatched thread was dequeued at selection; put it back (with
-       a freshness-checked weight) if its slice left it runnable. Blocked
-       and exited threads were already handled by unready/detach. *)
-    match find_state t th with
-    | Some s when th.state = Runnable -> sh_enqueue t s
-    | _ -> ()
-  end
-  else begin
-    (* The quiescent check reads flat arrays only. A thread in its draw and
-       not pending has a valid currency cache whose value its last weight
-       write recorded — every write validates the cache, and every valid ->
-       stale flip reaches [note], which flags the thread pending — so only
-       the compensation factor can have moved ([check_flat_tables] audits
-       the currency cell). Anything else takes the slow path, which writes
-       exactly what it always wrote. *)
-    let i = th.tslot in
-    if
-      not
-        (i >= 0
-        && i < Array.length t.flags
-        && t.flags.(i) = in_draw_bit
-        && factor t th = t.wins.((2 * i) + 1))
-    then account_slow t th
-  end
+  let i = th.tslot in
+  if
+    not
+      (i >= 0
+      && i < Array.length t.flags
+      && t.flags.(i) = in_draw_bit
+      && factor t th = t.wins.((2 * i) + 1))
+  then account_slow t th
 
 (* Lottery among blocked waiters (paper §6.1), weighted by each waiter's
    own funding. A waiter's thread currency is inactive while it blocks (its
@@ -816,11 +734,10 @@ let account t th ~used:_ ~quantum:_ ~blocked:_ =
    nobody), so we weigh its *potential* value: the sum of its backing
    tickets at current exchange rates — exactly what the waiter would be
    worth the moment it wakes. *)
-let potential_value t v (s : tstate) =
+let potential_value t (s : tstate) =
   List.fold_left
     (fun acc b ->
-      acc
-      +. (float_of_int (F.amount b) *. F.Valuation.unit_value v (F.denomination b)))
+      acc +. (float_of_int (F.amount b) *. F.unit_value t.system (F.denomination b)))
     0.
     (F.backing_tickets t.system s.cur)
 
@@ -830,12 +747,9 @@ let potential_value t v (s : tstate) =
    waiters are inserted back-to-front to keep the scan in arrival order
    (matching the historical walk) without allocating a reversed list. *)
 let pick_waiter t waiters =
-  let v = F.Valuation.make t.system in
   let d = t.scratch in
   D.clear d;
-  let insert w =
-    ignore (D.add d ~client:w ~weight:(potential_value t v (state t w)))
-  in
+  let insert w = ignore (D.add d ~client:w ~weight:(potential_value t (state t w))) in
   (match t.mode with
   | Tree_mode -> List.iter insert waiters
   | List_mode ->
@@ -853,14 +767,12 @@ let sched t =
   {
     sched_name =
       (match t.mode with List_mode -> "lottery-list" | Tree_mode -> "lottery-tree");
+    max_cpus = t.shards;
     attach = attach t;
     detach = detach t;
     ready = ready t;
     unready = unready t;
-    smp_ok = t.shards > 0;
-    select =
-      (if t.shards > 0 then fun ~cpu -> select_sharded t ~cpu
-       else fun ~cpu:_ -> select t);
+    select = (fun ~cpu -> select t ~cpu);
     account = (fun th ~used ~quantum ~blocked -> account t th ~used ~quantum ~blocked);
     donate = (fun ~src ~dst -> donate t ~src ~dst);
     revoke = (fun ~src -> revoke t ~src);
@@ -899,7 +811,7 @@ let check_flat_tables t out =
           vf "slot %d: fallback ring %d holds a dead slot" i t.ring_of.(i)
     | Some s when fl = in_draw_bit ->
         let name = s.th.name in
-        let d = if t.shards > 0 then t.sdraws.(max 0 s.shard) else t.draw in
+        let d = t.draw.(max 0 s.shard) in
         if s.th.tslot <> i || s.th.state = Zombie then
           vf "%s: trusted flat entry at slot %d is not a live thread" name i
         else if not (D.mem d s.dh) then
@@ -956,29 +868,27 @@ let check_funding_coherence t threads =
   | exception Failure msg -> vf "funding graph: %s" msg);
   List.rev !out
 
-let thread_entitlement t th =
-  let v = F.Valuation.make t.system in
-  potential_value t v (state t th)
+let thread_entitlement t th = potential_value t (state t th)
 
 let draw_weight t th =
   match find_state t th with
-  | Some s when in_draw t s ->
-      Some (D.weight (if t.shards > 0 then t.sdraws.(s.shard) else t.draw) s.dh)
+  | Some s when in_draw t s -> Some (D.weight t.draw.(s.shard) s.dh)
   | _ -> None
 
 let draws t = t.draws
 let full_refreshes _ = 0
 let scoped_weight_updates t = t.scoped_updates
-let list_comparisons t = D.comparisons t.draw
-let runnable_count t =
-  if t.shards > 0 then begin
-    let n = ref 0 in
-    for i = 0 to t.shards - 1 do
-      n := !n + D.size t.sdraws.(i)
-    done;
-    !n
-  end
-  else D.size t.draw
+
+let list_comparisons t =
+  match t.mode with
+  | Tree_mode -> None
+  | List_mode ->
+      Some
+        (Array.fold_left
+           (fun n d -> n + Option.value ~default:0 (D.comparisons d))
+           0 t.draw)
+
+let runnable_count t = Array.fold_left (fun n d -> n + D.size d) 0 t.draw
 
 (* --- sharding introspection and control ---------------------------------- *)
 
@@ -989,63 +899,65 @@ let set_migration_enabled t b = t.migration_enabled <- b
 let set_placement_hook t h = t.placement_hook <- h
 
 let shard_of t th =
-  match find_state t th with
-  | Some s when t.shards > 0 -> s.shard
-  | _ -> -1
+  match find_state t th with Some s -> s.shard | None -> -1
+
+(* The accessors that need the shard tree: one shard keeps no mass and
+   has nowhere to migrate to, so no index is good there. *)
+let check_shard_arg t who i =
+  if t.shards = 1 || i < 0 || i >= t.shards then
+    invalid_arg ("Lottery_sched." ^ who ^ ": bad shard")
 
 let shard_ticket_mass t i =
-  if t.shards <= 0 || i < 0 || i >= t.shards then
-    invalid_arg "Lottery_sched.shard_ticket_mass: bad shard";
+  check_shard_arg t "shard_ticket_mass" i;
   Sh.get t.stree i
 
 let force_migrate t th ~dst =
-  if t.shards <= 0 then invalid_arg "Lottery_sched.force_migrate: not sharded";
-  if dst < 0 || dst >= t.shards then
-    invalid_arg "Lottery_sched.force_migrate: bad shard";
+  check_shard_arg t "force_migrate" dst;
   match find_state t th with
   | Some s when s.shard >= 0 -> migrate t s ~dst
   | _ -> ()
 
-(* Cross-checks the sharded bookkeeping: every live tstate sits in exactly
+(* Cross-checks the shard bookkeeping: every live tstate sits in exactly
    the shard draw it claims ([D.mem] there and nowhere else), every shard-
    tree leaf matches the sum of [wlast] over the tstates counted into it
    (relative epsilon — the leaf is maintained by incremental float deltas),
-   and flag coherence (in_draw implies counted implies placed). Read-only;
-   safe between any two slices. *)
+   and flag coherence (in_draw implies counted, exactly when the scheduler
+   keeps mass, and counted implies placed). Read-only; safe between any two
+   slices. *)
 let check_sharding t =
-  if t.shards <= 0 then []
-  else begin
-    let out = ref [] in
-    let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-    let sums = Array.make t.shards 0. in
-    Array.iter
-      (function
-        | None -> ()
-        | Some s ->
-            let live = in_draw t s in
-            if live && not s.counted then
-              vf "%s: in a shard draw but not counted in the shard tree"
-                s.th.name;
-            if s.counted && (s.shard < 0 || s.shard >= t.shards) then
-              vf "%s: counted but shard id %d out of range" s.th.name s.shard;
-            if s.counted && s.shard >= 0 && s.shard < t.shards then
-              sums.(s.shard) <- sums.(s.shard) +. t.wlast.(s.th.tslot);
-            for i = 0 to t.shards - 1 do
-              let here = D.mem t.sdraws.(i) s.dh in
+  let out = ref [] in
+  let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  let keeps_mass = t.shards > 1 in
+  let sums = Array.make t.shards 0. in
+  Array.iter
+    (function
+      | None -> ()
+      | Some s ->
+          let live = in_draw t s in
+          if live && s.counted <> keeps_mass then
+            vf "%s: in a shard draw but %s in the shard tree" s.th.name
+              (if keeps_mass then "not counted" else "counted");
+          let placed = s.shard >= 0 && s.shard < t.shards in
+          if s.counted && not placed then
+            vf "%s: counted but shard id %d out of range" s.th.name s.shard;
+          if s.counted && placed then
+            sums.(s.shard) <- sums.(s.shard) +. t.wlast.(s.th.tslot);
+          Array.iteri
+            (fun i d ->
+              let here = D.mem d s.dh in
               if live && i = s.shard && not here then
                 vf "%s: claims shard %d but its handle is not there" s.th.name
                   s.shard;
               if here && ((not live) || i <> s.shard) then
                 vf "%s: handle live in shard %d (claims %s)" s.th.name i
-                  (if live then string_of_int s.shard else "none")
-            done)
-      t.st_tab;
-    for i = 0 to t.shards - 1 do
+                  (if live then string_of_int s.shard else "none"))
+            t.draw)
+    t.st_tab;
+  Array.iteri
+    (fun i sum ->
       let leaf = Sh.get t.stree i in
-      let scale = max 1. (max (abs_float leaf) (abs_float sums.(i))) in
-      if abs_float (leaf -. sums.(i)) > 1e-6 *. scale then
-        vf "shard %d: tree mass %.9g but counted tstates sum to %.9g" i leaf
-          sums.(i)
-    done;
-    List.rev !out
-  end
+      let scale = max 1. (max (abs_float leaf) (abs_float sum)) in
+      if abs_float (leaf -. sum) > 1e-6 *. scale then
+        vf "shard %d: tree mass %.9g but counted tstates sum to %.9g" i leaf sum)
+    sums;
+  List.rev !out

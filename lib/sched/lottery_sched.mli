@@ -20,7 +20,9 @@
       mutex's waiters weighted by their currency values.
 
     Draws use the paper's move-to-front list (O(n)) or the partial-sum
-    tree (O(log n)); both produce identically distributed winners. *)
+    tree (O(log n)); both produce identically distributed winners. The
+    draw is split into shards, one per virtual CPU: the paper's §4.2
+    distributed lottery, whose one-shard case is the plain lottery. *)
 
 type t
 type mode = List_mode | Tree_mode
@@ -39,15 +41,17 @@ val create :
     weights; disabling it reproduces the paper's §4.5 counterexample where
     an I/O-bound thread receives far less than its entitled share.
 
-    [shards] (default [0] = unsharded) turns on the multi-CPU mode: one
-    draw structure per shard, shard [i] serving virtual CPU [i], with
-    threads placed on the least-loaded shard (ticket-weighted), rebalanced
-    when a shard's ticket mass deviates from the [1/shards] ideal by more
-    than a quarter of the ideal, and stolen from a ticket-weighted random
-    victim when a CPU's own shard has nothing runnable. A sharded scheduler declares
-    {!Lotto_sim.Types.sched.smp_ok} and dequeues the winner on dispatch, so
-    it also works (and is byte-stable) on a 1-CPU kernel with [shards = 1].
-    Raises [Invalid_argument] when [shards < 0]. *)
+    [shards] (default [1]; [0] also means one) is the number of draw
+    structures, shard [i] serving virtual CPU [i]; the scheduler's
+    {!Lotto_sim.Types.sched.max_cpus} is that number, so a kernel with
+    more CPUs refuses it. With several shards, threads are placed on the
+    least-loaded shard (ticket-weighted), rebalanced when a shard's ticket
+    mass deviates from the [1/shards] ideal by more than a quarter of the
+    ideal, and stolen from a ticket-weighted random victim when a CPU's own
+    shard has nothing runnable; a decision's winner leaves its draw for
+    its slice, so no other CPU can pick it. One shard keeps no per-shard
+    mass, never migrates, and leaves the winner in its draw. Raises
+    [Invalid_argument] when [shards < 0]. *)
 
 val sched : t -> Lotto_sim.Types.sched
 
@@ -126,7 +130,7 @@ val check_funding_coherence : t -> Lotto_sim.Types.thread list -> string list
 
 val draw_weight : t -> Lotto_sim.Types.thread -> float option
 (** The weight the thread's draw holds for it, [None] while it is out of
-    its draw (blocked, dispatched on a sharded CPU, or unknown). *)
+    its draw (blocked, dispatched with several shards, or unknown). *)
 
 val draws : t -> int
 (** Lotteries held so far. *)
@@ -146,29 +150,30 @@ val scoped_weight_updates : t -> int
     at wake — independent of how many threads exist. *)
 
 val list_comparisons : t -> int option
-(** Cumulative list-entries examined ([None] in tree mode): the paper's
-    search-length metric for the move-to-front heuristic. *)
+(** Cumulative list-entries examined over every shard ([None] in tree
+    mode): the paper's search-length metric for the move-to-front
+    heuristic. *)
 
 val runnable_count : t -> int
 
-(** {1 Sharded (multi-CPU) mode}
+(** {1 Shards}
 
-    All of the following are meaningful only when [create] was given
-    [shards > 0]; on an unsharded scheduler the accessors return [0] /
-    [-1] / [[]] and {!force_migrate} raises. *)
+    With one shard, {!migrations} and {!steals} stay [0], and
+    {!shard_ticket_mass} and {!force_migrate} raise: one shard keeps no
+    per-shard mass and has nowhere to migrate to. *)
 
 val shards : t -> int
-(** Number of shards ([0] when unsharded). *)
+(** Number of shards (at least 1). *)
 
 val shard_of : t -> Lotto_sim.Types.thread -> int
 (** The shard the thread is currently placed on; [-1] if the scheduler
-    has no state for it (or is unsharded). A dispatched thread keeps its
-    shard id for the duration of its slice. *)
+    has no state for it. A dispatched thread keeps its shard id for the
+    duration of its slice. *)
 
 val shard_ticket_mass : t -> int -> float
 (** Ticket mass currently assigned to a shard (runnable-in-draw plus
-    dispatched; blocked threads carry no mass). Raises on a bad index or
-    an unsharded scheduler. *)
+    dispatched; blocked threads carry no mass). Raises [Invalid_argument]
+    on a bad index or a one-shard scheduler. *)
 
 val migrations : t -> int
 (** Threads moved between shards so far (rebalancing, stealing and
@@ -194,15 +199,16 @@ val force_migrate : t -> Lotto_sim.Types.thread -> dst:int -> unit
 (** Move a thread to shard [dst] immediately (no-op when already there or
     when the scheduler holds no state for it). O(1) detach, O(log n)
     re-insert, zero allocation in the steady state — the bench hook for
-    measuring migration cost. Raises on an unsharded scheduler or a bad
-    [dst]. *)
+    measuring migration cost. Raises [Invalid_argument] on a bad [dst] or
+    a one-shard scheduler. *)
 
 val check_sharding : t -> string list
-(** Audit sharded bookkeeping: each runnable thread's draw handle is live
-    in exactly the shard it claims, each shard-tree leaf matches the
+(** Audit the shard bookkeeping: each runnable thread's draw handle is
+    live in exactly the shard it claims, each shard-tree leaf matches the
     ticket mass of the threads counted into it (relative epsilon — leaves
     are maintained incrementally), and the in-draw/counted flags are
-    coherent. Returns one string per violation; empty means healthy (and
-    always empty on an unsharded scheduler). Read-only between slices;
+    coherent (a thread in its draw is counted exactly when there are
+    several shards). Returns one string per violation; empty means
+    healthy. Read-only between slices;
     composed with the kernel and funding audits by the {!Lotto_chaos}
     auditor. *)

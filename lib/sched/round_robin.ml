@@ -35,7 +35,7 @@ let sched t =
     detach = remove t;
     ready = enqueue t;
     unready = remove t;
-    smp_ok = false;
+    max_cpus = 1;
     select = (fun ~cpu:_ -> select t);
     account = (fun _ ~used:_ ~quantum:_ ~blocked:_ -> ());
     donate = (fun ~src:_ ~dst:_ -> ());

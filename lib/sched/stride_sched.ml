@@ -89,7 +89,7 @@ let sched t =
     detach = detach t;
     ready = mark_ready t;
     unready = mark_unready t;
-    smp_ok = false;
+    max_cpus = 1;
     select = (fun ~cpu:_ -> select t);
     account = (fun th ~used ~quantum ~blocked -> account t th ~used ~quantum ~blocked);
     donate = (fun ~src:_ ~dst:_ -> ());

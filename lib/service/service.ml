@@ -68,8 +68,7 @@ let run ?(cpus = 1) cfg =
   let ls, sched =
     match cfg.sched_kind with
     | Lottery ->
-        let shards = if cpus > 1 then cpus else 0 in
-        let ls = Ls.create ~shards ~rng () in
+        let ls = Ls.create ~shards:cpus ~rng () in
         (Some ls, Ls.sched ls)
     | Decay_usage -> (None, Decay.(sched (create ())))
   in

@@ -26,9 +26,9 @@ type t = {
   sel : thread option array;
       (* per-round select results: every CPU at the round floor selects
          before any slice runs, so one round's slices are virtually
-         concurrent and no thread can be picked by two CPUs (smp_ok
-         schedulers dequeue on dispatch). Reuses the scheduler's returned
-         option — the round adds no allocation. *)
+         concurrent and no thread can be picked by two CPUs (a scheduler
+         serving several CPUs dequeues on dispatch). Reuses the
+         scheduler's returned option — the round adds no allocation. *)
   sched : sched;
   timers : thread Heap.t;
   mutable next_id : int;
@@ -39,9 +39,6 @@ type t = {
      anyone still holding them, but kernel iteration is O(live). *)
   th_slots : Slots.t;
   mutable th_tab : thread array; (* [||] until the first spawn *)
-  by_name : (string, thread) Hashtbl.t;
-      (* name -> first thread ever created with it (live or dead): O(1)
-         find_thread with the historical first-created-wins semantics *)
   mutable failed : (thread * exn) list; (* reverse order of death *)
   mutable idle : int;
   mutable slices : int;
@@ -269,7 +266,6 @@ let spawn k ~name body =
   th.tslot <- s;
   k.th_tab <- Slots.grow_payload k.th_slots k.th_tab ~dummy:no_thread;
   k.th_tab.(s) <- th;
-  if not (Hashtbl.mem k.by_name name) then Hashtbl.add k.by_name name th;
   k.sched.attach th;
   if observed k then emit k (Obs.Event.Spawn { who = actor k th });
   th
@@ -1077,10 +1073,10 @@ let kill k th =
 let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
   if quantum <= 0 then invalid_arg "Kernel.create: quantum <= 0";
   if cpus < 1 then invalid_arg "Kernel.create: cpus < 1";
-  if cpus > 1 && not sched.smp_ok then
+  if cpus > sched.max_cpus then
     invalid_arg
-      ("Kernel.create: scheduler " ^ sched.sched_name
-     ^ " does not support cpus > 1");
+      (Printf.sprintf "Kernel.create: scheduler %s does not support cpus > %d"
+         sched.sched_name sched.max_cpus);
   let rec k =
     {
       now = 0;
@@ -1092,7 +1088,6 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
       next_id = 0;
       th_slots = Slots.create ();
       th_tab = [||];
-      by_name = Hashtbl.create 64;
       failed = [];
       idle = 0;
       slices = 0;
@@ -1267,7 +1262,7 @@ let has_live_blocked k =
    slices run (again in id order). Splitting select from execution makes
    one round's slices virtually concurrent: a thread woken mid-slice by
    CPU 0 cannot be dispatched by CPU 1 "in the past" at T, and — since
-   smp_ok schedulers dequeue on dispatch and only re-enqueue in [account]
+   multi-CPU schedulers dequeue on dispatch and only re-enqueue in [account]
    — no thread is ever picked by two CPUs of the same round. CPUs whose
    clock is ahead of T simply sit the round out. With [cpus = 1] every
    round is exactly one select + one slice at [k.now], byte-identical to
@@ -1378,8 +1373,6 @@ let threads k =
 let live_thread_count k = Slots.live_count k.th_slots
 let thread_slot th = th.tslot
 let thread_generation k th = if th.tslot < 0 then -1 else Slots.gen k.th_slots th.tslot
-
-let find_thread k name = Hashtbl.find_opt k.by_name name
 
 let set_pre_select k f = k.pre_select <- f
 let set_profiler k p = k.profiler <- p

@@ -11,7 +11,7 @@
     per-CPU clock: every CPU at the round floor selects first (CPU-id
     order, so replays are deterministic), then the selected slices run —
     one round's slices are virtually concurrent, and because multi-CPU
-    schedulers dequeue on dispatch ({!Types.sched.smp_ok}) no thread is
+    schedulers dequeue on dispatch ({!Types.sched.max_cpus}) no thread is
     ever picked by two CPUs of the same round. A single-CPU kernel is
     byte-identical to the historical loop.
 
@@ -31,8 +31,8 @@ type t
 val create : ?quantum:Time.t -> ?cpus:int -> sched:Types.sched -> unit -> t
 (** [quantum] defaults to 100 ms ([Time.ms 100]), the Mach quantum the
     paper's prototype used. [cpus] (default [1]) is the number of virtual
-    CPUs; raises [Invalid_argument] when [cpus > 1] and the scheduler does
-    not declare {!Types.sched.smp_ok}. *)
+    CPUs; raises [Invalid_argument] when [cpus] exceeds the scheduler's
+    {!Types.sched.max_cpus}. *)
 
 val now : t -> Time.t
 (** The global virtual clock: between runs, the time the last {!run}
@@ -140,12 +140,6 @@ val thread_generation : t -> Types.thread -> int
     generation) pair captured while a thread is live never matches any
     later occupant of the recycled slot — the ABA guard tested by the
     handle-recycling suite. *)
-
-val find_thread : t -> string -> Types.thread option
-(** O(1) lookup by name. Thread names are not required to be unique; when
-    several threads have shared [name], the {e first-created} one is
-    returned (even if it has already exited), matching the historical
-    list-scan semantics. *)
 
 val failures : t -> (Types.thread * exn) list
 (** Every thread whose body raised or that was {!kill}ed, with its

@@ -181,11 +181,11 @@ and semaphore = {
    schedulers implement it with transfer tickets, others ignore it. *)
 and sched = {
   sched_name : string;
-  smp_ok : bool;
-      (** whether the scheduler implements on-CPU semantics for several
-          virtual CPUs (dequeue on dispatch, so the same thread is never
-          selected by two CPUs for overlapping slices). [Kernel.create]
-          refuses [cpus > 1] for schedulers that do not. *)
+  max_cpus : int;
+      (** how many virtual CPUs the scheduler can serve: [select ~cpu]
+          accepts [cpu < max_cpus], and with more than one the same thread
+          is never selected by two CPUs for overlapping slices (dequeue on
+          dispatch). [Kernel.create] refuses a larger [cpus]. *)
   attach : thread -> unit;  (** thread created (initially runnable) *)
   detach : thread -> unit;  (** thread exited *)
   ready : thread -> unit;  (** thread became runnable *)

@@ -714,18 +714,6 @@ let value_of_ticket sys t =
   let u = unit_val sys t.denom in
   if t.active then float_of_int t.amount *. u else 0.
 
-module Valuation = struct
-  (* Historically a per-draw memo table; the memo now lives in the system's
-     flat caches and survives across draws, so a snapshot is just a view of
-     the system. Kept for call-site compatibility — making one is free. *)
-  type v = system
-
-  let make (sys : system) = sys
-  let unit_value sys c = unit_val sys c
-  let currency_value sys c = value_of_currency sys c
-  let ticket_value sys t = value_of_ticket sys t
-end
-
 let ticket_value sys t = value_of_ticket sys t
 let[@inline] currency_value sys c = value_of_currency sys c
 let unit_value sys c = unit_val sys c

@@ -189,31 +189,17 @@ val is_held : ticket -> bool
     steady-state reads are O(1). Cached results are bit-for-bit identical
     to a from-scratch walk. *)
 
-module Valuation : sig
-  type v
-  (** Historically a per-draw memo table; the memo now lives in the
-      system's caches and survives across draws, so a snapshot is just a
-      view of the (always current) system and creating one is free. *)
-
-  val make : system -> v
-
-  val unit_value : v -> currency -> float
-  (** Base units per unit of [currency]; [1.] for base, [0.] for a currency
-      with zero active amount. *)
-
-  val currency_value : v -> currency -> float
-  (** Sum of the values of the currency's active backing tickets (for the
-      base currency: its active amount). *)
-
-  val ticket_value : v -> ticket -> float
-  (** [0.] for inactive tickets. *)
-end
-
 val ticket_value : system -> ticket -> float
-(** Current value in base units (cached, O(1) on a quiescent graph). *)
+(** Current value in base units (cached, O(1) on a quiescent graph); [0.]
+    for inactive tickets. *)
 
 val currency_value : system -> currency -> float
+(** Sum of the values of the currency's active backing tickets (for the
+    base currency: its active amount). *)
+
 val unit_value : system -> currency -> float
+(** Base units per unit of [currency]; [1.] for base, [0.] for a currency
+    with zero active amount. *)
 
 val value_table : system -> currency -> float array
 (** [value_table sys c] revalidates the live currency [c] and returns the

@@ -275,12 +275,24 @@ let scenario_trace ~cpus =
                end
                else true)
              !kills));
+  (* name -> first thread created with it: every thread spawned so far,
+     then each later spawn as its event arrives *)
+  let by_name = Hashtbl.create 32 in
+  let remember th =
+    let name = Kernel.thread_name th in
+    if not (Hashtbl.mem by_name name) then Hashtbl.add by_name name th
+  in
+  List.iter remember (Kernel.threads k);
   let sub =
     Obs.Bus.subscribe ~name:"effects-golden" (Kernel.bus k) (fun time ev ->
         match ev with
+        | Obs.Event.Spawn { who } ->
+            List.iter
+              (fun th -> if Kernel.thread_id th = who.Obs.Event.tid then remember th)
+              (Kernel.threads k)
         | Obs.Event.Preempt { who; used; why; _ } ->
             let kind =
-              match Kernel.find_thread k who.Obs.Event.tname with
+              match Hashtbl.find_opt by_name who.Obs.Event.tname with
               | Some th -> pending_kind th
               | None -> "?"
             in
@@ -455,8 +467,7 @@ let test_two_kernels () =
 (* [fillers] extra threads are spawned before the victim. With none it is
    the fifth thread; with twelve it is the seventeenth, whose spawn grows
    the 16-cell thread table, so the cells growth leaves vacant must not
-   hold it. (The first thread spawned cannot serve: [find_thread] keeps the
-   first thread of each name for good.) *)
+   hold it. *)
 let reaped_victim_collected ~fillers =
   let k = rr_kernel ~quantum:(Time.ms 10) () in
   let port = Kernel.create_port k ~name:"p" in

@@ -347,9 +347,8 @@ let qcheck_value_conservation =
         else held
       in
       F.check_invariants sys;
-      let v = F.Valuation.make sys in
       let total_held =
-        List.fold_left (fun acc t -> acc +. F.Valuation.ticket_value v t) 0. held
+        List.fold_left (fun acc t -> acc +. F.ticket_value sys t) 0. held
       in
       let base_active = float_of_int (F.active_amount base) in
       (* full equality in an all-active tree; suspend one holder and the
@@ -359,11 +358,8 @@ let qcheck_value_conservation =
         match held with
         | first :: _ ->
             F.suspend sys first;
-            let v2 = F.Valuation.make sys in
             let t2 =
-              List.fold_left
-                (fun acc t -> acc +. F.Valuation.ticket_value v2 t)
-                0. held
+              List.fold_left (fun acc t -> acc +. F.ticket_value sys t) 0. held
             in
             t2 <= float_of_int (F.active_amount base) +. 1e-6
         | [] -> true
@@ -951,15 +947,14 @@ let test_pp_smoke () =
     (Core.Corpus.count_substring ~haystack:ts ~needle:"task2" > 0)
 
 let test_valuation_snapshot_consistent () =
-  (* one snapshot values many tickets coherently and cheaply *)
+  (* the cached valuations value many tickets coherently *)
   let sys, _, _, _, _, task2, task3, _, t2, t3, t4 = figure3 () in
-  let v = F.Valuation.make sys in
-  checkf "t2 via snapshot" 400. (F.Valuation.ticket_value v t2);
-  checkf "t3 via snapshot" 600. (F.Valuation.ticket_value v t3);
-  checkf "t4 via snapshot" 2000. (F.Valuation.ticket_value v t4);
-  checkf "currency via snapshot" 1000. (F.Valuation.currency_value v task2);
-  checkf "unit value" 2. (F.Valuation.unit_value v task2);
-  checkf "unit value task3" 20. (F.Valuation.unit_value v task3)
+  checkf "t2" 400. (F.ticket_value sys t2);
+  checkf "t3" 600. (F.ticket_value sys t3);
+  checkf "t4" 2000. (F.ticket_value sys t4);
+  checkf "currency" 1000. (F.currency_value sys task2);
+  checkf "unit value" 2. (F.unit_value sys task2);
+  checkf "unit value task3" 20. (F.unit_value sys task3)
 
 let test_to_dot () =
   let sys, _, _, _, _task1, _, _, _, _, _, _ = figure3 () in

@@ -562,7 +562,21 @@ let test_lottery_introspection () =
   checkb "list comparisons exposed" true (Lottery_sched.list_comparisons ls <> None);
   let _, ls_tree = lottery_kernel ~mode:Lottery_sched.Tree_mode ~seed:18 () in
   checkb "tree mode has no list stats" true
-    (Lottery_sched.list_comparisons ls_tree = None)
+    (Lottery_sched.list_comparisons ls_tree = None);
+  (* the search length sums over every shard's list, not just shard 0's *)
+  let ls2 =
+    Lottery_sched.create ~mode:Lottery_sched.List_mode ~shards:2
+      ~rng:(Rng.create ~seed:19 ()) ()
+  in
+  let k2 = Kernel.create ~cpus:2 ~sched:(Lottery_sched.sched ls2) () in
+  for i = 1 to 4 do
+    ignore
+      (Lottery_sched.fund_thread ls2 (spin k2 (Printf.sprintf "s%d" i))
+         ~amount:(100 * i) ~from:(Lottery_sched.base_currency ls2))
+  done;
+  ignore (Kernel.run k2 ~until:(Time.seconds 1));
+  checkb "2-shard list comparisons counted" true
+    (match Lottery_sched.list_comparisons ls2 with Some n -> n > 0 | None -> false)
 
 (* A thread record outside any kernel, for driving the scheduler record
    directly. *)
@@ -837,6 +851,7 @@ let run_program ~mode ~shards (seed, ops) =
           (Kernel.threads k);
         problems :=
           Lottery_sched.check_funding_coherence ls (Kernel.threads k)
+          @ Lottery_sched.check_sharding ls
           @ !problems
   in
   let sched =

@@ -138,20 +138,16 @@ let test_now_and_self () =
 
 let test_spawn_from_inside () =
   let k = rr_kernel () in
-  let child_cpu = ref 0 in
+  let child = ref None in
   ignore
     (Kernel.spawn k ~name:"parent" (fun () ->
          Api.compute (Time.ms 10);
-         let child =
-           Api.spawn "child" (fun () -> Api.compute (Time.ms 70))
-         in
-         Api.compute (Time.ms 10);
-         ignore child));
+         child := Some (Api.spawn "child" (fun () -> Api.compute (Time.ms 70)));
+         Api.compute (Time.ms 10)));
   ignore (Kernel.run k ~until:(Time.seconds 1));
-  (match Kernel.find_thread k "child" with
-  | Some th -> child_cpu := Kernel.cpu_time th
-  | None -> Alcotest.fail "child not spawned");
-  checki "child ran" (Time.ms 70) !child_cpu
+  match !child with
+  | Some th -> checki "child ran" (Time.ms 70) (Kernel.cpu_time th)
+  | None -> Alcotest.fail "child not spawned"
 
 let test_yield_rotates () =
   let k = rr_kernel ~quantum:(Time.ms 100) () in
@@ -932,21 +928,15 @@ let test_find_thread_and_listing () =
   let k = rr_kernel () in
   let a = Kernel.spawn k ~name:"alpha" (fun () -> ()) in
   let b = Kernel.spawn k ~name:"beta" (fun () -> ()) in
+  let find name =
+    List.find_opt (fun th -> Kernel.thread_name th = name) (Kernel.threads k)
+  in
   checkb "find alpha" true
-    (match Kernel.find_thread k "alpha" with Some th -> th == a | None -> false);
-  checkb "missing" true (Kernel.find_thread k "gamma" = None);
+    (match find "alpha" with Some th -> th == a | None -> false);
+  checkb "missing" true (find "gamma" = None);
   check (Alcotest.list Alcotest.string) "creation order" [ "alpha"; "beta" ]
     (List.map Kernel.thread_name (Kernel.threads k));
   ignore b
-
-let test_find_thread_duplicate_names () =
-  let k = rr_kernel () in
-  let first = Kernel.spawn k ~name:"twin" (fun () -> ()) in
-  let second = Kernel.spawn k ~name:"twin" (fun () -> ()) in
-  checkb "first-created twin wins" true
-    (match Kernel.find_thread k "twin" with
-    | Some th -> th == first && th != second
-    | None -> false)
 
 (* --- kill/reply lifecycle --------------------------------------------------- *)
 
@@ -1245,8 +1235,6 @@ let () =
         ] );
       ( "kill-reply",
         [
-          Alcotest.test_case "duplicate names: first-created wins" `Quick
-            test_find_thread_duplicate_names;
           Alcotest.test_case "reply after kill is a traced no-op" `Quick
             test_reply_after_kill_is_traced_noop;
           Alcotest.test_case "scatter reply after kill" `Quick

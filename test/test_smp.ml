@@ -106,9 +106,9 @@ let test_readd_cross_structure () =
 
 (* --- multi-CPU kernel + sharded scheduler ------------------------------------ *)
 
-let sharded_kernel ?placement ?(migration = true) ~shards ~cpus ~seed () =
+let sharded_kernel ?placement ?(migration = true) ?shards ~cpus ~seed () =
   let rng = Rng.create ~seed () in
-  let ls = Lottery_sched.create ~mode:Tree_mode ~shards ~rng () in
+  let ls = Lottery_sched.create ~mode:Tree_mode ?shards ~rng () in
   Lottery_sched.set_migration_enabled ls migration;
   (match placement with
   | Some f -> Lottery_sched.set_placement_hook ls (Some f)
@@ -218,11 +218,16 @@ let trace_into k =
          Buffer.add_string buf (Printf.sprintf "%d %s\n" t (Obs.Event.render ev))));
   buf
 
-let trace_of ~cpus ~shards ~pin ~seed ~horizon =
+(* [pin] runs on [cpus] CPUs with one shard each and every thread pinned
+   to shard 0, migration off; otherwise the scheduler is [create]'s default
+   on one CPU, the historical single-CPU path. *)
+let trace_of ~cpus ~pin ~seed ~horizon =
   let k, ls =
-    sharded_kernel
-      ?placement:(if pin then Some (fun _ -> 0) else None)
-      ~migration:(not pin) ~shards ~cpus ~seed ()
+    if pin then
+      sharded_kernel
+        ~placement:(fun _ -> 0)
+        ~migration:false ~shards:cpus ~cpus ~seed ()
+    else sharded_kernel ~cpus ~seed ()
   in
   let base = Lottery_sched.base_currency ls in
   let buf = trace_into k in
@@ -239,11 +244,11 @@ let test_pinned_n_cpu_equals_1_cpu () =
      only ever select on empty shards (consuming no randomness), so an
      N-CPU run must replay the 1-CPU schedule byte for byte. *)
   let horizon = Time.seconds 30 in
-  let one = trace_of ~cpus:1 ~shards:1 ~pin:false ~seed:77 ~horizon in
+  let one = trace_of ~cpus:1 ~pin:false ~seed:77 ~horizon in
   checkb "trace nonempty" true (String.length one > 0);
   List.iter
     (fun cpus ->
-      let n = trace_of ~cpus ~shards:cpus ~pin:true ~seed:77 ~horizon in
+      let n = trace_of ~cpus ~pin:true ~seed:77 ~horizon in
       checks (Printf.sprintf "%d-CPU pinned trace identical" cpus) one n)
     [ 2; 4 ]
 
@@ -253,8 +258,8 @@ let test_pinned_equivalence_qcheck =
     QCheck.(pair (int_range 1 10_000) (int_range 2 6))
     (fun (seed, cpus) ->
       let horizon = Time.seconds 5 in
-      trace_of ~cpus:1 ~shards:1 ~pin:false ~seed ~horizon
-      = trace_of ~cpus ~shards:cpus ~pin:true ~seed ~horizon)
+      trace_of ~cpus:1 ~pin:false ~seed ~horizon
+      = trace_of ~cpus ~pin:true ~seed ~horizon)
 
 let test_sharded_determinism () =
   (* same seed, same config, migration and stealing on -> byte-identical *)
@@ -366,6 +371,37 @@ let test_steal_on_empty_shard () =
   | None -> Alcotest.fail "shard 1 lost the thread");
   checki "no second steal needed" 1 (Lottery_sched.steals ls)
 
+(* One shard is the plain lottery: no other CPU can draw the running
+   thread, so the winner stays in its draw through its slice, and the
+   accessors that need per-shard mass or a second shard refuse. *)
+let test_one_shard_keeps_winner_in_draw () =
+  let rng = Rng.create ~seed:7 () in
+  let ls = Lottery_sched.create ~mode:Tree_mode ~rng () in
+  let s = Lottery_sched.sched ls in
+  let a = fake_thread 0 in
+  s.Types.attach a;
+  ignore
+    (Lottery_sched.fund_thread ls a ~amount:100
+       ~from:(Lottery_sched.base_currency ls));
+  checki "one shard" 1 (Lottery_sched.shards ls);
+  checki "one cpu served" 1 s.Types.max_cpus;
+  (match s.Types.select ~cpu:0 with
+  | Some th -> checks "the funded thread wins" "t0" th.Types.name
+  | None -> Alcotest.fail "nothing selected");
+  checkb "winner still in its draw" true (Lottery_sched.draw_weight ls a <> None);
+  checki "winner still runnable in the draw" 1 (Lottery_sched.runnable_count ls);
+  checki "placed on shard 0" 0 (Lottery_sched.shard_of ls a);
+  s.Types.account a ~used:100 ~quantum:100 ~blocked:false;
+  checki "no migration" 0 (Lottery_sched.migrations ls);
+  check (Alcotest.list Alcotest.string) "audit clean" []
+    (Lottery_sched.check_sharding ls);
+  Alcotest.check_raises "no shard mass on one shard"
+    (Invalid_argument "Lottery_sched.shard_ticket_mass: bad shard") (fun () ->
+      ignore (Lottery_sched.shard_ticket_mass ls 0));
+  Alcotest.check_raises "no migration on one shard"
+    (Invalid_argument "Lottery_sched.force_migrate: bad shard") (fun () ->
+      Lottery_sched.force_migrate ls a ~dst:0)
+
 let test_smp_guards () =
   let rng = Rng.create ~seed:1 () in
   let rr = Round_robin.create () in
@@ -377,6 +413,18 @@ let test_smp_guards () =
     (fun () ->
       let ls = Lottery_sched.create ~shards:1 ~rng () in
       ignore (Kernel.create ~cpus:0 ~sched:(Lottery_sched.sched ls) ()));
+  List.iter
+    (fun (shards, cpus) ->
+      Alcotest.check_raises
+        (Printf.sprintf "%d shard(s) rejected on %d cpus" shards cpus)
+        (Invalid_argument
+           (Printf.sprintf
+              "Kernel.create: scheduler lottery-list does not support cpus > %d"
+              shards))
+        (fun () ->
+          let ls = Lottery_sched.create ~shards ~rng () in
+          ignore (Kernel.create ~cpus ~sched:(Lottery_sched.sched ls) ())))
+    [ (2, 4); (1, 2) ];
   let ls = Lottery_sched.create ~shards:2 ~rng () in
   Alcotest.check_raises "force_migrate bad shard"
     (Invalid_argument "Lottery_sched.force_migrate: bad shard")
@@ -433,6 +481,8 @@ let () =
             test_force_migrate_and_steal;
           Alcotest.test_case "steal on an empty shard" `Quick
             test_steal_on_empty_shard;
+          Alcotest.test_case "one shard keeps the winner in its draw" `Quick
+            test_one_shard_keeps_winner_in_draw;
           Alcotest.test_case "argument guards" `Quick test_smp_guards;
           Alcotest.test_case "out-of-range placement raises" `Quick
             test_placement_hook_out_of_range_raises;
