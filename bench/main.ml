@@ -104,6 +104,29 @@ let hdr_record_op () =
     i := (!i + 7919) land 0xFFFFF;
     Core.Obs.Hdr.record h !i
 
+(* One event per operation from a recorded stream (100 ms of the RPC
+   quantum above: selects, preempts, blocks, wakes, compensations,
+   donations and RPC events), fed to a [Metrics] registry that has already
+   seen the whole stream once, so every row exists: the per-event cost a
+   subscribed registry adds to every emission. *)
+let metrics_event_op () =
+  let recorded = ref [] in
+  let run =
+    rpc_quantum (fun bus ->
+        ignore
+          (Core.Obs.Bus.subscribe bus (fun time ev ->
+               recorded := (time, ev) :: !recorded)))
+  in
+  run ();
+  let stream = Array.of_list (List.rev !recorded) in
+  let m = Core.Obs.Metrics.create () in
+  Array.iter (fun (time, ev) -> Core.Obs.Metrics.on_event m time ev) stream;
+  let i = ref 0 in
+  fun () ->
+    let time, ev = stream.(!i) in
+    Core.Obs.Metrics.on_event m time ev;
+    i := (!i + 1) mod Array.length stream
+
 let obs_rows () =
   let spans_over_off =
     match
@@ -119,6 +142,8 @@ let obs_rows () =
   [
     ("obs-overhead/hdr:minor-words", exact_words ~ops:100_000 (hdr_record_op ()));
     ("obs-overhead/spans-over-off", spans_over_off);
+    ( "obs-overhead/metrics-event:minor-words",
+      exact_words ~ops:100_000 (metrics_event_op ()) );
   ]
 
 (* --- hotpath: the scheduling decision and the kernel's dispatch ---------- *)

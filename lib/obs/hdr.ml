@@ -21,12 +21,29 @@ type t = {
   mutable max_v : int;
 }
 
-(* position of the highest set bit; tail-recursive so {!record} stays
-   allocation-free (a [ref] would be a heap block) *)
-let rec msb_pos v acc = if v <= 1 then acc else msb_pos (v lsr 1) (acc + 1)
+(* Position of the highest set bit of [v] (0 for [v <= 1]): a binary
+   search in six halving steps over the 63-bit int, so {!record} costs the
+   same at every magnitude and allocates nothing. *)
+let msb_pos v =
+  let h = v lsr 32 in
+  let n = if h <> 0 then 32 else 0 in
+  let v = if h <> 0 then h else v in
+  let h = v lsr 16 in
+  let n = if h <> 0 then n + 16 else n in
+  let v = if h <> 0 then h else v in
+  let h = v lsr 8 in
+  let n = if h <> 0 then n + 8 else n in
+  let v = if h <> 0 then h else v in
+  let h = v lsr 4 in
+  let n = if h <> 0 then n + 4 else n in
+  let v = if h <> 0 then h else v in
+  let h = v lsr 2 in
+  let n = if h <> 0 then n + 2 else n in
+  let v = if h <> 0 then h else v in
+  n + (v lsr 1)
 
 let bucket_count ~sub_bits ~sub ~max_value =
-  (msb_pos max_value 0 - sub_bits + 2) * sub
+  (msb_pos max_value - sub_bits + 2) * sub
 
 let create ?(sub_bits = 5) ?(max_value = 1 lsl 30) () =
   if sub_bits < 1 || sub_bits > 16 then invalid_arg "Hdr.create: sub_bits out of range";
@@ -47,7 +64,7 @@ let create ?(sub_bits = 5) ?(max_value = 1 lsl 30) () =
 let[@inline] index t v =
   if v < t.sub then v
   else begin
-    let m = msb_pos v 0 in
+    let m = msb_pos v in
     let shift = m - t.sub_bits in
     ((shift + 1) * t.sub) + (v lsr shift) - t.sub
   end

@@ -41,57 +41,106 @@ type row = {
   dispatch_raw : Samples.t option;
   mutable blocked_since : int;  (** [-1]: not blocked *)
   mutable runnable_since : int;  (** [-1]: not waiting for the CPU *)
-  q_used : (int, int) Hashtbl.t;
-      (** CPU ticks received, keyed by the quantum in force when they were
-          granted: the chi-square bins each thread's time into slices of
-          the quantum it actually ran under, so runs that change quantum
-          mid-stream don't under-count early threads *)
+  mutable q_cur : int;
+      (** the quantum of the thread's latest [Preempt] with a positive
+          quantum, [0] before the first *)
+  mutable q_cur_used : int;
+      (** CPU ticks received under [q_cur] since it came into force, not
+          yet in [q_done] *)
+  mutable q_done : (int * int) list;
+      (** CPU ticks received under earlier quanta, one entry per quantum.
+          The chi-square bins each thread's time into slices of the
+          quantum it actually ran under, so runs that change quantum
+          mid-stream don't under-count early threads; a read folds
+          [q_cur_used] in (see {!q_totals}) *)
 }
+
+let fresh_row ~tid ~name ~hdr ~raw =
+  {
+    tid;
+    name;
+    wins = 0;
+    quanta = 0;
+    compensations = 0;
+    blocks = 0;
+    donations = 0;
+    lock_acquires = 0;
+    lock_contended = 0;
+    rpcs = 0;
+    rpcs_served = 0;
+    rpcs_shed = 0;
+    wait_h = hdr ();
+    dispatch_h = hdr ();
+    wait_raw = (if raw then Some (Samples.create ()) else None);
+    dispatch_raw = (if raw then Some (Samples.create ()) else None);
+    blocked_since = -1;
+    runnable_since = -1;
+    q_cur = 0;
+    q_cur_used = 0;
+    q_done = [];
+  }
+
+(* Rows are found through a direct-mapped cache on the tid's low bits
+   before the table: one load and one int compare, no [caml_hash]. A slot
+   that still holds [no_row] never matches, whatever the tid. *)
+let cache_size = 256
+
+let no_row =
+  fresh_row ~tid:min_int ~name:"" ~raw:false ~hdr:(fun () ->
+      Hdr.create ~sub_bits:1 ~max_value:2 ())
 
 type t = {
   raw : bool;
   rows : (int, row) Hashtbl.t;
-  mutable order : int list;  (** reverse first-seen order *)
+  cache : row array;  (** [cache_size] slots, by [tid land (cache_size - 1)] *)
+  mutable order : row list;  (** reverse first-seen order *)
   mutable quantum_us : int;  (** largest quantum seen in Preempt events *)
   mutable sub : Bus.subscription option;
 }
 
 let create ?(raw = false) () =
-  { raw; rows = Hashtbl.create 32; order = []; quantum_us = 0; sub = None }
+  {
+    raw;
+    rows = Hashtbl.create 32;
+    cache = Array.make cache_size no_row;
+    order = [];
+    quantum_us = 0;
+    sub = None;
+  }
 
-(* [Hashtbl.find] rather than [find_opt], and [-1] sentinels rather than
-   [int option] timestamps: the per-event path allocates nothing once a
-   thread's row exists. *)
-let row t (a : Event.actor) =
-  match Hashtbl.find t.rows a.Event.tid with
-  | r -> r
-  | exception Not_found ->
-      let r =
-        {
-          tid = a.Event.tid;
-          name = a.Event.tname;
-          wins = 0;
-          quanta = 0;
-          compensations = 0;
-          blocks = 0;
-          donations = 0;
-          lock_acquires = 0;
-          lock_contended = 0;
-          rpcs = 0;
-          rpcs_served = 0;
-          rpcs_shed = 0;
-          wait_h = make_hdr ();
-          dispatch_h = make_hdr ();
-          wait_raw = (if t.raw then Some (Samples.create ()) else None);
-          dispatch_raw = (if t.raw then Some (Samples.create ()) else None);
-          blocked_since = -1;
-          runnable_since = -1;
-          q_used = Hashtbl.create 4;
-        }
-      in
-      Hashtbl.replace t.rows a.Event.tid r;
-      t.order <- a.Event.tid :: t.order;
-      r
+let new_row t (a : Event.actor) =
+  let r = fresh_row ~tid:a.Event.tid ~name:a.Event.tname ~hdr:make_hdr ~raw:t.raw in
+  Hashtbl.replace t.rows a.Event.tid r;
+  t.order <- r :: t.order;
+  r
+
+let row_slow t (a : Event.actor) =
+  let r =
+    match Hashtbl.find t.rows a.Event.tid with
+    | r -> r
+    | exception Not_found -> new_row t a
+  in
+  Array.unsafe_set t.cache (a.Event.tid land (cache_size - 1)) r;
+  r
+
+(* [-1] sentinels rather than [int option] timestamps, and the cache in
+   front of the table: the per-event path allocates nothing, hashes
+   nothing and calls no C once a thread's row exists. *)
+let[@inline] row t (a : Event.actor) =
+  let tid = a.Event.tid in
+  let r = Array.unsafe_get t.cache (tid land (cache_size - 1)) in
+  if r.tid = tid && r != no_row then r else row_slow t a
+
+(* [(q, used)] list [l] with [used] added to quantum [q]'s entry *)
+let rec add_q l (q : int) used =
+  match l with
+  | [] -> [ (q, used) ]
+  | (q', u) :: rest when q' = q -> (q, u + used) :: rest
+  | x :: rest -> x :: add_q rest q used
+
+(* ticks per quantum, the running sum folded in *)
+let q_totals (r : row) =
+  if r.q_cur > 0 then add_q r.q_done r.q_cur r.q_cur_used else r.q_done
 
 let sample hdr raw v =
   Hdr.record hdr v;
@@ -112,9 +161,12 @@ let on_event t time ev =
       let r = row t who in
       r.quanta <- r.quanta + used;
       if quantum > 0 then begin
-        match Hashtbl.find r.q_used quantum with
-        | acc -> Hashtbl.replace r.q_used quantum (acc + used)
-        | exception Not_found -> Hashtbl.add r.q_used quantum used
+        if quantum <> r.q_cur then begin
+          if r.q_cur > 0 then r.q_done <- add_q r.q_done r.q_cur r.q_cur_used;
+          r.q_cur <- quantum;
+          r.q_cur_used <- 0
+        end;
+        r.q_cur_used <- r.q_cur_used + used
       end;
       if quantum > t.quantum_us then t.quantum_us <- quantum;
       match why with
@@ -190,8 +242,7 @@ type snapshot = {
 
 let snapshots t =
   List.rev t.order
-  |> List.map (fun tid ->
-         let r = Hashtbl.find t.rows tid in
+  |> List.map (fun (r : row) ->
          {
            tid = r.tid;
            name = r.name;
@@ -215,7 +266,7 @@ let snapshots t =
              | None -> [||]);
          })
 
-let total_quanta t = Hashtbl.fold (fun _ (r : row) acc -> acc + r.quanta) t.rows 0
+let total_quanta t = List.fold_left (fun acc (r : row) -> acc + r.quanta) 0 t.order
 
 type share = {
   s_tid : int;
@@ -279,10 +330,10 @@ let fairness t ~entitled =
          largest quantum seen. For homogeneous-quantum runs this is exactly
          the historical [round (quanta / quantum_us)]. *)
       let slices (r : row) =
-        Hashtbl.fold
-          (fun q used acc ->
+        List.fold_left
+          (fun acc (q, used) ->
             acc + int_of_float (Float.round (float_of_int used /. float_of_int q)))
-          r.q_used 0
+          0 (q_totals r)
       in
       let observed = Array.of_list (List.map (fun (r, _) -> slices r) compared) in
       let total = Array.fold_left ( + ) 0 observed in

@@ -14,9 +14,12 @@
 
 type t
 (** Memory: the registry keeps one row per thread ever observed, dead
-    threads included, and each row holds two {!Hdr} histograms (~14 KB
-    together at the sizes used here), so it grows with thread churn, not
-    with the number of live threads. *)
+    threads included, so it grows with thread churn, not with the number
+    of live threads. A row is about 1,784 words (14.3 KB on 64-bit), 1,750
+    of them its two {!Hdr} histograms: under churn (a funded thread
+    spawned every 10 ms of virtual time, the oldest beyond 32 killed)
+    the live heap grows 1,810 words per killed thread with a registry
+    attached, against 27 without one. *)
 
 val create : ?raw:bool -> unit -> t
 (** [raw] (default [false]) additionally retains every wait/dispatch
@@ -28,7 +31,19 @@ val attach : t -> Bus.t -> unit
 
 val detach : t -> unit
 val on_event : t -> int -> Event.t -> unit
-(** Feed one event directly (what {!attach} wires up). *)
+(** Feed one event directly (what {!attach} wires up).
+
+    Once the event's thread has a row, this allocates nothing, hashes
+    nothing, makes no polymorphic comparison and calls no C. The row is
+    found through a 256-slot direct-mapped cache on the tid's low bits;
+    the table behind it is read only on a miss (a thread's first event, or
+    a tid whose slot another tid took since). A [Preempt]'s ticks go to a
+    running sum for the quantum in force; the thread's per-quantum table
+    is written only when that quantum changes, and every read
+    ({!fairness}) folds the running sum in. Latencies go to the row's
+    {!Hdr} histograms, which allocate nothing either. The
+    [obs-overhead/metrics-event:minor-words] row of the overhead gate
+    holds this at zero. *)
 
 (** Accumulated counters for one thread. Latencies are in µs of virtual
     time. *)
@@ -99,3 +114,8 @@ val to_prom : ?namespace:string -> t -> string
     0.5/0.9/0.99/0.999 read off the histograms. [namespace] (default
     ["lotto"]) prefixes every family name. Suitable for writing to a
     textfile-collector path from a long-running sim. *)
+
+val prom_escape : string -> string
+(** A Prometheus label value with backslash, double quote and newline
+    escaped as the text exposition format requires. Shared by every
+    exporter of that format. *)

@@ -78,22 +78,12 @@ let summary t ~horizon =
 
 (* Prometheus text exposition, following Lotto_obs.Metrics.to_prom. *)
 
-let prom_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let to_prom ?(namespace = "lotto_slo") t =
   let buf = Buffer.create 2048 in
   let tens = tenants t in
-  let label ten = Printf.sprintf "{tenant=\"%s\"}" (prom_escape ten.name) in
+  let label ten =
+    Printf.sprintf "{tenant=\"%s\"}" (Lotto_obs.Metrics.prom_escape ten.name)
+  in
   let counter name help get =
     Buffer.add_string buf
       (Printf.sprintf "# HELP %s_%s %s\n# TYPE %s_%s counter\n" namespace name
@@ -125,7 +115,7 @@ let to_prom ?(namespace = "lotto_slo") t =
           (fun q ->
             Buffer.add_string buf
               (Printf.sprintf "%s_latency_us{tenant=\"%s\",quantile=\"%g\"} %g\n"
-                 namespace (prom_escape ten.name) q
+                 namespace (Lotto_obs.Metrics.prom_escape ten.name) q
                  (Hdr.percentile ten.lat (q *. 100.))))
           [ 0.5; 0.9; 0.99; 0.999 ];
       Buffer.add_string buf

@@ -5,15 +5,18 @@ module Vec = Lotto_arena.Vec
 
 type 'a on_effect = (('a, step) Effect.Deep.continuation -> step) option
 
-(* One live thread's event actor and its last [Wake], [Select] and [Block]
-   events. Events are immutable, so re-emitting an equal one is invisible
-   to every subscriber; the record belongs to one occupant of a slot, so
-   no cached event can name a thread that has since been reaped. *)
+(* One live thread's event actor and its last [Wake], [Select], [Block],
+   [Preempt] and [Compensate] events. Events are immutable, so re-emitting
+   an equal one is invisible to every subscriber; the record belongs to one
+   occupant of a slot, so no cached event can name a thread that has since
+   been reaped. *)
 type obs_cache = {
   who : Obs.Event.actor;
   mutable wake : Obs.Event.t;
   mutable select : Obs.Event.t;
   mutable block : Obs.Event.t;
+  mutable preempt : Obs.Event.t;
+  mutable compensate : Obs.Event.t;
 }
 
 type t = {
@@ -119,7 +122,15 @@ let[@inline] observed k = Obs.Bus.active k.bus
    this, so an unobserved kernel never allocates the table. *)
 let no_actor = Obs.Event.actor_of ~tid:(-1) ~tname:""
 let no_event = Obs.Event.Wake { who = no_actor }
-let no_cache = { who = no_actor; wake = no_event; select = no_event; block = no_event }
+let no_cache =
+  {
+    who = no_actor;
+    wake = no_event;
+    select = no_event;
+    block = no_event;
+    preempt = no_event;
+    compensate = no_event;
+  }
 
 let fresh_cache th =
   {
@@ -127,6 +138,8 @@ let fresh_cache th =
     wake = no_event;
     select = no_event;
     block = no_event;
+    preempt = no_event;
+    compensate = no_event;
   }
 
 (* a reaped thread's record is not stored, so its events are built fresh *)
@@ -153,8 +166,8 @@ let actor k th =
   if th.tslot < 0 then Obs.Event.actor_of ~tid:th.id ~tname:th.name
   else (cache k th).who
 
-(* [Wake], [Select] and [Block] are rebuilt only when a field other than
-   [who] changed since the thread's last one. *)
+(* Each cached event is rebuilt only when a field other than [who] changed
+   since the thread's last one of its kind. *)
 let wake_event k th =
   let c = cache k th in
   if c.wake == no_event then c.wake <- Obs.Event.Wake { who = c.who };
@@ -173,6 +186,24 @@ let block_event k th ~on =
   | Obs.Event.Block { on = on'; _ } when String.equal on' on -> ()
   | _ -> c.block <- Obs.Event.Block { who = c.who; on });
   c.block
+
+let preempt_event k th ~used ~quantum ~why =
+  let c = cache k th in
+  (match c.preempt with
+  | Obs.Event.Preempt { used = u; quantum = q; why = w; _ }
+    when u = used && q = quantum && w == why -> ()
+  | _ -> c.preempt <- Obs.Event.Preempt { who = c.who; used; quantum; why });
+  c.preempt
+
+(* the factor is compared bit for bit, so a reused event carries exactly
+   the float the scheduler was given *)
+let compensate_event k th ~factor =
+  let c = cache k th in
+  (match c.compensate with
+  | Obs.Event.Compensate { factor = f; _ }
+    when Int64.bits_of_float f = Int64.bits_of_float factor -> ()
+  | _ -> c.compensate <- Obs.Event.Compensate { who = c.who; factor });
+  c.compensate
 
 let emit k ev =
   match k.profiler with
@@ -1240,7 +1271,7 @@ let run_slice k th ~cpu ~cur ~horizon =
       | `Exited -> Obs.Event.End_exit
       | `Horizon -> Obs.Event.End_horizon
     in
-    emit k (Obs.Event.Preempt { who = actor k th; used; quantum = k.quantum; why })
+    emit k (preempt_event k th ~used ~quantum:k.quantum ~why)
   end;
   (* Compensation ticket: a thread that gave up the CPU (blocked or yielded)
      after consuming only a fraction f of its quantum has its value inflated
@@ -1249,7 +1280,7 @@ let run_slice k th ~cpu ~cur ~horizon =
   if gave_up && used < k.quantum then begin
     th.compensate <- float_of_int k.quantum /. float_of_int (max used 1);
     if observed k then
-      emit k (Obs.Event.Compensate { who = actor k th; factor = th.compensate })
+      emit k (compensate_event k th ~factor:th.compensate)
   end;
   k.sched.account th ~used ~quantum:k.quantum ~blocked
 

@@ -1074,20 +1074,33 @@ let buckets h =
   Obs.Hdr.iter_buckets h (fun ~lo ~hi ~count -> acc := (lo, hi, count) :: !acc);
   (Obs.Hdr.count h, Obs.Hdr.sum h, List.rev !acc)
 
-let random_stream rng ~n =
+(* [tids] name the stream's five threads; the stream opens with a row
+   whose quantum goes 10 000 -> 20 000 -> 10 000 *)
+let random_stream rng ~tids ~n =
   let names = [| "a"; "b"; "c"; "d"; "e" |] in
-  let actors = Array.mapi (fun i name -> actor name (i + 1)) names in
+  let actors = Array.mapi (fun i name -> actor name tids.(i)) names in
   let quanta = [| 10_000; 20_000; 10_000; 5_000 |] in
   let q = ref 0 in
   let who = ref 0 in
   let time = ref 0 in
-  List.init n (fun _ ->
+  let a_b_a =
+    List.map
+      (fun quantum ->
+        time := !time + 1_000;
+        ( !time,
+          Obs.Event.Preempt
+            { who = actors.(0); used = Rng.int_below rng (quantum + 1); quantum;
+              why = End_quantum } ))
+      [ 10_000; 20_000; 10_000 ]
+  in
+  a_b_a
+  @ List.init n (fun _ ->
       time := !time + Rng.int_below rng 3_000;
       (* runs of events on one thread, as a slice produces them *)
       if Rng.int_below rng 3 = 0 then who := Rng.int_below rng (Array.length actors);
       (* a reaped thread's actor is a fresh record with the same tid *)
       if Rng.int_below rng 8 = 0 then
-        actors.(!who) <- actor names.(!who) (!who + 1);
+        actors.(!who) <- actor names.(!who) tids.(!who);
       if Rng.int_below rng 6 = 0 then q := Rng.int_below rng (Array.length quanta);
       let a = actors.(!who) in
       let ev : Obs.Event.t =
@@ -1116,32 +1129,43 @@ let random_stream rng ~n =
       in
       (!time, ev))
 
+(* [m] agrees with the naive fold of [events] on every snapshot, the
+   total and the fairness comparison *)
+let metrics_match_naive m events ~entitled =
+  let ((rows, _) as naive) = naive_fold events in
+  let snaps = Obs.Metrics.snapshots m in
+  let floats l = Array.of_list (List.rev_map float_of_int l) in
+  List.length snaps = List.length rows
+  && List.for_all2
+       (fun (s : Obs.Metrics.snapshot) (tid, r) ->
+         s.tid = tid && s.name = r.n_name && s.wins = r.n_wins
+         && s.quanta = r.n_quanta && s.compensations = r.n_comp
+         && s.blocks = r.n_blocks && s.donations = r.n_donations
+         && s.lock_acquires = r.n_locks && s.lock_contended = r.n_contended
+         && s.rpcs = r.n_rpcs && s.rpcs_served = r.n_served
+         && s.rpcs_shed = r.n_shed
+         && s.wait_us = floats r.n_waits
+         && s.dispatch_us = floats r.n_disps
+         && buckets s.wait = buckets (hdr_of r.n_waits)
+         && buckets s.dispatch = buckets (hdr_of r.n_disps))
+       snaps rows
+  && Obs.Metrics.total_quanta m
+     = List.fold_left (fun acc (_, r) -> acc + r.n_quanta) 0 rows
+  && Obs.Metrics.fairness m ~entitled = naive_fairness naive ~entitled
+
+(* Half the cases name the threads with tids equal modulo 256, which share
+   one slot of the registry's row cache. Now and then the registry is read
+   mid-stream ([snapshots], [fairness], [to_prom]); each read must match
+   the fold of the prefix, and must leave the registry as a fresh one fed
+   that prefix without reads. *)
 let qcheck_metrics_match_naive_fold =
   QCheck.Test.make ~name:"metrics = naive per-tid, per-quantum fold" ~count:200
     QCheck.small_int (fun seed ->
       let rng = Rng.create ~algo:Splitmix64 ~seed:(seed + 31) () in
-      let events = random_stream rng ~n:(50 + Rng.int_below rng 400) in
-      let m = Obs.Metrics.create ~raw:true () in
-      List.iter (fun (t, ev) -> Obs.Metrics.on_event m t ev) events;
-      let ((rows, _) as naive) = naive_fold events in
-      let snaps = Obs.Metrics.snapshots m in
-      let floats l = Array.of_list (List.rev_map float_of_int l) in
-      let snaps_ok =
-        List.length snaps = List.length rows
-        && List.for_all2
-             (fun (s : Obs.Metrics.snapshot) (tid, r) ->
-               s.tid = tid && s.name = r.n_name && s.wins = r.n_wins
-               && s.quanta = r.n_quanta && s.compensations = r.n_comp
-               && s.blocks = r.n_blocks && s.donations = r.n_donations
-               && s.lock_acquires = r.n_locks && s.lock_contended = r.n_contended
-               && s.rpcs = r.n_rpcs && s.rpcs_served = r.n_served
-               && s.rpcs_shed = r.n_shed
-               && s.wait_us = floats r.n_waits
-               && s.dispatch_us = floats r.n_disps
-               && buckets s.wait = buckets (hdr_of r.n_waits)
-               && buckets s.dispatch = buckets (hdr_of r.n_disps))
-             snaps rows
+      let tids =
+        if seed mod 2 = 0 then [| 1; 2; 3; 4; 5 |] else [| 7; 263; 519; 1031; 8 |]
       in
+      let events = random_stream rng ~tids ~n:(50 + Rng.int_below rng 400) in
       (* entitlements over a random subset, a duplicate and an unknown tid;
          now and then a zero weight, which leaves the p-value undefined *)
       let entitled =
@@ -1150,24 +1174,43 @@ let qcheck_metrics_match_naive_fold =
             if Rng.int_below rng 4 = 0 then None
             else if Rng.int_below rng 20 = 0 then Some (tid, 0.)
             else Some (tid, 1. +. float_of_int (Rng.int_below rng 9)))
-          [ 1; 2; 3; 4; 5; 1; 99 ]
+          (Array.to_list tids @ [ tids.(0); 99 ])
       in
-      snaps_ok
-      && Obs.Metrics.total_quanta m
-         = List.fold_left (fun acc (_, r) -> acc + r.n_quanta) 0 rows
-      && Obs.Metrics.fairness m ~entitled = naive_fairness naive ~entitled)
+      let fed prefix =
+        let m = Obs.Metrics.create ~raw:true () in
+        List.iter (fun (t, ev) -> Obs.Metrics.on_event m t ev) prefix;
+        m
+      in
+      let m = Obs.Metrics.create ~raw:true () in
+      let prefix = ref [] in
+      let reads_ok = ref true in
+      List.iter
+        (fun (t, ev) ->
+          Obs.Metrics.on_event m t ev;
+          prefix := (t, ev) :: !prefix;
+          if !reads_ok && Rng.int_below rng 30 = 0 then begin
+            let prefix = List.rev !prefix in
+            reads_ok :=
+              metrics_match_naive m prefix ~entitled
+              && Obs.Metrics.to_prom m = Obs.Metrics.to_prom (fed prefix)
+          end)
+        events;
+      !reads_ok && metrics_match_naive m events ~entitled)
 
-(* Cached kernel events ([Wake], [Select], [Block] are re-emitted while
-   nothing but the thread changed) must always name the thread the kernel
-   means: waves of short-lived workers recycle thread slots on a 2-CPU
-   kernel, and a probe checks every such event against the live thread
-   table, the scheduler's pick for that CPU and the reason the worker
-   announced before blocking. *)
-let test_event_cache_names_current_occupant () =
+(* Cached kernel events ([Wake], [Select], [Block], [Preempt] and
+   [Compensate] are re-emitted while nothing but the thread changed) must
+   always name the thread the kernel means and carry what it just did:
+   waves of short-lived workers recycle thread slots on 1- and 2-CPU
+   kernels, and a probe checks every such event against the live thread
+   table, the scheduler's pick for that CPU, the reason the worker
+   announced before blocking, the slice the kernel just ran (its length
+   since the thread's [Select], the quantum, and how it ended) and the
+   compensation factor that slice earns. *)
+let event_cache_names_current_occupant ~cpus =
   let rng = Rng.create ~seed:12 () in
-  let ls = Lottery_sched.create ~shards:2 ~rng () in
+  let ls = Lottery_sched.create ~shards:cpus ~rng () in
   let s = Lottery_sched.sched ls in
-  let picked = Array.make 2 None in
+  let picked = Array.make cpus None in
   let sched =
     {
       s with
@@ -1178,18 +1221,29 @@ let test_event_cache_names_current_occupant () =
           r);
     }
   in
-  let k = Kernel.create ~quantum:(Time.ms 10) ~cpus:2 ~sched () in
+  let k = Kernel.create ~quantum:(Time.ms 10) ~cpus ~sched () in
+  let quantum = Kernel.quantum k in
   let sem = Kernel.create_semaphore k ~initial:0 "gate" in
   let doing = Hashtbl.create 16 in
+  (* per tid: start of the running slice and how it ended so far *)
+  let slice = Hashtbl.create 16 in
+  let last_preempt = Hashtbl.create 16 in
+  let until = ref 0 in
   let checked = ref 0 in
+  let seen = Hashtbl.create 8 in
   let fail fmt = Printf.ksprintf (fun m -> Alcotest.fail m) fmt in
   let live (a : Obs.Event.actor) =
     match List.find_opt (fun th -> Kernel.thread_id th = a.tid) (Kernel.threads k) with
     | Some th when Kernel.thread_name th = a.tname -> ()
     | _ -> fail "event names %s (tid %d), not a live thread" a.tname a.tid
   in
+  let ended (who : Obs.Event.actor) how =
+    match Hashtbl.find_opt slice who.tid with
+    | Some (start, _) -> Hashtbl.replace slice who.tid (start, how)
+    | None -> fail "%s ended a slice it was not running" who.tname
+  in
   let _probe =
-    Obs.Bus.subscribe ~name:"probe" (Kernel.bus k) (fun _ ev ->
+    Obs.Bus.subscribe ~name:"probe" (Kernel.bus k) (fun time ev ->
         match ev with
         | Obs.Event.Wake { who } ->
             live who;
@@ -1197,29 +1251,82 @@ let test_event_cache_names_current_occupant () =
         | Select { who; cpu } -> (
             live who;
             incr checked;
+            Hashtbl.replace slice who.tid (time, `Ran);
             match picked.(cpu) with
             | Some th when Kernel.thread_id th = who.tid -> ()
             | _ -> fail "Select of %s names cpu %d, which picked another" who.tname cpu)
         | Block { who; on } ->
             live who;
             incr checked;
+            ended who `Blocked;
             if Hashtbl.find_opt doing who.tid <> Some on then
               fail "Block of %s on %s, announced %s" who.tname on
                 (Option.value ~default:"-" (Hashtbl.find_opt doing who.tid))
+        | Exit { who; _ } -> ended who `Exited
+        | Preempt { who; used; quantum = q; why } ->
+            incr checked;
+            let start, how =
+              match Hashtbl.find_opt slice who.tid with
+              | Some x -> x
+              | None -> fail "Preempt of %s, which no Select started" who.tname
+            in
+            Hashtbl.remove slice who.tid;
+            if how <> `Exited then live who;
+            let expect : Obs.Event.slice_end =
+              match how with
+              | `Blocked -> End_block
+              | `Exited -> End_exit
+              | `Ran ->
+                  if Hashtbl.find_opt doing who.tid = Some "yield" then End_yield
+                  else if time = !until then End_horizon
+                  else End_quantum
+            in
+            if q <> quantum || used <> time - start || why <> expect
+               || (why = End_quantum && used <> quantum)
+            then
+              fail "Preempt of %s: used %d of %d (%s); the slice ran %d of %d (%s)"
+                who.tname used q (Obs.Event.slice_end_tag why) (time - start) quantum
+                (Obs.Event.slice_end_tag expect);
+            Hashtbl.replace seen (Obs.Event.slice_end_tag why) ();
+            Hashtbl.replace last_preempt who.tid (used, why)
+        | Compensate { who; factor } -> (
+            live who;
+            incr checked;
+            Hashtbl.replace seen "compensate" ();
+            match Hashtbl.find_opt last_preempt who.tid with
+            | Some (used, (Obs.Event.End_block | End_yield)) when used < quantum ->
+                let f = float_of_int quantum /. float_of_int (max used 1) in
+                if Int64.bits_of_float factor <> Int64.bits_of_float f then
+                  fail "Compensate of %s: factor %g after a %d-tick slice (want %g)"
+                    who.tname factor used f
+            | _ -> fail "Compensate of %s without a partial slice" who.tname)
         | _ -> ())
   in
   let announce what =
     Hashtbl.replace doing (Kernel.thread_id (Api.self ())) what
   in
-  ignore
-    (Lottery_sched.fund_thread ls ~amount:50 ~from:(Lottery_sched.base_currency ls)
-       (Kernel.spawn k ~name:"poster" (fun () ->
-            while true do
-              Api.compute (Time.ms 2);
-              Api.sem_post sem;
-              announce "sleep";
-              Api.sleep (Time.ms 9)
-            done)));
+  let fund th amount =
+    ignore
+      (Lottery_sched.fund_thread ls th ~amount ~from:(Lottery_sched.base_currency ls))
+  in
+  fund
+    (Kernel.spawn k ~name:"poster" (fun () ->
+         while true do
+           Api.compute (Time.ms 2);
+           Api.sem_post sem;
+           announce "sleep";
+           Api.sleep (Time.ms 9)
+         done))
+    50;
+  (* full quanta, then the partial remainder *)
+  fund
+    (Kernel.spawn k ~name:"hog" (fun () ->
+         while true do
+           Api.compute (Time.ms 15);
+           announce "sleep";
+           Api.sleep (Time.ms 30)
+         done))
+    50;
   let slots = Hashtbl.create 16 in
   for wave = 0 to 39 do
     for i = 0 to 2 do
@@ -1237,18 +1344,40 @@ let test_event_cache_names_current_occupant () =
               end
             done)
       in
-      ignore
-        (Lottery_sched.fund_thread ls th ~amount:(100 + i)
-           ~from:(Lottery_sched.base_currency ls));
+      fund th (100 + i);
       Hashtbl.add slots (Kernel.thread_slot th) (Kernel.thread_id th)
     done;
-    ignore (Kernel.run k ~until:(Kernel.now k + Time.ms 120))
+    (* equal slices that end alternately in a yield and a block *)
+    fund
+      (Kernel.spawn k ~name:(Printf.sprintf "y%d" wave) (fun () ->
+           for j = 1 to 4 do
+             Api.compute (Time.ms 3);
+             if j mod 2 = 1 then begin
+               announce "yield";
+               Api.yield ();
+               announce "run"
+             end
+             else begin
+               announce "sleep";
+               Api.sleep (Time.ms 3)
+             end
+           done))
+      100;
+    until := Kernel.now k + Time.ms 120;
+    ignore (Kernel.run k ~until:!until)
   done;
   checkb "slots were recycled" true
     (Hashtbl.fold
        (fun s _ acc -> acc || List.length (Hashtbl.find_all slots s) > 1)
        slots false);
+  List.iter
+    (fun what -> checkb (what ^ " seen") true (Hashtbl.mem seen what))
+    [ "quantum"; "yield"; "block"; "exit"; "horizon"; "compensate" ];
   checkb "the probe saw the stream" true (!checked > 1000)
+
+let test_event_cache_names_current_occupant () =
+  event_cache_names_current_occupant ~cpus:1;
+  event_cache_names_current_occupant ~cpus:2
 
 let test_metrics_histogram_default () =
   (* the default registry keeps no raw arrays — bounded memory — yet the
