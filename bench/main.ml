@@ -146,6 +146,21 @@ let obs_rows () =
       exact_words ~ops:100_000 (metrics_event_op ()) );
   ]
 
+(* --- prng: the draws every layer above makes ------------------------------ *)
+
+(* One [Rng.int_below] on the default Park–Miller generator, cycling through
+   single-draw sizes and one past 2^31 - 2, which composes two raw draws. *)
+let int_below_op () =
+  let rng = Core.Rng.create ~seed:3 () in
+  let sizes = [| 2; 7; 1000; 1 lsl 20; 1 lsl 40 |] in
+  let i = ref 0 in
+  fun () ->
+    ignore (Core.Rng.int_below rng sizes.(!i));
+    i := (!i + 1) mod Array.length sizes
+
+let prng_rows () =
+  [ ("prng/int-below:minor-words", exact_words ~ops:100_000 (int_below_op ())) ]
+
 (* --- hotpath: the scheduling decision and the kernel's dispatch ---------- *)
 
 (* The steady-state scheduling decision, made through the scheduler record
@@ -575,7 +590,8 @@ let smp_rows () =
   ]
   @ throughput_rows () @ fairness_rows ()
 
-let rows () = obs_rows () @ hotpath_rows () @ service_rows () @ smp_rows ()
+let rows () =
+  prng_rows () @ obs_rows () @ hotpath_rows () @ service_rows () @ smp_rows ()
 
 (* --- the gate ------------------------------------------------------------ *)
 

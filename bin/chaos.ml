@@ -27,15 +27,26 @@ let scenarios_of = function
       | Some sc -> Ok [ sc ]
       | None -> Error (Printf.sprintf "unknown scenario %S (try: chaos list)" name))
 
+(* A soak or replay that ran and found a failing run exits with its own
+   status, so a script can tell it from a command-line error (124). *)
+let found_failures = 1
+
+let exits =
+  Cmd.Exit.info found_failures
+    ~doc:"when a soak or replay ran and found a failing run (an invariant \
+          violation, a failed thread or a deadlock)."
+  :: Cmd.Exit.defaults
+
 let list_cmd =
   let run () =
     List.iter
       (fun sc -> Printf.printf "%s\n" sc.Chaos.Scenarios.name)
       Chaos.Scenarios.all;
     Printf.printf "%s (excluded from sweeps: demonstrates a reintroduced bug)\n"
-      Chaos.Scenarios.rpc_buggy.Chaos.Scenarios.name
+      Chaos.Scenarios.rpc_buggy.Chaos.Scenarios.name;
+    Cmd.Exit.ok
   in
-  Cmd.v (Cmd.info "list" ~doc:"List available scenarios.") Term.(const run $ const ())
+  Cmd.v (Cmd.info "list" ~doc:"List available scenarios." ~exits) Term.(const run $ const ())
 
 let soak_run scenario seeds from cpus kill_prob perturb_prob sleep_prob
     yield_prob max_kills no_audit repro_out =
@@ -59,7 +70,7 @@ let soak_run scenario seeds from cpus kill_prob perturb_prob sleep_prob
           close_out oc;
           Printf.printf "repro written to %s\n" path
       | _ -> ());
-      if report.Chaos.Soak.failures = [] then `Ok () else `Error (false, "soak failed")
+      `Ok (if report.Chaos.Soak.failures = [] then Cmd.Exit.ok else found_failures)
 
 let replay_run name seed verbose cpus kill_prob perturb_prob sleep_prob
     yield_prob max_kills =
@@ -86,7 +97,7 @@ let replay_run name seed verbose cpus kill_prob perturb_prob sleep_prob
       List.iter
         (fun (n, e) -> Printf.printf "  thread %s failed: %s\n" n e)
         o.Chaos.Soak.thread_failures;
-      if Chaos.Soak.failed o then `Error (false, "run failed") else `Ok ()
+      `Ok (if Chaos.Soak.failed o then found_failures else Cmd.Exit.ok)
 
 let scenario_opt =
   Arg.(
@@ -135,10 +146,10 @@ let repro_out_arg =
 
 let soak_cmd =
   Cmd.v
-    (Cmd.info "soak"
+    (Cmd.info "soak" ~exits
        ~doc:
          "Sweep seeds over scenarios with fault injection and per-slice \
-          invariant auditing; nonzero exit and a minimal repro on failure.")
+          invariant auditing; on failure, a minimal repro and exit status 1.")
     Term.(
       ret
         (const soak_run $ scenario_opt $ seeds_arg $ from_arg $ cpus_arg
@@ -155,7 +166,7 @@ let verbose_arg =
 
 let replay_cmd =
   Cmd.v
-    (Cmd.info "replay"
+    (Cmd.info "replay" ~exits
        ~doc:"Re-run one (scenario, seed) pair and print what happened.")
     Term.(
       ret
@@ -164,6 +175,6 @@ let replay_cmd =
 
 let cmd =
   let doc = "deterministic chaos testing for the lottery-scheduling kernel" in
-  Cmd.group (Cmd.info "chaos" ~doc) [ soak_cmd; replay_cmd; list_cmd ]
+  Cmd.group (Cmd.info "chaos" ~doc ~exits) [ soak_cmd; replay_cmd; list_cmd ]
 
-let () = exit (Cmd.eval cmd)
+let () = exit (Cmd.eval' cmd)

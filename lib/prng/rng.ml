@@ -49,44 +49,13 @@ let raw t =
 let raw_range t =
   match t.impl with Pm _ -> Park_miller.modulus - 1 | Sm _ | Xo _ -> range61
 
-let int_below t n =
+(* Rejection sampling on the largest multiple of [n] below the raw range,
+   as a closure-free loop: a draw allocates nothing (with Park–Miller; the
+   64-bit generators box an Int64 per raw draw). Past Park–Miller's
+   single-draw range two draws are composed; range^2 <= 2^62 still fits in
+   a native int. *)
+let[@inline] below t n =
   if n <= 0 then invalid_arg "Rng.int_below: n <= 0";
-  let range = raw_range t in
-  if n <= range then begin
-    (* Rejection sampling on the largest multiple of n below range. *)
-    let limit = range - (range mod n) in
-    let rec draw () =
-      let r = raw t in
-      if r < limit then r mod n else draw ()
-    in
-    draw ()
-  end
-  else if range <= 0x80000000 then begin
-    (* Compose two draws; range^2 <= 2^62 still fits in a native int. *)
-    let big = range * range in
-    if n > big then invalid_arg "Rng.int_below: n exceeds generator range";
-    let limit = big - (big mod n) in
-    let rec draw () =
-      let r = (raw t * range) + raw t in
-      if r < limit then r mod n else draw ()
-    in
-    draw ()
-  end
-  else invalid_arg "Rng.int_below: n exceeds generator range"
-
-let int_in t ~lo ~hi =
-  if hi < lo then invalid_arg "Rng.int_in: hi < lo";
-  lo + int_below t (hi - lo + 1)
-
-(* [int_below t (1 lsl 53)] specialized to a closure-free loop: the draw
-   hot paths turn the result into a float locally, so a draw allocates
-   nothing (with Park–Miller; the 64-bit generators box an Int64 per raw
-   draw). Consumes the stream exactly like the general path — 2^53 exceeds
-   Park–Miller's single-draw range, so two draws are composed there; the
-   61-bit generators use a single draw — keeping every seeded run
-   bit-for-bit identical to the historical [int_below]-based definition. *)
-let bits53 t =
-  let n = 1 lsl 53 in
   let range = raw_range t in
   if n <= range then begin
     let limit = range - (range mod n) in
@@ -96,8 +65,9 @@ let bits53 t =
     done;
     !r mod n
   end
-  else begin
+  else if range <= 0x80000000 then begin
     let big = range * range in
+    if n > big then invalid_arg "Rng.int_below: n exceeds generator range";
     let limit = big - (big mod n) in
     let r = ref ((raw t * range) + raw t) in
     while !r >= limit do
@@ -105,6 +75,19 @@ let bits53 t =
     done;
     !r mod n
   end
+  else invalid_arg "Rng.int_below: n exceeds generator range"
+
+let int_below t n = below t n
+
+let int_in t ~lo ~hi =
+  if hi < lo then invalid_arg "Rng.int_in: hi < lo";
+  lo + int_below t (hi - lo + 1)
+
+(* For the draw hot paths, which turn this into a float locally: [below]
+   inlined at a constant n, so its divisions by n compile to shifts. 2^53
+   exceeds Park–Miller's single-draw range, so two draws are composed
+   there; the 61-bit generators use a single draw. *)
+let bits53 t = below t (1 lsl 53)
 
 let float_unit t = float_of_int (bits53 t) /. float_of_int (1 lsl 53)
 

@@ -28,15 +28,14 @@ val raw_range : t -> int
 val int_below : t -> int -> int
 (** [int_below t n] is uniform on [\[0, n)], unbiased (rejection sampling).
     Raises [Invalid_argument] if [n <= 0] or [n] exceeds the generator's
-    composable range. *)
+    composable range. Allocates nothing with the default Park–Miller
+    generator (the 64-bit generators box an [Int64] per raw draw). *)
 
 val int_in : t -> lo:int -> hi:int -> int
 (** Uniform on [\[lo, hi\]] inclusive. *)
 
 val bits53 : t -> int
-(** Uniform on [\[0, 2^53)]: exactly [int_below t (1 lsl 53)], but
-    closure-free so draw hot paths that turn it into a float locally
-    allocate nothing (with the default Park–Miller generator). *)
+(** Uniform on [\[0, 2^53)]: [int_below t (1 lsl 53)]. *)
 
 val float_unit : t -> float
 (** Uniform on [\[0, 1)] with 53 bits of precision where the generator

@@ -1,24 +1,26 @@
 (** Array-based binary min-heap keyed by integer priority, stable for equal
-    keys (insertion order wins). Used as the kernel's timer queue. *)
+    keys (insertion order wins). Used as the kernel's timer queue. Keys,
+    insertion numbers and values live in three flat arrays, so once the
+    arrays have grown no operation allocates. *)
 
 type 'a t
 
-val create : unit -> 'a t
+val create : dummy:'a -> 'a t
+(** [dummy] fills every value cell that holds no entry (vacant capacity
+    and the cells entries leave), so the heap keeps no dropped value
+    reachable. *)
+
 val push : 'a t -> key:int -> 'a -> unit
-val peek_min : 'a t -> (int * 'a) option
-val pop_min : 'a t -> (int * 'a) option
 
 val min_key : 'a t -> int
-(** Key of the minimum entry, without allocating. The heap must be
-    non-empty (check {!is_empty} first). *)
+(** Key of the minimum entry. The heap must be non-empty (check
+    {!is_empty} first). *)
 
 val min_elt : 'a t -> 'a
-(** Value of the minimum entry, without allocating. The heap must be
-    non-empty. *)
+(** Value of the minimum entry. The heap must be non-empty. *)
 
 val drop_min : 'a t -> unit
-(** Remove the minimum entry without building the result pair. The heap
-    must be non-empty. *)
+(** Remove the minimum entry. The heap must be non-empty. *)
 
 val size : 'a t -> int
 val is_empty : 'a t -> bool

@@ -19,6 +19,28 @@ type obs_cache = {
   mutable compensate : Obs.Event.t;
 }
 
+(* What a thread's constant [pending] state waits on or has received (see
+   {!Types.pending}); unit continuations are in the thread's [c_kc]. One
+   record per thread slot, allocated when an occupant of the slot first
+   blocks, kept for the slot's later occupants and reset when each is
+   reaped, so a block and its wake allocate nothing and no record keeps a
+   reaped thread reachable. A field is meaningful only while [pending]
+   names it. *)
+type wait = {
+  mutable w_until : int; (* Sleeping: the deadline of its timer entry *)
+  mutable w_port : port; (* Waiting_recv *)
+  mutable w_mutex : mutex; (* Waiting_lock, Waiting_cond *)
+  mutable w_cond : condition; (* Waiting_cond *)
+  mutable w_sem : semaphore; (* Waiting_sem *)
+  mutable w_target : thread; (* Waiting_join *)
+  mutable w_msg : message; (* Ready_msg *)
+  mutable w_reply : string; (* Ready_reply *)
+  mutable w_kmsg : (message, step) Effect.Deep.continuation;
+      (* Waiting_recv, Ready_msg *)
+  mutable w_kstr : (string, step) Effect.Deep.continuation;
+      (* Waiting_reply, Ready_reply *)
+}
+
 type t = {
   mutable now : int;
       (* the global virtual clock: the round floor between slices, the
@@ -42,6 +64,9 @@ type t = {
      anyone still holding them, but kernel iteration is O(live). *)
   th_slots : Slots.t;
   mutable th_tab : thread array; (* [||] until the first spawn *)
+  mutable waits : wait array;
+      (* wait records by thread slot, [no_wait] until the slot's first
+         block; [||] until any thread blocks *)
   mutable failed : (thread * exn) list; (* reverse order of death *)
   mutable idle : int;
   mutable slices : int;
@@ -274,6 +299,58 @@ let no_cond =
 let no_sem =
   { sem_id = -1; sem_name = ""; sem_policy = Fifo; count = 0; sem_waiters = Waitq.create () }
 
+let vacant_kmsg : (message, step) Effect.Deep.continuation = vacant ()
+let vacant_kstr : (string, step) Effect.Deep.continuation = vacant ()
+
+let fresh_wait () =
+  {
+    w_until = 0;
+    w_port = no_port;
+    w_mutex = no_mutex;
+    w_cond = no_cond;
+    w_sem = no_sem;
+    w_target = no_thread;
+    w_msg = no_msg;
+    w_reply = "";
+    w_kmsg = vacant_kmsg;
+    w_kstr = vacant_kstr;
+  }
+
+(* the vacant cell of [waits]; never written, so shared by every kernel *)
+let no_wait = fresh_wait ()
+
+(* The wait record of [th]'s slot, allocated on the slot's first block.
+   Called by the handlers that install a state with a record field. *)
+let wait_rec k th =
+  let s = th.tslot in
+  if s >= Array.length k.waits then
+    k.waits <- Slots.grow_payload k.th_slots k.waits ~dummy:no_wait;
+  let w = k.waits.(s) in
+  if w != no_wait then w
+  else begin
+    let w = fresh_wait () in
+    k.waits.(s) <- w;
+    w
+  end
+
+(* The record of a thread whose [pending] names a record field: the
+   handler that installed that state allocated it. *)
+let[@inline] wait_of k th = k.waits.(th.tslot)
+
+let reset_wait w =
+  if w != no_wait then begin
+    w.w_until <- 0;
+    w.w_port <- no_port;
+    w.w_mutex <- no_mutex;
+    w.w_cond <- no_cond;
+    w.w_sem <- no_sem;
+    w.w_target <- no_thread;
+    w.w_msg <- no_msg;
+    w.w_reply <- "";
+    w.w_kmsg <- vacant_kmsg;
+    w.w_kstr <- vacant_kstr
+  end
+
 let spawn k ~name body =
   let th =
     {
@@ -365,7 +442,7 @@ let unblock k th =
 let port_has_live_waiter p =
   Queue.fold
     (fun acc w ->
-      acc || (match w.pending with Waiting_recv _ -> true | _ -> false))
+      acc || (match w.pending with Waiting_recv -> true | _ -> false))
     false p.waiters
 
 (* The admission predicate for a plain [Api.rpc]: a message is shed only
@@ -477,7 +554,7 @@ let release_mutex k who m =
     let next = take_waiter k m.policy m.lock_waiters in
     grant_mutex k m next ~contended:true;
     (match next.pending with
-    | Waiting_lock { k = kn; _ } -> next.pending <- Ready_unit kn
+    | Waiting_lock -> next.pending <- Ready_unit
     | _ -> assert false);
     revoke k next;
     unblock k next;
@@ -512,8 +589,9 @@ let finish k th exn_opt =
   while not (Waitq.is_empty th.joiners) do
     let j = Waitq.pop th.joiners in
     match j.pending with
-    | Waiting_join { k = kj; _ } ->
-        j.pending <- Ready_unit kj;
+    | Waiting_join ->
+        (wait_of k j).w_target <- no_thread;
+        j.pending <- Ready_unit;
         revoke k j;
         unblock k j
     | _ -> ()
@@ -536,6 +614,7 @@ let finish k th exn_opt =
   if th.tslot >= 0 then begin
     Slots.release k.th_slots th.tslot;
     k.th_tab.(th.tslot) <- no_thread;
+    if th.tslot < Array.length k.waits then reset_wait k.waits.(th.tslot);
     th.tslot <- -1
   end;
   if k.r_th == th then k.r_th <- no_thread;
@@ -589,9 +668,10 @@ let drop_reply k msg reason =
 let do_reply k msg result =
   let client = msg.sender in
   match client.pending with
-  | Waiting_reply { k = kc } ->
+  | Waiting_reply ->
       emit_reply k msg;
-      client.pending <- Ready_reply (result, kc);
+      (wait_of k client).w_reply <- result;
+      client.pending <- Ready_reply;
       revoke k client;
       unblock k client
   | Waiting_replies scatter ->
@@ -613,7 +693,7 @@ let do_reply k msg result =
         revoke k client;
         unblock k client
       end
-  | Ready_reply _ | Ready_replies _ ->
+  | Ready_reply | Ready_replies _ ->
       (* the request was already answered and the client merely hasn't run
          yet: a second reply is a genuine duplicate *)
       invalid_arg "Api.reply: sender is not awaiting a reply"
@@ -635,21 +715,21 @@ let do_unlock k th m =
 
 (* A condition waiter woken by signal/broadcast must reacquire the mutex it
    released: grant immediately if free, otherwise join the mutex queue
-   (funding the current owner like any other lock waiter). *)
-let reacquire_after_signal k th m kc =
-  match m.owner with
-  | None ->
-      grant_mutex k m th ~contended:false;
-      th.pending <- Ready_unit kc;
-      unblock k th
-  | Some owner ->
-      Waitq.push m.lock_waiters th;
-      th.pending <- Waiting_lock { mutex = m; k = kc };
-      donate k ~src:th ~dst:owner
-
-let wake_cond_waiter k w =
-  match w.pending with
-  | Waiting_cond { mutex; k = kc; _ } -> reacquire_after_signal k w mutex kc
+   (funding the current owner like any other lock waiter). Its wait record
+   already names the mutex, and its continuation stays in [c_kc]. *)
+let wake_cond_waiter k th =
+  match th.pending with
+  | Waiting_cond -> (
+      let m = (wait_of k th).w_mutex in
+      match m.owner with
+      | None ->
+          grant_mutex k m th ~contended:false;
+          th.pending <- Ready_unit;
+          unblock k th
+      | Some owner ->
+          Waitq.push m.lock_waiters th;
+          th.pending <- Waiting_lock;
+          donate k ~src:th ~dst:owner)
   | _ -> assert false
 
 let do_signal k c =
@@ -670,8 +750,8 @@ let do_sem_post k sm =
   else
     let w = take_waiter k sm.sem_policy sm.sem_waiters in
     match w.pending with
-    | Waiting_sem { k = kc; _ } ->
-        w.pending <- Ready_unit kc;
+    | Waiting_sem ->
+        w.pending <- Ready_unit;
         unblock k w
     | _ -> assert false
 
@@ -682,8 +762,9 @@ let rec handoff_or_queue k sender p msg =
   else
     let srv = Queue.take p.waiters in
     match srv.pending with
-    | Waiting_recv { k = ks; _ } ->
-        srv.pending <- Ready_msg (msg, ks);
+    | Waiting_recv ->
+        (wait_of k srv).w_msg <- msg;
+        srv.pending <- Ready_msg;
         begin_service k srv msg ~port:p;
         unblock k srv;
         donate k ~src:sender ~dst:srv
@@ -717,7 +798,9 @@ let on_compute k (kc : (unit, step) continuation) =
 let on_sleep k (kc : (unit, step) continuation) =
   let th = k.r_th and d = k.r_n in
   let until = k.now + max d 0 in
-  th.pending <- Sleeping { until; k = kc };
+  (wait_rec k th).w_until <- until;
+  th.c_kc <- kc;
+  th.pending <- Sleeping;
   block k th ~on:"sleep";
   Heap.push k.timers ~key:until th;
   S_blocked
@@ -769,23 +852,25 @@ let shed_rpc k th p ~id ~payload kc =
              queue never overshoots capacity if the victim's body catches
              [Rejected] and immediately retries *)
           let msg = { msg_id = id; sender = th; payload; sent_at = k.now; slot = 0 } in
-          th.pending <- Waiting_reply { k = kc };
+          (wait_rec k th).w_kstr <- kc;
+          th.pending <- Waiting_reply;
           block k th ~on:"rpc";
           deliver_or_queue k th p msg;
           (* deliver [Rejected] into the victim's sender, [kill]-style: the
              body may catch it and keep going, so fix up catch-and-continue
              threads that came back runnable without being re-readied *)
           (match victim.sender.pending with
-          | Waiting_reply { k = vkc } ->
+          | Waiting_reply ->
               let v = victim.sender in
+              let vkc = (wait_of k v).w_kstr in
               if v.state = Blocked then revoke k v;
               k.r_th <- v;
               settle_aside k v (discontinue vkc p.rej);
               k.r_th <- th;
               (match (v.state, v.pending) with
               | ( Blocked,
-                  ( Not_started _ | Compute | Ready_unit _ | Ready_msg _
-                  | Ready_reply _ | Ready_replies _ ) ) ->
+                  ( Not_started _ | Compute | Ready_unit | Ready_msg | Ready_reply
+                  | Ready_replies _ ) ) ->
                   unblock k v
               | _ -> ())
           | _ -> () (* stale: the sender died or moved on; nothing waits *));
@@ -799,7 +884,8 @@ let on_rpc k (kc : (string, step) continuation) =
   if port_would_shed p then shed_rpc k th p ~id ~payload kc
   else begin
     let msg = { msg_id = id; sender = th; payload; sent_at = k.now; slot = 0 } in
-    th.pending <- Waiting_reply { k = kc };
+    (wait_rec k th).w_kstr <- kc;
+    th.pending <- Waiting_reply;
     block k th ~on:"rpc";
     deliver_or_queue k th p msg;
     S_blocked
@@ -826,15 +912,19 @@ let on_rpc_many k (kc : (string list, step) continuation) =
 
 let on_recv k (kc : (message, step) continuation) =
   let th = k.r_th and p = k.r_port in
+  let w = wait_rec k th in
+  w.w_kmsg <- kc;
   if Queue.is_empty p.queue then begin
-    th.pending <- Waiting_recv { port = p; k = kc };
+    w.w_port <- p;
+    th.pending <- Waiting_recv;
     block k th ~on:"recv";
     Queue.push th p.waiters;
     S_blocked
   end
   else begin
     let msg = Queue.take p.queue in
-    th.pending <- Ready_msg (msg, kc);
+    w.w_msg <- msg;
+    th.pending <- Ready_msg;
     begin_service k th msg ~port:p;
     (* The queued sender's ticket transfer lands on whichever server
        thread picks the message up (paper §4.6). *)
@@ -863,11 +953,14 @@ let on_lock k (kc : (unit, step) continuation) =
   match m.owner with
   | None ->
       grant_mutex k m th ~contended:false;
-      th.pending <- Ready_unit kc;
+      th.c_kc <- kc;
+      th.pending <- Ready_unit;
       S_continue
   | Some owner ->
       Waitq.push m.lock_waiters th;
-      th.pending <- Waiting_lock { mutex = m; k = kc };
+      (wait_rec k th).w_mutex <- m;
+      th.c_kc <- kc;
+      th.pending <- Waiting_lock;
       block k th ~on:"lock";
       donate k ~src:th ~dst:owner;
       S_blocked
@@ -883,7 +976,11 @@ let on_wait k (kc : (unit, step) continuation) =
   let th = k.r_th and c = k.r_cond and m = k.r_mutex in
   match do_unlock k th m with
   | () ->
-      th.pending <- Waiting_cond { cond = c; mutex = m; k = kc };
+      let w = wait_rec k th in
+      w.w_cond <- c;
+      w.w_mutex <- m;
+      th.c_kc <- kc;
+      th.pending <- Waiting_cond;
       block k th ~on:"cond";
       Waitq.push c.cond_waiters th;
       S_blocked
@@ -901,12 +998,15 @@ let on_sem_wait k (kc : (unit, step) continuation) =
   let th = k.r_th and sm = k.r_sem in
   if sm.count > 0 then begin
     sm.count <- sm.count - 1;
-    th.pending <- Ready_unit kc;
+    th.c_kc <- kc;
+    th.pending <- Ready_unit;
     S_continue
   end
   else begin
     Waitq.push sm.sem_waiters th;
-    th.pending <- Waiting_sem { sem = sm; k = kc };
+    (wait_rec k th).w_sem <- sm;
+    th.c_kc <- kc;
+    th.pending <- Waiting_sem;
     block k th ~on:"sem";
     S_blocked
   end
@@ -919,12 +1019,15 @@ let on_join k (kc : (unit, step) continuation) =
   let th = k.r_th and target = k.r_target in
   k.r_target <- no_thread;
   if target.state = Zombie then begin
-    th.pending <- Ready_unit kc;
+    th.c_kc <- kc;
+    th.pending <- Ready_unit;
     S_continue
   end
   else if target == th then discontinue kc (Invalid_argument "Api.join: cannot join self")
   else begin
-    th.pending <- Waiting_join { target; k = kc };
+    (wait_rec k th).w_target <- target;
+    th.c_kc <- kc;
+    th.pending <- Waiting_join;
     block k th ~on:"join";
     Waitq.push target.joiners th;
     (* one more transfer site: the joiner's rights speed the target up *)
@@ -934,7 +1037,8 @@ let on_join k (kc : (unit, step) continuation) =
 
 let on_yield k (kc : (unit, step) continuation) =
   let th = k.r_th in
-  th.pending <- Ready_unit kc;
+  th.c_kc <- kc;
+  th.pending <- Ready_unit;
   S_yielded
 
 let on_self k (kc : (thread, step) continuation) =
@@ -1016,14 +1120,21 @@ let rec advance k th : [ `Compute | `Blocked | `Exited | `Yielded ] =
   k.r_th <- th;
   match th.pending with
   | Not_started body -> settle k th (match_with body () k.handler)
-  | Ready_unit kc -> settle k th (continue kc ())
-  | Ready_msg (m, kc) -> settle k th (continue kc m)
-  | Ready_reply (r, kc) -> settle k th (continue kc r)
+  | Ready_unit -> settle k th (continue th.c_kc ())
+  | Ready_msg ->
+      (* the message leaves the record, which must not keep its sender *)
+      let w = wait_of k th in
+      let m = w.w_msg in
+      w.w_msg <- no_msg;
+      settle k th (continue w.w_kmsg m)
+  | Ready_reply ->
+      let w = wait_of k th in
+      settle k th (continue w.w_kstr w.w_reply)
   | Ready_replies (rs, kc) -> settle k th (continue kc rs)
   | Compute when th.c_left <= 0 -> settle k th (continue th.c_kc ())
   | Compute -> `Compute
-  | Sleeping _ | Waiting_recv _ | Waiting_reply _ | Waiting_replies _
-  | Waiting_lock _ | Waiting_cond _ | Waiting_sem _ | Waiting_join _ ->
+  | Sleeping | Waiting_recv | Waiting_reply | Waiting_replies _ | Waiting_lock
+  | Waiting_cond | Waiting_sem | Waiting_join ->
       `Blocked
   | Exited -> `Exited
 
@@ -1052,17 +1163,22 @@ let kill k th =
   | _ ->
       (* unhook from wait lists first so nothing wakes a zombie *)
       (match th.pending with
-      | Waiting_lock { mutex; _ } -> Waitq.remove mutex.lock_waiters th
-      | Waiting_cond { cond; _ } -> Waitq.remove cond.cond_waiters th
-      | Waiting_sem { sem; _ } -> Waitq.remove sem.sem_waiters th
-      | Waiting_join { target; _ } -> Waitq.remove target.joiners th
-      | Waiting_recv { port; _ } ->
+      | Waiting_lock -> Waitq.remove (wait_of k th).w_mutex.lock_waiters th
+      | Waiting_cond -> Waitq.remove (wait_of k th).w_cond.cond_waiters th
+      | Waiting_sem -> Waitq.remove (wait_of k th).w_sem.sem_waiters th
+      | Waiting_join ->
+          let w = wait_of k th in
+          Waitq.remove w.w_target.joiners th;
+          w.w_target <- no_thread
+      | Waiting_recv ->
           (* Queue has no removal; rebuild without the victim so no zombie
              lingers on a port's waiter list. *)
+          let port = (wait_of k th).w_port in
           let keep = Queue.create () in
           Queue.iter (fun w -> if w.id <> th.id then Queue.push w keep) port.waiters;
           Queue.clear port.waiters;
           Queue.transfer keep port.waiters
+      | Ready_msg -> (wait_of k th).w_msg <- no_msg
       | _ -> () (* the timer heap skips dead entries lazily *));
       if th.state = Blocked then revoke k th;
       let performer = k.r_th (* the killer, when called from a body *) in
@@ -1073,18 +1189,12 @@ let kill k th =
         settle_aside k th (discontinue kc Killed)
       in
       (match th.pending with
-      | Compute -> deliver th.c_kc
-      | Sleeping { k = kc; _ } -> deliver kc
-      | Waiting_recv { k = kc; _ } -> deliver kc
-      | Waiting_reply { k = kc } -> deliver kc
+      | Compute | Sleeping | Waiting_lock | Waiting_cond | Waiting_sem
+      | Waiting_join | Ready_unit ->
+          deliver th.c_kc
+      | Waiting_recv | Ready_msg -> deliver (wait_of k th).w_kmsg
+      | Waiting_reply | Ready_reply -> deliver (wait_of k th).w_kstr
       | Waiting_replies { ks = kc; _ } -> deliver kc
-      | Waiting_lock { k = kc; _ } -> deliver kc
-      | Waiting_cond { k = kc; _ } -> deliver kc
-      | Waiting_sem { k = kc; _ } -> deliver kc
-      | Waiting_join { k = kc; _ } -> deliver kc
-      | Ready_unit kc -> deliver kc
-      | Ready_msg (_, kc) -> deliver kc
-      | Ready_reply (_, kc) -> deliver kc
       | Ready_replies (_, kc) -> deliver kc
       | Not_started _ | Exited -> ());
       k.r_th <- (if performer.tslot >= 0 then performer else no_thread);
@@ -1096,8 +1206,8 @@ let kill k th =
          catch-and-continue threads actually get scheduled again. *)
       (match (th.state, th.pending) with
       | ( Blocked,
-          ( Not_started _ | Compute | Ready_unit _ | Ready_msg _
-          | Ready_reply _ | Ready_replies _ ) ) ->
+          ( Not_started _ | Compute | Ready_unit | Ready_msg | Ready_reply
+          | Ready_replies _ ) ) ->
           unblock k th
       | _ -> ())
 
@@ -1115,10 +1225,11 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
       cpu_now = Array.make cpus 0;
       sel = Array.make cpus None;
       sched;
-      timers = Heap.create ();
+      timers = Heap.create ~dummy:no_thread;
       next_id = 0;
       th_slots = Slots.create ();
       th_tab = [||];
+      waits = [||];
       failed = [];
       idle = 0;
       slices = 0;
@@ -1177,13 +1288,12 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
    toward that exact deadline. Killed sleepers — and sleepers that caught
    [Killed] and moved on — leave stale entries behind (the heap has no
    removal); both the waker and the idle-time branch must ignore them. *)
-let timer_entry_live ~key th =
-  match th.pending with Sleeping { until; _ } -> until = key | _ -> false
+let timer_entry_live k ~key th =
+  match th.pending with Sleeping -> (wait_of k th).w_until = key | _ -> false
 
-(* Both walkers use the non-allocating heap accessors (is_empty/min_key/
-   min_elt/drop_min) in a flat while loop: [peek_min]'s option-of-tuple and
-   a per-call [let rec] closure would otherwise charge every scheduling
-   decision a handful of minor words even when the heap is empty. *)
+(* Both walkers are flat while loops over the heap's accessors: a per-call
+   [let rec] closure would charge every scheduling decision a handful of
+   minor words even when the heap is empty. *)
 let prune_stale_timers k =
   let scanning = ref true in
   while !scanning do
@@ -1191,7 +1301,7 @@ let prune_stale_timers k =
     else begin
       let key = Heap.min_key k.timers in
       let th = Heap.min_elt k.timers in
-      if timer_entry_live ~key th then scanning := false
+      if timer_entry_live k ~key th then scanning := false
       else Heap.drop_min k.timers
     end
   done
@@ -1206,8 +1316,8 @@ let wake_timers k =
       let th = Heap.min_elt k.timers in
       Heap.drop_min k.timers;
       match th.pending with
-      | Sleeping { k = kc; _ } ->
-          th.pending <- Ready_unit kc;
+      | Sleeping ->
+          th.pending <- Ready_unit;
           unblock k th
       | _ -> ()
     end
@@ -1430,9 +1540,19 @@ let check_invariants k =
     Queue.fold (fun acc w -> if pred w then acc + 1 else acc) 0 q
   in
   let is_waiting_pending = function
-    | Sleeping _ | Waiting_recv _ | Waiting_reply _ | Waiting_replies _
-    | Waiting_lock _ | Waiting_cond _ | Waiting_sem _ | Waiting_join _ -> true
+    | Sleeping | Waiting_recv | Waiting_reply | Waiting_replies _ | Waiting_lock
+    | Waiting_cond | Waiting_sem | Waiting_join -> true
     | _ -> false
+  in
+  let has_record = function
+    | Sleeping | Waiting_recv | Waiting_reply | Waiting_lock | Waiting_cond
+    | Waiting_sem | Waiting_join | Ready_msg | Ready_reply -> true
+    | _ -> false
+  in
+  (* [wait_of] without its precondition: the audit must not trust it *)
+  let record th =
+    if th.tslot >= 0 && th.tslot < Array.length k.waits then k.waits.(th.tslot)
+    else no_wait
   in
   let heap_entries = ref [] in
   Heap.iter k.timers (fun ~key th -> heap_entries := (key, th) :: !heap_entries);
@@ -1450,8 +1570,13 @@ let check_invariants k =
       | (Runnable | Running), p when is_waiting_pending p ->
           vf ~th "%s: runnable but pending says it is waiting" th.name
       | _ -> ());
+      let w = record th in
+      if has_record th.pending && w == no_wait then
+        vf ~th "%s: pending state needs a wait record but its slot has none"
+          th.name;
       (match th.pending with
-      | Sleeping { until; _ } ->
+      | Sleeping ->
+          let until = w.w_until in
           if
             not
               (List.exists
@@ -1460,27 +1585,32 @@ let check_invariants k =
           then
             vf ~th "%s: Sleeping until %d with no matching timer-heap entry"
               th.name until
-      | Waiting_lock { mutex = m; _ } ->
+      | Waiting_lock ->
+          let m = w.w_mutex in
           let n = Waitq.count (fun w -> w == th) m.lock_waiters in
           if n <> 1 then
             vf ~th "%s: Waiting_lock on %s but on its waiter list %d times"
               th.name m.mutex_name n
-      | Waiting_cond { cond = c; _ } ->
+      | Waiting_cond ->
+          let c = w.w_cond in
           let n = Waitq.count (fun w -> w == th) c.cond_waiters in
           if n <> 1 then
             vf ~th "%s: Waiting_cond on %s but on its waiter list %d times"
               th.name c.cond_name n
-      | Waiting_sem { sem = s; _ } ->
+      | Waiting_sem ->
+          let s = w.w_sem in
           let n = Waitq.count (fun w -> w == th) s.sem_waiters in
           if n <> 1 then
             vf ~th "%s: Waiting_sem on %s but on its waiter list %d times"
               th.name s.sem_name n
-      | Waiting_recv { port = p; _ } ->
+      | Waiting_recv ->
+          let p = w.w_port in
           let n = count_q (fun w -> w == th) p.waiters in
           if n <> 1 then
             vf ~th "%s: Waiting_recv on %s but on its waiter queue %d times"
               th.name p.port_name n
-      | Waiting_join { target; _ } ->
+      | Waiting_join ->
+          let target = w.w_target in
           let n = Waitq.count (fun w -> w == th) target.joiners in
           if n <> 1 then
             vf ~th "%s: Waiting_join on %s but on its joiner list %d times"
@@ -1545,7 +1675,7 @@ let check_invariants k =
       Waitq.iter
         (fun w ->
           match w.pending with
-          | Waiting_lock { mutex = m'; _ } when m' == m -> ()
+          | Waiting_lock when (record w).w_mutex == m -> ()
           | _ ->
               vf ~th:w "mutex %s: waiter %s is not blocked on it" m.mutex_name
                 w.name)
@@ -1554,7 +1684,7 @@ let check_invariants k =
       Waitq.iter
         (fun w ->
           match w.pending with
-          | Waiting_cond { cond = c'; _ } when c' == c -> ()
+          | Waiting_cond when (record w).w_cond == c -> ()
           | _ ->
               vf ~th:w "condition %s: waiter %s is not blocked on it"
                 c.cond_name w.name)
@@ -1567,7 +1697,7 @@ let check_invariants k =
       Waitq.iter
         (fun w ->
           match w.pending with
-          | Waiting_sem { sem = s'; _ } when s' == s -> ()
+          | Waiting_sem when (record w).w_sem == s -> ()
           | _ ->
               vf ~th:w "semaphore %s: waiter %s is not blocked on it"
                 s.sem_name w.name)
@@ -1576,7 +1706,7 @@ let check_invariants k =
       Queue.iter
         (fun w ->
           match w.pending with
-          | Waiting_recv { port = p'; _ } when p' == p -> ()
+          | Waiting_recv when (record w).w_port == p -> ()
           | _ ->
               vf ~th:w "port %s: waiter %s is not blocked in receive on it"
                 p.port_name w.name)

@@ -111,8 +111,8 @@ val kill : t -> Types.thread -> unit
     {!Api.with_lock}'s cleanup run before it dies. A body that catches
     [Killed] and continues survives. The victim is unhooked from whatever
     wait list held it (mutex/condition/semaphore/port queue, join lists);
-    a pending timer-heap entry is left behind and skipped lazily by the
-    timer machinery. Valid between slices — from outside the simulation
+    a pending timer-heap entry is left behind and dropped lazily by the
+    timer machinery once it reaches the top of the heap. Valid between slices — from outside the simulation
     or a {!set_pre_select} hook — and from a thread's body on another
     thread; raises [Invalid_argument] on the currently running thread. *)
 
@@ -164,7 +164,7 @@ val check_invariants : t -> string list
     violation (empty = healthy) and, when the bus has subscribers, emits an
     [Invariant_violation] event per finding. Checked: thread
     [state]/[pending] agreement (Zombie ⇔ [Exited], Blocked ⇔ waiting);
-    exactly-once wait-list membership for mutexes, conditions, semaphores,
+    a wait state's slot holds a wait record; exactly-once wait-list membership for mutexes, conditions, semaphores,
     port waiter queues and join lists — in both directions; sleeping
     threads have a live timer-heap entry; scatter [outstanding] matches
     unreplied slots; donation lists only target live threads and only from

@@ -33,7 +33,9 @@ type thread = {
   mutable pending : pending;
   mutable c_left : int;  (** ticks left in the current [Compute] request *)
   mutable c_kc : (unit, step) Effect.Deep.continuation;
-      (** the [Compute] request's continuation; {!vacant_kc} otherwise *)
+      (** the continuation of a [Compute] request or of a unit wait
+          ([Sleeping], [Waiting_lock], [Waiting_cond], [Waiting_sem],
+          [Waiting_join], [Ready_unit]); {!vacant_kc} before the first *)
   mutable cpu : int;  (** total virtual CPU ticks consumed *)
   mutable compensate : float;
       (** compensation-ticket factor (>= 1), applied by proportional-share
@@ -58,30 +60,31 @@ type thread = {
 
 and state = Runnable | Running | Blocked | Zombie
 
-(* What a suspended thread is waiting for, including the continuation to
-   resume it with. [Ready_*] states carry the value that arrived while the
-   thread was waiting; the kernel feeds it in when the scheduler next picks
-   the thread. The kernel's effect handlers install these states
-   themselves. *)
+(* What a suspended thread is waiting for. Apart from the first three and
+   the scatter-gather pair these are constant constructors: a unit
+   continuation (a sleep, lock, condition, semaphore or join, and the
+   [Ready_unit] that resumes one) is in [c_kc], and the wait object, the
+   deadline, the delivered message or reply and the message and string
+   continuations are in the kernel's per-slot wait record ({!Kernel}), so
+   installing a state allocates nothing. [Ready_*] states mean the value
+   the thread waited for has arrived; the kernel feeds it in when the
+   scheduler next picks the thread. The kernel's effect handlers install
+   these states themselves. *)
 and pending =
   | Not_started of (unit -> unit)
   | Compute  (** the request's state is in [c_left] and [c_kc] *)
-  | Sleeping of { until : time; k : (unit, step) Effect.Deep.continuation }
-  | Waiting_recv of { port : port; k : (message, step) Effect.Deep.continuation }
-  | Waiting_reply of { k : (string, step) Effect.Deep.continuation }
+  | Sleeping  (** until the wait record's deadline *)
+  | Waiting_recv  (** on the wait record's port *)
+  | Waiting_reply
   | Waiting_replies of scatter
       (** blocked on several concurrent RPCs (divided ticket transfer) *)
-  | Waiting_lock of { mutex : mutex; k : (unit, step) Effect.Deep.continuation }
-  | Waiting_cond of {
-      cond : condition;
-      mutex : mutex;
-      k : (unit, step) Effect.Deep.continuation;
-    }
-  | Waiting_sem of { sem : semaphore; k : (unit, step) Effect.Deep.continuation }
-  | Waiting_join of { target : thread; k : (unit, step) Effect.Deep.continuation }
-  | Ready_unit of (unit, step) Effect.Deep.continuation
-  | Ready_msg of message * (message, step) Effect.Deep.continuation
-  | Ready_reply of string * (string, step) Effect.Deep.continuation
+  | Waiting_lock  (** on the wait record's mutex *)
+  | Waiting_cond  (** on the wait record's condition, then its mutex *)
+  | Waiting_sem  (** on the wait record's semaphore *)
+  | Waiting_join  (** on the wait record's target thread *)
+  | Ready_unit
+  | Ready_msg  (** the message is in the wait record *)
+  | Ready_reply  (** the reply is in the wait record *)
   | Ready_replies of string list * (string list, step) Effect.Deep.continuation
   | Exited
 
@@ -210,15 +213,16 @@ and sched = {
           condition or semaphore; [None] falls back to FIFO order *)
 }
 
-(* The vacant value of [thread.c_kc]: a continuation captured once, here,
-   and never resumed, so the field needs no option box. *)
-let vacant_kc : (unit, step) Effect.Deep.continuation =
+(* A continuation captured once and never resumed: the vacant value of a
+   continuation field, so the field needs no option box. One per type of
+   answer, each captured by its own performed effect. *)
+let vacant (type a) () : (a, step) Effect.Deep.continuation =
   let module V = struct
-    type _ Effect.t += Park : unit Effect.t
+    type _ Effect.t += Park : a Effect.t
   end in
-  let parked : (unit, step) Effect.Deep.continuation option ref = ref None in
-  let effc (type a) (e : a Effect.t) :
-      ((a, step) Effect.Deep.continuation -> step) option =
+  let parked : (a, step) Effect.Deep.continuation option ref = ref None in
+  let effc (type b) (e : b Effect.t) :
+      ((b, step) Effect.Deep.continuation -> step) option =
     match e with
     | V.Park ->
         Some
@@ -228,9 +232,14 @@ let vacant_kc : (unit, step) Effect.Deep.continuation =
     | _ -> None
   in
   ignore
-    (Effect.Deep.match_with Effect.perform V.Park
+    (Effect.Deep.match_with
+       (fun () -> ignore (Effect.perform V.Park))
+       ()
        { retc = (fun () -> S_done); exnc = raise; effc });
   Option.get !parked
+
+(* the vacant value of [thread.c_kc] *)
+let vacant_kc : (unit, step) Effect.Deep.continuation = vacant ()
 
 type run_summary = {
   ended_at : time;

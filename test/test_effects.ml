@@ -13,17 +13,17 @@ let pending_kind (th : Types.thread) =
   match th.Types.pending with
   | Types.Not_started _ -> "not-started"
   | Compute -> "compute"
-  | Sleeping _ -> "sleeping"
-  | Waiting_recv _ -> "waiting-recv"
-  | Waiting_reply _ -> "waiting-reply"
+  | Sleeping -> "sleeping"
+  | Waiting_recv -> "waiting-recv"
+  | Waiting_reply -> "waiting-reply"
   | Waiting_replies _ -> "waiting-replies"
-  | Waiting_lock _ -> "waiting-lock"
-  | Waiting_cond _ -> "waiting-cond"
-  | Waiting_sem _ -> "waiting-sem"
-  | Waiting_join _ -> "waiting-join"
-  | Ready_unit _ -> "ready-unit"
-  | Ready_msg _ -> "ready-msg"
-  | Ready_reply _ -> "ready-reply"
+  | Waiting_lock -> "waiting-lock"
+  | Waiting_cond -> "waiting-cond"
+  | Waiting_sem -> "waiting-sem"
+  | Waiting_join -> "waiting-join"
+  | Ready_unit -> "ready-unit"
+  | Ready_msg -> "ready-msg"
+  | Ready_reply -> "ready-reply"
   | Ready_replies _ -> "ready-replies"
   | Exited -> "exited"
 
@@ -517,9 +517,75 @@ let reaped_victim_collected ~fillers =
   (* the kernel itself stays live across the collection *)
   checki "srv and bg still live" 2 (Kernel.live_thread_count k)
 
+(* A victim killed while it waits catches [Killed] and exits, so it is
+   reaped and not kept as a failure. Whatever named it while it waited
+   must let go: its slot's wait record (reset at reap), the port's waiter
+   queue, the message its request left with the server (the server's
+   record drops a delivered message when the server resumes), and the
+   timer heap, which drops a killed sleeper's stale entry only when the
+   entry reaches the top (here after [nap]'s earlier deadline pops) and
+   must not keep the dropped value in a vacated cell. *)
+let killed_waiter_collected kind =
+  let k = rr_kernel ~quantum:(Time.ms 10) () in
+  let port = Kernel.create_port k ~name:"p" in
+  let w = Weak.create 1 in
+  let spawn_victim () =
+    let wait () =
+      match kind with
+      | "sleeping" -> Api.sleep (Time.ms 100)
+      | "waiting-recv" -> ignore (Api.receive port)
+      | _ -> ignore (Api.rpc port "hi")
+    in
+    let th =
+      Kernel.spawn k ~name:"victim" (fun () -> try wait () with Types.Killed -> ())
+    in
+    Weak.set w 0 (Some th);
+    th
+  in
+  let victim = spawn_victim () in
+  ignore (Kernel.spawn k ~name:"nap" (fun () -> Api.sleep (Time.ms 50)));
+  if kind = "waiting-reply" then
+    ignore
+      (Kernel.spawn k ~name:"srv" (fun () ->
+           (* picks the request up after the kill, replies into the void
+              and stays live, blocked in its next receive *)
+           Api.sleep (Time.ms 20);
+           while true do
+             Api.reply (Api.receive port) "ok"
+           done));
+  ignore (Kernel.spawn k ~name:"bg" (fun () -> Api.compute (Time.seconds 10)));
+  ignore (Kernel.run k ~until:(Time.ms 5));
+  checks "the victim waits" kind (pending_kind victim);
+  Kernel.kill k victim;
+  checki "the victim is reaped" (-1) (Kernel.thread_slot victim);
+  ignore (Kernel.run k ~until:(Time.ms 300));
+  check Alcotest.(list string) "audit clean" [] (Kernel.check_invariants k);
+  checki "the victim exited cleanly" 0 (List.length (Kernel.failures k));
+  Gc.full_major ();
+  checkb (Printf.sprintf "victim killed while %s collected" kind) true
+    (Option.is_none (Weak.get w 0));
+  (* the kernel itself stays live across the collection *)
+  checki "bg (and srv) still live"
+    (if kind = "waiting-reply" then 2 else 1)
+    (Kernel.live_thread_count k)
+
 let test_registers_release_reaped () =
   reaped_victim_collected ~fillers:0;
-  reaped_victim_collected ~fillers:12
+  reaped_victim_collected ~fillers:12;
+  List.iter killed_waiter_collected [ "sleeping"; "waiting-recv"; "waiting-reply" ]
+
+(* The wait states are constants whose objects live in the slot's wait
+   record, so a state installed without one is a kernel bug the audit must
+   name rather than trip over. *)
+let test_audit_wait_without_record () =
+  let k = rr_kernel () in
+  let th = Kernel.spawn k ~name:"forged" (fun () -> ()) in
+  check Alcotest.(list string) "clean before" [] (Kernel.check_invariants k);
+  th.Types.state <- Types.Blocked;
+  th.Types.pending <- Types.Waiting_lock;
+  checkb "the missing record is reported" true
+    (List.mem "forged: pending state needs a wait record but its slot has none"
+       (Kernel.check_invariants k))
 
 (* Every fiber runs under the kernel's one handler, and the kernel names
    the performer before it resumes a fiber. Three resumes come from outside
@@ -691,6 +757,8 @@ let () =
               Alcotest.test_case "killed handler performs" `Quick
                 test_killed_handler_performs;
               Alcotest.test_case "kill from a thread's body" `Quick test_kill_from_body;
+              Alcotest.test_case "audit names a wait state without a record" `Quick
+                test_audit_wait_without_record;
             ] );
           ( "join",
             [

@@ -276,6 +276,72 @@ let test_serial_correlation () =
         true
         (abs_float rho < 0.03))
 
+(* --- stream golden --------------------------------------------------------- *)
+
+(* The exact values every derived draw takes from each generator, pinned in
+   rng_golden.expected: any change to how int_below (and the draws built on
+   it) consumes the stream shows up as a diff. The sizes cover the
+   single-draw path at small, odd and rejection-heavy n (just above half the
+   raw range, where about half the raw draws are rejected) and, for
+   Park–Miller, the two-draw composition once n exceeds its 2^31 - 2 single
+   range. Each block ends with the next raw draw, so a change in how many
+   raw draws a call took is caught even when the values agree. *)
+let golden_sizes rng =
+  let range = Rng.raw_range rng in
+  let common =
+    [ 1; 2; 3; 7; 10; 1000; (1 lsl 20) + 1; (range / 2) + 1; range - 1; range ]
+  in
+  match Rng.algo rng with
+  | Rng.Park_miller ->
+      common @ [ range + 1; 1 lsl 40; (1 lsl 53) + 1; range * range / 2 + 1; range * range ]
+  | Rng.Splitmix64 | Rng.Xoshiro256pp -> common @ [ 1 lsl 40; (1 lsl 53) + 1 ]
+
+let golden_output () =
+  let buf = Buffer.create 8192 in
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  let ints xs = String.concat " " (List.map string_of_int xs) in
+  let draws n f = List.init n (fun _ -> f ()) in
+  List.iter
+    (fun algo ->
+      List.iter
+        (fun seed ->
+          let rng = Rng.create ~algo ~seed () in
+          line "# %s seed %d" (Rng.name rng) seed;
+          List.iter
+            (fun n -> line "int_below %d: %s" n (ints (draws 6 (fun () -> Rng.int_below rng n))))
+            (golden_sizes rng);
+          line "int_in -5..5: %s" (ints (draws 12 (fun () -> Rng.int_in rng ~lo:(-5) ~hi:5)));
+          line "int_in 100..107: %s"
+            (ints (draws 8 (fun () -> Rng.int_in rng ~lo:100 ~hi:107)));
+          line "bool: %s"
+            (String.concat ""
+               (draws 32 (fun () -> if Rng.bool rng then "1" else "0")));
+          let arr = Array.init 12 Fun.id in
+          Rng.shuffle rng arr;
+          line "shuffle 12: %s" (ints (Array.to_list arr));
+          line "choose: %s"
+            (ints (draws 8 (fun () -> Rng.choose rng [| 10; 20; 30; 40; 50 |])));
+          let child = Rng.split rng in
+          line "split child raw: %s" (ints (draws 4 (fun () -> Rng.raw child)));
+          line "split child int_below 1000: %s"
+            (ints (draws 4 (fun () -> Rng.int_below child 1000)));
+          line "next raw: %d" (Rng.raw rng))
+        [ 1; 2024 ])
+    algos;
+  Buffer.contents buf
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let test_golden () =
+  check Alcotest.string "derived draws consume the stream as recorded"
+    (read_file
+       (Filename.concat (Filename.dirname Sys.executable_name) "rng_golden.expected"))
+    (golden_output ())
+
 (* --- qcheck properties --------------------------------------------------- *)
 
 let qcheck_int_below_in_range =
@@ -310,8 +376,16 @@ let qcheck_shuffle_preserves_elements =
       List.sort compare (Array.to_list arr) = List.sort compare xs)
 
 let () =
+  match Sys.argv with
+  | [| _; "--print-golden" |] ->
+      print_string (golden_output ());
+      exit 0
+  | _ -> ()
+
+let () =
   Alcotest.run "prng"
     [
+      ("golden", [ Alcotest.test_case "derived draws, all three generators" `Quick test_golden ]);
       ( "park-miller",
         [
           Alcotest.test_case "first outputs from seed 1" `Quick test_pm_known_sequence;

@@ -14,42 +14,83 @@ let rr_kernel ?quantum () =
 
 (* --- heap ------------------------------------------------------------------ *)
 
+module Heap = Lotto_sim.Heap
+
+(* pop every entry, minimum first, as (key, value) pairs *)
+let drain h =
+  let out = ref [] in
+  while not (Heap.is_empty h) do
+    out := (Heap.min_key h, Heap.min_elt h) :: !out;
+    Heap.drop_min h
+  done;
+  List.rev !out
+
 let test_heap_ordering () =
-  let h = Lotto_sim.Heap.create () in
-  List.iter (fun k -> Lotto_sim.Heap.push h ~key:k k) [ 5; 1; 4; 1; 3; 9; 0 ];
-  checki "size" 7 (Lotto_sim.Heap.size h);
-  let order = ref [] in
-  let rec drain () =
-    match Lotto_sim.Heap.pop_min h with
-    | Some (k, _) ->
-        order := k :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  check (Alcotest.list Alcotest.int) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ] (List.rev !order);
-  checkb "empty" true (Lotto_sim.Heap.is_empty h)
+  let h = Heap.create ~dummy:(-1) in
+  List.iter (fun k -> Heap.push h ~key:k k) [ 5; 1; 4; 1; 3; 9; 0 ];
+  checki "size" 7 (Heap.size h);
+  check (Alcotest.list Alcotest.int) "sorted" [ 0; 1; 1; 3; 4; 5; 9 ]
+    (List.map fst (drain h));
+  checkb "empty" true (Heap.is_empty h)
 
 let test_heap_fifo_on_ties () =
-  let h = Lotto_sim.Heap.create () in
-  Lotto_sim.Heap.push h ~key:7 "first";
-  Lotto_sim.Heap.push h ~key:7 "second";
-  Lotto_sim.Heap.push h ~key:7 "third";
-  let next () = match Lotto_sim.Heap.pop_min h with Some (_, v) -> v | None -> "?" in
-  check Alcotest.string "fifo 1" "first" (next ());
-  check Alcotest.string "fifo 2" "second" (next ());
-  check Alcotest.string "fifo 3" "third" (next ())
+  let h = Heap.create ~dummy:"" in
+  Heap.push h ~key:7 "first";
+  Heap.push h ~key:7 "second";
+  Heap.push h ~key:7 "third";
+  check (Alcotest.list Alcotest.string) "fifo" [ "first"; "second"; "third" ]
+    (List.map snd (drain h))
 
 let test_heap_growth () =
-  let h = Lotto_sim.Heap.create () in
+  let h = Heap.create ~dummy:(-1) in
   for i = 999 downto 0 do
-    Lotto_sim.Heap.push h ~key:i i
+    Heap.push h ~key:i i
   done;
-  checki "size" 1000 (Lotto_sim.Heap.size h);
-  (match Lotto_sim.Heap.peek_min h with
-  | Some (k, _) -> checki "min" 0 k
-  | None -> Alcotest.fail "empty");
-  checki "size unchanged by peek" 1000 (Lotto_sim.Heap.size h)
+  checki "size" 1000 (Heap.size h);
+  checki "min key" 0 (Heap.min_key h);
+  checki "min value" 0 (Heap.min_elt h);
+  checki "size unchanged by reading the minimum" 1000 (Heap.size h)
+
+(* A burst of 17 to 40 pushes, which grows the heap past its initial 16
+   cells, then a random interleaving of pushes and drops, with keys drawn
+   from a small range so that many repeat: every drop must take the entry
+   a stable sort of the live entries by key puts first, which is the
+   earliest pushed among the smallest keys. *)
+let qcheck_heap_stable_order =
+  QCheck.Test.make ~count:300 ~name:"heap pops in stable-sort order"
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 17 40) (int_bound 9))
+        (list_of_size Gen.(int_range 0 200) (option (int_bound 9))))
+    (fun (burst, ops) ->
+      let h = Heap.create ~dummy:(-1, -1) in
+      let model = ref [] (* live (key, push number), in push order *) in
+      let pushed = ref 0 in
+      let popped = ref [] and expected = ref [] in
+      let drop () =
+        match List.stable_sort (fun (a, _) (b, _) -> compare a b) !model with
+        | [] -> ()
+        | first :: _ ->
+            expected := first :: !expected;
+            model := List.filter (fun e -> e <> first) !model;
+            if Heap.min_key h <> fst (Heap.min_elt h) then
+              QCheck.Test.fail_report "min_key disagrees with min_elt";
+            popped := Heap.min_elt h :: !popped;
+            Heap.drop_min h
+      in
+      List.iter
+        (function
+          | Some key ->
+              let e = (key, !pushed) in
+              incr pushed;
+              model := !model @ [ e ];
+              Heap.push h ~key e
+          | None -> drop ())
+        (List.map Option.some burst @ ops);
+      while !model <> [] do
+        drop ()
+      done;
+      Heap.is_empty h && !popped = !expected)
 
 (* --- time ------------------------------------------------------------------- *)
 
@@ -1149,6 +1190,7 @@ let () =
           Alcotest.test_case "min ordering" `Quick test_heap_ordering;
           Alcotest.test_case "fifo on equal keys" `Quick test_heap_fifo_on_ties;
           Alcotest.test_case "growth and peek" `Quick test_heap_growth;
+          QCheck_alcotest.to_alcotest qcheck_heap_stable_order;
         ] );
       ("time", [ Alcotest.test_case "unit conversions" `Quick test_time_units ]);
       ( "execution",
