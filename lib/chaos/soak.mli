@@ -20,7 +20,9 @@ type outcome = {
   violations : (Lotto_sim.Time.t * string) list;
       (** first non-empty audit batch (auditing stops once corrupt),
           followed by any end-of-run span violations (prefixed ["span: "]) *)
-  thread_failures : (string * string) list;  (** name, exn; [Killed] excluded *)
+  thread_failures : (string * string) list;
+      (** name, exn of every thread whose body raised something other
+          than [Killed] ({!Lotto_sim.Kernel.failures}) *)
   faults : (Lotto_sim.Time.t * string) list;  (** the injector's fault log *)
   summary : Lotto_sim.Types.run_summary;
   span_stats : Lotto_obs.Span.stats;

@@ -95,6 +95,7 @@ module Db = Lotto_workloads.Db
 module Video = Lotto_workloads.Video
 module Mutex_workload = Lotto_workloads.Mutex_workload
 module Disk_service = Lotto_workloads.Disk_service
+module Churn = Lotto_workloads.Churn
 
 (* Multi-tenant service layer: open-loop load, admission control, SLOs *)
 module Service = struct

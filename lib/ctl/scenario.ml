@@ -1,6 +1,8 @@
 open Lotto_sim
 module Ls = Lotto_sched.Lottery_sched
 
+let max_amount = Lotto_tickets.Funding.max_amount
+
 type workload =
   | Spin of { cost : int }
   | Interactive of { burst : int; pause : int }
@@ -68,6 +70,8 @@ let parse text =
             | _ -> err ln "bad quantum %S" d)
         | [ "currency"; c_name; amount; c_from ] -> (
             match int_of_string_opt amount with
+            | Some c_amount when c_amount > max_amount ->
+                err ln "currency amount %d above the bound %d" c_amount max_amount
             | Some c_amount when c_amount >= 0 ->
                 go
                   { acc with currencies = acc.currencies @ [ { c_name; c_amount; c_from } ] }
@@ -76,6 +80,8 @@ let parse text =
         | "thread" :: t_name :: spec -> (
             let mk workload amount from =
               match int_of_string_opt amount with
+              | Some amount when amount > max_amount ->
+                  err ln "funding amount %d above the bound %d" amount max_amount
               | Some amount when amount >= 0 ->
                   go
                     {

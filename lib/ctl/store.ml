@@ -112,6 +112,8 @@ let load text =
             match (int_of_string_opt amount, F.find_currency t.system denom) with
             | None, _ -> err "bad amount in %S" line
             | _, None -> err "unknown denomination %s" denom
+            | Some amount, _ when amount < 0 || amount > F.max_amount ->
+                err "amount %d out of range [0, %d] in %S" amount F.max_amount line
             | Some amount, Some currency -> (
                 let ticket = F.issue t.system ~currency ~amount in
                 t.entries <- { label; ticket } :: t.entries;

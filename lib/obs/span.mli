@@ -18,8 +18,12 @@
     - [Exit] of either endpoint flags it {!Orphaned} — a span is never
       silently leaked, which the chaos soak asserts over kill-heavy runs.
 
-    Memory is bounded: finished spans beyond [retain] are evicted oldest
-    first ({!evicted} counts them); in-flight spans are always kept. *)
+    Memory: finished spans beyond [retain] are evicted oldest first
+    ({!evicted} counts them). In-flight spans are always kept, and so is
+    an [Orphaned] span until a late [Rpc_reply_dropped] or [Rpc_shed]
+    settles it, so a span whose client and server both died before the
+    reply stays for the tracer's life: that set grows with such double
+    deaths, not with ordinary churn. *)
 
 type status =
   | Pending  (** sent, not yet picked up by a server *)

@@ -35,6 +35,11 @@ type wait = {
   mutable w_target : thread; (* Waiting_join *)
   mutable w_msg : message; (* Ready_msg *)
   mutable w_reply : string; (* Ready_reply *)
+  mutable w_rid : int;
+      (* Waiting_reply, Ready_reply: the msg_id of the request awaited;
+         Waiting_replies, Ready_replies: that of the gather's shard 0. A
+         client that caught [Killed] and sent again waits for a new id, so
+         a late answer to the old request does not match. *)
   mutable w_kmsg : (message, step) Effect.Deep.continuation;
       (* Waiting_recv, Ready_msg *)
   mutable w_kstr : (string, step) Effect.Deep.continuation;
@@ -67,7 +72,9 @@ type t = {
   mutable waits : wait array;
       (* wait records by thread slot, [no_wait] until the slot's first
          block; [||] until any thread blocks *)
-  mutable failed : (thread * exn) list; (* reverse order of death *)
+  mutable failed : (thread * exn) list;
+      (* reverse order of death; [Killed] deaths are only counted *)
+  mutable kills : int;
   mutable idle : int;
   mutable slices : int;
   bus : Obs.Bus.t;
@@ -312,6 +319,7 @@ let fresh_wait () =
     w_target = no_thread;
     w_msg = no_msg;
     w_reply = "";
+    w_rid = -1;
     w_kmsg = vacant_kmsg;
     w_kstr = vacant_kstr;
   }
@@ -337,6 +345,13 @@ let wait_rec k th =
    handler that installed that state allocated it. *)
 let[@inline] wait_of k th = k.waits.(th.tslot)
 
+(* [msg] is (a shard of) the request [client] waits for or was just
+   answered on, [client] being in a reply state: a client that abandoned
+   an earlier request (it caught [Killed]) and sent a new one must not
+   take the old request's answer or eviction. A gather's shards take
+   consecutive ids from its shard 0's. *)
+let awaits k client msg = (wait_of k client).w_rid = msg.msg_id - msg.slot
+
 let reset_wait w =
   if w != no_wait then begin
     w.w_until <- 0;
@@ -347,6 +362,7 @@ let reset_wait w =
     w.w_target <- no_thread;
     w.w_msg <- no_msg;
     w.w_reply <- "";
+    w.w_rid <- -1;
     w.w_kmsg <- vacant_kmsg;
     w.w_kstr <- vacant_kstr
   end
@@ -455,12 +471,15 @@ let port_would_shed p =
    shards ([Api.rpc_many] senders, blocked in [Waiting_replies]) are never
    evicted — partially-shedding a gather has no sensible client-side
    story — so eviction candidates are single-shot requests, live
-   ([Waiting_reply]) or stale (sender dead or moved on). The head of the
-   queue is almost always evictable; the rebuild below only runs when a
-   scatter shard is oldest. *)
-let take_oldest_victim p =
+   ([Waiting_reply]) or stale (sender dead or moved on, to a gather
+   too), and shards of gathers nobody waits for any more. The head of
+   the queue is almost always evictable; the rebuild below only runs
+   when a live scatter shard is oldest. *)
+let take_oldest_victim k p =
   let evictable m =
-    match m.sender.pending with Waiting_replies _ -> false | _ -> true
+    match m.sender.pending with
+    | Waiting_replies _ -> not (awaits k m.sender m)
+    | _ -> true
   in
   match Queue.peek_opt p.queue with
   | None -> None
@@ -571,7 +590,12 @@ let finish k th exn_opt =
   th.pending <- Exited;
   th.c_kc <- vacant_kc;
   th.state <- Zombie;
-  (match exn_opt with Some e -> k.failed <- (th, e) :: k.failed | None -> ());
+  (* a killed thread is only counted, so neither its record nor a list
+     cell outlives its reaping *)
+  (match exn_opt with
+  | Some Killed -> k.kills <- k.kills + 1
+  | Some e -> k.failed <- (th, e) :: k.failed
+  | None -> ());
   revoke k th;
   (* Robust-mutex handoff: a thread that dies holding a mutex — killed in
      the grant window before its [lock] ever returned, or exiting without
@@ -668,13 +692,13 @@ let drop_reply k msg reason =
 let do_reply k msg result =
   let client = msg.sender in
   match client.pending with
-  | Waiting_reply ->
+  | Waiting_reply when awaits k client msg ->
       emit_reply k msg;
       (wait_of k client).w_reply <- result;
       client.pending <- Ready_reply;
       revoke k client;
       unblock k client
-  | Waiting_replies scatter ->
+  | Waiting_replies scatter when awaits k client msg ->
       if scatter.replies.(msg.slot) <> None then
         invalid_arg "Api.reply: duplicate reply to a scatter slot";
       emit_reply k msg;
@@ -693,7 +717,7 @@ let do_reply k msg result =
         revoke k client;
         unblock k client
       end
-  | Ready_reply | Ready_replies _ ->
+  | (Ready_reply | Ready_replies _) when awaits k client msg ->
       (* the request was already answered and the client merely hasn't run
          yet: a second reply is a genuine duplicate *)
       invalid_arg "Api.reply: sender is not awaiting a reply"
@@ -835,7 +859,7 @@ let shed_rpc k th p ~id ~payload kc =
   match p.shed with
   | Reject_new -> reject_rpc k th p ~id ~reason:"reject-new" kc
   | Drop_oldest -> (
-      match take_oldest_victim p with
+      match take_oldest_victim k p with
       | None -> reject_rpc k th p ~id ~reason:"no-victim" kc
       | Some victim ->
           p.shed_count <- p.shed_count + 1;
@@ -852,7 +876,9 @@ let shed_rpc k th p ~id ~payload kc =
              queue never overshoots capacity if the victim's body catches
              [Rejected] and immediately retries *)
           let msg = { msg_id = id; sender = th; payload; sent_at = k.now; slot = 0 } in
-          (wait_rec k th).w_kstr <- kc;
+          let w = wait_rec k th in
+          w.w_kstr <- kc;
+          w.w_rid <- id;
           th.pending <- Waiting_reply;
           block k th ~on:"rpc";
           deliver_or_queue k th p msg;
@@ -860,7 +886,7 @@ let shed_rpc k th p ~id ~payload kc =
              body may catch it and keep going, so fix up catch-and-continue
              threads that came back runnable without being re-readied *)
           (match victim.sender.pending with
-          | Waiting_reply ->
+          | Waiting_reply when awaits k victim.sender victim ->
               let v = victim.sender in
               let vkc = (wait_of k v).w_kstr in
               if v.state = Blocked then revoke k v;
@@ -873,7 +899,10 @@ let shed_rpc k th p ~id ~payload kc =
                   | Ready_replies _ ) ) ->
                   unblock k v
               | _ -> ())
-          | _ -> () (* stale: the sender died or moved on; nothing waits *));
+          | _ ->
+              (* stale: the sender died or moved on, perhaps to a newer
+                 request; nothing waits for this one *)
+              ());
           S_blocked)
 
 let on_rpc k (kc : (string, step) continuation) =
@@ -884,7 +913,9 @@ let on_rpc k (kc : (string, step) continuation) =
   if port_would_shed p then shed_rpc k th p ~id ~payload kc
   else begin
     let msg = { msg_id = id; sender = th; payload; sent_at = k.now; slot = 0 } in
-    (wait_rec k th).w_kstr <- kc;
+    let w = wait_rec k th in
+    w.w_kstr <- kc;
+    w.w_rid <- id;
     th.pending <- Waiting_reply;
     block k th ~on:"rpc";
     deliver_or_queue k th p msg;
@@ -897,13 +928,17 @@ let on_rpc_many k (kc : (string list, step) continuation) =
   if targets = [] then discontinue kc (Invalid_argument "Api.rpc_many: no targets")
   else begin
     let n = List.length targets in
+    (* the shards take consecutive ids, so a reply names its gather *)
+    let first_id = k.next_id in
+    k.next_id <- first_id + n;
+    (wait_rec k th).w_rid <- first_id;
     th.pending <-
       Waiting_replies { replies = Array.make n None; outstanding = n; ks = kc };
     block k th ~on:"rpc";
     List.iteri
       (fun slot (p, payload) ->
         let msg =
-          { msg_id = fresh_id k; sender = th; payload; sent_at = k.now; slot }
+          { msg_id = first_id + slot; sender = th; payload; sent_at = k.now; slot }
         in
         deliver_or_queue k th p msg)
       targets;
@@ -1231,6 +1266,7 @@ let create ?(quantum = Time.ms 100) ?(cpus = 1) ~sched () =
       th_tab = [||];
       waits = [||];
       failed = [];
+      kills = 0;
       idle = 0;
       slices = 0;
       bus = Obs.Bus.create ();
@@ -1720,6 +1756,8 @@ let failures k =
   (* accumulated at death; sort by id to present them in creation order,
      as the historical thread-list filter did *)
   List.sort (fun (a, _) (b, _) -> compare a.id b.id) k.failed
+
+let kill_count k = k.kills
 
 let bus k = k.bus
 let cpu_time th = th.cpu

@@ -49,7 +49,8 @@ val cpu_clock : t -> int -> Time.t
 val spawn : t -> name:string -> (unit -> unit) -> Types.thread
 (** Create a runnable thread. The body runs inside the simulation and may
     call any {!Api} function. Exceptions escaping the body turn the thread
-    into a zombie recorded in {!failures}. *)
+    into a zombie recorded in {!failures} ({!Types.Killed} is only
+    counted, in {!kill_count}). *)
 
 val create_port :
   ?capacity:int -> ?shed:Types.shed_policy -> t -> name:string -> Types.port
@@ -96,7 +97,9 @@ val create_semaphore :
 (** {2 Synchronization-object registries}
 
     Every port/mutex/condition/semaphore created through this kernel, in
-    creation order. Used by the {!check_invariants} auditor to cross-check
+    creation order. The registries never shrink: an object created here
+    stays reachable for the kernel's life, so a workload that creates
+    objects per request grows them without bound. Used by the {!check_invariants} auditor to cross-check
     wait-queue membership, and by fault injectors ({!Lotto_chaos}) to
     perturb wakeup order. *)
 
@@ -126,8 +129,8 @@ val threads : t -> Types.thread list
     arena slots recycled after death, and an intrusive order index keeps
     creation-order iteration O(live) — dead history is not revisited.
     Exited threads leave the listing at the instant they are reaped; their
-    records stay valid for anyone still holding them (and failed ones are
-    reachable through {!failures}). *)
+    records stay valid for anyone still holding them (and failed ones,
+    other than killed ones, are reachable through {!failures}). *)
 
 val live_thread_count : t -> int
 
@@ -142,12 +145,18 @@ val thread_generation : t -> Types.thread -> int
     handle-recycling suite. *)
 
 val failures : t -> (Types.thread * exn) list
-(** Every thread whose body raised or that was {!kill}ed, with its
-    exception, in creation order. The list is unbounded: it keeps each
-    failed or killed thread record for the kernel's whole life, long after
-    the thread was reaped, so it grows with every kill (a workload that
-    kills a transient thread every 10 ms of virtual time adds 100 records
-    per virtual second). *)
+(** Every thread whose body raised an exception other than
+    {!Types.Killed}, with that exception, in creation order. A thread that
+    died of [Killed] (a {!kill} its body did not catch) is only counted in
+    {!kill_count}: the kernel keeps neither its record nor a list cell, so
+    killing threads costs no memory once they are reaped. The list still
+    grows by one entry per failing thread, for the kernel's whole life: a
+    failure is a bug in a body, not a steady-state event. *)
+
+val kill_count : t -> int
+(** Threads that died of {!Types.Killed} so far: the deaths {!failures}
+    leaves out. A body that catches [Killed] and returns normally is not
+    counted; one that raises something else is in {!failures}. *)
 
 (** {1 Fault injection and auditing} *)
 

@@ -10,7 +10,12 @@
     A timeline is one bus subscriber among many: attaching does {e not}
     displace recorders, metrics registries, or other {!Kernel.bus}
     subscribers, and several timelines can observe one kernel
-    simultaneously. *)
+    simultaneously.
+
+    Memory grows without bound: one row per thread name ever observed,
+    dead threads included, and one cell per bucket in which the thread
+    ran, so a timeline grows with the run's length and its thread churn.
+    It is meant for short runs that are rendered. *)
 
 type t
 

@@ -404,8 +404,17 @@ let active_amount c = c.active_amount
 let issued_tickets sys c = collect_list iter_issued sys c
 let backing_tickets sys c = collect_list iter_backing sys c
 
+let max_amount = 1 lsl 32
+
+let check_amount who amount =
+  if amount < 0 then invalid_arg (who ^ ": negative amount");
+  if amount > max_amount then
+    invalid_arg
+      (Printf.sprintf "%s: amount %d above the bound %d (2^32)" who amount
+         max_amount)
+
 let issue sys ~currency ~amount =
-  if amount < 0 then invalid_arg "Funding.issue: negative amount";
+  check_amount "Funding.issue" amount;
   if currency.cslot < 0 then invalid_arg "Funding.issue: dead currency";
   let tid = fresh_id sys in
   let s = Slots.alloc sys.tk_slots in
@@ -514,7 +523,7 @@ and deactivate_backing sys c =
 
 let set_amount sys t new_amount =
   check_live t "Funding.set_amount";
-  if new_amount < 0 then invalid_arg "Funding.set_amount: negative amount";
+  check_amount "Funding.set_amount" new_amount;
   if t.active then begin
     flip_invalidate sys t;
     let c = t.denom in

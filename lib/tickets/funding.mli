@@ -122,9 +122,20 @@ val backing_tickets : system -> currency -> ticket list
 
 (** {1 Tickets} *)
 
+val max_amount : int
+(** The largest face amount a ticket may carry: 2^32 (4,294,967,296),
+    above [Monte_carlo.max_ticket] (10^9). A currency's active
+    amount is an [int] sum of its active tickets' amounts, and valuation
+    turns it into a [float]; both stay exact while the sum is below 2^53,
+    which the bound guarantees for up to 2^21 (2,097,152) active tickets
+    per currency at the bound, and for proportionally more at smaller
+    amounts. (Without a bound, two active tickets of 2^61 overflowed a
+    currency's sum to a negative amount.) *)
+
 val issue : system -> currency:currency -> amount:int -> ticket
 (** Create an inactive, unattached ticket denominated in [currency].
-    Raises [Invalid_argument] on negative amounts. *)
+    Raises [Invalid_argument] on a negative amount or one above
+    {!max_amount}. *)
 
 val amount : ticket -> int
 val denomination : ticket -> currency
@@ -143,7 +154,9 @@ val is_active : ticket -> bool
 
 val set_amount : system -> ticket -> int -> unit
 (** Ticket inflation / deflation (Section 3.2): change the face amount,
-    updating active sums and propagating zero crossings. *)
+    updating active sums and propagating zero crossings. Raises
+    [Invalid_argument] on a negative amount or one above {!max_amount},
+    leaving the ticket unchanged. *)
 
 val destroy_ticket : system -> ticket -> unit
 (** Deactivates and detaches the ticket, then removes it from its

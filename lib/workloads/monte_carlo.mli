@@ -11,6 +11,10 @@
 
 type t
 
+val max_ticket : int
+(** 10^9: the ticket amount a task starts with and the cap on every later
+    one, within {!Lotto_tickets.Funding.max_amount}. *)
+
 val spawn :
   Lotto_sim.Kernel.t ->
   Lotto_sched.Lottery_sched.t ->

@@ -92,6 +92,10 @@ let test_errors () =
     (Astring_contains.contains (expect_error s [ "frobnicate" ]) "unknown command");
   checkb "bad int" true
     (Astring_contains.contains (expect_error s [ "mktkt"; "abc"; "base" ]) "integer");
+  checkb "amount over the bound" true
+    (Astring_contains.contains
+       (expect_error s [ "mktkt"; string_of_int (Core.Funding.max_amount + 1); "base" ])
+       "above the bound");
   (* cycle via CLI *)
   ignore (ok s [ "mkcur"; "b" ]);
   ignore (ok s [ "mktkt"; "10"; "alice" ]);
@@ -272,6 +276,12 @@ thread a spin 1ms 1 base" "nothing may follow";
 run 1s" "bad funding";
   expect_parse_error "currency alice ten base
 run 1s" "bad currency amount";
+  (* amounts past Funding.max_amount are a parse error, not an exception
+     from the funding layer mid-setup *)
+  expect_parse_error "currency alice 4294967297 base
+run 1s" "above the bound";
+  expect_parse_error "thread a spin 1ms 4294967297 base
+run 1s" "above the bound";
   expect_parse_error "run 0s" "bad run duration"
 
 let rpc_scenario =

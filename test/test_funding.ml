@@ -967,6 +967,43 @@ let test_to_dot () =
   checkb "inactive edges dashed" true (has "style=dashed");
   checkb "amount labels" true (has "1000.base")
 
+(* --- the amount bound ------------------------------------------------------ *)
+
+(* Two active tickets of 2^61 in one currency overflowed its active sum to
+   a negative amount, and check_invariants then failed ("backing ticket 2
+   activity true vs amount -4611686018427387903"). Such amounts are now
+   refused; at the bound, the sum is exact in int and in float. *)
+let test_amount_bound () =
+  let sys = F.create_system () in
+  let base = F.base sys in
+  let c = F.make_currency sys ~name:"spike" in
+  let backing = F.issue sys ~currency:base ~amount:100 in
+  F.fund sys ~ticket:backing ~currency:c;
+  let refused f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  checkb "2^61 refused" true (refused (fun () -> F.issue sys ~currency:c ~amount:(1 lsl 61)));
+  checkb "one past the bound refused" true
+    (refused (fun () -> F.issue sys ~currency:c ~amount:(F.max_amount + 1)));
+  checkb "Monte-Carlo's largest ticket is legal" true
+    (Core.Monte_carlo.max_ticket <= F.max_amount);
+  let holders =
+    List.init 2 (fun _ ->
+        let t = F.issue sys ~currency:c ~amount:F.max_amount in
+        F.hold sys t;
+        t)
+  in
+  F.check_invariants sys;
+  checki "active sum exact" (2 * F.max_amount) (F.active_amount c);
+  List.iter (fun t -> checkf "each holds half" 50. (F.ticket_value sys t)) holders;
+  let t = List.hd holders in
+  checkb "inflation past the bound refused" true
+    (refused (fun () -> F.set_amount sys t (1 lsl 61)));
+  checki "the refused inflation left the ticket" F.max_amount (F.amount t);
+  checki "and the sum" (2 * F.max_amount) (F.active_amount c);
+  checkb "negative refused" true (refused (fun () -> F.set_amount sys t (-1)));
+  F.check_invariants sys
+
 let () =
   Alcotest.run "funding"
     [
@@ -988,6 +1025,7 @@ let () =
         [
           Alcotest.test_case "contained within a currency" `Quick test_inflation_contained;
           Alcotest.test_case "set_amount updates sums" `Quick test_set_amount;
+          Alcotest.test_case "amounts bounded, sums exact" `Quick test_amount_bound;
         ] );
       ( "graph",
         [

@@ -59,6 +59,69 @@ let test_lru_within_victim () =
   checkb "page 0 still resident" true (Im.access pool c 0 = `Hit);
   checkb "page 1 evicted" true (Im.access pool c 1 = `Fault)
 
+(* LRU evictions against a naive model that scans every resident page for
+   the oldest stamp, as the pool itself once did: under [Global_lru] the
+   oldest page of all, and with one client under [Inverse_lottery] (every
+   draw names it) that client's oldest. Every access must hit or fault
+   alike, and every client end with the same residency and evictions. *)
+let qcheck_lru_matches_scan =
+  QCheck.Test.make ~count:300 ~name:"LRU eviction = scan for the oldest stamp"
+    QCheck.(
+      triple (int_range 1 8) (list_of_size Gen.(int_range 1 3) (int_range 1 10))
+        (list_of_size Gen.(int_range 0 400) (pair small_nat small_nat)))
+    (fun (frames, sets, accesses) ->
+      let check_policy policy sets =
+        let pool = Im.create ~policy ~frames ~rng:(rng 9) () in
+        let sets = Array.of_list sets in
+        let clients =
+          Array.mapi
+            (fun i ws ->
+              Im.add_client pool ~name:(Printf.sprintf "c%d" i) ~tickets:1 ~working_set:ws)
+            sets
+        in
+        let model = Array.map (fun _ -> Hashtbl.create 8) sets in
+        let evictions = Array.make (Array.length sets) 0 in
+        let clock = ref 0 and used = ref 0 in
+        List.for_all
+          (fun (ci, v) ->
+            let ci = ci mod Array.length sets in
+            let v = v mod sets.(ci) in
+            incr clock;
+            let expected =
+              if Hashtbl.mem model.(ci) v then `Hit
+              else begin
+                if !used >= frames then begin
+                  let best = ref None in
+                  Array.iteri
+                    (fun i tbl ->
+                      Hashtbl.iter
+                        (fun page st ->
+                          match !best with
+                          | Some (_, _, s) when s < st -> ()
+                          | _ -> best := Some (i, page, st))
+                        tbl)
+                    model;
+                  let i, page, _ = Option.get !best in
+                  Hashtbl.remove model.(i) page;
+                  evictions.(i) <- evictions.(i) + 1;
+                  decr used
+                end;
+                incr used;
+                `Fault
+              end
+            in
+            Hashtbl.replace model.(ci) v !clock;
+            Im.access pool clients.(ci) v = expected)
+          accesses
+        && Array.for_all Fun.id
+             (Array.mapi
+                (fun i c ->
+                  Im.resident pool c = Hashtbl.length model.(i)
+                  && Im.evictions_suffered pool c = evictions.(i))
+                clients)
+      in
+      check_policy Im.Global_lru sets && check_policy Im.Inverse_lottery [ List.hd sets ])
+
 let steady_state ?(seed = 4) ~allocations policy =
   let pool = Im.create ~policy ~frames:120 ~rng:(rng seed) () in
   let clients =
@@ -810,6 +873,7 @@ let () =
           Alcotest.test_case "no eviction until full" `Quick test_no_eviction_until_full;
           Alcotest.test_case "eviction under pressure" `Quick test_eviction_under_pressure;
           Alcotest.test_case "global LRU order" `Quick test_lru_within_victim;
+          QCheck_alcotest.to_alcotest qcheck_lru_matches_scan;
           Alcotest.test_case "inverse lottery orders residency by tickets" `Slow
             test_inverse_orders_by_tickets;
           Alcotest.test_case "ticket-blind baselines split evenly" `Slow

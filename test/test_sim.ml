@@ -771,9 +771,8 @@ let test_kill_blocked_thread () =
   checkb "blocked" true (Kernel.thread_state victim = Types.Blocked);
   Kernel.kill k victim;
   checkb "zombie" true (Kernel.thread_state victim = Types.Zombie);
-  (match Kernel.failures k with
-  | [ (_, Types.Killed) ] -> ()
-  | _ -> Alcotest.fail "killed not recorded")
+  checkb "killed counted, not listed" true
+    (Kernel.kill_count k = 1 && Kernel.failures k = [])
 
 let test_kill_releases_lock_via_cleanup () =
   let k = rr_kernel () in
@@ -803,7 +802,8 @@ let test_kill_survivable () =
   Kernel.kill k stubborn;
   ignore (Kernel.run k ~until:(Time.seconds 1));
   checkb "caught Killed and finished normally" true
-    (Kernel.thread_state stubborn = Types.Zombie && Kernel.failures k = [])
+    (Kernel.thread_state stubborn = Types.Zombie && Kernel.failures k = []
+    && Kernel.kill_count k = 0)
 
 let test_kill_sleeping_thread_timer_harmless () =
   let k = rr_kernel () in
@@ -1009,9 +1009,9 @@ let test_reply_after_kill_is_traced_noop () =
   ignore (Kernel.run k ~until:(Time.seconds 1));
   checkb "server survived the late reply" true !served;
   checkb "server exited clean" true (Kernel.thread_state server = Types.Zombie);
-  (match Kernel.failures k with
-  | [ (th, Types.Killed) ] -> checkb "only the client died" true (th == client)
-  | _ -> Alcotest.fail "unexpected failures");
+  checkb "only the client died" true
+    (Kernel.failures k = [] && Kernel.kill_count k = 1
+    && Kernel.thread_state client = Types.Zombie);
   checki "one dropped-reply event" 1 !dropped;
   check (Alcotest.list Alcotest.string) "invariants clean" []
     (Kernel.check_invariants k)
@@ -1041,7 +1041,7 @@ let test_reply_after_kill_scatter () =
   checkb "both servers exited clean" true
     (Kernel.thread_state s0 = Types.Zombie
     && Kernel.thread_state s1 = Types.Zombie
-    && List.for_all (fun (th, e) -> th == client && e = Types.Killed) (Kernel.failures k));
+    && Kernel.failures k = [] && Kernel.kill_count k = 1);
   checki "straggler's reply dropped" 1 !dropped;
   check (Alcotest.list Alcotest.string) "invariants clean" []
     (Kernel.check_invariants k)
@@ -1067,6 +1067,146 @@ let test_reply_to_queued_message_from_dead_sender () =
   check (Alcotest.list Alcotest.string) "invariants clean" []
     (Kernel.check_invariants k)
 
+(* A client killed in its first [rpc] catches [Killed] and sends a second
+   request to the same busy server. The server's answer to the first
+   request must be dropped, not handed to the second [rpc]. *)
+let test_late_reply_skips_newer_request () =
+  let k = rr_kernel ~quantum:(Time.ms 1) () in
+  let dropped = count_drops k in
+  let p = Kernel.create_port k ~name:"svc" in
+  let log = ref [] in
+  let say fmt = Printf.ksprintf (fun m -> log := m :: !log) fmt in
+  ignore
+    (Kernel.spawn k ~name:"srv" (fun () ->
+         while true do
+           let m = Api.receive p in
+           Api.compute (Time.ms 20);
+           Api.reply m ("answer-to-" ^ m.Types.payload)
+         done));
+  let client =
+    Kernel.spawn k ~name:"c" (fun () ->
+        try ignore (Api.rpc p "first")
+        with Types.Killed -> say "c: second -> %s" (Api.rpc p "second"))
+  in
+  ignore (Kernel.run k ~until:(Time.ms 1));
+  Kernel.kill k client;
+  ignore (Kernel.run k ~until:(Time.ms 100));
+  check Alcotest.(list string) "the second rpc gets its own answer"
+    [ "c: second -> answer-to-second" ] (List.rev !log);
+  checki "the first answer is dropped" 1 !dropped;
+  checkb "no failure, no kill" true
+    (Kernel.failures k = [] && Kernel.kill_count k = 0);
+  check (Alcotest.list Alcotest.string) "invariants clean" []
+    (Kernel.check_invariants k)
+
+(* The same client's first request is still queued on a full drop-oldest
+   port when it is killed; its second request evicts the first. The
+   eviction must not reject the second request, which was admitted. *)
+let test_eviction_skips_newer_request () =
+  let k = rr_kernel ~quantum:(Time.ms 1) () in
+  let p = Kernel.create_port k ~capacity:1 ~shed:Types.Drop_oldest ~name:"svc" in
+  let log = ref [] in
+  let say fmt = Printf.ksprintf (fun m -> log := m :: !log) fmt in
+  ignore
+    (Kernel.spawn k ~name:"srv" (fun () ->
+         Api.sleep (Time.ms 10);
+         while true do
+           let m = Api.receive p in
+           say "srv: got %s" m.Types.payload;
+           Api.reply m ("answer-to-" ^ m.Types.payload)
+         done));
+  let client =
+    Kernel.spawn k ~name:"c" (fun () ->
+        try ignore (Api.rpc p "first")
+        with Types.Killed -> (
+          say "c: first killed";
+          match Api.rpc p "second" with
+          | r -> say "c: second -> %s" r
+          | exception Types.Rejected _ -> say "c: second rejected"))
+  in
+  ignore (Kernel.run k ~until:(Time.ms 2));
+  Kernel.kill k client;
+  ignore (Kernel.run k ~until:(Time.ms 100));
+  check Alcotest.(list string) "the admitted request is served and answered"
+    [ "c: first killed"; "srv: got second"; "c: second -> answer-to-second" ]
+    (List.rev !log);
+  checki "one request shed" 1 (Kernel.port_shed_count p);
+  check (Alcotest.list Alcotest.string) "invariants clean" []
+    (Kernel.check_invariants k)
+
+(* A request abandoned by a client that caught [Killed] and went on to
+   gather elsewhere is stale: drop-oldest must evict it for a newcomer,
+   not skip it as a live scatter shard and reject the newcomer. *)
+let test_stale_request_evictable () =
+  let k = rr_kernel ~quantum:(Time.ms 1) () in
+  let p = Kernel.create_port k ~capacity:1 ~shed:Types.Drop_oldest ~name:"svc" in
+  let q = Kernel.create_port k ~name:"other" in
+  let log = ref [] in
+  let say fmt = Printf.ksprintf (fun m -> log := m :: !log) fmt in
+  let echo port delay =
+    Kernel.spawn k ~name:"srv" (fun () ->
+        Api.sleep delay;
+        while true do
+          let m = Api.receive port in
+          say "%s: got %s" port.Types.port_name m.Types.payload;
+          Api.reply m "ok"
+        done)
+  in
+  ignore (echo p (Time.ms 10));
+  ignore (echo q (Time.ms 50));
+  let client =
+    Kernel.spawn k ~name:"c" (fun () ->
+        try ignore (Api.rpc p "first")
+        with Types.Killed -> ignore (Api.rpc_many [ (q, "gather") ]))
+  in
+  ignore
+    (Kernel.spawn k ~name:"d" (fun () ->
+         Api.sleep (Time.ms 3);
+         match Api.rpc p "d" with
+         | r -> say "d -> %s" r
+         | exception Types.Rejected _ -> say "d rejected"));
+  ignore (Kernel.run k ~until:(Time.ms 2));
+  Kernel.kill k client;
+  ignore (Kernel.run k ~until:(Time.ms 100));
+  check Alcotest.(list string) "the stale request made room"
+    [ "svc: got d"; "d -> ok"; "other: got gather" ] (List.rev !log);
+  checki "one request shed" 1 (Kernel.port_shed_count p);
+  check (Alcotest.list Alcotest.string) "invariants clean" []
+    (Kernel.check_invariants k)
+
+(* The gather form of the first test: a client killed mid-[rpc_many]
+   gathers again from the same servers; the old gather's late shard
+   replies must not fill the new gather's slots. *)
+let test_late_shard_skips_newer_gather () =
+  let k = rr_kernel ~quantum:(Time.ms 1) () in
+  let dropped = count_drops k in
+  let ports = List.init 2 (fun i -> Kernel.create_port k ~name:(Printf.sprintf "p%d" i)) in
+  let result = ref [] in
+  List.iteri
+    (fun i p ->
+      ignore
+        (Kernel.spawn k ~name:(Printf.sprintf "s%d" i) (fun () ->
+             while true do
+               let m = Api.receive p in
+               Api.compute (Time.ms 20);
+               Api.reply m ("answer-to-" ^ m.Types.payload)
+             done)))
+    ports;
+  let client =
+    Kernel.spawn k ~name:"c" (fun () ->
+        let ask tag = Api.rpc_many (List.map (fun p -> (p, tag)) ports) in
+        try ignore (ask "first") with Types.Killed -> result := ask "second")
+  in
+  ignore (Kernel.run k ~until:(Time.ms 1));
+  Kernel.kill k client;
+  ignore (Kernel.run k ~until:(Time.ms 200));
+  check Alcotest.(list string) "the second gather gets its own answers"
+    [ "answer-to-second"; "answer-to-second" ] !result;
+  checki "both first answers dropped" 2 !dropped;
+  checkb "no failure" true (Kernel.failures k = []);
+  check (Alcotest.list Alcotest.string) "invariants clean" []
+    (Kernel.check_invariants k)
+
 let test_kill_during_cond_wait_reacquires () =
   let k = rr_kernel () in
   let m = Kernel.create_mutex k "m" in
@@ -1083,7 +1223,9 @@ let test_kill_during_cond_wait_reacquires () =
      propagates, so with_lock's cleanup unlocks cleanly and the thread dies
      with Killed — not Invalid_argument from unlocking an unowned mutex *)
   (match Kernel.failures k with
-  | [ (th, Types.Killed) ] -> checkb "died with Killed" true (th == waiter)
+  | [] ->
+      checkb "died with Killed" true
+        (Kernel.kill_count k = 1 && Kernel.thread_state waiter = Types.Zombie)
   | fs ->
       Alcotest.failf "expected Killed, got %s"
         (String.concat ","
@@ -1283,6 +1425,14 @@ let () =
             test_reply_after_kill_scatter;
           Alcotest.test_case "reply to queued message from dead sender" `Quick
             test_reply_to_queued_message_from_dead_sender;
+          Alcotest.test_case "late reply skips a newer request" `Quick
+            test_late_reply_skips_newer_request;
+          Alcotest.test_case "eviction skips a newer request" `Quick
+            test_eviction_skips_newer_request;
+          Alcotest.test_case "late shard skips a newer gather" `Quick
+            test_late_shard_skips_newer_gather;
+          Alcotest.test_case "stale request evictable" `Quick
+            test_stale_request_evictable;
           Alcotest.test_case "kill during cond wait reacquires mutex" `Quick
             test_kill_during_cond_wait_reacquires;
           Alcotest.test_case "dying lock owner hands off" `Quick
