@@ -314,6 +314,52 @@ let idle_siblings_edges () =
   done;
   float_of_int (Core.Funding.edges_walked sys - e0) /. float_of_int ops
 
+(* Consumer calls per funding flip (paper §4.4): a currency funds 64
+   compute-bound threads and a funded I/O seat with a backlog, so the
+   scheduler watches the 64 thread currencies and the device's seat table
+   the shared one. One operation is a block and a wake of one thread, each
+   followed by a select and the winner's account. The row counts the hook
+   calls the flips make per operation ([Funding.hook_calls], an exact
+   count): one per watch of each currency flipped stale. *)
+let io_siblings_hook_calls () =
+  let module Io = Core.Io_bandwidth in
+  let ls = lottery 9 in
+  let sr = Ls.sched ls in
+  let k = Core.Kernel.create ~sched:sr () in
+  let family = Ls.make_currency ls "family" in
+  ignore (Ls.fund_currency ls ~target:family ~amount:1000 ~from:(Ls.base_currency ls));
+  let threads =
+    Array.init 64 (fun i ->
+        let th = spinner k (sprintf "t%d" i) (ms 100) in
+        fund ls ~from:family th (10 + i);
+        th)
+  in
+  let dev = Io.create ~funding:(Ls.funding ls) ~rng:(Core.Rng.create ~seed:10 ()) () in
+  Io.submit dev (Io.add_funded_client dev ~name:"seat" ~currency:family ()) ~requests:1;
+  run_for k (ms 100);
+  let decide () =
+    match sr.select ~cpu:0 with
+    | Some w -> sr.account w ~used:1 ~quantum:1 ~blocked:false
+    | None -> ()
+  in
+  let sys = Ls.funding ls and i = ref 0 in
+  let op () =
+    let th = threads.(!i land 63) in
+    incr i;
+    sr.unready th;
+    decide ();
+    sr.ready th;
+    decide ()
+  in
+  for _ = 1 to 20 do
+    op ()
+  done;
+  let h0 = Core.Funding.hook_calls sys and ops = 200 in
+  for _ = 1 to ops do
+    op ()
+  done;
+  float_of_int (Core.Funding.hook_calls sys - h0) /. float_of_int ops
+
 (* A synchronous RPC's ticket transfer (paper §3.1), made through the
    scheduler record as the kernel makes it: the blocked client's donation
    to the server, which issues a ticket in the client's currency and funds
@@ -415,6 +461,7 @@ let hotpath_rows () =
       ("hotpath/effect-compute:minor-words", effect_compute_words ());
       ("hotpath/effect-sleep-wake:minor-words", effect_sleep_wake_words ());
       ("hotpath/idle-siblings-1000:edges-walked", idle_siblings_edges ());
+      ("hotpath/io-siblings-64:hook-calls", io_siblings_hook_calls ());
     ]
 
 (* --- service: arrivals, admission, the whole request path ---------------- *)

@@ -81,20 +81,10 @@ let status_tag = function
   | Dropped r -> "dropped: " ^ r
   | Orphaned r -> "orphaned: " ^ r
 
-(* a span leaves the in-flight books: forget it on both endpoints and,
-   once [Closed]/[Dropped] (no further events possible), queue it for
-   eviction. [Orphaned] spans can still see a late [Rpc_reply_dropped]
-   (client died, server mid-service), so they are never evicted. *)
-let settle t s =
-  drop_open t.client_open s.client.Event.tid s.id;
-  (match s.server with
-  | Some srv -> drop_open t.serving srv.Event.tid s.id
-  | None -> ());
-  (match s.status with
-  | Closed | Dropped _ ->
-      Queue.push s.id t.finished;
-      t.n_finished <- t.n_finished + 1
-  | _ -> ());
+(* queue a span that can see no further event for eviction *)
+let retire t id =
+  Queue.push id t.finished;
+  t.n_finished <- t.n_finished + 1;
   while t.n_finished > t.retain do
     let id = Queue.pop t.finished in
     t.n_finished <- t.n_finished - 1;
@@ -104,11 +94,23 @@ let settle t s =
     end
   done
 
+(* a [Closed]/[Dropped] span leaves the in-flight books: forget it on both
+   endpoints and queue it for eviction *)
+let settle t s =
+  drop_open t.client_open s.client.Event.tid s.id;
+  (match s.server with
+  | Some srv -> drop_open t.serving srv.Event.tid s.id
+  | None -> ());
+  retire t s.id
+
+(* one endpoint died ([Exit] has already dropped its books): the span stays
+   in the other endpoint's, which may still produce a late
+   [Rpc_reply_dropped] or [Rpc_shed] that settles it, or die too — and
+   once both are dead, nothing can, so that [Exit] retires it *)
 let orphan t s ~now reason =
   t.n_orphaned <- t.n_orphaned + 1;
   s.status <- Orphaned reason;
-  s.closed_at <- Some now;
-  settle t s
+  s.closed_at <- Some now
 
 let on_event t now ev =
   match ev with
@@ -244,30 +246,22 @@ let on_event t now ev =
                    (status_tag s.status))))
   | Event.Exit { who; _ } ->
       let tid = who.Event.tid in
-      (match Hashtbl.find_opt t.serving tid with
-      | None -> ()
-      | Some l ->
-          let ids = !l in
-          Hashtbl.remove t.serving tid;
-          List.iter
-            (fun id ->
-              match Hashtbl.find_opt t.tbl id with
-              | Some s when not (is_terminal s.status) ->
-                  orphan t s ~now "server died"
-              | _ -> ())
-            ids);
-      (match Hashtbl.find_opt t.client_open tid with
-      | None -> ()
-      | Some l ->
-          let ids = !l in
-          Hashtbl.remove t.client_open tid;
-          List.iter
-            (fun id ->
-              match Hashtbl.find_opt t.tbl id with
-              | Some s when not (is_terminal s.status) ->
-                  orphan t s ~now "client died"
-              | _ -> ())
-            ids)
+      let endpoint_died books reason =
+        match Hashtbl.find_opt books tid with
+        | None -> ()
+        | Some l ->
+            let ids = !l in
+            Hashtbl.remove books tid;
+            List.iter
+              (fun id ->
+                match Hashtbl.find_opt t.tbl id with
+                | Some { status = Orphaned _; _ } -> retire t id
+                | Some s when not (is_terminal s.status) -> orphan t s ~now reason
+                | _ -> ())
+              ids
+      in
+      endpoint_died t.serving "server died";
+      endpoint_died t.client_open "client died"
   | _ -> ()
 
 let attach t bus =

@@ -20,10 +20,10 @@
 
     Memory: finished spans beyond [retain] are evicted oldest first
     ({!evicted} counts them). In-flight spans are always kept, and so is
-    an [Orphaned] span until a late [Rpc_reply_dropped] or [Rpc_shed]
-    settles it, so a span whose client and server both died before the
-    reply stays for the tracer's life: that set grows with such double
-    deaths, not with ordinary churn. *)
+    an [Orphaned] span while its other endpoint lives: a late
+    [Rpc_reply_dropped] or [Rpc_shed] settles it as {!Dropped}, and the
+    other endpoint's [Exit] finishes it, since with both endpoints dead no
+    further event can reach it. *)
 
 type status =
   | Pending  (** sent, not yet picked up by a server *)

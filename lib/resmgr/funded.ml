@@ -13,6 +13,7 @@
 
 module F = Lotto_tickets.Funding
 module Obs = Lotto_obs
+module Vec = Lotto_arena.Vec
 
 type seat = {
   id : int;
@@ -21,71 +22,33 @@ type seat = {
   held : F.ticket option; (* funded seats: the ticket the value comes from *)
 }
 
-(* Scoped change tracking: the index from funding currency to the seats it
-   funds, and the refresh walk that revalues exactly the seats whose
-   currencies funding mutations dirtied — O(dirtied), not O(seats), and a
-   no-op while the graph is quiescent.
-
-   Only currencies that fund a registered seat are recorded, each at most
-   once between refreshes, into a reusable buffer in first-dirtied order:
-   the change callback allocates nothing, and a manager that is never
-   served cannot accumulate the ids of unrelated currencies (ids are never
-   recycled, so a table of every dirtied currency grows without bound
-   while currencies churn). Groups sit in an array indexed by currency
-   slot, guarded by a physical-equality check on the currency in case the
-   slot is recycled. *)
+(* Scoped change tracking: the seats grouped by funding currency, and the
+   refresh walk that revalues exactly the seats whose currencies funding
+   mutations dirtied — O(dirtied), not O(seats), and a no-op while the
+   graph is quiescent. Each group's currency is watched with the group's
+   index as its tag, so a flip queues the group itself. Only currencies
+   that fund a seat of the table are watched: a manager that is never
+   served queues nothing while unrelated currencies churn. *)
 type 'c group = {
-  cur : F.currency;
   mutable members : ('c * seat * F.ticket) list; (* newest first *)
-  mutable queued : bool; (* in [dirty] awaiting the next refresh *)
+}
+
+type 'c watching = {
+  sys : F.system;
+  groups : 'c group Vec.t; (* by tag; never removed *)
+  stale : F.queue; (* watches every group's currency *)
 }
 
 type 'c table = {
-  sys : F.system option; (* [None]: raw seats only *)
+  funding : 'c watching option; (* [None]: raw seats only *)
   mutable next_id : int;
-  mutable by_slot : 'c group option array; (* by currency slot *)
-  mutable dirty : 'c group option array;
-      (* cells hold the [Some g] stored in [by_slot]; reset to [None] when
-         drained *)
-  mutable n_dirty : int;
 }
 
-let grow arr n =
-  let a = Array.make (max 16 (max (n + 1) (2 * Array.length arr))) None in
-  Array.blit arr 0 a 0 (Array.length arr);
-  a
-
-let note tb c =
-  let i = F.currency_slot c in
-  if i >= 0 && i < Array.length tb.by_slot then
-    match tb.by_slot.(i) with
-    | Some g as o when g.cur == c && not g.queued ->
-        g.queued <- true;
-        if tb.n_dirty = Array.length tb.dirty then tb.dirty <- grow tb.dirty tb.n_dirty;
-        tb.dirty.(tb.n_dirty) <- o;
-        tb.n_dirty <- tb.n_dirty + 1
-    | _ -> ()
-
-(* Both closures are built here, once, so a change event costs no
-   allocation. *)
 let table funding =
-  let tb =
-    {
-      sys = funding;
-      next_id = 0;
-      by_slot = [||];
-      dirty = [||];
-      n_dirty = 0;
-    }
-  in
-  (match funding with
-  | Some sys ->
-      let record c = note tb c in
-      ignore (F.on_change sys (fun ch -> F.iter_changed ch record))
-  | None -> ());
-  tb
+  let watching sys = { sys; groups = Vec.create (); stale = F.queue sys } in
+  { funding = Option.map watching funding; next_id = 0 }
 
-let pending tb = tb.n_dirty
+let pending tb = match tb.funding with Some w -> F.queued w.stale | None -> 0
 
 let seat tb ~name ~value ~held =
   let s =
@@ -104,24 +67,25 @@ let raw tb ~who ~name ~tickets =
   seat tb ~name ~value:(float_of_int tickets) ~held:None
 
 let funded tb ~who ~name ~amount ~currency ~active make =
-  let sys =
-    match tb.sys with
-    | Some sys -> sys
+  let w =
+    match tb.funding with
+    | Some w -> w
     | None -> invalid_arg (who ^ ": created without ~funding")
   in
+  let sys = w.sys in
   if amount <= 0 then invalid_arg (who ^ ": amount <= 0");
   let tk = F.issue sys ~currency ~amount in
   F.hold sys tk;
   if not active then F.suspend sys tk;
   let s = seat tb ~name ~value:(F.ticket_value sys tk) ~held:(Some tk) in
   let client = make s in
-  let i = F.currency_slot currency in
-  if i >= Array.length tb.by_slot then tb.by_slot <- grow tb.by_slot i;
-  (match tb.by_slot.(i) with
-  | Some g when g.cur == currency -> g.members <- (client, s, tk) :: g.members
-  | _ ->
-      tb.by_slot.(i) <-
-        Some { cur = currency; members = [ (client, s, tk) ]; queued = false });
+  (match F.tag currency w.stale with
+  | -1 ->
+      F.watch currency w.stale ~tag:(Vec.length w.groups);
+      Vec.push w.groups { members = [ (client, s, tk) ] }
+  | gi ->
+      let g = Vec.get w.groups gi in
+      g.members <- (client, s, tk) :: g.members);
   client
 
 let set_tickets ~who s tickets =
@@ -133,8 +97,8 @@ let set_tickets ~who s tickets =
   | Some _ -> false
 
 let set_active tb s active =
-  match (tb.sys, s.held) with
-  | Some sys, Some tk -> if active then F.resume sys tk else F.suspend sys tk
+  match (tb.funding, s.held) with
+  | Some w, Some tk -> if active then F.resume w.sys tk else F.suspend w.sys tk
   | _ -> ()
 
 (* [F.ticket_value] inlined: the denomination's unit value is read from
@@ -155,18 +119,13 @@ let rec revalue sys m f = function
       revalue sys m f rest
 
 let refresh tb m f =
-  match tb.sys with
+  match tb.funding with
   | None -> ()
-  | Some sys ->
-      for i = 0 to tb.n_dirty - 1 do
-        match tb.dirty.(i) with
-        | Some g ->
-            tb.dirty.(i) <- None;
-            g.queued <- false;
-            revalue sys m f g.members
-        | None -> ()
+  | Some w ->
+      for k = 0 to F.settle w.stale - 1 do
+        revalue w.sys m f (Vec.get w.groups (F.nth w.stale k)).members
       done;
-      tb.n_dirty <- 0
+      F.clear w.stale
 
 let publish bus ~time ~resource ~contenders ~total s =
   Obs.Bus.emit bus ~time

@@ -31,11 +31,11 @@ type 'c table
     the index from funding currency to the funded seats it backs. *)
 
 val table : Lotto_tickets.Funding.system option -> 'c table
-(** [None] allows raw seats only. With a funding system, the table
-    subscribes to its change events and records, at most once between
-    refreshes, each dirtied currency that funds a seat of this table; it
-    records nothing for other currencies, so an idle manager does not grow
-    while unrelated currencies churn. *)
+(** [None] allows raw seats only. With a funding system, the table's
+    {!Lotto_tickets.Funding.queue} watches each currency that funds a seat
+    of this table, tagged with the seats' group, so a flip of one queues
+    the group until the next refresh. No other currency is watched, so an
+    idle manager does not grow while unrelated currencies churn. *)
 
 val raw : 'c table -> who:string -> name:string -> tickets:int -> seat
 (** A seat valued at [tickets]. Raises [Invalid_argument] (prefixed with
@@ -71,13 +71,15 @@ val set_active : 'c table -> seat -> bool -> unit
 val refresh : 'c table -> 'm -> ('m -> 'c -> bool -> unit) -> unit
 (** Revalue exactly the funded seats whose currencies moved since the last
     refresh: each one's [value] is rewritten, then [f m client moved] runs,
-    [moved] saying whether the value changed. Seats are visited in the
-    order their currencies were first dirtied and, within a currency,
-    newest first. [f] is typically a top-level function of the manager,
-    so no closure is built per refresh. *)
+    [moved] saying whether the value changed. Groups are visited in
+    {!Lotto_tickets.Funding.queue} order — mutations in order, the newest
+    flip first within one, a group at the position it was first queued
+    at — and, within a group, seats newest first. [f] is typically a
+    top-level function of the manager, so no closure is built per
+    refresh. *)
 
 val pending : 'c table -> int
-(** Currencies recorded since the last refresh. *)
+(** Currencies queued since the last refresh. *)
 
 val publish :
   Lotto_obs.Bus.t ->

@@ -81,12 +81,12 @@ let update_weight t c =
   | Some h -> Draw.set_weight t.draw h (weight_of t c)
   | None -> ()
 
-(* Funded values are revalued per dirtied currency (scoped change events),
-   but the inverse factor (1 - t_i/T) couples every weight to the total T:
-   whenever any share actually moved — or membership/tickets changed — T and
-   all weights are rebuilt. That rebuild is O(clients) float work with no
-   funding-graph walks; while shares are quiescent, victim picks skip it
-   entirely. *)
+(* Funded values are revalued per dirtied currency (the seat table's
+   watches), but the inverse factor (1 - t_i/T) couples every weight to the
+   total T: whenever any share actually moved — or membership/tickets
+   changed — T and all weights are rebuilt. That rebuild is O(clients)
+   float work with no funding-graph walks; while shares are quiescent,
+   victim picks skip it entirely. *)
 let revalue t _ moved = if moved then t.wdirty <- true
 
 let refresh t =

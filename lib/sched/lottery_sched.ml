@@ -36,14 +36,14 @@ type tstate = {
 
 (* [flags] bits, by thread slot. *)
 let in_draw_bit = 1 (* live in its shard's draw *)
-let pending_bit = 2 (* queued for a scoped weight refresh *)
 
-(* Per-thread and per-currency state lives in arrays indexed by the dense
-   arena handles the kernel and the funding system hand out ([thread.tslot]
-   and {!F.currency_slot}) instead of id-keyed hashtables: a lookup is one
-   bounds check and a load. Slots are recycled after death, so every read
-   through [st_tab]/[by_cslot] guards with a physical-equality check on the
-   stored thread/currency, and detach resets the flat entries.
+(* Per-thread state lives in arrays indexed by the dense arena handle the
+   kernel hands out ([thread.tslot]) instead of an id-keyed hashtable: a
+   lookup is one bounds check and a load. Slots are recycled after death,
+   so a read through [st_tab] by thread guards with a physical-equality
+   check on the stored thread, and detach resets the flat entries. A thread
+   currency is watched with the thread's slot as its tag, so the funding
+   system names the slot itself and no currency is looked up.
 
    What a decision reads per thread is flat, in arrays indexed by thread
    slot, so the quiescent [account] never touches a record: [flags] and
@@ -54,8 +54,7 @@ type t = {
   rng : Rng.t;
   system : F.system;
   mutable st_tab : tstate option array; (* by thread slot *)
-  mutable by_cslot : tstate option array; (* by thread-currency slot *)
-  mutable flags : int array; (* by thread slot: [in_draw_bit], [pending_bit] *)
+  mutable flags : int array; (* by thread slot: [in_draw_bit] *)
   mutable wins : float array;
       (* by thread slot [i], two cells: [2i] the currency value and
          [2i + 1] the compensation factor behind the last weight written
@@ -73,11 +72,9 @@ type t = {
   fscratch : float array; (* one cell: a shard mass on its way to
                              {!Sh.adjust_at} or back from {!Sh.get_at}
                              and {!Sh.total_at} *)
-  mutable pending : tstate option array;
-      (* dirtied thread currencies awaiting a scoped re-weigh, insertion
-         order; cells hold the [Some s] already stored in [by_cslot] and
-         are reset to [None] when drained *)
-  mutable n_pending : int;
+  pending : F.queue;
+      (* slots of the threads whose currencies went stale, awaiting a
+         scoped re-weigh: every thread currency is watched by it *)
   (* The paper's distributed lottery (§4.2): one draw per shard, shard [i]
      serving virtual CPU [i], under a partial-sum tree of per-shard ticket
      masses. With one shard it is the plain lottery. *)
@@ -139,11 +136,6 @@ let find_state t (th : thread) =
   | Some s as o when s.th == th -> o
   | _ -> None
 
-let find_by_currency t c =
-  match slot_get t.by_cslot (F.currency_slot c) with
-  | Some s as o when s.cur == c -> o
-  | _ -> None
-
 (* The state of the thread at a slot the scheduler itself holds (a drawn
    client, a ring entry): present by construction. *)
 let st_at t i =
@@ -156,14 +148,6 @@ let[@inline] set_in_draw t (s : tstate) b =
   t.flags.(i) <-
     (if b then t.flags.(i) lor in_draw_bit
      else t.flags.(i) land lnot in_draw_bit)
-
-let push_pending t s o =
-  let i = s.th.tslot in
-  t.flags.(i) <- t.flags.(i) lor pending_bit;
-  let n = t.n_pending in
-  t.pending <- ensure_cap t.pending n;
-  t.pending.(n) <- o;
-  t.n_pending <- n + 1
 
 (* --- fallback rings ----------------------------------------------------- *)
 
@@ -185,54 +169,35 @@ let ring_unlink t i =
 let create ?(mode = List_mode) ?(use_compensation = true) ?(shards = 1) ~rng () =
   if shards < 0 then invalid_arg "Lottery_sched.create: shards < 0";
   let n = max 1 shards in
-  let t =
-    {
-      mode;
-      rng;
-      system = F.create_system ();
-      st_tab = [||];
-      by_cslot = [||];
-      flags = [||];
-      wins = [||];
-      wlast = [||];
-      fscratch = [| 0. |];
-      pending = [||];
-      n_pending = 0;
-      shards = n;
-      draw = Array.init n (fun _ -> D.of_mode (draw_mode mode));
-      stree = Sh.create ~shards:n;
-      scratch = D.of_mode (draw_mode mode);
-      ring_of = [||];
-      rprev = [||];
-      rnext = [||];
-      rhead = Array.make n (-1);
-      rtail = Array.make n (-1);
-      migration_enabled = true;
-      placement_hook = None;
-      migrations = 0;
-      steals = 0;
-      use_compensation;
-      draws = 0;
-      scoped_updates = 0;
-      profiler = None;
-    }
-  in
-  (* Scoped change tracking: every funding mutation — ours or a caller's
-     going straight through the Funding API — reports the currencies it
-     dirtied; we record the ones that belong to draw clients and revalue
-     exactly those before the next lottery. Both closures are built here,
-     once, so an event costs no allocation. This is also what lets
-     [account] trust a thread's cached value unvalidated: every
-     valid -> stale flip of a thread currency passes through here and
-     sets the thread's [pending_bit]. *)
-  let note c =
-    match find_by_currency t c with
-    | Some s as o ->
-        if t.flags.(s.th.tslot) land pending_bit = 0 then push_pending t s o
-    | None -> ()
-  in
-  ignore (F.on_change t.system (fun ch -> F.iter_changed ch note));
-  t
+  let system = F.create_system () in
+  {
+    mode;
+    rng;
+    system;
+    st_tab = [||];
+    flags = [||];
+    wins = [||];
+    wlast = [||];
+    fscratch = [| 0. |];
+    pending = F.queue system;
+    shards = n;
+    draw = Array.init n (fun _ -> D.of_mode (draw_mode mode));
+    stree = Sh.create ~shards:n;
+    scratch = D.of_mode (draw_mode mode);
+    ring_of = [||];
+    rprev = [||];
+    rnext = [||];
+    rhead = Array.make n (-1);
+    rtail = Array.make n (-1);
+    migration_enabled = true;
+    placement_hook = None;
+    migrations = 0;
+    steals = 0;
+    use_compensation;
+    draws = 0;
+    scoped_updates = 0;
+    profiler = None;
+  }
 
 let funding t = t.system
 let base_currency t = F.base t.system
@@ -271,9 +236,10 @@ let state t th =
       t.wlast.(i) <- 0.;
       t.ring_of.(i) <- -1;
       t.st_tab.(i) <- Some s;
-      let cs = F.currency_slot cur in
-      t.by_cslot <- ensure_cap t.by_cslot cs;
-      t.by_cslot.(cs) <- Some s;
+      (* Every funding mutation — ours or a caller's through the Funding
+         API — that stales the currency queues the slot, and exactly the
+         queued threads are revalued before the next lottery. *)
+      F.watch cur t.pending ~tag:i;
       s
 
 let thread_currency t th = (state t th).cur
@@ -568,7 +534,8 @@ let detach t th =
          every scheduler state. *)
       List.iter
         (fun b ->
-          match find_by_currency t (F.denomination b) with
+          let j = F.tag (F.denomination b) t.pending in
+          match slot_get t.st_tab j with
           | Some donor ->
               donor.donations <-
                 List.filter (fun (_, d) -> not (d == b)) donor.donations
@@ -579,46 +546,38 @@ let detach t th =
       List.iter
         (fun b -> F.destroy_ticket t.system b)
         (F.backing_tickets t.system s.cur);
-      let cslot = F.currency_slot s.cur in
       F.destroy_ticket t.system s.competing;
       List.iter
         (fun i -> F.destroy_ticket t.system i)
         (F.issued_tickets t.system s.cur);
       F.remove_currency t.system s.cur;
-      (* The teardown above may have re-flagged the thread pending; its
-         buffer cell is skipped by identity when drained. *)
+      (* The teardown above may have queued the slot; a thread spawned
+         into it before the next drain must not be re-weighed at this
+         entry's position, so the entry goes. *)
+      F.cancel t.pending th.tslot;
       t.flags.(th.tslot) <- 0;
-      t.st_tab.(th.tslot) <- None;
-      if cslot >= 0 && cslot < Array.length t.by_cslot then
-        t.by_cslot.(cslot) <- None
+      t.st_tab.(th.tslot) <- None
 
 (* Bring the draws in sync with the funding graph: revalue exactly the
-   threads whose currencies the change events dirtied — O(changed) — in
-   the order they were first dirtied. Blocked threads may still sit in the
-   buffer; they are out of the draw, so they drain as no-ops, and so do
-   detached ones, whose slot no longer holds them, and dispatched ones,
-   whose caches the re-insert in [account] reconciles. Each drained cell
-   goes back to [None], so the buffer never keeps a dead thread
-   reachable. *)
+   threads whose currencies went stale — O(changed) — in the queue's drain
+   order, which fixes the order of the draws' weight writes. Blocked
+   threads may still sit in the queue; they are out of the draw, so they
+   drain as no-ops, and so do dispatched ones, whose caches the re-insert
+   in [account] reconciles. Detached threads' entries were cancelled. The
+   queue holds slots, so it never keeps a dead thread reachable. *)
 let flush_pending t =
-  for k = 0 to t.n_pending - 1 do
-    match t.pending.(k) with
-    | Some s ->
-        t.pending.(k) <- None;
-        let i = s.th.tslot in
-        if i >= 0 then begin
-          match t.st_tab.(i) with
-          | Some s' when s' == s ->
-              t.flags.(i) <- t.flags.(i) land lnot pending_bit;
-              if in_draw t s then begin
-                write_weight t s;
-                t.scoped_updates <- t.scoped_updates + 1
-              end
-          | _ -> ()
-        end
-    | None -> ()
+  let q = t.pending in
+  for k = 0 to F.settle q - 1 do
+    let i = F.nth q k in
+    if i >= 0 then begin
+      let s = st_at t i in
+      if in_draw t s then begin
+        write_weight t s;
+        t.scoped_updates <- t.scoped_updates + 1
+      end
+    end
   done;
-  t.n_pending <- 0
+  F.clear q
 
 (* Unfunded threads never win a lottery (paper: zero tickets = starvation).
    To keep simulations with forgotten funding alive, a shard falls back to
@@ -713,11 +672,11 @@ let account_slow t th =
   | _ -> ()
 
 (* The quiescent check reads flat arrays only. A thread in its draw and not
-   pending has a valid currency cache whose value its last weight write
+   queued has a valid currency cache whose value its last weight write
    recorded — every write validates the cache, and every valid -> stale
-   flip reaches [note], which flags the thread pending — so only the
-   compensation factor can have moved ([check_flat_tables] audits the
-   currency cell). Anything else takes the slow path. *)
+   flip queues the thread's slot — so only the compensation factor can
+   have moved ([check_flat_tables] audits the currency cell). Anything
+   else takes the slow path. *)
 let account t th ~used:_ ~quantum:_ ~blocked:_ =
   let i = th.tslot in
   if
@@ -725,6 +684,7 @@ let account t th ~used:_ ~quantum:_ ~blocked:_ =
       (i >= 0
       && i < Array.length t.flags
       && t.flags.(i) = in_draw_bit
+      && (not (F.is_queued t.pending i))
       && factor t th = t.wins.((2 * i) + 1))
   then account_slow t th
 
@@ -807,9 +767,10 @@ let check_flat_tables t out =
     match t.st_tab.(i) with
     | None ->
         if fl <> 0 then vf "slot %d: flags %d set but no thread state" i fl;
+        if F.is_queued t.pending i then vf "slot %d: queued but no thread state" i;
         if t.ring_of.(i) >= 0 then
           vf "slot %d: fallback ring %d holds a dead slot" i t.ring_of.(i)
-    | Some s when fl = in_draw_bit ->
+    | Some s when fl = in_draw_bit && not (F.is_queued t.pending i) ->
         let name = s.th.name in
         let d = t.draw.(max 0 s.shard) in
         if s.th.tslot <> i || s.th.state = Zombie then

@@ -57,9 +57,11 @@ val sched : t -> Lotto_sim.Types.sched
 
 (** {1 Currencies and funding}
 
-    Draw weights track the funding graph through
-    {!Lotto_tickets.Funding.on_change}, so mutations made directly on the
-    underlying {!funding} system are picked up too. *)
+    Draw weights track the funding graph through a
+    {!Lotto_tickets.Funding.watch} on every thread currency, tagged with
+    the thread's slot: a mutation that stales one queues the slot, so
+    mutations made directly on the underlying {!funding} system are picked
+    up too. *)
 
 val funding : t -> Lotto_tickets.Funding.system
 val base_currency : t -> Lotto_tickets.Funding.currency
@@ -137,15 +139,15 @@ val draws : t -> int
 
 val full_refreshes : t -> int
 (** Times every runnable thread's weight was recomputed at once. Always 0:
-    the scoped change events from {!Lotto_tickets.Funding.on_change} let
+    the watches on thread currencies ({!Lotto_tickets.Funding.watch}) let
     the scheduler revalue only the threads a mutation actually touched,
     and no full recomputation path remains. Kept for callers that report
     it. *)
 
 val scoped_weight_updates : t -> int
 (** Cumulative per-thread weight writes on the incremental path: weights
-    computed when a thread (re)enters the draw, plus flushes of scoped
-    change events for threads already in it. A block/wake of one
+    computed when a thread (re)enters the draw, plus flushes of queued
+    stale slots for threads already in it. A block/wake of one
     base-funded thread costs exactly one of these — the insert-time write
     at wake — independent of how many threads exist. *)
 

@@ -41,6 +41,12 @@ and currency = {
          current; see [ensure] *)
   mutable visit : int;
       (* the system's [stamp] of the last cycle check that reached it *)
+  (* The currency's watches, read by a flip from the record it already
+     holds: the first ([sink] is [no_sink] for none), any further ones
+     (rare) in [more]. *)
+  mutable sink : queue;
+  mutable tag : int;
+  mutable more : (queue * int) list;
 }
 
 and system = {
@@ -83,22 +89,27 @@ and system = {
      revalues O(affected) currencies rather than the whole system. *)
   mutable vals : float array;
   mutable units : float array;
-  (* Flat watcher table: change subscriptions in a slot arena instead of a
-     hashtable, fired in subscription order. *)
-  w_slots : Slots.t;
-  mutable w_tab : (system -> unit) array;
-  mutable fire : int -> unit; (* calls watcher [slot]; built once *)
-  (* Valid->stale flips since the last notify, oldest first: one reusable
-     buffer instead of a fresh list per mutation. Entries past [n_dirty]
-     hold the base currency, never a dead one. *)
-  mutable dirty : currency array;
-  mutable n_dirty : int;
+  mutable hook_calls : int; (* tags [invalidate] handed to queues *)
+  mutable batch : int; (* bumped at the end of every mutation *)
   mutable stamp : int; (* bumped once per cycle check; see [would_cycle] *)
 }
 
-(* A change event is the system itself, read through [iter_changed] while
-   the callbacks run: nothing is built per notification. *)
-and change = system
+(* A consumer's queue of tags, in drain order (see the interface): [push]
+   appends in flip order, ignoring a tag already queued; one mutation's run
+   of tags is reversed in place once the next mutation's first tag
+   arrives, or at [settle]. *)
+and queue = {
+  mutable tags : int array;
+  mutable len : int;
+  mutable marks : Bytes.t; (* by tag: nonzero while queued *)
+  mutable run : int; (* where the open run starts *)
+  mutable run_batch : int; (* its mutation; -1 when none is open *)
+}
+
+let new_queue () =
+  { tags = [||]; len = 0; marks = Bytes.empty; run = 0; run_batch = -1 }
+
+let no_sink = new_queue ()
 
 let fresh_id sys =
   let id = sys.next_id in
@@ -119,41 +130,37 @@ let create_system () =
       active_amount = 0;
       cache_ok = false;
       visit = 0;
+      sink = no_sink;
+      tag = 0;
+      more = [];
     }
   in
   let cur_tab = Slots.grow_payload cur_slots [||] ~dummy:base_currency in
   cur_tab.(base_slot) <- base_currency;
   let by_name = Hashtbl.create 16 in
   Hashtbl.replace by_name "base" base_currency;
-  let sys =
-    {
-      next_id = 1;
-      base_currency;
-      by_name;
-      cur_slots;
-      cur_tab;
-      tk_slots = Slots.create ();
-      tk_tab = [||];
-      i_prev = [||];
-      i_next = [||];
-      b_prev = [||];
-      b_next = [||];
-      l_prev = [||];
-      l_next = [||];
-      live_head = Slots.grow_payload cur_slots [||] ~dummy:(-1);
-      edges_walked = 0;
-      vals = Slots.grow_payload cur_slots [||] ~dummy:0.;
-      units = Slots.grow_payload cur_slots [||] ~dummy:1.;
-      w_slots = Slots.create ~initial_capacity:4 ();
-      w_tab = [||];
-      fire = ignore;
-      dirty = Array.make 16 base_currency;
-      n_dirty = 0;
-      stamp = 0;
-    }
-  in
-  sys.fire <- (fun s -> sys.w_tab.(s) sys);
-  sys
+  {
+    next_id = 1;
+    base_currency;
+    by_name;
+    cur_slots;
+    cur_tab;
+    tk_slots = Slots.create ();
+    tk_tab = [||];
+    i_prev = [||];
+    i_next = [||];
+    b_prev = [||];
+    b_next = [||];
+    l_prev = [||];
+    l_next = [||];
+    live_head = Slots.grow_payload cur_slots [||] ~dummy:(-1);
+    edges_walked = 0;
+    vals = Slots.grow_payload cur_slots [||] ~dummy:0.;
+    units = Slots.grow_payload cur_slots [||] ~dummy:1.;
+    hook_calls = 0;
+    batch = 0;
+    stamp = 0;
+  }
 
 let base sys = sys.base_currency
 
@@ -246,60 +253,97 @@ let collect_list iter sys c =
   iter sys c (fun t -> acc := t :: !acc);
   List.rev !acc
 
-(* --- change notification ------------------------------------------------
+(* --- watches ---------------------------------------------------------------
 
-   Consumers that cache draw weights (the scheduler, the resource managers)
-   subscribe here instead of polling; every mutation that can move a
-   valuation or an activation fires the callbacks once, with the set of
-   currencies whose cached value went stale. The callbacks run synchronously
-   and must not mutate the system (recording the dirtied ids for the next
-   draw is the intended use). *)
+   A consumer's queue is its sink: [invalidate] pushes a watch's int tag
+   into it when it flips the watched currency stale. *)
 
-type subscription = { wslot : int; wgen : int }
-
-let on_change sys f =
-  (* Subscriptions historically drew their id from the shared counter;
-     keep consuming one so the cid/tid sequences of everything created
-     after a subscription (visible in pp/dot output) are unchanged. *)
+let queue sys =
+  (* A queue draws one id from the shared counter, which keeps the cid/tid
+     sequences (visible in pp/dot output) of a system with consumers what
+     they were when each consumer subscribed to change events instead. *)
   ignore (fresh_id sys : int);
-  let s = Slots.alloc sys.w_slots in
-  sys.w_tab <- Slots.grow_payload sys.w_slots sys.w_tab ~dummy:f;
-  sys.w_tab.(s) <- f;
-  { wslot = s; wgen = Slots.gen sys.w_slots s }
+  new_queue ()
 
-let unsubscribe sys { wslot; wgen } =
-  (* The generation check makes double-unsubscribe a no-op even after the
-     slot has been recycled by a later subscription. *)
-  if Slots.is_live sys.w_slots wslot && Slots.gen sys.w_slots wslot = wgen
-  then begin
-    Slots.release sys.w_slots wslot;
-    sys.w_tab.(wslot) <- ignore
+let watch c q ~tag =
+  if c.cslot < 0 then invalid_arg "Funding.watch: dead currency";
+  if tag < 0 then invalid_arg "Funding.watch: negative tag";
+  if c.sink == no_sink then begin
+    c.sink <- q;
+    c.tag <- tag
+  end
+  else c.more <- (q, tag) :: c.more
+
+let tag c q =
+  if c.sink == q then c.tag
+  else Option.value (List.assq_opt q c.more) ~default:(-1)
+
+let close_run q =
+  for i = 0 to ((q.len - q.run) / 2) - 1 do
+    let a = q.run + i and b = q.len - 1 - i in
+    let x = q.tags.(a) in
+    q.tags.(a) <- q.tags.(b);
+    q.tags.(b) <- x
+  done;
+  q.run <- q.len;
+  q.run_batch <- -1
+
+let push sys q tag =
+  sys.hook_calls <- sys.hook_calls + 1;
+  let m = q.marks in
+  if tag >= Bytes.length m then
+    q.marks <-
+      Bytes.init (2 * (tag + 8)) (fun i ->
+          if i < Bytes.length m then Bytes.get m i else '\000');
+  if Bytes.get q.marks tag = '\000' then begin
+    Bytes.set q.marks tag '\001';
+    if q.run_batch <> sys.batch then begin
+      close_run q;
+      q.run_batch <- sys.batch
+    end;
+    if q.len = Array.length q.tags then begin
+      let a = Array.make (2 * (q.len + 8)) 0 in
+      Array.blit q.tags 0 a 0 q.len;
+      q.tags <- a
+    end;
+    q.tags.(q.len) <- tag;
+    q.len <- q.len + 1
   end
 
-(* Most recently dirtied first: the order of the historical prepend-built
-   list, which consumers' pending queues (and so their Fenwick update
-   order) still follow. *)
-let iter_changed sys f =
-  for i = sys.n_dirty - 1 downto 0 do
-    f sys.dirty.(i)
-  done
+let rec push_more sys = function
+  | [] -> ()
+  | (q, tag) :: rest ->
+      push sys q tag;
+      push_more sys rest
 
-let push_dirty sys c =
-  let n = sys.n_dirty in
-  if n = Array.length sys.dirty then begin
-    let a = Array.make (2 * n) sys.base_currency in
-    Array.blit sys.dirty 0 a 0 n;
-    sys.dirty <- a
-  end;
-  sys.dirty.(n) <- c;
-  sys.n_dirty <- n + 1
+(* Ends a mutation: later flips open a new run in every queue. *)
+let close_batch sys = sys.batch <- sys.batch + 1
 
-(* The batch is drained even with no subscriber, and the drained cells are
-   reset to base so the buffer never keeps a removed currency reachable. *)
-let notify sys =
-  if Slots.live_count sys.w_slots > 0 then Slots.iter_live sys.w_slots sys.fire;
-  Array.fill sys.dirty 0 sys.n_dirty sys.base_currency;
-  sys.n_dirty <- 0
+let[@inline] is_queued q tag =
+  tag < Bytes.length q.marks && Bytes.unsafe_get q.marks tag <> '\000'
+
+let cancel q tag =
+  if is_queued q tag then begin
+    Bytes.set q.marks tag '\000';
+    for i = 0 to q.len - 1 do
+      if q.tags.(i) = tag then q.tags.(i) <- -1
+    done
+  end
+
+let settle q =
+  close_run q;
+  q.len
+
+let nth q i = q.tags.(i)
+let queued q = q.len
+
+let clear q =
+  for i = 0 to q.len - 1 do
+    if q.tags.(i) >= 0 then Bytes.set q.marks q.tags.(i) '\000'
+  done;
+  q.len <- 0;
+  q.run <- 0;
+  q.run_batch <- -1
 
 (* --- invalidation -------------------------------------------------------
 
@@ -325,15 +369,19 @@ let notify sys =
 
    The walk is a plain loop over the live list (depth first, head first),
    so it builds no closure per visited currency; the flip-to-stale also
-   makes each currency appear at most once per batch. Each batch is the
-   one a walk over every issued edge would build, in the same order, minus
-   the currencies that walk reaches only through inactive tickets, whose
-   values the mutation cannot move. *)
+   makes each currency flip at most once per mutation, and each flip pushes
+   the tags of the currency's watches there and then. A mutation flips the
+   currencies a walk over every issued edge would, in the same order, minus
+   the ones that walk reaches only through inactive tickets, whose values
+   the mutation cannot move. *)
 
 let rec invalidate sys c =
   if c.cache_ok then begin
     c.cache_ok <- false;
-    push_dirty sys c;
+    if c.sink != no_sink then begin
+      push sys c.sink c.tag;
+      push_more sys c.more
+    end;
     if not c.base_p then begin
       let s = ref sys.live_head.(c.cslot) in
       while !s >= 0 do
@@ -362,6 +410,9 @@ let make_currency sys ~name =
       active_amount = 0;
       cache_ok = false;
       visit = 0;
+      sink = no_sink;
+      tag = 0;
+      more = [];
     }
   in
   sys.cur_tab <- Slots.grow_payload sys.cur_slots sys.cur_tab ~dummy:c;
@@ -397,6 +448,8 @@ let remove_currency sys c =
   if c.backing_head >= 0 then
     raise (In_use (c.cname ^ " still has backing tickets"));
   Hashtbl.remove sys.by_name c.cname;
+  c.sink <- no_sink;
+  c.more <- [];
   Slots.release sys.cur_slots c.cslot;
   c.cslot <- -1
 
@@ -535,7 +588,7 @@ let set_amount sys t new_amount =
     else if old_sum > 0 && new_sum = 0 then deactivate_backing sys c
   end
   else t.amount <- new_amount;
-  notify sys
+  close_batch sys
 
 (* A backing edge [currency <- ticket] makes [currency]'s value depend on
    the ticket's denomination. Funding [c] with a ticket denominated in [d]
@@ -577,7 +630,7 @@ let fund sys ~ticket ~currency =
   link_backing sys currency ticket.tkslot;
   invalidate sys currency;
   if currency.active_amount > 0 then activate_ticket sys ticket;
-  notify sys
+  close_batch sys
 
 let unfund sys t =
   check_live t "Funding.unfund";
@@ -587,7 +640,7 @@ let unfund sys t =
       unlink_backing sys c t.tkslot;
       t.attach <- Unattached;
       invalidate sys c;
-      notify sys
+      close_batch sys
   | Unattached | Held -> invalid_arg "Funding.unfund: ticket not backing"
 
 let hold sys t =
@@ -597,26 +650,26 @@ let hold sys t =
   | Backs _ -> invalid_arg "Funding.hold: ticket is backing a currency");
   t.attach <- Held;
   activate_ticket sys t;
-  notify sys
+  close_batch sys
 
 let suspend sys t =
   check_live t "Funding.suspend";
   check_held t "Funding.suspend";
   deactivate_ticket sys t;
-  notify sys
+  close_batch sys
 
 let resume sys t =
   check_live t "Funding.resume";
   check_held t "Funding.resume";
   activate_ticket sys t;
-  notify sys
+  close_batch sys
 
 let release sys t =
   check_live t "Funding.release";
   check_held t "Funding.release";
   deactivate_ticket sys t;
   t.attach <- Unattached;
-  notify sys
+  close_batch sys
 
 let destroy_ticket sys t =
   check_live t "Funding.destroy_ticket";
@@ -628,7 +681,7 @@ let destroy_ticket sys t =
   Slots.release sys.tk_slots t.tkslot;
   t.tkslot <- -1;
   t.destroyed <- true;
-  notify sys
+  close_batch sys
 
 (* --- valuation ----------------------------------------------------------
 
@@ -714,11 +767,12 @@ let unit_table sys c =
 let values sys = sys.vals
 let cache_valid c = c.cache_ok
 let edges_walked sys = sys.edges_walked
+let hook_calls sys = sys.hook_calls
 
 (* The denomination is validated even when the ticket is inactive: a
-   consumer that caches this 0 must be told (via a change event) when the
-   ticket's activation later makes it worth something, and events only fire
-   on valid -> stale flips. *)
+   consumer that caches this 0 must be told (through its watch) when the
+   ticket's activation later makes it worth something, and watches only
+   hear of valid -> stale flips. *)
 let value_of_ticket sys t =
   let u = unit_val sys t.denom in
   if t.active then float_of_int t.amount *. u else 0.

@@ -36,50 +36,52 @@ val create_system : unit -> system
 val base : system -> currency
 (** The conserved base currency ("base" in the paper's figures). *)
 
-(** {2 Change notification}
+(** {2 Watches}
 
     Consumers that cache derived state (draw weights in the scheduler and
-    the resource managers) subscribe here instead of polling. Events are
-    {e scoped}: each carries the currencies whose cached valuation the
-    mutation dirtied, so a consumer updates O(changed) draw weights rather
-    than rebuilding all of them. *)
+    the resource managers) watch the currencies they draw on: a consumer
+    owns one {!queue} and watches each currency with an int tag naming its
+    own state (the scheduler's thread slot, a manager's seat group). When
+    a mutation flips a watched currency's cached valuation from valid to
+    stale, which it does at most once per currency, the tag is pushed onto
+    the queue there and then.
 
-type subscription
+    Completeness: between two reads of a currency's value, every change to
+    it flips it stale, so a consumer that re-reads exactly the currencies
+    whose tags it drains before each draw never uses a stale weight. An
+    inactive currency (value 0) flips only at its own activation.
 
-type change
-(** One batch of invalidations, delivered after the mutation settles. It
-    is a view of a buffer the system reuses for every batch: read it with
-    {!iter_changed} inside the callback. Once the callbacks return the
-    buffer is drained, so reading a [change] later visits nothing. *)
+    Drain order: within a mutation, the newest flip first (the dependents
+    a cascade staled before the currency that staled them); across
+    mutations, in mutation order, each tag at the position it was first
+    queued at since the last {!clear}. *)
 
-val iter_changed : change -> (currency -> unit) -> unit
-(** [iter_changed ch f] calls [f] on each currency whose value may have
-    moved, most recently dirtied first (the order of a list built by
-    prepending, so the dependents a cascade staled come before the
-    currency that staled them), each at most once per batch. Completeness
-    contract: between two reads of a currency's value, every change to that
-    value is covered by some delivered batch — so a consumer that (1)
-    accumulates the currencies from every batch and (2) re-reads exactly
-    the accumulated currencies before each draw never uses a stale weight.
-    Currencies never read by anyone may stay stale without further events
-    until the next read. Inactive currencies (zero active amount, so value
-    and unit value 0) are not reported when something they are funded from
-    moves: invalidation follows active tickets only, and their value cannot
-    move until their own activation, which does report them. Nothing is
-    allocated per batch: a consumer that builds [f] once keeps the whole
-    notification path allocation-free. *)
+type queue
 
-val on_change : system -> (change -> unit) -> subscription
-(** [on_change sys f] calls [f change] after every mutation that can affect
-    valuations or ticket activity ({!fund}, {!unfund}, {!hold}, {!suspend},
-    {!resume}, {!release}, {!set_amount}, {!destroy_ticket}). Callbacks run
-    synchronously on the mutating path, in subscription order, must not
-    mutate the system or the subscription table, and should be cheap —
-    typically recording the {!iter_changed} currencies in a pending set
-    for the next draw. *)
+val queue : system -> queue
 
-val unsubscribe : system -> subscription -> unit
-(** Idempotent, O(1). *)
+val watch : currency -> queue -> tag:int -> unit
+(** Later flips of the live currency push [tag] onto the queue, unless it
+    is queued already. A currency may carry several queues' watches;
+    removing it drops them. Raises [Invalid_argument] on a dead currency
+    or a negative tag. *)
+
+val tag : currency -> queue -> int
+(** The tag the queue watches the currency with; [-1] for none. *)
+
+val is_queued : queue -> int -> bool
+
+val cancel : queue -> int -> unit
+(** Unqueue the tag, leaving [-1] at its position: for a consumer that
+    recycles the tag before the next drain. O(queued). *)
+
+val settle : queue -> int
+(** Put the tags in drain order and return how many there are; read them
+    with {!nth}, then {!clear}. *)
+
+val nth : queue -> int -> int
+val queued : queue -> int
+val clear : queue -> unit
 
 val make_currency : system -> name:string -> currency
 (** Raises {!Duplicate_name} if [name] is taken ("base" is always taken). *)
@@ -239,8 +241,9 @@ val values : system -> float array
 
 val cache_valid : currency -> bool
 (** Whether the currency's cached value is current. A currency goes stale
-    only in a mutation that then fires the {!on_change} callbacks with it
-    among the changed; any read of its value makes it valid again. *)
+    only in a mutation, and its flip to stale pushes the tags of the
+    queues that {!watch} it; any read of its value makes it valid
+    again. *)
 
 (** {1 Introspection} *)
 
@@ -249,6 +252,11 @@ val edges_walked : system -> int
     created. Invalidation follows only each currency's active tickets that
     back a currency, so a block or wake costs O(live dependents) however
     many idle tickets the currency has issued. A read-only counter for
+    tests and the overhead gate. *)
+
+val hook_calls : system -> int
+(** Tags handed to queues since the system was created: one per watch of
+    each currency flipped stale, queued already or not. A counter for
     tests and the overhead gate. *)
 
 val check_invariants : system -> unit

@@ -417,8 +417,8 @@ let qcheck_random_ops_keep_invariants =
    recycled under the check's visit marks. Each attempt to fund a currency
    [c] with a ticket denominated in [d] must raise [Cycle] exactly when
    [d] already depends on [c] through backing edges, and a refused attempt
-   must change nothing: the invariants hold, no batch is delivered, and
-   every valid cache keeps its value. *)
+   must change nothing: the invariants hold, no hook is called, and every
+   valid cache keeps its value. *)
 let depends_from_scratch sys ~from ~target =
   let seen = Hashtbl.create 16 in
   let rec walk c =
@@ -441,8 +441,11 @@ let qcheck_cycle_check_matches_reachability =
       let currencies = ref [ F.base sys ] in
       let tickets = ref [] in
       let ok = ref true in
-      let notified = ref 0 in
-      ignore (F.on_change sys (fun _ -> incr notified) : F.subscription);
+      (* every currency is watched, so a mutation that flips anything
+         stale hands its queue a tag *)
+      let q = F.queue sys in
+      let watch c = F.watch c q ~tag:(F.currency_id c) in
+      watch (F.base sys);
       let pick l = Rng.choose rng (Array.of_list l) in
       let caches () =
         List.map
@@ -453,12 +456,12 @@ let qcheck_cycle_check_matches_reachability =
       in
       let attempt t c =
         let cyclic = depends_from_scratch sys ~from:(F.denomination t) ~target:c in
-        let before = caches () and n0 = !notified in
+        let before = caches () and n0 = F.hook_calls sys in
         match F.fund sys ~ticket:t ~currency:c with
         | () -> if cyclic then ok := false
         | exception F.Cycle _ ->
             if not cyclic then ok := false;
-            if !notified <> n0 || caches () <> before || F.funds t <> None then
+            if F.hook_calls sys <> n0 || caches () <> before || F.funds t <> None then
               ok := false;
             F.check_invariants sys
       in
@@ -472,8 +475,9 @@ let qcheck_cycle_check_matches_reachability =
       for i = 0 to 299 do
         (match Rng.int_below rng 10 with
         | 0 | 1 ->
-            currencies :=
-              F.make_currency sys ~name:(Printf.sprintf "c%d" i) :: !currencies
+            let c = F.make_currency sys ~name:(Printf.sprintf "c%d" i) in
+            watch c;
+            currencies := c :: !currencies
         | 2 | 3 ->
             tickets :=
               F.issue sys ~currency:(pick !currencies) ~amount:(1 + Rng.int_below rng 50)
@@ -536,13 +540,15 @@ let scratch_unit sys c =
   else if F.active_amount c = 0 then 0.
   else scratch_value sys c /. float_of_int (F.active_amount c)
 
-(* Reference for the order of a change batch. The historical
-   implementation built each batch as a cons list, prepending a currency at
-   its valid -> stale flip while invalidation walked issued lists depth
-   first, most recent ticket first. [predict] replays one mutation's
-   activation cascade (paper §4.4) on a snapshot of the graph with that
-   list walk and returns the batches the mutation should deliver, one per
-   notification. Only currencies in [valid] can flip. The walk follows
+(* Reference for the flips of a mutation and the order a queue drains
+   them in. The historical implementation built one change batch per
+   notification as a cons list, prepending a currency at its valid ->
+   stale flip while invalidation walked issued lists depth first, most
+   recent ticket first; that newest-first order is the queue's order
+   within a mutation. [predict] replays one mutation's activation cascade
+   (paper §4.4) on a snapshot of the graph with that list walk and returns
+   the batches, one per notification, each newest flip first (so the flip
+   order is each batch reversed). Only currencies in [valid] can flip. The walk follows
    active edges only: an issued ticket that backs a currency is followed
    while it is active, and during its own deactivation's flip (the ticket
    is inactive by then, but its flip still walks through it, as a walk
@@ -697,19 +703,21 @@ let apply sys = function
 
 (* Tentpole property of the incremental valuation engine: after arbitrary
    mutation sequences on a multi-level graph, (1) every cached valuation
-   equals a from-scratch walk bit-for-bit, (2) the scoped change events
-   name every currency whose observed valuation moved since it was last
-   read — the contract the scheduler and resource managers rely on to
-   revalue only O(dirtied) clients per draw — (3) each batch visits
-   exactly the currencies of the reference active-edge walk above, in its
-   order, and is drained once delivered, and (4) every valid non-base
+   equals a from-scratch walk bit-for-bit, (2) the watches name every
+   currency whose observed valuation moved since it was last read — the
+   contract the scheduler and resource managers rely on to revalue only
+   O(dirtied) clients per draw — (3) each mutation queues exactly the
+   currencies of the reference active-edge walk above, newest flip first,
+   and a second queue, drained at random points, yields every mutation's
+   batch in that order, mutations in order, a tag kept at the position it
+   was first queued at, and (4) every valid non-base
    currency with zero active amount caches value 0 and unit value 0: the
    fact that lets invalidation skip inactive edges, since no change
    upstream of such a currency can move what it caches. *)
 let qcheck_incremental_valuation_exact =
   let module Rng = Core.Rng in
   QCheck.Test.make
-    ~name:"incremental valuation = from-scratch; events cover every move"
+    ~name:"incremental valuation = from-scratch; watches cover every move"
     ~count:1000 QCheck.small_int
     (fun seed ->
       let rng = Rng.create ~algo:Splitmix64 ~seed:(seed + 7919) () in
@@ -718,24 +726,52 @@ let qcheck_incremental_valuation_exact =
       let currencies = ref [ base ] in
       let tickets = ref [] in
       let ok = ref true in
-      (* batches delivered by the current mutation, in delivery order *)
-      let batches = ref [] in
-      let last = ref None in
+      (* Every currency is watched by two queues with its id as the tag:
+         [per] is drained after every mutation, into [dirt] (the ids
+         dirtied since the last observation); [q] at random points, against
+         [model], the drain order the reference predicts for it. *)
+      let dirt = Hashtbl.create 32 in
+      let per = F.queue sys and q = F.queue sys in
+      let model = ref [] (* newest first *) in
+      let drained q =
+        let got = List.init (F.settle q) (F.nth q) in
+        F.clear q;
+        got
+      in
+      let watch c =
+        F.watch c per ~tag:(F.currency_id c);
+        F.watch c q ~tag:(F.currency_id c)
+      in
+      watch base;
+      let modelled = Hashtbl.create 32 in
+      let drain () =
+        if drained q <> List.rev !model then ok := false;
+        Hashtbl.reset modelled;
+        model := []
+      in
       (* Run one mutation against the reference walk. Every live currency
          was read since the previous mutation, so all of them (and only
          they: not one made by this step) start out valid. *)
       let mutate ~valid op =
         let expected = predict (snapshot sys ~valid) op in
-        batches := [];
+        let ids = List.map F.currency_id in
         match apply sys op with
         | () ->
-            let ids = List.map (List.map F.currency_id) in
-            if ids (List.rev !batches) <> ids expected then ok := false;
-            (match !last with
-            | Some ch -> F.iter_changed ch (fun _ -> ok := false)
-            | None -> ())
+            let flips = drained per in
+            List.iter (fun id -> Hashtbl.replace dirt id ()) flips;
+            if flips <> List.concat_map ids expected then ok := false;
+            List.iter
+              (fun b ->
+                List.iter
+                  (fun id ->
+                    if not (Hashtbl.mem modelled id) then begin
+                      Hashtbl.replace modelled id ();
+                      model := id :: !model
+                    end)
+                  (ids b))
+              expected
         | exception (F.Cycle _ | Invalid_argument _) ->
-            if !batches <> [] then ok := false
+            if F.queued per <> 0 then ok := false
       in
       (* multi-level graph: each currency is funded from a random earlier
          one, so chains several levels deep (and diamonds) appear *)
@@ -743,6 +779,7 @@ let qcheck_incremental_valuation_exact =
         let valid = !currencies in
         let from = Rng.choose rng (Array.of_list !currencies) in
         let c = F.make_currency sys ~name:(Printf.sprintf "q%d-%d" seed i) in
+        watch c;
         let t = F.issue sys ~currency:from ~amount:(1 + Rng.int_below rng 400) in
         if checked then mutate ~valid (Fund (t, c))
         else F.fund sys ~ticket:t ~currency:c;
@@ -760,19 +797,6 @@ let qcheck_incremental_valuation_exact =
             tickets := t :: !tickets
           end)
         !currencies;
-      (* subscribe like a consumer: accumulate dirtied currency ids; also
-         record each batch's visit order, which must not repeat a currency *)
-      let dirt = Hashtbl.create 32 in
-      let sub =
-        F.on_change sys (fun ch ->
-            last := Some ch;
-            let seen = ref [] in
-            F.iter_changed ch (fun c ->
-                if List.memq c !seen then ok := false;
-                seen := c :: !seen;
-                Hashtbl.replace dirt (F.currency_id c) ());
-            batches := List.rev !seen :: !batches)
-      in
       (* last observed (value, unit) per currency, read through the caches *)
       let shadow = Hashtbl.create 32 in
       let observe_all () =
@@ -784,6 +808,8 @@ let qcheck_incremental_valuation_exact =
       in
       observe_all ();
       Hashtbl.reset dirt;
+      F.clear per;
+      F.clear q;
       for i = 0 to 29 do
         let pick l = Rng.choose rng (Array.of_list l) in
         let valid = F.currencies sys in
@@ -810,6 +836,7 @@ let qcheck_incremental_valuation_exact =
             mutate ~valid (Destroy t);
             tickets := List.filter (fun t' -> t' != t) !tickets
         | _ -> ());
+        if Rng.int_below rng 3 = 0 then drain ();
         (* after each mutation, before any read revalidates: an inactive
            currency the mutation left valid is worth nothing *)
         List.iter
@@ -840,28 +867,32 @@ let qcheck_incremental_valuation_exact =
         Hashtbl.reset dirt;
         F.check_invariants sys
       done;
-      F.unsubscribe sys sub;
+      drain ();
       !ok)
 
-(* --- the change buffer: iter_changed ordering and lifetime -------------- *)
+(* --- watches and queues --------------------------------------------------- *)
 
-(* Records each delivered batch as currency names, in visit order. *)
-let record_batches sys =
-  let got = ref [] in
-  let sub =
-    F.on_change sys (fun ch ->
-        let names = ref [] in
-        F.iter_changed ch (fun c -> names := F.currency_name c :: !names);
-        got := List.rev !names :: !got)
+(* A queue watching [cs], each currency's tag its index there, and its
+   drain as currency names. *)
+let watch_all sys cs =
+  let q = F.queue sys in
+  List.iteri (fun i c -> F.watch c q ~tag:i) cs;
+  let drained () =
+    let got =
+      List.init (F.settle q) (fun i ->
+          let tag = F.nth q i in
+          if tag < 0 then "-" else F.currency_name (List.nth cs tag))
+    in
+    F.clear q;
+    got
   in
-  (got, sub)
+  (q, drained)
 
 let names = Alcotest.(list string)
 
-let test_changed_most_recent_first () =
-  (* base -> a -> b -> c, a held ticket in c keeping the chain active, and
-     a second held ticket [x] in a. Suspending x stales a, then (through
-     a's ticket backing b) b, then c: the batch lists them newest first. *)
+(* base -> a -> b -> c, a held ticket in c keeping the chain active, and a
+   second held ticket [x] in a. *)
+let chain () =
   let sys = F.create_system () in
   let mk name from amount =
     let c = F.make_currency sys ~name in
@@ -875,14 +906,19 @@ let test_changed_most_recent_first () =
   let x = F.issue sys ~currency:a ~amount:1 in
   F.hold sys x;
   ignore (F.currency_value sys c : float);
-  let got, _ = record_batches sys in
-  F.suspend sys x;
-  check (Alcotest.list names) "one batch, newest flip first"
-    [ [ "c"; "b"; "a" ] ] !got
+  (sys, a, b, c, x)
 
-let test_changed_once_per_batch () =
+let test_queue_newest_flip_first () =
+  (* suspending x stales a, then (through a's ticket backing b) b, then c:
+     the queue drains them newest first *)
+  let sys, a, b, c, x = chain () in
+  let _, drained = watch_all sys [ a; b; c ] in
+  F.suspend sys x;
+  check names "drained newest flip first" [ "c"; "b"; "a" ] (drained ())
+
+let test_queue_once_per_mutation () =
   (* a diamond: a funds b and c, both fund d. Staling a reaches d along
-     both edges; the walk visits it once, through the newer edge (c). *)
+     both edges; the walk flips it once, through the newer edge (c). *)
   let sys = F.create_system () in
   let cur name = F.make_currency sys ~name in
   let fund ~from ~amount c =
@@ -898,41 +934,74 @@ let test_changed_once_per_batch () =
   let x = F.issue sys ~currency:a ~amount:1 in
   F.hold sys x;
   ignore (F.currency_value sys d : float);
-  let got, _ = record_batches sys in
+  let _, drained = watch_all sys [ a; b; c; d ] in
+  let h0 = F.hook_calls sys in
   F.suspend sys x;
-  check (Alcotest.list names) "d appears once" [ [ "b"; "d"; "c"; "a" ] ] !got
+  checki "one tag per flipped watch" 4 (F.hook_calls sys - h0);
+  check names "d appears once" [ "b"; "d"; "c"; "a" ] (drained ())
 
-let test_changed_drained_after_notify () =
-  (* the buffer is only readable while the callbacks run: a [change] kept
-     past its notification visits nothing *)
+let test_queue_across_mutations () =
+  (* mutations drain in the order they happened, each newest first; a
+     cancelled tag reads -1, and a cleared queue starts afresh *)
+  let sys, a, b, c, x = chain () in
+  let y = F.issue sys ~currency:c ~amount:3 in
+  F.hold sys y;
+  ignore (F.currency_value sys c : float);
+  let q, drained = watch_all sys [ a; b; c ] in
+  F.suspend sys y;
+  F.suspend sys x;
+  (* y's suspend flips c alone; x's then flips a and b (c is already
+     stale, so the walk stops there) *)
+  check names "mutation order, newest first within" [ "c"; "b"; "a" ] (drained ());
+  ignore (F.currency_value sys c : float);
+  F.resume sys x;
+  F.cancel q 1;
+  check names "cancelled entry" [ "c"; "-"; "a" ] (drained ());
+  ignore (F.currency_value sys c : float);
+  F.resume sys y;
+  check names "cleared, then only the new flips" [ "c" ] (drained ())
+
+let test_watch_lifecycle () =
+  (* two queues on one currency both get its flip; a queued tag is not
+     queued twice; removing the currency drops its watches, so a currency
+     that recycles its slot is unwatched *)
   let sys = F.create_system () in
   let a = F.make_currency sys ~name:"a" in
-  F.fund sys ~ticket:(F.issue sys ~currency:(F.base sys) ~amount:100) ~currency:a;
-  let x = F.issue sys ~currency:a ~amount:1 in
-  F.hold sys x;
+  let t = F.issue sys ~currency:(F.base sys) ~amount:100 in
+  F.fund sys ~ticket:t ~currency:a;
+  let h = F.issue sys ~currency:a ~amount:1 in
+  F.hold sys h;
   ignore (F.currency_value sys a : float);
-  let kept = ref None and during = ref 0 in
-  let sub =
-    F.on_change sys (fun ch ->
-        kept := Some ch;
-        F.iter_changed ch (fun _ -> incr during))
-  in
-  F.suspend sys x;
-  checkb "the batch was non-empty while delivered" true (!during > 0);
-  let after = ref 0 in
-  (match !kept with
-  | Some ch -> F.iter_changed ch (fun _ -> incr after)
-  | None -> Alcotest.fail "no batch delivered");
-  checki "empty after notify" 0 !after;
-  (* drained with no subscriber too: the next batch holds only its own
-     flips, not leftovers *)
-  F.unsubscribe sys sub;
+  let q1 = F.queue sys and q2 = F.queue sys in
+  F.watch a q1 ~tag:7;
+  F.watch a q2 ~tag:9;
+  checki "first queue's tag" 7 (F.tag a q1);
+  checki "second queue's tag" 9 (F.tag a q2);
+  let contents q = List.init (F.settle q) (F.nth q) in
+  F.suspend sys h;
   ignore (F.currency_value sys a : float);
-  F.resume sys x;
-  ignore (F.currency_value sys a : float);
-  let got, _ = record_batches sys in
-  F.suspend sys x;
-  check (Alcotest.list names) "no leftovers" [ [ "a" ] ] !got
+  F.resume sys h;
+  check (Alcotest.list Alcotest.int) "first queue, once" [ 7 ] (contents q1);
+  check (Alcotest.list Alcotest.int) "second queue, once" [ 9 ] (contents q2);
+  checkb "queued" true (F.is_queued q1 7);
+  F.cancel q1 7;
+  checkb "cancelled" false (F.is_queued q1 7);
+  check (Alcotest.list Alcotest.int) "cancelled entry" [ -1 ] (contents q1);
+  F.clear q1;
+  F.clear q2;
+  F.destroy_ticket sys h;
+  F.destroy_ticket sys t;
+  let slot = F.currency_slot a in
+  F.remove_currency sys a;
+  let a' = F.make_currency sys ~name:"a2" in
+  checki "the slot is recycled" slot (F.currency_slot a');
+  checki "and unwatched" (-1) (F.tag a' q1);
+  F.fund sys ~ticket:(F.issue sys ~currency:(F.base sys) ~amount:5) ~currency:a';
+  let h' = F.issue sys ~currency:a' ~amount:1 in
+  F.hold sys h';
+  ignore (F.currency_value sys a' : float);
+  F.suspend sys h';
+  checki "nothing queued" 0 (F.queued q1 + F.queued q2)
 
 let test_pp_smoke () =
   let sys, _, alice, _, _, _, _, _, t2, _, _ = figure3 () in
@@ -1044,14 +1113,15 @@ let () =
           Alcotest.test_case "pretty printers" `Quick test_pp_smoke;
           Alcotest.test_case "valuation snapshots" `Quick test_valuation_snapshot_consistent;
         ] );
-      ( "changes",
+      ( "watches",
         [
-          Alcotest.test_case "most recently dirtied first" `Quick
-            test_changed_most_recent_first;
-          Alcotest.test_case "each currency once per batch" `Quick
-            test_changed_once_per_batch;
-          Alcotest.test_case "buffer drained after notify" `Quick
-            test_changed_drained_after_notify;
+          Alcotest.test_case "newest flip first" `Quick test_queue_newest_flip_first;
+          Alcotest.test_case "each currency once per mutation" `Quick
+            test_queue_once_per_mutation;
+          Alcotest.test_case "mutation order, cancel and clear" `Quick
+            test_queue_across_mutations;
+          Alcotest.test_case "several queues, dropped with the currency" `Quick
+            test_watch_lifecycle;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

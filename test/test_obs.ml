@@ -726,6 +726,58 @@ let test_span_eviction_bounds_memory () =
   check (Alcotest.list Alcotest.string) "no violations" []
     (Obs.Span.violations tracer)
 
+let live_words () =
+  Gc.full_major ();
+  (Gc.quick_stat ()).Gc.live_words
+
+(* Both endpoints of every span die: each round spawns a server (receive,
+   compute 5 ms, reply) and a client that sends it one request, and kills
+   both 2 ms in, while the server computes. The client's death orphans
+   the span and the server's then finishes it, so [~retain] bounds the
+   tracer: spans are evicted, and the live heap does not grow with the
+   rounds. (It grew ~29 words a round while such spans were kept for the
+   tracer's life.) *)
+let test_span_double_death_evicts () =
+  let k = rr_kernel () in
+  let tracer = Obs.Span.create ~retain:16 () in
+  Obs.Span.attach tracer (Kernel.bus k);
+  let port = Kernel.create_port k ~name:"svc" in
+  let round () =
+    let server =
+      Kernel.spawn k ~name:"server" (fun () ->
+          let m = Api.receive port in
+          Api.compute (Time.ms 5);
+          Api.reply m "")
+    in
+    let client =
+      Kernel.spawn k ~name:"client" (fun () -> ignore (Api.rpc port "x"))
+    in
+    ignore (Kernel.run k ~until:(Kernel.now k + Time.ms 2));
+    Kernel.kill k client;
+    Kernel.kill k server;
+    ignore (Kernel.run k ~until:(Kernel.now k + Time.ms 1))
+  in
+  for _ = 1 to 500 do
+    round ()
+  done;
+  let w1 = live_words () in
+  for _ = 1 to 1500 do
+    round ()
+  done;
+  let w2 = live_words () in
+  let st = Obs.Span.stats tracer in
+  checki "every round opened a span" 2000 st.Obs.Span.st_total;
+  checki "every span orphaned" 2000 st.st_orphaned;
+  checkb "retention window enforced" true
+    (List.length (Obs.Span.spans tracer) <= 16);
+  checki "eviction accounted" (2000 - List.length (Obs.Span.spans tracer))
+    (Obs.Span.evicted tracer);
+  check (Alcotest.list Alcotest.string) "no violations" []
+    (Obs.Span.violations tracer);
+  let per_round = float_of_int (w2 - w1) /. 1500. in
+  if per_round > 1. then
+    Alcotest.failf "%.2f live words per round of double deaths" per_round
+
 (* --- determinism of the typed stream ----------------------------------------- *)
 
 let run_traced seed =
@@ -1609,10 +1661,6 @@ let test_legacy_render_format () =
 
 (* --- memory under thread churn ----------------------------------------- *)
 
-let live_words () =
-  Gc.full_major ();
-  (Gc.quick_stat ()).Gc.live_words
-
 (* The churn world (a funded thread spawned every 10 ms, the oldest beyond
    32 killed) with [attach]'s subscribers, run to T = 20 s and to 2T:
    live words grown per kill between the two. A kill left 27-30 words
@@ -1778,6 +1826,8 @@ let () =
             test_span_scatter_gather;
           Alcotest.test_case "eviction bounds memory" `Quick
             test_span_eviction_bounds_memory;
+          Alcotest.test_case "double deaths evicted" `Quick
+            test_span_double_death_evicts;
         ] );
       ( "stream",
         [

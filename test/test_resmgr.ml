@@ -476,9 +476,9 @@ let check_refreshed msg expected tr =
 
 let test_tracker_mutations_between_drains_surface () =
   let sys, tr, cur, tk = tracker_setup () in
-  (* change events are scoped to currencies with a validated value cache
-     ("currencies never read by anyone may stay stale"), so read the value
-     first — exactly what a manager's revalue step does before a draw *)
+  (* watches hear only of a currency whose value cache was validated (a
+     currency never read may stay stale), so read the value first —
+     exactly what a manager's revalue step does before a draw *)
   ignore (F.currency_value sys cur);
   ignore (refreshed tr);
   F.set_amount sys tk 20;
@@ -522,6 +522,43 @@ let test_tracker_ignores_unfunded_currencies () =
   checki "nothing recorded for a currency funding no client" 0
     (Fd.pending tr);
   check_refreshed "nothing revalued" [] tr
+
+(* A seat can draw on a thread's own currency, which the scheduler also
+   watches: one flip of it must reach both consumers — the scheduler's
+   weight for the thread (the currency's value) and the device's value for
+   the seat (its ticket's half of the currency's active amount). *)
+let test_thread_currency_seat_reaches_both () =
+  let ls = Core.Lottery_sched.create ~rng:(rng 51) () in
+  let sys = Core.Lottery_sched.funding ls in
+  let k = Core.Kernel.create ~sched:(Core.Lottery_sched.sched ls) () in
+  let th =
+    Core.Kernel.spawn k ~name:"worker" (fun () ->
+        while true do
+          Core.Api.compute (Core.Time.ms 1)
+        done)
+  in
+  let backing =
+    Core.Lottery_sched.fund_thread ls th ~amount:100
+      ~from:(Core.Lottery_sched.base_currency ls)
+  in
+  let dev = Io.create ~funding:sys ~rng:(rng 52) () in
+  let thread_cur =
+    Option.get
+      (F.find_currency sys (Printf.sprintf "thread:%d:worker" th.Core.Types.id))
+  in
+  let seat = Io.add_funded_client dev ~name:"worker-io" ~currency:thread_cur () in
+  Io.submit dev seat ~requests:10;
+  let weight () =
+    ignore ((Core.Lottery_sched.sched ls).Core.Types.select ~cpu:0);
+    Option.get (Core.Lottery_sched.draw_weight ls th)
+  in
+  check (Alcotest.float 0.) "scheduler: the currency's value" 100. (weight ());
+  check (Alcotest.float 0.) "device: half of it" 50. (Io.value dev seat);
+  let h0 = F.hook_calls sys in
+  Core.Lottery_sched.set_ticket_amount ls backing 300;
+  checki "one flip, two hooks" 2 (F.hook_calls sys - h0);
+  check (Alcotest.float 0.) "scheduler: the new value" 300. (weight ());
+  check (Alcotest.float 0.) "device: half of it" 150. (Io.value dev seat)
 
 (* Regression: a funded manager that is never served must not
    retain the ids of unrelated currencies as they churn (ids are never
@@ -931,6 +968,8 @@ let () =
             test_tracker_ignores_unfunded_currencies;
           Alcotest.test_case "idle manager bounded under currency churn" `Quick
             test_idle_manager_bounded_under_currency_churn;
+          Alcotest.test_case "a seat on a thread currency reaches both" `Quick
+            test_thread_currency_seat_reaches_both;
           QCheck_alcotest.to_alcotest qcheck_managers_track_funding;
         ] );
     ]

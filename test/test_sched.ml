@@ -674,6 +674,98 @@ let test_block_wake_skips_idle_siblings () =
     true (per_cycle <= 16.);
   Lotto_tickets.Funding.check_invariants sys
 
+(* The order a flush writes weights in is not visible in any digest until
+   float rounding makes it so, so these tests read it off a shard's mass:
+   with two shards, every thread pinned to shard 0 and migration off, the
+   mass moves only by each re-weighed thread's delta, added in write order.
+   The deltas carry the mass across a power of two, where the rounding
+   grid changes, so the sum keeps their order. [replay] recomputes the
+   mass for an order with the scheduler's own arithmetic. A select on the
+   empty shard 1 flushes without drawing anyone out of shard 0. *)
+module Sh = Lotto_draw.Shard_tree
+
+let pinned_lottery () =
+  let ls = Lottery_sched.create ~shards:2 ~rng:(Rng.create ~seed:5 ()) () in
+  Lottery_sched.set_migration_enabled ls false;
+  Lottery_sched.set_placement_hook ls (Some (fun _ -> 0));
+  (ls, Lottery_sched.sched ls)
+
+let flush s = ignore (s.Types.select ~cpu:1)
+
+(* The mass a flush writing in [order] leaves, [after] giving each
+   thread's new weight. *)
+let replay ls order after =
+  let st = Sh.create ~shards:2 in
+  Sh.set st 0 (Lottery_sched.shard_ticket_mass ls 0);
+  List.iter
+    (fun th ->
+      let w0 = Option.get (Lottery_sched.draw_weight ls th) in
+      Sh.adjust_at st 0 [| List.assq th after -. w0 |] 0)
+    order;
+  Sh.get st 0
+
+(* Runs [mutate], then checks that the next flush writes in [expected]
+   order — and that the mass tells each [wrong] order apart. *)
+let check_order ls s ~expected ~wrong mutate =
+  mutate ();
+  let after = List.map (fun th -> (th, Lottery_sched.thread_value ls th)) expected in
+  let bits order = Int64.bits_of_float (replay ls order after) in
+  List.iter
+    (fun order ->
+      checkb "a wrong order moves the mass" true (bits order <> bits expected))
+    wrong;
+  let want = bits expected in
+  flush s;
+  check Alcotest.int64 "the flush wrote in drain order" want
+    (Int64.bits_of_float (Lottery_sched.shard_ticket_mass ls 0))
+
+let spawn_funded ls s id funding =
+  let th = bare_thread id in
+  s.Types.attach th;
+  List.iter
+    (fun (from, amount) -> ignore (Lottery_sched.fund_thread ls th ~amount ~from))
+    funding;
+  th
+
+let test_flush_drain_order () =
+  let ls, s = pinned_lottery () in
+  let base = Lottery_sched.base_currency ls in
+  let c = Lottery_sched.make_currency ls "c" and d = Lottery_sched.make_currency ls "d" in
+  let tc = Lottery_sched.fund_currency ls ~target:c ~amount:1000 ~from:base in
+  let td = Lottery_sched.fund_currency ls ~target:d ~amount:1000 ~from:base in
+  let a = spawn_funded ls s 1 [ (c, 3); (d, 5) ] in
+  let b = spawn_funded ls s 2 [ (c, 7) ] in
+  let e = spawn_funded ls s 3 [ (c, 11) ] in
+  let f = spawn_funded ls s 4 [ (d, 13) ] in
+  flush s;
+  (* tc's change flips c's threads newest ticket first (e, b, a); a is read
+     again, so td's change flips f and then a, which keeps its first place *)
+  check_order ls s ~expected:[ a; b; e; f ]
+    ~wrong:[ [ e; b; a; f ] (* flip order *); [ b; e; a; f ] (* latest place *) ]
+    (fun () ->
+      Lottery_sched.set_ticket_amount ls tc 1234;
+      ignore (Lottery_sched.thread_value ls a : float);
+      Lottery_sched.set_ticket_amount ls td 777)
+
+let test_flush_skips_recycled_slot () =
+  let ls, s = pinned_lottery () in
+  let base = Lottery_sched.base_currency ls in
+  let c = Lottery_sched.make_currency ls "c" in
+  let tc = Lottery_sched.fund_currency ls ~target:c ~amount:1000 ~from:base in
+  let x = spawn_funded ls s 1 [ (c, 3) ] in
+  let a = spawn_funded ls s 2 [ (c, 7) ] in
+  let b = spawn_funded ls s 3 [ (c, 11) ] in
+  flush s;
+  (* tc's change queues x, a, b; x dies and y, spawned into its slot, is
+     funded from c, so y queues after b: x's entry must not re-weigh y
+     ahead of a and b *)
+  let y = { (bare_thread 9) with Types.tslot = x.Types.tslot } in
+  check_order ls s ~expected:[ a; b; y ] ~wrong:[ [ y; a; b ] ] (fun () ->
+      Lottery_sched.set_ticket_amount ls tc 1234;
+      s.Types.detach x;
+      s.Types.attach y;
+      ignore (Lottery_sched.fund_thread ls y ~amount:2 ~from:c))
+
 (* Conservation under random workloads: whatever mix of computing,
    sleeping, yielding and exiting threads a scheduler faces, consumed CPU
    plus idle time must exactly cover the horizon, and the lottery's funding
@@ -1008,6 +1100,10 @@ let () =
             test_scoped_updates_on_block_wake;
           Alcotest.test_case "block/wake skips idle siblings' edges" `Quick
             test_block_wake_skips_idle_siblings;
+          Alcotest.test_case "flush writes in drain order" `Quick
+            test_flush_drain_order;
+          Alcotest.test_case "a recycled slot drains at its new place" `Quick
+            test_flush_skips_recycled_slot;
           Alcotest.test_case "baseline accessors" `Quick test_baseline_accessors;
         ] );
       ( "reclamation",
