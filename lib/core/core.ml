@@ -46,7 +46,6 @@
 module Rng = Lotto_prng.Rng
 module Park_miller = Lotto_prng.Park_miller
 module Splitmix64 = Lotto_prng.Splitmix64
-module Xoshiro256 = Lotto_prng.Xoshiro256
 
 (* Resource rights *)
 module Funding = Lotto_tickets.Funding

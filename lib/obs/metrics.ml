@@ -1,23 +1,5 @@
 module Chi = Lotto_stats.Chi_square
 
-(* growable float sample buffer — only allocated on the opt-in raw path *)
-module Samples = struct
-  type t = { mutable data : float array; mutable len : int }
-
-  let create () = { data = Array.make 16 0.; len = 0 }
-
-  let add t x =
-    if t.len = Array.length t.data then begin
-      let bigger = Array.make (2 * t.len) 0. in
-      Array.blit t.data 0 bigger 0 t.len;
-      t.data <- bigger
-    end;
-    t.data.(t.len) <- x;
-    t.len <- t.len + 1
-
-  let to_array t = Array.sub t.data 0 t.len
-end
-
 (* latency histograms: µs of virtual time, 2^-5 relative error, values up
    to 2^30 µs (~18 virtual minutes) before clamping *)
 let make_hdr () = Hdr.create ~sub_bits:5 ~max_value:(1 lsl 30) ()
@@ -39,8 +21,6 @@ type row = {
   mutable rpcs_shed : int;
   wait_h : Hdr.t;
   dispatch_h : Hdr.t;
-  wait_raw : Samples.t option;
-  dispatch_raw : Samples.t option;
   mutable blocked_since : int;  (** [-1]: not blocked *)
   mutable runnable_since : int;  (** [-1]: not waiting for the CPU *)
   mutable q_cur : int;
@@ -57,7 +37,7 @@ type row = {
           [q_cur_used] in (see {!q_totals}) *)
 }
 
-let fresh_row ~tid ~name ~seq ~hdr ~raw =
+let fresh_row ~tid ~name ~seq ~hdr =
   {
     tid;
     name;
@@ -75,8 +55,6 @@ let fresh_row ~tid ~name ~seq ~hdr ~raw =
     rpcs_shed = 0;
     wait_h = hdr ();
     dispatch_h = hdr ();
-    wait_raw = (if raw then Some (Samples.create ()) else None);
-    dispatch_raw = (if raw then Some (Samples.create ()) else None);
     blocked_since = -1;
     runnable_since = -1;
     q_cur = 0;
@@ -90,7 +68,7 @@ let fresh_row ~tid ~name ~seq ~hdr ~raw =
 let cache_size = 256
 
 let no_row =
-  fresh_row ~tid:min_int ~name:"" ~seq:(-1) ~raw:false ~hdr:(fun () ->
+  fresh_row ~tid:min_int ~name:"" ~seq:(-1) ~hdr:(fun () ->
       Hdr.create ~sub_bits:1 ~max_value:2 ())
 
 (* Dead rows kept after their [Exit]: more exited threads than any
@@ -99,7 +77,6 @@ let no_row =
 let retain = 1024
 
 type t = {
-  raw : bool;
   rows : (int, row) Hashtbl.t;  (** live rows and retained dead rows *)
   cache : row array;  (** [cache_size] slots, by [tid land (cache_size - 1)] *)
   dead_rows : row Queue.t;  (** retained dead rows, oldest death first *)
@@ -111,9 +88,8 @@ type t = {
   mutable sub : Bus.subscription option;
 }
 
-let create ?(raw = false) () =
+let create () =
   {
-    raw;
     rows = Hashtbl.create 32;
     cache = Array.make cache_size no_row;
     dead_rows = Queue.create ();
@@ -128,7 +104,6 @@ let create ?(raw = false) () =
 let new_row t (a : Event.actor) =
   let r =
     fresh_row ~tid:a.Event.tid ~name:a.Event.tname ~seq:t.seen ~hdr:make_hdr
-      ~raw:t.raw
   in
   t.seen <- t.seen + 1;
   Hashtbl.replace t.rows a.Event.tid r;
@@ -186,12 +161,6 @@ let rec add_q l (q : int) used =
 let q_totals (r : row) =
   if r.q_cur > 0 then add_q r.q_done r.q_cur r.q_cur_used else r.q_done
 
-let sample hdr raw v =
-  Hdr.record hdr v;
-  match raw with
-  | Some s -> Samples.add s (float_of_int v)
-  | None -> ()
-
 let on_event t time ev =
   match ev with
   | Event.Spawn { who } -> (row t who).runnable_since <- time
@@ -199,7 +168,7 @@ let on_event t time ev =
       let r = row t who in
       r.wins <- r.wins + 1;
       if r.runnable_since >= 0 then
-        sample r.dispatch_h r.dispatch_raw (time - r.runnable_since);
+        Hdr.record r.dispatch_h (time - r.runnable_since);
       r.runnable_since <- -1
   | Event.Preempt { who; used; quantum; why } ->
       if quantum > t.quantum_us then t.quantum_us <- quantum;
@@ -226,7 +195,7 @@ let on_event t time ev =
   | Event.Wake { who } ->
       let r = row t who in
       if r.blocked_since >= 0 then
-        sample r.wait_h r.wait_raw (time - r.blocked_since);
+        Hdr.record r.wait_h (time - r.blocked_since);
       r.blocked_since <- -1;
       r.runnable_since <- time
   | Event.Exit { who; _ } ->
@@ -285,8 +254,6 @@ type snapshot = {
   rpcs_shed : int;
   wait : Hdr.t;
   dispatch : Hdr.t;
-  wait_us : float array;
-  dispatch_us : float array;
 }
 
 (* live and retained rows, first-seen order *)
@@ -312,12 +279,6 @@ let snapshots t =
            rpcs_shed = r.rpcs_shed;
            wait = Hdr.copy r.wait_h;
            dispatch = Hdr.copy r.dispatch_h;
-           wait_us =
-             (match r.wait_raw with Some s -> Samples.to_array s | None -> [||]);
-           dispatch_us =
-             (match r.dispatch_raw with
-             | Some s -> Samples.to_array s
-             | None -> [||]);
          })
 
 let total_quanta t =

@@ -6,8 +6,7 @@
     distributions — {e wait time} (block → wake) and {e dispatch latency}
     (runnable → selected) — recorded into bounded-memory {!Hdr} histograms
     (O(1) per sample, no per-sample allocation, quantiles within
-    {!Hdr.max_relative_error}). Raw per-sample retention is available
-    behind [~raw:true] for tests that need exact values. The fairness
+    {!Hdr.max_relative_error}). No raw sample is kept. The fairness
     gauge checks observed CPU share against ticket entitlement with
     {!Lotto_stats.Chi_square}, the paper's own accuracy measure
     (§2, Figures 1–5). *)
@@ -21,22 +20,17 @@ type t
     {!snapshots}, {!summary} or {!to_prom}, and its quanta stay in
     {!total_quanta}.
 
-    A row is about 1,786 words (14.3 KB on 64-bit), 1,750 of them its two
+    A row is about 1,784 words (14.3 KB on 64-bit), 1,750 of them its two
     {!Hdr} histograms, so a registry holds at most (live threads + 1,024)
-    × ~1,786 words however many threads come and go: under churn (a
+    × ~1,784 words however many threads come and go: under churn (a
     funded thread spawned every 10 ms of virtual time, the oldest beyond
     32 killed) the live heap stops growing once 1,024 threads have died
     (it grew 1,810 words per killed thread while every dead row was kept).
     What still grows: a row's per-quantum table gains one entry per
-    distinct quantum the thread ran under, and the [raw] sample arrays
-    grow with every sample. *)
+    distinct quantum the thread ran under. *)
 
-val create : ?raw:bool -> unit -> t
-(** [raw] (default [false]) additionally retains every wait/dispatch
-    sample in growable arrays — unbounded memory, for tests and offline
-    analysis only; histograms are always maintained.
-
-    An event that can name a thread after its exit (its last [Preempt], a
+val create : unit -> t
+(** An event that can name a thread after its exit (its last [Preempt], a
     drop-oldest [Rpc_shed]) is dropped when the thread's row is gone and
     its tid is not above every evicted tid, so an evicted thread never
     gets a new row. A thread that exits while running keeps its last
@@ -81,10 +75,6 @@ type snapshot = {
   rpcs_shed : int;  (** requests shed by bounded-port admission control *)
   wait : Hdr.t;  (** block → wake durations (private copy) *)
   dispatch : Hdr.t;  (** runnable → selected durations (private copy) *)
-  wait_us : float array;
-      (** exact block → wake samples in arrival order; empty unless the
-          registry was created with [~raw:true] *)
-  dispatch_us : float array;  (** likewise for runnable → selected *)
 }
 
 val snapshots : t -> snapshot list

@@ -1,9 +1,8 @@
-type algo = Park_miller | Splitmix64 | Xoshiro256pp
+type algo = Park_miller | Splitmix64
 
 type impl =
   | Pm of Park_miller.t
   | Sm of Splitmix64.t
-  | Xo of Xoshiro256.t
 
 type t = { algo : algo; impl : impl }
 
@@ -17,7 +16,6 @@ let create ?(algo = Park_miller) ~seed () =
     match algo with
     | Park_miller -> Pm (Park_miller.create ~seed)
     | Splitmix64 -> Sm (Splitmix64.create ~seed)
-    | Xoshiro256pp -> Xo (Xoshiro256.create ~seed)
   in
   { algo; impl }
 
@@ -27,14 +25,12 @@ let name t =
   match t.algo with
   | Park_miller -> "park-miller"
   | Splitmix64 -> "splitmix64"
-  | Xoshiro256pp -> "xoshiro256++"
 
 let copy t =
   let impl =
     match t.impl with
     | Pm g -> Pm (Park_miller.copy g)
     | Sm g -> Sm (Splitmix64.copy g)
-    | Xo g -> Xo (Xoshiro256.copy g)
   in
   { t with impl }
 
@@ -44,14 +40,13 @@ let raw t =
   match t.impl with
   | Pm g -> Park_miller.next g - 1 (* [0, modulus - 2] *)
   | Sm g -> top61 (Splitmix64.next_int64 g)
-  | Xo g -> top61 (Xoshiro256.next_int64 g)
 
 let raw_range t =
-  match t.impl with Pm _ -> Park_miller.modulus - 1 | Sm _ | Xo _ -> range61
+  match t.impl with Pm _ -> Park_miller.modulus - 1 | Sm _ -> range61
 
 (* Rejection sampling on the largest multiple of [n] below the raw range,
    as a closure-free loop: a draw allocates nothing (with Park–Miller; the
-   64-bit generators box an Int64 per raw draw). Past Park–Miller's
+   64-bit generator boxes an Int64 per raw draw). Past Park–Miller's
    single-draw range two draws are composed; range^2 <= 2^62 still fits in
    a native int. *)
 let[@inline] below t n =
@@ -86,7 +81,7 @@ let int_in t ~lo ~hi =
 (* For the draw hot paths, which turn this into a float locally: [below]
    inlined at a constant n, so its divisions by n compile to shifts. 2^53
    exceeds Park–Miller's single-draw range, so two draws are composed
-   there; the 61-bit generators use a single draw. *)
+   there; SplitMix64 uses a single 61-bit draw. *)
 let bits53 t = below t (1 lsl 53)
 
 let float_unit t = float_of_int (bits53 t) /. float_of_int (1 lsl 53)

@@ -3,14 +3,13 @@
     All randomness in the library flows through a [t], created from an
     explicit seed, so every simulation and experiment is reproducible.
     The default algorithm is {!Park_miller}, matching the paper's prototype;
-    higher-quality generators are available for statistical testing. *)
+    SplitMix64 is available for statistical testing. *)
 
 type t
 
 type algo =
   | Park_miller  (** the paper's minimal-standard LCG (Appendix A) *)
-  | Splitmix64
-  | Xoshiro256pp
+  | Splitmix64  (** a fast 64-bit generator, for statistical testing *)
 
 val create : ?algo:algo -> seed:int -> unit -> t
 (** Default [algo] is [Park_miller]. *)
@@ -29,7 +28,7 @@ val int_below : t -> int -> int
 (** [int_below t n] is uniform on [\[0, n)], unbiased (rejection sampling).
     Raises [Invalid_argument] if [n <= 0] or [n] exceeds the generator's
     composable range. Allocates nothing with the default Park–Miller
-    generator (the 64-bit generators box an [Int64] per raw draw). *)
+    generator (SplitMix64 boxes an [Int64] per raw draw). *)
 
 val int_in : t -> lo:int -> hi:int -> int
 (** Uniform on [\[lo, hi\]] inclusive. *)

@@ -1,5 +1,5 @@
-(** SplitMix64 generator (Steele, Lea & Flood). Used both as a fast modern
-    alternative to Park–Miller and to seed {!Xoshiro256}. *)
+(** SplitMix64 generator (Steele, Lea & Flood): a fast modern alternative
+    to Park–Miller, and the scrambler behind {!Rng.split}. *)
 
 type t
 

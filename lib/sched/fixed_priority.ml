@@ -48,10 +48,6 @@ let mark_ready t th =
 
 let mark_unready t th = (state t th).runnable <- false
 
-let detach t th =
-  mark_unready t th;
-  Hashtbl.remove t.states th.id
-
 let select t =
   let best = ref None in
   Hashtbl.iter
@@ -94,6 +90,13 @@ let revoke t ~src =
     List.iter
       (fun (s, dst) -> if s = src.id then revoke_from t ~src ~dst)
       t.donation_of
+
+(* A dying thread's transfers go with it, as source and as target, so no
+   later revoke reaches it. *)
+let detach t th =
+  revoke t ~src:th;
+  t.donation_of <- List.filter (fun (_, d) -> d != th) t.donation_of;
+  Hashtbl.remove t.states th.id
 
 let sched t =
   {

@@ -504,15 +504,21 @@ let donate t ~src ~dst =
   F.fund t.system ~ticket ~currency:d.cur;
   s.donations <- (dst.id, ticket) :: s.donations
 
-let revoke t ~src = drop_donations t (state t src)
+(* The kernel revokes on every wake and kill, so both revokes look the
+   source up with [find_state]: a thread with no state has nothing to
+   withdraw, and [state] would create one for a reaped thread. *)
+let revoke t ~src =
+  match find_state t src with Some s -> drop_donations t s | None -> ()
 
 let revoke_from t ~src ~dst =
-  let s = state t src in
-  match List.assoc_opt dst.id s.donations with
+  match find_state t src with
   | None -> ()
-  | Some ticket ->
-      F.destroy_ticket t.system ticket;
-      s.donations <- List.remove_assoc dst.id s.donations
+  | Some s -> (
+      match List.assoc_opt dst.id s.donations with
+      | None -> ()
+      | Some ticket ->
+          F.destroy_ticket t.system ticket;
+          s.donations <- List.remove_assoc dst.id s.donations)
 
 let detach t th =
   match find_state t th with
@@ -744,13 +750,6 @@ let set_profiler t p = t.profiler <- p
 
 (* --- auditable introspection -------------------------------------------- *)
 
-(* Read-only: must go through [find_state], never [state], which would
-   resurrect a currency for a detached (dead) thread. *)
-let donation_targets t th =
-  match find_state t th with
-  | None -> []
-  | Some s -> List.map fst s.donations
-
 (* The flat per-thread tables against the records they describe. An entry
    that is in its draw and not pending is one the quiescent [account]
    trusts without validating, so it must belong to a live thread whose
@@ -797,17 +796,22 @@ let check_flat_tables t out =
 let check_funding_coherence t threads =
   let out = ref [] in
   let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
+  let live = Hashtbl.create 64 in
+  List.iter (fun (th : thread) -> Hashtbl.replace live th.id ()) threads;
+  (* A transfer lives while its source is blocked (§4.6: destroyed when
+     the client wakes), and its target's [detach] destroys it. *)
   List.iter
     (fun th ->
-      let sched_side = List.sort compare (donation_targets t th) in
-      let kernel_side =
-        List.sort compare (List.map (fun (d : thread) -> d.id) th.donating_to)
-      in
-      if sched_side <> kernel_side then
-        vf "%s: kernel donating_to [%s] but scheduler holds transfers to [%s]"
-          th.name
-          (String.concat ";" (List.map string_of_int kernel_side))
-          (String.concat ";" (List.map string_of_int sched_side)))
+      match find_state t th with
+      | Some { donations = _ :: _ as ds; _ } ->
+          if th.state <> Blocked then
+            vf "%s: holds transfers while not Blocked" th.name;
+          List.iter
+            (fun (dst, _) ->
+              if not (Hashtbl.mem live dst) then
+                vf "%s: transfers to thread %d, which is not live" th.name dst)
+            ds
+      | _ -> ())
     threads;
   (* The kernel's thread list is live-only, so dead threads with leftover
      funding state can't be caught from [threads]; sweep our own table. A

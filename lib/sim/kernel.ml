@@ -273,8 +273,6 @@ let no_thread =
     c_kc = vacant_kc;
     cpu = 0;
     compensate = 1.;
-    donating_to = [];
-    donors = [];
     owned = [];
     joiners = Waitq.create ();
     servicing = [];
@@ -379,8 +377,6 @@ let spawn k ~name body =
       c_kc = vacant_kc;
       cpu = 0;
       compensate = 1.;
-      donating_to = [];
-      donors = [];
       owned = [];
       joiners = Waitq.create ();
       servicing = [];
@@ -500,41 +496,14 @@ let take_oldest_victim k p =
 
 let port_shed_count p = p.shed_count
 
-(* Remove the first element physically equal to [x]; the rest keep their
-   order and only the prefix before it is copied (none when it is the
-   head, the common case for a donor list). *)
-let rec remove_phys x = function
-  | [] -> []
-  | y :: rest -> if y == x then rest else y :: remove_phys x rest
-
+(* A transfer is recorded only by the scheduler: the kernel forwards, and
+   a revoke with nothing to withdraw is the scheduler's no-op. *)
 let donate k ~src ~dst =
-  src.donating_to <- dst :: src.donating_to;
-  dst.donors <- src :: dst.donors;
   k.sched.donate ~src ~dst;
   if observed k then emit k (Obs.Event.Donate { src = actor k src; dst = actor k dst })
 
-let rec scrub_donors src = function
-  | [] -> ()
-  | d :: rest ->
-      d.donors <- remove_phys src d.donors;
-      scrub_donors src rest
-
-let revoke k src =
-  if src.donating_to <> [] then begin
-    scrub_donors src src.donating_to;
-    src.donating_to <- [];
-    k.sched.revoke ~src
-  end
-
-let revoke_from k ~src ~dst =
-  (* remove one occurrence only: a scatter may target the same server (or
-     port) several times, one donation each. Thread ids are unique, so the
-     target is matched by identity. *)
-  if List.memq dst src.donating_to then begin
-    src.donating_to <- remove_phys dst src.donating_to;
-    dst.donors <- remove_phys src dst.donors;
-    k.sched.revoke_from ~src ~dst
-  end
+let revoke k src = k.sched.revoke ~src
+let revoke_from k ~src ~dst = k.sched.revoke_from ~src ~dst
 
 let grant_mutex k m th ~contended =
   m.owner <- Some th;
@@ -620,18 +589,6 @@ let finish k th exn_opt =
         unblock k j
     | _ -> ()
   done;
-  (* Threads still donating *to* the dying thread (e.g. blocked RPC clients
-     whose server dies): the scheduler's detach below destroys the transfer
-     tickets, so scrub the kernel-side donation lists too — the two views
-     must stay coherent for the invariant audit, and a later revoke_from
-     for a dead target must be a no-op on both sides. [donors] is the
-     reverse index, so the scrub is O(degree), not O(threads). *)
-  List.iter
-    (fun src ->
-      if src != th && src.donating_to <> [] then
-        src.donating_to <- List.filter (fun d -> d.id <> th.id) src.donating_to)
-    th.donors;
-  th.donors <- [];
   k.sched.detach th;
   (* reap: recycle the arena slot; the record stays valid for holders,
      but the kernel no longer reaches it *)
@@ -1666,27 +1623,6 @@ let check_invariants k =
             vf ~th "%s: Waiting_replies with outstanding=%d (should be awake)"
               th.name s.outstanding
       | _ -> ());
-      if th.donating_to <> [] then begin
-        if th.state <> Blocked then
-          vf ~th "%s: donating while not Blocked" th.name;
-        List.iter
-          (fun d ->
-            if d.state = Zombie then
-              vf ~th "%s: donating to dead thread %s" th.name d.name;
-            let fwd = count_in (fun d' -> d' == d) th.donating_to in
-            let back = count_in (fun s -> s == th) d.donors in
-            if fwd <> back then
-              vf ~th
-                "%s: %d transfers to %s but its donor index records %d"
-                th.name fwd d.name back)
-          th.donating_to
-      end;
-      List.iter
-        (fun src ->
-          if not (List.exists (fun d -> d == th) src.donating_to) then
-            vf ~th "%s: donor index names %s, which is not donating to it"
-              th.name src.name)
-        th.donors;
       List.iter
         (fun m ->
           match m.owner with

@@ -176,10 +176,10 @@ val check_invariants : t -> string list
     a wait state's slot holds a wait record; exactly-once wait-list membership for mutexes, conditions, semaphores,
     port waiter queues and join lists — in both directions; sleeping
     threads have a live timer-heap entry; scatter [outstanding] matches
-    unreplied slots; donation lists only target live threads and only from
-    blocked donors; mutex owners are alive and free mutexes have no
+    unreplied slots; mutex owners are alive and free mutexes have no
     waiters; semaphore counts are non-negative and positive counts have no
-    waiters. *)
+    waiters. Ticket transfers are recorded only by the scheduler, which
+    audits them ({!Lotto_sched.Lottery_sched.check_funding_coherence}). *)
 
 (** {1 Observability}
 

@@ -41,13 +41,6 @@ type thread = {
       (** compensation-ticket factor (>= 1), applied by proportional-share
           schedulers to the thread's draw weight; reset by the kernel each
           time the thread starts a fresh quantum (paper §4.5) *)
-  mutable donating_to : thread list;
-      (** targets of this thread's current ticket transfers, if blocked;
-          several when a transfer is divided across servers (§3.1) *)
-  mutable donors : thread list;
-      (** reverse index of [donating_to]: threads currently transferring to
-          us, one entry per transfer, so a dying thread scrubs its donors in
-          O(degree) instead of scanning every thread *)
   mutable owned : mutex list;
       (** mutexes this thread currently owns, so robust handoff at death is
           O(held locks) instead of a sweep over every mutex *)
@@ -181,7 +174,10 @@ and semaphore = {
 (* The kernel drives an abstract scheduler through this record. The
    donate/revoke callbacks carry the paper's ticket transfers: the kernel
    announces "blocked thread [src] should fund [dst]"; proportional-share
-   schedulers implement it with transfer tickets, others ignore it. *)
+   schedulers implement it with transfer tickets, others ignore it. The
+   kernel keeps no copy of a transfer: the scheduler's record is the only
+   one, so it revokes on every wake and kill whether or not the thread
+   still transfers anything. *)
 and sched = {
   sched_name : string;
   max_cpus : int;
@@ -204,10 +200,13 @@ and sched = {
           with distinct targets while [src] stays blocked: the transfer is
           then divided, each target receiving an equal share of [src]'s
           value (§3.1). *)
-  revoke : src:thread -> unit;  (** withdraw all of [src]'s transfers *)
+  revoke : src:thread -> unit;
+      (** withdraw all of [src]'s transfers; a no-op when it has none, and
+          it must create no state for a thread it does not know *)
   revoke_from : src:thread -> dst:thread -> unit;
-      (** withdraw only the transfer from [src] to [dst] (one server of a
-          divided transfer replied) *)
+      (** withdraw one transfer from [src] to [dst] (one server of a
+          divided transfer replied); a no-op when there is none, as after
+          [dst]'s [detach], which drops every transfer to [dst] *)
   pick_waiter : thread list -> thread option;
       (** winner among blocked waiters for a [Lottery_wake] mutex,
           condition or semaphore; [None] falls back to FIFO order *)

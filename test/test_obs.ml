@@ -854,9 +854,7 @@ let test_metrics_quanta_match_kernel () =
 
 let test_metrics_wait_time () =
   let k, ls = lottery_kernel ~seed:6 () in
-  (* per-sample assertions need the raw arrays; retention is opt-in now that
-     the histograms carry the percentile duty *)
-  let m = Obs.Metrics.create ~raw:true () in
+  let m = Obs.Metrics.create () in
   Obs.Metrics.attach m (Kernel.bus k);
   let th =
     Kernel.spawn k ~name:"sleeper" (fun () ->
@@ -874,11 +872,11 @@ let test_metrics_wait_time () =
       checkb "blocked at least once" true (s.blocks > 0);
       (* the final block may still be pending at the horizon *)
       checkb "one wait sample per completed block" true
-        (let n = Array.length s.wait_us in
+        (let n = Obs.Hdr.count s.wait in
          n = s.blocks || n = s.blocks - 1);
-      Array.iter
-        (fun w -> checkb "each wait is the sleep duration" true (w = 40_000.))
-        s.wait_us;
+      (* the exact extremes: every wait is the sleep duration *)
+      checki "shortest wait is the sleep" 40_000 (Obs.Hdr.min_value s.wait);
+      checki "longest wait is the sleep" 40_000 (Obs.Hdr.max_value_seen s.wait);
       checkb "compensated after each early block" true (s.compensations > 0)
   | l -> Alcotest.failf "expected 1 snapshot, got %d" (List.length l)
 
@@ -1186,7 +1184,6 @@ let random_stream rng ~tids ~n =
 let metrics_match_naive m events ~entitled =
   let ((rows, _) as naive) = naive_fold events in
   let snaps = Obs.Metrics.snapshots m in
-  let floats l = Array.of_list (List.rev_map float_of_int l) in
   List.length snaps = List.length rows
   && List.for_all2
        (fun (s : Obs.Metrics.snapshot) (tid, r) ->
@@ -1196,8 +1193,6 @@ let metrics_match_naive m events ~entitled =
          && s.lock_acquires = r.n_locks && s.lock_contended = r.n_contended
          && s.rpcs = r.n_rpcs && s.rpcs_served = r.n_served
          && s.rpcs_shed = r.n_shed
-         && s.wait_us = floats r.n_waits
-         && s.dispatch_us = floats r.n_disps
          && buckets s.wait = buckets (hdr_of r.n_waits)
          && buckets s.dispatch = buckets (hdr_of r.n_disps))
        snaps rows
@@ -1229,11 +1224,11 @@ let qcheck_metrics_match_naive_fold =
           (Array.to_list tids @ [ tids.(0); 99 ])
       in
       let fed prefix =
-        let m = Obs.Metrics.create ~raw:true () in
+        let m = Obs.Metrics.create () in
         List.iter (fun (t, ev) -> Obs.Metrics.on_event m t ev) prefix;
         m
       in
-      let m = Obs.Metrics.create ~raw:true () in
+      let m = Obs.Metrics.create () in
       let prefix = ref [] in
       let reads_ok = ref true in
       List.iter
@@ -1450,8 +1445,6 @@ let test_metrics_histogram_default () =
   ignore (Kernel.run k ~until:(Time.seconds 2));
   match Obs.Metrics.snapshots m with
   | [ s ] ->
-      checki "no raw wait samples retained" 0 (Array.length s.wait_us);
-      checki "no raw dispatch samples retained" 0 (Array.length s.dispatch_us);
       checkb "histogram counted every completed block" true
         (let n = Obs.Hdr.count s.wait in
          n = s.blocks || n = s.blocks - 1);

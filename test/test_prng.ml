@@ -3,7 +3,6 @@
 
 module Pm = Core.Park_miller
 module Sm = Core.Splitmix64
-module Xo = Core.Xoshiro256
 module Rng = Core.Rng
 module Chi = Core.Chi_square
 
@@ -65,7 +64,7 @@ let test_pm_copy_independent () =
   ignore (Pm.next g);
   checki "original advanced independently" b (Pm.state h)
 
-(* --- SplitMix64 / Xoshiro ------------------------------------------------ *)
+(* --- SplitMix64 ------------------------------------------------------ *)
 
 let test_splitmix_reference () =
   (* Published reference outputs for seed 1234567. *)
@@ -79,25 +78,9 @@ let test_splitmix_determinism () =
     check Alcotest.int64 (Printf.sprintf "step %d" i) (Sm.next_int64 a) (Sm.next_int64 b)
   done
 
-let test_xoshiro_nonzero_and_deterministic () =
-  let a = Xo.create ~seed:5 and b = Xo.create ~seed:5 in
-  let all_zero = ref true in
-  for _ = 1 to 1000 do
-    let x = Xo.next_int64 a and y = Xo.next_int64 b in
-    check Alcotest.int64 "same stream" x y;
-    if x <> 0L then all_zero := false
-  done;
-  checkb "produces nonzero output" false !all_zero
-
-let test_xoshiro_copy () =
-  let a = Xo.create ~seed:13 in
-  ignore (Xo.next_int64 a);
-  let b = Xo.copy a in
-  check Alcotest.int64 "same next output" (Xo.next_int64 a) (Xo.next_int64 b)
-
 (* --- Rng generic layer --------------------------------------------------- *)
 
-let algos = [ Rng.Park_miller; Rng.Splitmix64; Rng.Xoshiro256pp ]
+let algos = [ Rng.Park_miller; Rng.Splitmix64 ]
 
 let each_algo f = List.iter (fun algo -> f (Rng.create ~algo ~seed:2024 ())) algos
 
@@ -233,9 +216,9 @@ let test_raw_bounds_and_algo () =
         let r = Rng.raw rng in
         checkb "raw below range" true (r >= 0 && r < range)
       done);
-  let rng = Rng.create ~algo:Xoshiro256pp ~seed:1 () in
-  checkb "algo accessor" true (Rng.algo rng = Rng.Xoshiro256pp);
-  check Alcotest.string "name" "xoshiro256++" (Rng.name rng)
+  let rng = Rng.create ~algo:Splitmix64 ~seed:1 () in
+  checkb "algo accessor" true (Rng.algo rng = Rng.Splitmix64);
+  check Alcotest.string "name" "splitmix64" (Rng.name rng)
 
 let test_copy_and_split () =
   each_algo (fun rng ->
@@ -294,7 +277,7 @@ let golden_sizes rng =
   match Rng.algo rng with
   | Rng.Park_miller ->
       common @ [ range + 1; 1 lsl 40; (1 lsl 53) + 1; range * range / 2 + 1; range * range ]
-  | Rng.Splitmix64 | Rng.Xoshiro256pp -> common @ [ 1 lsl 40; (1 lsl 53) + 1 ]
+  | Rng.Splitmix64 -> common @ [ 1 lsl 40; (1 lsl 53) + 1 ]
 
 let golden_output () =
   let buf = Buffer.create 8192 in
@@ -385,7 +368,7 @@ let () =
 let () =
   Alcotest.run "prng"
     [
-      ("golden", [ Alcotest.test_case "derived draws, all three generators" `Quick test_golden ]);
+      ("golden", [ Alcotest.test_case "derived draws, both generators" `Quick test_golden ]);
       ( "park-miller",
         [
           Alcotest.test_case "first outputs from seed 1" `Quick test_pm_known_sequence;
@@ -401,9 +384,6 @@ let () =
         [
           Alcotest.test_case "splitmix reference outputs" `Quick test_splitmix_reference;
           Alcotest.test_case "splitmix deterministic" `Quick test_splitmix_determinism;
-          Alcotest.test_case "xoshiro nonzero & deterministic" `Quick
-            test_xoshiro_nonzero_and_deterministic;
-          Alcotest.test_case "xoshiro copy" `Quick test_xoshiro_copy;
         ] );
       ( "rng",
         [

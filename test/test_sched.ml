@@ -467,6 +467,48 @@ let test_priority_inheritance_solves_inversion () =
   checkb (Printf.sprintf "with inheritance high acquires (t=%d)" t) true
     (t >= 0 && t <= Time.ms 2200)
 
+(* A divided transfer loses a server to a kill: the dead server's share
+   goes with it at once, so nothing keeps the dead thread reachable and
+   the client's later revokes (its own kill, then a second transfer and
+   its wake) cannot bring a state back for it. *)
+let test_priority_inheritance_drops_dead_target () =
+  let fp = Fixed_priority.create ~inheritance:true () in
+  let k = Kernel.create ~sched:(Fixed_priority.sched fp) () in
+  let port name =
+    let p = Kernel.create_port k ~name in
+    ignore
+      (Kernel.spawn k ~name (fun () ->
+           while true do
+             let m = Api.receive p in
+             Api.compute (Time.ms 50);
+             Api.reply m "ok"
+           done));
+    p
+  in
+  let pa = port "a" and pb = port "b" in
+  let second = ref "" in
+  ignore
+    (Kernel.spawn k ~name:"client" (fun () ->
+         (try ignore (Api.rpc_many [ (pa, "x"); (pb, "y") ])
+          with Types.Killed -> ());
+         second := Api.rpc pb "z"));
+  ignore (Kernel.run k ~until:(Time.ms 10));
+  let kill name =
+    let th = List.find (fun th -> Kernel.thread_name th = name) (Kernel.threads k) in
+    Kernel.kill k th;
+    th
+  in
+  let dead = Weak.create 1 in
+  Weak.set dead 0 (Some (kill "a"));
+  Gc.full_major ();
+  checkb "the dead server is collectable" false (Weak.check dead 0);
+  ignore (kill "client");
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  check Alcotest.string "the second transfer was served" "ok" !second;
+  checkb "no failures" true (Kernel.failures k = []);
+  check (Alcotest.list Alcotest.string) "only the live server is left" [ "b" ]
+    (List.map Kernel.thread_name (Kernel.threads k))
+
 let test_decay_usage_equalizes () =
   let du = Decay_usage.create () in
   let k = Kernel.create ~sched:(Decay_usage.sched du) () in
@@ -591,12 +633,44 @@ let bare_thread id =
     c_kc = Types.vacant_kc;
     cpu = 0;
     compensate = 1.;
-    donating_to = [];
-    donors = [];
     owned = [];
     joiners = Waitq.create ();
     servicing = [];
   }
+
+(* The scheduler's transfer record is the only one, so its audit holds
+   the kernel's rules: a thread holds transfers only while Blocked, and
+   only to live threads. Driven through the scheduler record, which lets
+   a waker skip the revoke the kernel would make. *)
+let transfer_pair seed =
+  let ls = Lottery_sched.create ~rng:(Rng.create ~seed ()) () in
+  let s = Lottery_sched.sched ls in
+  let client = bare_thread 0 and server = bare_thread 1 in
+  s.Types.attach client;
+  s.Types.attach server;
+  s.Types.unready client;
+  client.Types.state <- Types.Blocked;
+  s.Types.donate ~src:client ~dst:server;
+  (ls, s, client, server)
+
+let test_coherence_flags_runnable_donor () =
+  let ls, s, client, server = transfer_pair 3 in
+  let audit () = Lottery_sched.check_funding_coherence ls [ client; server ] in
+  check (Alcotest.list Alcotest.string) "a blocked donor is clean" [] (audit ());
+  client.Types.state <- Types.Runnable;
+  s.Types.ready client;
+  check (Alcotest.list Alcotest.string) "woken without a revoke"
+    [ "t0: holds transfers while not Blocked" ] (audit ());
+  s.Types.revoke ~src:client;
+  check (Alcotest.list Alcotest.string) "clean once revoked" [] (audit ())
+
+let test_coherence_flags_dead_target () =
+  let ls, _, client, server = transfer_pair 4 in
+  check (Alcotest.list Alcotest.string) "a live target is clean" []
+    (Lottery_sched.check_funding_coherence ls [ client; server ]);
+  check (Alcotest.list Alcotest.string) "a target outside the live threads"
+    [ "t0: transfers to thread 1, which is not live" ]
+    (Lottery_sched.check_funding_coherence ls [ client ])
 
 (* Incremental valuation in the scheduler: with N runnable threads, blocking
    and waking one of them must never trigger a full weight refresh, and each
@@ -1105,6 +1179,12 @@ let () =
           Alcotest.test_case "a recycled slot drains at its new place" `Quick
             test_flush_skips_recycled_slot;
           Alcotest.test_case "baseline accessors" `Quick test_baseline_accessors;
+          Alcotest.test_case "coherence flags a runnable donor" `Quick
+            test_coherence_flags_runnable_donor;
+          Alcotest.test_case "coherence flags a dead target" `Quick
+            test_coherence_flags_dead_target;
+          Alcotest.test_case "inheritance drops a dead target" `Quick
+            test_priority_inheritance_drops_dead_target;
         ] );
       ( "reclamation",
         [

@@ -336,8 +336,6 @@ let fake_thread id =
     c_kc = Types.vacant_kc;
     cpu = 0;
     compensate = 1.;
-    donating_to = [];
-    donors = [];
     owned = [];
     joiners = Waitq.create ();
     servicing = [];
