@@ -11,17 +11,19 @@ let () =
   let ls = Lottery_sched.create ~rng () in
   let kernel = Kernel.create ~sched:(Lottery_sched.sched ls) () in
   let base = Lottery_sched.base_currency ls in
-  let viewer name = Video.spawn_viewer kernel ~name ~frame_cost:(Time.ms 100) () in
+  (* a viewer decodes one 100 ms frame per iteration *)
+  let viewer name = Spinner.spawn kernel ~name ~cost:(Time.ms 100) () in
   let a = viewer "A" and b = viewer "B" and c = viewer "C" in
-  let _ta = Lottery_sched.fund_thread ls (Video.thread a) ~amount:300 ~from:base in
-  let tb = Lottery_sched.fund_thread ls (Video.thread b) ~amount:200 ~from:base in
-  let tc = Lottery_sched.fund_thread ls (Video.thread c) ~amount:100 ~from:base in
+  let _ta = Lottery_sched.fund_thread ls (Spinner.thread a) ~amount:300 ~from:base in
+  let tb = Lottery_sched.fund_thread ls (Spinner.thread b) ~amount:200 ~from:base in
+  let tc = Lottery_sched.fund_thread ls (Spinner.thread c) ~amount:100 ~from:base in
   let report lo hi =
     List.iter
       (fun v ->
         Printf.printf "  %s: %.2f fps"
-          (Kernel.thread_name (Video.thread v))
-          (Video.fps v ~lo ~hi))
+          (Kernel.thread_name (Spinner.thread v))
+          (float_of_int (Spinner.iterations_between v ~lo ~hi)
+          /. Time.to_seconds (hi - lo)))
       [ a; b; c ];
     print_newline ()
   in

@@ -7,14 +7,13 @@ type t = {
   plan : Plan.t;
   rng : Rng.t;
   kernel : Kernel.t;
-  killable : thread -> bool;
   mutable kills_done : int;
   mutable log : (Time.t * string) list; (* reverse chronological *)
 }
 
-let create ?(plan = Plan.default) ?(killable = fun _ -> true) ~rng ~kernel () =
+let create ?(plan = Plan.default) ~rng ~kernel () =
   Plan.validate plan;
-  { plan; rng; kernel; killable; kills_done = 0; log = [] }
+  { plan; rng; kernel; kills_done = 0; log = [] }
 
 let record t ?th fault =
   t.log <- (Kernel.now t.kernel, fault) :: t.log;
@@ -40,7 +39,7 @@ let try_kill t =
   if t.kills_done < t.plan.Plan.max_kills && chance t t.plan.Plan.kill_prob then begin
     let candidates =
       List.filter
-        (fun th -> th.state <> Zombie && t.killable th)
+        (fun th -> th.state <> Zombie)
         (Kernel.threads t.kernel)
     in
     if candidates <> [] then begin
@@ -114,4 +113,3 @@ let point t =
   end
 
 let faults t = List.rev t.log
-let kills t = t.kills_done

@@ -18,14 +18,9 @@
 type t
 
 val create :
-  ?plan:Plan.t ->
-  ?killable:(Lotto_sim.Types.thread -> bool) ->
-  rng:Lotto_prng.Rng.t ->
-  kernel:Lotto_sim.Kernel.t ->
-  unit ->
-  t
-(** [plan] defaults to {!Plan.default}; [killable] (default: everything)
-    restricts which threads the kill fault may target. *)
+  ?plan:Plan.t -> rng:Lotto_prng.Rng.t -> kernel:Lotto_sim.Kernel.t -> unit -> t
+(** [plan] defaults to {!Plan.default}. The kill fault may target any live
+    thread. *)
 
 val step : t -> unit
 (** The scheduling-boundary injection point; safe to call whenever no
@@ -37,5 +32,3 @@ val point : t -> unit
 
 val faults : t -> (Lotto_sim.Time.t * string) list
 (** Chronological fault log, e.g. [(1200, "kill client2")]. *)
-
-val kills : t -> int

@@ -8,16 +8,16 @@
       Sections 3–4 (transfers, inflation, currencies, compensation);
     - {!Draw} over {!List_lottery} / {!Tree_lottery}: one weighted-draw
       interface for every lottery in the system (Sections 4.2 and 5.1),
-      {!Shard_tree} (the §4.2 distributed lottery's inter-node tree, used
-      by the sharded scheduler), plus {!Inverse_lottery} (Section 6.2);
+      and {!Shard_tree} (the §4.2 distributed lottery's inter-node tree,
+      used by the sharded scheduler);
     - {!Time}, {!Kernel}, {!Api}, {!Types}: the discrete-event kernel
       standing in for Mach 3.0, with effect-based threads, synchronous RPC
       and mutexes;
-    - {!Lottery_sched} plus the baselines {!Round_robin},
-      {!Fixed_priority}, {!Decay_usage}, {!Stride_sched};
-    - workloads ({!Spinner}, {!Monte_carlo}, {!Db}, {!Corpus}, {!Video},
-      {!Mutex_workload}) and space-shared managers ({!Inverse_memory},
-      {!Io_bandwidth});
+    - {!Lottery_sched} plus the baselines {!Round_robin}, {!Decay_usage},
+      {!Stride_sched};
+    - workloads ({!Spinner}, {!Monte_carlo}, {!Db}, {!Corpus},
+      {!Mutex_workload}) and space-shared managers ({!Inverse_memory}
+      with the §6.2 inverse lottery, {!Io_bandwidth});
     - {!Service}: the multi-tenant serving stack — open-loop arrival
       generators, bounded RPC ports with overload shedding, per-tenant
       SLO accounting;
@@ -59,7 +59,6 @@ module Arena = Lotto_arena
 module Draw = Lotto_draw.Draw
 module List_lottery = Lotto_draw.List_lottery
 module Tree_lottery = Lotto_draw.Tree_lottery
-module Inverse_lottery = Lotto_draw.Inverse_lottery
 module Shard_tree = Lotto_draw.Shard_tree
 
 (* Simulation kernel *)
@@ -82,7 +81,6 @@ module Chaos = Lotto_chaos
 (* Schedulers *)
 module Lottery_sched = Lotto_sched.Lottery_sched
 module Round_robin = Lotto_sched.Round_robin
-module Fixed_priority = Lotto_sched.Fixed_priority
 module Decay_usage = Lotto_sched.Decay_usage
 module Stride_sched = Lotto_sched.Stride_sched
 
@@ -91,7 +89,6 @@ module Spinner = Lotto_workloads.Spinner
 module Monte_carlo = Lotto_workloads.Monte_carlo
 module Corpus = Lotto_workloads.Corpus
 module Db = Lotto_workloads.Db
-module Video = Lotto_workloads.Video
 module Mutex_workload = Lotto_workloads.Mutex_workload
 module Disk_service = Lotto_workloads.Disk_service
 module Churn = Lotto_workloads.Churn

@@ -15,7 +15,6 @@ let create () =
   { system; acl = Acl.create system; entries = []; next_label = 1 }
 
 let system t = t.system
-let acl t = t.acl
 
 let find_entry t label = List.find_opt (fun e -> e.label = label) t.entries
 

@@ -64,5 +64,3 @@ val exec : ?user:string -> t -> cmd -> (string, string) result
 
 val system : t -> Lotto_tickets.Funding.system
 (** The underlying funding graph (for tests). *)
-
-val acl : t -> Lotto_tickets.Acl.t

@@ -1,9 +1,9 @@
 module Ls = Lotto_sched.Lottery_sched
 open Lotto_sim
 
-let lottery_setup ?mode ?(quantum = Time.ms 100) ?use_compensation ~seed () =
+let lottery_setup ?(quantum = Time.ms 100) ?use_compensation ~seed () =
   let rng = Lotto_prng.Rng.create ~seed () in
-  let ls = Ls.create ?mode ?use_compensation ~rng () in
+  let ls = Ls.create ?use_compensation ~rng () in
   let kernel = Kernel.create ~quantum ~sched:(Ls.sched ls) () in
   (kernel, ls)
 

@@ -3,7 +3,6 @@
 module Ls = Lotto_sched.Lottery_sched
 
 val lottery_setup :
-  ?mode:Ls.mode ->
   ?quantum:Lotto_sim.Time.t ->
   ?use_compensation:bool ->
   seed:int ->

@@ -18,15 +18,18 @@ type t = {
   wait_ratio : float;
 }
 
-let run ?(seed = 11) ?(duration = Time.seconds 120)
-    ?(group_size = 4) ?(hold = Time.ms 50) ?(work = Time.ms 50) () =
+(* four contenders per group, each holding the mutex 50 ms and then
+   computing 50 ms per iteration (the contender's defaults) *)
+let group_size = 4
+
+let run ?(seed = 11) ?(duration = Time.seconds 120) () =
   let kernel, ls = Common.lottery_setup ~seed () in
   let base = Common.Ls.base_currency ls in
   let mutex = Kernel.create_mutex kernel ~policy:Types.Lottery_wake "lock" in
   let spawn_group label tickets =
     Array.init group_size (fun i ->
         let name = Printf.sprintf "%s%d" label (i + 1) in
-        let c = Mw.spawn_contender kernel ~mutex ~name ~hold ~work () in
+        let c = Mw.spawn_contender kernel ~mutex ~name () in
         ignore (Common.Ls.fund_thread ls (Mw.thread c) ~amount:tickets ~from:base);
         c)
   in

@@ -21,14 +21,7 @@ type t = {
   wait_ratio : float;  (** B/A, ideal ~2 (paper observed 2.11) *)
 }
 
-val run :
-  ?seed:int ->
-  ?duration:Lotto_sim.Time.t ->
-  ?group_size:int ->
-  ?hold:Lotto_sim.Time.t ->
-  ?work:Lotto_sim.Time.t ->
-  unit ->
-  t
+val run : ?seed:int -> ?duration:Lotto_sim.Time.t -> unit -> t
 
 val print : t -> unit
 

@@ -8,7 +8,10 @@ type t = {
   overall_ratio : float;
 }
 
-let simulate ~seed ~duration ~window =
+(* the paper's averaging window *)
+let window = Time.seconds 8
+
+let simulate ~seed ~duration =
   let kernel, ls = Common.lottery_setup ~seed () in
   let a = Spinner.spawn kernel ~name:"A" ~window () in
   let b = Spinner.spawn kernel ~name:"B" ~window () in
@@ -28,10 +31,9 @@ let simulate ~seed ~duration ~window =
    single timeline, not independent replications), so the task list is a
    singleton: it rides the same harness for uniformity, and map_tasks runs
    a single task inline whatever [jobs] says. *)
-let run ?(seed = 51) ?(duration = Time.seconds 200) ?(window = Time.seconds 8)
-    ?(jobs = 1) () =
+let run ?(seed = 51) ?(duration = Time.seconds 200) ?(jobs = 1) () =
   (Lotto_par.Pool.map_tasks ~jobs
-     (fun seed -> simulate ~seed ~duration ~window)
+     (fun seed -> simulate ~seed ~duration)
      [| seed |]).(0)
 
 let window_ratios t =

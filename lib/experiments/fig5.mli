@@ -12,16 +12,11 @@ type t = {
   overall_ratio : float;
 }
 
-val run :
-  ?seed:int ->
-  ?duration:Lotto_sim.Time.t ->
-  ?window:Lotto_sim.Time.t ->
-  ?jobs:int ->
-  unit ->
-  t
-(** The figure is a single 200-second kernel (the windows slice one
-    timeline), so its task list is a singleton: [jobs] is accepted for
-    harness uniformity and the run is sequential regardless. *)
+val run : ?seed:int -> ?duration:Lotto_sim.Time.t -> ?jobs:int -> unit -> t
+(** Windows are 8 s wide. The figure is a single 200-second kernel (the
+    windows slice one timeline), so its task list is a singleton: [jobs]
+    is accepted for harness uniformity and the run is sequential
+    regardless. *)
 
 val print : t -> unit
 

@@ -13,8 +13,11 @@ type task_result = {
 
 type t = { window : Time.t; tasks : task_result array }
 
+(* recording bin width of each task's trial counter *)
+let window = Time.seconds 8
+
 let run ?(seed = 6) ?(duration = Time.seconds 600)
-    ?(stagger = Time.seconds 120) ?(window = Time.seconds 8) () =
+    ?(stagger = Time.seconds 120) () =
   let kernel, ls = Common.lottery_setup ~seed () in
   (* One currency shared by the mutually trusting experiments: inflation
      inside it cannot affect other users (not that there are any here). *)

@@ -23,7 +23,6 @@ val run :
   ?seed:int ->
   ?duration:Lotto_sim.Time.t ->
   ?stagger:Lotto_sim.Time.t ->
-  ?window:Lotto_sim.Time.t ->
   unit ->
   t
 (** Defaults: 600 s run, 120 s stagger, 8 s windows. *)

@@ -19,10 +19,12 @@ type t = {
 }
 
 let run ?(seed = 7) ?(duration = Time.seconds 800)
-    ?(query_cost = Time.seconds 8) ?(workers = 3) ?(a_queries = 20) () =
+    ?(query_cost = Time.seconds 8) () =
   let kernel, ls = Common.lottery_setup ~seed () in
   let corpus = Corpus.generate ~seed:1994 ~size_bytes:(256 * 1024) () in
-  let server = Db.start_server kernel ~name:"db" ~workers ~query_cost ~corpus () in
+  let server =
+    Db.start_server kernel ~name:"db" ~workers:3 ~query_cost ~corpus ()
+  in
   let base = Common.Ls.base_currency ls in
   let mk name tickets max_queries =
     (* Clients start 1 ms in so the (deliberately ticketless) server's
@@ -35,7 +37,7 @@ let run ?(seed = 7) ?(duration = Time.seconds 800)
     ignore (Common.Ls.fund_thread ls (Db.thread c) ~amount:tickets ~from:base);
     c
   in
-  let a = mk "A" 800 (Some a_queries) in
+  let a = mk "A" 800 (Some 20) in
   let b = mk "B" 300 None in
   let c = mk "C" 100 None in
   ignore (Kernel.run kernel ~until:duration);

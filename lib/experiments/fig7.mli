@@ -31,8 +31,6 @@ val run :
   ?seed:int ->
   ?duration:Lotto_sim.Time.t ->
   ?query_cost:Lotto_sim.Time.t ->
-  ?workers:int ->
-  ?a_queries:int ->
   unit ->
   t
 (** Defaults: 800 s horizon, 8 s query cost, 3 workers, A exits after 20

@@ -1,5 +1,5 @@
 open Lotto_sim
-module Video = Lotto_workloads.Video
+module Spinner = Lotto_workloads.Spinner
 
 type viewer_result = {
   name : string;
@@ -15,16 +15,22 @@ type t = {
   ratios_after : float * float;
 }
 
-let run ?(seed = 8) ?(duration = Time.seconds 300)
-    ?(frame_cost = Time.ms 200) () =
+(* a viewer decodes one frame per iteration, so its frame rate is
+   proportional to its CPU share *)
+let frame_cost = Time.ms 200
+
+let fps v ~lo ~hi =
+  float_of_int (Spinner.iterations_between v ~lo ~hi) /. Time.to_seconds (hi - lo)
+
+let run ?(seed = 8) ?(duration = Time.seconds 300) () =
   let kernel, ls = Common.lottery_setup ~seed () in
   let base = Common.Ls.base_currency ls in
   let switch_at = duration / 2 in
-  let spawn name = Video.spawn_viewer kernel ~name ~frame_cost () in
+  let spawn name = Spinner.spawn kernel ~name ~cost:frame_cost () in
   let a = spawn "A" and b = spawn "B" and c = spawn "C" in
-  let ta = Common.Ls.fund_thread ls (Video.thread a) ~amount:300 ~from:base in
-  let tb = Common.Ls.fund_thread ls (Video.thread b) ~amount:200 ~from:base in
-  let tc = Common.Ls.fund_thread ls (Video.thread c) ~amount:100 ~from:base in
+  let ta = Common.Ls.fund_thread ls (Spinner.thread a) ~amount:300 ~from:base in
+  let tb = Common.Ls.fund_thread ls (Spinner.thread b) ~amount:200 ~from:base in
+  let tc = Common.Ls.fund_thread ls (Spinner.thread c) ~amount:100 ~from:base in
   ignore ta;
   ignore (Kernel.run kernel ~until:switch_at);
   (* dynamic reallocation: 3:2:1 becomes 3:1:2 *)
@@ -34,9 +40,9 @@ let run ?(seed = 8) ?(duration = Time.seconds 300)
   let result name v =
     {
       name;
-      cumulative = Video.cumulative v ~upto:duration;
-      fps_before = Video.fps v ~lo:0 ~hi:switch_at;
-      fps_after = Video.fps v ~lo:switch_at ~hi:duration;
+      cumulative = Spinner.cumulative v ~upto:duration;
+      fps_before = fps v ~lo:0 ~hi:switch_at;
+      fps_after = fps v ~lo:switch_at ~hi:duration;
     }
   in
   let ra = result "A" a and rb = result "B" b and rc = result "C" c in

@@ -20,13 +20,9 @@ type t = {
   ratios_after : float * float;  (** A/B, C/B; ideal 3, 2 *)
 }
 
-val run :
-  ?seed:int ->
-  ?duration:Lotto_sim.Time.t ->
-  ?frame_cost:Lotto_sim.Time.t ->
-  unit ->
-  t
-(** Defaults: 300 s, switch at half time, 200 ms/frame. *)
+val run : ?seed:int -> ?duration:Lotto_sim.Time.t -> unit -> t
+(** Defaults: 300 s, switch at half time. Each viewer is a
+    {!Lotto_workloads.Spinner} whose iteration is one 200 ms frame. *)
 
 val print : t -> unit
 

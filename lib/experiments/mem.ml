@@ -17,7 +17,10 @@ let policy_name = function
   | Im.Global_lru -> "global-lru"
   | Im.Global_random -> "global-random"
 
-let one ~seed ~frames ~working_set ~steps policy =
+let frames = 300
+let working_set = 400
+
+let one ~seed ~steps policy =
   let rng = Rng.create ~algo:Splitmix64 ~seed () in
   let pool = Im.create ~policy ~frames ~rng () in
   let specs = [ ("gold", 300); ("silver", 200); ("bronze", 100) ] in
@@ -45,13 +48,12 @@ let one ~seed ~frames ~working_set ~steps policy =
            specs clients);
   }
 
-let run ?(seed = 62) ?(frames = 300) ?(working_set = 400)
-    ?(steps = 300_000) () =
+let run ?(seed = 62) ?(steps = 300_000) () =
   {
     results =
       Array.of_list
         (List.map
-           (one ~seed ~frames ~working_set ~steps)
+           (one ~seed ~steps)
            [ Im.Inverse_lottery; Im.Global_lru; Im.Global_random ]);
   }
 

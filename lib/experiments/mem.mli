@@ -20,9 +20,9 @@ type policy_result = { policy : string; clients : client_row array }
 
 type t = { results : policy_result array (** inverse, lru, random *) }
 
-val run :
-  ?seed:int -> ?frames:int -> ?working_set:int -> ?steps:int -> unit -> t
-(** Defaults: 300 frames, 400-page working sets, 300_000 accesses. *)
+val run : ?seed:int -> ?steps:int -> unit -> t
+(** 300 frames, 400-page working sets; [steps] defaults to 300_000
+    accesses. *)
 
 val print : t -> unit
 

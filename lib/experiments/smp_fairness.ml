@@ -43,7 +43,14 @@ let chisq_p ~observed ~weights =
     Chi.p_value ~statistic:stat
       ~df:(Chi.degrees_of_freedom ~cells:(Array.length observed))
 
-let one_config ~label ~seed ~duration ~amounts ~cpus ~samples () =
+let seed = 1994
+let threads = 24
+let cpus = 4
+
+(* points in the migration / imbalance time series *)
+let samples = 24
+
+let one_config ~label ~duration ~amounts ~cpus () =
   let n = Array.length amounts in
   let rng = Lotto_prng.Rng.create ~seed () in
   (* one shard per CPU: with cpus = 1, the global lottery every thread
@@ -135,20 +142,13 @@ let one_config ~label ~seed ~duration ~amounts ~cpus ~samples () =
     series = List.rev !series;
   }
 
-let run ?(seed = 1994) ?(duration = Time.seconds 120) ?(threads = 24)
-    ?(cpus = 4) ?(samples = 24) () =
-  if cpus < 2 then invalid_arg "Smp_fairness.run: cpus < 2";
-  if threads < cpus then invalid_arg "Smp_fairness.run: threads < cpus";
+let run ?(duration = Time.seconds 120) () =
   (* a 5-way ticket spread, repeated: enough weight diversity to make the
      chi-square informative while no single thread is entitled to more
      than one CPU's worth (which no scheduler could deliver) *)
   let amounts = Array.init threads (fun i -> 100 * (1 + (i mod 5))) in
-  let global =
-    one_config ~label:"global" ~seed ~duration ~amounts ~cpus:1 ~samples ()
-  in
-  let sharded =
-    one_config ~label:"sharded" ~seed ~duration ~amounts ~cpus ~samples ()
-  in
+  let global = one_config ~label:"global" ~duration ~amounts ~cpus:1 () in
+  let sharded = one_config ~label:"sharded" ~duration ~amounts ~cpus () in
   { global; sharded; threads; duration }
 
 let min_shard_p t =

@@ -4,7 +4,7 @@
 
     One spinner population with a 5-way ticket spread runs twice from the
     same seed: once under the historical single-CPU global lottery, once
-    under an [cpus]-way sharded scheduler on a multi-CPU kernel. Both runs
+    under a 4-way sharded scheduler on a 4-CPU kernel. Both runs
     are checked with a chi-square test of observed quanta against ticket
     entitlement — the sharded run both in aggregate and {e per shard}
     (each shard is one CPU's own lottery, so its members' CPU time should
@@ -46,16 +46,9 @@ type t = {
   duration : Lotto_sim.Time.t;
 }
 
-val run :
-  ?seed:int ->
-  ?duration:Lotto_sim.Time.t ->
-  ?threads:int ->
-  ?cpus:int ->
-  ?samples:int ->
-  unit ->
-  t
-(** Defaults: seed 1994, 120 s, 24 threads, 4 CPUs, 24 series samples.
-    Raises [Invalid_argument] when [cpus < 2] or [threads < cpus]. *)
+val run : ?duration:Lotto_sim.Time.t -> unit -> t
+(** Seed 1994, 24 threads, 4 CPUs, 24 series samples; [duration] defaults
+    to 120 s. *)
 
 val min_shard_p : t -> float
 (** The smallest per-shard chi-square p of the sharded run (ignoring

@@ -261,10 +261,3 @@ let iter t f =
   for s = 0 to t.used - 1 do
     if occupied t s then f t.slots.(s)
   done
-
-let to_list t =
-  let acc = ref [] in
-  for s = t.used - 1 downto 0 do
-    if occupied t s then acc := (t.clients.(s), t.weights.(s)) :: !acc
-  done;
-  !acc

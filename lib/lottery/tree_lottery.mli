@@ -73,5 +73,3 @@ val drift_fallbacks : 'a t -> int
 
 val iter : 'a t -> ('a handle -> unit) -> unit
 (** Slot order (insertion order modulo slot reuse). *)
-
-val to_list : 'a t -> ('a * float) list

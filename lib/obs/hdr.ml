@@ -91,10 +91,6 @@ let sum t = t.sum
 
 let check_nonempty name t = if t.total = 0 then invalid_arg (name ^ ": empty histogram")
 
-let mean t =
-  check_nonempty "Hdr.mean" t;
-  float_of_int t.sum /. float_of_int t.total
-
 let min_value t =
   check_nonempty "Hdr.min_value" t;
   t.min_v

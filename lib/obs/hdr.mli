@@ -28,7 +28,7 @@ val create : ?sub_bits:int -> ?max_value:int -> unit -> t
     is bounded by [2^-sub_bits]. [max_value] (default [2^30], must be
     [>= 2^sub_bits]) is the largest exactly-tracked value; larger samples
     are clamped into the top bucket and counted by {!clamped} (they still
-    contribute their exact value to {!sum} and {!max}). *)
+    contribute their exact value to {!sum} and {!max_value_seen}). *)
 
 val record : t -> int -> unit
 (** Record one sample. Negative values clamp to 0. O(1) in a fixed number
@@ -43,9 +43,6 @@ val clamped : t -> int
 
 val sum : t -> int
 (** Exact sum of recorded samples (unclamped values). *)
-
-val mean : t -> float
-(** Exact mean ([sum / count]). Raises [Invalid_argument] when empty. *)
 
 val min_value : t -> int
 (** Exact minimum sample. Raises [Invalid_argument] when empty. *)

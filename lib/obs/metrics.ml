@@ -449,21 +449,44 @@ let prom_escape s =
     s;
   Buffer.contents buf
 
+let prom_family buf ~name ~help rows =
+  let kind =
+    match rows with
+    | `Counter _ -> "counter"
+    | `Gauge _ -> "gauge"
+    | `Summary _ -> "summary"
+  in
+  Printf.bprintf buf "# HELP %s %s\n# TYPE %s %s\n" name help name kind;
+  match rows with
+  | `Counter rows | `Gauge rows ->
+      List.iter
+        (fun (labels, v) -> Printf.bprintf buf "%s{%s} %d\n" name labels v)
+        rows
+  | `Summary rows ->
+      List.iter
+        (fun (labels, h) ->
+          if Hdr.count h > 0 then
+            List.iter
+              (fun q ->
+                Printf.bprintf buf "%s{%s,quantile=\"%g\"} %g\n" name labels q
+                  (Hdr.percentile h (q *. 100.)))
+              [ 0.5; 0.9; 0.99; 0.999 ];
+          Printf.bprintf buf "%s_sum{%s} %d\n" name labels (Hdr.sum h);
+          Printf.bprintf buf "%s_count{%s} %d\n" name labels (Hdr.count h))
+        rows
+
 let to_prom ?(namespace = "lotto") t =
   let buf = Buffer.create 4096 in
   let snaps = snapshots t in
-  let labels (s : snapshot) =
-    Printf.sprintf "{thread=\"%s\",tid=\"%d\"}" (prom_escape s.name) s.tid
+  let rows get =
+    List.map
+      (fun (s : snapshot) ->
+        ( Printf.sprintf "thread=\"%s\",tid=\"%d\"" (prom_escape s.name) s.tid,
+          get s ))
+      snaps
   in
   let counter name help get =
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s_%s %s\n# TYPE %s_%s counter\n" namespace name
-         help namespace name);
-    List.iter
-      (fun s ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s_%s%s %d\n" namespace name (labels s) (get s)))
-      snaps
+    prom_family buf ~name:(namespace ^ "_" ^ name) ~help (`Counter (rows get))
   in
   counter "wins_total" "Lottery wins (selections)." (fun s -> s.wins);
   counter "quanta_us_total" "CPU time received, microseconds of virtual time."
@@ -482,26 +505,7 @@ let to_prom ?(namespace = "lotto") t =
   counter "rpcs_shed_total" "RPC requests shed by bounded-port admission."
     (fun s -> s.rpcs_shed);
   let summary_metric name help get =
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s_%s %s\n# TYPE %s_%s summary\n" namespace name
-         help namespace name);
-    List.iter
-      (fun s ->
-        let h = get s in
-        let lbl = labels s in
-        if Hdr.count h > 0 then
-          List.iter
-            (fun q ->
-              Buffer.add_string buf
-                (Printf.sprintf "%s_%s{thread=\"%s\",tid=\"%d\",quantile=\"%g\"} %g\n"
-                   namespace name (prom_escape s.name) s.tid q
-                   (Hdr.percentile h (q *. 100.))))
-            [ 0.5; 0.9; 0.99; 0.999 ];
-        Buffer.add_string buf
-          (Printf.sprintf "%s_%s_sum%s %d\n" namespace name lbl (Hdr.sum h));
-        Buffer.add_string buf
-          (Printf.sprintf "%s_%s_count%s %d\n" namespace name lbl (Hdr.count h)))
-      snaps
+    prom_family buf ~name:(namespace ^ "_" ^ name) ~help (`Summary (rows get))
   in
   summary_metric "wait_us" "Block-to-wake latency, microseconds of virtual time."
     (fun s -> s.wait);

@@ -138,3 +138,19 @@ val prom_escape : string -> string
 (** A Prometheus label value with backslash, double quote and newline
     escaped as the text exposition format requires. Shared by every
     exporter of that format. *)
+
+val prom_family :
+  Buffer.t ->
+  name:string ->
+  help:string ->
+  [ `Counter of (string * int) list
+  | `Gauge of (string * int) list
+  | `Summary of (string * Hdr.t) list ] ->
+  unit
+(** Append one family in the text exposition format: its [# HELP] and
+    [# TYPE] lines, then the samples of each [(labels, value)] row in
+    order. [labels] is the row's label list without braces, values
+    already {!prom_escape}d, e.g. [tenant="a"]. A counter or gauge row is
+    one sample; a summary row is its quantiles 0.5/0.9/0.99/0.999 read off
+    the histogram (none when it is empty), then [_sum] and [_count]. The
+    writer behind every exporter of that format. *)

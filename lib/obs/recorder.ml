@@ -62,7 +62,7 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let to_chrome_json ?(pid = 1) t =
+let to_chrome_json t =
   let buf = Buffer.create 4096 in
   let first = ref true in
   let obj fields =
@@ -79,7 +79,7 @@ let to_chrome_json ?(pid = 1) t =
   let base ~name ~ph ~ts ~tid extra =
     obj
       ([ ("name", str name); ("ph", str ph); ("ts", string_of_int ts);
-         ("pid", string_of_int pid); ("tid", string_of_int tid) ]
+         ("pid", "1"); ("tid", string_of_int tid) ]
       @ extra)
   in
   let args kvs =
@@ -98,7 +98,7 @@ let to_chrome_json ?(pid = 1) t =
     obj
       ([ ("name", str "rpc"); ("cat", str "rpc"); ("ph", str ph);
          ("id", string_of_int id); ("ts", string_of_int ts);
-         ("pid", string_of_int pid); ("tid", string_of_int tid) ]
+         ("pid", "1"); ("tid", string_of_int tid) ]
       @ extra)
   in
   (* tids with an open B slice: the ring may have dropped a Select whose
@@ -109,7 +109,7 @@ let to_chrome_json ?(pid = 1) t =
      file alone, not just from whoever held the recorder *)
   obj
     [ ("name", str "trace_window"); ("ph", str "M"); ("ts", "0");
-      ("pid", string_of_int pid); ("tid", "0");
+      ("pid", "1"); ("tid", "0");
       ( "args",
         Printf.sprintf "{\"seen\":%d,\"capacity\":%d,\"dropped\":%d}" t.seen
           t.cap (dropped t) ) ];
@@ -123,7 +123,7 @@ let to_chrome_json ?(pid = 1) t =
         Hashtbl.replace named a.Event.tid ();
         obj
           [ ("name", str "thread_name"); ("ph", str "M"); ("ts", "0");
-            ("pid", string_of_int pid); ("tid", string_of_int a.Event.tid);
+            ("pid", "1"); ("tid", string_of_int a.Event.tid);
             ("args", "{\"name\":" ^ str a.Event.tname ^ "}") ]
       end)
     evs;

@@ -38,7 +38,7 @@ val clear : t -> unit
 
 (** {1 Exporters} *)
 
-val to_chrome_json : ?pid:int -> t -> string
+val to_chrome_json : t -> string
 (** Chrome trace-event format: a JSON array of objects with ["name"],
     ["ph"], ["ts"] (µs), ["pid"] and ["tid"] fields. Scheduling slices
     appear as ["B"]/["E"] duration pairs per thread track (opened by
@@ -50,7 +50,7 @@ val to_chrome_json : ?pid:int -> t -> string
     instant events with details under ["args"]. The first record is
     metadata (["ph":"M"], name [trace_window]) carrying [seen], [capacity]
     and [dropped], so a wrapped window is detectable from the file alone.
-    All strings are JSON-escaped. [pid] defaults to 1. *)
+    All strings are JSON-escaped, and every record's [pid] is 1. *)
 
 val to_csv : t -> string
 (** One row per event: [time_us,event,tid,thread,detail], with RFC-4180

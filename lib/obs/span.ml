@@ -290,8 +290,6 @@ let finalize t ~now =
   Hashtbl.reset t.client_open;
   Hashtbl.reset t.serving
 
-let find t id = Hashtbl.find_opt t.tbl id
-
 let spans t =
   (* msg_ids come from the kernel's shared counter, so ascending id is
      send order *)
@@ -300,7 +298,6 @@ let spans t =
 
 let iter t f = List.iter f (spans t)
 
-let total t = t.total
 let evicted t = t.evicted
 let violations t = List.rev t.viols
 
@@ -321,7 +318,7 @@ let stats t =
     st_open = t.total - t.n_closed - t.n_dropped - t.n_orphaned;
   }
 
-let to_chrome_json ?(pid = 1) t =
+let to_chrome_json t =
   let buf = Buffer.create 4096 in
   let first = ref true in
   let obj fields =
@@ -342,7 +339,7 @@ let to_chrome_json ?(pid = 1) t =
         obj
           ([ ("name", str s.port); ("cat", str "span"); ("ph", str ph);
              ("id", string_of_int s.id); ("ts", string_of_int ts);
-             ("pid", string_of_int pid); ("tid", string_of_int tid) ]
+             ("pid", "1"); ("tid", string_of_int tid) ]
           @ extra)
       in
       let args kvs =

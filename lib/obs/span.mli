@@ -63,22 +63,15 @@ val attach : t -> Bus.t -> unit
 
 val detach : t -> unit
 
-val on_event : t -> int -> Event.t -> unit
-(** Feed one event directly (what {!attach} wires up). *)
-
 val finalize : t -> now:int -> unit
 (** End of run: every span still [Pending]/[Serving] becomes
     [Orphaned "unfinished at finalize"]. Idempotent thereafter. *)
 
-val find : t -> int -> span option
 val iter : t -> (span -> unit) -> unit
 (** Retained spans in send order. *)
 
 val spans : t -> span list
 (** Retained spans in send order. *)
-
-val total : t -> int
-(** Spans ever opened (including evicted ones). *)
 
 val evicted : t -> int
 
@@ -100,7 +93,7 @@ type stats = {
 val stats : t -> stats
 (** Counts over {e all} spans ever opened (eviction does not forget). *)
 
-val to_chrome_json : ?pid:int -> t -> string
+val to_chrome_json : t -> string
 (** Chrome trace-event JSON of the retained spans as async ["b"]/["e"]
     pairs (one track per request id, named after the port) with
     client/server/status/parent under ["args"], loadable in Perfetto

@@ -67,7 +67,6 @@ let create ?(policy = Lottery) ?(cylinders = 1000) ?(seek_cost = 10)
     batch_gen = -1;
   }
 
-let policy t = t.pol
 let events t = t.bus
 
 let weight_of c = if c.queue <> [] then c.seat.value else 0.

@@ -57,7 +57,6 @@ val create :
     is identical. The disk experiments' outputs are pinned to the RNG
     stream this batching draws. *)
 
-val policy : t -> policy
 val add_client : t -> name:string -> tickets:int -> client
 
 val add_funded_client :

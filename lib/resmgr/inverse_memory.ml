@@ -54,7 +54,6 @@ let create ?(policy = Inverse_lottery) ?funding ~frames ~rng () =
     wdirty = false;
   }
 
-let policy t = t.pol
 let events t = t.bus
 
 (* The paper's victim-selection weight: (1 - t_i/T) scaled by the fraction

@@ -35,8 +35,6 @@ val create :
 (** [policy] defaults to [Inverse_lottery]; [frames] is the physical pool
     size. [funding] is required for {!add_funded_client}. *)
 
-val policy : t -> policy
-
 val add_client : t -> name:string -> tickets:int -> working_set:int -> client
 (** A client touches virtual pages [0 .. working_set - 1]. *)
 

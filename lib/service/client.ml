@@ -65,8 +65,6 @@ let spawn k ~(spec : Tenant.spec) ~rng ~slo ~port =
   let generator = Kernel.spawn k ~name:(spec.name ^ ".gen") generator in
   { st; stubs; generator }
 
-let tenant c = c.st.ten
-let holding c = c.st.holding
 let stubs c = c.stubs
 let generator c = c.generator
 

@@ -26,10 +26,6 @@ val spawn :
     is responsible for funding them (amount 1 each suffices — they do no
     CPU work). [rng] should be a per-tenant split stream. *)
 
-val tenant : t -> Slo.tenant
-val holding : t -> int
-(** Requests currently held by a stub whose outcome is not yet recorded. *)
-
 val stubs : t -> Lotto_sim.Types.thread list
 val generator : t -> Lotto_sim.Types.thread
 

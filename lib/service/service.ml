@@ -206,27 +206,3 @@ let run ?(cpus = 1) cfg =
   }
 
 let find report name = List.find (fun tr -> tr.t_name = name) report.tenants
-
-let pp_report buf report =
-  Buffer.add_string buf
-    (Printf.sprintf "%-10s %6s %9s %9s %8s %9s %9s %9s %9s %9s\n" "tenant"
-       "share" "arrivals" "served" "shed" "inflight" "goodput/s" "p50(ms)"
-       "p99(ms)" "p999(ms)");
-  List.iter
-    (fun tr ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-10s %6d %9d %9d %8d %9d %9.1f %9.1f %9.1f %9.1f\n"
-           tr.t_name tr.t_share tr.arrivals tr.served tr.shed tr.in_flight
-           tr.goodput_per_s tr.p50_ms tr.p99_ms tr.p999_ms))
-    report.tenants;
-  Buffer.add_string buf
-    (Printf.sprintf "chi-square p = %s   accounted = %b   shed-consistent = %b\n"
-       (match report.chi_square_p with
-       | Some p -> Printf.sprintf "%.4f" p
-       | None -> "n/a")
-       report.accounted report.shed_consistent)
-
-let report_to_string report =
-  let buf = Buffer.create 512 in
-  pp_report buf report;
-  Buffer.contents buf

@@ -72,5 +72,3 @@ val run : ?cpus:int -> config -> report
 
 val find : report -> string -> tenant_report
 (** Raises [Not_found] for an unknown tenant name. *)
-
-val report_to_string : report -> string

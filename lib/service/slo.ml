@@ -59,70 +59,31 @@ let goodput_per_s ten ~horizon =
 let percentile_ms ten p =
   if Hdr.count ten.lat = 0 then nan else Hdr.percentile ten.lat p /. 1000.
 
-let summary t ~horizon =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf
-    (Printf.sprintf "%-10s %9s %9s %8s %9s %9s %9s %9s %9s\n" "tenant"
-       "arrivals" "served" "shed" "inflight" "goodput/s" "p50(ms)" "p99(ms)"
-       "p999(ms)");
-  List.iter
-    (fun ten ->
-      Buffer.add_string buf
-        (Printf.sprintf "%-10s %9d %9d %8d %9d %9.1f %9.1f %9.1f %9.1f\n"
-           ten.name ten.arrivals ten.served ten.shed (in_flight ten)
-           (goodput_per_s ten ~horizon)
-           (percentile_ms ten 50.) (percentile_ms ten 99.)
-           (percentile_ms ten 99.9)))
-    (tenants t);
-  Buffer.contents buf
-
-(* Prometheus text exposition, following Lotto_obs.Metrics.to_prom. *)
-
-let to_prom ?(namespace = "lotto_slo") t =
+let to_prom t =
   let buf = Buffer.create 2048 in
-  let tens = tenants t in
-  let label ten =
-    Printf.sprintf "{tenant=\"%s\"}" (Lotto_obs.Metrics.prom_escape ten.name)
-  in
-  let counter name help get =
-    Buffer.add_string buf
-      (Printf.sprintf "# HELP %s_%s %s\n# TYPE %s_%s counter\n" namespace name
-         help namespace name);
-    List.iter
+  let rows get =
+    List.map
       (fun ten ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s_%s%s %d\n" namespace name (label ten) (get ten)))
-      tens
+        ( Printf.sprintf "tenant=\"%s\"" (Lotto_obs.Metrics.prom_escape ten.name),
+          get ten ))
+      (tenants t)
   in
-  counter "requests_total" "Open-loop arrivals generated." (fun x -> x.arrivals);
-  counter "served_total" "Requests answered within the run." (fun x -> x.served);
-  counter "shed_total" "Requests shed by bounded-port admission." (fun x ->
-      x.shed);
-  counter "in_flight" "Requests neither served nor shed at capture."
-    in_flight;
-  counter "io_submitted_total" "I/O requests submitted on the tenant's behalf."
-    (fun x -> x.io_submitted);
-  counter "io_served_total" "I/O slots won by the tenant's funded client."
-    (fun x -> x.io_served);
-  Buffer.add_string buf
-    (Printf.sprintf "# HELP %s_latency_us End-to-end latency, µs of virtual \
-                     time.\n# TYPE %s_latency_us summary\n"
-       namespace namespace);
-  List.iter
-    (fun ten ->
-      if Hdr.count ten.lat > 0 then
-        List.iter
-          (fun q ->
-            Buffer.add_string buf
-              (Printf.sprintf "%s_latency_us{tenant=\"%s\",quantile=\"%g\"} %g\n"
-                 namespace (Lotto_obs.Metrics.prom_escape ten.name) q
-                 (Hdr.percentile ten.lat (q *. 100.))))
-          [ 0.5; 0.9; 0.99; 0.999 ];
-      Buffer.add_string buf
-        (Printf.sprintf "%s_latency_us_sum%s %d\n" namespace (label ten)
-           (Hdr.sum ten.lat));
-      Buffer.add_string buf
-        (Printf.sprintf "%s_latency_us_count%s %d\n" namespace (label ten)
-           (Hdr.count ten.lat)))
-    tens;
+  let family name help samples =
+    Lotto_obs.Metrics.prom_family buf ~name:("lotto_slo_" ^ name) ~help samples
+  in
+  family "requests_total" "Open-loop arrivals generated."
+    (`Counter (rows (fun x -> x.arrivals)));
+  family "served_total" "Requests answered within the run."
+    (`Counter (rows (fun x -> x.served)));
+  family "shed_total" "Requests shed by bounded-port admission."
+    (`Counter (rows (fun x -> x.shed)));
+  (* arrivals - served - shed falls as requests resolve: a gauge *)
+  family "in_flight" "Requests neither served nor shed at capture."
+    (`Gauge (rows in_flight));
+  family "io_submitted_total" "I/O requests submitted on the tenant's behalf."
+    (`Counter (rows (fun x -> x.io_submitted)));
+  family "io_served_total" "I/O slots won by the tenant's funded client."
+    (`Counter (rows (fun x -> x.io_served)));
+  family "latency_us" "End-to-end latency, µs of virtual time."
+    (`Summary (rows (fun x -> x.lat)));
   Buffer.contents buf

@@ -41,11 +41,7 @@ val percentile_ms : tenant -> float -> float
 (** [percentile_ms ten 99.] — e2e latency percentile in ms ([nan] when no
     request completed). *)
 
-val summary : t -> horizon:Lotto_sim.Time.t -> string
-(** One table row per tenant: arrivals/served/shed/in-flight, goodput and
-    p50/p99/p999. *)
-
-val to_prom : ?namespace:string -> t -> string
-(** Prometheus text exposition (default namespace ["lotto_slo"]): counter
-    families per tenant plus a latency summary with quantiles
-    0.5/0.9/0.99/0.999. *)
+val to_prom : t -> string
+(** Prometheus text exposition under the namespace ["lotto_slo"]: counter
+    families per tenant, an [in_flight] gauge, and a latency summary with
+    quantiles 0.5/0.9/0.99/0.999. *)

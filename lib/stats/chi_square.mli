@@ -13,13 +13,9 @@ val p_value : statistic:float -> df:int -> float
     with [df] degrees of freedom, via the regularized incomplete gamma
     function. Accurate to ~1e-10 over the ranges used here. *)
 
-val test :
-  ?alpha:float -> observed:int array -> expected:float array -> unit -> bool
-(** [test ~alpha ~observed ~expected ()] is [true] when the fit is {e not}
-    rejected at significance level [alpha] (default [0.001] — deliberately
-    loose so randomized tests are stable across seeds). *)
-
 val goodness_of_fit :
   ?alpha:float -> observed:int array -> weights:float array -> unit -> bool
-(** Convenience wrapper: [weights] are unnormalized expected proportions;
+(** [true] when the fit is {e not} rejected at significance level [alpha]
+    (default [0.001] — deliberately loose so randomized tests are stable
+    across seeds). [weights] are unnormalized expected proportions;
     expected counts are derived from the observed total. *)

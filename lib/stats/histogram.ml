@@ -33,7 +33,6 @@ let add t x =
 
 let total t = t.total
 let count t i = t.counts.(i)
-let buckets t = Array.length t.counts
 let underflow t = t.under
 let overflow t = t.over
 let bucket_mid t i = t.lo +. ((float_of_int i +. 0.5) *. t.width)
@@ -65,5 +64,3 @@ let render ?(width = 50) t =
   if t.over > 0 then
     Buffer.add_string buf (Printf.sprintf "  overflow: %d\n" t.over);
   Buffer.contents buf
-
-let pp fmt t = Format.pp_print_string fmt (render t)

@@ -16,7 +16,6 @@ val total : t -> int
 val count : t -> int -> int
 (** [count t i] is the number of samples in bucket [i]. *)
 
-val buckets : t -> int
 val underflow : t -> int
 val overflow : t -> int
 
@@ -31,9 +30,6 @@ val fraction : t -> int -> float
 val mode : t -> int
 (** Index of the fullest bucket (ties resolve to the lowest index). *)
 
-val pp : Format.formatter -> t -> unit
-(** Renders an ASCII bar chart, one row per bucket. *)
-
 val render : ?width:int -> t -> string
-(** [render] the ASCII chart to a string; [width] caps the bar length
-    (default 50 characters). *)
+(** Render an ASCII bar chart, one row per bucket; [width] caps the bar
+    length (default 50 characters). *)

@@ -27,7 +27,6 @@ let start_server kernel ~name ?(workers = 3)
   done;
   server
 
-let port s = s.srv_port
 let queries_served s = s.served
 
 type client = {

@@ -21,7 +21,6 @@ val start_server :
     (default 2 s — a full scan of a few-hundred-KiB corpus on the paper's
     25 MHz DECStation took seconds). *)
 
-val port : server -> Lotto_sim.Types.port
 val queries_served : server -> int
 
 type client

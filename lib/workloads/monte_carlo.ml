@@ -14,12 +14,13 @@ type t = {
 
 let max_ticket = 1_000_000_000
 
-let spawn kernel ls ~name ~rng ~from ?(trial_cost = Time.us 50)
-    ?(batch = 2000) ?(scale = 1e10) ?(exponent = 2.) ?(window = Time.seconds 8)
-    ?(start_at = 0) () =
+(* CPU per trial, and trials between funding updates *)
+let trial_cost = Time.us 50
+let batch = 2000
+
+let spawn kernel ls ~name ~rng ~from ?(scale = 1e10) ?(exponent = 2.)
+    ?(window = Time.seconds 8) ?(start_at = 0) () =
   if exponent <= 0. then invalid_arg "Monte_carlo.spawn: exponent <= 0";
-  if batch <= 0 then invalid_arg "Monte_carlo.spawn: batch <= 0";
-  if trial_cost <= 0 then invalid_arg "Monte_carlo.spawn: trial_cost <= 0";
   let counter = Counter.create ~width:window in
   let stats = Running.create () in
   let cell = ref None in
@@ -74,6 +75,3 @@ let estimate t = if t.trials = 0 then nan else Running.mean t.stats
 let relative_error t = Running.stderr_of_mean t.stats /. Running.mean t.stats
 let current_ticket t = t.ticket_amount
 let cumulative t ~upto = Counter.cumulative t.counter ~upto
-
-let rate_per_second t ~upto =
-  Counter.rates t.counter ~upto ~per:(Time.seconds 1)

@@ -21,16 +21,14 @@ val spawn :
   name:string ->
   rng:Lotto_prng.Rng.t ->
   from:Lotto_tickets.Funding.currency ->
-  ?trial_cost:Lotto_sim.Time.t ->
-  ?batch:int ->
   ?scale:float ->
   ?exponent:float ->
   ?window:Lotto_sim.Time.t ->
   ?start_at:Lotto_sim.Time.t ->
   unit ->
   t
-(** [trial_cost] CPU per trial (default 50 us); [batch] trials between
-    funding updates (default 2000); [scale] and [exponent] in
+(** A trial costs 50 us of CPU, and the task updates its funding every
+    2000 trials. [scale] and [exponent] are the constants in
     [ticket = scale * error^exponent] (defaults 1e10 and 2 — the paper's
     square; its footnote 6 discusses linear and cubic variants, compared by
     the [mc-convergence] ablation); [window] recording bin width (default
@@ -51,5 +49,3 @@ val current_ticket : t -> int
 
 val cumulative : t -> upto:Lotto_sim.Time.t -> int array
 (** Cumulative trials per window — Figure 6's series. *)
-
-val rate_per_second : t -> upto:Lotto_sim.Time.t -> float array

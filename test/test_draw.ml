@@ -1,9 +1,8 @@
 (* Draw structures: list lottery (Figure 1, move-to-front), Fenwick-tree
-   lottery, inverse lottery, and the Section 2 probabilistic guarantees. *)
+   lottery, and the Section 2 probabilistic guarantees. *)
 
 module Ll = Core.List_lottery
 module Tl = Core.Tree_lottery
-module Il = Core.Inverse_lottery
 module Rng = Core.Rng
 module Chi = Core.Chi_square
 
@@ -336,75 +335,6 @@ let qcheck_tree_draw_in_range =
       | Some h -> arr.(Tl.client h) > 0.
       | None -> List.for_all (fun w -> w <= 0.) ws)
 
-(* --- inverse lottery --------------------------------------------------------- *)
-
-let test_inverse_probabilities () =
-  let t = Il.create () in
-  let a = Il.add t ~client:"a" ~tickets:3. in
-  let b = Il.add t ~client:"b" ~tickets:2. in
-  let c = Il.add t ~client:"c" ~tickets:1. in
-  checkf "total" 6. (Il.total_tickets t);
-  (* paper formula: (1/(n-1)) (1 - t/T) *)
-  checkf "p(a)" (0.5 *. (1. -. 0.5)) (Il.loss_probability t a);
-  checkf "p(b)" (0.5 *. (1. -. (1. /. 3.))) (Il.loss_probability t b);
-  checkf "p(c)" (0.5 *. (1. -. (1. /. 6.))) (Il.loss_probability t c);
-  let sum =
-    Il.loss_probability t a +. Il.loss_probability t b +. Il.loss_probability t c
-  in
-  checkf "probabilities sum to 1" 1. sum
-
-let test_inverse_distribution () =
-  let t = Il.create () in
-  let handles =
-    Array.of_list
-      (List.map
-         (fun (name, w) -> Il.add t ~client:name ~tickets:w)
-         [ ("a", 3.); ("b", 2.); ("c", 1.) ])
-  in
-  let weights = Array.map (fun h -> Il.loss_probability t h) handles in
-  let r = rng () in
-  let observed = Array.make 3 0 in
-  for _ = 1 to 20_000 do
-    match Il.draw_loser t r with
-    | Some h ->
-        let i = match Il.client h with "a" -> 0 | "b" -> 1 | _ -> 2 in
-        observed.(i) <- observed.(i) + 1
-    | None -> Alcotest.fail "no loser"
-  done;
-  checkb "distribution matches the inverse formula" true
-    (Chi.goodness_of_fit ~observed ~weights ());
-  (* fewer tickets must lose more often *)
-  checkb "a loses least" true (observed.(0) < observed.(1) && observed.(1) < observed.(2))
-
-let test_inverse_small_cases () =
-  let t = Il.create () in
-  checkb "empty" true (Il.draw_loser t (rng ()) = None);
-  let only = Il.add t ~client:"only" ~tickets:5. in
-  checkb "singleton" true (Il.draw_loser t (rng ()) = None);
-  checkf "singleton probability 0" 0. (Il.loss_probability t only);
-  Il.remove t only;
-  checki "size" 0 (Il.size t)
-
-let test_inverse_weighted_extra () =
-  let t = Il.create () in
-  ignore (Il.add t ~client:"holds-nothing" ~tickets:1.);
-  ignore (Il.add t ~client:"holds-pages" ~tickets:1.);
-  let extra = function "holds-pages" -> 1. | _ -> 0. in
-  let r = rng () in
-  for _ = 1 to 200 do
-    match Il.draw_loser_weighted t r ~extra with
-    | Some h -> check Alcotest.string "only the page holder loses" "holds-pages" (Il.client h)
-    | None -> Alcotest.fail "no loser"
-  done
-
-let test_inverse_set_tickets () =
-  let t = Il.create () in
-  let a = Il.add t ~client:"a" ~tickets:1. in
-  ignore (Il.add t ~client:"b" ~tickets:1.);
-  Il.set_tickets t a 9.;
-  checkf "tickets readback" 9. (Il.tickets t a);
-  checkf "p(a) shrinks" (1. -. 0.9) (Il.loss_probability t a)
-
 let test_list_total_stays_exact_over_many_mutations () =
   (* incremental float totals are re-summed periodically; after thousands of
      updates the draw bound must still match the exact sum *)
@@ -673,15 +603,6 @@ let () =
           Alcotest.test_case "stable under float drift" `Quick test_tree_drift_stability;
           Alcotest.test_case "drift fallback is counted" `Quick
             test_tree_drift_fallback_counted;
-        ] );
-      ( "inverse",
-        [
-          Alcotest.test_case "paper formula probabilities" `Quick
-            test_inverse_probabilities;
-          Alcotest.test_case "distribution (chi-square)" `Slow test_inverse_distribution;
-          Alcotest.test_case "fewer than two clients" `Quick test_inverse_small_cases;
-          Alcotest.test_case "occupancy weighting" `Quick test_inverse_weighted_extra;
-          Alcotest.test_case "set_tickets" `Quick test_inverse_set_tickets;
         ] );
       ( "unified-draw",
         [

@@ -140,6 +140,80 @@ let steady_state ?(seed = 4) ~allocations policy =
   done;
   Array.to_list (Array.map (fun s -> s / snapshots) sums)
 
+let touch pool pages c = List.iter (fun p -> ignore (Im.access pool c p)) pages
+
+(* §6.2: with n clients holding equal shares of memory, client i loses a
+   frame with probability (1 - t_i/T) / (n - 1). Each pool here is three
+   raw clients at 3:2:1 with two of its six frames each, and one more
+   fault picks the victim: 1/4, 1/3 and 5/12. The faulting client takes
+   part in the lottery like any other holder, so it can be its own
+   victim: the faulter rotates over the three. Returns how often each
+   client was the victim, and how often it was its own. *)
+let inverse_victim_counts () =
+  let r = rng 62 in
+  let pools = 3_000 in
+  let victims = Array.make 3 0 and self = Array.make 3 0 in
+  for i = 0 to pools - 1 do
+    let pool = Im.create ~frames:6 ~rng:r () in
+    let add name tickets = Im.add_client pool ~name ~tickets ~working_set:3 in
+    let clients = [| add "a" 3; add "b" 2; add "c" 1 |] in
+    Array.iter (touch pool [ 0; 1 ]) clients;
+    let faulter = i mod 3 in
+    checkb "a third page faults" true (Im.access pool clients.(faulter) 2 = `Fault);
+    let lost = Array.map (fun c -> Im.evictions_suffered pool c) clients in
+    checki "one victim" 1 (Array.fold_left ( + ) 0 lost);
+    Array.iteri
+      (fun v n ->
+        if n = 1 then begin
+          victims.(v) <- victims.(v) + 1;
+          if v = faulter then self.(v) <- self.(v) + 1
+        end)
+      lost
+  done;
+  (victims, self)
+
+let inverse_formula t = (1. -. (t /. 6.)) /. 2.
+
+let test_inverse_probabilities () =
+  let victims, _ = inverse_victim_counts () in
+  let pools = float_of_int (Array.fold_left ( + ) 0 victims) in
+  List.iteri
+    (fun v t ->
+      let seen = float_of_int victims.(v) /. pools in
+      checkb
+        (Printf.sprintf "client %d loses %.3f, formula %.3f" v seen (inverse_formula t))
+        true
+        (Float.abs (seen -. inverse_formula t) < 0.03))
+    [ 3.; 2.; 1. ];
+  checkb "fewer tickets lose more often" true
+    (victims.(0) < victims.(1) && victims.(1) < victims.(2))
+
+let test_inverse_distribution () =
+  let victims, self = inverse_victim_counts () in
+  checkb
+    (Printf.sprintf "victims %d:%d:%d match (1 - t/T)/(n - 1)" victims.(0)
+       victims.(1) victims.(2))
+    true
+    (Chi.goodness_of_fit ~observed:victims
+       ~weights:[| inverse_formula 3.; inverse_formula 2.; inverse_formula 1. |] ());
+  Array.iteri
+    (fun v n -> checkb (Printf.sprintf "client %d evicted its own page" v) true (n > 0))
+    self
+
+(* A client whose tickets count in T but who holds no frames is never
+   picked. *)
+let test_inverse_occupancy_weighting () =
+  let r = rng 63 in
+  for _ = 1 to 200 do
+    let pool = Im.create ~frames:4 ~rng:r () in
+    let a = Im.add_client pool ~name:"a" ~tickets:1 ~working_set:5 in
+    let b = Im.add_client pool ~name:"b" ~tickets:1 ~working_set:5 in
+    let idle = Im.add_client pool ~name:"idle" ~tickets:1 ~working_set:1 in
+    List.iter (touch pool [ 0; 1 ]) [ a; b ];
+    ignore (Im.access pool a 2);
+    checki "a frameless client never loses" 0 (Im.evictions_suffered pool idle)
+  done
+
 let test_inverse_orders_by_tickets () =
   (* a pronounced 18:5:1 allocation makes the inverse weights (1 - t/T)
      clearly distinct: 0.25 vs 0.79 vs 0.96 *)
@@ -905,6 +979,12 @@ let () =
   Alcotest.run "resmgr"
     [
       ("golden", [ Alcotest.test_case "every manager's exact streams" `Quick test_golden ]);
+      ( "inverse",
+        [
+          Alcotest.test_case "paper formula probabilities" `Quick test_inverse_probabilities;
+          Alcotest.test_case "distribution (chi-square)" `Quick test_inverse_distribution;
+          Alcotest.test_case "occupancy weighting" `Quick test_inverse_occupancy_weighting;
+        ] );
       ( "inverse-memory",
         [
           Alcotest.test_case "no eviction until full" `Quick test_no_eviction_until_full;

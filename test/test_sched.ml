@@ -411,104 +411,6 @@ let test_round_robin_equal_split () =
   Array.iter (fun th -> checki "equal share" (Time.seconds 2) (Kernel.cpu_time th)) ths;
   checkb "selections counted" true (Round_robin.selections rr >= 80)
 
-let test_fixed_priority_strictness () =
-  let fp = Fixed_priority.create () in
-  let k = Kernel.create ~sched:(Fixed_priority.sched fp) () in
-  let hi = spin k "hi" and lo = spin k "lo" in
-  Fixed_priority.set_priority fp hi 10;
-  Fixed_priority.set_priority fp lo 1;
-  ignore (Kernel.run k ~until:(Time.seconds 5));
-  checki "low priority starves" 0 (Kernel.cpu_time lo);
-  checki "high priority gets all" (Time.seconds 5) (Kernel.cpu_time hi)
-
-let test_priority_inheritance_solves_inversion () =
-  (* classic inversion: low holds a lock high needs, medium spins. With
-     inheritance the low thread is boosted and high proceeds; without it,
-     medium starves low forever and high never runs. *)
-  let run inheritance =
-    let fp = Fixed_priority.create ~inheritance () in
-    let k = Kernel.create ~sched:(Fixed_priority.sched fp) () in
-    let m = Kernel.create_mutex k "shared" in
-    let high_done = ref (-1) in
-    let low =
-      Kernel.spawn k ~name:"low" (fun () ->
-          Api.lock m;
-          Api.compute (Time.seconds 2);
-          Api.unlock m;
-          while true do
-            Api.compute (Time.ms 10)
-          done)
-    in
-    let medium =
-      Kernel.spawn k ~name:"medium" (fun () ->
-          Api.sleep (Time.ms 50);
-          while true do
-            Api.compute (Time.ms 10)
-          done)
-    in
-    let high =
-      Kernel.spawn k ~name:"high" (fun () ->
-          Api.sleep (Time.ms 100);
-          Api.lock m;
-          high_done := Api.now ();
-          Api.unlock m;
-          while true do
-            Api.compute (Time.ms 10)
-          done)
-    in
-    Fixed_priority.set_priority fp low 1;
-    Fixed_priority.set_priority fp medium 5;
-    Fixed_priority.set_priority fp high 10;
-    ignore (Kernel.run k ~until:(Time.seconds 10));
-    !high_done
-  in
-  checki "without inheritance: inversion blocks high forever" (-1) (run false);
-  let t = run true in
-  checkb (Printf.sprintf "with inheritance high acquires (t=%d)" t) true
-    (t >= 0 && t <= Time.ms 2200)
-
-(* A divided transfer loses a server to a kill: the dead server's share
-   goes with it at once, so nothing keeps the dead thread reachable and
-   the client's later revokes (its own kill, then a second transfer and
-   its wake) cannot bring a state back for it. *)
-let test_priority_inheritance_drops_dead_target () =
-  let fp = Fixed_priority.create ~inheritance:true () in
-  let k = Kernel.create ~sched:(Fixed_priority.sched fp) () in
-  let port name =
-    let p = Kernel.create_port k ~name in
-    ignore
-      (Kernel.spawn k ~name (fun () ->
-           while true do
-             let m = Api.receive p in
-             Api.compute (Time.ms 50);
-             Api.reply m "ok"
-           done));
-    p
-  in
-  let pa = port "a" and pb = port "b" in
-  let second = ref "" in
-  ignore
-    (Kernel.spawn k ~name:"client" (fun () ->
-         (try ignore (Api.rpc_many [ (pa, "x"); (pb, "y") ])
-          with Types.Killed -> ());
-         second := Api.rpc pb "z"));
-  ignore (Kernel.run k ~until:(Time.ms 10));
-  let kill name =
-    let th = List.find (fun th -> Kernel.thread_name th = name) (Kernel.threads k) in
-    Kernel.kill k th;
-    th
-  in
-  let dead = Weak.create 1 in
-  Weak.set dead 0 (Some (kill "a"));
-  Gc.full_major ();
-  checkb "the dead server is collectable" false (Weak.check dead 0);
-  ignore (kill "client");
-  ignore (Kernel.run k ~until:(Time.seconds 1));
-  check Alcotest.string "the second transfer was served" "ok" !second;
-  checkb "no failures" true (Kernel.failures k = []);
-  check (Alcotest.list Alcotest.string) "only the live server is left" [ "b" ]
-    (List.map Kernel.thread_name (Kernel.threads k))
-
 let test_decay_usage_equalizes () =
   let du = Decay_usage.create () in
   let k = Kernel.create ~sched:(Decay_usage.sched du) () in
@@ -572,12 +474,6 @@ let test_stride_ticket_change () =
   checki "tickets readback" 4 (Stride_sched.tickets st a)
 
 let test_baseline_accessors () =
-  let fp = Fixed_priority.create ~inheritance:true () in
-  let k = Kernel.create ~sched:(Fixed_priority.sched fp) () in
-  let a = spin k "a" in
-  Fixed_priority.set_priority fp a 7;
-  checki "priority readback" 7 (Fixed_priority.priority fp a);
-  checki "effective = base without donors" 7 (Fixed_priority.effective_priority fp a);
   let du = Decay_usage.create ~half_life:(Time.seconds 1) () in
   let k2 = Kernel.create ~sched:(Decay_usage.sched du) () in
   let b = spin k2 "b" in
@@ -1157,9 +1053,6 @@ let () =
       ( "baselines",
         [
           Alcotest.test_case "round-robin equal split" `Quick test_round_robin_equal_split;
-          Alcotest.test_case "fixed priority strict" `Quick test_fixed_priority_strictness;
-          Alcotest.test_case "priority inheritance fixes inversion" `Quick
-            test_priority_inheritance_solves_inversion;
           Alcotest.test_case "decay-usage equalizes" `Quick test_decay_usage_equalizes;
           Alcotest.test_case "decay-usage favors fresh threads" `Quick
             test_decay_usage_favors_fresh_threads;
@@ -1183,8 +1076,6 @@ let () =
             test_coherence_flags_runnable_donor;
           Alcotest.test_case "coherence flags a dead target" `Quick
             test_coherence_flags_dead_target;
-          Alcotest.test_case "inheritance drops a dead target" `Quick
-            test_priority_inheritance_drops_dead_target;
         ] );
       ( "reclamation",
         [

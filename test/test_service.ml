@@ -260,6 +260,44 @@ let test_prom_exposition () =
       "lotto_slo_latency_us_count{tenant=\"web\"}";
     ]
 
+(* A Prometheus reader takes any fall of a counter for a reset, so every
+   counter family is a running total named [_total]. The in-flight count
+   falls whenever a request resolves, so it is a gauge. Checked on both
+   exporters: the kernel registry and the service's SLO books. *)
+let test_prom_family_types () =
+  let spec = Tenant.spec ~arrivals:(Arrivals.Poisson 100.) "web" in
+  let report = Svc.run (Svc.config ~horizon:(Time.seconds 1) [ spec ]) in
+  let k = rr_kernel () in
+  let m = Obs.Metrics.create () in
+  Obs.Metrics.attach m (Kernel.bus k);
+  ignore
+    (Kernel.spawn k ~name:"w" (fun () ->
+         while true do
+           Api.compute (Time.ms 10);
+           Api.sleep (Time.ms 30)
+         done));
+  ignore (Kernel.run k ~until:(Time.seconds 1));
+  let types text =
+    List.filter_map
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | [ "#"; "TYPE"; name; kind ] -> Some (name, kind)
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  let families = types (Obs.Metrics.to_prom m) @ types report.Svc.prom in
+  checkb "both exporters declare families" true (List.length families > 10);
+  List.iter
+    (fun (name, kind) ->
+      if kind = "counter" then
+        checkb (name ^ " is a counter named _total") true
+          (String.ends_with ~suffix:"_total" name))
+    families;
+  check
+    Alcotest.(option string)
+    "lotto_slo_in_flight type" (Some "gauge")
+    (List.assoc_opt "lotto_slo_in_flight" families)
+
 let test_insulation_invariant () =
   (* the PR's acceptance gate at test scale: tenant B at 10x its
      entitlement must not move tenant A's p99 by more than 1.5x, CPU
@@ -333,6 +371,8 @@ let () =
           Alcotest.test_case "accounting at 4 cpus" `Quick
             (test_accounting_multi_cpu 4);
           Alcotest.test_case "prometheus exposition" `Quick test_prom_exposition;
+          Alcotest.test_case "prometheus counters are totals" `Quick
+            test_prom_family_types;
           Alcotest.test_case "insulation invariant" `Slow
             test_insulation_invariant;
           Alcotest.test_case "decay-usage breaks shares" `Slow

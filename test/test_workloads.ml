@@ -1,6 +1,6 @@
 (* Workload models: corpus generation and search, spinner accounting, the
-   DB server/client pair, video viewers, Monte-Carlo tasks, and the mutex
-   contention harness. *)
+   DB server/client pair, Monte-Carlo tasks, and the mutex contention
+   harness. *)
 
 open Core
 
@@ -109,21 +109,6 @@ let test_db_mean_response_nan_before_first () =
   let server = Db.start_server k ~name:"db" ~corpus () in
   let client = Db.spawn_client k server ~name:"c" ~query:"x" () in
   checkb "nan before completions" true (Float.is_nan (Db.mean_response_time client))
-
-(* --- video --------------------------------------------------------------------------- *)
-
-let test_video_frame_rate () =
-  let k, ls = lottery_kernel ~seed:25 () in
-  let v = Video.spawn_viewer k ~name:"v" ~frame_cost:(Time.ms 100) () in
-  ignore
-    (Lottery_sched.fund_thread ls (Video.thread v) ~amount:10
-       ~from:(Lottery_sched.base_currency ls));
-  ignore (Kernel.run k ~until:(Time.seconds 20 + Time.ms 200));
-  checkb "frames" true (Video.frames v >= 200);
-  checkb "fps about 10" true
-    (abs_float (Video.fps v ~lo:0 ~hi:(Time.seconds 20) -. 10.) <= 0.1);
-  let cum = Video.cumulative v ~upto:(Time.seconds 20) in
-  checkb "cumulative about 200" true (abs (cum.(Array.length cum - 1) - 200) <= 1)
 
 (* --- monte carlo --------------------------------------------------------------------- *)
 
@@ -289,7 +274,6 @@ let () =
           Alcotest.test_case "nan before first completion" `Quick
             test_db_mean_response_nan_before_first;
         ] );
-      ("video", [ Alcotest.test_case "frame accounting" `Quick test_video_frame_rate ]);
       ( "monte-carlo",
         [
           Alcotest.test_case "estimates pi/4" `Quick test_monte_carlo_estimates_quarter_pi;
