@@ -202,8 +202,8 @@ val set_placement_hook : t -> (Lotto_sim.Types.thread -> int) option -> unit
 val force_migrate : t -> Lotto_sim.Types.thread -> dst:int -> unit
 (** Move a thread to shard [dst] immediately (no-op when already there or
     when the scheduler holds no state for it). O(1) detach, O(log n)
-    re-insert, zero allocation in the steady state — the bench hook for
-    measuring migration cost. Raises [Invalid_argument] on a bad [dst] or
+    re-insert, zero allocation in the steady state — the hook the
+    [smp/migration] budget row measures migration cost with. Raises [Invalid_argument] on a bad [dst] or
     a one-shard scheduler. *)
 
 val check_sharding : t -> string list

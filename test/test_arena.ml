@@ -444,7 +444,7 @@ let qcheck_funding_recycling_valuation =
 (* Most threads die; the audit must pass over the survivors without
    tripping on recycled slots (the dead outnumber the living 5:1, so any
    audit path that still walks dead history would surface here; the 10^5
-   timing claim is covered by bench --scale-smoke). *)
+   timing claim is covered by the scale smoke below). *)
 let test_kill_heavy_audit () =
   let rng = Core.Rng.create ~seed:11 () in
   let ls = Core.Lottery_sched.create ~mode:Core.Lottery_sched.Tree_mode ~rng () in
@@ -481,6 +481,40 @@ let test_kill_heavy_audit () =
   ignore (Core.Kernel.run k ~until:(Core.Kernel.now k + Core.Time.seconds 2));
   checkb "survivors accumulate cpu" true (total () > before)
 
+(* The scale smoke: 10^5 threads created and funded, 20 kernel quanta,
+   50,000 block/wake cycles with a draw per transition, then 10^4 kills and
+   as many respawns into the recycled slots, and the O(live) audit. It takes
+   about a second; a per-slice path that turned O(n) would make it take
+   minutes, which CI's test-step timeout catches. *)
+let test_scale_smoke () =
+  let n = 100_000 and t0 = Unix.gettimeofday () in
+  let k, ls = Fixtures.lottery_kernel ~mode:Core.Lottery_sched.Tree_mode ~seed:3 () in
+  let s = Core.Lottery_sched.sched ls and base = Core.Lottery_sched.base_currency ls in
+  let spin name = Fixtures.spin ~q:(Core.Time.ms 100) k name in
+  let threads =
+    Array.init n (fun i ->
+        let th = spin (Printf.sprintf "t%d" i) in
+        ignore (Core.Lottery_sched.fund_thread ls th ~amount:100 ~from:base);
+        th)
+  in
+  ignore (Core.Kernel.run k ~until:(Core.Time.ms 2_000));
+  for i = 0 to 49_999 do
+    let th = threads.(i * 37 mod n) in
+    s.unready th;
+    ignore (s.select ~cpu:0);
+    s.ready th;
+    ignore (s.select ~cpu:0)
+  done;
+  for i = 0 to 9_999 do
+    Core.Kernel.kill k threads.(i)
+  done;
+  for i = 0 to 9_999 do
+    ignore (spin (Printf.sprintf "r%d" i))
+  done;
+  checki "live threads" n (Core.Kernel.live_thread_count k);
+  Alcotest.(check (list string)) "kernel audit clean" [] (Core.Kernel.check_invariants k);
+  Printf.printf "scale smoke: %.2f s\n" (Unix.gettimeofday () -. t0)
+
 let () =
   Alcotest.run "arena"
     [
@@ -511,6 +545,7 @@ let () =
         [
           Alcotest.test_case "kill-heavy audit over recycled slots" `Quick
             test_kill_heavy_audit;
+          Alcotest.test_case "scale smoke: 10^5 threads" `Quick test_scale_smoke;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -475,11 +475,7 @@ let test_hdr_buckets_match_bit_loop () =
 
 (* --- live kernel helpers ----------------------------------------------------- *)
 
-let lottery_kernel ~seed () =
-  let rng = Rng.create ~seed () in
-  let ls = Lottery_sched.create ~rng () in
-  let k = Kernel.create ~quantum:(Time.ms 100) ~sched:(Lottery_sched.sched ls) () in
-  (k, ls)
+let lottery_kernel = Fixtures.lottery_kernel
 
 let spin_thread k ls name amount =
   let th =
@@ -726,9 +722,7 @@ let test_span_eviction_bounds_memory () =
   check (Alcotest.list Alcotest.string) "no violations" []
     (Obs.Span.violations tracer)
 
-let live_words () =
-  Gc.full_major ();
-  (Gc.quick_stat ()).Gc.live_words
+let live_words = Fixtures.live_words
 
 (* Both endpoints of every span die: each round spawns a server (receive,
    compute 5 ms, reply) and a client that sends it one request, and kills
@@ -1654,28 +1648,13 @@ let test_legacy_render_format () =
 
 (* --- memory under thread churn ----------------------------------------- *)
 
-(* The churn world (a funded thread spawned every 10 ms, the oldest beyond
-   32 killed) with [attach]'s subscribers, run to T = 20 s and to 2T:
-   live words grown per kill between the two. A kill left 27-30 words
-   live in the kernel while [Kernel.failures] kept killed threads, and
-   ~1,810 with a [Metrics] registry that kept every row. *)
-let churn_growth attach =
-  let ls = Lottery_sched.create ~rng:(Lotto_prng.Rng.create ~seed:7 ()) () in
-  let k = Kernel.create ~quantum:(Time.ms 10) ~sched:(Lottery_sched.sched ls) () in
-  let subs = attach (Kernel.bus k) in
-  let c = Churn.create ls k in
-  Churn.run c ~until:(Time.seconds 20);
-  let w1 = live_words () and k1 = Churn.kills c in
-  Churn.run c ~until:(Time.seconds 40);
-  let w2 = live_words () and k2 = Churn.kills c in
-  ignore (Sys.opaque_identity (subs, k, ls));
-  checkb "the world kills" true (k1 >= 1900 && k2 - k1 >= 1900);
-  float_of_int (w2 - w1) /. float_of_int (k2 - k1)
-
+(* The churn world in List mode, [Lottery_sched.create]'s default, bare and
+   observed; the budget row churn/live-words-per-kill is the observed world
+   in Tree mode (test_budget). *)
 let test_churn_flat_heap () =
-  let bare = churn_growth (fun _ -> []) in
+  let bare = Fixtures.churn_growth (fun _ -> []) in
   let observed =
-    churn_growth (fun bus ->
+    Fixtures.churn_growth (fun bus ->
         (* T's 1,968 deaths are past the registry's 1,024 retained dead
            rows; the span tracer and the recorder at small bounds, so both
            are full by T *)

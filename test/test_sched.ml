@@ -13,16 +13,9 @@ let close ?(tol = 0.15) msg expected actual =
     Alcotest.failf "%s: expected ~%.3f (±%.0f%%), got %.3f" msg expected
       (100. *. tol) actual
 
-let lottery_kernel ?mode ?use_compensation ~seed () =
-  let rng = Rng.create ~seed () in
-  let ls = Lottery_sched.create ?mode ?use_compensation ~rng () in
-  (Kernel.create ~sched:(Lottery_sched.sched ls) (), ls)
+let lottery_kernel = Fixtures.lottery_kernel
 
-let spin k name =
-  Kernel.spawn k ~name (fun () ->
-      while true do
-        Api.compute (Time.ms 1)
-      done)
+let spin = Fixtures.spin
 
 (* --- lottery: proportional share -------------------------------------------- *)
 

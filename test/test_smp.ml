@@ -106,20 +106,8 @@ let test_readd_cross_structure () =
 
 (* --- multi-CPU kernel + sharded scheduler ------------------------------------ *)
 
-let sharded_kernel ?placement ?(migration = true) ?shards ~cpus ~seed () =
-  let rng = Rng.create ~seed () in
-  let ls = Lottery_sched.create ~mode:Tree_mode ?shards ~rng () in
-  Lottery_sched.set_migration_enabled ls migration;
-  (match placement with
-  | Some f -> Lottery_sched.set_placement_hook ls (Some f)
-  | None -> ());
-  (Kernel.create ~cpus ~sched:(Lottery_sched.sched ls) (), ls)
-
-let spin k name =
-  Kernel.spawn k ~name (fun () ->
-      while true do
-        Api.compute (Time.ms 1)
-      done)
+let sharded_kernel = Fixtures.lottery_kernel ~mode:Tree_mode
+let spin = Fixtures.spin
 
 let test_smp_throughput_and_shares () =
   let k, ls = sharded_kernel ~shards:4 ~cpus:4 ~seed:42 () in

@@ -8,10 +8,7 @@ let check = Alcotest.check
 let checki = check Alcotest.int
 let checkb = check Alcotest.bool
 
-let lottery_kernel ~seed () =
-  let rng = Rng.create ~seed () in
-  let ls = Lottery_sched.create ~rng () in
-  (Kernel.create ~sched:(Lottery_sched.sched ls) (), ls)
+let lottery_kernel = Fixtures.lottery_kernel
 
 (* --- corpus ------------------------------------------------------------------ *)
 
