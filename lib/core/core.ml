@@ -8,8 +8,7 @@
       Sections 3–4 (transfers, inflation, currencies, compensation);
     - {!Draw} over {!List_lottery} / {!Tree_lottery}: one weighted-draw
       interface for every lottery in the system (Sections 4.2 and 5.1),
-      and {!Shard_tree} (the §4.2 distributed lottery's inter-node tree,
-      used by the sharded scheduler);
+      one per shard in the sharded scheduler's §4.2 distributed lottery;
     - {!Time}, {!Kernel}, {!Api}, {!Types}: the discrete-event kernel
       standing in for Mach 3.0, with effect-based threads, synchronous RPC
       and mutexes;
@@ -59,7 +58,6 @@ module Arena = Lotto_arena
 module Draw = Lotto_draw.Draw
 module List_lottery = Lotto_draw.List_lottery
 module Tree_lottery = Lotto_draw.Tree_lottery
-module Shard_tree = Lotto_draw.Shard_tree
 
 (* Simulation kernel *)
 module Time = Lotto_sim.Time

@@ -69,6 +69,11 @@ let weight t h =
 
 let client = function Lh h -> List_lottery.client h | Th h -> Tree_lottery.client h
 let total = function L l -> List_lottery.total l | T l -> Tree_lottery.total l
+
+let total_at t dst j =
+  match t with
+  | L l -> List_lottery.total_at l dst j
+  | T l -> Tree_lottery.total_at l dst j
 let size = function L l -> List_lottery.size l | T l -> Tree_lottery.size l
 
 let draw t rng =

@@ -11,9 +11,9 @@
     zero-weight clients never win; a draw returns [None] (or [-1] from
     {!draw_slot}) without consuming randomness when the total weight is
     zero. {!t} is a dispatching wrapper chosen at runtime with {!of_mode}.
-    The paper's distributed lottery (a tree of per-node partial sums) is
-    {!Shard_tree} over one {!t} per shard, as the sharded
-    [Lottery_sched] runs it. *)
+    The paper's distributed lottery is one {!t} per shard, as the sharded
+    [Lottery_sched] runs it: a shard's ticket mass is its draw's
+    {!total} plus the weights of the threads dispatched from it. *)
 
 type mode =
   | List  (** move-to-front list, O(n) draw — the paper's prototype *)
@@ -86,6 +86,13 @@ val set_weight_at : 'a t -> 'a handle -> float array -> int -> unit
 val weight : 'a t -> 'a handle -> float
 val client : 'a handle -> 'a
 val total : 'a t -> float
+
+val total_at : 'a t -> float array -> int -> unit
+(** [total_at t dst j] stores [total t] in [dst.(j)]: a float returned
+    across a call the compiler does not inline is boxed (see
+    {!set_weight_at}), so a caller that reads totals on an
+    allocation-free path reads them through its own flat array. *)
+
 val size : 'a t -> int
 
 val draw : 'a t -> Lotto_prng.Rng.t -> 'a handle option

@@ -239,6 +239,10 @@ let mem t h =
   && t.ws.(h.slot) >= 0.
   && t.hs.(h.slot) == h
 let total t = max t.total.(0) 0.
+
+let total_at t dst j =
+  let v = t.total.(0) in
+  dst.(j) <- (if v > 0. then v else 0.)
 let size t = t.size
 
 let move_to_front t s =

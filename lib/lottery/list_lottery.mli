@@ -49,6 +49,11 @@ val weight : 'a t -> 'a handle -> float
 val client : 'a handle -> 'a
 val mem : 'a t -> 'a handle -> bool
 val total : 'a t -> float
+
+val total_at : 'a t -> float array -> int -> unit
+(** [total_at t dst j] stores [total t] in [dst.(j)], so the total is not
+    boxed to cross the call. *)
+
 val size : 'a t -> int
 
 val draw : 'a t -> Lotto_prng.Rng.t -> 'a handle option

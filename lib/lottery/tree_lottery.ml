@@ -194,6 +194,10 @@ let mem t h =
   && t.weights.(h.slot) >= 0.
   && t.slots.(h.slot) == h
 let total t = max (raw_total t) 0.
+
+let total_at t dst j =
+  let v = raw_total t in
+  dst.(j) <- (if v > 0. then v else 0.)
 let size t = t.size
 
 let[@inline] descend t winning =

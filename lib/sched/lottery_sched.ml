@@ -1,7 +1,6 @@
 open Lotto_sim.Types
 module F = Lotto_tickets.Funding
 module D = Lotto_draw.Draw
-module Sh = Lotto_draw.Shard_tree
 module Rng = Lotto_prng.Rng
 
 type mode = List_mode | Tree_mode
@@ -27,11 +26,12 @@ type tstate = {
   mutable donations : (int * F.ticket) list; (* dst thread id -> transfer *)
   mutable shard : int; (* owning shard; -1 until first placement *)
   mutable counted : bool;
-      (* this thread's [wlast] is accumulated in the shard tree: true for
-         runnable *and* dispatched (on-CPU) threads, false while blocked —
-         so a running thread still attracts rebalancing pressure to its
-         shard but can never itself be drawn, stolen or migrated. Always
-         false on one shard, which keeps no mass *)
+      (* dispatched, and its [wlast] in its shard's [running]: a winner
+         out of its draw for its slice still counts as the shard's load,
+         so it attracts rebalancing pressure there but can never itself
+         be drawn, stolen or migrated. Never true in a draw (there the
+         draw's total holds the weight) nor on one shard, which keeps no
+         mass *)
 }
 
 (* [flags] bits, by thread slot. *)
@@ -65,22 +65,22 @@ type t = {
          adjacent, they usually share a cache line *)
   mutable wlast : float array; (* by thread slot: the last weight written
                                    to the thread's draw. Kept flat so
-                                   every write and shard-mass delta stays
-                                   unboxed; the draw and the shard tree
-                                   read it through their [_at] entry
+                                   every write stays unboxed; the draw
+                                   reads it through its [_at] entry
                                    points *)
-  fscratch : float array; (* one cell: a shard mass on its way to
-                             {!Sh.adjust_at} or back from {!Sh.get_at}
-                             and {!Sh.total_at} *)
   pending : F.queue;
       (* slots of the threads whose currencies went stale, awaiting a
          scoped re-weigh: every thread currency is watched by it *)
   (* The paper's distributed lottery (§4.2): one draw per shard, shard [i]
-     serving virtual CPU [i], under a partial-sum tree of per-shard ticket
-     masses. With one shard it is the plain lottery. *)
+     serving virtual CPU [i]. A shard's ticket mass is its draw's total
+     plus [running]; with one shard it is the plain lottery and keeps no
+     mass. *)
   shards : int; (* at least 1 *)
   draw : thread option D.t array; (* by shard *)
-  stree : Sh.t; (* per-shard ticket masses, kept only when [shards > 1] *)
+  running : float array;
+      (* by shard: the summed [wlast] of the [counted] threads dispatched
+         from it *)
+  mass : float array; (* by shard: scratch that [load_masses] fills *)
   scratch : thread D.t; (* reusable waiter-pick draw, cleared between picks *)
   (* Round-robin fallback rings, one per shard: intrusive doubly-linked
      lists over thread slots, so detach unlinks a dead thread in O(1) and
@@ -178,11 +178,11 @@ let create ?(mode = List_mode) ?(use_compensation = true) ?(shards = 1) ~rng () 
     flags = [||];
     wins = [||];
     wlast = [||];
-    fscratch = [| 0. |];
     pending = F.queue system;
     shards = n;
     draw = Array.init n (fun _ -> D.of_mode (draw_mode mode));
-    stree = Sh.create ~shards:n;
+    running = Array.make n 0.;
+    mass = Array.make n 0.;
     scratch = D.of_mode (draw_mode mode);
     ring_of = [||];
     rprev = [||];
@@ -268,42 +268,69 @@ let[@inline] stale t s =
 
 (* --- per-shard ticket mass ---------------------------------------------- *)
 
-(* The shard tree tracks the live ticket mass *assigned* to each shard:
-   runnable threads waiting in the shard's draw plus the thread currently
-   dispatched on that CPU (dequeued but still consuming the shard's share).
-   Blocked threads carry no mass. Tracking assignment rather than draw
-   occupancy keeps the steady-state quantum cycle (dispatch dequeue +
-   account re-enqueue) entirely off the tree: only block/wake, funding
-   changes and migrations touch it. One shard has no placement, rebalance
-   or steal to feed, so it counts nothing in. *)
-let[@inline] stree_adjust t i delta =
-  t.fscratch.(0) <- delta;
-  Sh.adjust_at t.stree i t.fscratch 0
-
-let[@inline] count_in t s =
-  if t.shards > 1 && not s.counted then begin
-    stree_adjust t s.shard t.wlast.(s.th.tslot);
-    s.counted <- true
-  end
+(* A shard's ticket mass is the live ticket mass *assigned* to it: the
+   runnable threads in its draw, which the draw's own total already sums,
+   plus the threads dispatched from it (out of the draw for their slice
+   but still consuming the shard's share), which [running] sums. Blocked
+   threads carry no mass. So a re-weigh writes the draw alone, and only a
+   dispatch, its return and a migration of a running thread write
+   [running]. One shard has no placement, rebalance or steal to feed and
+   never dispatches out of its draw, so it keeps no mass. *)
+let[@inline] run_add t i w =
+  let v = t.running.(i) +. w in
+  t.running.(i) <- (if v > 0. then v else 0.)
 
 let[@inline] count_out t s =
   if s.counted then begin
-    stree_adjust t s.shard (-.t.wlast.(s.th.tslot));
+    run_add t s.shard (-.t.wlast.(s.th.tslot));
     s.counted <- false
   end
 
+(* Every shard's mass into [t.mass]. O(shards), and there is one shard
+   per CPU; the totals cross from the draws through the array, so
+   nothing is boxed. *)
+let load_masses t =
+  let m = t.mass in
+  for i = 0 to t.shards - 1 do
+    D.total_at t.draw.(i) m i;
+    m.(i) <- m.(i) +. t.running.(i)
+  done
+
+(* The sum of the masses [load_masses] left. Inlined, so the sum stays
+   unboxed where it is used. *)
+let[@inline] total_mass t =
+  let tot = ref 0. in
+  for i = 0 to t.shards - 1 do
+    tot := !tot +. t.mass.(i)
+  done;
+  !tot
+
+(* Least- and most-loaded shard in [t.mass], lowest id on ties. *)
+let min_shard t =
+  let m = t.mass in
+  let best = ref 0 in
+  for i = 1 to t.shards - 1 do
+    if m.(i) < m.(!best) then best := i
+  done;
+  !best
+
+let max_shard t =
+  let m = t.mass in
+  let best = ref 0 in
+  for i = 1 to t.shards - 1 do
+    if m.(i) > m.(!best) then best := i
+  done;
+  !best
+
 (* Recompute a thread's weight from fresh inputs (validating its
-   currency's caches), recording the inputs beside it and moving its
-   shard's mass by the change. *)
+   currency's caches), recording the inputs beside it. *)
 let[@inline] reweigh t s =
   let i = s.th.tslot in
   let cv = cur_value t s in
   let f = factor t s.th in
-  let nw = cv *. f in
   t.wins.(2 * i) <- cv;
   t.wins.((2 * i) + 1) <- f;
-  if s.counted then stree_adjust t s.shard (nw -. t.wlast.(i));
-  t.wlast.(i) <- nw
+  t.wlast.(i) <- cv *. f
 
 (* The in-place weight write for a thread in its draw. *)
 let write_weight t s =
@@ -315,12 +342,18 @@ let insert t s =
   let i = s.th.tslot in
   D.readd_at t.draw.(s.shard) s.dh t.wlast i;
   set_in_draw t s true;
-  count_in t s;
   if t.ring_of.(i) < 0 then ring_push t s.shard i
 
 let[@inline] dequeue t s =
   D.remove t.draw.(s.shard) s.dh;
   set_in_draw t s false
+
+(* A sharded decision's winner leaves its draw for its slice, its weight
+   moving to [running]. *)
+let dispatch t s =
+  dequeue t s;
+  run_add t s.shard t.wlast.(s.th.tslot);
+  s.counted <- true
 
 (* Block or exit: out of the draw, and its mass off the shard. *)
 let leave t s =
@@ -340,8 +373,8 @@ let migrate t s ~dst =
       D.readd_at t.draw.(dst) s.dh t.wlast i
     end;
     if s.counted then begin
-      stree_adjust t s.shard (-.t.wlast.(i));
-      stree_adjust t dst t.wlast.(i)
+      run_add t s.shard (-.t.wlast.(i));
+      run_add t dst t.wlast.(i)
     end;
     s.shard <- dst;
     t.migrations <- t.migrations + 1
@@ -354,7 +387,9 @@ let place t s =
   if s.shard < 0 then
     s.shard <-
       (match t.placement_hook with
-      | None -> Sh.min_shard t.stree
+      | None ->
+          load_masses t;
+          min_shard t
       | Some f ->
           let i = f s.th in
           if i < 0 || i >= t.shards then
@@ -370,15 +405,14 @@ let drawn_state t = function Some th -> st_at t th.tslot | None -> assert false
    until back within half the band (or the move budget runs out). The
    no-overshoot rule — the rich shard must stay at least as rich as the
    poor one becomes — stops a single heavy thread from ping-ponging
-   between shards. On a balanced system this is two O(shards) scans and
-   no draw. *)
+   between shards. The masses are reloaded after every move. On a
+   balanced system this is four O(shards) scans and no draw. *)
 let max_rebalance_moves = 8
 let imbalance_band = 0.25 (* rebalance trigger, as a fraction of total/N *)
 
 let rebalance t =
-  let cell = t.fscratch in
-  Sh.total_at t.stree cell 0;
-  let tot = cell.(0) in
+  load_masses t;
+  let tot = total_mass t in
   if tot > 0. then begin
     let ideal = tot /. float_of_int t.shards in
     let full_band = imbalance_band *. ideal in
@@ -386,13 +420,12 @@ let rebalance t =
     let moves = ref 0 in
     let go = ref true in
     while !go && !moves < max_rebalance_moves do
+      if !moves > 0 then load_masses t;
       go := false;
-      let rich = Sh.max_shard t.stree in
-      let poor = Sh.min_shard t.stree in
-      Sh.get_at t.stree rich cell 0;
-      let mr = cell.(0) in
-      Sh.get_at t.stree poor cell 0;
-      let mp = cell.(0) in
+      let rich = max_shard t in
+      let poor = min_shard t in
+      let mr = t.mass.(rich) in
+      let mp = t.mass.(poor) in
       if rich <> poor && (mr -. ideal > !thresh || ideal -. mp > !thresh) then begin
         let w = D.draw_slot t.draw.(rich) t.rng in
         if w >= 0 then begin
@@ -409,21 +442,42 @@ let rebalance t =
     done
   end
 
+(* Ticket-weighted shard pick over the masses [load_masses] left, [tot]
+   their [total_mass], for a uniform deviate formed from [Rng.bits53] as
+   [Rng.float_unit] forms it: the shard covering [u * tot] in id order.
+   A zero-mass shard never wins; float drift past the last partial sum
+   lands on the last shard that holds mass. *)
+let[@inline] pick_shard t tot =
+  let m = t.mass in
+  let u = float_of_int (Rng.bits53 t.rng) /. float_of_int (1 lsl 53) in
+  let rest = ref (u *. tot) in
+  let won = ref (-1) and last = ref (-1) and i = ref 0 in
+  while !won < 0 && !i < t.shards do
+    let mi = m.(!i) in
+    if mi > 0. then
+      if !rest < mi then won := !i
+      else begin
+        rest := !rest -. mi;
+        last := !i
+      end;
+    incr i
+  done;
+  if !won >= 0 then !won else !last
+
 (* Work stealing, tried when a CPU's own shard has no funded runnable
-   thread: pick a source shard ticket-weighted through the shard tree,
-   draw a victim from it, and migrate it here. One steal per empty
-   decision keeps the RNG consumption bounded and deterministic. Returns
-   the stolen thread's slot, or -1: the total comes back through
-   [fscratch] and the deviate crosses to the shard tree as its raw bits,
-   so a steal boxes nothing. *)
+   thread: pick a source shard ticket-weighted by mass, draw a victim
+   from it, and migrate it here. One steal per empty decision keeps the
+   RNG consumption bounded and deterministic. Returns the stolen thread's
+   slot, or -1, so a steal boxes nothing. *)
 let steal t ~dst =
   if not t.migration_enabled then -1
   else begin
-    Sh.total_at t.stree t.fscratch 0;
-    if t.fscratch.(0) <= 0. then -1
+    load_masses t;
+    let tot = total_mass t in
+    if tot <= 0. then -1
     else begin
-      let src = Sh.pick t.stree ~bits:(Rng.bits53 t.rng) in
-      if src < 0 || src = dst then -1
+      let src = pick_shard t tot in
+      if src = dst then -1
       else begin
         let w = D.draw_slot t.draw.(src) t.rng in
         if w < 0 then -1
@@ -618,9 +672,9 @@ let rec ring_pick t c =
 
    With several shards another CPU of the same kernel round could draw a
    running thread, so the winner leaves its draw for its slice (its mass
-   stays counted) and [account] re-inserts it. One shard has no other CPU:
-   the winner stays in its draw, and no option, handle or scheduler record
-   is read or built per decision. *)
+   moves to [running]) and [account] re-inserts it. One shard has no
+   other CPU: the winner stays in its draw, and no option, handle or
+   scheduler record is read or built per decision. *)
 let select t ~cpu =
   t.draws <- t.draws + 1;
   (match t.profiler with
@@ -643,7 +697,7 @@ let select t ~cpu =
   in
   if w >= 0 then begin
     let some = D.client_at d w in
-    if sharded then dequeue t (drawn_state t some);
+    if sharded then dispatch t (drawn_state t some);
     some
   end
   else begin
@@ -652,7 +706,7 @@ let select t ~cpu =
     if i < 0 then None
     else begin
       let s = st_at t i in
-      if sharded then dequeue t s;
+      if sharded then dispatch t s;
       D.client s.dh
     end
   end
@@ -663,13 +717,14 @@ let select t ~cpu =
    funding graph nothing changed, and the write is skipped — exactly, not
    approximately: a weight delta of zero leaves every backend
    bit-identical. A thread still runnable but out of its draw is a sharded
-   decision's winner back from its slice: re-insert it, counting the
-   re-weigh if an input moved. Blocked and exited threads were already
-   handled by unready/detach. *)
+   decision's winner back from its slice: its mass leaves [running] and
+   it is re-inserted, counting the re-weigh if an input moved. Blocked and
+   exited threads were already handled by unready/detach. *)
 let account_slow t th =
   match find_state t th with
   | Some s when in_draw t s -> if stale t s then write_weight t s
   | Some s when th.state = Runnable ->
+      count_out t s;
       if stale t s then begin
         reweigh t s;
         t.scoped_updates <- t.scoped_updates + 1
@@ -866,15 +921,15 @@ let set_placement_hook t h = t.placement_hook <- h
 let shard_of t th =
   match find_state t th with Some s -> s.shard | None -> -1
 
-(* The accessors that need the shard tree: one shard keeps no mass and
-   has nowhere to migrate to, so no index is good there. *)
+(* The accessors of shard mass and migration: one shard keeps no mass
+   and has nowhere to migrate to, so no index is good there. *)
 let check_shard_arg t who i =
   if t.shards = 1 || i < 0 || i >= t.shards then
     invalid_arg ("Lottery_sched." ^ who ^ ": bad shard")
 
 let shard_ticket_mass t i =
   check_shard_arg t "shard_ticket_mass" i;
-  Sh.get t.stree i
+  D.total t.draw.(i) +. t.running.(i)
 
 let force_migrate t th ~dst =
   check_shard_arg t "force_migrate" dst;
@@ -883,30 +938,33 @@ let force_migrate t th ~dst =
   | _ -> ()
 
 (* Cross-checks the shard bookkeeping: every live tstate sits in exactly
-   the shard draw it claims ([D.mem] there and nowhere else), every shard-
-   tree leaf matches the sum of [wlast] over the tstates counted into it
-   (relative epsilon — the leaf is maintained by incremental float deltas),
-   and flag coherence (in_draw implies counted, exactly when the scheduler
-   keeps mass, and counted implies placed). Read-only; safe between any two
+   the shard draw it claims ([D.mem] there and nowhere else); both halves
+   of every shard's mass match what they sum — [running] the [wlast] of
+   the threads counted into it, the draw's total the weights in the draw
+   (relative epsilon: both are maintained by incremental float deltas);
+   and flag coherence (a counted thread is out of its draw, placed, and
+   on a scheduler that keeps mass). Read-only; safe between any two
    slices. *)
 let check_sharding t =
   let out = ref [] in
   let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
-  let keeps_mass = t.shards > 1 in
-  let sums = Array.make t.shards 0. in
+  let running = Array.make t.shards 0. and drawn = Array.make t.shards 0. in
   Array.iter
     (function
       | None -> ()
       | Some s ->
           let live = in_draw t s in
-          if live && s.counted <> keeps_mass then
-            vf "%s: in a shard draw but %s in the shard tree" s.th.name
-              (if keeps_mass then "not counted" else "counted");
+          if live && s.counted then
+            vf "%s: in a shard draw but also counted as dispatched" s.th.name;
+          if s.counted && t.shards = 1 then
+            vf "%s: counted as dispatched on one shard" s.th.name;
           let placed = s.shard >= 0 && s.shard < t.shards in
           if s.counted && not placed then
             vf "%s: counted but shard id %d out of range" s.th.name s.shard;
           if s.counted && placed then
-            sums.(s.shard) <- sums.(s.shard) +. t.wlast.(s.th.tslot);
+            running.(s.shard) <- running.(s.shard) +. t.wlast.(s.th.tslot);
+          if live && placed then
+            drawn.(s.shard) <- drawn.(s.shard) +. D.weight t.draw.(s.shard) s.dh;
           Array.iteri
             (fun i d ->
               let here = D.mem d s.dh in
@@ -918,11 +976,16 @@ let check_sharding t =
                   (if live then string_of_int s.shard else "none"))
             t.draw)
     t.st_tab;
-  Array.iteri
-    (fun i sum ->
-      let leaf = Sh.get t.stree i in
-      let scale = max 1. (max (abs_float leaf) (abs_float sum)) in
-      if abs_float (leaf -. sum) > 1e-6 *. scale then
-        vf "shard %d: tree mass %.9g but counted tstates sum to %.9g" i leaf sum)
-    sums;
+  let near a b =
+    abs_float (a -. b) <= 1e-6 *. max 1. (max (abs_float a) (abs_float b))
+  in
+  for i = 0 to t.shards - 1 do
+    if not (near t.running.(i) running.(i)) then
+      vf "shard %d: running mass %.9g but its dispatched threads weigh %.9g" i
+        t.running.(i) running.(i);
+    let total = D.total t.draw.(i) in
+    if not (near total drawn.(i)) then
+      vf "shard %d: draw total %.9g but its threads in the draw weigh %.9g" i total
+        drawn.(i)
+  done;
   List.rev !out

@@ -175,8 +175,9 @@ val shard_of : t -> Lotto_sim.Types.thread -> int
     duration of its slice. *)
 
 val shard_ticket_mass : t -> int -> float
-(** Ticket mass currently assigned to a shard (runnable-in-draw plus
-    dispatched; blocked threads carry no mass). Raises [Invalid_argument]
+(** Ticket mass currently assigned to a shard: its draw's total plus the
+    weights of the threads dispatched from it (blocked threads carry no
+    mass). Raises [Invalid_argument]
     on a bad index or a one-shard scheduler. *)
 
 val migrations : t -> int
@@ -208,11 +209,12 @@ val force_migrate : t -> Lotto_sim.Types.thread -> dst:int -> unit
 
 val check_sharding : t -> string list
 (** Audit the shard bookkeeping: each runnable thread's draw handle is
-    live in exactly the shard it claims, each shard-tree leaf matches the
-    ticket mass of the threads counted into it (relative epsilon — leaves
-    are maintained incrementally), and the in-draw/counted flags are
-    coherent (a thread in its draw is counted exactly when there are
-    several shards). Returns one string per violation; empty means
-    healthy. Read-only between slices;
+    live in exactly the shard it claims; both halves of each shard's mass
+    match what they sum — the draw's total the weights in the draw, and
+    the dispatched mass the last weights of the threads dispatched from
+    the shard (relative epsilon: both are maintained incrementally); and
+    the flags are coherent (a thread counted as dispatched is out of its
+    draw, placed, and on a scheduler with several shards). Returns one
+    string per violation; empty means healthy. Read-only between slices;
     composed with the kernel and funding audits by the {!Lotto_chaos}
     auditor. *)

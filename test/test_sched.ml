@@ -639,16 +639,19 @@ let test_block_wake_skips_idle_siblings () =
 
 (* The order a flush writes weights in is not visible in any digest until
    float rounding makes it so, so these tests read it off a shard's mass:
-   with two shards, every thread pinned to shard 0 and migration off, the
-   mass moves only by each re-weighed thread's delta, added in write order.
-   The deltas carry the mass across a power of two, where the rounding
-   grid changes, so the sum keeps their order. [replay] recomputes the
-   mass for an order with the scheduler's own arithmetic. A select on the
-   empty shard 1 flushes without drawing anyone out of shard 0. *)
-module Sh = Lotto_draw.Shard_tree
-
+   with two Tree shards, every thread pinned to shard 0 and migration off,
+   the mass is shard 0's Fenwick root, which moves only by each re-weighed
+   thread's delta, added in write order. The deltas carry the mass across
+   a power of two, where the rounding grid changes, so the sum keeps their
+   order. [replay] recomputes the mass for an order with the same float
+   adds. A select on the empty shard 1 flushes without drawing anyone out
+   of shard 0. *)
 let pinned_lottery () =
-  let ls = Lottery_sched.create ~shards:2 ~rng:(Rng.create ~seed:5 ()) () in
+  let ls =
+    Lottery_sched.create ~mode:Lottery_sched.Tree_mode ~shards:2
+      ~rng:(Rng.create ~seed:5 ())
+      ()
+  in
   Lottery_sched.set_migration_enabled ls false;
   Lottery_sched.set_placement_hook ls (Some (fun _ -> 0));
   (ls, Lottery_sched.sched ls)
@@ -658,14 +661,12 @@ let flush s = ignore (s.Types.select ~cpu:1)
 (* The mass a flush writing in [order] leaves, [after] giving each
    thread's new weight. *)
 let replay ls order after =
-  let st = Sh.create ~shards:2 in
-  Sh.set st 0 (Lottery_sched.shard_ticket_mass ls 0);
-  List.iter
-    (fun th ->
+  List.fold_left
+    (fun mass th ->
       let w0 = Option.get (Lottery_sched.draw_weight ls th) in
-      Sh.adjust_at st 0 [| List.assq th after -. w0 |] 0)
-    order;
-  Sh.get st 0
+      mass +. (List.assq th after -. w0))
+    (Lottery_sched.shard_ticket_mass ls 0)
+    order
 
 (* Runs [mutate], then checks that the next flush writes in [expected]
    order — and that the mass tells each [wrong] order apart. *)

@@ -1,5 +1,5 @@
-(* Multi-CPU kernel and sharded lottery scheduling: shard-tree unit tests,
-   zero-alloc readd, N-CPU pinned-placement equivalence with the 1-CPU
+(* Multi-CPU kernel and sharded lottery scheduling: zero-alloc readd,
+   the derived shard mass, N-CPU pinned-placement equivalence with the 1-CPU
    schedule, per-shard and aggregate fairness, deterministic replay, and
    the sharding audits. *)
 
@@ -10,58 +10,6 @@ let checki = check Alcotest.int
 let checkb = check Alcotest.bool
 let checks = check Alcotest.string
 let checkf = check (Alcotest.float 1e-9)
-
-(* --- shard tree -------------------------------------------------------------- *)
-
-let test_shard_tree_basic () =
-  let t = Shard_tree.create ~shards:4 in
-  checki "shards" 4 (Shard_tree.shards t);
-  checkf "empty total" 0. (Shard_tree.total t);
-  Shard_tree.set t 0 3.;
-  Shard_tree.set t 1 1.;
-  Shard_tree.set t 3 2.;
-  checkf "total" 6. (Shard_tree.total t);
-  checkf "get 0" 3. (Shard_tree.get t 0);
-  checkf "get 2" 0. (Shard_tree.get t 2);
-  Shard_tree.set t 0 1.;
-  checkf "total after rewrite" 4. (Shard_tree.total t);
-  checki "max" 3 (Shard_tree.max_shard t);
-  checki "min (lowest id wins ties)" 2 (Shard_tree.min_shard t)
-
-(* [pick] takes the 53 raw bits [Rng.bits53] returns; [bits_of u] is the
-   draw whose deviate is [u] *)
-let bits_of u = int_of_float (u *. float_of_int (1 lsl 53))
-
-let test_shard_tree_pick () =
-  let t = Shard_tree.create ~shards:3 in
-  checki "pick on empty" (-1) (Shard_tree.pick t ~bits:(bits_of 0.5));
-  Shard_tree.set t 0 1.;
-  Shard_tree.set t 1 2.;
-  Shard_tree.set t 2 1.;
-  (* cumulative masses: [0,1) -> 0, [1,3) -> 1, [3,4) -> 2 *)
-  checki "low u" 0 (Shard_tree.pick t ~bits:(bits_of 0.1));
-  checki "middle u" 1 (Shard_tree.pick t ~bits:(bits_of 0.5));
-  checki "high u" 2 (Shard_tree.pick t ~bits:(bits_of 0.99));
-  (* zero-mass shards are never picked, even at the boundary *)
-  Shard_tree.set t 1 0.;
-  for i = 0 to 99 do
-    let bits = bits_of (float_of_int i /. 100.) in
-    checkb "never the empty shard" true (Shard_tree.pick t ~bits <> 1)
-  done;
-  (* the top edge, bits = 2^53 - 1: the last shard that holds mass, never
-     an empty one past it *)
-  let top = (1 lsl 53) - 1 in
-  checki "top edge" 2 (Shard_tree.pick t ~bits:top);
-  Shard_tree.set t 1 2.;
-  Shard_tree.set t 2 0.;
-  checki "top edge, last shard empty" 1 (Shard_tree.pick t ~bits:top)
-
-let test_shard_tree_non_power_of_two () =
-  let t = Shard_tree.create ~shards:3 in
-  Shard_tree.set t 2 5.;
-  checkf "last real leaf" 5. (Shard_tree.get t 2);
-  checkf "total ignores padding" 5. (Shard_tree.total t);
-  checki "pick lands on it" 2 (Shard_tree.pick t ~bits:(bits_of 0.5))
 
 (* --- readd: the zero-alloc migration primitive ------------------------------- *)
 
@@ -357,6 +305,206 @@ let test_steal_on_empty_shard () =
   | None -> Alcotest.fail "shard 1 lost the thread");
   checki "no second steal needed" 1 (Lottery_sched.steals ls)
 
+(* --- the derived shard mass ----------------------------------------------- *)
+
+(* A shard's mass is derived where it is read: its draw's total plus the
+   weights of the threads dispatched from it. The property drives the
+   scheduler record as the kernel does — at most one dispatched thread per
+   CPU, accounted before its CPU selects again; a thread that blocks
+   mid-slice is accounted at once — through random attach, ready,
+   unready, select, account, kill, force_migrate and set_ticket_amount
+   steps. After every step the sharding audit is clean and every shard's
+   mass equals a model: the draw weights of its threads in their draw
+   plus the weight each dispatched thread won at. *)
+let mass_model_holds (shards, tree, ops) =
+  let mode = if tree then Lottery_sched.Tree_mode else Lottery_sched.List_mode in
+  let ls = Lottery_sched.create ~mode ~shards ~rng:(Rng.create ~seed:11 ()) () in
+  let s = Lottery_sched.sched ls in
+  let base = Lottery_sched.base_currency ls in
+  let curs =
+    Array.init 2 (fun i -> Lottery_sched.make_currency ls (Printf.sprintf "c%d" i))
+  in
+  let cur_tickets =
+    Array.map
+      (fun c -> Lottery_sched.fund_currency ls ~target:c ~amount:1000 ~from:base)
+      curs
+  in
+  let n = 8 in
+  let ths = Array.init n fake_thread in
+  Array.iter (fun th -> th.Types.state <- Types.Blocked) ths;
+  let attached = Array.make n false and killed = Array.make n false in
+  let tickets = Array.make n None in
+  let running = Array.make shards None in
+  let won = Array.make n 0. in
+  let live i = attached.(i) && not killed.(i) in
+  let holds th = function Some r -> r == th | None -> false in
+  let off_cpu th =
+    Array.iteri (fun c r -> if holds th r then running.(c) <- None) running
+  in
+  let on_cpu th = Array.exists (holds th) running in
+  let step (kind, a, b) =
+    let i = a mod n in
+    let th = ths.(i) in
+    match kind with
+    | 0 when not (attached.(i) || killed.(i)) ->
+        attached.(i) <- true;
+        th.Types.state <- Types.Runnable;
+        s.Types.attach th;
+        tickets.(i) <-
+          Some (Lottery_sched.fund_thread ls th ~amount:(b mod 100) ~from:curs.(b mod 2))
+    | 1 when live i && th.Types.state = Types.Blocked ->
+        th.Types.state <- Types.Runnable;
+        s.Types.ready th
+    | 2 when live i && th.Types.state = Types.Runnable ->
+        th.Types.state <- Types.Blocked;
+        s.Types.unready th;
+        if on_cpu th then begin
+          th.Types.compensate <- 1. +. float_of_int (b mod 4);
+          s.Types.account th ~used:1 ~quantum:10 ~blocked:true;
+          off_cpu th
+        end
+    | 3 -> (
+        let cpu = a mod shards in
+        if running.(cpu) = None then
+          (* the weight a winner is dispatched at: the value the select's
+             flush writes, or its unchanged draw weight *)
+          let values =
+            List.filter_map
+              (fun th ->
+                if live th.Types.id && Lottery_sched.draw_weight ls th <> None then
+                  Some (th, Lottery_sched.thread_value ls th)
+                else None)
+              (Array.to_list ths)
+          in
+          match s.Types.select ~cpu with
+          | None -> ()
+          | Some th ->
+              th.Types.compensate <- 1.;
+              running.(cpu) <- Some th;
+              won.(th.Types.id) <- List.assq th values)
+    | 4 -> (
+        match running.(a mod shards) with
+        | Some th ->
+            s.Types.account th ~used:10 ~quantum:10 ~blocked:false;
+            off_cpu th
+        | None -> ())
+    | 5 when live i ->
+        killed.(i) <- true;
+        th.Types.state <- Types.Zombie;
+        off_cpu th;
+        s.Types.detach th
+    | 6 when live i -> Lottery_sched.force_migrate ls th ~dst:(b mod shards)
+    | 7 -> (
+        let amount = b mod 120 in
+        match a mod (n + 2) with
+        | j when j >= n -> Lottery_sched.set_ticket_amount ls cur_tickets.(j - n) amount
+        | j -> (
+            match tickets.(j) with
+            | Some t when live j -> Lottery_sched.set_ticket_amount ls t amount
+            | _ -> ()))
+    | _ -> ()
+  in
+  let expected k =
+    Array.fold_left
+      (fun acc th ->
+        let i = th.Types.id in
+        if live i && Lottery_sched.shard_of ls th = k then
+          match Lottery_sched.draw_weight ls th with
+          | Some w -> acc +. w
+          | None -> if on_cpu th then acc +. won.(i) else acc
+        else acc)
+      0. ths
+  in
+  let near x y = abs_float (x -. y) <= 1e-9 *. max 1. (max (abs_float x) (abs_float y)) in
+  List.for_all
+    (fun op ->
+      step op;
+      match Lottery_sched.check_sharding ls with
+      | _ :: _ as errs -> QCheck.Test.fail_report (String.concat "; " errs)
+      | [] ->
+          List.for_all
+            (fun k ->
+              let m = Lottery_sched.shard_ticket_mass ls k and e = expected k in
+              near m e
+              || QCheck.Test.fail_reportf "shard %d: mass %.17g, model %.17g" k m e)
+            (List.init shards Fun.id))
+    ops
+
+let test_mass_model =
+  QCheck.Test.make ~name:"shard mass = draw total + dispatched weights" ~count:300
+    QCheck.(
+      triple
+        (set_print string_of_int (oneofl [ 2; 3; 4 ]))
+        bool
+        (list_of_size Gen.(int_range 1 120)
+           (triple (int_bound 7) small_nat small_nat)))
+    mass_model_holds
+
+(* A steal picks its source shard by mass and never a shard without
+   any: shard 1 holds an unfunded thread, shard 3 selects on an empty
+   draw, and the rebalance refuses to move a lone heavy thread. Over many
+   seeds the steal takes from shards 0 and 2 only, and from both. *)
+let test_steal_skips_zero_mass () =
+  let from = Array.make 4 0 in
+  for seed = 1 to 200 do
+    let ls =
+      Lottery_sched.create ~mode:Tree_mode ~shards:4 ~rng:(Rng.create ~seed ()) ()
+    in
+    Lottery_sched.set_placement_hook ls (Some (fun th -> th.Types.id));
+    let s = Lottery_sched.sched ls in
+    let base = Lottery_sched.base_currency ls in
+    let ths = Array.init 3 fake_thread in
+    Array.iter s.Types.attach ths;
+    ignore (Lottery_sched.fund_thread ls ths.(0) ~amount:100 ~from:base);
+    ignore (Lottery_sched.fund_thread ls ths.(2) ~amount:300 ~from:base);
+    match s.Types.select ~cpu:3 with
+    | None -> Alcotest.fail "cpu 3 idled instead of stealing"
+    | Some th ->
+        checki "one steal" 1 (Lottery_sched.steals ls);
+        checki "the victim moved to shard 3" 3 (Lottery_sched.shard_of ls th);
+        checkb "never the zero-mass shard's thread" true (th != ths.(1));
+        checki "the zero-mass thread stays" 1 (Lottery_sched.shard_of ls ths.(1));
+        from.(th.Types.id) <- from.(th.Types.id) + 1
+  done;
+  checkb "both massive shards were stolen from" true (from.(0) > 0 && from.(2) > 0);
+  checkb "the heavier shard more often" true (from.(2) > from.(0))
+
+(* Placement: a new thread lands on the least-loaded shard, lowest id on
+   ties, and a dispatched thread still loads its shard. *)
+let test_placement_least_loaded () =
+  let ls =
+    Lottery_sched.create ~mode:Tree_mode ~shards:3 ~rng:(Rng.create ~seed:4 ()) ()
+  in
+  Lottery_sched.set_migration_enabled ls false;
+  let s = Lottery_sched.sched ls in
+  let base = Lottery_sched.base_currency ls in
+  (* each thread is funded, then a select and its account write the
+     weight into the draw *)
+  let spawn id amount =
+    let th = fake_thread id in
+    s.Types.attach th;
+    ignore (Lottery_sched.fund_thread ls th ~amount ~from:base);
+    (match s.Types.select ~cpu:(Lottery_sched.shard_of ls th) with
+    | Some w -> s.Types.account w ~used:10 ~quantum:10 ~blocked:false
+    | None -> ());
+    th
+  in
+  let a = spawn 0 300 in
+  checki "all empty: shard 0" 0 (Lottery_sched.shard_of ls a);
+  checki "then shard 1" 1 (Lottery_sched.shard_of ls (spawn 1 100));
+  checki "then shard 2" 2 (Lottery_sched.shard_of ls (spawn 2 100));
+  (* a leaves shard 0's draw for its slice: the draw totals 0, the shard
+     still weighs 300 *)
+  (match s.Types.select ~cpu:0 with
+  | Some th -> checkb "a dispatched" true (th == a)
+  | None -> Alcotest.fail "shard 0 drew nothing");
+  checkf "a running thread loads its shard" 300. (Lottery_sched.shard_ticket_mass ls 0);
+  let d = fake_thread 3 in
+  s.Types.attach d;
+  checki "tie between 1 and 2: the lower id" 1 (Lottery_sched.shard_of ls d);
+  check (Alcotest.list Alcotest.string) "audit clean" []
+    (Lottery_sched.check_sharding ls)
+
 (* One shard is the plain lottery: no other CPU can draw the running
    thread, so the winner stays in its draw through its slice, and the
    accessors that need per-shard mass or a second shard refuse. *)
@@ -440,13 +588,6 @@ let test_placement_hook_out_of_range_raises () =
 let () =
   Alcotest.run "smp"
     [
-      ( "shard-tree",
-        [
-          Alcotest.test_case "set/get/total/min/max" `Quick test_shard_tree_basic;
-          Alcotest.test_case "weighted pick" `Quick test_shard_tree_pick;
-          Alcotest.test_case "non-power-of-two" `Quick
-            test_shard_tree_non_power_of_two;
-        ] );
       ( "readd",
         [
           Alcotest.test_case "roundtrip, all backends" `Quick test_readd_roundtrip;
@@ -467,6 +608,11 @@ let () =
             test_force_migrate_and_steal;
           Alcotest.test_case "steal on an empty shard" `Quick
             test_steal_on_empty_shard;
+          Alcotest.test_case "a steal never takes a zero-mass shard" `Quick
+            test_steal_skips_zero_mass;
+          Alcotest.test_case "placement picks the least-loaded shard" `Quick
+            test_placement_least_loaded;
+          QCheck_alcotest.to_alcotest test_mass_model;
           Alcotest.test_case "one shard keeps the winner in its draw" `Quick
             test_one_shard_keeps_winner_in_draw;
           Alcotest.test_case "argument guards" `Quick test_smp_guards;
