@@ -25,12 +25,12 @@ let fresh_label t =
 
 (* --- serialization ----------------------------------------------------- *)
 
-let ticket_state ticket =
-  match F.funds ticket with
+let ticket_state sys ticket =
+  match F.funds sys ticket with
   | Some c -> "backs:" ^ F.currency_name c
   | None ->
-      if F.is_held ticket then
-        if F.is_active ticket then "held:active" else "held:inactive"
+      if F.is_held sys ticket then
+        if F.is_active sys ticket then "held:active" else "held:inactive"
       else "unattached"
 
 let perm_word = function Acl.Issue -> "issue" | Acl.Fund -> "fund" | Acl.Manage -> "manage"
@@ -68,9 +68,9 @@ let save t =
   List.iter
     (fun e ->
       Buffer.add_string buf
-        (Printf.sprintf "ticket %s %d %s %s\n" e.label (F.amount e.ticket)
+        (Printf.sprintf "ticket %s %d %s %s\n" e.label (F.amount t.system e.ticket)
            (F.currency_name (F.denomination e.ticket))
-           (ticket_state e.ticket)))
+           (ticket_state t.system e.ticket)))
     (List.rev t.entries);
   Buffer.contents buf
 
@@ -231,10 +231,9 @@ let with_currency t name k =
   | None -> Error (Printf.sprintf "no currency named %s" name)
 
 let describe_ticket t e =
-  ignore t;
-  Printf.sprintf "%-6s %6d.%s  %s" e.label (F.amount e.ticket)
+  Printf.sprintf "%-6s %6d.%s  %s" e.label (F.amount t.system e.ticket)
     (F.currency_name (F.denomination e.ticket))
-    (ticket_state e.ticket)
+    (ticket_state t.system e.ticket)
 
 (* Replay the stored graph inside a lottery scheduler: every held ticket
    becomes a compute-bound thread funded identically, and the CPU split
@@ -259,15 +258,15 @@ let simulate t ~seconds ~seed =
   let spinners = ref [] in
   List.iter
     (fun e ->
-      let amount = F.amount e.ticket in
+      let amount = F.amount t.system e.ticket in
       let denom = lookup (F.currency_name (F.denomination e.ticket)) in
-      match F.funds e.ticket with
+      match F.funds t.system e.ticket with
       | Some target ->
           ignore
             (Ls.fund_currency ls ~target:(lookup (F.currency_name target)) ~amount
                ~from:denom)
       | None ->
-          if F.is_held e.ticket then begin
+          if F.is_held t.system e.ticket then begin
             let s = Lotto_workloads.Spinner.spawn kernel ~name:e.label () in
             ignore
               (Ls.fund_thread ls (Lotto_workloads.Spinner.thread s) ~amount
@@ -374,7 +373,7 @@ let exec ?(user = "root") t cmd =
           (fun c ->
             let owner = try Acl.owner t.acl c with Not_found -> "?" in
             Printf.sprintf "%-12s owner=%-8s active=%d backing=%d issued=%d"
-              (F.currency_name c) owner (F.active_amount c)
+              (F.currency_name c) owner (F.active_amount t.system c)
               (List.length (F.backing_tickets t.system c))
               (List.length (F.issued_tickets t.system c)))
           (F.currencies t.system)
@@ -404,7 +403,7 @@ let exec ?(user = "root") t cmd =
   | Draw { n; seed } ->
       if n <= 0 then Error "draw: need a positive count"
       else begin
-        let held = List.filter (fun e -> F.is_held e.ticket) (List.rev t.entries) in
+        let held = List.filter (fun e -> F.is_held t.system e.ticket) (List.rev t.entries) in
         if held = [] then Error "draw: no held tickets"
         else begin
           let rng = Lotto_prng.Rng.create ~seed () in

@@ -110,7 +110,7 @@ let rec revalue sys m f = function
       let d = F.denomination tk in
       let units = F.unit_table sys d in
       let v =
-        if F.is_active tk then float_of_int (F.amount tk) *. units.(F.currency_slot d)
+        if F.is_active sys tk then float_of_int (F.amount sys tk) *. units.(F.currency_slot d)
         else 0.
       in
       let moved = v <> s.value in

@@ -55,6 +55,9 @@ type t = {
   system : F.system;
   mutable st_tab : tstate option array; (* by thread slot *)
   mutable flags : int array; (* by thread slot: [in_draw_bit] *)
+  mutable cslots : int array;
+      (* by thread slot: the thread currency's funding slot, so a
+         re-weigh reads the currency's value without its record *)
   mutable wins : float array;
       (* by thread slot [i], two cells: [2i] the currency value and
          [2i + 1] the compensation factor behind the last weight written
@@ -176,6 +179,7 @@ let create ?(mode = List_mode) ?(use_compensation = true) ?(shards = 1) ~rng () 
     system;
     st_tab = [||];
     flags = [||];
+    cslots = [||];
     wins = [||];
     wlast = [||];
     pending = F.queue system;
@@ -203,6 +207,19 @@ let funding t = t.system
 let base_currency t = F.base t.system
 let make_currency t name = F.make_currency t.system ~name
 
+(* A thread currency's name, "thread:<id>:<name>", blitted into one
+   buffer: every spawn builds one, and each [^] of a chain allocates an
+   intermediate string. *)
+let thread_currency_name (th : thread) =
+  let id = string_of_int th.id in
+  let n = String.length id and m = String.length th.name in
+  let b = Bytes.create (8 + n + m) in
+  Bytes.blit_string "thread:" 0 b 0 7;
+  Bytes.blit_string id 0 b 7 n;
+  Bytes.set b (7 + n) ':';
+  Bytes.blit_string th.name 0 b (8 + n) m;
+  Bytes.unsafe_to_string b
+
 let state t th =
   match find_state t th with
   | Some s -> s
@@ -210,7 +227,7 @@ let state t th =
       if th.tslot < 0 then
         invalid_arg "Lottery_sched.state: thread already reaped";
       let cur =
-        F.make_currency t.system ~name:(Printf.sprintf "thread:%d:%s" th.id th.name)
+        F.make_currency t.system ~name:(thread_currency_name th)
       in
       let competing = F.issue t.system ~currency:cur ~amount:competing_amount in
       let s =
@@ -227,12 +244,14 @@ let state t th =
       let i = th.tslot in
       t.st_tab <- ensure_cap t.st_tab i;
       t.flags <- ensure_capv t.flags i 0;
+      t.cslots <- ensure_capv t.cslots i (-1);
       t.wins <- ensure_capv t.wins ((2 * i) + 1) 0.;
       t.wlast <- ensure_capv t.wlast i 0.;
       t.ring_of <- ensure_capv t.ring_of i (-1);
       t.rprev <- ensure_capv t.rprev i (-1);
       t.rnext <- ensure_capv t.rnext i (-1);
       t.flags.(i) <- 0;
+      t.cslots.(i) <- F.currency_slot cur;
       t.wlast.(i) <- 0.;
       t.ring_of.(i) <- -1;
       t.st_tab.(i) <- Some s;
@@ -253,18 +272,19 @@ let[@inline] factor t (th : thread) =
 let value_of t s = F.currency_value t.system s.cur *. factor t s.th
 let thread_value t th = value_of t (state t th)
 
-(* The thread currency's value, read out of the funding system's flat
-   cache after revalidating it: no float crosses a call, so none is boxed,
-   inlined or not. *)
-let[@inline] cur_value t s =
-  (F.value_table t.system s.cur).(F.currency_slot s.cur)
+(* The value of the currency of the thread at slot [i], read out of the
+   funding system's flat cache after revalidating it: no float crosses a
+   call, so none is boxed, inlined or not. *)
+let[@inline] cur_value t i =
+  let j = t.cslots.(i) in
+  (F.value_table t.system j).(j)
 
 (* Whether a weight input moved since the last write. Comparing the
    inputs against their cached copies, not the recomputed product, keeps
    the comparison float unboxed. *)
 let[@inline] stale t s =
   let i = s.th.tslot in
-  cur_value t s <> t.wins.(2 * i) || factor t s.th <> t.wins.((2 * i) + 1)
+  cur_value t i <> t.wins.(2 * i) || factor t s.th <> t.wins.((2 * i) + 1)
 
 (* --- per-shard ticket mass ---------------------------------------------- *)
 
@@ -322,20 +342,21 @@ let max_shard t =
   done;
   !best
 
-(* Recompute a thread's weight from fresh inputs (validating its
-   currency's caches), recording the inputs beside it. *)
-let[@inline] reweigh t s =
-  let i = s.th.tslot in
-  let cv = cur_value t s in
+(* Recompute the weight of the thread at slot [i] from fresh inputs
+   (validating its currency's caches), recording the inputs beside it.
+   The slot comes from the caller, so the currency's value is fetched
+   without waiting for the thread's record. *)
+let[@inline] reweigh t i s =
+  let cv = cur_value t i in
   let f = factor t s.th in
   t.wins.(2 * i) <- cv;
   t.wins.((2 * i) + 1) <- f;
   t.wlast.(i) <- cv *. f
 
 (* The in-place weight write for a thread in its draw. *)
-let write_weight t s =
-  reweigh t s;
-  D.set_weight_at t.draw.(s.shard) s.dh t.wlast s.th.tslot
+let write_weight t i s =
+  reweigh t i s;
+  D.set_weight_at t.draw.(s.shard) s.dh t.wlast i
 
 (* Insert a thread that is out of its draw, at weight [wlast]. *)
 let insert t s =
@@ -514,14 +535,14 @@ let destroy_ticket t ticket = F.destroy_ticket t.system ticket
 let enqueue t s =
   if not (in_draw t s) then begin
     place t s;
-    reweigh t s;
+    reweigh t s.th.tslot s;
     t.scoped_updates <- t.scoped_updates + 1;
     insert t s
   end
 
 let ready t th =
   let s = state t th in
-  if not (F.is_active s.competing) then F.resume t.system s.competing;
+  if not (F.is_active t.system s.competing) then F.resume t.system s.competing;
   enqueue t s
 
 let attach t th =
@@ -616,25 +637,24 @@ let detach t th =
          entry's position, so the entry goes. *)
       F.cancel t.pending th.tslot;
       t.flags.(th.tslot) <- 0;
+      t.cslots.(th.tslot) <- -1;
       t.st_tab.(th.tslot) <- None
 
 (* Bring the draws in sync with the funding graph: revalue exactly the
    threads whose currencies went stale — O(changed) — in the queue's drain
-   order, which fixes the order of the draws' weight writes. Blocked
-   threads may still sit in the queue; they are out of the draw, so they
-   drain as no-ops, and so do dispatched ones, whose caches the re-insert
-   in [account] reconciles. Detached threads' entries were cancelled. The
-   queue holds slots, so it never keeps a dead thread reachable. *)
+   order, which fixes the order of the draws' weight writes. The drained
+   slot's [flags] entry decides: blocked threads may still sit in the
+   queue, and so may dispatched ones, whose caches the re-insert in
+   [account] reconciles; both are out of their draws and drain as no-ops
+   that read no thread state. Detached threads' entries were cancelled.
+   The queue holds slots, so it never keeps a dead thread reachable. *)
 let flush_pending t =
   let q = t.pending in
   for k = 0 to F.settle q - 1 do
     let i = F.nth q k in
-    if i >= 0 then begin
-      let s = st_at t i in
-      if in_draw t s then begin
-        write_weight t s;
-        t.scoped_updates <- t.scoped_updates + 1
-      end
+    if i >= 0 && t.flags.(i) land in_draw_bit <> 0 then begin
+      write_weight t i (st_at t i);
+      t.scoped_updates <- t.scoped_updates + 1
     end
   done;
   F.clear q
@@ -722,11 +742,11 @@ let select t ~cpu =
    exited threads were already handled by unready/detach. *)
 let account_slow t th =
   match find_state t th with
-  | Some s when in_draw t s -> if stale t s then write_weight t s
+  | Some s when in_draw t s -> if stale t s then write_weight t th.tslot s
   | Some s when th.state = Runnable ->
       count_out t s;
       if stale t s then begin
-        reweigh t s;
+        reweigh t th.tslot s;
         t.scoped_updates <- t.scoped_updates + 1
       end;
       insert t s
@@ -758,7 +778,7 @@ let account t th ~used:_ ~quantum:_ ~blocked:_ =
 let potential_value t (s : tstate) =
   List.fold_left
     (fun acc b ->
-      acc +. (float_of_int (F.amount b) *. F.unit_value t.system (F.denomination b)))
+      acc +. (float_of_int (F.amount t.system b) *. F.unit_value t.system (F.denomination b)))
     0.
     (F.backing_tickets t.system s.cur)
 
@@ -805,19 +825,24 @@ let set_profiler t p = t.profiler <- p
 
 (* --- auditable introspection -------------------------------------------- *)
 
-(* The flat per-thread tables against the records they describe. An entry
-   that is in its draw and not pending is one the quiescent [account]
-   trusts without validating, so it must belong to a live thread whose
-   handle is live in its draw, its currency cache must be valid, and its
-   cached inputs must be the currency's value and reproduce the draw's
-   current weight bit for bit. A ring entry must belong to a live
-   thread. *)
+(* The flat per-thread tables against the records they describe. Every
+   entry's currency slot is its thread currency's (-1 for none), since a
+   re-weigh reads the value there. An entry that is in its draw and not
+   pending is one the quiescent [account] trusts without validating, so it
+   must belong to a live thread whose handle is live in its draw, its
+   currency cache must be valid, and its cached inputs must be the
+   currency's value and reproduce the draw's current weight bit for bit. A
+   ring entry must belong to a live thread. *)
 let check_flat_tables t out =
   let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
   let bits = Int64.bits_of_float in
   let vals = F.values t.system in
   for i = 0 to Array.length t.flags - 1 do
     let fl = t.flags.(i) in
+    let cslot = match t.st_tab.(i) with Some s -> F.currency_slot s.cur | None -> -1 in
+    if t.cslots.(i) <> cslot then
+      vf "slot %d: flat currency slot %d but its thread currency is at %d" i
+        t.cslots.(i) cslot;
     match t.st_tab.(i) with
     | None ->
         if fl <> 0 then vf "slot %d: flags %d set but no thread state" i fl;
@@ -831,7 +856,7 @@ let check_flat_tables t out =
           vf "%s: trusted flat entry at slot %d is not a live thread" name i
         else if not (D.mem d s.dh) then
           vf "%s: trusted flat entry but its handle is not in its draw" name
-        else if not (F.cache_valid s.cur) then
+        else if not (F.cache_valid t.system s.cur) then
           vf "%s: in its draw and not pending but its currency cache is stale"
             name
         else begin

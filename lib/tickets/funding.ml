@@ -4,17 +4,19 @@ exception In_use of string
 
 module Slots = Lotto_arena.Slots
 
-type attach = Unattached | Backs of currency | Held
-
-and ticket = {
+(* A ticket record is a handle: what never changes about the ticket, and
+   its arena slot. Its amount, flags and attachment live in the system's
+   slot tables (see [system]), like a currency's active amount, cache flag
+   and backing and live heads, so the block/wake path reads no ticket
+   record per sibling. *)
+type ticket = {
   tid : int;  (** unique forever; never recycled *)
   mutable tkslot : int;
-      (** dense arena slot; [-1] once destroyed and the slot recycled *)
-  mutable amount : int;
+      (** dense arena slot while live; once destroyed, [-1 - a], where [a]
+          is the face amount the ticket was destroyed with: its slot's
+          entries are reset for the next occupant, and reads of a destroyed
+          ticket keep their answers *)
   denom : currency;
-  mutable attach : attach;
-  mutable active : bool;
-  mutable destroyed : bool;
 }
 
 and currency = {
@@ -25,25 +27,13 @@ and currency = {
           index per-currency state arrays by it, guarding against recycling
           with a physical-equality check on the stored currency. *)
   cname : string;
-  base_p : bool;
-  (* Issued/backing edges live as intrusive doubly-linked lists threaded
-     through the system's adjacency arrays ([i_prev]/[i_next] for the
-     issued list of the denomination, [b_prev]/[b_next] for the backing
-     list of the funded currency), indexed by ticket slot. The heads below
-     point at the most recently linked ticket, so iteration order is
-     exactly the old most-recent-first list order, and unlinking is O(1)
-     instead of a [List.filter] over every edge. *)
-  mutable issued_head : int;
-  mutable backing_head : int;
-  mutable active_amount : int;
-  mutable cache_ok : bool;
-      (* the currency's entries in the system's [vals]/[units] caches are
-         current; see [ensure] *)
   mutable visit : int;
       (* the system's [stamp] of the last cycle check that reached it *)
-  (* The currency's watches, read by a flip from the record it already
-     holds: the first ([sink] is [no_sink] for none), any further ones
-     (rare) in [more]. *)
+  mutable issued : int;
+      (* the head of its issued list (see [i_prev]), which no hot path
+         reads *)
+  (* The currency's watches, read by a flip: the first ([sink] is
+     [no_sink] for none), any further ones (rare) in [more]. *)
   mutable sink : queue;
   mutable tag : int;
   mutable more : (queue * int) list;
@@ -57,30 +47,46 @@ and system = {
      maps slot -> record. *)
   cur_slots : Slots.t;
   mutable cur_tab : currency array;
-  (* Ticket arena and the edge adjacency arrays indexed by ticket slot. A
-     ticket sits in its denomination's issued list for its whole life and
-     in at most one backing list (while [attach = Backs _]), so one slot
-     carries both link pairs. [-1] terminates. *)
+  (* A currency's mutable state, by currency slot. [cu] holds three ints
+     per slot ({!cu_width}): its active amount (the sum of its active
+     issued tickets' amounts) and the heads of its backing and live
+     lists. [c_bits] has a byte per slot, nonzero while its [vals]/[units]
+     entries are current (see [ensure]). *)
+  mutable cu : int array;
+  mutable c_bits : Bytes.t;
+  (* Ticket arena, with a ticket's mutable state by ticket slot. [tk] holds
+     three ints per slot ({!tk_width}): its face amount, its
+     denomination's slot (the flat form of the record's [denom]) and the
+     slot of the currency it backs ([-1] for none). [t_flags] has a byte
+     per slot ([active_bit], [held_bit]). A released slot's entries are
+     reset: amount and flags 0, [-1] elsewhere. *)
   tk_slots : Slots.t;
   mutable tk_tab : ticket array;
+  mutable tk : int array;
+  mutable t_flags : Bytes.t;
+  (* The edge lists, threaded through arrays indexed by ticket slot. A
+     ticket sits in its denomination's issued list ([i_prev]/[i_next]) for
+     its whole life and in at most one backing list ([b_prev]/[b_next],
+     while it backs a currency), so one slot carries both link pairs. A
+     list's head is its most recently linked ticket, so iteration order is
+     the historical most-recent-first list order, and unlinking is O(1).
+     [-1] terminates. *)
   mutable i_prev : int array;
   mutable i_next : int array;
   mutable b_prev : int array;
   mutable b_next : int array;
   (* Live lists: each non-base currency's active issued tickets that back
-     a currency, in issued-list order (most recent first), threaded through
-     [l_prev]/[l_next] by ticket slot, with heads in [live_head] by
-     currency slot. Invalidation walks only these edges: an inactive
+     a currency, in issued-list order (most recent first), threaded one
+     way through [l_next] by ticket slot, with heads in [cu] by currency
+     slot (see [live_pred]). Invalidation walks only these edges: an inactive
      ticket backs a currency with zero active amount, whose value is 0
      whatever its supports are worth. Base keeps no list (base opacity:
      invalidation never walks it). *)
-  mutable l_prev : int array;
   mutable l_next : int array;
-  mutable live_head : int array;
   mutable edges_walked : int; (* live edges visited by [invalidate] *)
   (* Incremental valuation caches, indexed by currency slot. While a
-     currency's [cache_ok] holds, [vals] has its value (sum of its active
-     backing tickets in base units; for base, the active amount) and
+     currency's [c_bits] byte is set, [vals] has its value (sum of its
+     active backing tickets in base units; for base, the active amount) and
      [units] the base units per unit of it. Flat float arrays rather than
      record fields: a revalidation stores two unboxed floats instead of two
      fresh boxes into a (usually major-heap) record, so the block/wake
@@ -111,146 +117,251 @@ let new_queue () =
 
 let no_sink = new_queue ()
 
+(* The base currency is the first slot a fresh arena hands out. *)
+let base_slot = 0
+
+(* The interleaved slot tables: a slot's ints sit side by side, so a
+   walk that reads several of them per step touches one cache line, not
+   one per field. *)
+let tk_width = 3
+let tk_amount = 0
+let tk_denom = 1
+let tk_backs = 2
+let cu_width = 3
+let cu_active = 0
+let cu_backing = 1
+let cu_live = 2
+
+(* [t_flags] bits. *)
+let active_bit = 1
+let held_bit = 2
+
 let fresh_id sys =
   let id = sys.next_id in
   sys.next_id <- id + 1;
   id
 
+(* The slot tables grow by half when a new slot falls past their end,
+   not to the arena's doubled capacity, so none stands half empty. Every
+   table of an arena grows at once, so all have one length. *)
+let next_length len = max 16 (len + (len / 2))
+
+let grown a len ~dummy =
+  let b = Array.make len dummy in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let grown_bytes b len =
+  let b' = Bytes.make len '\000' in
+  Bytes.blit b 0 b' 0 (Bytes.length b);
+  b'
+
+let[@inline] t_get sys s f = sys.tk.((s * tk_width) + f)
+let[@inline] t_set sys s f v = sys.tk.((s * tk_width) + f) <- v
+let[@inline] t_amount sys s = t_get sys s tk_amount
+let[@inline] set_t_amount sys s v = t_set sys s tk_amount v
+let[@inline] t_denom sys s = t_get sys s tk_denom
+let[@inline] set_t_denom sys s v = t_set sys s tk_denom v
+let[@inline] t_backs sys s = t_get sys s tk_backs
+let[@inline] set_t_backs sys s v = t_set sys s tk_backs v
+let[@inline] t_flag sys s bit = Char.code (Bytes.unsafe_get sys.t_flags s) land bit <> 0
+let[@inline] is_on sys s = t_flag sys s active_bit
+let[@inline] held sys s = t_flag sys s held_bit
+
+let[@inline] set_flag sys s bit on =
+  let x = Char.code (Bytes.get sys.t_flags s) in
+  Bytes.set sys.t_flags s (Char.unsafe_chr (if on then x lor bit else x land lnot bit))
+
+let[@inline] c_get sys j f = sys.cu.((j * cu_width) + f)
+let[@inline] c_set sys j f v = sys.cu.((j * cu_width) + f) <- v
+let[@inline] c_active sys j = c_get sys j cu_active
+let[@inline] set_c_active sys j v = c_set sys j cu_active v
+let[@inline] c_backing sys j = c_get sys j cu_backing
+let[@inline] set_c_backing sys j v = c_set sys j cu_backing v
+let[@inline] c_live sys j = c_get sys j cu_live
+let[@inline] set_c_live sys j v = c_set sys j cu_live v
+let[@inline] is_valid sys j = Bytes.unsafe_get sys.c_bits j <> '\000'
+
+(* Room in every currency table for slot [j], whose record is [c]; a new
+   table entry reads [-1] until its slot is taken, when its active amount
+   becomes 0. *)
+let fit_currency_tables sys j c =
+  let len = Array.length sys.cur_tab in
+  if j >= len then begin
+    let len = next_length len in
+    sys.cur_tab <- grown sys.cur_tab len ~dummy:c;
+    sys.cu <- grown sys.cu (len * cu_width) ~dummy:(-1);
+    sys.c_bits <- grown_bytes sys.c_bits len;
+    sys.vals <- grown sys.vals len ~dummy:0.;
+    sys.units <- grown sys.units len ~dummy:0.
+  end;
+  sys.cur_tab.(j) <- c;
+  set_c_active sys j 0
+
+(* Room in every ticket table for slot [s], whose record is [t]. *)
+let fit_ticket_tables sys s t =
+  let len = Array.length sys.tk_tab in
+  if s >= len then begin
+    let len = next_length len in
+    sys.tk_tab <- grown sys.tk_tab len ~dummy:t;
+    sys.tk <- grown sys.tk (len * tk_width) ~dummy:(-1);
+    sys.t_flags <- grown_bytes sys.t_flags len;
+    sys.i_prev <- grown sys.i_prev len ~dummy:(-1);
+    sys.i_next <- grown sys.i_next len ~dummy:(-1);
+    sys.b_prev <- grown sys.b_prev len ~dummy:(-1);
+    sys.b_next <- grown sys.b_next len ~dummy:(-1);
+    sys.l_next <- grown sys.l_next len ~dummy:(-1)
+  end;
+  sys.tk_tab.(s) <- t
+
 let create_system () =
   let cur_slots = Slots.create () in
-  let base_slot = Slots.alloc cur_slots in
+  let slot = Slots.alloc cur_slots in
+  assert (slot = base_slot);
   let base_currency =
     {
       cid = 0;
       cslot = base_slot;
       cname = "base";
-      base_p = true;
-      issued_head = -1;
-      backing_head = -1;
-      active_amount = 0;
-      cache_ok = false;
       visit = 0;
+      issued = -1;
       sink = no_sink;
       tag = 0;
       more = [];
     }
   in
-  let cur_tab = Slots.grow_payload cur_slots [||] ~dummy:base_currency in
-  cur_tab.(base_slot) <- base_currency;
   let by_name = Hashtbl.create 16 in
   Hashtbl.replace by_name "base" base_currency;
-  {
-    next_id = 1;
-    base_currency;
-    by_name;
-    cur_slots;
-    cur_tab;
-    tk_slots = Slots.create ();
-    tk_tab = [||];
-    i_prev = [||];
-    i_next = [||];
-    b_prev = [||];
-    b_next = [||];
-    l_prev = [||];
-    l_next = [||];
-    live_head = Slots.grow_payload cur_slots [||] ~dummy:(-1);
-    edges_walked = 0;
-    vals = Slots.grow_payload cur_slots [||] ~dummy:0.;
-    units = Slots.grow_payload cur_slots [||] ~dummy:1.;
-    hook_calls = 0;
-    batch = 0;
-    stamp = 0;
-  }
+  let sys =
+    {
+      next_id = 1;
+      base_currency;
+      by_name;
+      cur_slots;
+      cur_tab = [||];
+      cu = [||];
+      c_bits = Bytes.empty;
+      tk_slots = Slots.create ();
+      tk_tab = [||];
+      tk = [||];
+      t_flags = Bytes.empty;
+      i_prev = [||];
+      i_next = [||];
+      b_prev = [||];
+      b_next = [||];
+      l_next = [||];
+      edges_walked = 0;
+      vals = [||];
+      units = [||];
+      hook_calls = 0;
+      batch = 0;
+      stamp = 0;
+    }
+  in
+  fit_currency_tables sys base_slot base_currency;
+  sys.units.(base_slot) <- 1.;
+  sys
 
 let base sys = sys.base_currency
 
 (* --- edge lists ---------------------------------------------------------
 
-   Prepends and unlinks on the intrusive lists. New edges link at the head,
-   matching the historical [t :: list] prepend, so every traversal below
-   visits tickets in the same most-recent-first order as the list
-   representation did — load-bearing for the float fold in [ensure] and for
-   the order in which cascades and invalidation visit edges. *)
+   Prepends and unlinks on the intrusive lists, by currency slot [c] and
+   ticket slot [s]. New edges link at the head, matching the historical
+   [t :: list] prepend, so every traversal below visits tickets in the same
+   most-recent-first order as the list representation did — load-bearing
+   for the float fold in [ensure] and for the order in which cascades and
+   invalidation visit edges. *)
 
 let link_issued sys c s =
   sys.i_prev.(s) <- -1;
-  sys.i_next.(s) <- c.issued_head;
-  if c.issued_head >= 0 then sys.i_prev.(c.issued_head) <- s;
-  c.issued_head <- s
+  sys.i_next.(s) <- c.issued;
+  if c.issued >= 0 then sys.i_prev.(c.issued) <- s;
+  c.issued <- s
 
 let unlink_issued sys c s =
   let p = sys.i_prev.(s) and n = sys.i_next.(s) in
-  if p >= 0 then sys.i_next.(p) <- n else c.issued_head <- n;
+  if p >= 0 then sys.i_next.(p) <- n else c.issued <- n;
   if n >= 0 then sys.i_prev.(n) <- p;
   sys.i_prev.(s) <- -1;
   sys.i_next.(s) <- -1
 
 let link_backing sys c s =
+  let h = c_backing sys c in
   sys.b_prev.(s) <- -1;
-  sys.b_next.(s) <- c.backing_head;
-  if c.backing_head >= 0 then sys.b_prev.(c.backing_head) <- s;
-  c.backing_head <- s
+  sys.b_next.(s) <- h;
+  if h >= 0 then sys.b_prev.(h) <- s;
+  set_c_backing sys c s
 
 let unlink_backing sys c s =
   let p = sys.b_prev.(s) and n = sys.b_next.(s) in
-  if p >= 0 then sys.b_next.(p) <- n else c.backing_head <- n;
+  if p >= 0 then sys.b_next.(p) <- n else set_c_backing sys c n;
   if n >= 0 then sys.b_prev.(n) <- p;
   sys.b_prev.(s) <- -1;
   sys.b_next.(s) <- -1
 
-(* The live list keeps issued order, which is decreasing ticket id, so a
-   ticket links in after every newer live ticket: O(newer live tickets),
-   no more than an invalidation of the currency walks. *)
-let link_live sys c s =
-  let tid = sys.tk_tab.(s).tid in
-  let p = ref (-1) and n = ref sys.live_head.(c.cslot) in
-  while !n >= 0 && sys.tk_tab.(!n).tid > tid do
-    p := !n;
-    n := sys.l_next.(!n)
-  done;
-  sys.l_prev.(s) <- !p;
-  sys.l_next.(s) <- !n;
-  if !p >= 0 then sys.l_next.(!p) <- s else sys.live_head.(c.cslot) <- s;
-  if !n >= 0 then sys.l_prev.(!n) <- s
-
-let unlink_live sys c s =
-  let p = sys.l_prev.(s) and n = sys.l_next.(s) in
-  if p >= 0 then sys.l_next.(p) <- n else sys.live_head.(c.cslot) <- n;
-  if n >= 0 then sys.l_prev.(n) <- p;
-  sys.l_prev.(s) <- -1;
-  sys.l_next.(s) <- -1
-
-(* The next slot is captured before the callback runs, so detaching the
-   visited ticket from inside [f] is safe. *)
-let iter_issued sys c f =
-  let s = ref c.issued_head in
-  while !s >= 0 do
-    let t = sys.tk_tab.(!s) in
-    let n = sys.i_next.(!s) in
-    f t;
-    s := n
-  done
-
-let iter_backing sys c f =
-  let s = ref c.backing_head in
-  while !s >= 0 do
-    let t = sys.tk_tab.(!s) in
-    let n = sys.b_next.(!s) in
-    f t;
-    s := n
-  done
-
-let exists_backing sys c f =
-  let s = ref c.backing_head in
-  let found = ref false in
-  while (not !found) && !s >= 0 do
-    if f sys.tk_tab.(!s) then found := true else s := sys.b_next.(!s)
+(* The live list keeps issued order, which is decreasing ticket id, and
+   is linked one way. [live_pred] finds the live ticket just before slot
+   [s] in [c]'s list, linked or not ([-1] when [s] comes first): the
+   nearest newer issued ticket that is live. Two walks run in step and the
+   first to finish answers: the live list from its head, up to [s] or the
+   first older ticket, and the issued list back from [s] to the first live
+   ticket. So a link or unlink costs O(newer live tickets), no more than
+   an invalidation of the currency walks, and O(1) where most issued
+   tickets are live. *)
+let live_pred sys c s =
+  let id = sys.tk_tab.(s).tid in
+  let prev = ref (-1) and a = ref (c_live sys c) and b = ref sys.i_prev.(s) in
+  let found = ref (-2) in
+  while !found = -2 do
+    if !a < 0 || !a = s || sys.tk_tab.(!a).tid < id then found := !prev
+    else begin
+      prev := !a;
+      a := sys.l_next.(!a)
+    end;
+    if !found = -2 then
+      if !b < 0 then found := -1
+      else if is_on sys !b && t_backs sys !b >= 0 then found := !b
+      else b := sys.i_prev.(!b)
   done;
   !found
 
+let link_live sys c s =
+  let p = live_pred sys c s in
+  if p >= 0 then begin
+    sys.l_next.(s) <- sys.l_next.(p);
+    sys.l_next.(p) <- s
+  end
+  else begin
+    sys.l_next.(s) <- c_live sys c;
+    set_c_live sys c s
+  end
+
+let unlink_live sys c s =
+  let p = live_pred sys c s in
+  if p >= 0 then sys.l_next.(p) <- sys.l_next.(s) else set_c_live sys c sys.l_next.(s);
+  sys.l_next.(s) <- -1
+
+(* Slot walks over a currency's issued and backing lists. The next slot is
+   captured before the callback runs, so detaching the visited ticket from
+   inside [f] is safe. *)
+let iter_slots next head f =
+  let s = ref head in
+  while !s >= 0 do
+    let n = next.(!s) in
+    f !s;
+    s := n
+  done
+
+let iter_issued sys c f =
+  iter_slots sys.i_next c.issued f
+
+let iter_backing sys c f =
+  if c.cslot >= 0 then iter_slots sys.b_next (c_backing sys c.cslot) f
+
 let collect_list iter sys c =
   let acc = ref [] in
-  iter sys c (fun t -> acc := t :: !acc);
+  iter sys c (fun s -> acc := sys.tk_tab.(s) :: !acc);
   List.rev !acc
 
 (* --- watches ---------------------------------------------------------------
@@ -363,36 +474,35 @@ let clear q =
      backing tickets, and a ticket's activation stales the currency it
      backs), so the walk can stop;
    - base opacity: the base currency's unit value is the constant 1, so its
-     active-amount changes never move a dependent's value — invalidation of
-     base records base itself and propagates no further. This is what makes
-     a block/wake of a base-funded thread O(1).
+     active-amount changes never move a dependent's value — base keeps no
+     live list, so invalidation of base records base itself and propagates
+     no further. This is what makes a block/wake of a base-funded thread
+     O(1).
 
-   The walk is a plain loop over the live list (depth first, head first),
-   so it builds no closure per visited currency; the flip-to-stale also
-   makes each currency flip at most once per mutation, and each flip pushes
-   the tags of the currency's watches there and then. A mutation flips the
-   currencies a walk over every issued edge would, in the same order, minus
-   the ones that walk reaches only through inactive tickets, whose values
-   the mutation cannot move. *)
+   The walk is a plain loop over the live list (depth first, head first)
+   that reads, per edge, the next link and the slot of the currency the
+   ticket backs, so it builds no closure and reads no ticket record; the
+   flip-to-stale also makes each currency flip at most once per mutation,
+   and each flip pushes the tags of the currency's watches there and then.
+   A mutation flips the currencies a walk over every issued edge would, in
+   the same order, minus the ones that walk reaches only through inactive
+   tickets, whose values the mutation cannot move. *)
 
-let rec invalidate sys c =
-  if c.cache_ok then begin
-    c.cache_ok <- false;
+let rec invalidate sys j =
+  if is_valid sys j then begin
+    Bytes.unsafe_set sys.c_bits j '\000';
+    let c = sys.cur_tab.(j) in
     if c.sink != no_sink then begin
       push sys c.sink c.tag;
       push_more sys c.more
     end;
-    if not c.base_p then begin
-      let s = ref sys.live_head.(c.cslot) in
-      while !s >= 0 do
-        let n = sys.l_next.(!s) in
-        sys.edges_walked <- sys.edges_walked + 1;
-        (match sys.tk_tab.(!s).attach with
-        | Backs c' -> invalidate sys c'
-        | Unattached | Held -> ());
-        s := n
-      done
-    end
+    let s = ref (c_live sys j) in
+    while !s >= 0 do
+      let n = sys.l_next.(!s) in
+      sys.edges_walked <- sys.edges_walked + 1;
+      invalidate sys (t_backs sys !s);
+      s := n
+    done
   end
 
 let make_currency sys ~name =
@@ -404,22 +514,14 @@ let make_currency sys ~name =
       cid;
       cslot = s;
       cname = name;
-      base_p = false;
-      issued_head = -1;
-      backing_head = -1;
-      active_amount = 0;
-      cache_ok = false;
       visit = 0;
+      issued = -1;
       sink = no_sink;
       tag = 0;
       more = [];
     }
   in
-  sys.cur_tab <- Slots.grow_payload sys.cur_slots sys.cur_tab ~dummy:c;
-  sys.cur_tab.(s) <- c;
-  sys.vals <- Slots.grow_payload sys.cur_slots sys.vals ~dummy:0.;
-  sys.units <- Slots.grow_payload sys.cur_slots sys.units ~dummy:0.;
-  sys.live_head <- Slots.grow_payload sys.cur_slots sys.live_head ~dummy:(-1);
+  fit_currency_tables sys s c;
   Hashtbl.replace sys.by_name name c;
   c
 
@@ -431,7 +533,8 @@ let currency_slot c = c.cslot
 let currency_generation sys c =
   if c.cslot < 0 then -1 else Slots.gen sys.cur_slots c.cslot
 
-let is_base c = c.base_p
+(* Base takes the first id. *)
+let is_base c = c.cid = 0
 
 let currencies sys =
   List.rev
@@ -440,20 +543,26 @@ let currencies sys =
 
 let live_currency_count sys = Slots.live_count sys.cur_slots
 
+(* A removed currency has no issued tickets, so its active amount and live
+   list are already empty; its cache entries are reset for the slot's next
+   occupant. *)
 let remove_currency sys c =
-  if c.base_p then raise (In_use "base currency cannot be removed");
-  if c.cslot < 0 then invalid_arg "Funding.remove_currency: already removed";
-  if c.issued_head >= 0 then
-    raise (In_use (c.cname ^ " still has issued tickets"));
-  if c.backing_head >= 0 then
+  if is_base c then raise (In_use "base currency cannot be removed");
+  let j = c.cslot in
+  if j < 0 then invalid_arg "Funding.remove_currency: already removed";
+  if c.issued >= 0 then raise (In_use (c.cname ^ " still has issued tickets"));
+  if c_backing sys j >= 0 then
     raise (In_use (c.cname ^ " still has backing tickets"));
   Hashtbl.remove sys.by_name c.cname;
   c.sink <- no_sink;
   c.more <- [];
-  Slots.release sys.cur_slots c.cslot;
+  Bytes.set sys.c_bits j '\000';
+  sys.vals.(j) <- 0.;
+  sys.units.(j) <- 0.;
+  Slots.release sys.cur_slots j;
   c.cslot <- -1
 
-let active_amount c = c.active_amount
+let active_amount sys c = if c.cslot < 0 then 0 else c_active sys c.cslot
 let issued_tickets sys c = collect_list iter_issued sys c
 let backing_tickets sys c = collect_list iter_backing sys c
 
@@ -471,154 +580,146 @@ let issue sys ~currency ~amount =
   if currency.cslot < 0 then invalid_arg "Funding.issue: dead currency";
   let tid = fresh_id sys in
   let s = Slots.alloc sys.tk_slots in
-  let t =
-    {
-      tid;
-      tkslot = s;
-      amount;
-      denom = currency;
-      attach = Unattached;
-      active = false;
-      destroyed = false;
-    }
-  in
-  sys.tk_tab <- Slots.grow_payload sys.tk_slots sys.tk_tab ~dummy:t;
-  sys.tk_tab.(s) <- t;
-  sys.i_prev <- Slots.grow_payload sys.tk_slots sys.i_prev ~dummy:(-1);
-  sys.i_next <- Slots.grow_payload sys.tk_slots sys.i_next ~dummy:(-1);
-  sys.b_prev <- Slots.grow_payload sys.tk_slots sys.b_prev ~dummy:(-1);
-  sys.b_next <- Slots.grow_payload sys.tk_slots sys.b_next ~dummy:(-1);
-  sys.l_prev <- Slots.grow_payload sys.tk_slots sys.l_prev ~dummy:(-1);
-  sys.l_next <- Slots.grow_payload sys.tk_slots sys.l_next ~dummy:(-1);
+  let t = { tid; tkslot = s; denom = currency } in
+  fit_ticket_tables sys s t;
+  set_t_amount sys s amount;
+  set_t_denom sys s currency.cslot;
   link_issued sys currency s;
   t
 
-let amount t = t.amount
+let amount sys t = if t.tkslot < 0 then -1 - t.tkslot else t_amount sys t.tkslot
 let denomination t = t.denom
 let ticket_id t = t.tid
-let ticket_slot t = t.tkslot
+let ticket_slot t = if t.tkslot < 0 then -1 else t.tkslot
 
 let ticket_generation sys t =
   if t.tkslot < 0 then -1 else Slots.gen sys.tk_slots t.tkslot
 
-let is_active t = t.active
-let funds t = match t.attach with Backs c -> Some c | Unattached | Held -> None
-let is_held t = t.attach = Held
+let is_active sys t = t.tkslot >= 0 && is_on sys t.tkslot
 
-let check_live t name = if t.destroyed then invalid_arg (name ^ ": destroyed ticket")
+let funds sys t =
+  if t.tkslot < 0 then None
+  else
+    let j = t_backs sys t.tkslot in
+    if j < 0 then None else Some sys.cur_tab.(j)
 
-let check_held t name =
-  match t.attach with
-  | Held -> ()
-  | Unattached | Backs _ -> invalid_arg (name ^ ": ticket not held")
+let is_held sys t = t.tkslot >= 0 && held sys t.tkslot
+
+(* The slot of a ticket that is not destroyed. *)
+let live_slot t name =
+  if t.tkslot < 0 then invalid_arg (name ^ ": destroyed ticket");
+  t.tkslot
+
+let check_held sys s name = if not (held sys s) then invalid_arg (name ^ ": ticket not held")
 
 (* A ticket's activity flip moves two things: its denomination's active
    amount (hence unit value), and — when the ticket backs a currency — that
    currency's value. Both get invalidated here, so the zero-crossing cascade
    below stales exactly the affected region of the graph. *)
-let flip_invalidate sys t =
-  invalidate sys t.denom;
-  match t.attach with Backs c -> invalidate sys c | Unattached | Held -> ()
+let flip_invalidate sys s =
+  invalidate sys (t_denom sys s);
+  let j = t_backs sys s in
+  if j >= 0 then invalidate sys j
 
 (* Whether the ticket belongs in its denomination's live list once
    active. *)
-let[@inline] tracks_live t =
-  (not t.denom.base_p) && match t.attach with Backs _ -> true | Unattached | Held -> false
+let[@inline] tracks_live sys s = t_backs sys s >= 0 && t_denom sys s <> base_slot
 
 (* Activation propagation (paper §4.4): activating a ticket raises its
    denomination's active amount; on a zero -> nonzero transition every
    backing ticket of that currency activates in turn, and symmetrically for
-   deactivation. The backing walks are loops, not [iter_backing] over a
-   partial application, so a cascade allocates nothing.
+   deactivation. The backing walks are loops over slots, so a cascade
+   allocates nothing and reads no ticket record.
 
-   These two functions are the only writers of [active], so they keep the
-   live lists: a ticket links in before its activation's flip and unlinks
-   after its deactivation's, so the flip's walk visits it either way, as a
-   walk over every issued edge would. *)
-let rec activate_ticket sys t =
-  if not t.active then begin
-    t.active <- true;
-    if tracks_live t then link_live sys t.denom t.tkslot;
-    flip_invalidate sys t;
-    let c = t.denom in
-    let was_zero = c.active_amount = 0 in
-    c.active_amount <- c.active_amount + t.amount;
-    if was_zero && c.active_amount > 0 then activate_backing sys c
+   These two functions are the only writers of the active bit, so they
+   keep the live lists: a ticket links in before its activation's flip and
+   unlinks after its deactivation's, so the flip's walk visits it either
+   way, as a walk over every issued edge would. *)
+let rec activate_ticket sys s =
+  if not (is_on sys s) then begin
+    set_flag sys s active_bit true;
+    let c = t_denom sys s in
+    if tracks_live sys s then link_live sys c s;
+    flip_invalidate sys s;
+    let was_zero = c_active sys c = 0 in
+    set_c_active sys c (c_active sys c + t_amount sys s);
+    if was_zero && c_active sys c > 0 then activate_backing sys c
   end
 
 and activate_backing sys c =
-  let s = ref c.backing_head in
+  let s = ref (c_backing sys c) in
   while !s >= 0 do
     let n = sys.b_next.(!s) in
-    activate_ticket sys sys.tk_tab.(!s);
+    activate_ticket sys !s;
     s := n
   done
 
-let rec deactivate_ticket sys t =
-  if t.active then begin
-    t.active <- false;
-    flip_invalidate sys t;
-    if tracks_live t then unlink_live sys t.denom t.tkslot;
-    let c = t.denom in
-    let was_positive = c.active_amount > 0 in
-    c.active_amount <- c.active_amount - t.amount;
-    assert (c.active_amount >= 0);
-    if was_positive && c.active_amount = 0 then deactivate_backing sys c
+let rec deactivate_ticket sys s =
+  if is_on sys s then begin
+    set_flag sys s active_bit false;
+    flip_invalidate sys s;
+    let c = t_denom sys s in
+    if tracks_live sys s then unlink_live sys c s;
+    let was_positive = c_active sys c > 0 in
+    set_c_active sys c (c_active sys c - t_amount sys s);
+    assert (c_active sys c >= 0);
+    if was_positive && c_active sys c = 0 then deactivate_backing sys c
   end
 
 and deactivate_backing sys c =
-  let s = ref c.backing_head in
+  let s = ref (c_backing sys c) in
   while !s >= 0 do
     let n = sys.b_next.(!s) in
-    deactivate_ticket sys sys.tk_tab.(!s);
+    deactivate_ticket sys !s;
     s := n
   done
 
 let set_amount sys t new_amount =
-  check_live t "Funding.set_amount";
+  let s = live_slot t "Funding.set_amount" in
   check_amount "Funding.set_amount" new_amount;
-  if t.active then begin
-    flip_invalidate sys t;
-    let c = t.denom in
-    let old_sum = c.active_amount in
-    let new_sum = old_sum - t.amount + new_amount in
-    t.amount <- new_amount;
-    c.active_amount <- new_sum;
+  if is_on sys s then begin
+    flip_invalidate sys s;
+    let c = t_denom sys s in
+    let old_sum = c_active sys c in
+    let new_sum = old_sum - t_amount sys s + new_amount in
+    set_t_amount sys s new_amount;
+    set_c_active sys c new_sum;
     if old_sum = 0 && new_sum > 0 then activate_backing sys c
     else if old_sum > 0 && new_sum = 0 then deactivate_backing sys c
   end
-  else t.amount <- new_amount;
+  else set_t_amount sys s new_amount;
   close_batch sys
 
 (* A backing edge [currency <- ticket] makes [currency]'s value depend on
    the ticket's denomination. Funding [c] with a ticket denominated in [d]
    is cyclic iff [d]'s value already depends on [c]. The walk marks each
    visited currency with the check's stamp, so shared sub-graphs (diamonds)
-   are visited once, and it is a top-level loop: a [fund] (one per ticket
-   transfer) allocates nothing here. *)
-let rec depends_on sys funded c =
-  c == funded
-  || c.visit <> sys.stamp
-     && begin
-          c.visit <- sys.stamp;
-          backing_depends sys funded c.backing_head
-        end
+   are visited once, and it is a top-level loop over slots: a [fund] (one
+   per ticket transfer) allocates nothing here. *)
+let rec depends_on sys funded j =
+  j = funded
+  ||
+  let c = sys.cur_tab.(j) in
+  c.visit <> sys.stamp
+  && begin
+       c.visit <- sys.stamp;
+       backing_depends sys funded (c_backing sys j)
+     end
 
 and backing_depends sys funded s =
   s >= 0
-  && (depends_on sys funded sys.tk_tab.(s).denom
-     || backing_depends sys funded sys.b_next.(s))
+  && (depends_on sys funded (t_denom sys s) || backing_depends sys funded sys.b_next.(s))
 
 let would_cycle sys ~funded ~denom =
   sys.stamp <- sys.stamp + 1;
-  depends_on sys funded denom
+  depends_on sys funded.cslot denom.cslot
 
 let fund sys ~ticket ~currency =
-  check_live ticket "Funding.fund";
-  if currency.cslot < 0 then invalid_arg "Funding.fund: dead currency";
-  (match ticket.attach with
-  | Unattached -> ()
-  | Backs _ | Held -> invalid_arg "Funding.fund: ticket already attached");
+  let s = live_slot ticket "Funding.fund" in
+  let j = currency.cslot in
+  if j < 0 then invalid_arg "Funding.fund: dead currency";
+  if t_backs sys s >= 0 || held sys s then
+    invalid_arg "Funding.fund: ticket already attached";
   if currency.cid = ticket.denom.cid then
     invalid_arg "Funding.fund: ticket cannot fund its own denomination";
   if would_cycle sys ~funded:currency ~denom:ticket.denom then
@@ -626,61 +727,60 @@ let fund sys ~ticket ~currency =
       (Cycle
          (Printf.sprintf "funding %s with a ticket denominated in %s"
             currency.cname ticket.denom.cname));
-  ticket.attach <- Backs currency;
-  link_backing sys currency ticket.tkslot;
-  invalidate sys currency;
-  if currency.active_amount > 0 then activate_ticket sys ticket;
+  set_t_backs sys s j;
+  link_backing sys j s;
+  invalidate sys j;
+  if c_active sys j > 0 then activate_ticket sys s;
   close_batch sys
 
 let unfund sys t =
-  check_live t "Funding.unfund";
-  match t.attach with
-  | Backs c ->
-      deactivate_ticket sys t;
-      unlink_backing sys c t.tkslot;
-      t.attach <- Unattached;
-      invalidate sys c;
-      close_batch sys
-  | Unattached | Held -> invalid_arg "Funding.unfund: ticket not backing"
+  let s = live_slot t "Funding.unfund" in
+  let j = t_backs sys s in
+  if j < 0 then invalid_arg "Funding.unfund: ticket not backing";
+  deactivate_ticket sys s;
+  unlink_backing sys j s;
+  set_t_backs sys s (-1);
+  invalidate sys j;
+  close_batch sys
 
 let hold sys t =
-  check_live t "Funding.hold";
-  (match t.attach with
-  | Unattached | Held -> ()
-  | Backs _ -> invalid_arg "Funding.hold: ticket is backing a currency");
-  t.attach <- Held;
-  activate_ticket sys t;
+  let s = live_slot t "Funding.hold" in
+  if t_backs sys s >= 0 then
+    invalid_arg "Funding.hold: ticket is backing a currency";
+  set_flag sys s held_bit true;
+  activate_ticket sys s;
   close_batch sys
 
 let suspend sys t =
-  check_live t "Funding.suspend";
-  check_held t "Funding.suspend";
-  deactivate_ticket sys t;
+  let s = live_slot t "Funding.suspend" in
+  check_held sys s "Funding.suspend";
+  deactivate_ticket sys s;
   close_batch sys
 
 let resume sys t =
-  check_live t "Funding.resume";
-  check_held t "Funding.resume";
-  activate_ticket sys t;
+  let s = live_slot t "Funding.resume" in
+  check_held sys s "Funding.resume";
+  activate_ticket sys s;
   close_batch sys
 
 let release sys t =
-  check_live t "Funding.release";
-  check_held t "Funding.release";
-  deactivate_ticket sys t;
-  t.attach <- Unattached;
+  let s = live_slot t "Funding.release" in
+  check_held sys s "Funding.release";
+  deactivate_ticket sys s;
+  set_flag sys s held_bit false;
   close_batch sys
 
 let destroy_ticket sys t =
-  check_live t "Funding.destroy_ticket";
-  (match t.attach with
-  | Backs _ -> unfund sys t
-  | Held -> release sys t
-  | Unattached -> ());
-  unlink_issued sys t.denom t.tkslot;
-  Slots.release sys.tk_slots t.tkslot;
-  t.tkslot <- -1;
-  t.destroyed <- true;
+  let s = live_slot t "Funding.destroy_ticket" in
+  if t_backs sys s >= 0 then unfund sys t
+  else if held sys s then release sys t;
+  unlink_issued sys t.denom s;
+  let a = t_amount sys s in
+  set_t_amount sys s 0;
+  Bytes.set sys.t_flags s '\000';
+  set_t_denom sys s (-1);
+  Slots.release sys.tk_slots s;
+  t.tkslot <- -1 - a;
   close_batch sys
 
 (* --- valuation ----------------------------------------------------------
@@ -693,45 +793,44 @@ let destroy_ticket sys t =
    value/active division) is identical to a from-scratch walk, so cached
    results are bit-for-bit equal to uncached ones. *)
 
-let rec ensure sys c =
+let rec ensure sys j =
   (* Seed with 0 so a (dynamically created, normally impossible) cycle
      terminates instead of looping. *)
-  c.cache_ok <- true;
-  let slot = c.cslot in
-  if c.base_p then begin
-    sys.vals.(slot) <- float_of_int c.active_amount;
-    sys.units.(slot) <- 1.
+  Bytes.unsafe_set sys.c_bits j '\001';
+  if j = base_slot then begin
+    sys.vals.(j) <- float_of_int (c_active sys j);
+    sys.units.(j) <- 1.
   end
   else begin
-    sys.vals.(slot) <- 0.;
-    sys.units.(slot) <- 0.;
+    sys.vals.(j) <- 0.;
+    sys.units.(j) <- 0.;
     (* Left fold, head (most recent edge) first: the same float
        accumulation order as the historical list fold. The denomination's
        unit value is read straight from [units] after revalidating it, so
-       the fold never boxes an intermediate. *)
+       the fold never boxes an intermediate, and each edge is read from
+       the slot tables alone. *)
     let v = ref 0. in
-    let s = ref c.backing_head in
+    let s = ref (c_backing sys j) in
     while !s >= 0 do
-      let t = sys.tk_tab.(!s) in
-      if t.active then begin
-        let d = t.denom in
+      if is_on sys !s then begin
+        let d = t_denom sys !s in
         let u =
-          if d.base_p then 1.
+          if d = base_slot then 1.
           else begin
-            if not d.cache_ok then ensure sys d;
-            sys.units.(d.cslot)
+            if not (is_valid sys d) then ensure sys d;
+            sys.units.(d)
           end
         in
-        v := !v +. (float_of_int t.amount *. u)
+        v := !v +. (float_of_int (t_amount sys !s) *. u)
       end;
       s := sys.b_next.(!s)
     done;
-    sys.vals.(slot) <- !v;
-    sys.units.(slot) <-
-      (if c.active_amount = 0 then 0. else !v /. float_of_int c.active_amount)
+    let a = c_active sys j in
+    sys.vals.(j) <- !v;
+    sys.units.(j) <- (if a = 0 then 0. else !v /. float_of_int a)
   end
 
-let[@inline] validate sys c = if not c.cache_ok then ensure sys c
+let[@inline] validate sys j = if not (is_valid sys j) then ensure sys j
 
 (* No zero-active shortcut here: a read must leave the currency validated
    (stop-early invalidation relies on "a valid currency has valid
@@ -739,10 +838,10 @@ let[@inline] validate sys c = if not c.cache_ok then ensure sys c
    removed currency has no backing and no issued tickets, so its value and
    unit value are 0; it no longer owns a cache slot. *)
 let unit_val sys c =
-  if c.base_p then 1.
+  if is_base c then 1.
   else if c.cslot < 0 then 0.
   else begin
-    validate sys c;
+    validate sys c.cslot;
     sys.units.(c.cslot)
   end
 
@@ -750,22 +849,23 @@ let unit_val sys c =
    fresh float; [@inline] lets a cross-module caller compiled against this
    module's .cmx keep it in a register instead. *)
 let[@inline] value_of_currency sys c =
-  if c.cslot < 0 then 0.
+  let j = c.cslot in
+  if j < 0 then 0.
   else begin
-    validate sys c;
-    Array.unsafe_get sys.vals c.cslot
+    validate sys j;
+    Array.unsafe_get sys.vals j
   end
 
-let value_table sys c =
-  validate sys c;
+let value_table sys j =
+  validate sys j;
   sys.vals
 
 let unit_table sys c =
-  if not c.base_p then validate sys c;
+  if not (is_base c) then validate sys c.cslot;
   sys.units
 
 let values sys = sys.vals
-let cache_valid c = c.cache_ok
+let cache_valid sys c = c.cslot >= 0 && is_valid sys c.cslot
 let edges_walked sys = sys.edges_walked
 let hook_calls sys = sys.hook_calls
 
@@ -775,7 +875,7 @@ let hook_calls sys = sys.hook_calls
    hear of valid -> stale flips. *)
 let value_of_ticket sys t =
   let u = unit_val sys t.denom in
-  if t.active then float_of_int t.amount *. u else 0.
+  if is_active sys t then float_of_int (t_amount sys t.tkslot) *. u else 0.
 
 let ticket_value sys t = value_of_ticket sys t
 let[@inline] currency_value sys c = value_of_currency sys c
@@ -785,106 +885,110 @@ let unit_value sys c = unit_val sys c
    reference implementation [check_invariants] audits the caches against. *)
 let uncached_currency_value sys c =
   let memo = Hashtbl.create 32 in
-  let rec unit c =
-    if c.base_p then 1.
-    else if c.active_amount = 0 then 0.
+  let rec unit j =
+    if j = base_slot then 1.
+    else if c_active sys j = 0 then 0.
     else
-      match Hashtbl.find_opt memo c.cid with
+      match Hashtbl.find_opt memo j with
       | Some x -> x
       | None ->
-          Hashtbl.replace memo c.cid 0.;
-          let x = value c /. float_of_int c.active_amount in
-          Hashtbl.replace memo c.cid x;
+          Hashtbl.replace memo j 0.;
+          let x = value j /. float_of_int (c_active sys j) in
+          Hashtbl.replace memo j x;
           x
-  and value c =
-    if c.base_p then float_of_int c.active_amount
+  and value j =
+    if j = base_slot then float_of_int (c_active sys j)
     else begin
       let acc = ref 0. in
-      let s = ref c.backing_head in
-      while !s >= 0 do
-        let t = sys.tk_tab.(!s) in
-        if t.active then acc := !acc +. (float_of_int t.amount *. unit t.denom);
-        s := sys.b_next.(!s)
-      done;
+      iter_slots sys.b_next (c_backing sys j) (fun s ->
+          if is_on sys s then
+            acc := !acc +. (float_of_int (t_amount sys s) *. unit (t_denom sys s)));
       !acc
     end
   in
-  value c
+  value c.cslot
 
+(* The slot tables against the edge lists and the records they describe:
+   for each live currency, its active sum, its cache, its backing and
+   issued lists and its live list; for each live ticket, its attachment
+   and its copies of the record's fields; for each released slot, reset
+   entries. *)
 let check_invariants sys =
   let fail fmt = Printf.ksprintf failwith fmt in
+  let tk s = sys.tk_tab.(s) in
   Slots.iter_live sys.cur_slots (fun slot ->
       let c = sys.cur_tab.(slot) in
       if c.cslot < 0 then fail "dead currency %s in arena" c.cname;
       if c.cslot <> slot then
         fail "currency %s: slot field %d <> arena slot %d" c.cname c.cslot slot;
+      if is_base c <> (slot = base_slot) then
+        fail "currency %s: base flag disagrees with slot %d" c.cname slot;
+      let active = c_active sys slot in
       (* Active amount equals sum of active issued ticket amounts. *)
       let sum = ref 0 in
-      iter_issued sys c (fun t -> if t.active then sum := !sum + t.amount);
-      if !sum <> c.active_amount then
-        fail "currency %s: active_amount %d <> recomputed %d" c.cname
-          c.active_amount !sum;
+      iter_issued sys c (fun s -> if is_on sys s then sum := !sum + t_amount sys s);
+      if !sum <> active then
+        fail "currency %s: active_amount %d <> recomputed %d" c.cname active !sum;
       (* A valid cache must agree exactly with a from-scratch valuation. *)
-      if c.cache_ok then begin
+      if is_valid sys slot then begin
         let fresh = uncached_currency_value sys c in
         if sys.vals.(slot) <> fresh then
           fail "currency %s: cached value %g <> recomputed %g" c.cname
             sys.vals.(slot) fresh;
         let fresh_unit =
-          if c.base_p then 1.
-          else if c.active_amount = 0 then 0.
-          else fresh /. float_of_int c.active_amount
+          if is_base c then 1.
+          else if active = 0 then 0.
+          else fresh /. float_of_int active
         in
-        if (not c.base_p) && sys.units.(slot) <> fresh_unit then
+        if (not (is_base c)) && sys.units.(slot) <> fresh_unit then
           fail "currency %s: cached unit value %g <> recomputed %g" c.cname
             sys.units.(slot) fresh_unit
       end;
-      (* Attachment symmetry for backing tickets, plus slot coherence. *)
-      iter_backing sys c (fun t ->
-          (match t.attach with
-          | Backs c' when c'.cid = c.cid -> ()
-          | _ ->
-              fail "currency %s: backing ticket %d not attached to it" c.cname
-                t.tid);
-          if t.destroyed then fail "currency %s: destroyed backing ticket" c.cname;
+      (* Attachment symmetry for backing tickets. *)
+      iter_backing sys c (fun s ->
+          if t_backs sys s <> slot then
+            fail "currency %s: backing ticket %d not attached to it" c.cname (tk s).tid;
+          if not (Slots.is_live sys.tk_slots s) then
+            fail "currency %s: destroyed backing ticket" c.cname;
           (* Propagation: a backing ticket is active iff the funded currency
              has a nonzero active amount. *)
-          if t.active <> (c.active_amount > 0) then
-            fail "currency %s: backing ticket %d activity %b vs amount %d"
-              c.cname t.tid t.active c.active_amount);
-      iter_issued sys c (fun t ->
-          if t.destroyed then fail "currency %s: destroyed issued ticket" c.cname;
-          if t.tkslot < 0 || not (sys.tk_tab.(t.tkslot) == t) then
-            fail "ticket %d: stale arena slot %d" t.tid t.tkslot;
-          if t.denom.cid <> c.cid then
-            fail "currency %s: issued ticket %d has wrong denomination" c.cname
-              t.tid;
-          match t.attach with
-          | Unattached ->
-              if t.active then fail "unattached ticket %d is active" t.tid
-          | Held -> ()
-          | Backs c' ->
-              if not (exists_backing sys c' (fun b -> b.tid = t.tid)) then
-                fail "ticket %d claims to back %s but is not listed" t.tid
-                  c'.cname);
+          if is_on sys s <> (active > 0) then
+            fail "currency %s: backing ticket %d activity %b vs amount %d" c.cname
+              (tk s).tid (is_on sys s) active);
+      iter_issued sys c (fun s ->
+          let t = tk s in
+          if not (Slots.is_live sys.tk_slots s) then
+            fail "currency %s: destroyed issued ticket" c.cname;
+          if t.tkslot <> s then fail "ticket %d: stale arena slot %d" t.tid t.tkslot;
+          if t.denom != c || t_denom sys s <> slot then
+            fail "currency %s: issued ticket %d has wrong denomination" c.cname t.tid;
+          let j = t_backs sys s in
+          if j >= 0 && held sys s then fail "ticket %d: both held and backing" t.tid;
+          if j < 0 && (not (held sys s)) && is_on sys s then
+            fail "unattached ticket %d is active" t.tid;
+          if j >= 0 then begin
+            if not (Slots.is_live sys.cur_slots j) then
+              fail "ticket %d backs the dead currency slot %d" t.tid j;
+            let listed = ref false in
+            iter_slots sys.b_next (c_backing sys j) (fun b -> if b = s then listed := true);
+            if not !listed then
+              fail "ticket %d claims to back %s but is not listed" t.tid
+                sys.cur_tab.(j).cname
+          end);
       (* Live list: exactly the active issued tickets that back a currency,
          in issued order, with symmetric links; base keeps none. *)
       let expected = ref [] in
-      iter_issued sys c (fun t ->
-          if tracks_live t && t.active then expected := t.tkslot :: !expected
-          else if sys.l_prev.(t.tkslot) >= 0 || sys.l_next.(t.tkslot) >= 0 then
-            fail "ticket %d: off its live list but still linked" t.tid);
+      iter_issued sys c (fun s ->
+          if tracks_live sys s && is_on sys s then expected := s :: !expected
+          else if sys.l_next.(s) >= 0 || c_live sys slot = s then
+            fail "ticket %d: off its live list but still linked" (tk s).tid);
       let expected = List.rev !expected in
       let bound = List.length expected in
-      let got = ref [] and n = ref 0 and prev = ref (-1) in
-      let s = ref sys.live_head.(slot) in
+      let got = ref [] and n = ref 0 in
+      let s = ref (c_live sys slot) in
       while !s >= 0 && !n <= bound do
-        if sys.l_prev.(!s) <> !prev then
-          fail "currency %s: live link of slot %d points back at %d, not %d"
-            c.cname !s sys.l_prev.(!s) !prev;
         got := !s :: !got;
         incr n;
-        prev := !s;
         s := sys.l_next.(!s)
       done;
       if List.rev !got <> expected then
@@ -894,31 +998,64 @@ let check_invariants sys =
       (* Acyclicity: depth-first walk with a white/grey/black marking, so
          shared sub-graphs are visited once instead of once per path. *)
       let color = Hashtbl.create 16 in
-      let rec walk c' =
-        match Hashtbl.find_opt color c'.cid with
+      let rec walk j =
+        match Hashtbl.find_opt color j with
         | Some `Done -> ()
-        | Some `On_path -> fail "cycle through currency %s" c'.cname
+        | Some `On_path -> fail "cycle through currency %s" sys.cur_tab.(j).cname
         | None ->
-            Hashtbl.replace color c'.cid `On_path;
-            iter_backing sys c' (fun b -> walk b.denom);
-            Hashtbl.replace color c'.cid `Done
+            Hashtbl.replace color j `On_path;
+            iter_slots sys.b_next (c_backing sys j) (fun b -> walk (t_denom sys b));
+            Hashtbl.replace color j `Done
       in
-      walk c)
+      walk slot);
+  (* Every live ticket sits in its denomination's issued list, which the
+     sweep above checked entry by entry. *)
+  Slots.iter_live sys.tk_slots (fun s ->
+      let d = t_denom sys s in
+      if not (Slots.is_live sys.cur_slots d) then
+        fail "ticket %d: denomination slot %d is not live" (tk s).tid d;
+      let listed = ref false in
+      iter_slots sys.i_next sys.cur_tab.(d).issued (fun i -> if i = s then listed := true);
+      if not !listed then fail "ticket %d: not in its denomination's issued list" (tk s).tid);
+  (* Released slots keep no state for their next occupant to inherit. *)
+  for s = 0 to Slots.used sys.tk_slots - 1 do
+    if
+      (not (Slots.is_live sys.tk_slots s))
+      && (t_amount sys s <> 0
+         || Bytes.get sys.t_flags s <> '\000'
+         || t_backs sys s <> -1
+         || t_denom sys s <> -1
+         || sys.i_prev.(s) <> -1
+         || sys.i_next.(s) <> -1
+         || sys.b_prev.(s) <> -1
+         || sys.b_next.(s) <> -1
+         || sys.l_next.(s) <> -1)
+    then fail "released ticket slot %d keeps state" s
+  done;
+  for j = 0 to Slots.used sys.cur_slots - 1 do
+    if
+      (not (Slots.is_live sys.cur_slots j))
+      && (c_active sys j <> 0
+         || Bytes.get sys.c_bits j <> '\000'
+         || c_backing sys j <> -1
+         || c_live sys j <> -1
+)
+    then fail "released currency slot %d keeps state" j
+  done
 
-let pp_ticket fmt t =
-  Format.fprintf fmt "#%d %d.%s%s%s" t.tid t.amount t.denom.cname
-    (if t.active then " [active]" else "")
-    (match t.attach with
-    | Unattached -> ""
-    | Held -> " held"
-    | Backs c -> " -> " ^ c.cname)
+let pp_ticket sys fmt t =
+  Format.fprintf fmt "#%d %d.%s%s%s" t.tid (amount sys t) t.denom.cname
+    (if is_active sys t then " [active]" else "")
+    (match funds sys t with
+    | Some c -> " -> " ^ c.cname
+    | None -> if is_held sys t then " held" else "")
 
 let pp_currency sys fmt c =
   Format.fprintf fmt "@[<v 2>currency %s (active %d)@,issued: %a@,backing: %a@]"
-    c.cname c.active_amount
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_ticket)
+    c.cname (active_amount sys c)
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space (pp_ticket sys))
     (issued_tickets sys c)
-    (Format.pp_print_list ~pp_sep:Format.pp_print_space pp_ticket)
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space (pp_ticket sys))
     (backing_tickets sys c)
 
 let to_dot sys =
@@ -928,23 +1065,25 @@ let to_dot sys =
     (fun c ->
       Buffer.add_string buf
         (Printf.sprintf "  c%d [shape=box, label=\"%s\\nactive %d\"];\n" c.cid
-           c.cname c.active_amount))
+           c.cname (active_amount sys c)))
     (currencies sys);
   List.iter
     (fun c ->
-      iter_issued sys c (fun t ->
-          let style = if t.active then "solid" else "dashed" in
-          match t.attach with
-          | Backs target ->
+      List.iter
+        (fun t ->
+          let style = if is_active sys t then "solid" else "dashed" in
+          match funds sys t with
+          | Some target ->
               Buffer.add_string buf
-                (Printf.sprintf "  c%d -> c%d [label=\"%d.%s\", style=%s];\n"
-                   c.cid target.cid t.amount c.cname style)
-          | Held ->
+                (Printf.sprintf "  c%d -> c%d [label=\"%d.%s\", style=%s];\n" c.cid
+                   target.cid (amount sys t) c.cname style)
+          | None when is_held sys t ->
               Buffer.add_string buf
                 (Printf.sprintf
                    "  t%d [shape=ellipse, label=\"ticket %d.%s\"];\n  c%d -> t%d [style=%s];\n"
-                   t.tid t.amount c.cname c.cid t.tid style)
-          | Unattached -> ()))
+                   t.tid (amount sys t) c.cname c.cid t.tid style)
+          | None -> ())
+        (issued_tickets sys c))
     (currencies sys);
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -15,7 +15,15 @@
     currency is its face amount; the value of a currency is the sum of the
     values of its active backing tickets; the value of a non-base ticket is
     the currency's value times the ticket's share of the currency's active
-    amount. *)
+    amount.
+
+    A {!ticket} is a handle: its id, its denomination and its arena slot.
+    Its amount, activity, holder flag and the currency it backs live in
+    the system's tables indexed by slot, as do a currency's active amount,
+    cache flag and backing and live heads, so the accessors that read them
+    take the system, and the block/wake path (invalidation, the activation
+    cascade, revaluation) walks those tables without reading a ticket
+    record per sibling. *)
 
 type system
 type currency
@@ -113,8 +121,9 @@ val remove_currency : system -> currency -> unit
 (** Raises {!In_use} unless the currency has no issued and no backing
     tickets; the base currency can never be removed. *)
 
-val active_amount : currency -> int
-(** Sum of the amounts of this currency's currently active issued tickets. *)
+val active_amount : system -> currency -> int
+(** Sum of the amounts of this currency's currently active issued tickets;
+    [0] once removed. *)
 
 val issued_tickets : system -> currency -> ticket list
 val backing_tickets : system -> currency -> ticket list
@@ -139,7 +148,10 @@ val issue : system -> currency:currency -> amount:int -> ticket
     Raises [Invalid_argument] on a negative amount or one above
     {!max_amount}. *)
 
-val amount : ticket -> int
+val amount : system -> ticket -> int
+(** The face amount; a destroyed ticket keeps the one it was destroyed
+    with. *)
+
 val denomination : ticket -> currency
 
 val ticket_id : ticket -> int
@@ -152,7 +164,7 @@ val ticket_slot : ticket -> int
 val ticket_generation : system -> ticket -> int
 (** Generation of the ticket's slot ([-1] once destroyed). *)
 
-val is_active : ticket -> bool
+val is_active : system -> ticket -> bool
 
 val set_amount : system -> ticket -> int -> unit
 (** Ticket inflation / deflation (Section 3.2): change the face amount,
@@ -162,7 +174,9 @@ val set_amount : system -> ticket -> int -> unit
 
 val destroy_ticket : system -> ticket -> unit
 (** Deactivates and detaches the ticket, then removes it from its
-    denomination's issued list. The ticket must not be reused. *)
+    denomination's issued list and releases its slot. The ticket must not
+    be reused; reads of it keep answering: its amount and denomination,
+    inactive, neither held nor backing, slot and generation [-1]. *)
 
 (** {1 Attachment and activity} *)
 
@@ -190,10 +204,10 @@ val resume : system -> ticket -> unit
 val release : system -> ticket -> unit
 (** Deactivate and detach a held ticket. *)
 
-val funds : ticket -> currency option
+val funds : system -> ticket -> currency option
 (** The currency this ticket currently backs, if any. *)
 
-val is_held : ticket -> bool
+val is_held : system -> ticket -> bool
 
 (** {1 Valuation}
 
@@ -216,10 +230,10 @@ val unit_value : system -> currency -> float
 (** Base units per unit of [currency]; [1.] for base, [0.] for a currency
     with zero active amount. *)
 
-val value_table : system -> currency -> float array
-(** [value_table sys c] revalidates the live currency [c] and returns the
-    system's flat value cache, where [c]'s value sits at index
-    {!currency_slot}[ c]. The allocation-free form of {!currency_value}
+val value_table : system -> int -> float array
+(** [value_table sys j] revalidates the live currency at slot [j]
+    ({!currency_slot}) and returns the system's flat value cache, where its
+    value sits at index [j]. The allocation-free form of {!currency_value}
     for per-decision consumers: a float read out of an array stays
     unboxed, while one returned by a call the compiler does not inline is
     boxed. The table is replaced when the currency arena grows, so fetch
@@ -239,8 +253,9 @@ val values : system -> float array
     own, that the currency it reads has not gone stale since it last
     validated it. Replaced when the arena grows, like {!value_table}. *)
 
-val cache_valid : currency -> bool
-(** Whether the currency's cached value is current. A currency goes stale
+val cache_valid : system -> currency -> bool
+(** Whether the currency's cached value is current ([false] once it is
+    removed). A currency goes stale
     only in a mutation, and its flip to stale pushes the tags of the
     queues that {!watch} it; any read of its value makes it valid
     again. *)
@@ -263,12 +278,16 @@ val check_invariants : system -> unit
 (** Validates internal consistency (active sums, attachment symmetry,
     activation propagation, acyclicity, each currency's live list of
     active backing tickets against its issued list, and agreement of the
-    incremental valuation caches with a from-scratch valuation); raises
-    [Failure] with a description on violation. Used by tests and enabled
-    in debug builds. *)
+    incremental valuation caches with a from-scratch valuation), the slot
+    tables against the edge lists and the records (a ticket's backing
+    target against that currency's backing list, its denomination against
+    its record, every live ticket in its denomination's issued list), and
+    that every released ticket and currency slot was reset;
+    raises [Failure] with a description on violation. Used by tests and
+    enabled in debug builds. *)
 
 val pp_currency : system -> Format.formatter -> currency -> unit
-val pp_ticket : Format.formatter -> ticket -> unit
+val pp_ticket : system -> Format.formatter -> ticket -> unit
 val pp_system : Format.formatter -> system -> unit
 
 val to_dot : system -> string

@@ -309,22 +309,22 @@ let scratch_value sys root =
   let memo = Hashtbl.create 16 in
   let rec unit c =
     if F.is_base c then 1.
-    else if F.active_amount c = 0 then 0.
+    else if F.active_amount sys c = 0 then 0.
     else
       match Hashtbl.find_opt memo (F.currency_id c) with
       | Some x -> x
       | None ->
           Hashtbl.replace memo (F.currency_id c) 0.;
-          let x = value c /. float_of_int (F.active_amount c) in
+          let x = value c /. float_of_int (F.active_amount sys c) in
           Hashtbl.replace memo (F.currency_id c) x;
           x
   and value c =
-    if F.is_base c then float_of_int (F.active_amount c)
+    if F.is_base c then float_of_int (F.active_amount sys c)
     else
       List.fold_left
         (fun acc t ->
-          if F.is_active t then
-            acc +. (float_of_int (F.amount t) *. unit (F.denomination t))
+          if F.is_active sys t then
+            acc +. (float_of_int (F.amount sys t) *. unit (F.denomination t))
           else acc)
         0. (F.backing_tickets sys c)
   in

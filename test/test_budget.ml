@@ -383,6 +383,21 @@ let steal_op () =
         Ls.force_migrate ls th ~dst:0
     | None -> ()
 
+(* A thread's whole life on a 4-shard Tree lottery among 64 funded
+   spinners: one operation spawns it (its attach places it on the least
+   loaded shard, reading every shard's mass), funds it from a tenant
+   currency and kills it before it runs (detach tears its currency and
+   tickets down). *)
+let spawn_kill_sharded_op () =
+  let k, ls = F.lottery_kernel ~mode:Ls.Tree_mode ~shards:4 ~cpus:4 ~seed:31 () in
+  ignore (spinners ls k 64 (fun i -> 10 + i));
+  run_for k (ms 100);
+  let from = currency ls "tenant" 1000 in
+  fun () ->
+    let th = Kernel.spawn k ~name:"x" ignore in
+    fund ls ~from th 10;
+    Kernel.kill k th
+
 (* Virtual-time throughput: 10^5 uniform threads for 50 quanta on a 1-CPU
    and a 4-CPU kernel. The ratio of their slices is 0.25 when the 4-CPU
    kernel is work-conserving and tends to 1.0 as CPUs go idle. *)
@@ -432,6 +447,7 @@ let rows =
     ("service/request:minor-words", service_request_words);
     ("smp/migration:minor-words", words migration_op);
     ("smp/steal:minor-words", words steal_op);
+    ("smp/spawn-kill-sharded:minor-words", words spawn_kill_sharded_op);
     ("smp/sharded-4cpu-over-1cpu", sharded_over_one);
     ("smp/per-shard-chisq-fail", per_shard_chisq_fail);
     ( "churn/live-words-per-kill",

@@ -49,8 +49,8 @@ let test_figure3_values () =
   checkf "task3 currency = 2000" 2000. (F.currency_value sys task3);
   (* task1 is inactive: its backing ticket is inactive and alice's active
      amount only counts the task2 allocation *)
-  checki "alice active amount" 200 (F.active_amount alice);
-  checki "bob active amount" 100 (F.active_amount bob);
+  checki "alice active amount" 200 (F.active_amount sys alice);
+  checki "bob active amount" 100 (F.active_amount sys bob);
   checkf "task1 value 0 while inactive" 0. (F.currency_value sys task1)
 
 let test_figure3_task1_wakes () =
@@ -58,7 +58,7 @@ let test_figure3_task1_wakes () =
   (* thread1 starts competing: task1 activates and dilutes alice *)
   F.hold sys thread1;
   F.check_invariants sys;
-  checki "alice active amount" 300 (F.active_amount alice);
+  checki "alice active amount" 300 (F.active_amount sys alice);
   checkf "thread2 drops to (1000*200/300)*(200/500)" (2000. /. 3. *. 0.4)
     (F.ticket_value sys t2);
   checkf "thread1 now worth its task1 share" (1000. /. 3.)
@@ -66,7 +66,7 @@ let test_figure3_task1_wakes () =
   (* and back *)
   F.suspend sys thread1;
   F.check_invariants sys;
-  checki "alice active amount restored" 200 (F.active_amount alice);
+  checki "alice active amount restored" 200 (F.active_amount sys alice);
   checkf "thread2 restored" 400. (F.ticket_value sys t2)
 
 let test_base_valuation () =
@@ -92,20 +92,20 @@ let test_activation_propagation_chain () =
   let b, tb = mk "b" a 10 in
   let c, tc = mk "c" b 10 in
   let held = F.issue sys ~currency:c ~amount:1 in
-  checkb "backing inactive before any client" false (F.is_active ta);
+  checkb "backing inactive before any client" false (F.is_active sys ta);
   F.hold sys held;
   F.check_invariants sys;
-  checkb "ta active" true (F.is_active ta);
-  checkb "tb active" true (F.is_active tb);
-  checkb "tc active" true (F.is_active tc);
+  checkb "ta active" true (F.is_active sys ta);
+  checkb "tb active" true (F.is_active sys tb);
+  checkb "tc active" true (F.is_active sys tc);
   checkf "full value flows down" 100. (F.ticket_value sys held);
   F.suspend sys held;
   F.check_invariants sys;
-  checkb "ta inactive again" false (F.is_active ta);
-  checkb "tb inactive again" false (F.is_active tb);
-  checki "a active amount" 0 (F.active_amount a);
+  checkb "ta inactive again" false (F.is_active sys ta);
+  checkb "tb inactive again" false (F.is_active sys tb);
+  checki "a active amount" 0 (F.active_amount sys a);
   F.resume sys held;
-  checkb "reactivates" true (F.is_active ta)
+  checkb "reactivates" true (F.is_active sys ta)
 
 let test_sibling_share_shift () =
   (* two clients in one currency: one blocking doubles the other's value *)
@@ -153,14 +153,14 @@ let test_set_amount () =
   let base = F.base sys in
   let t = F.issue sys ~currency:base ~amount:100 in
   F.hold sys t;
-  checki "active amount" 100 (F.active_amount base);
+  checki "active amount" 100 (F.active_amount sys base);
   F.set_amount sys t 250;
-  checki "inflated" 250 (F.active_amount base);
-  checki "ticket amount" 250 (F.amount t);
+  checki "inflated" 250 (F.active_amount sys base);
+  checki "ticket amount" 250 (F.amount sys t);
   F.set_amount sys t 0;
-  checki "deflated to zero" 0 (F.active_amount base);
+  checki "deflated to zero" 0 (F.active_amount sys base);
   F.set_amount sys t 10;
-  checki "re-inflated" 10 (F.active_amount base);
+  checki "re-inflated" 10 (F.active_amount sys base);
   F.check_invariants sys;
   Alcotest.check_raises "negative" (Invalid_argument "Funding.set_amount: negative amount")
     (fun () -> F.set_amount sys t (-1))
@@ -175,13 +175,13 @@ let test_set_amount_zero_crossing_propagates () =
   F.fund sys ~ticket:backing ~currency:c;
   let held = F.issue sys ~currency:c ~amount:10 in
   F.hold sys held;
-  checkb "backing active" true (F.is_active backing);
+  checkb "backing active" true (F.is_active sys backing);
   F.set_amount sys held 0;
   F.check_invariants sys;
-  checkb "backing deactivated on zero" false (F.is_active backing);
+  checkb "backing deactivated on zero" false (F.is_active sys backing);
   F.set_amount sys held 5;
   F.check_invariants sys;
-  checkb "backing reactivated" true (F.is_active backing)
+  checkb "backing reactivated" true (F.is_active sys backing)
 
 let test_cycle_rejected () =
   let sys = F.create_system () in
@@ -350,7 +350,7 @@ let qcheck_value_conservation =
       let total_held =
         List.fold_left (fun acc t -> acc +. F.ticket_value sys t) 0. held
       in
-      let base_active = float_of_int (F.active_amount base) in
+      let base_active = float_of_int (F.active_amount sys base) in
       (* full equality in an all-active tree; suspend one holder and the
          total can only drop *)
       let equal_when_active = abs_float (total_held -. base_active) < 1e-6 in
@@ -361,7 +361,7 @@ let qcheck_value_conservation =
             let t2 =
               List.fold_left (fun acc t -> acc +. F.ticket_value sys t) 0. held
             in
-            t2 <= float_of_int (F.active_amount base) +. 1e-6
+            t2 <= float_of_int (F.active_amount sys base) +. 1e-6
         | [] -> true
       in
       equal_when_active && still_bounded)
@@ -450,7 +450,7 @@ let qcheck_cycle_check_matches_reachability =
       let caches () =
         List.map
           (fun c ->
-            if F.cache_valid c then Some (F.currency_value sys c, F.unit_value sys c)
+            if F.cache_valid sys c then Some (F.currency_value sys c, F.unit_value sys c)
             else None)
           (F.currencies sys)
       in
@@ -461,7 +461,7 @@ let qcheck_cycle_check_matches_reachability =
         | () -> if cyclic then ok := false
         | exception F.Cycle _ ->
             if not cyclic then ok := false;
-            if F.hook_calls sys <> n0 || caches () <> before || F.funds t <> None then
+            if F.hook_calls sys <> n0 || caches () <> before || F.funds sys t <> None then
               ok := false;
             F.check_invariants sys
       in
@@ -483,7 +483,7 @@ let qcheck_cycle_check_matches_reachability =
               F.issue sys ~currency:(pick !currencies) ~amount:(1 + Rng.int_below rng 50)
               :: !tickets
         | 4 | 5 | 6 -> (
-            let unattached t = F.funds t = None && not (F.is_held t) in
+            let unattached t = F.funds sys t = None && not (F.is_held sys t) in
             match List.filter unattached !tickets with
             | [] -> ()
             | free ->
@@ -492,7 +492,7 @@ let qcheck_cycle_check_matches_reachability =
                 if F.currency_id c <> F.currency_id (F.denomination t) then attempt t c)
         | 7 when !tickets <> [] -> (
             let t = pick !tickets in
-            try if F.funds t = None then F.hold sys t else F.unfund sys t
+            try if F.funds sys t = None then F.hold sys t else F.unfund sys t
             with Invalid_argument _ -> ())
         | 8 -> (
             match List.filter (fun c -> not (F.is_base c)) !currencies with
@@ -514,22 +514,22 @@ let scratch_value sys root =
   let memo = Hashtbl.create 16 in
   let rec unit c =
     if F.is_base c then 1.
-    else if F.active_amount c = 0 then 0.
+    else if F.active_amount sys c = 0 then 0.
     else
       match Hashtbl.find_opt memo (F.currency_id c) with
       | Some x -> x
       | None ->
           Hashtbl.replace memo (F.currency_id c) 0.;
-          let x = value c /. float_of_int (F.active_amount c) in
+          let x = value c /. float_of_int (F.active_amount sys c) in
           Hashtbl.replace memo (F.currency_id c) x;
           x
   and value c =
-    if F.is_base c then float_of_int (F.active_amount c)
+    if F.is_base c then float_of_int (F.active_amount sys c)
     else
       List.fold_left
         (fun acc t ->
-          if F.is_active t then
-            acc +. (float_of_int (F.amount t) *. unit (F.denomination t))
+          if F.is_active sys t then
+            acc +. (float_of_int (F.amount sys t) *. unit (F.denomination t))
           else acc)
         0. (F.backing_tickets sys c)
   in
@@ -537,8 +537,106 @@ let scratch_value sys root =
 
 let scratch_unit sys c =
   if F.is_base c then 1.
-  else if F.active_amount c = 0 then 0.
-  else scratch_value sys c /. float_of_int (F.active_amount c)
+  else if F.active_amount sys c = 0 then 0.
+  else scratch_value sys c /. float_of_int (F.active_amount sys c)
+
+(* Tickets destroyed and currencies removed in the middle of a live graph,
+   their slots reused by new ones: after every step the invariants hold
+   (the flat slot tables against the edge lists, released slots reset),
+   every currency's value and unit value equal a from-scratch valuation,
+   and every destroyed ticket reads what it read when it was destroyed. *)
+let test_slot_reuse_keeps_flat_state () =
+  let sys = F.create_system () in
+  let base = F.base sys in
+  let dead = ref [] in
+  let reads t =
+    ( F.amount sys t,
+      F.is_active sys t,
+      F.funds sys t = None,
+      F.is_held sys t,
+      (F.ticket_slot t, F.ticket_generation sys t, F.ticket_value sys t) )
+  in
+  let step name =
+    F.check_invariants sys;
+    List.iter
+      (fun c ->
+        let what = Printf.sprintf "%s: %s" name (F.currency_name c) in
+        checkb (what ^ " value") true (F.currency_value sys c = scratch_value sys c);
+        checkb (what ^ " unit") true (F.unit_value sys c = scratch_unit sys c))
+      (F.currencies sys);
+    F.check_invariants sys;
+    List.iter
+      (fun (t, r) -> checkb (name ^ ": a destroyed ticket reads the same") true (reads t = r))
+      !dead
+  in
+  let destroy name t =
+    let amount = F.amount sys t and denom = F.denomination t in
+    F.destroy_ticket sys t;
+    checki (name ^ ": keeps its amount") amount (F.amount sys t);
+    checkb (name ^ ": keeps its denomination") true (F.denomination t == denom);
+    checkb (name ^ ": reads as detached") true
+      (reads t = (amount, false, true, false, (-1, -1, 0.)));
+    dead := (t, reads t) :: !dead;
+    step name
+  in
+  let fund ~from ~amount c =
+    let t = F.issue sys ~currency:from ~amount in
+    F.fund sys ~ticket:t ~currency:c;
+    t
+  in
+  let held ~from ~amount =
+    let t = F.issue sys ~currency:from ~amount in
+    F.hold sys t;
+    t
+  in
+  let a = F.make_currency sys ~name:"a" in
+  let b = F.make_currency sys ~name:"b" in
+  let c = F.make_currency sys ~name:"c" in
+  let _ta = fund ~from:base ~amount:100 a in
+  let tb1 = fund ~from:a ~amount:50 b in
+  let _tb2 = fund ~from:base ~amount:30 b in
+  let tc = fund ~from:base ~amount:20 c in
+  let h1 = held ~from:b ~amount:10 in
+  let _h2 = held ~from:b ~amount:5 in
+  let h3 = held ~from:c ~amount:7 in
+  let _h4 = held ~from:a ~amount:3 in
+  step "built";
+  (* an active backing ticket in the middle of the graph *)
+  destroy "a's ticket backing b" tb1;
+  (* an active held ticket; its slot goes to the next issue *)
+  let slot = F.ticket_slot h1 in
+  destroy "held in b" h1;
+  let h5 = held ~from:c ~amount:9 in
+  checki "the freed ticket slot is reused" slot (F.ticket_slot h5);
+  step "reissued into the freed slot";
+  let tb3 = fund ~from:a ~amount:40 b in
+  step "b funded from a again";
+  (* empty c and remove it; its slot goes to the next currency *)
+  let cslot = F.currency_slot c in
+  destroy "held in c" h3;
+  destroy "c's second held ticket" h5;
+  destroy "c's backing" tc;
+  F.remove_currency sys c;
+  checki "a removed currency reads no active amount" 0 (F.active_amount sys c);
+  checkb "nor a valid cache" false (F.cache_valid sys c);
+  step "c removed";
+  let d = F.make_currency sys ~name:"d" in
+  checki "the freed currency slot is reused" cslot (F.currency_slot d);
+  checki "with no active amount" 0 (F.active_amount sys d);
+  checkb "and no valid cache" false (F.cache_valid sys d);
+  step "d made";
+  let td = fund ~from:b ~amount:8 d in
+  let h6 = held ~from:d ~amount:2 in
+  step "d funded from b and held";
+  F.suspend sys h6;
+  step "d's client suspended";
+  F.resume sys h6;
+  F.set_amount sys tb3 70;
+  step "b's backing inflated";
+  destroy "d's backing" td;
+  destroy "d's client" h6;
+  F.remove_currency sys d;
+  step "d removed"
 
 (* Reference for the flips of a mutation and the order a queue drains
    them in. The historical implementation built one change batch per
@@ -592,14 +690,14 @@ let snapshot sys ~valid =
       let cid = F.currency_id c in
       Hashtbl.replace s.issued cid (F.issued_tickets sys c);
       Hashtbl.replace s.backing cid (F.backing_tickets sys c);
-      Hashtbl.replace s.cur_active cid (F.active_amount c);
+      Hashtbl.replace s.cur_active cid (F.active_amount sys c);
       List.iter
         (fun t ->
           let tid = F.ticket_id t in
-          Hashtbl.replace s.active tid (F.is_active t);
-          Hashtbl.replace s.amount tid (F.amount t);
-          Hashtbl.replace s.funds tid (F.funds t);
-          Hashtbl.replace s.held tid (F.is_held t))
+          Hashtbl.replace s.active tid (F.is_active sys t);
+          Hashtbl.replace s.amount tid (F.amount sys t);
+          Hashtbl.replace s.funds tid (F.funds sys t);
+          Hashtbl.replace s.held tid (F.is_held sys t))
         (F.issued_tickets sys c))
     (F.currencies sys);
   s
@@ -841,7 +939,7 @@ let qcheck_incremental_valuation_exact =
            currency the mutation left valid is worth nothing *)
         List.iter
           (fun c ->
-            if (not (F.is_base c)) && F.cache_valid c && F.active_amount c = 0
+            if (not (F.is_base c)) && F.cache_valid sys c && F.active_amount sys c = 0
             then begin
               let i = F.currency_slot c in
               if (F.values sys).(i) <> 0. || (F.unit_table sys c).(i) <> 0. then
@@ -1011,7 +1109,7 @@ let test_pp_smoke () =
   let cs = Format.asprintf "%a" (F.pp_currency sys) alice in
   checkb "currency rendering has active amount" true
     (Core.Corpus.count_substring ~haystack:cs ~needle:"active" > 0);
-  let ts = Format.asprintf "%a" F.pp_ticket t2 in
+  let ts = Format.asprintf "%a" (F.pp_ticket sys) t2 in
   checkb "ticket rendering shows denomination" true
     (Core.Corpus.count_substring ~haystack:ts ~needle:"task2" > 0)
 
@@ -1063,13 +1161,13 @@ let test_amount_bound () =
         t)
   in
   F.check_invariants sys;
-  checki "active sum exact" (2 * F.max_amount) (F.active_amount c);
+  checki "active sum exact" (2 * F.max_amount) (F.active_amount sys c);
   List.iter (fun t -> checkf "each holds half" 50. (F.ticket_value sys t)) holders;
   let t = List.hd holders in
   checkb "inflation past the bound refused" true
     (refused (fun () -> F.set_amount sys t (1 lsl 61)));
-  checki "the refused inflation left the ticket" F.max_amount (F.amount t);
-  checki "and the sum" (2 * F.max_amount) (F.active_amount c);
+  checki "the refused inflation left the ticket" F.max_amount (F.amount sys t);
+  checki "and the sum" (2 * F.max_amount) (F.active_amount sys c);
   checkb "negative refused" true (refused (fun () -> F.set_amount sys t (-1)));
   F.check_invariants sys
 
@@ -1112,6 +1210,8 @@ let () =
           Alcotest.test_case "graphviz export" `Quick test_to_dot;
           Alcotest.test_case "pretty printers" `Quick test_pp_smoke;
           Alcotest.test_case "valuation snapshots" `Quick test_valuation_snapshot_consistent;
+          Alcotest.test_case "slot reuse keeps the flat state" `Quick
+            test_slot_reuse_keeps_flat_state;
         ] );
       ( "watches",
         [

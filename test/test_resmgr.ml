@@ -787,7 +787,7 @@ let prop_managers_track_funding muts =
          (match m with
          | Set_backing (i, a) -> F.set_amount sys backing.(i) a
          | Toggle_sibling i ->
-             if F.is_active siblings.(i) then F.suspend sys siblings.(i)
+             if F.is_active sys siblings.(i) then F.suspend sys siblings.(i)
              else F.resume sys siblings.(i)
          | Fund_sibling (i, a) ->
              let tk = F.issue sys ~currency:(F.base sys) ~amount:a in

@@ -585,6 +585,99 @@ let test_placement_hook_out_of_range_raises () =
           ignore (Kernel.run k ~until:(Time.ms 10))))
     [ -1; 2 ]
 
+(* --- weight-write fingerprint ----------------------------------------------- *)
+
+(* A small funding-churn world: 8 currencies x 16 interactive threads on
+   4 CPUs and 4 Tree shards. Every 10 ms one currency's backing ticket is
+   inflated, a transient thread is spawned and funded from a random
+   currency, and the oldest transient beyond 4 is killed. The scheduler
+   record is wrapped: after every select, the winner's id and the bits of
+   every shard's ticket mass fold into one int. A shard's mass is its
+   draw's total plus its dispatched weights, and the Fenwick root adds each
+   weight write's delta in write order, so the fold changes when the order
+   of the weight writes does, which the schedule alone may not show. *)
+let weight_fingerprint () =
+  let shards = 4 in
+  let rng = Rng.create ~seed:77 () in
+  let gen = Rng.split rng in
+  let ls = Lottery_sched.create ~mode:Lottery_sched.Tree_mode ~shards ~rng () in
+  let inner = Lottery_sched.sched ls in
+  let fp = ref 0 in
+  let mix x = fp := (!fp lxor x) * 0x100000001b3 in
+  let mix_bits f =
+    let b = Int64.bits_of_float f in
+    mix (Int64.to_int (Int64.shift_right_logical b 32));
+    mix (Int64.to_int (Int64.logand b 0xFFFFFFFFL))
+  in
+  let select ~cpu =
+    let w = inner.select ~cpu in
+    mix (match w with Some th -> Kernel.thread_id th | None -> -1);
+    for i = 0 to shards - 1 do
+      mix_bits (Lottery_sched.shard_ticket_mass ls i)
+    done;
+    w
+  in
+  let k =
+    Kernel.create ~quantum:(Time.ms 10) ~cpus:shards ~sched:{ inner with select } ()
+  in
+  let interactive r () =
+    while true do
+      Api.compute (Rng.int_in r ~lo:200 ~hi:5000);
+      Api.sleep (Rng.int_in r ~lo:5000 ~hi:55000)
+    done
+  in
+  let base = Lottery_sched.base_currency ls in
+  let curs =
+    Array.init 8 (fun i -> Lottery_sched.make_currency ls (Printf.sprintf "cur%d" i))
+  in
+  let backing =
+    Array.map
+      (fun c ->
+        Lottery_sched.fund_currency ls ~target:c
+          ~amount:(Rng.int_in gen ~lo:100 ~hi:1000)
+          ~from:base)
+      curs
+  in
+  let spawn name from =
+    let th = Kernel.spawn k ~name (interactive (Rng.split gen)) in
+    ignore
+      (Lottery_sched.fund_thread ls th ~amount:(Rng.int_in gen ~lo:1 ~hi:100) ~from);
+    th
+  in
+  Array.iteri
+    (fun ci cur ->
+      for j = 0 to 15 do
+        ignore (spawn (Printf.sprintf "i%d.%d" ci j) cur)
+      done)
+    curs;
+  let transients = Queue.create () in
+  let next = ref (Time.ms 10) in
+  Kernel.set_pre_select k
+    (Some
+       (fun () ->
+         while Kernel.now k >= !next do
+           next := !next + Time.ms 10;
+           let c = Rng.int_below gen 8 in
+           Lottery_sched.set_ticket_amount ls backing.(c)
+             (Rng.int_in gen ~lo:100 ~hi:1000);
+           Queue.push (spawn "transient" curs.(Rng.int_below gen 8)) transients;
+           if Queue.length transients > 4 then Kernel.kill k (Queue.pop transients)
+         done));
+  ignore (Kernel.run k ~until:(Time.seconds 2));
+  check (Alcotest.list Alcotest.string) "sharding audit clean" []
+    (Lottery_sched.check_sharding ls);
+  check (Alcotest.list Alcotest.string) "funding coherent" []
+    (Lottery_sched.check_funding_coherence ls (Kernel.threads k));
+  !fp
+
+(* The fold pinned at the value the schedule-identical history of this
+   scheduler produces; a change that reorders weight writes, or moves any
+   weight by one bit, changes it. *)
+let test_weight_fingerprint () =
+  let fp = weight_fingerprint () in
+  Printf.printf "weight fingerprint %d\n" fp;
+  checki "weight-write fingerprint" 2172704683801328859 fp
+
 let () =
   Alcotest.run "smp"
     [
@@ -618,5 +711,7 @@ let () =
           Alcotest.test_case "argument guards" `Quick test_smp_guards;
           Alcotest.test_case "out-of-range placement raises" `Quick
             test_placement_hook_out_of_range_raises;
+          Alcotest.test_case "weight-write fingerprint" `Quick
+            test_weight_fingerprint;
         ] );
     ]
