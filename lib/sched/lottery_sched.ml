@@ -61,11 +61,12 @@ type t = {
   mutable wins : float array;
       (* by thread slot [i], two cells: [2i] the currency value and
          [2i + 1] the compensation factor behind the last weight written
-         to the draw. The inputs are cached separately so [account] can
-         compare each against a value read in place (the funding system's
-         flat cache, the thread's compensate field) — comparing the
-         recomputed product would box the fresh float on every decision;
-         adjacent, they usually share a cache line *)
+         to the draw, which a flush re-weighs with. The inputs are cached
+         separately so [account] can compare each against a value read in
+         place (the funding system's flat cache, the thread's compensate
+         field) — comparing the recomputed product would box the fresh
+         float on every decision; adjacent, they usually share a cache
+         line *)
   mutable wlast : float array; (* by thread slot: the last weight written
                                    to the thread's draw. Kept flat so
                                    every write stays unboxed; the draw
@@ -647,13 +648,24 @@ let detach t th =
    queue, and so may dispatched ones, whose caches the re-insert in
    [account] reconciles; both are out of their draws and drain as no-ops
    that read no thread state. Detached threads' entries were cancelled.
-   The queue holds slots, so it never keeps a dead thread reachable. *)
+   The queue holds slots, so it never keeps a dead thread reachable.
+
+   A drained thread in its draw keeps the compensation factor its last
+   weight write recorded in [wins]: the kernel moves a factor only for the
+   thread it runs, which is out of its draw on several shards, and on one
+   shard is accounted before the next select. So the re-weigh reads the
+   flat tables and no thread record ([check_flat_tables] audits the
+   factor cell). *)
 let flush_pending t =
   let q = t.pending in
   for k = 0 to F.settle q - 1 do
     let i = F.nth q k in
     if i >= 0 && t.flags.(i) land in_draw_bit <> 0 then begin
-      write_weight t i (st_at t i);
+      let s = st_at t i in
+      let cv = cur_value t i in
+      t.wins.(2 * i) <- cv;
+      t.wlast.(i) <- cv *. t.wins.((2 * i) + 1);
+      D.set_weight_at t.draw.(s.shard) s.dh t.wlast i;
       t.scoped_updates <- t.scoped_updates + 1
     end
   done;
@@ -827,12 +839,15 @@ let set_profiler t p = t.profiler <- p
 
 (* The flat per-thread tables against the records they describe. Every
    entry's currency slot is its thread currency's (-1 for none), since a
-   re-weigh reads the value there. An entry that is in its draw and not
-   pending is one the quiescent [account] trusts without validating, so it
-   must belong to a live thread whose handle is live in its draw, its
-   currency cache must be valid, and its cached inputs must be the
-   currency's value and reproduce the draw's current weight bit for bit. A
-   ring entry must belong to a live thread. *)
+   re-weigh reads the value there. Every entry in its draw, queued or not,
+   holds its thread's compensation factor bit for bit in its factor cell,
+   which the flush re-weighs with (the compensation contract; between
+   slices, where every caller audits, it holds). An entry that is in its
+   draw and not pending is one the quiescent [account] trusts without
+   validating, so it must belong to a live thread whose handle is live in
+   its draw, its currency cache must be valid, and its cached inputs must
+   be the currency's value and reproduce the draw's current weight bit
+   for bit. A ring entry must belong to a live thread. *)
 let check_flat_tables t out =
   let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
   let bits = Int64.bits_of_float in
@@ -843,6 +858,13 @@ let check_flat_tables t out =
     if t.cslots.(i) <> cslot then
       vf "slot %d: flat currency slot %d but its thread currency is at %d" i
         t.cslots.(i) cslot;
+    (match t.st_tab.(i) with
+    | Some s when fl land in_draw_bit <> 0 ->
+        let f = t.wins.((2 * i) + 1) and live = factor t s.th in
+        if bits f <> bits live then
+          vf "%s: in its draw with cached factor %h but its compensation is %h"
+            s.th.name f live
+    | _ -> ());
     match t.st_tab.(i) with
     | None ->
         if fl <> 0 then vf "slot %d: flags %d set but no thread state" i fl;

@@ -15,7 +15,16 @@
       ticket, contained within its currency;
     - {e compensation tickets} (§3.4, §4.5): the kernel maintains a
       [quantum/used] factor on threads that block early, which this
-      scheduler multiplies into their draw weight;
+      scheduler multiplies into their draw weight. The scheduler caches
+      the factor behind each weight it writes and re-weighs a runnable
+      thread whose funding moved with that cached factor, so it relies
+      on a {e compensation contract}: the kernel changes a thread's
+      [compensate] only while it runs that thread (between the [select]
+      that picked it and its [account]), and [account] then reads the
+      live factor. With several shards a running thread is out of its
+      draw; with one shard there is one CPU, so no [select] comes
+      between. A wake ([ready]) and a placement ([attach]) read the live
+      factor too;
     - {e lottery-scheduled mutexes} (§6.1): [pick_waiter] draws among a
       mutex's waiters weighted by their currency values.
 
@@ -123,12 +132,16 @@ val check_funding_coherence : t -> Lotto_sim.Types.thread list -> string list
     state, and the underlying funding graph
     must pass {!Lotto_tickets.Funding.check_invariants}. Returns one
     string per violation; empty means coherent. It also audits the flat
-    per-thread tables the decision path reads: every thread the quiescent
-    [account] check would trust (in its draw, no refresh pending) must be
-    live with its handle in its draw, have a valid currency cache, and
-    hold cached weight inputs that are its currency's value and reproduce
-    the draw's weight bit for bit; no fallback ring may hold a dead
-    thread. Runs read-only between slices; composed with
+    per-thread tables the decision path reads: every thread in its draw,
+    refresh pending or not, must hold its live compensation factor bit
+    for bit in its cached factor (the compensation contract, above);
+    every thread the quiescent [account] check would trust (in its draw,
+    no refresh pending) must be live with its handle in its draw, have a
+    valid currency cache, and hold cached weight inputs that are its
+    currency's value and reproduce the draw's weight bit for bit; no
+    fallback ring may hold a dead thread. Runs read-only between slices
+    (mid-slice, the running thread's factor has been reset on one
+    shard and is not yet accounted); composed with
     {!Lotto_sim.Kernel.check_invariants} by the {!Lotto_chaos}
     auditor. *)
 

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Mutant catalogue runner. Each test/mutants/*.patch is a small deliberate
-# fault with a header that names, on its "Killed-by:" line, the check that
-# must fail once the patch is applied. For each patch the runner copies the
-# working tree (tracked and untracked, ignored files left out) to a
-# temporary directory, applies the patch there and runs the check:
+# fault with a header that names, on one or more "Killed-by:" lines, the
+# checks that must each fail once the patch is applied. For each patch the
+# runner copies the working tree (tracked and untracked, ignored files left
+# out) to a temporary directory, applies the patch there and runs every
+# check it names:
 #
 #   killed          the check failed, as it must
 #   survived        the check passed: the suite has lost the test that
@@ -11,11 +12,13 @@
 #   does-not-apply  the code moved under the patch: update the patch
 #   does-not-build  the patched tree does not compile: update the patch
 #
-# Exits 1 unless every patch applies and is killed. Run from the root of
-# the repository:   sh test/mutants/run.sh [PATCH...]
+# Exits 1 unless every patch applies and every check it names kills it.
+# Run from the root of the repository:   sh test/mutants/run.sh [PATCH...]
 #
 # Checks:
-#   runtest   dune runtest
+#   runtest             dune runtest
+#   experiments-digest  sh test/experiments_digest.sh | diff
+#                       test/experiments_csv.sha256 -
 
 set -u
 
@@ -32,6 +35,9 @@ fi
 run_check() {
   case "$1" in
     runtest) dune runtest --root . > check.log 2>&1 ;;
+    experiments-digest)
+      sh test/experiments_digest.sh 2> check.err \
+        | diff test/experiments_csv.sha256 - > check.log 2>&1 ;;
     *) echo "unknown check '$1'" > check.log; return 2 ;;
   esac
 }
@@ -40,8 +46,8 @@ failed=0
 for patch in "$@"; do
   case "$patch" in /*) ;; *) patch="$root/$patch" ;; esac
   name=$(basename "$patch" .patch)
-  check=$(sed -n 's/^Killed-by: *//p' "$patch" | head -n 1)
-  if [ -z "$check" ]; then
+  checks=$(sed -n 's/^Killed-by: *//p' "$patch")
+  if [ -z "$checks" ]; then
     echo "$name: no Killed-by line"
     failed=1
     continue
@@ -61,17 +67,19 @@ for patch in "$@"; do
       rm -rf "$tmp"
       continue
     fi
-    (cd "$tmp" && run_check "$check")
-    status=$?
-    if [ "$status" -eq 2 ] && grep -q "^unknown check" "$tmp/check.log"; then
-      echo "$name: unknown check '$check'"
-      failed=1
-    elif [ "$status" -eq 0 ]; then
-      echo "$name: survived $check"
-      failed=1
-    else
-      echo "$name: killed by $check"
-    fi
+    for check in $checks; do
+      (cd "$tmp" && run_check "$check")
+      status=$?
+      if [ "$status" -eq 2 ] && grep -q "^unknown check" "$tmp/check.log"; then
+        echo "$name: unknown check '$check'"
+        failed=1
+      elif [ "$status" -eq 0 ]; then
+        echo "$name: survived $check"
+        failed=1
+      else
+        echo "$name: killed by $check"
+      fi
+    done
   fi
   rm -rf "$tmp"
 done

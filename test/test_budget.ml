@@ -3,7 +3,8 @@
    exact [Gc.minor_words] count ([Fixtures.exact_words]); the others count
    funding edges and hook calls, live words per kill, virtual slices and a
    chi-square failure. A budgeted row that nothing here computes fails its
-   case. The one host-time row, obs-overhead/spans-over-off, is checked by
+   case, and so does a computed row that the file does not budget. The one
+   host-time row, obs-overhead/spans-over-off, is checked by
    test/spans_over_off.exe instead. *)
 
 open Core
@@ -475,6 +476,15 @@ let measure (name, budget) =
       if v <= budget then Ok ()
       else Error (sprintf "%s: %.3f is over its budget %.3f" name v budget)
 
+(* The computed rows that [budget] does not list. Each fails as its own
+   case: a row nothing budgets would otherwise never run. *)
+let unbudgeted budget =
+  List.filter_map
+    (fun (name, _) ->
+      if List.mem_assoc name budget then None
+      else Some (name, Error (sprintf "%s: computed, but nothing budgets it" name)))
+    rows
+
 let rejects text msg =
   match F.parse_budget "B.txt" text with
   | _ -> Alcotest.failf "accepted %S" text
@@ -491,6 +501,12 @@ let budget_file_cases =
         Alcotest.(check (result unit string))
           "fails" (Error "no/such-row: budgeted, but nothing computes it")
           (measure ("no/such-row", 1.)));
+    Alcotest.test_case "a row nothing budgets" `Quick (fun () ->
+        let first = fst (List.hd rows) in
+        Alcotest.(check (list (pair string (result unit string))))
+          "fails"
+          [ (first, Error (first ^ ": computed, but nothing budgets it")) ]
+          (unbudgeted (List.map (fun (name, _) -> (name, 1.)) (List.tl rows))));
   ]
 
 (* "family/row" -> ("family", "row") *)
@@ -504,13 +520,17 @@ let () =
   let budget =
     List.filter (fun (n, _) -> n <> F.spans_row) (F.read_budget "../OBS_BUDGET.txt")
   in
+  let checks =
+    List.map (fun ((name, _) as row) -> (name, fun () -> measure row)) budget
+    @ List.map (fun (name, err) -> (name, fun () -> err)) (unbudgeted budget)
+  in
   let family (name, _) = fst (split name) in
-  let case ((name, _) as row) =
+  let case (name, check) =
     Alcotest.test_case (snd (split name)) `Quick (fun () ->
-        Result.iter_error Alcotest.fail (measure row))
+        Result.iter_error Alcotest.fail (check ()))
   in
   Alcotest.run "budget"
     (("budget-file", budget_file_cases)
     :: List.map
-         (fun f -> (f, List.map case (List.filter (fun r -> family r = f) budget)))
-         (List.sort_uniq compare (List.map family budget)))
+         (fun f -> (f, List.map case (List.filter (fun r -> family r = f) checks)))
+         (List.sort_uniq compare (List.map family checks)))

@@ -561,6 +561,36 @@ let test_coherence_flags_dead_target () =
     [ "t0: transfers to thread 1, which is not live" ]
     (Lottery_sched.check_funding_coherence ls [ client ])
 
+(* A flush re-weighs a thread in its draw with the compensation factor its
+   last weight write recorded, so the audit holds every such entry, queued
+   or not, to its thread's live factor: here one factor moves behind the
+   scheduler's back, with no [account], on a trusted entry and on a queued
+   one. *)
+let test_coherence_flags_moved_factor () =
+  let ls = Lottery_sched.create ~rng:(Rng.create ~seed:5 ()) () in
+  let s = Lottery_sched.sched ls in
+  let base = Lottery_sched.base_currency ls in
+  let t0 = bare_thread 0 and t1 = bare_thread 1 in
+  s.Types.attach t0;
+  s.Types.attach t1;
+  ignore (Lottery_sched.fund_thread ls t0 ~amount:100 ~from:base);
+  let tk1 = Lottery_sched.fund_thread ls t1 ~amount:200 ~from:base in
+  ignore (s.Types.select ~cpu:0);
+  let audit () = Lottery_sched.check_funding_coherence ls [ t0; t1 ] in
+  check (Alcotest.list Alcotest.string) "clean after a flush" [] (audit ());
+  t0.Types.compensate <- 2.5;
+  t1.Types.compensate <- 4.;
+  Lottery_sched.set_ticket_amount ls tk1 300;
+  check (Alcotest.list Alcotest.string) "both moved factors"
+    [
+      "t0: in its draw with cached factor 0x1p+0 but its compensation is 0x1.4p+1";
+      "t1: in its draw with cached factor 0x1p+0 but its compensation is 0x1p+2";
+    ]
+    (audit ());
+  s.Types.account t0 ~used:4 ~quantum:10 ~blocked:false;
+  s.Types.account t1 ~used:2 ~quantum:10 ~blocked:false;
+  check (Alcotest.list Alcotest.string) "clean once accounted" [] (audit ())
+
 (* Incremental valuation in the scheduler: with N runnable threads, blocking
    and waking one of them must never trigger a full weight refresh, and each
    block/wake cycle must cost exactly one scoped per-thread weight update —
@@ -1070,6 +1100,8 @@ let () =
             test_coherence_flags_runnable_donor;
           Alcotest.test_case "coherence flags a dead target" `Quick
             test_coherence_flags_dead_target;
+          Alcotest.test_case "coherence flags a factor moved behind the scheduler"
+            `Quick test_coherence_flags_moved_factor;
         ] );
       ( "reclamation",
         [
