@@ -1,22 +1,31 @@
 open Lotto_sim
 open Lotto_sim.Types
 module LS = Lotto_sched.Lottery_sched
+module Svc = Lotto_service
 
-type ctx = { kernel : Kernel.t; ls : LS.t; point : unit -> unit }
+type ctx = {
+  kernel : Kernel.t;
+  ls : LS.t;
+  rng : Lotto_prng.Rng.t;
+  point : unit -> unit;
+  audit : (unit -> string list) -> unit;
+}
 
 type t = { name : string; horizon : Time.t; build : ctx -> unit }
 
 let fund ctx th amount =
   ignore (LS.fund_thread ctx.ls th ~amount ~from:(LS.base_currency ctx.ls))
 
-(* Every scenario terminates on its own (bounded loops) well before its
-   horizon when no fault fires; injected kills may strand peers on wait
-   queues, which the soak driver tolerates as a legitimate deadlock. All
-   state is scenario-local — no module-level mutables. *)
+(* Every scenario but [service] terminates on its own (bounded loops) well
+   before its horizon when no fault fires; injected kills may strand peers
+   on wait queues, which the soak tolerates as a legitimate
+   deadlock. All state is scenario-local — no module-level mutables. *)
 
-let rpc =
+(* Two servers answer three clients' synchronous RPCs on one port; [serve]
+   is what a server does with a received message. *)
+let rpc_world name ~serve =
   {
-    name = "rpc";
+    name;
     horizon = Time.seconds 30;
     build =
       (fun ctx ->
@@ -28,8 +37,7 @@ let rpc =
                 for _ = 1 to 12 do
                   let m = Api.receive p in
                   ctx.point ();
-                  Api.compute_ms 2;
-                  Api.reply m ("ok:" ^ m.payload)
+                  serve m
                 done)
           in
           fund ctx srv 300
@@ -46,6 +54,11 @@ let rpc =
           fund ctx c (100 * i)
         done);
   }
+
+let rpc =
+  rpc_world "rpc" ~serve:(fun m ->
+      Api.compute_ms 2;
+      Api.reply m ("ok:" ^ m.payload))
 
 let scatter =
   {
@@ -206,50 +219,31 @@ let sem_fifo =
         done);
   }
 
+(* The service stack itself, built by [Service.build]: tenant A (share
+   900, Poisson 150/s, two workers behind a reject-new port of 4, 4 stubs)
+   beside tenant B (share 100, Poisson 400/s, one worker behind a
+   drop-oldest port of 2), whose 8 stubs outnumber its port and worker so
+   it sheds by eviction. Both do one I/O per request on a 2 ms device.
+   Its threads run to the horizon; the world's own books are its check. *)
 let service =
+  let horizon = Time.seconds 1 in
   {
     name = "service";
-    horizon = Time.seconds 30;
+    horizon;
     build =
       (fun ctx ->
-        let k = ctx.kernel in
-        (* worker pool behind a bounded drop-oldest port: the offered load
-           overruns the queue, so admission control sheds while the
-           injector kills workers and clients mid-flight. Each surviving
-           client closes its own books — every request it issued must end
-           served or shed; anything else is a real accounting bug. *)
-        let p = Kernel.create_port ~capacity:4 ~shed:Drop_oldest k ~name:"svc" in
-        for i = 1 to 3 do
-          let srv =
-            Kernel.spawn k ~name:(Printf.sprintf "worker%d" i) (fun () ->
-                for _ = 1 to 10 do
-                  let m = Api.receive p in
-                  ctx.point ();
-                  Api.compute_ms 3;
-                  Api.reply m "ok"
-                done)
-          in
-          fund ctx srv 300
-        done;
-        for i = 1 to 4 do
-          let c =
-            Kernel.spawn k ~name:(Printf.sprintf "client%d" i) (fun () ->
-                let served = ref 0 and shed = ref 0 in
-                for j = 1 to 8 do
-                  ctx.point ();
-                  (match Api.rpc p (Printf.sprintf "c%d-%d" i j) with
-                  | (_ : string) -> incr served
-                  | exception Rejected _ -> incr shed);
-                  Api.compute_ms 1
-                done;
-                (* a killed client never reaches this line (Killed unwinds
-                   it), so the check only fires for clients that ran their
-                   full loop — where it must hold exactly *)
-                if !served + !shed <> 8 then
-                  failwith "service: request neither served nor shed")
-          in
-          fund ctx c (50 * i)
-        done);
+        let spec = Svc.Tenant.spec ~io_per_req:1 in
+        let cfg =
+          Svc.Service.config ~horizon ~io_slot:(Time.ms 2)
+            [
+              spec ~share:900 ~arrivals:(Svc.Arrivals.Poisson 150.) ~capacity:4
+                ~workers:2 ~stubs:4 "A";
+              spec ~share:100 ~arrivals:(Svc.Arrivals.Poisson 400.)
+                ~shed:Drop_oldest ~capacity:2 ~workers:1 ~stubs:8 "B";
+            ]
+        in
+        let w = Svc.Service.build ~ls:ctx.ls ~rng:ctx.rng ctx.kernel cfg in
+        ctx.audit (fun () -> Svc.Service.check w));
   }
 
 let all = [ rpc; scatter; mutex; cond; sem; sem_fifo; service ]
@@ -266,38 +260,10 @@ let buggy_reply (m : message) result =
   Api.reply m result
 
 let rpc_buggy =
-  {
-    name = "rpc-buggy";
-    horizon = Time.seconds 30;
-    build =
-      (fun ctx ->
-        let k = ctx.kernel in
-        let p = Kernel.create_port k ~name:"svc" in
-        for i = 1 to 2 do
-          let srv =
-            Kernel.spawn k ~name:(Printf.sprintf "server%d" i) (fun () ->
-                for _ = 1 to 12 do
-                  let m = Api.receive p in
-                  ctx.point ();
-                  (* long service window so the client often dies mid-request *)
-                  Api.sleep_ms 20;
-                  Api.compute_ms 2;
-                  buggy_reply m ("ok:" ^ m.payload)
-                done)
-          in
-          fund ctx srv 300
-        done;
-        for i = 1 to 3 do
-          let c =
-            Kernel.spawn k ~name:(Printf.sprintf "client%d" i) (fun () ->
-                for j = 1 to 8 do
-                  ctx.point ();
-                  ignore (Api.rpc p (Printf.sprintf "c%d-%d" i j));
-                  Api.compute_ms 1
-                done)
-          in
-          fund ctx c (100 * i)
-        done);
-  }
+  rpc_world "rpc-buggy" ~serve:(fun m ->
+      (* long service window so the client often dies mid-request *)
+      Api.sleep_ms 20;
+      Api.compute_ms 2;
+      buggy_reply m ("ok:" ^ m.payload))
 
 let find name = List.find_opt (fun s -> s.name = name) (rpc_buggy :: all)

@@ -32,14 +32,16 @@ let run_one ?(plan = Plan.default) ?(audit = true) ?(cpus = 1)
      leaked — kills must produce Orphaned/Dropped spans, not silence *)
   let span = Lotto_obs.Span.create () in
   Lotto_obs.Span.attach span (Kernel.bus kernel);
+  let checks = ref [] in
   sc.Scenarios.build
-    { Scenarios.kernel; ls; point = (fun () -> Injector.point inj) };
+    { Scenarios.kernel; ls; rng; point = (fun () -> Injector.point inj);
+      audit = (fun c -> checks := c :: !checks) };
   let violations = ref [] in
   let audit_now () =
     (* first finding wins: one corrupted slice cascades, so later batches
        add noise, not information *)
     if audit && !violations = [] then
-      match Audit.check ~sched:ls kernel with
+      match Audit.check ~sched:ls kernel @ List.concat_map (fun c -> c ()) !checks with
       | [] -> ()
       | vs -> violations := List.map (fun v -> (Kernel.now kernel, v)) vs
   in
@@ -48,8 +50,18 @@ let run_one ?(plan = Plan.default) ?(audit = true) ?(cpus = 1)
        (fun () ->
          Injector.step inj;
          audit_now ()));
-  let summary = Kernel.run kernel ~until:sc.Scenarios.horizon in
-  audit_now ();
+  let summary =
+    match Kernel.run kernel ~until:sc.Scenarios.horizon with
+    | summary ->
+        audit_now ();
+        summary
+    | exception e ->
+        (* a kernel or scheduler bug fails this run, with its repro pair,
+           instead of ending the sweep; the broken state goes unaudited *)
+        let now = Kernel.now kernel in
+        violations := !violations @ [ (now, "kernel raised " ^ Printexc.to_string e) ];
+        { Types.ended_at = now; idle_ticks = 0; deadlocked = false; slices = 0 }
+  in
   Lotto_obs.Span.finalize span ~now:(Kernel.now kernel);
   let span_violations =
     List.map
@@ -81,18 +93,11 @@ let first_failure r =
 let seed_range ~from ~count = List.init count (fun i -> from + i)
 
 let soak ?plan ?audit ?cpus ?(scenarios = Scenarios.all) ~seeds () =
-  let runs = ref 0 in
-  let failures = ref [] in
-  List.iter
-    (fun sc ->
-      List.iter
-        (fun seed ->
-          incr runs;
-          let o = run_one ?plan ?audit ?cpus sc ~seed in
-          if failed o then failures := o :: !failures)
-        seeds)
-    scenarios;
-  { runs = !runs; failures = List.rev !failures }
+  let run sc seed = run_one ?plan ?audit ?cpus sc ~seed in
+  let failures =
+    List.concat_map (fun sc -> List.filter failed (List.map (run sc) seeds)) scenarios
+  in
+  { runs = List.length scenarios * List.length seeds; failures }
 
 let pp_outcome buf o =
   Buffer.add_string buf

@@ -3,14 +3,14 @@
 
     Each run builds a fresh lottery-scheduled kernel from the seed, wires
     an {!Injector} into the kernel's pre-select hook, and (by default)
-    runs the combined {!Audit} at {e every} scheduling boundary plus once
-    after the run. Every run also carries a {!Lotto_obs.Span} tracer (a
-    passive bus subscriber, so determinism is unaffected): after the run
-    it is finalized and any structural span violation — a leaked,
-    double-received or double-closed RPC span — fails the run alongside
-    the invariant audit. A run fails when any invariant is violated or any
-    thread dies with an exception other than {!Lotto_sim.Types.Killed};
-    deadlocks are tolerated (stranding peers is a legitimate consequence
+    runs the combined {!Audit} and the scenario's own check at {e every}
+    scheduling boundary plus once after the run. Every run also carries a
+    {!Lotto_obs.Span} tracer (a passive bus subscriber, so determinism is
+    unaffected): after the run it is finalized and any structural span
+    violation — a leaked, double-received or double-closed RPC span —
+    fails the run alongside the invariant audit. A run fails when any
+    invariant is violated, the kernel raises, or any thread dies with an
+    exception other than {!Lotto_sim.Types.Killed}; deadlocks are tolerated (stranding peers is a legitimate consequence
     of a kill). Runs are deterministic: re-invoking {!run_one} with the
     same [(plan, scenario, seed)] reproduces the identical outcome. *)
 
@@ -18,8 +18,10 @@ type outcome = {
   scenario : string;
   seed : int;
   violations : (Lotto_sim.Time.t * string) list;
-      (** first non-empty audit batch (auditing stops once corrupt),
-          followed by any end-of-run span violations (prefixed ["span: "]) *)
+      (** first non-empty audit batch (auditing stops once corrupt), then
+          any exception the kernel raised (its run summary then counts no
+          slices), then any end-of-run span violations (prefixed
+          ["span: "]) *)
   thread_failures : (string * string) list;
       (** name, exn of every thread whose body raised something other
           than [Killed] ({!Lotto_sim.Kernel.failures}) *)

@@ -900,14 +900,16 @@ let check_funding_coherence t threads =
   let vf fmt = Printf.ksprintf (fun s -> out := s :: !out) fmt in
   let live = Hashtbl.create 64 in
   List.iter (fun (th : thread) -> Hashtbl.replace live th.id ()) threads;
-  (* A transfer lives while its source is blocked (§4.6: destroyed when
-     the client wakes), and its target's [detach] destroys it. *)
+  (* A transfer lives while its source waits in an RPC, lock or join (§4.6:
+     destroyed when the client wakes), and its target's [detach] destroys it. *)
   List.iter
     (fun th ->
       match find_state t th with
       | Some { donations = _ :: _ as ds; _ } ->
-          if th.state <> Blocked then
-            vf "%s: holds transfers while not Blocked" th.name;
+          (match (th.state, th.pending) with
+          | Blocked, (Waiting_reply | Waiting_replies _ | Waiting_lock | Waiting_join) -> ()
+          | Blocked, _ -> vf "%s: holds transfers outside an RPC, lock or join wait" th.name
+          | _ -> vf "%s: holds transfers while not Blocked" th.name);
           List.iter
             (fun (dst, _) ->
               if not (Hashtbl.mem live dst) then

@@ -126,10 +126,10 @@ val set_profiler : t -> Lotto_obs.Profile.t option -> unit
 val check_funding_coherence : t -> Lotto_sim.Types.thread list -> string list
 (** Audit the scheduler's funding view against the kernel's live
     [threads]. The scheduler holds the only record of a ticket transfer,
-    so a thread that holds transfers must be [Blocked] (the kernel revokes
-    on every wake) and each transfer must target one of [threads] (a
-    target's death destroys it). Dead threads must hold no scheduler
-    state, and the underlying funding graph
+    so a thread that holds transfers must be [Blocked] in an RPC, lock or
+    join wait (the kernel revokes on every wake) and each transfer must
+    target one of [threads] (a target's death destroys it). Dead threads
+    must hold no scheduler state, and the underlying funding graph
     must pass {!Lotto_tickets.Funding.check_invariants}. Returns one
     string per violation; empty means coherent. It also audits the flat
     per-thread tables the decision path reads: every thread in its draw,

@@ -32,4 +32,6 @@ val generator : t -> Lotto_sim.Types.thread
 val accounted : t -> bool
 (** The conservation law [arrivals = served + shed + backlog + holding].
     Holds at every point where no stub is between its counter updates —
-    in particular after {!Lotto_sim.Kernel.run} returns. *)
+    at every scheduling boundary. Kills need no extra term: a worker
+    killed mid-request never replies, so its stub waits in [Waiting_reply]
+    to the horizon with the request held, as does a stub killed mid-RPC. *)

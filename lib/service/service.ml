@@ -58,58 +58,51 @@ type runtime = {
   io_client : Io.client option;
 }
 
-let run ?(cpus = 1) cfg =
-  let rng = Rng.create ~seed:cfg.seed () in
+type world = {
+  horizon : Time.t;
+  metrics : Metrics.t;
+  slo : Slo.t;
+  io_dev : Io.t option;
+  runtimes : runtime list;
+}
+
+let build ?ls ~rng kernel cfg =
+  if (cfg.sched_kind = Lottery) <> Option.is_some ls then
+    invalid_arg "Service.build: a lottery exactly when sched_kind is Lottery";
   let io_rng = Rng.split rng in
   (* One split stream per tenant for arrivals, drawn before the scheduler
      consumes the parent stream, so a tenant's schedule depends only on
      (seed, tenant order) — not on scheduling decisions. *)
   let tenant_rngs = List.map (fun _ -> Rng.split rng) cfg.tenants in
-  let ls, sched =
-    match cfg.sched_kind with
-    | Lottery ->
-        let ls = Ls.create ~shards:cpus ~rng () in
-        (Some ls, Ls.sched ls)
-    | Decay_usage -> (None, Decay.(sched (create ())))
-  in
-  let kernel = Kernel.create ~quantum:cfg.quantum ~cpus ~sched () in
   let metrics = Metrics.create () in
   Metrics.attach metrics (Kernel.bus kernel);
   let slo = Slo.create () in
   let io_dev =
-    match cfg.io_slot with
-    | None -> None
-    | Some _ -> (
-        match ls with
-        | Some ls -> Some (Io.create ~funding:(Ls.funding ls) ~rng:io_rng ())
-        | None -> Some (Io.create ~rng:io_rng ()))
+    Option.map
+      (fun _ -> Io.create ?funding:(Option.map Ls.funding ls) ~rng:io_rng ())
+      cfg.io_slot
   in
-  let fund th ~amount ~from =
-    match ls with
-    | Some ls -> ignore (Ls.fund_thread ls th ~amount ~from)
-    | None -> ()
-  in
+  let fund ls th amount cur = ignore (Ls.fund_thread ls th ~amount ~from:cur) in
   let runtimes =
     List.map2
       (fun (spec : Tenant.spec) trng ->
         let currency =
-          match ls with
-          | Some ls ->
+          Option.map
+            (fun ls ->
               let cur = Ls.make_currency ls spec.name in
               ignore
                 (Ls.fund_currency ls ~target:cur ~amount:spec.share
                    ~from:(Ls.base_currency ls));
-              Some cur
-          | None -> None
+              (ls, cur))
+            ls
         in
         let io_client =
           match io_dev with
-          | Some dev when spec.io_per_req > 0 -> (
-              match currency with
-              | Some cur ->
-                  Some (Io.add_funded_client dev ~name:spec.name ~currency:cur ())
-              | None ->
-                  Some (Io.add_client dev ~name:spec.name ~tickets:spec.share))
+          | Some dev when spec.io_per_req > 0 ->
+              Some
+                (match currency with
+                | Some (_, cur) -> Io.add_funded_client dev ~name:spec.name ~currency:cur ()
+                | None -> Io.add_client dev ~name:spec.name ~tickets:spec.share)
           | _ -> None
         in
         let ten = Slo.tenant slo spec.name in
@@ -122,14 +115,12 @@ let run ?(cpus = 1) cfg =
         in
         let pool = Pool.spawn kernel ~spec ~on_served () in
         let client = Client.spawn kernel ~spec ~rng:trng ~slo ~port:(Pool.port pool) in
-        (match currency with
-        | Some cur ->
-            List.iter
-              (fun w -> fund w ~amount:100 ~from:cur)
-              (Pool.workers pool);
-            List.iter (fun s -> fund s ~amount:1 ~from:cur) (Client.stubs client);
-            fund (Client.generator client) ~amount:1 ~from:cur
-        | None -> ());
+        Option.iter
+          (fun (ls, cur) ->
+            List.iter (fun w -> fund ls w 100 cur) (Pool.workers pool);
+            List.iter (fun s -> fund ls s 1 cur) (Client.stubs client);
+            fund ls (Client.generator client) 1 cur)
+          currency;
         { spec; pool; client; io_client })
       cfg.tenants tenant_rngs
   in
@@ -142,14 +133,27 @@ let run ?(cpus = 1) cfg =
               ignore (Io.serve_slot dev)
             done)
       in
-      (match ls with
-      | Some ls ->
-          ignore
-            (Ls.fund_thread ls device ~amount:50 ~from:(Ls.base_currency ls))
-      | None -> ())
+      Option.iter (fun ls -> fund ls device 50 (Ls.base_currency ls)) ls
   | _ -> ());
-  let summary = Kernel.run kernel ~until:cfg.horizon in
-  (* Capture: pull I/O completions into the SLO rows before rendering. *)
+  { horizon = cfg.horizon; metrics; slo; io_dev; runtimes }
+
+let slo w = w.slo
+
+(* The two books, per tenant: conservation at the client, and the sheds
+   its stubs saw against its port's count. *)
+let check w =
+  List.concat_map
+    (fun rt ->
+      let name = rt.spec.name and port = Pool.shed_count rt.pool in
+      let seen = (Slo.tenant w.slo name).Slo.shed in
+      (if Client.accounted rt.client then [] else [ name ^ ": arrivals unaccounted" ])
+      @
+      if seen = port then []
+      else [ Printf.sprintf "%s: stubs saw %d sheds, the port counted %d" name seen port ])
+    w.runtimes
+
+let capture { horizon; metrics; slo; io_dev; runtimes } (summary : Types.run_summary) =
+  (* Pull I/O completions into the SLO rows before rendering. *)
   List.iter
     (fun rt ->
       match (io_dev, rt.io_client) with
@@ -161,8 +165,8 @@ let run ?(cpus = 1) cfg =
   let entitled =
     List.concat_map
       (fun rt ->
-        let w = float_of_int rt.spec.share /. float_of_int rt.spec.workers in
-        List.map (fun th -> (Kernel.thread_id th, w)) (Pool.workers rt.pool))
+        let e = float_of_int rt.spec.share /. float_of_int rt.spec.workers in
+        List.map (fun th -> (Kernel.thread_id th, e)) (Pool.workers rt.pool))
       runtimes
   in
   let _, chi_square_p = Metrics.fairness metrics ~entitled in
@@ -178,7 +182,7 @@ let run ?(cpus = 1) cfg =
           shed = ten.Slo.shed;
           in_flight = Slo.in_flight ten;
           kernel_shed = Pool.shed_count rt.pool;
-          goodput_per_s = Slo.goodput_per_s ten ~horizon:cfg.horizon;
+          goodput_per_s = Slo.goodput_per_s ten ~horizon;
           p50_ms = Slo.percentile_ms ten 50.;
           p99_ms = Slo.percentile_ms ten 99.;
           p999_ms = Slo.percentile_ms ten 99.9;
@@ -204,5 +208,19 @@ let run ?(cpus = 1) cfg =
     slices = summary.Types.slices;
     prom = Slo.to_prom slo;
   }
+
+let run ?(cpus = 1) cfg =
+  let rng = Rng.create ~seed:cfg.seed () in
+  (* the lottery takes no draw before the kernel runs, so [build]'s
+     splits still come first off [rng] *)
+  let ls =
+    match cfg.sched_kind with
+    | Lottery -> Some (Ls.create ~shards:cpus ~rng ())
+    | Decay_usage -> None
+  in
+  let sched = match ls with Some ls -> Ls.sched ls | None -> Decay.(sched (create ())) in
+  let kernel = Kernel.create ~quantum:cfg.quantum ~cpus ~sched () in
+  let w = build ?ls ~rng kernel cfg in
+  capture w (Kernel.run kernel ~until:cfg.horizon)
 
 let find report name = List.find (fun tr -> tr.t_name = name) report.tenants

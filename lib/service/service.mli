@@ -1,6 +1,6 @@
-(** Multi-tenant service harness: wires tenants, pools, clients, funding,
-    and the optional I/O device into one kernel run and captures a
-    per-tenant SLO report.
+(** Multi-tenant service harness: {!build} wires tenants, pools, clients,
+    funding, and the optional I/O device onto a kernel, and {!capture}
+    reads a per-tenant SLO report once it has run.
 
     Under {!Lottery} each tenant is a {!Lotto_tickets.Funding} currency
     funded with its share from the base currency; the currency backs the
@@ -58,17 +58,38 @@ type report = {
           entitlements ({!Lotto_obs.Metrics.fairness}); high = consistent *)
   accounted : bool;
       (** every tenant satisfied
-          [arrivals = served + shed + backlog + holding] at capture *)
+          [arrivals = served + shed + backlog + holding] at capture;
+          kills included ({!Client.accounted}) *)
   shed_consistent : bool;
-      (** client-observed shed counts equal kernel port shed counts *)
+      (** client-observed shed counts equal kernel port shed counts;
+          kills included ({!Lotto_sim.Kernel.port_shed_count}) *)
   total_quanta : int;
   slices : int;
   prom : string;  (** {!Slo.to_prom} capture, ready to expose or snapshot *)
 }
 
+type world
+
+val build :
+  ?ls:Lotto_sched.Lottery_sched.t -> rng:Lotto_prng.Rng.t -> Lotto_sim.Kernel.t -> config -> world
+(** Spawn and fund [cfg]'s tenants (and the I/O device) on the kernel,
+    funding through [ls], which is given exactly when [cfg.sched_kind] is
+    {!Lottery} ([Invalid_argument] otherwise). The device and arrival
+    streams are split off [rng], the stream [ls] draws from, so build
+    before the kernel runs. [cfg.seed] and [cfg.quantum] are {!run}'s. *)
+
+val check : world -> string list
+(** One line per tenant whose [accounted] or [shed_consistent] book fails;
+    both hold at every scheduling boundary, kills included. *)
+
+val slo : world -> Slo.t
+
+val capture : world -> Lotto_sim.Types.run_summary -> report
+(** The report once the kernel has run to [cfg.horizon]. *)
+
 val run : ?cpus:int -> config -> report
-(** Build the world, run to the horizon, capture. Deterministic per
-    [(config, cpus)]. *)
+(** {!build} on a fresh [cpus]-CPU kernel, run to the horizon,
+    {!capture}. Deterministic per [(config, cpus)]. *)
 
 val find : report -> string -> tenant_report
 (** Raises [Not_found] for an unknown tenant name. *)

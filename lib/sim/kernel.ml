@@ -819,16 +819,22 @@ let shed_rpc k th p ~id ~payload kc =
       match take_oldest_victim k p with
       | None -> reject_rpc k th p ~id ~reason:"no-victim" kc
       | Some victim ->
-          p.shed_count <- p.shed_count + 1;
-          if observed k then
-            emit k
-              (Obs.Event.Rpc_shed
-                 { who = actor k victim.sender; port = p.port_name;
-                   msg_id = victim.msg_id; reason = "drop-oldest";
-                   parent =
-                     (match victim.sender.servicing with
-                     | [] -> None
-                     | s :: _ -> Some s) });
+          (* a victim nobody waits on (its sender died, or moved on to this
+             very request) refuses no one: its eviction frees the slot but
+             counts and traces no shed *)
+          let v = victim.sender in
+          let refused =
+            v != th && match v.pending with Waiting_reply -> awaits k v victim | _ -> false
+          in
+          if refused then begin
+            p.shed_count <- p.shed_count + 1;
+            if observed k then
+              emit k
+                (Obs.Event.Rpc_shed
+                   { who = actor k v; port = p.port_name;
+                     msg_id = victim.msg_id; reason = "drop-oldest";
+                     parent = (match v.servicing with [] -> None | s :: _ -> Some s) })
+          end;
           (* admit the new request before unwinding the victim, so the
              queue never overshoots capacity if the victim's body catches
              [Rejected] and immediately retries *)
@@ -842,24 +848,19 @@ let shed_rpc k th p ~id ~payload kc =
           (* deliver [Rejected] into the victim's sender, [kill]-style: the
              body may catch it and keep going, so fix up catch-and-continue
              threads that came back runnable without being re-readied *)
-          (match victim.sender.pending with
-          | Waiting_reply when awaits k victim.sender victim ->
-              let v = victim.sender in
-              let vkc = (wait_of k v).w_kstr in
-              if v.state = Blocked then revoke k v;
-              k.r_th <- v;
-              settle_aside k v (discontinue vkc p.rej);
-              k.r_th <- th;
-              (match (v.state, v.pending) with
-              | ( Blocked,
-                  ( Not_started _ | Compute | Ready_unit | Ready_msg | Ready_reply
-                  | Ready_replies _ ) ) ->
-                  unblock k v
-              | _ -> ())
-          | _ ->
-              (* stale: the sender died or moved on, perhaps to a newer
-                 request; nothing waits for this one *)
-              ());
+          if refused then begin
+            let vkc = (wait_of k v).w_kstr in
+            if v.state = Blocked then revoke k v;
+            k.r_th <- v;
+            settle_aside k v (discontinue vkc p.rej);
+            k.r_th <- th;
+            match (v.state, v.pending) with
+            | ( Blocked,
+                ( Not_started _ | Compute | Ready_unit | Ready_msg | Ready_reply
+                | Ready_replies _ ) ) ->
+                unblock k v
+            | _ -> ()
+          end;
           S_blocked)
 
 let on_rpc k (kc : (string, step) continuation) =

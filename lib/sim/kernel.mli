@@ -72,7 +72,9 @@ val port_would_shed : Types.port -> bool
     allocation-free — benchable as the shed decision cost. *)
 
 val port_shed_count : Types.port -> int
-(** Requests shed at this port so far (both policies). *)
+(** Requests shed at this port so far, each a sender that got
+    {!Types.Rejected} and one [Rpc_shed]. Evicting a request whose sender
+    was killed while it queued only frees the slot: no shed. *)
 
 val create_mutex : t -> ?policy:Types.wake_policy -> string -> Types.mutex
 (** [create_mutex k name] with [policy] defaulting to [Fifo]. *)

@@ -11,6 +11,7 @@
 #                   killed this mutant
 #   does-not-apply  the code moved under the patch: update the patch
 #   does-not-build  the patched tree does not compile: update the patch
+#   broke           the check could not run to a verdict
 #
 # Exits 1 unless every patch applies and every check it names kills it.
 # Run from the root of the repository:   sh test/mutants/run.sh [PATCH...]
@@ -19,6 +20,9 @@
 #   runtest             dune runtest
 #   experiments-digest  sh test/experiments_digest.sh | diff
 #                       test/experiments_csv.sha256 -
+#   soak                chaos soak --seeds 200 --from 0; only its exit
+#                       status 1 (the soak ran and found a failing run)
+#                       kills, any other failure is reported as broken
 
 set -u
 
@@ -38,6 +42,9 @@ run_check() {
     experiments-digest)
       sh test/experiments_digest.sh 2> check.err \
         | diff test/experiments_csv.sha256 - > check.log 2>&1 ;;
+    soak)
+      ./_build/default/bin/chaos.exe soak --seeds 200 --from 0 > check.log 2>&1
+      case $? in 0) return 0 ;; 1) return 1 ;; *) return 3 ;; esac ;;
     *) echo "unknown check '$1'" > check.log; return 2 ;;
   esac
 }
@@ -75,6 +82,9 @@ for patch in "$@"; do
         failed=1
       elif [ "$status" -eq 0 ]; then
         echo "$name: survived $check"
+        failed=1
+      elif [ "$check" = soak ] && [ "$status" -eq 3 ]; then
+        echo "$name: broke $check"
         failed=1
       else
         echo "$name: killed by $check"

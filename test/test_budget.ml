@@ -295,51 +295,26 @@ let io_cycle_op () =
 (* Minor words per resolved request (served or shed) on the loaded arm of
    the service-insulation experiment: tenant A (share 900, Poisson 207/s)
    beside tenant B flooding at 10x its share (100, Poisson 200/s), one I/O
-   per request on a 2 ms device, composed from the public service API with
-   [Metrics] subscribed, as [Service.run] composes it. Counted over 60 s of
-   virtual time after a 30 s warm-up. *)
+   per request on a 2 ms device, built by [Service.build] with [Metrics]
+   subscribed, as [Service.run] builds it. Counted over 60 s of virtual
+   time after a 30 s warm-up. *)
 let service_request_words () =
-  let module Svc = Service in
-  let tenants =
-    [
-      Svc.Tenant.spec ~share:900 ~arrivals:(Svc.Arrivals.Poisson 207.) ~io_per_req:1 "A";
-      Svc.Tenant.spec ~share:100 ~arrivals:(Svc.Arrivals.Poisson 200.) ~io_per_req:1 "B";
-    ]
+  let spec = Service.Tenant.spec ~io_per_req:1 in
+  let cfg =
+    Service.Harness.config ~io_slot:(ms 2)
+      [
+        spec ~share:900 ~arrivals:(Service.Arrivals.Poisson 207.) "A";
+        spec ~share:100 ~arrivals:(Service.Arrivals.Poisson 200.) "B";
+      ]
   in
-  let rng = Rng.create ~seed:94 () in
-  let io_rng = Rng.split rng in
-  let tenant_rngs = List.map (fun _ -> Rng.split rng) tenants in
+  let rng = Rng.create ~seed:cfg.seed () in
   let ls = Ls.create ~rng () in
-  let k = Kernel.create ~quantum:(ms 10) ~sched:(Ls.sched ls) () in
-  Obs.Metrics.attach (Obs.Metrics.create ()) (Kernel.bus k);
-  let slo = Svc.Slo.create () in
-  let dev = Io_bandwidth.create ~funding:(Ls.funding ls) ~rng:io_rng () in
-  List.iter2
-    (fun (spec : Svc.Tenant.spec) trng ->
-      let cur = currency ls spec.name spec.share in
-      let ioc = Io_bandwidth.add_funded_client dev ~name:spec.name ~currency:cur () in
-      let ten = Svc.Slo.tenant slo spec.name in
-      let on_served () =
-        ten.io_submitted <- ten.io_submitted + spec.io_per_req;
-        Io_bandwidth.submit dev ioc ~requests:spec.io_per_req
-      in
-      let pool = Svc.Pool.spawn k ~spec ~on_served () in
-      let client = Svc.Client.spawn k ~spec ~rng:trng ~slo ~port:(Svc.Pool.port pool) in
-      List.iter (fun th -> fund ls ~from:cur th 100) (Svc.Pool.workers pool);
-      List.iter (fun th -> fund ls ~from:cur th 1) (Svc.Client.stubs client);
-      fund ls ~from:cur (Svc.Client.generator client) 1)
-    tenants tenant_rngs;
-  fund ls
-    (Kernel.spawn k ~name:"io.device" (fun () ->
-         while true do
-           Api.sleep (ms 2);
-           ignore (Io_bandwidth.serve_slot dev)
-         done))
-    50;
+  let k = Kernel.create ~quantum:cfg.quantum ~sched:(Ls.sched ls) () in
+  let slo = Service.Harness.(slo (build ~ls ~rng k cfg)) in
   let resolved () =
     List.fold_left
-      (fun acc (ten : Svc.Slo.tenant) -> acc + ten.served + ten.shed)
-      0 (Svc.Slo.tenants slo)
+      (fun acc (ten : Service.Slo.tenant) -> acc + ten.served + ten.shed)
+      0 (Service.Slo.tenants slo)
   in
   ignore (Kernel.run k ~until:(Time.seconds 30));
   let r0 = resolved () in

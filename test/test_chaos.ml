@@ -73,7 +73,13 @@ let test_fault_events_published () =
   in
   Kernel.set_pre_select k (Some (fun () -> Injector.step inj));
   sc.Scenarios.build
-    { Scenarios.kernel = k; ls; point = (fun () -> Injector.point inj) };
+    {
+      Scenarios.kernel = k;
+      ls;
+      rng;
+      point = (fun () -> Injector.point inj);
+      audit = ignore;
+    };
   ignore (Kernel.run k ~until:sc.Scenarios.horizon);
   checkb "faults were injected" true (Injector.faults inj <> []);
   checki "every fault published on the bus" (List.length (Injector.faults inj))
@@ -154,11 +160,11 @@ let test_span_soak_200_seeds () =
     [ Scenarios.rpc; Scenarios.scatter ]
 
 let test_service_scenario_soak () =
-  (* the bounded-port service scenario: 200 seeds of kills landing in a
-     worker pool with drop-oldest shedding. Shed accounting (every request
-     served or shed, checked inside the scenario's clients) and span
-     well-formedness (every span closed, dropped or orphaned — shed spans
-     land as Dropped) must survive every fault schedule *)
+  (* the service stack under 200 seeds of kills: workers die mid-request,
+     stubs mid-RPC, while the drop-oldest tenant sheds. The world's own
+     books (every arrival served, shed, queued or held; client sheds equal
+     port sheds) are audited at every boundary beside the kernel's, and
+     every span must end closed, dropped or orphaned *)
   let seeds = Soak.seed_range ~from:0 ~count:200 in
   let r = Soak.soak ~audit:true ~scenarios:[ Scenarios.service ] ~seeds () in
   (match Soak.first_failure r with
@@ -172,7 +178,46 @@ let test_service_scenario_soak () =
   let st = o.Soak.span_stats in
   checkb "spans traced" true (st.Lotto_obs.Span.st_total > 0);
   checki "no span leaked" st.st_total
-    (st.st_closed + st.st_dropped + st.st_orphaned)
+    (st.st_closed + st.st_dropped + st.st_orphaned);
+  (* with no faults, every dropped span is a shed one *)
+  let calm = Soak.run_one ~plan:Plan.none Scenarios.service ~seed:11 in
+  checkb "the world sheds" true (calm.Soak.span_stats.Lotto_obs.Span.st_dropped > 0)
+
+(* An exception out of the kernel, here the scenario's own check raising
+   in the pre-select hook, fails that run with a violation, and the sweep
+   goes on to the next seed. *)
+let test_kernel_exception_fails_the_run () =
+  let raising =
+    {
+      Scenarios.name = "raising";
+      horizon = Time.ms 100;
+      build =
+        (fun ctx ->
+          let k = ctx.Scenarios.kernel in
+          let th =
+            Kernel.spawn k ~name:"sleeper" (fun () ->
+                for _ = 1 to 50 do
+                  Api.sleep (Time.ms 1)
+                done)
+          in
+          ignore
+            (Lottery_sched.fund_thread ctx.ls th ~amount:100
+               ~from:(Lottery_sched.base_currency ctx.ls));
+          ctx.audit (fun () ->
+              if Kernel.now k >= Time.ms 5 then failwith "broken books" else []));
+    }
+  in
+  let r = Soak.soak ~plan:Plan.none ~scenarios:[ raising ] ~seeds:[ 1; 2 ] () in
+  checki "both seeds ran" 2 r.Soak.runs;
+  checki "both failed" 2 (List.length r.Soak.failures);
+  List.iter
+    (fun o ->
+      check
+        Alcotest.(list string)
+        "the exception is the violation"
+        [ "kernel raised Failure(\"broken books\")" ]
+        (List.map snd o.Soak.violations))
+    r.Soak.failures
 
 let test_soak_multi_cpu () =
   (* the sharded scheduler under fault injection, with the combined audit
@@ -249,5 +294,7 @@ let () =
           Alcotest.test_case "4-cpu outcome reproducible" `Quick
             test_multi_cpu_outcome_reproducible;
           Alcotest.test_case "scenario lookup" `Quick test_scenario_lookup;
+          Alcotest.test_case "a kernel exception fails the run" `Quick
+            test_kernel_exception_fails_the_run;
         ] );
     ]

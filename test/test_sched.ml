@@ -528,10 +528,11 @@ let bare_thread id =
   }
 
 (* The scheduler's transfer record is the only one, so its audit holds
-   the kernel's rules: a thread holds transfers only while Blocked, and
-   only to live threads. Driven through the scheduler record, which lets
-   a waker skip the revoke the kernel would make. *)
-let transfer_pair seed =
+   the kernel's rules: a thread holds transfers only while Blocked in a
+   wait that donates, and only to live threads. Driven through the
+   scheduler record, which lets a waker skip the revoke the kernel would
+   make. *)
+let transfer_pair ?(wait = Types.Waiting_reply) seed =
   let ls = Lottery_sched.create ~rng:(Rng.create ~seed ()) () in
   let s = Lottery_sched.sched ls in
   let client = bare_thread 0 and server = bare_thread 1 in
@@ -539,8 +540,19 @@ let transfer_pair seed =
   s.Types.attach server;
   s.Types.unready client;
   client.Types.state <- Types.Blocked;
+  client.Types.pending <- wait;
   s.Types.donate ~src:client ~dst:server;
   (ls, s, client, server)
+
+(* A semaphore wait donates nothing in the kernel, so a transfer held
+   there has outlived the wait it was made for. *)
+let test_coherence_flags_donor_outside_donating_wait () =
+  let ls, s, client, server = transfer_pair ~wait:Types.Waiting_sem 6 in
+  let audit () = Lottery_sched.check_funding_coherence ls [ client; server ] in
+  check (Alcotest.list Alcotest.string) "a donor parked on a semaphore"
+    [ "t0: holds transfers outside an RPC, lock or join wait" ] (audit ());
+  s.Types.revoke ~src:client;
+  check (Alcotest.list Alcotest.string) "clean once revoked" [] (audit ())
 
 let test_coherence_flags_runnable_donor () =
   let ls, s, client, server = transfer_pair 3 in
@@ -1102,6 +1114,8 @@ let () =
             test_coherence_flags_dead_target;
           Alcotest.test_case "coherence flags a factor moved behind the scheduler"
             `Quick test_coherence_flags_moved_factor;
+          Alcotest.test_case "coherence flags a donor outside a donating wait"
+            `Quick test_coherence_flags_donor_outside_donating_wait;
         ] );
       ( "reclamation",
         [

@@ -241,6 +241,56 @@ let test_accounting_multi_cpu cpus () =
     report.Svc.tenants;
   checkb "the flood sheds" true ((Svc.find report "B").Svc.shed > 0)
 
+(* A worker killed mid-request never replies, so its request stays held
+   by the stub that sent it, which waits in [Waiting_reply] to the
+   horizon: the books still balance with the request in flight. The stub's
+   transfer went with the worker. *)
+let test_killed_worker_request_stays_held () =
+  let spec =
+    Tenant.spec ~arrivals:(Arrivals.Poisson 50.) ~workers:1 ~stubs:2 "A"
+  in
+  let cfg = Svc.config ~horizon:(Time.seconds 1) [ spec ] in
+  let rng = Rng.create ~seed:cfg.seed () in
+  let ls = Lottery_sched.create ~rng () in
+  let k = Kernel.create ~quantum:cfg.quantum ~sched:(Lottery_sched.sched ls) () in
+  let w = Svc.build ~ls ~rng k cfg in
+  let named name = List.find (fun th -> Kernel.thread_name th = name) (Kernel.threads k) in
+  let worker = named "A.w0" and stubs = [ named "A.c0"; named "A.c1" ] in
+  let t = ref 0 in
+  while worker.Types.servicing = [] do
+    t := !t + Time.ms 1;
+    ignore (Kernel.run k ~until:!t)
+  done;
+  let served = (Slo.tenant (Svc.slo w) "A").Slo.served in
+  Kernel.kill k worker;
+  let report = Svc.capture w (Kernel.run k ~until:cfg.horizon) in
+  let tr = Svc.find report "A" in
+  checkb "accounted" true report.Svc.accounted;
+  checkb "shed consistent" true report.Svc.shed_consistent;
+  check Alcotest.(list string) "the world's check is clean" [] (Svc.check w);
+  checki "nothing served after the kill" served tr.Svc.served;
+  checkb "the held request is in flight" true (tr.Svc.in_flight >= 1);
+  checkb "its stub still waits for the reply" true
+    (List.exists
+       (fun th ->
+         Kernel.thread_state th = Types.Blocked
+         && match th.Types.pending with Types.Waiting_reply -> true | _ -> false)
+       stubs);
+  check Alcotest.(list string) "no transfer outlives the worker" []
+    (Lottery_sched.check_funding_coherence ls (Kernel.threads k))
+
+(* [build] funds through a lottery exactly when the config says Lottery. *)
+let test_build_checks_sched_kind () =
+  let spec = Tenant.spec ~arrivals:(Arrivals.Poisson 50.) "A" in
+  let rng = Rng.create ~seed:1 () in
+  let ls = Lottery_sched.create ~rng () in
+  let k = Kernel.create ~sched:(Lottery_sched.sched ls) () in
+  let msg = "Service.build: a lottery exactly when sched_kind is Lottery" in
+  Alcotest.check_raises "lottery config, no lottery" (Invalid_argument msg) (fun () ->
+      ignore (Svc.build ~rng k (Svc.config [ spec ])));
+  Alcotest.check_raises "decay config, a lottery" (Invalid_argument msg) (fun () ->
+      ignore (Svc.build ~ls ~rng k (Svc.config ~sched_kind:Svc.Decay_usage [ spec ])))
+
 let test_prom_exposition () =
   let spec = Tenant.spec ~arrivals:(Arrivals.Poisson 100.) "web" in
   let report = Svc.run (Svc.config ~horizon:(Time.seconds 5) [ spec ]) in
@@ -377,5 +427,9 @@ let () =
             test_insulation_invariant;
           Alcotest.test_case "decay-usage breaks shares" `Slow
             test_decay_breaks_shares;
+          Alcotest.test_case "killed worker's request stays held" `Quick
+            test_killed_worker_request_stays_held;
+          Alcotest.test_case "build checks the scheduler kind" `Quick
+            test_build_checks_sched_kind;
         ] );
     ]

@@ -1101,7 +1101,8 @@ let test_late_reply_skips_newer_request () =
 
 (* The same client's first request is still queued on a full drop-oldest
    port when it is killed; its second request evicts the first. The
-   eviction must not reject the second request, which was admitted. *)
+   eviction must not reject the second request, which was admitted, and
+   counts no shed: nobody waits on the first. *)
 let test_eviction_skips_newer_request () =
   let k = rr_kernel ~quantum:(Time.ms 1) () in
   let p = Kernel.create_port k ~capacity:1 ~shed:Types.Drop_oldest ~name:"svc" in
@@ -1130,7 +1131,44 @@ let test_eviction_skips_newer_request () =
   check Alcotest.(list string) "the admitted request is served and answered"
     [ "c: first killed"; "srv: got second"; "c: second -> answer-to-second" ]
     (List.rev !log);
-  checki "one request shed" 1 (Kernel.port_shed_count p);
+  checki "nobody waited on the evicted request: no shed" 0
+    (Kernel.port_shed_count p);
+  check (Alcotest.list Alcotest.string) "invariants clean" []
+    (Kernel.check_invariants k)
+
+(* A client killed while its request queues on a full drop-oldest port
+   leaves that request to nobody. A newcomer evicts it and is admitted;
+   a third client then evicts the newcomer, whose sender does wait. Only
+   that second eviction refuses anyone, so the port's count, the
+   [Rpc_shed] events and the sheds the clients observe all read one. *)
+let test_stale_eviction_is_no_shed () =
+  let k = rr_kernel ~quantum:(Time.ms 1) () in
+  let p = Kernel.create_port k ~capacity:1 ~shed:Types.Drop_oldest ~name:"svc" in
+  let traced = ref 0 and observed = ref 0 in
+  ignore
+    (Obs.Bus.subscribe ~name:"shed-probe" (Kernel.bus k) (fun _ ev ->
+         match ev with Obs.Event.Rpc_shed _ -> incr traced | _ -> ()));
+  ignore
+    (Kernel.spawn k ~name:"srv" (fun () ->
+         Api.sleep (Time.ms 10);
+         while true do
+           let m = Api.receive p in
+           Api.reply m "ok"
+         done));
+  let client name delay =
+    Kernel.spawn k ~name (fun () ->
+        Api.sleep delay;
+        try ignore (Api.rpc p name) with Types.Rejected _ -> incr observed)
+  in
+  let a = client "a" 0 in
+  ignore (client "b" (Time.ms 3));
+  ignore (client "c" (Time.ms 4));
+  ignore (Kernel.run k ~until:(Time.ms 2));
+  Kernel.kill k a;
+  ignore (Kernel.run k ~until:(Time.ms 100));
+  checki "one client observed a shed" 1 !observed;
+  checki "the port counts it once" 1 (Kernel.port_shed_count p);
+  checki "one Rpc_shed" 1 !traced;
   check (Alcotest.list Alcotest.string) "invariants clean" []
     (Kernel.check_invariants k)
 
@@ -1170,7 +1208,8 @@ let test_stale_request_evictable () =
   ignore (Kernel.run k ~until:(Time.ms 100));
   check Alcotest.(list string) "the stale request made room"
     [ "svc: got d"; "d -> ok"; "other: got gather" ] (List.rev !log);
-  checki "one request shed" 1 (Kernel.port_shed_count p);
+  checki "nobody waited on the evicted request: no shed" 0
+    (Kernel.port_shed_count p);
   check (Alcotest.list Alcotest.string) "invariants clean" []
     (Kernel.check_invariants k)
 
@@ -1443,5 +1482,7 @@ let () =
             test_check_invariants_clean_on_healthy_kernel;
           Alcotest.test_case "invariants report corruption" `Quick
             test_check_invariants_reports_corruption;
+          Alcotest.test_case "stale eviction is no shed" `Quick
+            test_stale_eviction_is_no_shed;
         ] );
     ]
